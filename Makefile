@@ -8,7 +8,7 @@ FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/collection ./internal/rsync ./internal/vcdiff \
 	./internal/merkle ./internal/pubsig ./internal/cdc
 
-.PHONY: all build test vet race check fuzz-smoke bench bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check clean
+.PHONY: all build test vet race check fuzz-smoke bench bench-check bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check clean
 
 all: check
 
@@ -69,6 +69,18 @@ bench: export GOMAXPROCS ?= $(NPROC)
 bench: bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(GO) run ./cmd/msbench -scan-json BENCH_scan.json
+
+# bench-check is the regression gate over the repository's benchmark
+# (BENCHMARK.json, benchmark/): BENCH_BASE is checked out into a temporary git
+# worktree, base and working tree each run every workload BENCH_RUNS times with
+# the runs taking turns (see cmd/benchcheck), and `go run ./benchmark -compare`
+# judges the two records. Exit 1 on any "worse" row. Ten rounds take about 40
+# minutes; fewer than four leave every time and allocation metric "unresolved".
+BENCH_RUNS ?= 10
+BENCH_SEED ?= 42
+BENCH_BASE ?= HEAD
+bench-check:
+	$(GO) run ./cmd/benchcheck -runs $(BENCH_RUNS) -seed $(BENCH_SEED) -base $(BENCH_BASE)
 
 # bench-cache regenerates BENCH_cache.json: repeat sync of an unchanged tree
 # with the signature cache off, cold and warm — wall-clock, bytes hashed,

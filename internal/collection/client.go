@@ -558,11 +558,7 @@ func consume(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, co
 			res.Version = v
 		}
 	}
-	st.cost(costs, stats.S2C, stats.PhaseControl, len(vraw)-fullBytes-deltaBytes)
-	st.raw(costs, stats.S2C, stats.PhaseFull, fullBytes)
-	if deltaBytes > 0 {
-		st.raw(costs, stats.S2C, stats.PhaseDelta, deltaBytes)
-	}
+	st.verdictCost(costs, len(vraw), fullBytes, deltaBytes)
 
 	perEngine := make([]int64, len(engines))
 

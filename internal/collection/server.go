@@ -901,11 +901,7 @@ func (s *Server) sendVerdicts(fw *wire.FrameWriter, costs *stats.Costs, verdicts
 	if err := fw.Flush(); err != nil {
 		return err
 	}
-	st.cost(costs, stats.S2C, stats.PhaseControl, len(verdicts)-fullBytes-deltaBytes)
-	st.raw(costs, stats.S2C, stats.PhaseFull, fullBytes)
-	if deltaBytes > 0 {
-		st.raw(costs, stats.S2C, stats.PhaseDelta, deltaBytes)
-	}
+	st.verdictCost(costs, len(verdicts), fullBytes, deltaBytes)
 	costs.Roundtrips++
 	return nil
 }

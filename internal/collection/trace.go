@@ -138,6 +138,21 @@ func (t *sessTrace) raw(c *stats.Costs, d stats.Direction, p stats.Phase, n int)
 	t.addBytes(d, int64(n))
 }
 
+// verdictCost accounts the one frame whose payload is split across phases:
+// the full payloads it carries count as PhaseFull, journal delta payloads as
+// PhaseDelta, and everything else — verdict bytes, lengths, and the framing
+// of the whole frame, whose length varint can be longer than the control
+// share alone would need — as control.
+func (t *sessTrace) verdictCost(c *stats.Costs, frame, fullBytes, deltaBytes int) {
+	ctrl := frame - fullBytes - deltaBytes
+	t.cost(c, stats.S2C, stats.PhaseControl, ctrl)
+	t.raw(c, stats.S2C, stats.PhaseControl, frameOverhead(frame)-frameOverhead(ctrl))
+	t.raw(c, stats.S2C, stats.PhaseFull, fullBytes)
+	if deltaBytes > 0 {
+		t.raw(c, stats.S2C, stats.PhaseDelta, deltaBytes)
+	}
+}
+
 func (t *sessTrace) addBytes(d stats.Direction, n int64) {
 	if d == stats.C2S {
 		t.up += n

@@ -423,26 +423,31 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 	}
 
 	// Index the old file's chunks at the same parameters by (length,
-	// truncated hash). Offsets are appended in file order, so candidate
-	// alternates are ascending — the same tie-break the halving scan uses.
+	// truncated hash): index holds the first chunk with a key and next
+	// chains to the following ones, both as chunk number + 1 (0 = none).
+	// Chains run in file order, so candidate alternates are ascending — the
+	// same tie-break the halving scan uses.
 	type ckey struct {
 		size int
 		hash uint64
 	}
-	var index map[ckey][]int32
-	var cuts []int
+	var index map[ckey]int32
+	var next []int32
+	var cuts, bounds []int
 	if len(c.fOld) > 0 && len(p.entries) > nProbes {
 		var err error
 		cuts, err = cdc.CutsE(c.fOld, params)
 		if err != nil {
 			panic("core: validated config yielded bad cdc params: " + err.Error())
 		}
-		index = make(map[ckey][]int32, len(cuts))
-		start := 0
-		for _, cut := range cuts {
-			h := rolling.Truncate(c.fam.Hash(c.fOld[start:cut]), hb)
-			index[ckey{cut - start, h}] = append(index[ckey{cut - start, h}], int32(start))
-			start = cut
+		bounds = append([]int{0}, cuts...) // chunk k is fOld[bounds[k]:bounds[k+1]]
+		index = make(map[ckey]int32, len(cuts))
+		next = make([]int32, len(cuts))
+		for k := len(cuts) - 1; k >= 0; k-- {
+			chunk := c.fOld[bounds[k]:bounds[k+1]]
+			key := ckey{len(chunk), rolling.Truncate(c.fam.Hash(chunk), hb)}
+			next[k] = index[key]
+			index[key] = int32(k + 1)
 		}
 		c.CDCChunks += int64(len(cuts))
 	}
@@ -492,10 +497,8 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 			dst = c.probeCandidates(&pe, raw, dst)
 			dst = c.cutAnchoredCandidates(&pe, raw, cuts, dst)
 		}
-		for _, a := range index[ckey{e.size, raw}] {
-			if len(dst) >= maxAlt {
-				break
-			}
+		for k := index[ckey{e.size, raw}]; k != 0 && len(dst) < maxAlt; k = next[k-1] {
+			a := int32(bounds[k-1])
 			dup := false
 			for _, d := range dst {
 				if d == a {
@@ -848,21 +851,48 @@ func (c *ClientFile) EmitBatch() []byte {
 	return w.Bytes()
 }
 
+// openDelta absorbs the pending confirm bits that lead a delta section and
+// splits the rest into the whole-file sum and the encoded delta.
+func (c *ClientFile) openDelta(payload []byte) (wantSum, enc []byte, err error) {
+	r := bitio.NewReader(payload)
+	if err := c.finalizePending(r); err != nil {
+		return nil, nil, err
+	}
+	r.Align()
+	if wantSum, err = r.ReadBytes(md4.Size); err != nil {
+		return nil, nil, fmt.Errorf("core: delta header: %w", err)
+	}
+	if enc, err = r.ReadBytes(r.BitsRemaining() / 8); err != nil {
+		return nil, nil, fmt.Errorf("core: delta payload: %w", err)
+	}
+	return wantSum, enc, nil
+}
+
+// decodeGaps decodes enc against the reference gathered from src over ivs and
+// hands each gap, in file order, its share of the decoded target.
+func (c *ClientFile) decodeGaps(src []byte, ivs []interval, enc []byte, fill func(g interval, data []byte)) error {
+	ref, release := gather(src, ivs)
+	defer release()
+	target, err := delta.Decode(ref[0], enc)
+	if err != nil {
+		return fmt.Errorf("core: delta decode: %w", err)
+	}
+	if len(target) != c.n-c.coveredBytes() {
+		return fmt.Errorf("core: delta target length mismatch")
+	}
+	for _, g := range c.gaps() {
+		fill(g, target[:g.end-g.start])
+		target = target[g.end-g.start:]
+	}
+	return nil
+}
+
 // ApplyDelta consumes the final delta section and reconstructs the current
 // file. On ErrVerifyFailed the caller should arrange a full transfer.
 func (c *ClientFile) ApplyDelta(payload []byte) ([]byte, error) {
-	r := bitio.NewReader(payload)
-	if err := c.finalizePending(r); err != nil {
+	wantSum, enc, err := c.openDelta(payload)
+	if err != nil {
 		return nil, err
-	}
-	r.Align()
-	wantSum, err := r.ReadBytes(md4.Size)
-	if err != nil {
-		return nil, fmt.Errorf("core: delta header: %w", err)
-	}
-	enc, err := r.ReadBytes(r.BitsRemaining() / 8)
-	if err != nil {
-		return nil, fmt.Errorf("core: delta payload: %w", err)
 	}
 
 	out := make([]byte, c.n)
@@ -870,25 +900,10 @@ func (c *ClientFile) ApplyDelta(payload []byte) ([]byte, error) {
 	for _, m := range c.matches {
 		copy(out[m.serverOff:m.serverOff+m.length], c.fOld[m.clientOff:m.clientOff+m.length])
 	}
-	var ref []byte
-	for _, iv := range c.coverIntervals() {
-		ref = append(ref, out[iv.start:iv.end]...)
-	}
-	target, err := delta.Decode(ref, enc)
-	if err != nil {
-		return nil, fmt.Errorf("core: delta decode: %w", err)
-	}
-	pos := 0
-	for _, g := range c.gaps() {
-		gl := g.end - g.start
-		if pos+gl > len(target) {
-			return nil, fmt.Errorf("core: delta target too short")
-		}
-		copy(out[g.start:g.end], target[pos:pos+gl])
-		pos += gl
-	}
-	if pos != len(target) {
-		return nil, fmt.Errorf("core: delta target length mismatch")
+	if err := c.decodeGaps(out, c.coverIntervals(), enc, func(g interval, data []byte) {
+		copy(out[g.start:], data)
+	}); err != nil {
+		return nil, err
 	}
 	got := md4.Sum(out)
 	if string(got[:]) != string(wantSum) {

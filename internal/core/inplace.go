@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"msync/internal/bitio"
-	"msync/internal/delta"
 	"msync/internal/inplace"
 	"msync/internal/md4"
 )
@@ -18,83 +16,39 @@ import (
 // returned slice may alias it. Stats report the planner's extra space.
 func (c *ClientFile) ApplyDeltaInPlace(payload []byte) ([]byte, inplace.Stats, error) {
 	var st inplace.Stats
-	r := bitio.NewReader(payload)
-	if err := c.finalizePending(r); err != nil {
+	wantSum, enc, err := c.openDelta(payload)
+	if err != nil {
 		return nil, st, err
 	}
-	r.Align()
-	wantSum, err := r.ReadBytes(md4.Size)
-	if err != nil {
-		return nil, st, fmt.Errorf("core: delta header: %w", err)
-	}
-	enc, err := r.ReadBytes(r.BitsRemaining() / 8)
-	if err != nil {
-		return nil, st, fmt.Errorf("core: delta payload: %w", err)
-	}
 
-	// The reference must be assembled from the old file BEFORE any in-place
-	// write happens.
-	cover := c.coverIntervals()
+	// Tile every cover interval with pieces of confirmed matches: each piece
+	// becomes an in-place copy, and the pieces' read ranges, in write order,
+	// are the reference — gathered from the old file before any write.
 	sorted := append([]match(nil), c.matches...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].serverOff < sorted[j].serverOff })
-
-	// materialize yields (writeOff, readOff, len) pieces tiling [s, e).
-	pieces := func(s, e int, emit func(w, rd, l int)) error {
-		pos := s
-		mi := sort.Search(len(sorted), func(i int) bool {
-			return sorted[i].serverOff+sorted[i].length > pos
-		})
-		for pos < e {
+	var ops []inplace.Op
+	var reads []interval
+	mi := 0
+	for _, iv := range c.coverIntervals() {
+		for pos := iv.start; pos < iv.end; {
 			for mi < len(sorted) && sorted[mi].serverOff+sorted[mi].length <= pos {
 				mi++
 			}
 			if mi >= len(sorted) || sorted[mi].serverOff > pos {
-				return fmt.Errorf("core: cover gap at %d (internal error)", pos)
+				return nil, st, fmt.Errorf("core: cover gap at %d (internal error)", pos)
 			}
 			m := sorted[mi]
-			l := m.serverOff + m.length - pos
-			if pos+l > e {
-				l = e - pos
-			}
-			emit(pos, m.clientOff+(pos-m.serverOff), l)
+			l := min(m.serverOff+m.length, iv.end) - pos
+			rd := m.clientOff + (pos - m.serverOff)
+			ops = append(ops, inplace.Op{WriteOff: pos, ReadOff: rd, Len: l})
+			reads = append(reads, interval{rd, rd + l})
 			pos += l
 		}
-		return nil
 	}
-
-	var ref []byte
-	for _, iv := range cover {
-		if err := pieces(iv.start, iv.end, func(_, rd, l int) {
-			ref = append(ref, c.fOld[rd:rd+l]...)
-		}); err != nil {
-			return nil, st, err
-		}
-	}
-	target, err := delta.Decode(ref, enc)
-	if err != nil {
-		return nil, st, fmt.Errorf("core: delta decode: %w", err)
-	}
-
-	// Build the in-place patch: copies for covered pieces, literals for gaps.
-	var ops []inplace.Op
-	for _, iv := range cover {
-		if err := pieces(iv.start, iv.end, func(w, rd, l int) {
-			ops = append(ops, inplace.Op{WriteOff: w, ReadOff: rd, Len: l})
-		}); err != nil {
-			return nil, st, err
-		}
-	}
-	pos := 0
-	for _, g := range c.gaps() {
-		gl := g.end - g.start
-		if pos+gl > len(target) {
-			return nil, st, fmt.Errorf("core: delta target too short")
-		}
-		ops = append(ops, inplace.Op{WriteOff: g.start, Data: target[pos : pos+gl]})
-		pos += gl
-	}
-	if pos != len(target) {
-		return nil, st, fmt.Errorf("core: delta target length mismatch")
+	if err := c.decodeGaps(c.fOld, reads, enc, func(g interval, data []byte) {
+		ops = append(ops, inplace.Op{WriteOff: g.start, Data: data})
+	}); err != nil {
+		return nil, st, err
 	}
 
 	out, st, err := inplace.Apply(c.fOld, ops, c.n)

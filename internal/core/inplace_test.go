@@ -60,7 +60,19 @@ func TestApplyDeltaInPlaceMatches(t *testing.T) {
 		em := corpus.EditModel{BurstsPer32KB: 4, BurstEdits: 4, EditSize: 50, BurstSpread: 300}
 		cur := em.Apply(rng, old)
 		out, _, err := syncLocalInPlace(old, cur, DefaultConfig())
+		if err == ErrVerifyFailed {
+			// A false match can slip through verification and be caught by
+			// the whole-file check (seed 3823963842317910609 does this). It
+			// only passes here if the ordinary apply of the same session
+			// fails its check too; a wrong in-place reference or tiling
+			// would fail alone.
+			res, lerr := SyncLocal(old, cur, DefaultConfig())
+			return lerr == nil && res.FellBack
+		}
 		return err == nil && bytes.Equal(out, cur)
+	}
+	if !f(3823963842317910609) {
+		t.Fatal("in-place and ordinary apply disagree on the known false-match seed")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,174 @@
+package core
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"msync/internal/alloctest"
+	"msync/internal/corpus"
+	"msync/internal/stats"
+)
+
+// mapRounds builds both engines and drives map construction to its end,
+// leaving them ready for EmitDelta / ApplyDelta.
+func mapRounds(t testing.TB, fOld, fNew []byte, cfg Config) (*ServerFile, *ClientFile) {
+	t.Helper()
+	srv, err := NewServerFile(fNew, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClientFile(fOld, len(fNew), &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for srv.Active() {
+		if err := cli.AbsorbHashes(srv.EmitHashes()); err != nil {
+			t.Fatal(err)
+		}
+		more, err := srv.AbsorbReply(cli.EmitReply())
+		for more && err == nil {
+			if _, err = cli.AbsorbConfirm(srv.EmitConfirm()); err == nil {
+				more, err = srv.AbsorbBatch(cli.EmitBatch())
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, cli
+}
+
+// TestDeltaPhaseAllocCeiling: the delta phase of a 1 MB file with 1 % of it
+// edited allocates less than three times the file — the client's output, the
+// encoder's and decoder's own buffers, and nothing that grows by doubling.
+// The parent paid ~5 MB of growslice copies per end plus fresh index tables.
+func TestDeltaPhaseAllocCeiling(t *testing.T) {
+	const size = 1 << 20
+	rng := rand.New(rand.NewSource(12))
+	old := corpus.SourceText(rng, size)
+	cur := append([]byte(nil), old...)
+	for i := 0; i < 40; i++ { // 40 × 256 B ≈ 1 %
+		copy(cur[rng.Intn(size-256):], corpus.RandomText(rng, 256))
+	}
+	const runs = 12
+	type engines struct {
+		srv *ServerFile
+		cli *ClientFile
+	}
+	ready := make([]engines, runs+1) // one pair per call, warm-up included
+	for i := range ready {
+		ready[i].srv, ready[i].cli = mapRounds(t, old, cur, DefaultConfig())
+	}
+	next := 0
+	got := alloctest.BytesPerOp(runs, func() {
+		e := ready[next]
+		next++
+		out, err := e.cli.ApplyDelta(e.srv.EmitDelta())
+		if err != nil || !bytes.Equal(out, cur) {
+			t.Fatalf("delta phase failed: %v", err)
+		}
+	})
+	if got >= 3*size {
+		t.Errorf("EmitDelta+ApplyDelta of a 1 MB file allocate %d B, ceiling %d", got, 3*size)
+	}
+}
+
+// TestConcurrentSyncMatchesSerial runs 16 file syncs of very different sizes
+// at once, small after large on every goroutine, against their serial
+// results: pooled gather and encoder scratch must not leak bytes from one
+// file into another's delta. Meaningful under -race.
+func TestConcurrentSyncMatchesSerial(t *testing.T) {
+	sizes := []int{400_000, 300, 70_000, 1500, 250_000, 90, 30_000, 5, 120_000, 6000, 200_000, 0, 15_000, 800, 50_000, 2500}
+	rng := rand.New(rand.NewSource(13))
+	type file struct{ old, cur []byte }
+	files := make([]file, len(sizes))
+	want := make([]int64, len(sizes))
+	cfg := DefaultConfig()
+	for i, n := range sizes {
+		old := corpus.SourceText(rng, n)
+		cur := corpus.EditModel{BurstsPer32KB: 6, BurstEdits: 4, EditSize: 40, BurstSpread: 300}.Apply(rng, old)
+		files[i] = file{old, cur}
+		res, err := SyncLocal(old, cur, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Costs.Bytes(stats.S2C, stats.PhaseDelta)
+	}
+	var wg sync.WaitGroup
+	for g := range files {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 4; k++ {
+				i := (g + k) % len(files)
+				// SyncLocal itself checks the output against cur.
+				res, err := SyncLocal(files[i].old, files[i].cur, cfg)
+				if err != nil {
+					t.Errorf("goroutine %d, %d-byte file: %v", g, sizes[i], err)
+					return
+				}
+				if got := res.Costs.Bytes(stats.S2C, stats.PhaseDelta); got != want[i] {
+					t.Errorf("goroutine %d, %d-byte file: %d delta bytes concurrently, %d serially", g, sizes[i], got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// refSubtractIntervals is how cdcPlanBase cut its regions out of each gap
+// before the single merged sweep (subtractIntervals at commit 48c6d22): the parts of g not covered by any of ivs, which
+// need not be sorted or disjoint. Frozen as the reference.
+func refSubtractIntervals(g interval, ivs []interval) []interval {
+	out := []interval{g}
+	for _, iv := range ivs {
+		var next []interval
+		for _, o := range out {
+			if iv.end <= o.start || o.end <= iv.start {
+				next = append(next, o)
+				continue
+			}
+			if o.start < iv.start {
+				next = append(next, interval{o.start, iv.start})
+			}
+			if iv.end < o.end {
+				next = append(next, interval{iv.end, o.end})
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+// TestCDCRegionsMatchReference: the complement of (cover ∪ probed ∪ dead),
+// merged once, is exactly the regions the per-gap, per-interval subtraction
+// yielded, so CDC chunk maps are unchanged.
+func TestCDCRegionsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 2000; trial++ {
+		var cover []interval
+		pos := rng.Intn(5)
+		for n := rng.Intn(6); n > 0; n-- {
+			end := pos + 1 + rng.Intn(20)
+			cover = append(cover, interval{pos, end})
+			pos = end + 1 + rng.Intn(40)
+		}
+		n := pos + rng.Intn(30)
+		var skip []interval
+		for k := rng.Intn(8); k > 0; k-- {
+			s := rng.Intn(n + 1)
+			skip = append(skip, interval{s, min(n, s+rng.Intn(30))}) // empty ones included
+		}
+		var want []interval
+		for _, g := range complement(cover, n) {
+			want = append(want, refSubtractIntervals(g, skip)...)
+		}
+		got := complement(mergeIntervals(append(append([]interval(nil), cover...), skip...)), n)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("[0,%d) minus cover %v minus %v: got %v, reference %v", n, cover, skip, got, want)
+		}
+	}
+}

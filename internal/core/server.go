@@ -337,13 +337,8 @@ func (s *ServerFile) EmitDelta() []byte {
 	s.pendingConfirm = nil
 	w.Align()
 
-	var ref, target []byte
-	for _, iv := range s.coverIntervals() {
-		ref = append(ref, s.fNew[iv.start:iv.end]...)
-	}
-	for _, g := range s.gaps() {
-		target = append(target, s.fNew[g.start:g.end]...)
-	}
+	parts, release := gather(s.fNew, s.coverIntervals(), s.gaps())
+	defer release()
 	var sum [md4.Size]byte
 	if s.sig != nil {
 		sum = s.sig.Sum
@@ -352,6 +347,6 @@ func (s *ServerFile) EmitDelta() []byte {
 		s.BytesHashed += int64(s.n)
 	}
 	w.WriteBytes(sum[:])
-	w.WriteBytes(delta.Encode(ref, target))
+	w.WriteBytes(delta.Encode(parts[0], parts[1]))
 	return w.Bytes()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"msync/internal/gtest"
 )
@@ -176,15 +177,9 @@ func (st *state) allowProbe(edgeOff int, left bool, size int) bool {
 	return !ok || size < failed
 }
 
-// coverIntervals returns the merged covered intervals, cached.
-func (st *state) coverIntervals() []interval {
-	if st.coverCache != nil {
-		return st.coverCache
-	}
-	ivs := make([]interval, 0, len(st.matches))
-	for _, m := range st.matches {
-		ivs = append(ivs, interval{m.serverOff, m.serverOff + m.length})
-	}
+// mergeIntervals sorts ivs in place and merges overlapping and touching
+// intervals, returning the sorted disjoint result (which reuses ivs).
+func mergeIntervals(ivs []interval) []interval {
 	sort.Slice(ivs, func(i, j int) bool {
 		if ivs[i].start != ivs[j].start {
 			return ivs[i].start < ivs[j].start
@@ -201,6 +196,19 @@ func (st *state) coverIntervals() []interval {
 		}
 		merged = append(merged, iv)
 	}
+	return merged
+}
+
+// coverIntervals returns the merged covered intervals, cached.
+func (st *state) coverIntervals() []interval {
+	if st.coverCache != nil {
+		return st.coverCache
+	}
+	ivs := make([]interval, 0, len(st.matches))
+	for _, m := range st.matches {
+		ivs = append(ivs, interval{m.serverOff, m.serverOff + m.length})
+	}
+	merged := mergeIntervals(ivs)
 	st.coverCache = merged
 	st.covered = 0
 	for _, iv := range merged {
@@ -210,18 +218,21 @@ func (st *state) coverIntervals() []interval {
 }
 
 // gaps returns the complement of the cover within [0, n).
-func (st *state) gaps() []interval {
-	cover := st.coverIntervals()
+func (st *state) gaps() []interval { return complement(st.coverIntervals(), st.n) }
+
+// complement returns the parts of [0, n) outside ivs, which are sorted and
+// disjoint.
+func complement(ivs []interval, n int) []interval {
 	var out []interval
 	pos := 0
-	for _, iv := range cover {
+	for _, iv := range ivs {
 		if iv.start > pos {
 			out = append(out, interval{pos, iv.start})
 		}
 		pos = iv.end
 	}
-	if pos < st.n {
-		out = append(out, interval{pos, st.n})
+	if pos < n {
+		out = append(out, interval{pos, n})
 	}
 	return out
 }
@@ -230,6 +241,44 @@ func (st *state) gaps() []interval {
 func (st *state) coveredBytes() int {
 	st.coverIntervals()
 	return st.covered
+}
+
+// gatherPool holds the scratch a file's final delta is coded between: the
+// covered bytes (reference) and the gap bytes (target).
+var gatherPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxRetainedGather caps the scratch a release returns to gatherPool, so one
+// huge file does not pin its size for the rest of the process.
+const maxRetainedGather = 4 << 20
+
+// gather concatenates src's bytes over each interval list into one pooled
+// buffer, sized exactly by summing the lists first, and returns one string
+// per list. release hands the buffer back: call it once delta.Encode or
+// Decode has returned (neither keeps a reference to its inputs).
+func gather(src []byte, lists ...[]interval) (parts [][]byte, release func()) {
+	n := 0
+	for _, ivs := range lists {
+		for _, iv := range ivs {
+			n += iv.end - iv.start
+		}
+	}
+	bp := gatherPool.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, 0, n)
+	}
+	b := (*bp)[:0]
+	for _, ivs := range lists {
+		start := len(b)
+		for _, iv := range ivs {
+			b = append(b, src[iv.start:iv.end]...)
+		}
+		parts = append(parts, b[start:len(b):len(b)])
+	}
+	return parts, func() {
+		if cap(b) <= maxRetainedGather {
+			gatherPool.Put(bp)
+		}
+	}
 }
 
 // fullyCovered reports whether [off, off+size) lies inside the cover.
@@ -454,45 +503,19 @@ func (st *state) cdcPlanBase() (*plan, []interval) {
 	}
 	var regions []interval
 	if st.b >= st.cfg.cdcFloor() {
-		skip := probeRanges
-		if len(st.cdcDead) > 0 {
-			skip = append(append([]interval(nil), probeRanges...), st.cdcDead...)
-		}
-		for _, g := range st.gaps() {
-			for _, r := range subtractIntervals(g, skip) {
-				// Chunking a region shorter than two average chunks yields
-				// one or two edge-bounded chunks that rarely match; the next
-				// round's probes cover such remnants more cheaply.
-				if r.end-r.start >= 2*st.b {
-					regions = append(regions, r)
-				}
+		// What is left to chunk is the file minus what is covered, probed
+		// this round, or dead: one merge and one sweep for all gaps.
+		skip := append(append(append([]interval(nil), st.coverIntervals()...), probeRanges...), st.cdcDead...)
+		for _, r := range complement(mergeIntervals(skip), st.n) {
+			// Chunking a region shorter than two average chunks yields
+			// one or two edge-bounded chunks that rarely match; the next
+			// round's probes cover such remnants more cheaply.
+			if r.end-r.start >= 2*st.b {
+				regions = append(regions, r)
 			}
 		}
 	}
 	return p, regions
-}
-
-// subtractIntervals returns the parts of g not covered by any of ivs.
-// ivs need not be sorted or disjoint.
-func subtractIntervals(g interval, ivs []interval) []interval {
-	out := []interval{g}
-	for _, iv := range ivs {
-		var next []interval
-		for _, o := range out {
-			if iv.end <= o.start || o.end <= iv.start {
-				next = append(next, o)
-				continue
-			}
-			if o.start < iv.start {
-				next = append(next, interval{o.start, iv.start})
-			}
-			if iv.end < o.end {
-				next = append(next, interval{iv.end, o.end})
-			}
-		}
-		out = next
-	}
-	return out
 }
 
 func overlapsAny(ivs []interval, start, end int) bool {

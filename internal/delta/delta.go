@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"msync/internal/bitio"
 	"msync/internal/huffman"
@@ -112,61 +113,114 @@ func seedHash(p []byte) uint32 {
 	return (v * 2654435761) >> (32 - hashBits)
 }
 
-// index is a hash-chain match index over a virtual address space:
-// positions [0, len(ref)) are reference bytes, positions >= len(ref) are
-// target bytes (at pos-len(ref)).
-type index struct {
+// matcher is the encoder's match-finder and the scratch Encode works in: a
+// hash-chain index over a virtual address space — positions [0, len(ref)) are
+// reference bytes, positions >= len(ref) are target bytes (at pos-len(ref)) —
+// plus the op slice and frequency tables of one parse. Matchers are pooled
+// (see matcherPool), so what an encode costs beyond its own input is a seed
+// replay, not a fresh 512 KB head table.
+type matcher struct {
 	ref, target []byte
-	head        []int32
-	prev        []int32 // chains for target positions only
-	refPrev     []int32 // chains for ref positions
+	head        []int32 // 1<<hashBits seed buckets; all -1 between uses
+	chain       []int32 // previous position with the same seed, by virtual position
+	ops         []Op
+	mainFreq    [mainAlphabet]int64
+	offFreq     [numOffCodes]int64
 }
 
-func newIndex(ref, target []byte) *index {
-	ix := &index{
-		ref:    ref,
-		target: target,
-		head:   make([]int32, 1<<hashBits),
+const (
+	// replayMax is the input size (ref + target bytes) up to which release
+	// empties the head table by rehashing the seeds it inserted, O(input);
+	// above it a full clear, O(table), is cheaper. BenchmarkHeadReset
+	// measures both sides; EXPERIMENTS.md records the crossover.
+	replayMax = 1 << (hashBits - 2)
+	// maxRetainedChain and maxRetainedOps cap what a pooled matcher keeps
+	// besides its head table: a larger chain array or op slice is dropped on
+	// release, so files up to 1 MB reuse their chains while a 2 MB file
+	// (8 MB of chain) cannot pin that for the rest of the process. A pooled
+	// matcher holds at most ~5 MB: 512 KB of head table, 4 MB of chain,
+	// 450 KB of ops.
+	maxRetainedChain = 1 << 20
+	maxRetainedOps   = 1 << 13
+)
+
+// matcherPool hands each encoding goroutine a private matcher for the span of
+// one Parse/Encode call; nothing in a matcher outlives the call that took it.
+var matcherPool = sync.Pool{
+	New: func() any {
+		m := &matcher{head: make([]int32, 1<<hashBits)}
+		m.clearHead()
+		return m
+	},
+}
+
+// acquire takes a matcher from the pool and indexes ref. Chain entries are
+// written before they can be reached from head, so the chain array is reused
+// without clearing.
+func acquire(ref, target []byte) *matcher {
+	m := matcherPool.Get().(*matcher)
+	m.ref, m.target = ref, target
+	if n := len(ref) + len(target); cap(m.chain) < n {
+		m.chain = make([]int32, n)
+	} else {
+		m.chain = m.chain[:n]
 	}
-	for i := range ix.head {
-		ix.head[i] = -1
+	for i := 0; i+MinMatch <= len(ref); i++ {
+		h := seedHash(ref[i:])
+		m.chain[i] = m.head[h]
+		m.head[h] = int32(i)
 	}
-	if len(ref) >= MinMatch {
-		ix.refPrev = make([]int32, len(ref))
-		for i := 0; i+MinMatch <= len(ref); i++ {
-			h := seedHash(ref[i:])
-			ix.refPrev[i] = ix.head[h]
-			ix.head[h] = int32(i)
-		}
+	return m
+}
+
+// release restores the all-empty head table, zeroes the frequency tables,
+// drops references to the caller's buffers and oversized scratch, and returns
+// m to the pool. Every position the parse indexed lies in ref or target, so
+// rehashing both finds every bucket that was written.
+func (m *matcher) release() {
+	if len(m.ref)+len(m.target) <= replayMax {
+		m.unseed(m.ref)
+		m.unseed(m.target)
+	} else {
+		m.clearHead()
 	}
-	ix.prev = make([]int32, len(target))
-	return ix
+	m.mainFreq = [mainAlphabet]int64{}
+	m.offFreq = [numOffCodes]int64{}
+	m.ref, m.target = nil, nil
+	if cap(m.chain) > maxRetainedChain {
+		m.chain = nil
+	}
+	if cap(m.ops) > maxRetainedOps {
+		m.ops = nil
+	} else {
+		clear(m.ops) // literals alias the caller's target
+		m.ops = m.ops[:0]
+	}
+	matcherPool.Put(m)
+}
+
+// unseed empties every head bucket a seed of p can have been put in.
+func (m *matcher) unseed(p []byte) {
+	for i := 0; i+MinMatch <= len(p); i++ {
+		m.head[seedHash(p[i:])] = -1
+	}
+}
+
+func (m *matcher) clearHead() {
+	for i := range m.head {
+		m.head[i] = -1
+	}
 }
 
 // insert adds target position q to the index.
-func (ix *index) insert(q int) {
-	if q+MinMatch > len(ix.target) {
+func (m *matcher) insert(q int) {
+	if q+MinMatch > len(m.target) {
 		return
 	}
-	h := seedHash(ix.target[q:])
-	ix.prev[q] = ix.head[h]
-	ix.head[h] = int32(len(ix.ref) + q)
-}
-
-// at returns the byte slice starting at virtual position p.
-func (ix *index) at(p int) []byte {
-	if p < len(ix.ref) {
-		return ix.ref[p:]
-	}
-	return ix.target[p-len(ix.ref):]
-}
-
-// chainNext follows the hash chain from virtual position p.
-func (ix *index) chainNext(p int) int32 {
-	if p < len(ix.ref) {
-		return ix.refPrev[p]
-	}
-	return ix.prev[p-len(ix.ref)]
+	h := seedHash(m.target[q:])
+	p := len(m.ref) + q
+	m.chain[p] = m.head[h]
+	m.head[h] = int32(p)
 }
 
 func matchLen(a, b []byte, max int) int {
@@ -192,8 +246,8 @@ func matchLen(a, b []byte, max int) int {
 
 // bestMatch finds the longest match for target[i:] in the index.
 // lastRef biases tie-breaks toward cheap-to-address ref positions.
-func (ix *index) bestMatch(i, lastRef int) (length int, fromRef bool, srcPos int) {
-	t := ix.target
+func (m *matcher) bestMatch(i, lastRef int) (length int, fromRef bool, srcPos int) {
+	t := m.target
 	if i+MinMatch > len(t) {
 		return 0, false, 0
 	}
@@ -205,21 +259,21 @@ func (ix *index) bestMatch(i, lastRef int) (length int, fromRef bool, srcPos int
 	bestLen := 0
 	bestPos := -1
 	tries := maxChain
-	for p := ix.head[h]; p >= 0 && tries > 0; p = ix.chainNext(int(p)) {
+	for p := m.head[h]; p >= 0 && tries > 0; p = m.chain[p] {
 		tries--
 		pos := int(p)
 		var l int
-		if pos >= len(ix.ref) {
+		if pos >= len(m.ref) {
 			// Target self-copy: source must be strictly before i.
-			q := pos - len(ix.ref)
+			q := pos - len(m.ref)
 			if q >= i {
 				continue
 			}
 			l = matchLen(t[q:], t[i:], limit)
 		} else {
-			l = matchLen(ix.ref[pos:], t[i:], limit)
+			l = matchLen(m.ref[pos:], t[i:], limit)
 		}
-		if l > bestLen || (l == bestLen && bestPos >= 0 && cheaper(pos, bestPos, lastRef, i, len(ix.ref))) {
+		if l > bestLen || (l == bestLen && bestPos >= 0 && cheaper(pos, bestPos, lastRef, i, len(m.ref))) {
 			bestLen, bestPos = l, pos
 		}
 		if bestLen >= limit {
@@ -229,10 +283,10 @@ func (ix *index) bestMatch(i, lastRef int) (length int, fromRef bool, srcPos int
 	if bestLen < MinMatch {
 		return 0, false, 0
 	}
-	if bestPos < len(ix.ref) {
+	if bestPos < len(m.ref) {
 		return bestLen, true, bestPos
 	}
-	return bestLen, false, bestPos - len(ix.ref)
+	return bestLen, false, bestPos - len(m.ref)
 }
 
 // cheaper reports whether virtual position a is cheaper to address than b.
@@ -249,10 +303,17 @@ func addrCost(p, lastRef, i, refLen int) int {
 
 // Parse produces the operation stream encoding target relative to ref:
 // a greedy LZ parse (with one-step lazy matching) over a hash-chain index
-// of the reference and the emitted target prefix.
+// of the reference and the emitted target prefix. The caller owns the result.
 func Parse(ref, target []byte) []Op {
-	var ops []Op
-	ix := newIndex(ref, target)
+	m := acquire(ref, target)
+	defer m.release()
+	return append([]Op(nil), m.parse()...)
+}
+
+// parse is Parse into m's own op slice, valid until release.
+func (m *matcher) parse() []Op {
+	target := m.target
+	ops := m.ops[:0]
 	lastRef := 0
 	litStart := 0
 	i := 0
@@ -262,13 +323,13 @@ func Parse(ref, target []byte) []Op {
 		}
 	}
 	for i < len(target) {
-		l, fromRef, pos := ix.bestMatch(i, lastRef)
+		l, fromRef, pos := m.bestMatch(i, lastRef)
 		if l >= MinMatch {
 			// One-step lazy: a longer match starting at i+1 wins.
 			if i+1 < len(target) {
-				l2, fr2, pos2 := ix.bestMatch(i+1, lastRef)
+				l2, fr2, pos2 := m.bestMatch(i+1, lastRef)
 				if l2 > l+1 {
-					ix.insert(i)
+					m.insert(i)
 					i++
 					l, fromRef, pos = l2, fr2, pos2
 				}
@@ -279,7 +340,7 @@ func Parse(ref, target []byte) []Op {
 			// position is O(n) anyway and improves later matches.
 			end := i + l
 			for q := i; q < end; q++ {
-				ix.insert(q)
+				m.insert(q)
 			}
 			if fromRef {
 				lastRef = pos + l
@@ -288,20 +349,22 @@ func Parse(ref, target []byte) []Op {
 			litStart = i
 			continue
 		}
-		ix.insert(i)
+		m.insert(i)
 		i++
 	}
 	flushLit(len(target))
+	m.ops = ops
 	return ops
 }
 
 // Encode produces a delta of target relative to ref.
 func Encode(ref, target []byte) []byte {
-	ops := Parse(ref, target)
+	m := acquire(ref, target)
+	defer m.release()
+	ops := m.parse()
 
 	// Pass 1: frequencies.
-	mainFreq := make([]int64, mainAlphabet)
-	offFreq := make([]int64, numOffCodes)
+	mainFreq, offFreq := m.mainFreq[:], m.offFreq[:]
 	mainFreq[symEOB]++
 	for _, o := range ops {
 		if o.Literal != nil {

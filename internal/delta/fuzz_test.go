@@ -39,3 +39,23 @@ func FuzzEncodeDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEncodeMatchesReference: on any (ref, target) pair the pooled
+// match-finder emits exactly what the frozen per-call encoder emits. The
+// fuzzer's inputs arrive in arbitrary order on shared scratch, which is the
+// point.
+func FuzzEncodeMatchesReference(f *testing.F) {
+	f.Add([]byte("reference"), []byte("target based on reference"))
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("abc"), []byte("abc"))
+	f.Add([]byte("aaaa"), bytes.Repeat([]byte("a"), 300))
+	f.Add([]byte{}, bytes.Repeat([]byte("self referential "), 40))
+	f.Fuzz(func(t *testing.T, ref, target []byte) {
+		if len(ref) > 1<<16 || len(target) > 1<<16 {
+			t.Skip()
+		}
+		if got, want := Encode(ref, target), refEncode(ref, target); !bytes.Equal(got, want) {
+			t.Fatalf("Encode differs from the reference encoder: %d vs %d bytes", len(got), len(want))
+		}
+	})
+}

@@ -9,6 +9,7 @@ package dirio
 import (
 	"bytes"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"os"
@@ -196,7 +197,10 @@ func (t *Tree) Load(rel string) ([]byte, error) {
 
 // hashBufPool bounds streamed hashing scratch: every concurrent HashFile
 // borrows one fixed-size buffer, so hashing memory is (concurrency ×
-// hashBufSize) regardless of file sizes.
+// hashBufSize) regardless of file sizes and file count. That holds only
+// because HashFile reads into the buffer itself: io.CopyBuffer would hand the
+// copy to (*os.File).WriteTo, whose generic fallback ignores the caller's
+// buffer and allocates 32 KB of its own for every file.
 const hashBufSize = 256 << 10
 
 var hashBufPool = sync.Pool{
@@ -218,13 +222,36 @@ func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
 		return sum, 0, &FileError{Path: rel, Err: err}
 	}
 	defer f.Close()
-	h := md4.New()
 	bufp := hashBufPool.Get().(*[]byte)
-	n, err = io.CopyBuffer(h, f, *bufp)
-	hashBufPool.Put(bufp)
-	if err != nil {
-		return sum, n, &FileError{Path: rel, Err: err}
+	defer hashBufPool.Put(bufp)
+	buf := *bufp
+
+	// A file that ends inside the first buffer is hashed in one shot from
+	// there; only larger files pay for a streaming hash.Hash.
+	var h hash.Hash
+	fill := 0
+	for {
+		m, rerr := f.Read(buf[fill:])
+		fill += m
+		n += int64(m)
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return sum, n, &FileError{Path: rel, Err: rerr}
+		}
+		if fill == len(buf) {
+			if h == nil {
+				h = md4.New()
+			}
+			h.Write(buf)
+			fill = 0
+		}
 	}
+	if h == nil {
+		return md4.Sum(buf[:fill]), n, nil
+	}
+	h.Write(buf[:fill])
 	h.Sum(sum[:0])
 	return sum, n, nil
 }
@@ -370,7 +397,8 @@ func checkPath(rel string) error {
 	if rel == "" || strings.HasPrefix(rel, "/") || strings.HasPrefix(rel, "\\") {
 		return fmt.Errorf("dirio: refusing path %q", rel)
 	}
-	for _, part := range strings.Split(rel, "/") {
+	for part, rest, more := "", rel, true; more; { // strings.Split would allocate per file
+		part, rest, more = strings.Cut(rest, "/")
 		if part == ".." || part == "" {
 			return fmt.Errorf("dirio: refusing path %q", rel)
 		}

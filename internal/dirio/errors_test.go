@@ -2,12 +2,15 @@ package dirio
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"msync/internal/alloctest"
 	"msync/internal/md4"
 )
 
@@ -182,23 +185,81 @@ func TestTreeLoadAndHashRejectTraversal(t *testing.T) {
 	}
 }
 
-func TestHashFileMatchesEagerSum(t *testing.T) {
+// hashSizes straddle the pooled buffer: empty, small (one-shot md4.Sum from
+// the buffer), exactly one buffer, and several buffers plus a tail (streamed).
+var hashSizes = []int{0, 1, 1000, hashBufSize - 1, hashBufSize, hashBufSize + 1, 2*hashBufSize + 777, 100}
+
+func writeHashFiles(t *testing.T) (*Tree, map[string][]byte) {
+	t.Helper()
 	root := t.TempDir()
-	content := strings.Repeat("stream me through the pooled buffer ", 20_000)
-	write(t, root, "big.txt", content)
+	files := make(map[string][]byte)
+	for _, n := range hashSizes {
+		rel := fmt.Sprintf("f%d.bin", n)
+		files[rel] = []byte(strings.Repeat("stream me through the pooled buffer ", n/36+1)[:n])
+		write(t, root, rel, string(files[rel]))
+	}
 	tree, _, err := OpenTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, n, err := tree.HashFile("big.txt")
+	return tree, files
+}
+
+func checkHashFile(t *testing.T, tree *Tree, rel string, content []byte) {
+	t.Helper()
+	sum, n, err := tree.HashFile(rel)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return
 	}
 	if n != int64(len(content)) {
-		t.Fatalf("hashed %d bytes, want %d", n, len(content))
+		t.Errorf("%s: hashed %d bytes, want %d", rel, n, len(content))
 	}
-	if sum != md4.Sum([]byte(content)) {
-		t.Fatal("streamed sum differs from eager sum")
+	if sum != md4.Sum(content) {
+		t.Errorf("%s: streamed sum differs from eager sum", rel)
+	}
+}
+
+func TestHashFileMatchesEagerSum(t *testing.T) {
+	tree, files := writeHashFiles(t)
+	for _, n := range hashSizes { // in order: small after large reuses the buffer
+		rel := fmt.Sprintf("f%d.bin", n)
+		checkHashFile(t, tree, rel, files[rel])
+	}
+}
+
+// TestHashFileConcurrent: 16 goroutines hashing files of very different sizes
+// through the shared buffer pool must each see only their own file's bytes.
+// Meaningful under -race.
+func TestHashFileConcurrent(t *testing.T) {
+	tree, files := writeHashFiles(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(hashSizes); k++ {
+				rel := fmt.Sprintf("f%d.bin", hashSizes[(g+k)%len(hashSizes)])
+				checkHashFile(t, tree, rel, files[rel])
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestHashFileAllocCeiling: hashing a small file costs a path join, an open
+// and a close, not a copy buffer. The parent allocated 32 KB per file here
+// (io.CopyBuffer delegated to os.File.WriteTo, which ignores the buffer).
+func TestHashFileAllocCeiling(t *testing.T) {
+	tree, _ := writeHashFiles(t)
+	const ceiling = 4 << 10
+	got := alloctest.BytesPerOp(20, func() {
+		if _, _, err := tree.HashFile("f1000.bin"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got >= ceiling {
+		t.Errorf("HashFile of a 1 KB file allocates %d B/op, ceiling %d", got, ceiling)
 	}
 }
 

@@ -5,6 +5,7 @@ package msync_test
 // with exponential backoff.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -54,12 +55,13 @@ func (c *fakeClock) Slept() []time.Duration {
 // session in flight for as long as the test needs.
 type gatedConn struct {
 	net.Conn
+	r    *bufio.Reader // over Conn; untouched by Read until the gate opens
 	gate <-chan struct{}
 }
 
 func (g *gatedConn) Read(p []byte) (int, error) {
 	<-g.gate
-	return g.Conn.Read(p)
+	return g.r.Read(p)
 }
 
 // TestOptionsAPISync: the functional-options surface drives a full session
@@ -151,11 +153,17 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	gate := make(chan struct{})
 	cliDone := make(chan error, 1)
 	var res *msync.Result
+	br := bufio.NewReader(raw)
 	go func() {
-		r, err := msync.NewClient(clientFiles).SyncContext(context.Background(), &gatedConn{Conn: raw, gate: gate})
+		r, err := msync.NewClient(clientFiles).SyncContext(context.Background(), &gatedConn{Conn: raw, r: br, gate: gate})
 		res = r
 		cliDone <- err
 	}()
+	// The server's first reply byte means it accepted the connection and is
+	// inside the session; shutting down before that races with the accept.
+	if _, err := br.Peek(1); err != nil {
+		t.Fatal(err)
+	}
 
 	// Begin the graceful shutdown with a generous grace period.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
