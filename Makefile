@@ -3,10 +3,12 @@ GO ?= go
 # fuzz-smoke budget per fuzz target; raise for a longer local fuzzing pass.
 FUZZTIME ?= 10s
 
-# Packages holding native Fuzz* targets (decoders and frame parsers).
+# Packages holding native Fuzz* targets (decoders and frame parsers, and the
+# differential targets that hold a rewritten kernel to its frozen reference).
 FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/collection ./internal/rsync ./internal/vcdiff \
-	./internal/merkle ./internal/pubsig ./internal/cdc
+	./internal/merkle ./internal/pubsig ./internal/cdc \
+	./internal/core ./internal/rolling
 
 .PHONY: all build test vet race check fuzz-smoke bench bench-check bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check clean
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"msync/internal/bitio"
 	"msync/internal/cdc"
@@ -41,81 +42,108 @@ type ClientFile struct {
 
 	// Round-scratch buffers reused across AbsorbHashes calls. candArena
 	// backs every per-entry candidate slice (fixed stride, so concurrent
-	// shard merges and later appends never reallocate); setPool recycles
-	// the per-window-size search sets. All are dead between rounds — the
-	// previous round's views of them are released in finalizeRound before
-	// the next AbsorbHashes re-carves them.
+	// shard merges and later appends never reallocate). All are dead
+	// between rounds — the previous round's views of them are released in
+	// finalizeRound before the next AbsorbHashes re-carves them.
 	scratchVals  []uint64
 	scratchCands [][]int32
 	candArena    []int32
-	setPool      []*searchSet
+
+	// sets[:nsets] are the round's search sets, one per window size. By the
+	// splitting invariant a round's blocks are [k·b, min((k+1)·b, n)), so
+	// there are at most two sizes: b and the file's tail n mod b.
+	sets  [2]searchSet
+	nsets int
 }
 
-// searchSet is a small open-addressed set of the hash values received in
-// one round, mapping each value to the plan entries that sent it. The
-// client scans its old file once per window size, probing this
-// cache-resident set at every position — far cheaper than indexing every
-// position of the old file (which dominated CPU).
+// searchSet holds the hash values one round sent for blocks of one size,
+// mapping each value to the plan entries that sent it. The client slides a
+// window of that size over its old file and asks the set about every
+// position — far cheaper than indexing every position of the old file.
+//
+// Almost every position misses, so the answer comes in two steps. A bit
+// filter turns most positions away with one load: it has 64 to 128 bits per
+// key, so at most one position in 64 passes it by accident, up to 16 KB —
+// half an L1 cache; beyond 2048 keys the bits per key fall instead. Only
+// positions that pass probe the open-addressed table, whose slot count is 2
+// to 4 times this round's key count. A set of one key — every round's tail
+// block — is a plain compare with neither. Backing arrays are reused from
+// round to round and only the part in use is cleared, so set-up costs
+// O(keys).
 type searchSet struct {
-	keys []uint64
-	val  []int32
-	mask uint64
-	over map[uint64][]int32 // additional entries sharing a key (rare)
+	size int // window size
+	n    int // entries added
+
+	only      uint64 // n == 1: the key and its entry
+	onlyEntry int32
+	filter    []uint64
+	fmask     uint64 // filter bit index = key >> filterSkip & fmask
+	keys      []uint64
+	val       []int32
+	shift     uint               // table slot = key·slotMul >> shift
+	over      map[uint64][]int32 // additional entries sharing a key (rare)
 }
 
 // emptySlot never collides with a real key: keys are truncated hashes of at
 // most MaxHashBits (≤56) bits.
 const emptySlot = ^uint64(0)
 
-func newSearchSet(n int) *searchSet {
-	ss := &searchSet{}
-	ss.reset(n)
-	return ss
-}
+// slotMul spreads keys over table slots; the product's top bits pick the
+// slot.
+const slotMul = 0x9E3779B97F4A7C15
 
-// reset re-initializes the set for n expected keys, reusing the backing
-// arrays when they are already large enough.
-func (ss *searchSet) reset(n int) {
-	size := 16
-	for size < n*4 {
-		size *= 2
-	}
-	if size < len(ss.keys) {
-		size = len(ss.keys) // keep the larger table; clearing it is cheap
-	}
-	if size > len(ss.keys) {
-		ss.keys = make([]uint64, size)
-		ss.val = make([]int32, size)
-	}
-	ss.mask = uint64(size - 1)
+// The filter is indexed by the key's own low bits, which costs the scan loop
+// a shift and a mask: they are the bits the protocol itself trusts, since a
+// truncated hash is the low bits of the full one. The lowest two are skipped:
+// bit 0 is the window length's parity in both families, and so is bit 1 in
+// DecAdler.
+const (
+	filterSkip       = 2
+	filterBitsPerKey = 64
+	minFilterWords   = 8    // one cache line
+	maxFilterWords   = 2048 // 16 KB
+)
+
+// reset empties the set and sizes it for ss.n entries.
+func (ss *searchSet) reset() {
 	ss.over = nil
+	if ss.n == 1 {
+		return
+	}
+	words, slots := minFilterWords, 16
+	for words < maxFilterWords && words*64 < ss.n*filterBitsPerKey {
+		words *= 2
+	}
+	for slots < ss.n*2 {
+		slots *= 2
+	}
+	if cap(ss.filter) < words {
+		ss.filter = make([]uint64, words)
+	}
+	if cap(ss.keys) < slots {
+		ss.keys = make([]uint64, slots)
+		ss.val = make([]int32, slots)
+	}
+	ss.filter, ss.keys, ss.val = ss.filter[:words], ss.keys[:slots], ss.val[:slots]
+	ss.fmask = uint64(words*64 - 1)
+	ss.shift = uint(64 - bits.TrailingZeros(uint(slots)))
+	clear(ss.filter)
 	for i := range ss.keys {
 		ss.keys[i] = emptySlot
 	}
 }
 
-// borrowSet takes a recycled search set sized for n keys (allocating on a
-// cold pool); releaseSet returns it for the next round.
-func (c *ClientFile) borrowSet(n int) *searchSet {
-	if k := len(c.setPool); k > 0 {
-		ss := c.setPool[k-1]
-		c.setPool = c.setPool[:k-1]
-		ss.reset(n)
-		return ss
-	}
-	return newSearchSet(n)
-}
-
-func (c *ClientFile) releaseSet(ss *searchSet) { c.setPool = append(c.setPool, ss) }
-
-func (ss *searchSet) slot(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> 1 & ss.mask
-}
-
-// add associates a plan entry index with a hash value.
+// add associates a plan entry index with a hash value. Entries sharing a key
+// are kept in the order they were added.
 func (ss *searchSet) add(key uint64, entry int32) {
-	s := ss.slot(key)
-	for {
+	if ss.n == 1 {
+		ss.only, ss.onlyEntry = key, entry
+		return
+	}
+	f := key >> filterSkip & ss.fmask
+	ss.filter[f>>6] |= 1 << (f & 63)
+	mask := uint64(len(ss.keys) - 1)
+	for s := key * slotMul >> ss.shift; ; s = (s + 1) & mask {
 		switch ss.keys[s] {
 		case emptySlot:
 			ss.keys[s] = key
@@ -128,23 +156,69 @@ func (ss *searchSet) add(key uint64, entry int32) {
 			ss.over[key] = append(ss.over[key], entry)
 			return
 		}
-		s = (s + 1) & ss.mask
 	}
 }
 
-// lookup returns the first entry for key (ok=false if absent); extras holds
-// any further entries sharing the key.
-func (ss *searchSet) lookup(key uint64) (first int32, extras []int32, ok bool) {
-	s := ss.slot(key)
-	for {
+// match looks up the window hashes hs of positions pos, pos+1, … and reports
+// every (entry, position) hit to take: positions ascending, and at one
+// position the key's first entry before its extras.
+func (ss *searchSet) match(hs []uint64, mask uint64, pos int, take func(entry, pos int32)) {
+	if ss.n == 1 {
+		for i, h := range hs {
+			if h&mask == ss.only {
+				take(ss.onlyEntry, int32(pos+i))
+			}
+		}
+		return
+	}
+	// fmask already keeps f>>6 inside the filter; the length test and wordMask
+	// let the compiler see it, so the loop carries no bounds check.
+	filter, fmask := ss.filter, ss.fmask&(mask>>filterSkip)
+	if len(filter) == 0 {
+		return
+	}
+	wordMask := uint64(len(filter) - 1)
+	for i, h := range hs {
+		f := h >> filterSkip & fmask
+		if filter[f>>6&wordMask]>>(f&63)&1 != 0 {
+			ss.probe(h&mask, int32(pos+i), take)
+		}
+	}
+}
+
+// probe reports the entries of key, if the table holds it, as hits at pos:
+// its first entry, then any that share the key.
+func (ss *searchSet) probe(key uint64, pos int32, take func(entry, pos int32)) {
+	mask := uint64(len(ss.keys) - 1)
+	for s := key * slotMul >> ss.shift; ; s = (s + 1) & mask {
 		switch ss.keys[s] {
 		case emptySlot:
-			return 0, nil, false
+			return
 		case key:
-			return ss.val[s], ss.over[key], true
+			take(ss.val[s], pos)
+			for _, ei := range ss.over[key] {
+				take(ei, pos)
+			}
+			return
 		}
-		s = (s + 1) & ss.mask
 	}
+}
+
+// setFor returns the round's search set for a window size, claiming a free
+// one the first time the size is seen.
+func (c *ClientFile) setFor(size int) *searchSet {
+	for k := range c.sets[:c.nsets] {
+		if c.sets[k].size == size {
+			return &c.sets[k]
+		}
+	}
+	if c.nsets == len(c.sets) {
+		panic("core: a round's blocks have more than two sizes")
+	}
+	ss := &c.sets[c.nsets]
+	c.nsets++
+	ss.size, ss.n = size, 0
+	return ss
 }
 
 // NewClientFile starts the client engine for one file. newLen is the length
@@ -246,7 +320,7 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 		cands[i] = nil
 	}
 
-	sizeCount := map[int]int{}
+	c.nsets = 0
 	for i := range c.plan.entries {
 		e := &c.plan.entries[i]
 		raw, err := r.ReadBits(uint(e.bits))
@@ -280,32 +354,27 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 			cands[i] = c.localCandidates(e, full, candAt(i))
 		default:
 			if e.size > 0 && e.size <= len(c.fOld) {
-				sizeCount[e.size]++
+				c.setFor(e.size).n++
 			}
 		}
 	}
 
-	// Global/top-up entries: one old-file scan per window size against a
-	// small set of this round's hash values.
-	if len(sizeCount) > 0 {
-		sets := make(map[int]*searchSet, len(sizeCount))
-		for size, n := range sizeCount {
-			sets[size] = c.borrowSet(n)
+	// Global/top-up entries: one pass over the old file, every window size
+	// against the small set of this round's hash values for that size.
+	if c.nsets > 0 {
+		sets := c.sets[:c.nsets]
+		for k := range sets {
+			sets[k].reset()
 		}
 		for i := range c.plan.entries {
 			e := &c.plan.entries[i]
 			if e.kind == kProbe || e.kind == kLocal || e.size <= 0 || e.size > len(c.fOld) {
 				continue
 			}
-			sets[e.size].add(rolling.Truncate(vals[i], uint(hb)), int32(i))
+			c.setFor(e.size).add(rolling.Truncate(vals[i], uint(hb)), int32(i))
 			cands[i] = candAt(i)
 		}
-		for size, set := range sets {
-			c.scanOld(size, uint(hb), set, cands, maxAlt)
-		}
-		for _, set := range sets {
-			c.releaseSet(set)
-		}
+		c.scanOld(sets, uint(hb), cands, maxAlt, c.scanShards(sets))
 	}
 
 	c.candEntries = c.candEntries[:0]
@@ -585,15 +654,21 @@ func (c *ClientFile) cutAnchoredCandidates(e *entry, val uint64, cuts []int, dst
 }
 
 // scanMinShard is the floor on window positions per scan shard; below two
-// shards' worth a scan stays serial. The effective minimum is size-adaptive
-// (see scanShardMin): re-seeding a shard's rolling window via InitAt hashes
-// `size` overlap bytes, so shards must grow with the window for that setup
-// cost to stay amortized.
-const scanMinShard = 1 << 15
+// shards' worth a scan stays serial. A shard costs a goroutine hand-off, a
+// window re-seed and its share of the hit merge — tens of microseconds —
+// while the kernel visits a position in 1 to 3 ns, so a shard must be about
+// a hundred thousand positions before the second core returns more than the
+// split takes. BenchmarkScanShards is the measurement: two shards ran at
+// 0.85–1.00× of serial on a 64 KB file, 0.91–1.26× at 128 KB and 1.32–1.58×
+// at 256 KB, the first size this floor splits. The effective minimum is
+// size-adaptive (see scanShardMin).
+const scanMinShard = 1 << 17
 
 // scanReseedFactor bounds the InitAt re-seed overhead: every shard rolls at
 // least this many positions per window byte re-hashed at its start, keeping
 // the per-shard setup under ~1/scanReseedFactor of the shard's rolling work.
+// Hashing a byte and visiting a position cost about the same, so the factor
+// is a plain percentage; it binds only for windows above 2 KB.
 const scanReseedFactor = 64
 
 // scanShardMin returns the minimum shard width for a scan with the given
@@ -606,62 +681,101 @@ func scanShardMin(size int) int {
 	return scanMinShard
 }
 
-// scanOld slides a window of the given size across the old file, probing
-// the round's hash set at every alignment and recording candidate source
-// positions (at most maxAlt per entry). Large scans are sharded across the
-// configured worker pool; the result is bit-identical to the serial scan.
-func (c *ClientFile) scanOld(size int, bits uint, set *searchSet, cands [][]int32, maxAlt int) {
-	positions := len(c.fOld) - size + 1
-	if shards := pool.Shards(c.cfg.Workers, positions, scanShardMin(size)); shards > 1 {
-		c.scanOldSharded(size, bits, set, cands, maxAlt, positions, shards)
-		return
+// scanPositions reports how many alignments the scan of sets visits: those of
+// its smallest window.
+func (c *ClientFile) scanPositions(sets []searchSet) int {
+	positions := 0
+	for k := range sets {
+		positions = max(positions, len(c.fOld)-sets[k].size+1)
 	}
-	roller := c.fam.Roller(size)
-	roller.Init(c.fOld)
-	for pos := 0; ; pos++ {
-		key := rolling.Truncate(roller.Sum(), bits)
-		if first, extras, ok := set.lookup(key); ok {
-			if len(cands[first]) < maxAlt {
-				cands[first] = append(cands[first], int32(pos))
-			}
-			for _, ei := range extras {
-				if len(cands[ei]) < maxAlt {
-					cands[ei] = append(cands[ei], int32(pos))
-				}
-			}
+	return positions
+}
+
+// scanShards picks the number of shards for the scan of sets from the input
+// alone: the alignments to visit, the largest window (every shard re-seeds
+// it) and the workers the host can run.
+func (c *ClientFile) scanShards(sets []searchSet) int {
+	size := 0
+	for k := range sets {
+		size = max(size, sets[k].size)
+	}
+	return pool.Shards(c.cfg.Workers, c.scanPositions(sets), scanShardMin(size))
+}
+
+// scanChunk is how many window hashes the kernel takes from the rolling
+// family per call: enough to make the dynamic call free, few enough that the
+// chunk (2 KB) and the bytes it was rolled from stay in L1 for every set.
+const scanChunk = 256
+
+// chunkPool holds the kernel's chunk buffers. They cannot live on the stack —
+// they are handed to the rolling family through an interface — and a scan of
+// a tiny file must not allocate 2 KB for one.
+var chunkPool = sync.Pool{New: func() any { return new([scanChunk]uint64) }}
+
+// scanRange is the scan kernel. It slides each set's window across alignments
+// [lo, hi) of the old file (a window stops at its own last alignment), taking
+// the window hashes from the rolling family a chunk at a time and matching
+// each chunk against the set while it is hot, and reports every hit to take.
+// All sets share the pass, so a round reads the old file once however many
+// block sizes it has. Per set, hits arrive in scan order — position
+// ascending, and at one position the set's first entry before its extras.
+func (c *ClientFile) scanRange(sets []searchSet, bits uint, lo, hi int, take func(entry, pos int32)) {
+	hashes := chunkPool.Get().(*[scanChunk]uint64)
+	defer chunkPool.Put(hashes)
+	var rollers [len(c.sets)]rolling.WindowRoller
+	var ends [len(c.sets)]int
+	for k := range sets {
+		ends[k] = min(hi, len(c.fOld)-sets[k].size+1)
+		if lo < ends[k] {
+			rollers[k] = c.fam.Roller(sets[k].size)
+			rollers[k].InitAt(c.fOld, lo)
 		}
-		if pos+size >= len(c.fOld) {
-			break
+	}
+	mask := rolling.Truncate(^uint64(0), bits)
+	for pos := lo; pos < hi; pos += scanChunk {
+		for k := range sets {
+			if pos >= ends[k] {
+				continue
+			}
+			hs := hashes[:min(scanChunk, ends[k]-pos)]
+			rollers[k].Fill(hs, c.fOld, pos)
+			sets[k].match(hs, mask, pos, take)
 		}
-		roller.Roll(c.fOld[pos], c.fOld[pos+size])
 	}
 }
 
 // scanHit is one (entry, position) match found by a scan shard.
 type scanHit struct{ entry, pos int32 }
 
-// scanOldSharded splits the alignment range into contiguous shards, one
-// rolling window each (re-seeded at the shard start via InitAt, reading the
-// size-1 overlap bytes from the previous shard's territory), and merges the
-// per-shard hit lists by position.
+// scanOld searches the old file for the round's hash values and records
+// candidate source positions (at most maxAlt per entry). With more than one
+// shard the alignment range is split into contiguous shards that run the
+// kernel through the worker pool, each re-seeding its windows at its own start
+// (InitAt reads the size-1 overlap bytes from the previous shard's
+// territory), and the per-shard hit lists are merged by position.
 //
-// Determinism invariants (the wire stays bit-identical to Workers=1):
+// Determinism invariants (the wire stays bit-identical to one shard):
 //   - shards partition the positions contiguously and in order;
-//   - each shard records hits in scan order — position ascending, and at
-//     one position the set's first entry before its extras, exactly like
-//     the serial loop;
+//   - each shard records hits in the kernel's scan order;
 //   - each shard keeps at most maxAlt hits per entry (more can never
 //     survive the merge), and the merge walks shards in shard order
 //     re-applying the cap, so every entry ends with exactly the serial
 //     scan's first maxAlt positions.
-func (c *ClientFile) scanOldSharded(size int, bits uint, set *searchSet, cands [][]int32, maxAlt, positions, shards int) {
+func (c *ClientFile) scanOld(sets []searchSet, bits uint, cands [][]int32, maxAlt, shards int) {
+	positions := c.scanPositions(sets)
+	if shards <= 1 {
+		c.scanRange(sets, bits, 0, positions, func(ei, pos int32) {
+			if len(cands[ei]) < maxAlt {
+				cands[ei] = append(cands[ei], pos)
+			}
+		})
+		return
+	}
 	hits := make([][]scanHit, shards)
 	_ = pool.Do(c.cfg.Workers, shards, func(s int) error {
-		lo := pool.Bound(positions, shards, s)
-		hi := pool.Bound(positions, shards, s+1)
 		var out []scanHit
 		var seen map[int32]int // lazily built: hits are rare
-		take := func(ei, pos int32) {
+		c.scanRange(sets, bits, pool.Bound(positions, shards, s), pool.Bound(positions, shards, s+1), func(ei, pos int32) {
 			if seen == nil {
 				seen = make(map[int32]int, 8)
 			}
@@ -669,21 +783,7 @@ func (c *ClientFile) scanOldSharded(size int, bits uint, set *searchSet, cands [
 				seen[ei]++
 				out = append(out, scanHit{ei, pos})
 			}
-		}
-		roller := c.fam.Roller(size)
-		roller.InitAt(c.fOld, lo)
-		for pos := lo; pos < hi; pos++ {
-			key := rolling.Truncate(roller.Sum(), bits)
-			if first, extras, ok := set.lookup(key); ok {
-				take(first, int32(pos))
-				for _, ei := range extras {
-					take(ei, int32(pos))
-				}
-			}
-			if pos+1 < hi {
-				roller.Roll(c.fOld[pos], c.fOld[pos+size])
-			}
-		}
+		})
 		hits[s] = out
 		return nil
 	})
@@ -724,41 +824,25 @@ func (c *ClientFile) probeCandidates(e *entry, val uint64, dst []int32) []int32 
 	return out
 }
 
-// localCandidates scans a neighborhood of the predicted position, appending
-// into the caller's (arena-backed) dst.
+// localCandidates scans a neighborhood of the predicted position with the
+// scan kernel, appending into the caller's (arena-backed) dst.
 func (c *ClientFile) localCandidates(e *entry, val uint64, dst []int32) []int32 {
 	m := c.matches[e.matchIdx]
 	pred := m.clientOff + (e.off - m.serverOff)
-	lo := pred - c.cfg.LocalRadius
-	hi := pred + c.cfg.LocalRadius
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(c.fOld)-e.size {
-		hi = len(c.fOld) - e.size
-	}
+	lo := max(pred-c.cfg.LocalRadius, 0)
+	hi := min(pred+c.cfg.LocalRadius, len(c.fOld)-e.size)
 	if hi < lo || e.size == 0 || e.size > len(c.fOld) {
 		return nil
 	}
-	maxAlt := c.cfg.MaxAlternates
-	if maxAlt < 1 {
-		maxAlt = 1
-	}
+	maxAlt := max(c.cfg.MaxAlternates, 1)
+	set := [1]searchSet{{size: e.size, n: 1}}
+	set[0].add(val, 0)
 	out := dst
-	roller := c.fam.Roller(e.size)
-	roller.Init(c.fOld[lo:])
-	for pos := lo; ; pos++ {
-		if rolling.Truncate(roller.Sum(), uint(e.bits)) == val {
-			out = append(out, int32(pos))
-			if len(out) >= maxAlt {
-				break
-			}
+	c.scanRange(set[:], uint(e.bits), lo, hi+1, func(_, pos int32) {
+		if len(out) < maxAlt {
+			out = append(out, pos)
 		}
-		if pos >= hi || pos+e.size >= len(c.fOld) {
-			break
-		}
-		roller.Roll(c.fOld[pos], c.fOld[pos+e.size])
-	}
+	})
 	return out
 }
 

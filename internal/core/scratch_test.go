@@ -76,6 +76,44 @@ func TestDeltaPhaseAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestAbsorbHashesSmallFileAllocCeiling: a round's scan set-up is O(keys), not
+// O(chunk buffer) or O(largest table ever): one AbsorbHashes on a 1 KB file —
+// plan, candidate scratch, the search sets with their filter, the rollers —
+// allocates less than 2 KB. Thousands of such files make a tiny_* session.
+func TestAbsorbHashesSmallFileAllocCeiling(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	old := corpus.SourceText(rng, 1000)
+	cur := append([]byte(nil), old...)
+	copy(cur[400:], corpus.RandomText(rng, 30))
+	cfg := DefaultConfig()
+	srv, err := NewServerFile(cur, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := srv.EmitHashes()
+	const runs = 20
+	clients := make([]*ClientFile, runs+1) // one per call, warm-up included
+	for i := range clients {
+		if clients[i], err = NewClientFile(old, len(cur), &cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	got := alloctest.BytesPerOp(runs, func() {
+		c := clients[next]
+		next++
+		if err := c.AbsorbHashes(hashes); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.candEntries) == 0 {
+			t.Fatal("the scan found no candidate in a file that is mostly unchanged")
+		}
+	})
+	if got >= 2<<10 {
+		t.Errorf("AbsorbHashes on a 1 KB file allocates %d B, ceiling %d", got, 2<<10)
+	}
+}
+
 // TestConcurrentSyncMatchesSerial runs 16 file syncs of very different sizes
 // at once, small after large on every goroutine, against their serial
 // results: pooled gather and encoder scratch must not leak bytes from one

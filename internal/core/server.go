@@ -91,17 +91,54 @@ func computeLevel(data []byte, fam rolling.Family, b int) []uint64 {
 	return out
 }
 
+// composeLevel derives the table of block size 2f from the table fine of
+// block size f over n bytes: block k is fine blocks 2k and 2k+1 joined by the
+// family's compose rule. The file's last block may have a short right half,
+// or none at all.
+func composeLevel(fine []uint64, fam rolling.Family, f, n int) []uint64 {
+	out := make([]uint64, (len(fine)+1)/2)
+	for k := range out {
+		out[k] = fine[2*k]
+		if r := 2*k + 1; r < len(fine) {
+			out[k] = fam.Compose(fine[2*k], fine[r], min(f, n-r*f))
+		}
+	}
+	return out
+}
+
+// buildLevels completes sig with the table of every block size the schedule
+// of data can reach, in one pass over data: it hashes at MinBlockSize and
+// composes each coarser level from the one below. Tables sig already holds
+// are kept. It returns the block hashes and bytes it really hashed.
+func buildLevels(sig *sigcache.Sig, data []byte, fam rolling.Family, cfg *Config) (hashes, hashed int64) {
+	var fine []uint64
+	for b, top := cfg.MinBlockSize, cfg.initialBlockSize(len(data)); b <= top; b *= 2 {
+		fine = sig.Level(b, func() []uint64 {
+			if fine != nil { // still the level below: Level runs this before it returns
+				return composeLevel(fine, fam, b/2, len(data))
+			}
+			hashes += int64((len(data) + b - 1) / b)
+			hashed += int64(len(data))
+			return computeLevel(data, fam, b)
+		})
+	}
+	return hashes, hashed
+}
+
 // levelForRound returns the memoized hash table for the current round's
-// block size, or nil when no signature is attached.
+// block size, or nil when no signature is attached. The first call on a
+// signature without it builds every level at once (see buildLevels).
 func (s *ServerFile) levelForRound() []uint64 {
 	if s.sig == nil || s.b <= 0 {
 		return nil
 	}
-	return s.sig.Level(s.b, func() []uint64 {
-		s.BlockHashesComputed += int64((s.n + s.b - 1) / s.b)
-		s.BytesHashed += int64(s.n)
-		return computeLevel(s.fNew, s.fam, s.b)
-	})
+	if l := s.sig.PeekLevel(s.b); l != nil {
+		return l
+	}
+	hashes, hashed := buildLevels(s.sig, s.fNew, s.fam, s.cfg)
+	s.BlockHashesComputed += hashes
+	s.BytesHashed += hashed
+	return s.sig.PeekLevel(s.b)
 }
 
 // PrecomputeSignature builds a complete signature for data under cfg: the
@@ -113,11 +150,7 @@ func PrecomputeSignature(data []byte, cfg *Config) (*sigcache.Sig, error) {
 		return nil, err
 	}
 	sig := sigcache.NewSig(int64(len(data)), md4.Sum(data))
-	fam := cfg.hashFamily()
-	for b := cfg.initialBlockSize(len(data)); b >= cfg.MinBlockSize; b /= 2 {
-		blockSize := b
-		sig.Level(blockSize, func() []uint64 { return computeLevel(data, fam, blockSize) })
-	}
+	buildLevels(sig, data, cfg.hashFamily(), cfg)
 	return sig, nil
 }
 

@@ -9,6 +9,7 @@ package md4
 import (
 	"encoding/binary"
 	"hash"
+	"math/bits"
 )
 
 // Size is the size of an MD4 checksum in bytes.
@@ -110,52 +111,86 @@ func Sum(data []byte) [Size]byte {
 	return d.checkSum()
 }
 
-var shift1 = [...]uint{3, 7, 11, 19}
-var shift2 = [...]uint{3, 5, 9, 13}
-var shift3 = [...]uint{3, 9, 11, 15}
+// block folds one 64-byte block of p into the state: the 48 steps of RFC 1320
+// written out, so every rotate count and message index is a constant.
+func block(dg *digest, p []byte) {
+	p = p[:BlockSize]
+	a, b, c, d := dg.s[0], dg.s[1], dg.s[2], dg.s[3]
+	x0 := binary.LittleEndian.Uint32(p[0:])
+	x1 := binary.LittleEndian.Uint32(p[4:])
+	x2 := binary.LittleEndian.Uint32(p[8:])
+	x3 := binary.LittleEndian.Uint32(p[12:])
+	x4 := binary.LittleEndian.Uint32(p[16:])
+	x5 := binary.LittleEndian.Uint32(p[20:])
+	x6 := binary.LittleEndian.Uint32(p[24:])
+	x7 := binary.LittleEndian.Uint32(p[28:])
+	x8 := binary.LittleEndian.Uint32(p[32:])
+	x9 := binary.LittleEndian.Uint32(p[36:])
+	x10 := binary.LittleEndian.Uint32(p[40:])
+	x11 := binary.LittleEndian.Uint32(p[44:])
+	x12 := binary.LittleEndian.Uint32(p[48:])
+	x13 := binary.LittleEndian.Uint32(p[52:])
+	x14 := binary.LittleEndian.Uint32(p[56:])
+	x15 := binary.LittleEndian.Uint32(p[60:])
 
-var xIndex2 = [...]uint{0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15}
-var xIndex3 = [...]uint{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
+	// Round 1: F(x,y,z) = (x & y) | (^x & z), as ((y ^ z) & x) ^ z so that only
+	// two operations wait for the newest word
+	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x0, 3)
+	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x1, 7)
+	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x2, 11)
+	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x3, 19)
+	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x4, 3)
+	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x5, 7)
+	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x6, 11)
+	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x7, 19)
+	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x8, 3)
+	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x9, 7)
+	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x10, 11)
+	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x11, 19)
+	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x12, 3)
+	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x13, 7)
+	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x14, 11)
+	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x15, 19)
 
-func block(d *digest, p []byte) {
-	a, b, c, dd := d.s[0], d.s[1], d.s[2], d.s[3]
-	var x [16]uint32
-	for i := 0; i < 16; i++ {
-		x[i] = binary.LittleEndian.Uint32(p[i*4:])
-	}
-
-	// Round 1: F(x,y,z) = (x & y) | (~x & z)
-	for i := uint(0); i < 16; i++ {
-		xi := x[i]
-		s := shift1[i%4]
-		f := (b & c) | (^b & dd)
-		a += f + xi
-		a = a<<s | a>>(32-s)
-		a, b, c, dd = dd, a, b, c
-	}
-
-	// Round 2: G(x,y,z) = (x & y) | (x & z) | (y & z), +0x5A827999
-	for i := uint(0); i < 16; i++ {
-		xi := x[xIndex2[i]]
-		s := shift2[i%4]
-		g := (b & c) | (b & dd) | (c & dd)
-		a += g + xi + 0x5A827999
-		a = a<<s | a>>(32-s)
-		a, b, c, dd = dd, a, b, c
-	}
+	// Round 2: G(x,y,z) = (x & y) | (x & z) | (y & z), as (x & (y | z)) | (y & z),
+	// +0x5A827999
+	a = bits.RotateLeft32(a+((b&(c|d))|(c&d))+x0+0x5A827999, 3)
+	d = bits.RotateLeft32(d+((a&(b|c))|(b&c))+x4+0x5A827999, 5)
+	c = bits.RotateLeft32(c+((d&(a|b))|(a&b))+x8+0x5A827999, 9)
+	b = bits.RotateLeft32(b+((c&(d|a))|(d&a))+x12+0x5A827999, 13)
+	a = bits.RotateLeft32(a+((b&(c|d))|(c&d))+x1+0x5A827999, 3)
+	d = bits.RotateLeft32(d+((a&(b|c))|(b&c))+x5+0x5A827999, 5)
+	c = bits.RotateLeft32(c+((d&(a|b))|(a&b))+x9+0x5A827999, 9)
+	b = bits.RotateLeft32(b+((c&(d|a))|(d&a))+x13+0x5A827999, 13)
+	a = bits.RotateLeft32(a+((b&(c|d))|(c&d))+x2+0x5A827999, 3)
+	d = bits.RotateLeft32(d+((a&(b|c))|(b&c))+x6+0x5A827999, 5)
+	c = bits.RotateLeft32(c+((d&(a|b))|(a&b))+x10+0x5A827999, 9)
+	b = bits.RotateLeft32(b+((c&(d|a))|(d&a))+x14+0x5A827999, 13)
+	a = bits.RotateLeft32(a+((b&(c|d))|(c&d))+x3+0x5A827999, 3)
+	d = bits.RotateLeft32(d+((a&(b|c))|(b&c))+x7+0x5A827999, 5)
+	c = bits.RotateLeft32(c+((d&(a|b))|(a&b))+x11+0x5A827999, 9)
+	b = bits.RotateLeft32(b+((c&(d|a))|(d&a))+x15+0x5A827999, 13)
 
 	// Round 3: H(x,y,z) = x ^ y ^ z, +0x6ED9EBA1
-	for i := uint(0); i < 16; i++ {
-		xi := x[xIndex3[i]]
-		s := shift3[i%4]
-		h := b ^ c ^ dd
-		a += h + xi + 0x6ED9EBA1
-		a = a<<s | a>>(32-s)
-		a, b, c, dd = dd, a, b, c
-	}
+	a = bits.RotateLeft32(a+(b^c^d)+x0+0x6ED9EBA1, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x8+0x6ED9EBA1, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+x4+0x6ED9EBA1, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+x12+0x6ED9EBA1, 15)
+	a = bits.RotateLeft32(a+(b^c^d)+x2+0x6ED9EBA1, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x10+0x6ED9EBA1, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+x6+0x6ED9EBA1, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+x14+0x6ED9EBA1, 15)
+	a = bits.RotateLeft32(a+(b^c^d)+x1+0x6ED9EBA1, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x9+0x6ED9EBA1, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+x5+0x6ED9EBA1, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+x13+0x6ED9EBA1, 15)
+	a = bits.RotateLeft32(a+(b^c^d)+x3+0x6ED9EBA1, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x11+0x6ED9EBA1, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+x7+0x6ED9EBA1, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+x15+0x6ED9EBA1, 15)
 
-	d.s[0] += a
-	d.s[1] += b
-	d.s[2] += c
-	d.s[3] += dd
+	dg.s[0] += a
+	dg.s[1] += b
+	dg.s[2] += c
+	dg.s[3] += d
 }

@@ -94,6 +94,14 @@ func (d *DecAdler) Hash(data []byte) uint64 {
 // Name implements Family.
 func (d *DecAdler) Name() string { return "adler" }
 
+// Compose implements Family: A(XY) = A(X)+A(Y) and B(XY) = B(X) + |Y|·A(X) +
+// B(Y).
+func (d *DecAdler) Compose(left, right uint64, rightLen int) uint64 {
+	al, bl := deinterleave(left)
+	ar, br := deinterleave(right)
+	return interleave(al+ar, bl+uint32(rightLen)*al+br)
+}
+
 // DeriveRight implements Family. bits of the value give ⌈bits/2⌉ bits of A
 // and ⌊bits/2⌋ bits of B; the component arithmetic stays valid at any
 // truncation.
@@ -136,3 +144,24 @@ func (r *adlerRoller) Roll(out, in byte) {
 }
 
 func (r *adlerRoller) Sum() uint64 { return interleave(r.a, r.b) }
+
+// Fill writes the hashes of the len(dst) windows starting at pos; see
+// WindowRoller.Fill.
+func (r *adlerRoller) Fill(dst []uint64, data []byte, pos int) {
+	in := data[pos+int(r.window):]
+	if len(in) > len(dst) {
+		in = in[:len(dst)]
+	}
+	out, head := data[pos:][:len(in)], dst[:len(in)]
+	tab, window, a, b := &r.d.table, r.window, r.a, r.b
+	for i := range in {
+		head[i] = interleave(a, b)
+		to := tab[out[i]]
+		a += tab[in[i]] - to
+		b += a - window*to
+	}
+	if len(in) < len(dst) {
+		dst[len(in)] = interleave(a, b)
+	}
+	r.a, r.b = a, b
+}

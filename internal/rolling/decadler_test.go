@@ -27,6 +27,22 @@ func TestDecAdlerRollEqualsRecompute(t *testing.T) {
 	}
 }
 
+// TestComposeBothFamilies: Compose(H(X), H(Y), |Y|) = H(XY), empty halves
+// included.
+func TestComposeBothFamilies(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, fam := range []Family{Default(), DefaultDecAdler()} {
+		for trial := 0; trial < 500; trial++ {
+			xy := randBytes(rng, rng.Intn(600))
+			cut := rng.Intn(len(xy) + 1)
+			got := fam.Compose(fam.Hash(xy[:cut]), fam.Hash(xy[cut:]), len(xy)-cut)
+			if want := fam.Hash(xy); got != want {
+				t.Fatalf("%s |X|=%d |Y|=%d: Compose %x, Hash %x", fam.Name(), cut, len(xy)-cut, got, want)
+			}
+		}
+	}
+}
+
 // TestDecAdlerDeriveRight: the bit-prefix decomposition property at every
 // truncation width, for both families through the same interface.
 func TestDeriveRightBothFamilies(t *testing.T) {

@@ -17,6 +17,13 @@ type WindowRoller interface {
 	Roll(out, in byte)
 	// Sum returns the hash of the current window.
 	Sum() uint64
+	// Fill is the bulk form of Sum and Roll: with the window at
+	// [pos, pos+window) of data it sets dst[i] to the hash of the window at
+	// pos+i, for every i < len(dst). All of those windows must lie inside
+	// data. It leaves the window at pos+len(dst) when data holds one there,
+	// so the next Fill continues from that position; otherwise on the last
+	// window of data.
+	Fill(dst []uint64, data []byte, pos int)
 }
 
 // Family is a rolling, decomposable, bit-prefix-decomposable hash family —
@@ -28,6 +35,10 @@ type Family interface {
 	Hash(data []byte) uint64
 	// Roller returns a sliding-window hasher consistent with Hash.
 	Roller(window int) WindowRoller
+	// Compose returns H(left ∥ right) from H(left), H(right) and the length
+	// of right — composability, which lets a table of coarse block hashes be
+	// built from the table one level finer without re-reading the data.
+	Compose(left, right uint64, rightLen int) uint64
 	// DeriveRight computes the low `bits` bits of H(right) from the low
 	// `bits` bits of H(parent) and at least `bits` bits of H(left), where
 	// parent = left ∥ right and right has length rightLen. This is the

@@ -178,6 +178,40 @@ func (r *Roller) Roll(out, in byte) {
 // Sum returns the hash of the current window.
 func (r *Roller) Sum() uint64 { return r.h }
 
+// Fill writes the hashes of the len(dst) windows starting at pos; see
+// WindowRoller.Fill. The step is Roll's with the product distributed,
+// h·base + d where d = T[in] − T[out]·base^window, taken two positions at a
+// time: h·base² + (d₀·base + d₁). The values are the same mod 2^64, but only
+// one multiply and one add per two positions wait for the previous hash.
+func (r *Roller) Fill(dst []uint64, data []byte, pos int) {
+	// The window can slide once for every byte after it: len(dst) times, or
+	// one fewer when the last window filled ends data.
+	in := data[pos+r.window:]
+	if len(in) > len(dst) {
+		in = in[:len(dst)]
+	}
+	slides := len(in)
+	out, head := data[pos:][:slides], dst[:slides]
+	tab, base, powWin, h := &r.p.table, r.p.base, r.powTop*r.p.base, r.h
+	base2 := base * base
+	i := 0
+	for ; i < slides-1; i += 2 {
+		d0 := tab[in[i]] - tab[out[i]]*powWin
+		d1 := tab[in[i+1]] - tab[out[i+1]]*powWin
+		head[i] = h
+		head[i+1] = h*base + d0
+		h = h*base2 + (d0*base + d1)
+	}
+	if i < slides {
+		head[i] = h
+		h = h*base + (tab[in[i]] - tab[out[i]]*powWin)
+	}
+	if slides < len(dst) {
+		dst[slides] = h
+	}
+	r.h = h
+}
+
 // HashBits is a convenience wrapper: the low `bits` of Hash(data).
 func (p *Poly) HashBits(data []byte, bits uint) uint64 {
 	return Truncate(p.Hash(data), bits)

@@ -221,6 +221,85 @@ func TestInitAtEqualsRolledInit(t *testing.T) {
 	}
 }
 
+// TestFillEqualsRoll: Fill in chunks of any length, across calls and up to the
+// last window of data, yields exactly the hashes Sum and Roll yield one
+// position at a time — both families, from the start and from an InitAt seed.
+func TestFillEqualsRoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	data := randBytes(rng, 3000)
+	for _, name := range []string{"poly", "adler"} {
+		fam, err := FamilyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, window := range []int{1, 7, 128, len(data) - 1, len(data)} {
+			positions := len(data) - window + 1
+			want := make([]uint64, positions)
+			ref := fam.Roller(window)
+			ref.Init(data)
+			for pos := range want {
+				want[pos] = ref.Sum()
+				if pos+1 < positions {
+					ref.Roll(data[pos], data[pos+window])
+				}
+			}
+			for _, start := range []int{0, positions / 3, positions - 1} {
+				for _, chunk := range []int{1, 2, 5, 256, positions} {
+					r := fam.Roller(window)
+					r.InitAt(data, start)
+					got := make([]uint64, chunk)
+					for pos := start; pos < positions; pos += chunk {
+						n := min(chunk, positions-pos)
+						r.Fill(got[:n], data, pos)
+						for i, h := range got[:n] {
+							if h != want[pos+i] {
+								t.Fatalf("%s w=%d start=%d chunk=%d pos=%d: Fill %x, rolled %x",
+									name, window, start, chunk, pos+i, h, want[pos+i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzFillEqualsRoll checks the same equality on arbitrary data, window,
+// start and chunk length.
+func FuzzFillEqualsRoll(f *testing.F) {
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint16(5), uint16(3), uint8(4), false)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint16(8), uint16(0), uint8(1), true)
+	f.Fuzz(func(t *testing.T, data []byte, window, start uint16, chunk uint8, adler bool) {
+		if len(data) == 0 {
+			return
+		}
+		w := int(window)%len(data) + 1
+		positions := len(data) - w + 1
+		lo := int(start) % positions
+		step := int(chunk) + 1
+		var fam Family = Default()
+		if adler {
+			fam = DefaultDecAdler()
+		}
+		ref, r := fam.Roller(w), fam.Roller(w)
+		ref.InitAt(data, lo)
+		r.InitAt(data, lo)
+		got := make([]uint64, step)
+		for pos := lo; pos < positions; pos += step {
+			n := min(step, positions-pos)
+			r.Fill(got[:n], data, pos)
+			for i, h := range got[:n] {
+				if h != ref.Sum() {
+					t.Fatalf("w=%d pos=%d: Fill %x, rolled %x", w, pos+i, h, ref.Sum())
+				}
+				if pos+i+1 < positions {
+					ref.Roll(data[pos+i], data[pos+i+w])
+				}
+			}
+		}
+	})
+}
+
 func BenchmarkPolyHash4K(b *testing.B) {
 	p := Default()
 	data := randBytes(rand.New(rand.NewSource(1)), 4096)
@@ -254,11 +333,12 @@ func BenchmarkAdlerRoll(b *testing.B) {
 }
 
 // BenchmarkWindowScan measures full windowed-scan throughput (Init once,
-// then roll across the buffer, consuming Sum at every position) at the
-// protocol's extreme block sizes — the unit of work that scanOld sharding
-// splits across workers. Comparing the per-byte rates at b_min and b_max
-// against BenchmarkSeedShard quantifies the overlap cost a shard pays to
-// re-seed its window.
+// then every window hash of the buffer) at the protocol's extreme block
+// sizes — the unit of work that scan sharding splits across workers. The
+// plain arm is the per-position interface (Sum and Roll at every byte); the
+// "-bulk" arm is what the client's scan kernel runs, Fill in 256-hash chunks.
+// Comparing the per-byte rates at b_min and b_max against BenchmarkSeedShard
+// quantifies the overlap cost a shard pays to re-seed its window.
 func BenchmarkWindowScan(b *testing.B) {
 	data := randBytes(rand.New(rand.NewSource(3)), 1<<20)
 	for _, tc := range []struct {
@@ -282,6 +362,24 @@ func BenchmarkWindowScan(b *testing.B) {
 					r.Roll(data[pos], data[pos+tc.window])
 				}
 				sink ^= r.Sum()
+			}
+			benchSink = sink
+		})
+		b.Run(fmt.Sprintf("%s-b%d-bulk", tc.fam, tc.window), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			var sink uint64
+			var chunk [256]uint64
+			positions := len(data) - tc.window + 1
+			for i := 0; i < b.N; i++ {
+				r := fam.Roller(tc.window)
+				r.Init(data)
+				for pos := 0; pos < positions; pos += len(chunk) {
+					hs := chunk[:min(len(chunk), positions-pos)]
+					r.Fill(hs, data, pos)
+					for _, h := range hs {
+						sink ^= h
+					}
+				}
 			}
 			benchSink = sink
 		})
