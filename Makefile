@@ -32,13 +32,14 @@ race:
 
 # check additionally sweeps the signature-cache layers (sigcache, dirio,
 # collection), the observability layer (obs: shared metrics registries and
-# tracers must stay race-free) and the benchmark harness (bench: drives
-# multiplexed sessions concurrently) under vet and the race detector on their
-# own, so bugs there fail fast with a focused report before the full suite
-# runs.
+# tracers must stay race-free), the benchmark harness (bench: drives
+# multiplexed sessions concurrently) and the pooled scratch that parallel file
+# workers share (delta: the match-finder; core: gather buffers and scan
+# shards) under vet and the race detector on their own, so bugs there fail
+# fast with a focused report before the full suite runs.
 check: vet race fuzz-smoke api-check
-	$(GO) vet ./internal/sigcache/ ./internal/dirio/ ./internal/collection/ ./internal/store/ ./internal/obs/ ./internal/bench/ ./internal/pubsig/ ./internal/cdc/ ./internal/corpus/
-	$(GO) test -race ./internal/sigcache/ ./internal/dirio/ ./internal/collection/ ./internal/store/ ./internal/obs/ ./internal/bench/ ./internal/pubsig/ ./internal/cdc/ ./internal/corpus/
+	$(GO) vet ./internal/sigcache/ ./internal/dirio/ ./internal/collection/ ./internal/store/ ./internal/obs/ ./internal/bench/ ./internal/pubsig/ ./internal/cdc/ ./internal/corpus/ ./internal/delta/ ./internal/core/
+	$(GO) test -race ./internal/sigcache/ ./internal/dirio/ ./internal/collection/ ./internal/store/ ./internal/obs/ ./internal/bench/ ./internal/pubsig/ ./internal/cdc/ ./internal/corpus/ ./internal/delta/ ./internal/core/
 
 # api-check diffs the package's exported surface against the committed
 # API.txt; regenerate with `make api` after an intentional API change.

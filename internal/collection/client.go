@@ -510,8 +510,7 @@ func consume(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, co
 			// failed engine verification.
 			applied := false
 			if old, err := src.Load(path); err == nil {
-				if data, err := delta.Decode(old, payload); err == nil &&
-					len(data) == int(newLen) && md4.Sum(data) == sum {
+				if data, err := delta.DecodeLen(old, payload, int(newLen)); err == nil && md4.Sum(data) == sum {
 					out[path] = data
 					applied = true
 				}

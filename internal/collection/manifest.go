@@ -55,7 +55,9 @@ func decodeManifest(p []byte) ([]ManifestEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ManifestEntry, 0, n)
+	// An entry is at least 18 bytes (two one-byte varints and the sum), so
+	// the payload bounds the count worth allocating for, whatever it declares.
+	out := make([]ManifestEntry, 0, min(n, uint64(len(p)/(2+md4.Size))))
 	for i := uint64(0); i < n; i++ {
 		var e ManifestEntry
 		if e.Path, err = pr.String(); err != nil {

@@ -957,12 +957,11 @@ func (c *ClientFile) openDelta(payload []byte) (wantSum, enc []byte, err error) 
 func (c *ClientFile) decodeGaps(src []byte, ivs []interval, enc []byte, fill func(g interval, data []byte)) error {
 	ref, release := gather(src, ivs)
 	defer release()
-	target, err := delta.Decode(ref[0], enc)
+	// The gaps' total is known beforehand; a section declaring another length
+	// is refused before it costs what it declares.
+	target, err := delta.DecodeLen(ref[0], enc, c.n-c.coveredBytes())
 	if err != nil {
 		return fmt.Errorf("core: delta decode: %w", err)
-	}
-	if len(target) != c.n-c.coveredBytes() {
-		return fmt.Errorf("core: delta target length mismatch")
 	}
 	for _, g := range c.gaps() {
 		fill(g, target[:g.end-g.start])

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -9,6 +11,7 @@ import (
 
 	"msync/internal/alloctest"
 	"msync/internal/corpus"
+	"msync/internal/delta"
 	"msync/internal/stats"
 )
 
@@ -73,6 +76,41 @@ func TestDeltaPhaseAllocCeiling(t *testing.T) {
 	})
 	if got >= 3*size {
 		t.Errorf("EmitDelta+ApplyDelta of a 1 MB file allocate %d B, ceiling %d", got, 3*size)
+	}
+}
+
+// TestApplyDeltaRefusesDeclaredLength: a delta section whose stream declares
+// another target length than the file's gaps add up to — here 4 GiB, in
+// twelve bytes — is refused for what the file costs, not what it declares.
+func TestApplyDeltaRefusesDeclaredLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	old := corpus.SourceText(rng, 4000)
+	cur := append([]byte(nil), old...)
+	copy(cur[2000:], corpus.RandomText(rng, 40))
+	// A real section up to its delta stream: confirm bits, whole-file sum.
+	srv, cli := mapRounds(t, old, cur, DefaultConfig())
+	section := srv.EmitDelta()
+	_, enc, err := cli.openDelta(section)
+	if err != nil {
+		t.Fatal(err)
+	}
+	section = binary.AppendUvarint(section[:len(section)-len(enc)], 1<<32)
+	section = append(section, 0, 0, 0, 0, 0, 0, 0) // entropy-coded mode, two empty code tables
+	const runs = 5
+	clients := make([]*ClientFile, runs+1)
+	for i := range clients {
+		_, clients[i] = mapRounds(t, old, cur, DefaultConfig())
+	}
+	next := 0
+	got := alloctest.BytesPerOp(runs, func() {
+		c := clients[next]
+		next++
+		if _, err := c.ApplyDelta(section); !errors.Is(err, delta.ErrCorrupt) {
+			t.Fatalf("ApplyDelta of a section declaring 4 GiB: %v, want delta.ErrCorrupt", err)
+		}
+	})
+	if got >= 64<<10 {
+		t.Errorf("the hostile section cost %d B, ceiling %d", got, 64<<10)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -360,6 +361,7 @@ func (st *state) buildPlan() *plan {
 		hb := st.cfg.hashBits(st.n, st.b)
 		lb := st.cfg.localBits()
 		firstBlockEntry := len(p.entries)
+		p.entries = slices.Grow(p.entries, len(st.blocks)) // a no-op after planProbes
 		for bi := range st.blocks {
 			blkRef := &st.blocks[bi]
 			if st.fullyCovered(blkRef.off, blkRef.size) {
@@ -436,7 +438,12 @@ func (st *state) buildPlan() *plan {
 // bookkeeping), so both halving and CDC rounds reuse it and both sides derive
 // identical probe plans.
 func (st *state) planProbes(p *plan, probeRanges []interval) []interval {
-	for _, g := range st.gaps() {
+	gaps := st.gaps()
+	// The most a round can plan is two probes a gap and, in a halving round,
+	// one hash a block after them: allocated once here, not grown entry by
+	// entry on both ends every round.
+	p.entries = make([]entry, 0, 2*len(gaps)+len(st.blocks))
+	for _, g := range gaps {
 		glen := g.end - g.start
 		size := st.b
 		if size > glen {

@@ -4,7 +4,7 @@
 //
 // Encode(ref, target) produces a compact encoding of target that Decode can
 // reconstruct given the same ref. The encoder runs an LZ77-style greedy parse
-// (with one-step lazy matching) over a hash-chain index covering both the
+// (with one-step lazy matching) over a seed index covering both the
 // reference and the already-emitted target prefix, then entropy-codes the
 // resulting copy/literal operations with canonical Huffman codes
 // (internal/huffman).
@@ -37,7 +37,7 @@ const (
 	maxMatch = 1 << 20
 	// hashBits sizes the seed hash table.
 	hashBits = 17
-	// maxChain bounds hash-chain traversal per position.
+	// maxChain bounds the candidates tried per position: a bucket's most recent.
 	maxChain = 64
 	// symEOB terminates the op stream.
 	symEOB = 256
@@ -114,113 +114,152 @@ func seedHash(p []byte) uint32 {
 }
 
 // matcher is the encoder's match-finder and the scratch Encode works in: a
-// hash-chain index over a virtual address space — positions [0, len(ref)) are
+// seed index over a virtual address space — positions [0, len(ref)) are
 // reference bytes, positions >= len(ref) are target bytes (at pos-len(ref)) —
-// plus the op slice and frequency tables of one parse. Matchers are pooled
-// (see matcherPool), so what an encode costs beyond its own input is a seed
-// replay, not a fresh 512 KB head table.
+// plus the copy records and frequency tables of one parse. Matchers are
+// pooled (see matcherPool), so what an encode costs beyond its own input is
+// zeroing the buckets it used, not a fresh 512 KB table.
+//
+// The index is a counting sort of positions by seed hash. slots holds one
+// contiguous run per bucket — a negative sentinel, then the bucket's
+// positions in ascending order, reference first, with room for every target
+// seed — and table[h] is the bucket's cursor: the slot its next position goes
+// in, so the slots before it, back to the sentinel, are the bucket's
+// candidates most recent first. An unused bucket's cursor is zero, and every
+// bucket is unused between encodes.
 type matcher struct {
 	ref, target []byte
-	head        []int32 // 1<<hashBits seed buckets; all -1 between uses
-	chain       []int32 // previous position with the same seed, by virtual position
-	ops         []Op
+	table       []int32 // 1<<hashBits cursors into slots
+	slots       []int32
+	order       []int32 // the buckets in use, as acquire first met them
+	copies      []copyOp
 	mainFreq    [mainAlphabet]int64
 	offFreq     [numOffCodes]int64
 }
 
+// copyOp is one copy of the parse and the literals before it: target bytes
+// [at, at+lit) are literals and the next length bytes a copy, where at is the
+// end of the previous copyOp. The literals after the last copy are implied
+// by the target's length.
+type copyOp struct {
+	lit, length uint32
+	// src is the reference position of a reference copy, or minus the
+	// distance back into the target of a self copy (never zero).
+	src int32
+}
+
 const (
-	// replayMax is the input size (ref + target bytes) up to which release
-	// empties the head table by rehashing the seeds it inserted, O(input);
-	// above it a full clear, O(table), is cheaper. BenchmarkHeadReset
-	// measures both sides; EXPERIMENTS.md records the crossover.
-	replayMax = 1 << (hashBits - 2)
-	// maxRetainedChain and maxRetainedOps cap what a pooled matcher keeps
-	// besides its head table: a larger chain array or op slice is dropped on
-	// release, so files up to 1 MB reuse their chains while a 2 MB file
-	// (8 MB of chain) cannot pin that for the rest of the process. A pooled
-	// matcher holds at most ~5 MB: 512 KB of head table, 4 MB of chain,
-	// 450 KB of ops.
-	maxRetainedChain = 1 << 20
-	maxRetainedOps   = 1 << 13
+	// sparseResetMax is the number of buckets in use up to which release
+	// zeroes them one by one; above it one clear of the whole table is
+	// cheaper. BenchmarkTableReset measures both sides; EXPERIMENTS.md
+	// records the crossover.
+	sparseResetMax = 1 << (hashBits - 4)
+	// maxRetainedSlots caps what a pooled matcher keeps from one encode to
+	// the next besides its table and order (512 KB each): 16 MB of slots,
+	// which a file of up to ~3.5 MB fits in, and the copy records that go
+	// with them (670 KB for a 2 MB dump's 56 000 copies; never more than a
+	// quarter as many as slots, a copy being MinMatch bytes or more). A
+	// matcher in steady use is never idle long enough for sync.Pool to drop
+	// it, so without a cap one huge file would pin five times its size for as
+	// long as the process encodes anything. EXPERIMENTS.md, "Delta encoder
+	// working set", has the measurement the value comes from.
+	maxRetainedSlots = 1 << 22
 )
 
 // matcherPool hands each encoding goroutine a private matcher for the span of
 // one Parse/Encode call; nothing in a matcher outlives the call that took it.
 var matcherPool = sync.Pool{
-	New: func() any {
-		m := &matcher{head: make([]int32, 1<<hashBits)}
-		m.clearHead()
-		return m
-	},
+	New: func() any { return &matcher{table: make([]int32, 1<<hashBits)} },
 }
 
-// acquire takes a matcher from the pool and indexes ref. Chain entries are
-// written before they can be reached from head, so the chain array is reused
-// without clearing.
+// seeds is the number of positions of p a seed starts at.
+func seeds(p []byte) int { return max(len(p)-MinMatch+1, 0) }
+
+// grown returns s with length n, reallocated only if its capacity is short;
+// what it holds is garbage either way.
+func grown(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// acquire takes a matcher from the pool and indexes ref, in three passes:
+// count the seeds of ref and target per bucket (as negative cursors), noting
+// each bucket when it is first met; lay the buckets' runs out in that order —
+// so the build is O(input), with no prefix sum over the table; file ref's
+// positions. Every slot is written before a cursor passes it, so slots is
+// reused uncleared.
 func acquire(ref, target []byte) *matcher {
 	m := matcherPool.Get().(*matcher)
 	m.ref, m.target = ref, target
-	if n := len(ref) + len(target); cap(m.chain) < n {
-		m.chain = make([]int32, n)
-	} else {
-		m.chain = m.chain[:n]
+	table := m.table
+	n := seeds(ref) + seeds(target)
+	// One spare entry: a seed is noted before it is known to be a bucket's first.
+	order := grown(m.order, min(n, len(table))+1)
+	k := 0
+	for _, p := range [2][]byte{ref, target} {
+		for i := 0; i+MinMatch <= len(p); i++ {
+			h := seedHash(p[i:])
+			c := table[h]
+			order[k] = int32(h)
+			if c == 0 {
+				k++
+			}
+			table[h] = c - 1
+		}
+	}
+	m.order = order[:k]
+	slots := grown(m.slots, n+k)
+	m.slots = slots
+	next := int32(0)
+	for _, h := range m.order {
+		slots[next] = -1
+		count := -table[h]
+		table[h] = next + 1
+		next += 1 + count
 	}
 	for i := 0; i+MinMatch <= len(ref); i++ {
 		h := seedHash(ref[i:])
-		m.chain[i] = m.head[h]
-		m.head[h] = int32(i)
+		c := table[h]
+		slots[c] = int32(i)
+		table[h] = c + 1
 	}
 	return m
 }
 
-// release restores the all-empty head table, zeroes the frequency tables,
-// drops references to the caller's buffers and oversized scratch, and returns
-// m to the pool. Every position the parse indexed lies in ref or target, so
-// rehashing both finds every bucket that was written.
+// release zeroes the buckets that were in use and the frequency tables, drops
+// references to the caller's buffers and oversized scratch, and returns m to
+// the pool.
 func (m *matcher) release() {
-	if len(m.ref)+len(m.target) <= replayMax {
-		m.unseed(m.ref)
-		m.unseed(m.target)
+	if len(m.order) <= sparseResetMax {
+		for _, h := range m.order {
+			m.table[h] = 0
+		}
 	} else {
-		m.clearHead()
+		clear(m.table)
 	}
 	m.mainFreq = [mainAlphabet]int64{}
 	m.offFreq = [numOffCodes]int64{}
 	m.ref, m.target = nil, nil
-	if cap(m.chain) > maxRetainedChain {
-		m.chain = nil
+	if cap(m.slots) > maxRetainedSlots {
+		m.slots, m.copies = nil, nil
 	}
-	if cap(m.ops) > maxRetainedOps {
-		m.ops = nil
-	} else {
-		clear(m.ops) // literals alias the caller's target
-		m.ops = m.ops[:0]
-	}
+	m.copies = m.copies[:0]
 	matcherPool.Put(m)
 }
 
-// unseed empties every head bucket a seed of p can have been put in.
-func (m *matcher) unseed(p []byte) {
-	for i := 0; i+MinMatch <= len(p); i++ {
-		m.head[seedHash(p[i:])] = -1
-	}
-}
-
-func (m *matcher) clearHead() {
-	for i := range m.head {
-		m.head[i] = -1
-	}
-}
-
-// insert adds target position q to the index.
+// insert adds target position q to the index. The parse inserts every target
+// position once, in ascending order, so a run stays sorted and ends exactly
+// where the count said it would.
 func (m *matcher) insert(q int) {
 	if q+MinMatch > len(m.target) {
 		return
 	}
 	h := seedHash(m.target[q:])
-	p := len(m.ref) + q
-	m.chain[p] = m.head[h]
-	m.head[h] = int32(p)
+	c := m.table[h]
+	m.slots[c] = int32(len(m.ref) + q)
+	m.table[h] = c + 1
 }
 
 func matchLen(a, b []byte, max int) int {
@@ -244,49 +283,63 @@ func matchLen(a, b []byte, max int) int {
 	return i
 }
 
-// bestMatch finds the longest match for target[i:] in the index.
-// lastRef biases tie-breaks toward cheap-to-address ref positions.
-func (m *matcher) bestMatch(i, lastRef int) (length int, fromRef bool, srcPos int) {
+// bestMatch finds the longest match for target[i:] in the index among the
+// bucket's maxChain most recent positions and returns its length and virtual
+// position, or length 0 when none is at least floor bytes long (floor >=
+// MinMatch). lastRef biases tie-breaks toward cheap-to-address ref positions.
+//
+// A candidate matters only if it is at least need = max(bestLen, floor) bytes
+// long: a shorter one neither replaces the best so far nor is a result the
+// caller uses, and among candidates of the final length the winner depends on
+// those candidates alone. So a candidate is first tested on the four bytes
+// ending at need, which every match that long contains, and measured only if
+// they agree. Ties at bestLen pass the test and reach cheaper as before.
+func (m *matcher) bestMatch(i, lastRef, floor int) (length, pos int) {
 	t := m.target
 	if i+MinMatch > len(t) {
-		return 0, false, 0
+		return 0, 0
 	}
-	h := seedHash(t[i:])
-	limit := len(t) - i
-	if limit > maxMatch {
-		limit = maxMatch
+	limit := min(len(t)-i, maxMatch)
+	if limit < floor {
+		return 0, 0
 	}
-	bestLen := 0
-	bestPos := -1
-	tries := maxChain
-	for p := m.head[h]; p >= 0 && tries > 0; p = m.chain[p] {
-		tries--
-		pos := int(p)
-		var l int
-		if pos >= len(m.ref) {
-			// Target self-copy: source must be strictly before i.
-			q := pos - len(m.ref)
-			if q >= i {
-				continue
-			}
-			l = matchLen(t[q:], t[i:], limit)
+	c := int(m.table[seedHash(t[i:])]) // > 0: the seed at i was counted
+	ref, refLen := m.ref, len(m.ref)
+	cur := t[i:]
+	need := floor
+	want := binary.LittleEndian.Uint32(cur[need-MinMatch:])
+	bestLen, bestPos := 0, -1
+	run := m.slots[max(c-maxChain, 0):c]
+	for k := len(run) - 1; k >= 0; k-- {
+		pos := int(run[k])
+		if pos < 0 {
+			break // the sentinel: the bucket has no older position
+		}
+		var src []byte
+		if pos < refLen {
+			src = ref[pos:]
 		} else {
-			l = matchLen(m.ref[pos:], t[i:], limit)
+			// A target position is strictly before i: the parse has
+			// inserted nothing at or after it.
+			src = t[pos-refLen:]
 		}
-		if l > bestLen || (l == bestLen && bestPos >= 0 && cheaper(pos, bestPos, lastRef, i, len(m.ref))) {
+		if len(src) < need || binary.LittleEndian.Uint32(src[need-MinMatch:]) != want {
+			continue
+		}
+		l := matchLen(src, cur, limit)
+		if l < need {
+			continue
+		}
+		if l > bestLen || cheaper(pos, bestPos, lastRef, i, refLen) {
 			bestLen, bestPos = l, pos
+			if bestLen >= limit {
+				break
+			}
+			need = bestLen
+			want = binary.LittleEndian.Uint32(cur[need-MinMatch:])
 		}
-		if bestLen >= limit {
-			break
-		}
 	}
-	if bestLen < MinMatch {
-		return 0, false, 0
-	}
-	if bestPos < len(m.ref) {
-		return bestLen, true, bestPos
-	}
-	return bestLen, false, bestPos - len(m.ref)
+	return bestLen, bestPos
 }
 
 // cheaper reports whether virtual position a is cheaper to address than b.
@@ -302,95 +355,94 @@ func addrCost(p, lastRef, i, refLen int) int {
 }
 
 // Parse produces the operation stream encoding target relative to ref:
-// a greedy LZ parse (with one-step lazy matching) over a hash-chain index
-// of the reference and the emitted target prefix. The caller owns the result.
+// a greedy LZ parse (with one-step lazy matching) over a seed index of the
+// reference and the emitted target prefix. The caller owns the result.
 func Parse(ref, target []byte) []Op {
 	m := acquire(ref, target)
 	defer m.release()
-	return append([]Op(nil), m.parse()...)
+	copies := m.parse()
+	ops := make([]Op, 0, 2*len(copies)+1)
+	at := 0
+	for _, c := range copies {
+		if c.lit > 0 {
+			ops = append(ops, Op{Literal: target[at : at+int(c.lit)]})
+			at += int(c.lit)
+		}
+		op := Op{Length: int(c.length), FromRef: c.src >= 0, RefPos: int(c.src), Dist: at - int(c.src)}
+		if !op.FromRef {
+			op.RefPos, op.Dist = at+int(c.src), -int(c.src)
+		}
+		ops = append(ops, op)
+		at += op.Length
+	}
+	if at < len(target) {
+		ops = append(ops, Op{Literal: target[at:]})
+	}
+	return ops
 }
 
-// parse is Parse into m's own op slice, valid until release.
-func (m *matcher) parse() []Op {
+// parse is the greedy parse into m's own copy records, valid until release.
+func (m *matcher) parse() []copyOp {
 	target := m.target
-	ops := m.ops[:0]
+	copies := m.copies[:0]
 	lastRef := 0
 	litStart := 0
 	i := 0
-	flushLit := func(end int) {
-		if end > litStart {
-			ops = append(ops, Op{Literal: target[litStart:end]})
-		}
-	}
 	for i < len(target) {
-		l, fromRef, pos := m.bestMatch(i, lastRef)
-		if l >= MinMatch {
-			// One-step lazy: a longer match starting at i+1 wins.
-			if i+1 < len(target) {
-				l2, fr2, pos2 := m.bestMatch(i+1, lastRef)
-				if l2 > l+1 {
-					m.insert(i)
-					i++
-					l, fromRef, pos = l2, fr2, pos2
-				}
-			}
-			flushLit(i)
-			ops = append(ops, Op{Length: l, FromRef: fromRef, RefPos: pos, Dist: i - pos})
-			// Index a sample of positions inside the match. Indexing every
-			// position is O(n) anyway and improves later matches.
-			end := i + l
-			for q := i; q < end; q++ {
-				m.insert(q)
-			}
-			if fromRef {
-				lastRef = pos + l
-			}
-			i = end
-			litStart = i
+		l, pos := m.bestMatch(i, lastRef, MinMatch)
+		if l == 0 {
+			m.insert(i)
+			i++
 			continue
 		}
-		m.insert(i)
-		i++
+		// One-step lazy: a match starting at i+1 wins if it is longer by two
+		// or more, so shorter ones need not be found.
+		if l2, pos2 := m.bestMatch(i+1, lastRef, l+2); l2 > 0 {
+			m.insert(i)
+			i++
+			l, pos = l2, pos2
+		}
+		if pos < len(m.ref) {
+			lastRef = pos + l
+		} else {
+			pos -= len(m.ref) + i // a self copy: minus the distance back
+		}
+		copies = append(copies, copyOp{lit: uint32(i - litStart), length: uint32(l), src: int32(pos)})
+		// Every position inside the match is indexed too: O(n) all the same,
+		// and later matches are better for it.
+		end := i + l
+		for q := i; q < end; q++ {
+			m.insert(q)
+		}
+		i = end
+		litStart = i
 	}
-	flushLit(len(target))
-	m.ops = ops
-	return ops
+	m.copies = copies
+	return copies
 }
 
 // Encode produces a delta of target relative to ref.
 func Encode(ref, target []byte) []byte {
 	m := acquire(ref, target)
 	defer m.release()
-	ops := m.parse()
+	copies := m.parse()
 
-	// Pass 1: frequencies.
+	// Pass 1: frequencies. Offsets need the same lastRef walk as emission.
 	mainFreq, offFreq := m.mainFreq[:], m.offFreq[:]
 	mainFreq[symEOB]++
-	for _, o := range ops {
-		if o.Literal != nil {
-			for _, b := range o.Literal {
-				mainFreq[b]++
-			}
-			continue
+	at, lastRef := 0, 0
+	for _, c := range copies {
+		for _, b := range target[at : at+int(c.lit)] {
+			mainFreq[b]++
 		}
-		c, _, _ := bucket(o.Length - MinMatch)
-		mainFreq[symLenBase+c]++
+		at += int(c.lit + c.length)
+		lc, _, _ := bucket(int(c.length) - MinMatch)
+		mainFreq[symLenBase+lc]++
+		oc, _, _ := bucket(c.offset(&lastRef))
+		offFreq[oc]++
 	}
-	// Offsets need the same lastRef walk as emission; do it once here.
-	lastRef := 0
-	for _, o := range ops {
-		if o.Literal != nil {
-			continue
-		}
-		var v int
-		if o.FromRef {
-			v = zigzag(o.RefPos - lastRef)
-			lastRef = o.RefPos + o.Length
-		} else {
-			v = o.Dist
-		}
-		c, _, _ := bucket(v)
-		offFreq[c]++
+	for _, b := range target[at:] {
+		mainFreq[b]++
 	}
 
 	mainCode, err := huffman.Build(mainFreq)
@@ -411,28 +463,22 @@ func Encode(ref, target []byte) []byte {
 	mainCode.WriteTable(w)
 	offCode.WriteTable(w)
 
-	lastRef = 0
-	for _, o := range ops {
-		if o.Literal != nil {
-			for _, b := range o.Literal {
-				mustEncode(mainCode, w, int(b))
-			}
-			continue
+	at, lastRef = 0, 0
+	for _, c := range copies {
+		for _, b := range target[at : at+int(c.lit)] {
+			mustEncode(mainCode, w, int(b))
 		}
-		c, nb, ev := bucket(o.Length - MinMatch)
-		mustEncode(mainCode, w, symLenBase+c)
+		at += int(c.lit + c.length)
+		lc, nb, ev := bucket(int(c.length) - MinMatch)
+		mustEncode(mainCode, w, symLenBase+lc)
 		w.WriteBits(ev, nb)
-		w.WriteBit(o.FromRef)
-		var v int
-		if o.FromRef {
-			v = zigzag(o.RefPos - lastRef)
-			lastRef = o.RefPos + o.Length
-		} else {
-			v = o.Dist
-		}
-		oc, onb, oev := bucket(v)
+		w.WriteBit(c.src >= 0)
+		oc, onb, oev := bucket(c.offset(&lastRef))
 		mustEncodeOff(offCode, w, oc)
 		w.WriteBits(oev, onb)
+	}
+	for _, b := range target[at:] {
+		mustEncode(mainCode, w, int(b))
 	}
 	mustEncode(mainCode, w, symEOB)
 	out := w.Bytes()
@@ -445,6 +491,18 @@ func Encode(ref, target []byte) []byte {
 		return append(raw, target...)
 	}
 	return out
+}
+
+// offset is the value c's source is coded as: a self copy's distance, or a
+// reference copy's position as a zigzag delta from *lastRef, the end of the
+// previous reference copy, which it advances.
+func (c copyOp) offset(lastRef *int) int {
+	if c.src < 0 {
+		return -int(c.src)
+	}
+	v := zigzag(int(c.src) - *lastRef)
+	*lastRef = int(c.src) + int(c.length)
+	return v
 }
 
 // Encoding modes: the byte after the target-length varint.
@@ -471,7 +529,9 @@ func mustEncodeOff(c *huffman.Code, w *bitio.Writer, sym int) {
 	}
 }
 
-// Decode reconstructs the target from ref and a delta produced by Encode.
+// Decode reconstructs the target from ref and a delta produced by Encode. It
+// allocates the target length the stream declares, up to 4 GiB, before it
+// reads one op: for a stream from a peer, use DecodeLen.
 func Decode(ref, enc []byte) ([]byte, error) {
 	targetLen, n := binary.Uvarint(enc)
 	if n <= 0 {
@@ -561,6 +621,16 @@ func Decode(ref, enc []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	return out, nil
+}
+
+// DecodeLen is Decode for a caller that knows how long the target must be:
+// a stream declaring any other length is ErrCorrupt, before anything is
+// allocated for it.
+func DecodeLen(ref, enc []byte, targetLen int) ([]byte, error) {
+	if declared, n := binary.Uvarint(enc); n <= 0 || targetLen < 0 || declared != uint64(targetLen) {
+		return nil, ErrCorrupt
+	}
+	return Decode(ref, enc)
 }
 
 // CompressedSize returns the encoded size of target against ref without

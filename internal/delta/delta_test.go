@@ -2,10 +2,13 @@ package delta
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"msync/internal/alloctest"
 	"msync/internal/bitio"
 	"msync/internal/corpus"
 )
@@ -188,6 +191,47 @@ func TestImplausibleLength(t *testing.T) {
 	bad := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
 	if _, err := Decode(nil, bad); err == nil {
 		t.Fatal("implausible length accepted")
+	}
+}
+
+// hostileStream is twelve bytes that decode as far as the allocation: a
+// declared target of 4 GiB, the entropy-coded mode, two empty code tables.
+func hostileStream() []byte {
+	enc := binary.AppendUvarint(nil, 1<<32)
+	return append(enc, modeHuffman, 0, 0, 0, 0, 0, 0)
+}
+
+// TestDecodeLenChecksBeforeAllocating: a stream whose declared length is not
+// the one the caller expects is corrupt, and costs nothing to find so.
+func TestDecodeLenChecksBeforeAllocating(t *testing.T) {
+	hostile := hostileStream()
+	if len(hostile) != 12 {
+		t.Fatalf("hostile stream is %d bytes", len(hostile))
+	}
+	got := alloctest.BytesPerOp(5, func() {
+		if _, err := DecodeLen(nil, hostile, 1000); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeLen of a stream declaring 4 GiB where 1000 B are expected: %v, want ErrCorrupt", err)
+		}
+	})
+	if got >= 64<<10 {
+		t.Errorf("the hostile stream cost %d B, ceiling %d", got, 64<<10)
+	}
+
+	ref := []byte("the reference content with some repeated repeated text")
+	target := []byte("the reference content, edited with repeated text")
+	for _, enc := range [][]byte{Encode(ref, target), Encode(nil, target), Encode(ref, nil)} {
+		want, err := Decode(ref, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeLen(ref, enc, len(want)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("DecodeLen with the right length: %q, %v", got, err)
+		}
+		for _, n := range []int{len(want) + 1, len(want) - 1, -1, 1 << 40} {
+			if _, err := DecodeLen(ref, enc, n); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeLen expecting %d of a %d-byte target: %v, want ErrCorrupt", n, len(want), err)
+			}
+		}
 	}
 }
 

@@ -50,6 +50,11 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 	f.Add([]byte("abc"), []byte("abc"))
 	f.Add([]byte("aaaa"), bytes.Repeat([]byte("a"), 300))
 	f.Add([]byte{}, bytes.Repeat([]byte("self referential "), 40))
+	for _, p := range indexPairs() {
+		if len(p.ref) <= 1<<16 && len(p.target) <= 1<<16 {
+			f.Add(p.ref, p.target)
+		}
+	}
 	f.Fuzz(func(t *testing.T, ref, target []byte) {
 		if len(ref) > 1<<16 || len(target) > 1<<16 {
 			t.Skip()

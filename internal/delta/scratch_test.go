@@ -74,11 +74,46 @@ func edgePairs() []pair {
 	}
 }
 
+// indexPairs are the inputs a sorted seed index can get wrong where a hash
+// chain could not: runs that fill, overflow or share a bucket.
+func indexPairs() []pair {
+	rng := rand.New(rand.NewSource(10))
+	text := corpus.SourceText(rng, 6000)
+	// One seed, "abcd", at a hundred places with nothing else in common: its
+	// bucket outgrows maxChain, and the window of candidates slides from
+	// reference positions over a mix to target positions only.
+	var crowdRef, crowdTarget []byte
+	for i := 0; i < 40; i++ {
+		crowdRef = append(append(crowdRef, "abcd"...), byte(i), 0xFF, byte(i), 0xFE)
+	}
+	for i := 0; i < 90; i++ {
+		crowdTarget = append(append(crowdTarget, "abcd"...), 0xFD, byte(i), 0xFC, byte(i))
+	}
+	// Runs of one byte between matchable text: the seeds at i and i+1 are
+	// equal, and the lazy probe at i+1 must not find position i.
+	var runs []byte
+	for i := 0; i < 40; i++ {
+		runs = append(append(runs, text[i*50:i*50+30+i%7]...), bytes.Repeat([]byte{'a' + byte(i%3)}, 5+i%13)...)
+	}
+	zeros := make([]byte, 1<<20)
+	return []pair{
+		{"all-zero-1M", zeros, zeros},
+		{"all-zero-compress", nil, zeros[:70000]},
+		{"crowded-bucket", crowdRef, crowdTarget},
+		{"crowded-bucket-compress", nil, append(append([]byte(nil), crowdRef...), crowdTarget...)},
+		{"equal-seed-runs", runs[:len(runs)/2], runs},
+		{"equal-seed-runs-compress", nil, runs},
+		{"match-to-end-of-ref", text[:3000], append(append([]byte("new head "), text[2000:3000]...), " and a new tail"...)},
+		{"ref-is-target-tail", text[5000:], text},
+		{"one-seed", []byte("abcd"), []byte("xabcdabcdy")},
+	}
+}
+
 // TestEncodeMatchesReference: the pooled match-finder emits, bit for bit,
 // what the per-call index emitted — over real corpus shapes in one long
 // sequence, so every encode runs on scratch the previous one left behind.
 func TestEncodeMatchesReference(t *testing.T) {
-	ps := append(corpusPairs(), edgePairs()...)
+	ps := append(append(corpusPairs(), edgePairs()...), indexPairs()...)
 	for _, p := range ps {
 		got, want := Encode(p.ref, p.target), refEncode(p.ref, p.target)
 		if !bytes.Equal(got, want) {
@@ -115,35 +150,73 @@ func TestParseOwnsItsResult(t *testing.T) {
 }
 
 // TestReleaseRestoresScratch checks release's contract directly on both reset
-// paths (seed replay and full clear) and the retention caps.
+// paths (bucket by bucket and full clear) and the retention caps.
 func TestReleaseRestoresScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 3, 1000, replayMax / 2, replayMax/2 + 1, maxRetainedChain} {
-		ref := corpus.SourceText(rng, n)
-		target := corpus.EditModel{BurstsPer32KB: 8, BurstEdits: 4, EditSize: 30, BurstSpread: 200}.Apply(rng, ref)
+	em := corpus.EditModel{BurstsPer32KB: 8, BurstEdits: 4, EditSize: 30, BurstSpread: 200}
+	var sparse, full bool
+	for _, ref := range [][]byte{
+		nil, []byte("abc"), corpus.SourceText(rng, 1000), corpus.SourceText(rng, 100_000),
+		corpus.RandomText(rng, 100_000), make([]byte, maxRetainedSlots),
+	} {
+		n := len(ref)
+		target := em.Apply(rng, ref[:min(n, 100_000)])
 		m := acquire(ref, target)
 		m.parse()
 		m.mainFreq[7], m.offFreq[3] = 1, 1
+		if len(m.order) <= sparseResetMax {
+			sparse = true
+		} else {
+			full = true
+		}
 		m.release()
-		for h, p := range m.head {
-			if p != -1 {
-				t.Fatalf("n=%d: head[%d] = %d after release", n, h, p)
+		for h, c := range m.table {
+			if c != 0 {
+				t.Fatalf("n=%d: table[%d] = %d after release", n, h, c)
 			}
 		}
 		if m.mainFreq != [mainAlphabet]int64{} || m.offFreq != [numOffCodes]int64{} {
 			t.Fatalf("n=%d: frequency tables not zeroed", n)
 		}
-		if m.ref != nil || m.target != nil || len(m.ops) != 0 {
+		if m.ref != nil || m.target != nil || len(m.copies) != 0 {
 			t.Fatalf("n=%d: release kept references to the caller's buffers", n)
 		}
-		for _, o := range m.ops[:cap(m.ops)] {
-			if o.Literal != nil {
-				t.Fatalf("n=%d: a retained op still aliases the target", n)
-			}
+		if n == maxRetainedSlots && (m.slots != nil || m.copies != nil) || cap(m.slots) > maxRetainedSlots {
+			t.Fatalf("n=%d: retained %d slots, %d copies; the cap is %d slots", n, cap(m.slots), cap(m.copies), maxRetainedSlots)
 		}
-		if cap(m.chain) > maxRetainedChain || cap(m.ops) > maxRetainedOps {
-			t.Fatalf("n=%d: retained %d chain entries, %d ops; caps are %d, %d",
-				n, cap(m.chain), cap(m.ops), maxRetainedChain, maxRetainedOps)
+	}
+	if !sparse || !full {
+		t.Fatalf("reset paths taken: bucket by bucket %v, full clear %v; want both", sparse, full)
+	}
+}
+
+// TestResetBoundary encodes the last input release resets bucket by bucket
+// and the first it clears the table for — sparseResetMax buckets in use, and
+// one more — each followed by encodes that land on the matcher it left.
+func TestResetBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	next := corpus.SourceText(rng, 3000)
+	data := corpus.RandomText(rng, 2*sparseResetMax)
+	seen := make(map[uint32]bool)
+	for n := MinMatch; len(seen) <= sparseResetMax; n++ {
+		if h := seedHash(data[n-MinMatch:]); seen[h] {
+			continue
+		} else {
+			seen[h] = true
+		}
+		if len(seen) < sparseResetMax {
+			continue
+		}
+		m := acquire(nil, data[:n])
+		m.parse()
+		if len(m.order) != len(seen) {
+			t.Fatalf("%d buckets in use, want %d", len(m.order), len(seen))
+		}
+		m.release()
+		for _, p := range []pair{{"boundary", nil, data[:n]}, {"after", next[:1500], next[1500:]}, {"after-compress", nil, next}} {
+			if !bytes.Equal(Encode(p.ref, p.target), refEncode(p.ref, p.target)) {
+				t.Fatalf("%d buckets, %s: Encode differs from the reference encoder", len(seen), p.name)
+			}
 		}
 	}
 }
@@ -200,25 +273,40 @@ func TestEncodeAllocCeiling(t *testing.T) {
 	if got := alloctest.BytesPerOp(20, func() { Compress(target) }); got >= ceiling {
 		t.Errorf("Compress of 1 KB allocates %d B/op, ceiling %d", got, ceiling)
 	}
+
+	// A large file pays for its index at most once — four bytes a position,
+	// if the pooled matcher did not keep its slots — and for its copies in
+	// 12-byte records: under 5 B per input byte plus the output. The parent's
+	// chain and 56-byte ops came to 10.9 B per input byte on this pair.
+	p := largePairs()[0]
+	large := uint64(5*(len(p.ref)+len(p.target)) + 1<<20)
+	if got := alloctest.BytesPerOp(3, func() { Encode(p.ref, p.target) }); got >= large {
+		t.Errorf("Encode of the %s pair allocates %d B/op, ceiling %d", p.name, got, large)
+	}
 }
 
-// BenchmarkHeadReset measures the two ways release empties the head table:
-// rehashing n input bytes against one full clear. replayMax sits where they
-// cross (EXPERIMENTS.md, "Per-file fixed cost").
-func BenchmarkHeadReset(b *testing.B) {
+// BenchmarkTableReset measures the two ways release empties the table:
+// zeroing k buckets one by one against one full clear. sparseResetMax sits
+// where they cross (EXPERIMENTS.md, "Delta encoder working set").
+func BenchmarkTableReset(b *testing.B) {
 	m := matcherPool.Get().(*matcher)
 	defer matcherPool.Put(m)
-	buf := corpus.SourceText(rand.New(rand.NewSource(6)), 128<<10)
-	for _, n := range []int{1 << 10, 8 << 10, 16 << 10, 32 << 10, 48 << 10, 64 << 10, 128 << 10} {
-		b.Run(fmt.Sprintf("replay/%dK", n>>10), func(b *testing.B) {
+	order := make([]int32, 1<<hashBits)
+	for i, h := range rand.New(rand.NewSource(6)).Perm(len(order)) {
+		order[i] = int32(h)
+	}
+	for _, k := range []int{1 << 8, 1 << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17} {
+		b.Run(fmt.Sprintf("sparse/%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.unseed(buf[:n])
+				for _, h := range order[:k] {
+					m.table[h] = 0
+				}
 			}
 		})
 	}
 	b.Run("clear", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.clearHead()
+			clear(m.table)
 		}
 	})
 }
