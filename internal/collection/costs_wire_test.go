@@ -1,14 +1,65 @@
 package collection
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"msync/internal/core"
 	"msync/internal/corpus"
+	"msync/internal/stats"
 	"msync/internal/transport"
+	"msync/internal/wire"
 )
+
+// wireFrame is one frame of a recorded transcript direction.
+type wireFrame struct {
+	typ     byte
+	payload []byte
+}
+
+// size is the frame's cost on the wire, header included.
+func (f wireFrame) size() int { return len(f.payload) + frameOverhead(len(f.payload)) }
+
+// transcriptFrames splits one recorded direction into its frames.
+func transcriptFrames(t *testing.T, raw []byte) []wireFrame {
+	t.Helper()
+	fr := wire.NewFrameReader(bytes.NewReader(raw))
+	var out []wireFrame
+	for {
+		typ, payload, err := fr.ReadFrame()
+		if err != nil {
+			if n, total := fr.Counts(); total != int64(len(raw)) {
+				t.Fatalf("transcript: %v after %d frames, %d of %d bytes", err, n, total, len(raw))
+			}
+			return out
+		}
+		out = append(out, wireFrame{typ, payload})
+	}
+}
+
+// fullFrameBytes sums the wire cost of the FULL frames in one direction: bare
+// FULL frames, and STREAM frames wrapping one.
+func fullFrameBytes(t *testing.T, raw []byte) int64 {
+	t.Helper()
+	var n int64
+	for _, f := range transcriptFrames(t, raw) {
+		switch f.typ {
+		case wire.FrameFull:
+			n += int64(f.size())
+		case wire.FrameStream:
+			sf, err := wire.ParseStreamFrame(f.payload, wire.MaxStreams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sf.Type == wire.FrameFull {
+				n += int64(f.size())
+			}
+		}
+	}
+	return n
+}
 
 // costTrees is a small collection whose sessions cross the frame-length
 // boundaries the accounting has to get right: edited files, deletions, and
@@ -31,35 +82,47 @@ func costTrees() (v1, v2 map[string][]byte) {
 // byte went missing per session whenever a verdict frame's split attribution
 // (control / full / delta) took the framing of the control share instead of
 // the frame's.
+//
+// The fallback rows run hashes weak enough (weakConfig) that whole-file checks
+// fail: the ACK → FULL path, whose bytes and roundtrips must be accounted the
+// same way under both framings.
 func TestCostsTotalEqualsWireBytes(t *testing.T) {
-	v1, v2 := costTrees()
 	shapes := []struct {
 		name string
 		tune func(*Server, *Client)
+		weak bool
 	}{
-		{"lockstep", func(*Server, *Client) {}},
-		{"mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 16, 16 }},
+		{"lockstep", func(*Server, *Client) {}, false},
+		{"mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 16, 16 }, false},
 		{"tree", func(_ *Server, c *Client) {
 			c.TreeManifest, c.SpeculativeDescent, c.CrossFileMatch = true, true, true
-		}},
+		}, false},
 		{"tree+mux", func(s *Server, c *Client) {
 			c.TreeManifest, c.SpeculativeDescent, c.CrossFileMatch = true, true, true
 			s.MuxStreams, c.MuxStreams = 16, 16
-		}},
-		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }},
-		{"journal", nil}, // store-backed server, see below
+		}, false},
+		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }, false},
+		{"journal", nil, false}, // store-backed server, see below
+		{"fallback", func(*Server, *Client) {}, true},
+		{"fallback+mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 4, 4 }, true},
 	}
 	for _, sh := range shapes {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
+			v1, v2 := costTrees()
+			cfg := core.DefaultConfig()
+			if sh.weak {
+				v1, v2 = tinyTrees(12)
+				cfg = weakConfig()
+			}
 			var srv *Server
 			cli := NewClient(v1)
 			if sh.tune == nil {
-				srv = versionedServer(t, v1, v2, core.DefaultConfig())
+				srv = versionedServer(t, v1, v2, cfg)
 				cli.AnnounceVersion, cli.BaseVersion = true, 1
 			} else {
 				var err error
-				if srv, err = NewServer(v2, core.DefaultConfig()); err != nil {
+				if srv, err = NewServer(v2, cfg); err != nil {
 					t.Fatal(err)
 				}
 				sh.tune(srv, cli)
@@ -69,15 +132,12 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			rec := &recordConn{rw: b}
 			var wg sync.WaitGroup
 			wg.Add(1)
-			var serverTotal int64
+			var serverCosts *stats.Costs
 			var serverErr error
 			go func() {
 				defer wg.Done()
 				defer a.Close()
-				costs, err := srv.Serve(a)
-				if serverErr = err; err == nil {
-					serverTotal = costs.Total()
-				}
+				serverCosts, serverErr = srv.Serve(a)
 			}()
 			res, err := cli.Sync(rec)
 			b.Close()
@@ -95,8 +155,29 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			if got := res.Costs.Total(); got != wire {
 				t.Errorf("client Costs.Total() = %d, the connection carried %d", got, wire)
 			}
-			if serverTotal != wire {
-				t.Errorf("server Costs.Total() = %d, the connection carried %d", serverTotal, wire)
+			if got := serverCosts.Total(); got != wire {
+				t.Errorf("server Costs.Total() = %d, the connection carried %d", got, wire)
+			}
+			if res.Costs.Roundtrips != serverCosts.Roundtrips {
+				t.Errorf("roundtrips: client %d, server %d", res.Costs.Roundtrips, serverCosts.Roundtrips)
+			}
+			if !sh.weak {
+				return
+			}
+			// tinyTrees has no new and no small files, so every full
+			// transfer here is a fallback and every PhaseFull byte a FULL
+			// frame's.
+			if res.Costs.FilesFull == 0 || res.Costs.FilesFull == len(v2) {
+				t.Fatalf("%d of %d files fell back; the seed should fail some and pass some", res.Costs.FilesFull, len(v2))
+			}
+			if serverCosts.FilesFull != res.Costs.FilesFull {
+				t.Errorf("FilesFull: client %d, server %d", res.Costs.FilesFull, serverCosts.FilesFull)
+			}
+			full := fullFrameBytes(t, rec.s2c.Bytes())
+			for side, c := range map[string]*stats.Costs{"client": res.Costs, "server": serverCosts} {
+				if got := c.Bytes(stats.S2C, stats.PhaseFull); got != full {
+					t.Errorf("%s PhaseFull = %d bytes, the FULL frames carried %d", side, got, full)
+				}
 			}
 		})
 	}

@@ -197,13 +197,124 @@ func legacyScenarios() []legacyScenario {
 			cli.BaseVersion = 3
 			return runRecorded(t, srv, cli)
 		}},
+		// The shapes below negotiate an extension that changes the per-file
+		// phases; they pin what the benchmark's tiny_tree, big_cdc and
+		// journal_live workloads put on the wire.
+		{name: "mux_manifest_pull", run: func(t *testing.T) ([]byte, []byte) {
+			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
+			srv, err := NewServer(v2.Map(), core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.MuxStreams = 4
+			cli := NewClient(v1.Map())
+			cli.MuxStreams = 4
+			return runRecorded(t, srv, cli)
+		}},
+		{name: "mux_tree_pull", run: func(t *testing.T) ([]byte, []byte) {
+			// The tiny_tree option set: merkle manifest, speculative descent,
+			// cross-file matching and 16 streams in one session.
+			clientFiles, serverFiles := movedTrees(tinyTrees(48))
+			srv, err := NewServer(serverFiles, core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.MuxStreams = 16
+			cli := NewClient(clientFiles)
+			cli.TreeManifest = true
+			cli.SpeculativeDescent = true
+			cli.CrossFileMatch = true
+			cli.MuxStreams = 16
+			return runRecorded(t, srv, cli)
+		}},
+		{name: "fallback_pull", run: func(t *testing.T) ([]byte, []byte) {
+			// Hashes weak enough that false matches survive verification:
+			// the ACK lists the files whose whole-file check failed and a
+			// FULL frame re-sends them.
+			v1, v2 := tinyTrees(12)
+			srv, err := NewServer(v2, weakConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runRecorded(t, srv, NewClient(v1))
+		}},
+		{name: "mux_fallback_pull", run: func(t *testing.T) ([]byte, []byte) {
+			v1, v2 := tinyTrees(12)
+			srv, err := NewServer(v2, weakConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.MuxStreams = 4
+			cli := NewClient(v1)
+			cli.MuxStreams = 4
+			return runRecorded(t, srv, cli)
+		}},
+		{name: "cdc_pull", run: func(t *testing.T) ([]byte, []byte) {
+			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
+			srv, err := NewServer(v2.Map(), core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli := NewClient(v1.Map())
+			cli.MapMode = core.MapCDC
+			return runRecorded(t, srv, cli)
+		}},
+		{name: "journal_pull", run: func(t *testing.T) ([]byte, []byte) {
+			// Store-backed server, announced base version, journal hit: no
+			// engines, verdicts carry the deltas, empty DELTA and ACK follow.
+			v1, v2 := costTrees()
+			srv := versionedServer(t, v1, v2, core.DefaultConfig())
+			cli := NewClient(v1)
+			cli.AnnounceVersion = true
+			cli.BaseVersion = 1
+			return runRecorded(t, srv, cli)
+		}},
 	}
 }
 
+// weakConfig is a legal configuration whose 4-bit block hashes and 6-bit
+// verification hashes let false matches through on about half of
+// tinyTrees' files, so their whole-file checks fail and the session has to
+// fall back to full transfers (tinyTrees(12): 6 of 12 files).
+func weakConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.MinHashBits, cfg.MaxHashBits = 4, 4
+	cfg.VerifyBits = 6
+	cfg.ContBits = 1
+	cfg.SlackBits = 0
+	return cfg
+}
+
+// movedTrees turns a third of an edited tree pair into cross-file work: of
+// every seven paths (sorted) the server holds one under a new name unchanged
+// (pure rename), one under a new name with its edit (moved and edited) and one
+// unchanged in place; the rest keep their in-place edits.
+func movedTrees(v1, v2 map[string][]byte) (clientFiles, serverFiles map[string][]byte) {
+	paths := make([]string, 0, len(v1))
+	for p := range v1 {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for i, p := range paths {
+		switch i % 7 {
+		case 0:
+			delete(v2, p)
+			v2["moved/"+p] = v1[p]
+		case 1:
+			v2["edited/"+p] = v2[p]
+			delete(v2, p)
+		case 2:
+			v2[p] = v1[p]
+		}
+	}
+	return v1, v2
+}
+
 // TestLegacyWireRecorded pins the exact byte streams of representative
-// sessions. The multiplexing extension (hello extension 2) must leave every
-// session that does not negotiate it byte-identical; any diff here is a wire
-// compatibility break.
+// sessions: the extension-free shapes, which every hello extension must leave
+// byte-identical, and one session per extension that changes the per-file
+// phases (multiplexed, CDC, journal). Any diff here is a wire compatibility
+// break.
 func TestLegacyWireRecorded(t *testing.T) {
 	for _, sc := range legacyScenarios() {
 		t.Run(sc.name, func(t *testing.T) {

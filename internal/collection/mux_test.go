@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/transport"
+	"msync/internal/wire"
 )
 
 func TestMuxPartition(t *testing.T) {
@@ -470,5 +472,87 @@ func TestMuxRefused(t *testing.T) {
 	}
 	if res.Costs.Roundtrips != serverCosts.Roundtrips {
 		t.Fatalf("roundtrips disagree: %d vs %d", res.Costs.Roundtrips, serverCosts.Roundtrips)
+	}
+}
+
+// innerFrames strips the stream wrapping from one direction of a width-1
+// multiplexed transcript: CYCLE frames are dropped and every STREAM frame is
+// replaced by the frame it carries.
+func innerFrames(t *testing.T, frames []wireFrame) []wireFrame {
+	t.Helper()
+	var out []wireFrame
+	for _, f := range frames {
+		switch f.typ {
+		case wire.FrameCycle:
+		case wire.FrameStream:
+			sf, err := wire.ParseStreamFrame(f.payload, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, wireFrame{sf.Type, sf.Payload})
+		default:
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestMuxWidthOneEqualsLockstep: a multiplexed session is the lockstep session
+// in a wrapper. With one granted stream, unwrapping the recorded transcript
+// leaves exactly the lockstep transcript of the same trees from the verdict
+// frame onward — every ROUND_HASHES, ROUND_REPLY, CONFIRM, DELTA, ACK and FULL
+// byte for byte, in order. The scheduler's two framings stand on this.
+func TestMuxWidthOneEqualsLockstep(t *testing.T) {
+	emacs1, emacs2 := corpus.EmacsProfile(0.08).Generate(5)
+	tiny1, tiny2 := tinyTrees(12)
+	for _, tc := range []struct {
+		name   string
+		v1, v2 map[string][]byte
+		cfg    core.Config
+	}{
+		{"clean", emacs1.Map(), emacs2.Map(), core.DefaultConfig()},
+		{"fallback", tiny1, tiny2, weakConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			record := func(width int) (c2s, s2c []wireFrame) {
+				srv, err := NewServer(tc.v2, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv.MuxStreams = width
+				cli := NewClient(tc.v1)
+				cli.MuxStreams = width
+				up, down := runRecorded(t, srv, cli)
+				return transcriptFrames(t, up), transcriptFrames(t, down)
+			}
+			lockUp, lockDown := record(0)
+			muxUp, muxDown := record(1)
+
+			// Past the handshake: HELLO and MANIFEST go up, (MUX_ACK and)
+			// VERDICTS come down.
+			if muxDown[0].typ != wire.FrameMuxAck {
+				t.Fatalf("width-1 session opened with %s, not MUX_ACK", wire.FrameName(muxDown[0].typ))
+			}
+			muxUp, muxDown = innerFrames(t, muxUp[2:]), innerFrames(t, muxDown[1:])
+			lockUp = lockUp[2:]
+			for _, dir := range []struct {
+				name      string
+				mux, lock []wireFrame
+			}{{"c2s", muxUp, lockUp}, {"s2c", muxDown, lockDown}} {
+				if len(dir.mux) != len(dir.lock) {
+					t.Fatalf("%s: %d inner frames, lockstep sent %d", dir.name, len(dir.mux), len(dir.lock))
+				}
+				for i := range dir.mux {
+					if dir.mux[i].typ != dir.lock[i].typ || !bytes.Equal(dir.mux[i].payload, dir.lock[i].payload) {
+						t.Fatalf("%s frame %d: unwrapped %s (%d bytes) differs from lockstep %s (%d bytes)", dir.name, i,
+							wire.FrameName(dir.mux[i].typ), len(dir.mux[i].payload),
+							wire.FrameName(dir.lock[i].typ), len(dir.lock[i].payload))
+					}
+				}
+			}
+			if tc.name == "fallback" && lockDown[len(lockDown)-1].typ != wire.FrameFull {
+				t.Fatal("the fallback session did not end in a FULL frame")
+			}
+		})
 	}
 }
