@@ -56,7 +56,7 @@ func TestCDCModeRoundTrip(t *testing.T) {
 	}
 
 	// The same pair without the extension must account zero CDC work.
-	legacy, legacyCosts := session(t, v2.Map(), v1.Map(), core.DefaultConfig())
+	legacy, legacyCosts := runSession(t, v2.Map(), v1.Map(), core.DefaultConfig())
 	if legacy.Costs.FilesCDC != 0 || legacy.Costs.CDCChunks != 0 || legacyCosts.FilesCDC != 0 {
 		t.Fatalf("legacy session accounted CDC work: client %+v server %+v", legacy.Costs, legacyCosts)
 	}

@@ -17,7 +17,6 @@ import (
 	"msync/internal/merkle"
 	"msync/internal/obs"
 	"msync/internal/stats"
-	"msync/internal/transport"
 	"msync/internal/wire"
 )
 
@@ -134,11 +133,13 @@ func NewClientSource(src Source) *Client {
 // clientFile pairs a path with its per-file client engine. For cross-file
 // matched files, tryout holds candidate engines over alternate local bases;
 // the first map round picks the best-matching one (core.PickBasis) and it
-// becomes the engine.
+// becomes the engine. A journal verdict is a clientFile without an engine:
+// its delta came with the verdict, and only a fallback can still touch it.
 type clientFile struct {
 	path   string
 	engine *core.ClientFile
 	tryout []*core.ClientFile
+	bytes  int64 // payload bytes attributed to the file (Result.PerFile)
 }
 
 // Result is the outcome of one synchronization session.
@@ -174,85 +175,34 @@ func (c *Client) Sync(conn io.ReadWriter) (*Result, error) {
 // context deadline aborts the session at the next frame boundary (and
 // interrupts blocked I/O when conn supports deadlines), and RoundTimeout
 // bounds every individual round.
-func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (*Result, error) {
-	sess := transport.NewSession(ctx, conn, c.RoundTimeout)
-	defer sess.Release()
-	costs := &stats.Costs{}
-	fr := wire.GetFrameReader(sess)
-	defer wire.PutFrameReader(fr)
-	fw := wire.GetFrameWriter(sess)
-	defer wire.PutFrameWriter(fw)
+func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Result, err error) {
+	s := openSession(ctx, conn, c.RoundTimeout, c.Tracer, c.Logger, "client")
+	defer func() { s.close(err) }()
 	acct := beginAccounting(c.src)
-	defer acct.finish(costs)
-	st := newSessTrace(c.Tracer, c.Logger, "client")
+	defer acct.finish(s.costs)
+	s.src = c.src
+	s.cfg.Workers = c.Workers
 
-	res, err := func() (*Result, error) {
-		// HELLO.
-		hb := wire.NewBuffer(8)
-		hb.Uvarint(protocolVersion)
-		hb.Byte(rolePull)
-		if c.TreeManifest {
-			hb.Byte(modeTree)
-		} else {
-			hb.Byte(modeManifest)
+	// HELLO: the options this client was given, as mode and extensions.
+	s.mode = modeManifest
+	if c.TreeManifest {
+		s.mode = modeTree
+		if c.SpeculativeDescent {
+			s.ext.treeCaps |= treeCapSpec
 		}
-		var treeCaps byte
-		if c.TreeManifest {
-			if c.SpeculativeDescent {
-				treeCaps |= treeCapSpec
-			}
-			if c.CrossFileMatch {
-				treeCaps |= treeCapCross
-			}
+		if c.CrossFileMatch {
+			s.ext.treeCaps |= treeCapCross
 		}
-		nExt := 0
-		if c.AnnounceVersion {
-			nExt++
-		}
-		if c.MuxStreams > 0 {
-			nExt++
-		}
-		if treeCaps != 0 {
-			nExt++
-		}
-		if c.MapMode != core.MapHalving {
-			nExt++
-		}
-		if nExt > 0 {
-			hb.Uvarint(uint64(nExt))
-			if c.AnnounceVersion {
-				ext := wire.NewBuffer(8)
-				ext.Uvarint(c.BaseVersion)
-				hb.Uvarint(helloExtVersion)
-				hb.Bytes(ext.Build())
-			}
-			if c.MuxStreams > 0 {
-				ext := wire.NewBuffer(8)
-				ext.Uvarint(uint64(c.MuxStreams))
-				hb.Uvarint(helloExtMux)
-				hb.Bytes(ext.Build())
-			}
-			if treeCaps != 0 {
-				ext := wire.NewBuffer(8)
-				ext.Uvarint(uint64(treeCaps))
-				hb.Uvarint(helloExtTree)
-				hb.Bytes(ext.Build())
-			}
-			if c.MapMode != core.MapHalving {
-				ext := wire.NewBuffer(8)
-				ext.Uvarint(uint64(c.MapMode))
-				hb.Uvarint(helloExtMapMode)
-				hb.Bytes(ext.Build())
-			}
-		}
-		if err := fw.WriteFrame(wire.FrameHello, hb.Build()); err != nil {
-			return nil, asHandshake(err)
-		}
-		st.cost(costs, stats.C2S, stats.PhaseControl, hb.Len())
-		return consume(ctx, fr, fw, costs, c.src, c.LazyResult, c.TreeManifest, c.AnnounceVersion, c.Workers, c.MuxStreams, treeCaps, &c.trees, st)
-	}()
-	st.end(costs, err, fr, fw, sess.Stats())
-	return res, err
+	}
+	if c.AnnounceVersion {
+		s.ext.announce = int64(c.BaseVersion)
+	}
+	s.ext.mux = c.MuxStreams
+	s.ext.mapMode = c.MapMode
+	if err := s.sendHello(rolePull); err != nil {
+		return nil, asHandshake(err)
+	}
+	return s.consume(c.LazyResult, &c.trees)
 }
 
 // consume runs the receiving role of a session (after any handshake
@@ -260,128 +210,120 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (*Result, 
 // deltas. It is shared by the pulling client and by a server accepting a
 // push. In the returned Costs, C2S is traffic from the data receiver to the
 // data holder. Failures up to and including the verdict exchange are tagged
-// with ErrHandshake (retry-safe); ctx is checked at every round boundary.
-// workers is the receiver's own parallelism budget — never the remote's: the
-// protocol config arrives over the wire, but Workers is deliberately not
-// serialized, so each side applies its local setting.
+// with ErrHandshake (retry-safe); ctx is checked at every cycle boundary.
+//
+// The session's hello says what to expect: tree or flat change detection,
+// journal verdicts and a trailing version only if a version was announced, a
+// MUX_ACK only if streams were requested. s.cfg.Workers is the receiver's own
+// budget — never the remote's: the protocol config arrives over the wire, but
+// Workers is deliberately not serialized.
 //
 // With lazy set (sources that can re-read their own files), unchanged
 // content is never materialized: the result lists unchanged and deleted
-// paths by name and Files holds only what the session wrote.
-//
-// announced reports whether this side's hello carried the version
-// extension: only then are journal verdicts and the trailing version in the
-// verdict frame expected. muxWidth is the requested stream width (0: none);
-// only when positive is a MUX_ACK before the verdicts accepted, switching the
-// per-file phases to the stream-multiplexed consumer.
-//
-// treeCaps is the tree-extension capability mask this side's hello asked
-// for (0: none — legacy bytes throughout) and trees the cross-session tree
-// cache; both only matter under treeManifest.
-func consume(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, src Source, lazy, treeManifest, announced bool, workers, muxWidth int, treeCaps byte, trees *treeState, st *sessTrace) (*Result, error) {
-	sbuf := wire.GetBuffer(1024) // session scratch for every frame we assemble
-	defer wire.PutBuffer(sbuf)
-
-	manifest, err := src.Manifest()
+// paths by name and Files holds only what the session wrote. trees is the
+// cross-session tree cache (nil: none).
+func (s *session) consume(lazy bool, trees *treeState) (*Result, error) {
+	res := &Result{Costs: s.costs, Files: make(map[string][]byte)}
+	paths, tr, err := s.detect(res, lazy, trees)
 	if err != nil {
 		return nil, asHandshake(err)
 	}
+	work, err := s.verdicts(res, paths, tr, lazy)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.receive(res, work); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
-	// Change detection: determine the paths under discussion (in verdict
-	// order) and the initial contents of the result set.
-	res := &Result{Costs: costs}
-	out := make(map[string][]byte)
-	res.Files = out
-	var verdictPaths []string
-	var tr *treeResult
-	if treeManifest {
-		tr, err = treeDetect(fr, fw, costs, manifest, treeCaps, trees, treeDir(src), st)
-		if err != nil {
-			return nil, asHandshake(err)
+// detect is change detection: it tells the holder what this end has — the
+// flat manifest, or a merkle descent and a WANT list — and returns the paths
+// under discussion in verdict order. In tree mode it also settles, in res,
+// every local path the descent already decided: unchanged, deleted, or
+// copied from a renamed local file.
+func (s *session) detect(res *Result, lazy bool, trees *treeState) ([]string, *treeResult, error) {
+	manifest, err := s.src.Manifest()
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.mode != modeTree {
+		s.buf.Reset()
+		encodeManifestInto(s.buf, manifest)
+		if err := s.send(wire.FrameManifest, s.buf.Build(), stats.PhaseControl); err != nil {
+			return nil, nil, err
 		}
-		verdictPaths = tr.verdictPaths
-		res.Deleted = tr.deleted
-		handled := make(map[string]bool, len(verdictPaths)+len(tr.localCopy))
-		for _, p := range verdictPaths {
-			handled[p] = true
+		paths := make([]string, len(manifest))
+		for i, e := range manifest {
+			paths[i] = e.Path
 		}
-		for p := range tr.localCopy {
-			handled[p] = true
-		}
-		for _, p := range tr.kept {
-			if handled[p] {
-				continue // changed: decided by its verdict or local copy below
-			}
-			if lazy {
-				res.Unchanged = append(res.Unchanged, p)
-				continue
-			}
-			data, err := src.Load(p)
-			if err != nil {
-				return nil, asHandshake(err)
-			}
-			out[p] = data
-		}
-		// Cross-file renames: wanted content that already exists locally
-		// under another path is copied, not transferred — zero wire bytes.
-		if len(tr.localCopy) > 0 {
-			paths := make([]string, 0, len(tr.localCopy))
-			for p := range tr.localCopy {
-				paths = append(paths, p)
-			}
-			sort.Strings(paths)
-			for _, p := range paths {
-				data, err := src.Load(tr.localCopy[p])
-				if err != nil {
-					return nil, asHandshake(err)
-				}
-				out[p] = data
-				costs.FilesRenamed++
-				costs.RenameBytesSaved += int64(len(data))
-			}
-		}
+		return paths, nil, s.flush()
+	}
+
+	tr, err := s.treeDetect(manifest, trees)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Deleted = tr.deleted
+	if lazy {
+		res.Unchanged = tr.unchanged
 	} else {
-		sbuf.Reset()
-		encodeManifestInto(sbuf, manifest)
-		if err := fw.WriteFrame(wire.FrameManifest, sbuf.Build()); err != nil {
-			return nil, asHandshake(err)
-		}
-		st.cost(costs, stats.C2S, stats.PhaseControl, sbuf.Len())
-		for _, e := range manifest {
-			verdictPaths = append(verdictPaths, e.Path)
+		for _, p := range tr.unchanged {
+			if res.Files[p], err = s.src.Load(p); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
-	if err := fw.Flush(); err != nil {
-		return nil, asHandshake(err)
+	// Cross-file renames: wanted content that already exists locally under
+	// another path is copied, not transferred — zero wire bytes.
+	copies := make([]string, 0, len(tr.localCopy))
+	for p := range tr.localCopy {
+		copies = append(copies, p)
 	}
+	sort.Strings(copies)
+	for _, p := range copies {
+		data, err := s.src.Load(tr.localCopy[p])
+		if err != nil {
+			return nil, nil, err
+		}
+		res.Files[p] = data
+		s.costs.FilesRenamed++
+		s.costs.RenameBytesSaved += int64(len(data))
+	}
+	return tr.verdictPaths, tr, s.flush()
+}
 
-	// Verdicts, optionally preceded by a MUX_ACK when we requested
-	// multiplexing and the server granted it.
+// clientWork is what the verdicts leave for the per-file phases: the files to
+// map, with their engines, or — never both — the journal verdicts of an
+// engine-less session, whose deltas were applied on the spot. Either way the
+// list is what ack indexes count.
+type clientWork struct {
+	files   []clientFile
+	journal bool  // files are journal verdicts
+	jfailed []int // journal verdicts whose delta did not apply
+	counts  []int // the MUX_ACK's stream partition; nil: one bare stream
+}
+
+// verdicts reads the holder's answer to change detection — optionally
+// preceded by the MUX_ACK that grants requested streams — and settles every
+// path it can: unchanged, deleted, sent in full, patched from the journal.
+// What is left is the work for the per-file phases.
+func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy bool) (*clientWork, error) {
 	var muxRaw []byte
-	ft, vraw, err := fr.ReadFrame()
+	ft, vraw, err := s.read()
+	if err == nil && ft == wire.FrameMuxAck && s.ext.mux > 0 {
+		muxRaw = vraw
+		s.cost(stats.S2C, stats.PhaseControl, len(muxRaw))
+		ft, vraw, err = s.read()
+	}
+	if err == nil && ft != wire.FrameVerdicts {
+		err = unexpected(ft, wire.FrameVerdicts)
+	}
 	if err != nil {
 		return nil, asHandshake(err)
 	}
-	if ft == wire.FrameMuxAck && muxWidth > 0 {
-		muxRaw = vraw
-		st.cost(costs, stats.S2C, stats.PhaseControl, len(muxRaw))
-		vraw, err = fr.ExpectFrame(wire.FrameVerdicts)
-		if err != nil {
-			return nil, asHandshake(err)
-		}
-	} else if ft != wire.FrameVerdicts {
-		// Mirror ExpectFrame's special-casing so error and BUSY answers
-		// surface identically to the legacy path.
-		switch ft {
-		case wire.FrameError:
-			return nil, asHandshake(fmt.Errorf("wire: remote error: %s", vraw))
-		case wire.FrameBusy:
-			return nil, asHandshake(wire.DecodeBusy(vraw))
-		default:
-			return nil, asHandshake(fmt.Errorf("wire: expected frame %s, got %s", wire.FrameName(wire.FrameVerdicts), wire.FrameName(ft)))
-		}
-	}
-	costs.Roundtrips++
+	s.answered()
 	vp := wire.NewParser(vraw)
 	cfgRaw, err := vp.Bytes()
 	if err != nil {
@@ -391,20 +333,29 @@ func consume(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, co
 	if err != nil {
 		return nil, err
 	}
-	cfg.Workers = workers
-	st.setMode(cfg.MapMode)
+	cfg.Workers = s.cfg.Workers
+	s.cfg = cfg
+	s.st.setMode(cfg.MapMode)
 	nv, err := vp.Uvarint()
-	if err != nil || int(nv) != len(verdictPaths) {
+	if err != nil || nv != uint64(len(paths)) {
 		return nil, fmt.Errorf("collection: verdict count mismatch")
 	}
 
-	var engines []clientFile
-	var jfiles []journalFile // verdictJournal entries, in verdict order
-	var jfailed []int        // journal ordinals whose delta did not apply
-	jbytes := make(map[string]int64)
-	fullBytes := 0
-	deltaBytes := 0
-	for _, path := range verdictPaths {
+	work := &clientWork{}
+	fullBytes, deltaBytes := 0, 0
+	full := func(path, what string) error {
+		comp, err := vp.Bytes()
+		if err != nil {
+			return err
+		}
+		fullBytes += len(comp)
+		if res.Files[path], err = delta.Decompress(comp); err != nil {
+			return fmt.Errorf("collection: %s file %q: %w", what, path, err)
+		}
+		s.costs.FilesFull++
+		return nil
+	}
+	for _, path := range paths {
 		verdict, err := vp.Byte()
 		if err != nil {
 			return nil, err
@@ -413,29 +364,17 @@ func consume(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, co
 		case verdictUnchanged:
 			if lazy {
 				res.Unchanged = append(res.Unchanged, path)
-			} else {
-				data, err := src.Load(path)
-				if err != nil {
-					return nil, err
-				}
-				out[path] = data
-			}
-			costs.FilesUnchanged++
-		case verdictDelete:
-			delete(out, path)
-			res.Deleted = append(res.Deleted, path)
-		case verdictFull:
-			comp, err := vp.Bytes()
-			if err != nil {
+			} else if res.Files[path], err = s.src.Load(path); err != nil {
 				return nil, err
 			}
-			fullBytes += len(comp)
-			data, err := delta.Decompress(comp)
-			if err != nil {
-				return nil, fmt.Errorf("collection: full file %q: %w", path, err)
+			s.costs.FilesUnchanged++
+		case verdictDelete:
+			delete(res.Files, path)
+			res.Deleted = append(res.Deleted, path)
+		case verdictFull:
+			if err := full(path, "full"); err != nil {
+				return nil, err
 			}
-			out[path] = data
-			costs.FilesFull++
 		case verdictSync:
 			newLen, err := vp.Uvarint()
 			if err != nil {
@@ -445,48 +384,11 @@ func consume(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, co
 			if tr != nil {
 				alts = tr.altBases[path]
 			}
-			if len(alts) > 0 {
-				// Cross-file near-match: build one candidate engine per
-				// alternate local basis; the first map round picks the
-				// best (see respond / core.PickBasis).
-				cf := clientFile{path: path}
-				for _, ap := range alts {
-					old, err := src.Load(ap)
-					if err != nil {
-						continue // basis vanished: try the rest
-					}
-					eng, err := core.NewClientFile(old, int(newLen), &cfg)
-					if err != nil {
-						return nil, err
-					}
-					cf.tryout = append(cf.tryout, eng)
-				}
-				if len(cf.tryout) == 0 {
-					eng, err := core.NewClientFile(nil, int(newLen), &cfg)
-					if err != nil {
-						return nil, err
-					}
-					cf.tryout = append(cf.tryout, eng)
-				}
-				cf.engine = cf.tryout[0]
-				engines = append(engines, cf)
-				costs.FilesSynced++
-				costs.FilesRebased++
-				continue
-			}
-			old, err := src.Load(path)
+			cf, err := s.newClientFile(path, int(newLen), alts)
 			if err != nil {
 				return nil, err
 			}
-			eng, err := core.NewClientFile(old, int(newLen), &cfg)
-			if err != nil {
-				return nil, err
-			}
-			engines = append(engines, clientFile{path: path, engine: eng})
-			costs.FilesSynced++
-			if cfg.MapMode == core.MapCDC {
-				costs.FilesCDC++
-			}
+			work.files = append(work.files, cf)
 		case verdictJournal:
 			newLen, err := vp.Uvarint()
 			if err != nil {
@@ -500,31 +402,29 @@ func consume(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, co
 			if err != nil {
 				return nil, err
 			}
-			var sum [md4.Size]byte
-			copy(sum[:], sumRaw)
 			deltaBytes += len(payload)
-			jbytes[path] = int64(len(payload))
 			// Apply the precomputed delta against the local copy; any
 			// failure (missing file, corrupt payload, content drift) lands
 			// on the ack list for a whole-file fallback, exactly like a
 			// failed engine verification.
 			applied := false
-			if old, err := src.Load(path); err == nil {
-				if data, err := delta.DecodeLen(old, payload, int(newLen)); err == nil && md4.Sum(data) == sum {
-					out[path] = data
+			if old, err := s.src.Load(path); err == nil {
+				if data, err := delta.DecodeLen(old, payload, int(newLen)); err == nil && md4.Sum(data) == [md4.Size]byte(sumRaw) {
+					res.Files[path] = data
 					applied = true
 				}
 			}
 			if !applied {
-				jfailed = append(jfailed, len(jfiles))
+				work.jfailed = append(work.jfailed, len(work.files))
 			}
-			jfiles = append(jfiles, journalFile{path, int(newLen), sum})
-			costs.FilesJournal++
+			work.files = append(work.files, clientFile{path: path, bytes: int64(len(payload))})
+			work.journal = true
+			s.costs.FilesJournal++
 		default:
 			return nil, fmt.Errorf("collection: unknown verdict %d", verdict)
 		}
 	}
-	if len(engines) > 0 && len(jfiles) > 0 {
+	if work.journal && s.costs.FilesSynced > 0 {
 		// Journal sessions never run engines; a server mixing the two would
 		// make ack indexes ambiguous.
 		return nil, fmt.Errorf("collection: mixed journal and sync verdicts")
@@ -538,202 +438,91 @@ func consume(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, co
 		if err != nil {
 			return nil, err
 		}
-		comp, err := vp.Bytes()
-		if err != nil {
+		if err := full(path, "new"); err != nil {
 			return nil, err
 		}
-		fullBytes += len(comp)
-		data, err := delta.Decompress(comp)
-		if err != nil {
-			return nil, fmt.Errorf("collection: new file %q: %w", path, err)
-		}
-		out[path] = data
-		costs.FilesFull++
 	}
-	if announced && !treeManifest && vp.Remaining() > 0 {
+	if s.ext.announce >= 0 && s.mode != modeTree && vp.Remaining() > 0 {
 		// Versioned servers append their current version for announcing
 		// clients; its absence just means the server has no store.
 		if v, err := vp.Uvarint(); err == nil {
 			res.Version = v
 		}
 	}
-	st.verdictCost(costs, len(vraw), fullBytes, deltaBytes)
+	s.st.verdictCost(s.costs, len(vraw), fullBytes, deltaBytes)
 
-	perEngine := make([]int64, len(engines))
-
-	var muxCounts []int
 	if muxRaw != nil {
-		if len(engines) == 0 || len(jfiles) > 0 {
+		if work.journal || len(work.files) == 0 {
 			// The server only grants multiplexing to sessions running sync
 			// engines; anything else is a protocol violation.
 			return nil, fmt.Errorf("collection: unexpected mux ack")
 		}
-		muxCounts, err = wire.ParseMuxAck(muxRaw, len(engines))
+		if work.counts, err = wire.ParseMuxAck(muxRaw, len(work.files)); err != nil {
+			return nil, err
+		}
+	}
+	return work, nil
+}
+
+// newClientFile builds the engine for a sync verdict: over the same-path local
+// file, or — for a cross-file near-match — one candidate engine per alternate
+// local basis, of which the first map round picks the best (see respond /
+// core.PickBasis).
+func (s *session) newClientFile(path string, newLen int, alts []string) (clientFile, error) {
+	cf := clientFile{path: path}
+	s.costs.FilesSynced++
+	if len(alts) == 0 {
+		old, err := s.src.Load(path)
 		if err != nil {
-			return nil, err
+			return cf, err
 		}
+		if s.cfg.MapMode == core.MapCDC {
+			s.costs.FilesCDC++
+		}
+		cf.engine, err = core.NewClientFile(old, newLen, &s.cfg)
+		return cf, err
 	}
-	if muxCounts != nil {
-		// Stream-multiplexed per-file phases replace the lockstep loop.
-		if err := consumeStreams(ctx, fr, fw, costs, engines, muxCounts, workers, perEngine, out, st); err != nil {
-			return nil, err
-		}
-	} else {
-
-		// Map-construction rounds: respond to whatever the server sends until
-		// the delta frame arrives.
-		var deltaPayload []byte
-		rounds := 0
-		for deltaPayload == nil {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("collection: session cancelled: %w", err)
-			}
-			ft, payload, err := fr.ReadFrame()
-			if err != nil {
-				return nil, err
-			}
-			switch ft {
-			case wire.FrameRoundHashes, wire.FrameConfirm:
-				if ft == wire.FrameRoundHashes {
-					rounds++
-					st.begin(obs.PhaseRound, rounds)
-				} else {
-					st.begin(obs.PhaseVerify, rounds)
-				}
-				st.cost(costs, stats.S2C, stats.PhaseMap, len(payload))
-				reply, err := respond(workers, engines, ft, payload, perEngine, sbuf)
-				if err != nil {
-					return nil, err
-				}
-				if err := fw.WriteFrame(wire.FrameRoundReply, reply); err != nil {
-					return nil, err
-				}
-				if err := fw.Flush(); err != nil {
-					return nil, err
-				}
-				st.cost(costs, stats.C2S, stats.PhaseMap, len(reply))
-				costs.Roundtrips++
-			case wire.FrameDelta:
-				st.begin(obs.PhaseDelta, 0)
-				st.cost(costs, stats.S2C, stats.PhaseDelta, len(payload))
-				deltaPayload = payload
-			case wire.FrameError:
-				return nil, fmt.Errorf("collection: server error: %s", payload)
-			default:
-				return nil, fmt.Errorf("collection: unexpected frame %s", wire.FrameName(ft))
-			}
-		}
-
-		// Apply deltas; collect whole-file-check failures.
-		dp := wire.NewParser(deltaPayload)
-		nd, err := dp.Uvarint()
-		if err != nil || int(nd) != len(engines) {
-			return nil, fmt.Errorf("collection: delta count mismatch")
-		}
-		deltaSections := make([][]byte, len(engines))
-		for i := range engines {
-			section, err := dp.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			deltaSections[i] = section
-			perEngine[i] += int64(len(section))
-		}
-		results := make([][]byte, len(engines))
-		verifyFailed := make([]bool, len(engines))
-		err = parallelFiles(workers, len(engines), func(i int) error {
-			data, err := engines[i].engine.ApplyDelta(deltaSections[i])
-			switch {
-			case err == nil:
-				results[i] = data
-			case errors.Is(err, core.ErrVerifyFailed):
-				verifyFailed[i] = true
-			default:
-				return fmt.Errorf("collection: file %q: %w", engines[i].path, err)
-			}
-			return nil
-		})
+	s.costs.FilesRebased++
+	for _, ap := range alts {
+		old, err := s.src.Load(ap)
 		if err != nil {
-			return nil, err
+			continue // basis vanished: try the rest
 		}
-		var failed []int
-		for i := range engines {
-			if verifyFailed[i] {
-				failed = append(failed, i)
-			} else {
-				out[engines[i].path] = results[i]
-			}
+		eng, err := core.NewClientFile(old, newLen, &s.cfg)
+		if err != nil {
+			return cf, err
 		}
-		if len(jfiles) > 0 {
-			// Journal session: ack indexes are ordinals into the journal-file
-			// list (there are no engines to index).
-			failed = jfailed
+		cf.tryout = append(cf.tryout, eng)
+	}
+	if len(cf.tryout) == 0 {
+		eng, err := core.NewClientFile(nil, newLen, &s.cfg)
+		if err != nil {
+			return cf, err
 		}
-		sbuf.Reset()
-		sbuf.Uvarint(uint64(len(failed)))
-		for _, i := range failed {
-			sbuf.Uvarint(uint64(i))
-		}
-		if err := fw.WriteFrame(wire.FrameAck, sbuf.Build()); err != nil {
-			return nil, err
-		}
-		if err := fw.Flush(); err != nil {
-			return nil, err
-		}
-		st.cost(costs, stats.C2S, stats.PhaseControl, sbuf.Len())
-		costs.Roundtrips++ // delta → ack
+		cf.tryout = append(cf.tryout, eng)
+	}
+	cf.engine = cf.tryout[0]
+	return cf, nil
+}
 
-		if len(failed) > 0 {
-			st.begin(obs.PhaseFull, 0)
-			fraw, err := fr.ExpectFrame(wire.FrameFull)
-			if err != nil {
-				return nil, err
-			}
-			st.cost(costs, stats.S2C, stats.PhaseFull, len(fraw))
-			costs.Roundtrips++
-			fp := wire.NewParser(fraw)
-			nf, err := fp.Uvarint()
-			if err != nil || int(nf) != len(failed) {
-				return nil, fmt.Errorf("collection: full-transfer count mismatch")
-			}
-			nIdx := len(engines)
-			if len(jfiles) > 0 {
-				nIdx = len(jfiles)
-			}
-			for k := uint64(0); k < nf; k++ {
-				idx, err := fp.Uvarint()
-				if err != nil || int(idx) >= nIdx {
-					return nil, fmt.Errorf("collection: bad full index")
-				}
-				comp, err := fp.Bytes()
-				if err != nil {
-					return nil, err
-				}
-				data, err := delta.Decompress(comp)
-				if err != nil {
-					return nil, err
-				}
-				if len(jfiles) > 0 {
-					out[jfiles[idx].path] = data
-					jbytes[jfiles[idx].path] += int64(len(comp))
-				} else {
-					out[engines[idx].path] = data
-					perEngine[idx] += int64(len(comp))
-				}
-				costs.FilesFull++
-			}
-		}
-	} // end legacy lockstep path
-	perFile := make(map[string]int64, len(engines)+len(jfiles))
-	for i := range engines {
-		costs.CDCChunks += engines[i].engine.CDCChunks
-		perFile[engines[i].path] = perEngine[i]
+// receive runs the per-file phases over work: the streams the MUX_ACK
+// announced, or one bare stream over everything — which for a journal session
+// has no engines, only the ack ordinals of its journal verdicts.
+func (s *session) receive(res *Result, work *clientWork) error {
+	res.PerFile = make(map[string]int64, len(work.files))
+	counts := work.counts
+	if counts == nil {
+		counts = []int{len(work.files)}
 	}
-	for path, n := range jbytes {
-		perFile[path] = n
+	f, links := s.newFramer(len(counts), work.counts != nil, nil, 0)
+	streams := make([]*clientStream, len(counts))
+	off := 0
+	for k, c := range counts {
+		streams[k] = &clientStream{streamLink: &links[k], files: work.files[off : off+c], journal: work.journal}
+		off += c
 	}
-	res.PerFile = perFile
-	return res, nil
+	streams[0].failed = work.jfailed
+	return s.consumeStreams(streams, f, res)
 }
 
 // treeState carries a client's merkle tree cache across sessions, so a
@@ -779,7 +568,7 @@ func treeDir(src Source) string {
 // treeResult is what tree-mode change detection hands back to consume.
 type treeResult struct {
 	verdictPaths []string // paths the server will answer with verdicts, in order
-	kept         []string // local paths the server still has (incl. changed)
+	unchanged    []string // local paths the server has with the same content
 	deleted      []string // local paths the server no longer has
 	// localCopy maps a wanted path to an identical-content local path
 	// (cross-file rename match): materialized locally, never transferred.
@@ -834,92 +623,68 @@ func altBasisCandidates(wanted []merkle.Entry, orphans []string) map[string][]st
 }
 
 // treeDetect runs merkle reconciliation against the server and asks for the
-// differing files. caps is the capability mask this side's hello requested
-// (treeCapSpec/treeCapCross); the server's TREE_ACK — sent only when it
-// grants something — arrives before its first TREE reply. With caps == 0
-// the exchange is byte-identical to the legacy descent.
-func treeDetect(fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, manifest []ManifestEntry, caps byte, trees *treeState, dir string, st *sessTrace) (*treeResult, error) {
-	entries := make([]merkle.Entry, len(manifest))
-	for i, e := range manifest {
-		entries[i] = merkle.Entry{Path: e.Path, Len: e.Len, Sum: e.Sum}
-	}
-	tc := trees.acquire(entries, ManifestDigest(manifest), dir)
+// differing files. The capability mask this side's hello requested
+// (treeCapSpec/treeCapCross) decides what may come back: the server's
+// TREE_ACK — sent only when it grants something — arrives before its first
+// TREE reply. With no capabilities requested the exchange is byte-identical
+// to the legacy descent.
+func (s *session) treeDetect(manifest []ManifestEntry, trees *treeState) (*treeResult, error) {
+	costs, caps := s.costs, s.ext.treeCaps
+	entries := merkleEntries(manifest)
+	tc := trees.acquire(entries, ManifestDigest(manifest), treeDir(s.src))
 	ini := merkle.NewInitiator(tc.Tree(merkle.DepthFor(len(entries))))
 	var granted byte
-	first := true
-	round := 0
-	for !ini.Done() {
-		round++
-		st.begin(obs.PhaseTree, round)
-		msg := ini.Next()
-		if err := fw.WriteFrame(wire.FrameTree, msg); err != nil {
+	for round := 1; !ini.Done(); round++ {
+		s.st.begin(obs.PhaseTree, round)
+		if err := s.send(wire.FrameTree, ini.Next(), stats.PhaseControl); err != nil {
 			return nil, err
 		}
-		if err := fw.Flush(); err != nil {
+		if err := s.flush(); err != nil {
 			return nil, err
 		}
-		st.cost(costs, stats.C2S, stats.PhaseControl, len(msg))
-		var payload []byte
-		if first && caps != 0 {
-			// The server may grant extensions with a TREE_ACK before its
-			// first TREE reply (same flush: no extra roundtrip). Errors
-			// mirror ExpectFrame's special cases.
-			ft, raw, err := fr.ReadFrame()
+		ft, payload, err := s.read()
+		if err == nil && ft == wire.FrameTreeAck && round == 1 && caps != 0 {
+			// The server grants extensions with a TREE_ACK before its first
+			// TREE reply (same flush: no extra roundtrip).
+			s.cost(stats.S2C, stats.PhaseControl, len(payload))
+			g, err := wire.NewParser(payload).Uvarint()
 			if err != nil {
 				return nil, err
 			}
-			if ft == wire.FrameTreeAck {
-				st.cost(costs, stats.S2C, stats.PhaseControl, len(raw))
-				g, err := wire.NewParser(raw).Uvarint()
-				if err != nil {
-					return nil, err
-				}
-				granted = byte(g) & caps
-				ini.Speculative = granted&treeCapSpec != 0
-				ft, raw, err = fr.ReadFrame()
-				if err != nil {
-					return nil, err
-				}
-			}
-			switch ft {
-			case wire.FrameTree:
-				payload = raw
-			case wire.FrameError:
-				return nil, fmt.Errorf("wire: remote error: %s", raw)
-			case wire.FrameBusy:
-				return nil, wire.DecodeBusy(raw)
-			default:
-				return nil, fmt.Errorf("wire: expected frame %s, got %s", wire.FrameName(wire.FrameTree), wire.FrameName(ft))
-			}
-		} else {
-			var err error
-			payload, err = fr.ExpectFrame(wire.FrameTree)
-			if err != nil {
-				return nil, err
-			}
+			granted = byte(g) & caps
+			ini.Speculative = granted&treeCapSpec != 0
+			ft, payload, err = s.read()
 		}
-		first = false
-		st.cost(costs, stats.S2C, stats.PhaseControl, len(payload))
-		costs.Roundtrips++
+		if err == nil && ft != wire.FrameTree {
+			err = unexpected(ft, wire.FrameTree)
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.cost(stats.S2C, stats.PhaseControl, len(payload))
+		s.answered()
 		costs.TreeRounds++
 		if err := ini.Absorb(payload); err != nil {
 			return nil, err
 		}
 	}
 	diff := ini.Diff()
-	st.begin(obs.PhaseHandshake, 0)
+	s.st.begin(obs.PhaseHandshake, 0)
 
 	tr := &treeResult{deleted: diff.OnlyLocal}
-	deleted := make(map[string]bool, len(diff.OnlyLocal))
+	differs := make(map[string]bool, len(diff.OnlyLocal)+len(diff.Changed))
 	for _, p := range diff.OnlyLocal {
-		deleted[p] = true
+		differs[p] = true
+	}
+	for _, e := range diff.Changed {
+		differs[e.Path] = true
 	}
 	for _, e := range manifest {
-		if !deleted[e.Path] {
-			tr.kept = append(tr.kept, e.Path)
+		if !differs[e.Path] {
+			tr.unchanged = append(tr.unchanged, e.Path)
 		}
 	}
-	costs.FilesUnchanged += len(manifest) - len(deleted) - len(diff.Changed)
+	costs.FilesUnchanged += len(tr.unchanged)
 
 	wantsChanged, wantsRemote := diff.Changed, diff.OnlyRemote
 	if granted&treeCapCross != 0 {
@@ -978,73 +743,50 @@ func treeDetect(fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, 
 		wb.Byte(w.have)
 		tr.verdictPaths = append(tr.verdictPaths, w.path)
 	}
-	if err := fw.WriteFrame(wire.FrameWant, wb.Build()); err != nil {
+	if err := s.send(wire.FrameWant, wb.Build(), stats.PhaseControl); err != nil {
 		return nil, err
 	}
-	st.cost(costs, stats.C2S, stats.PhaseControl, wb.Len())
 	return tr, nil
 }
 
-// respond handles one round-hashes or confirm frame and builds the reply
-// into rb (the session's pooled scratch buffer — the returned bytes are only
-// valid until rb's next reset). Engine work fans out across workers; replies
-// are gathered into index-addressed slots and written in job order, so the
-// reply frame is byte-identical for every worker count.
-func respond(workers int, engines []clientFile, frameType byte, payload []byte, perEngine []int64, rb *wire.Buffer) ([]byte, error) {
-	pr := wire.NewParser(payload)
-	n, err := pr.Uvarint()
+// respond handles one ROUND_HASHES or CONFIRM frame and builds the reply in
+// the stream's buffer. Engine work fans out across workers; replies are
+// gathered into index-addressed slots and written in job order, so the reply
+// frame is byte-identical for every worker count.
+func (cs *clientStream) respond(workers int, frameType byte, payload []byte) ([]byte, error) {
+	files := cs.engines()
+	jobs, err := parseSections(payload, len(files), true)
 	if err != nil {
 		return nil, err
 	}
-	type job struct {
-		idx     uint64
-		section []byte
-	}
-	jobs := make([]job, 0, n)
-	for k := uint64(0); k < n; k++ {
-		idx, err := pr.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if int(idx) >= len(engines) {
-			return nil, fmt.Errorf("collection: bad file index %d", idx)
-		}
-		section, err := pr.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, job{idx, section})
-		perEngine[idx] += int64(len(section))
-	}
 	replies := make([][]byte, len(jobs)) // nil = no reply for this file
 	err = parallelFiles(workers, len(jobs), func(k int) error {
-		cf := &engines[jobs[k].idx]
+		cf := &files[jobs[k].idx]
 		eng := cf.engine
-		if frameType == wire.FrameRoundHashes {
-			if len(cf.tryout) > 0 {
-				// Alternate-basis candidates race on the first hash round;
-				// the best-matching one becomes the engine for good.
-				eng, err := core.PickBasis(cf.tryout, jobs[k].section)
-				if err != nil {
-					return fmt.Errorf("collection: file %q: %w", cf.path, err)
-				}
-				cf.engine, cf.tryout = eng, nil
-				replies[k] = eng.EmitReply()
-				return nil
-			}
-			if err := eng.AbsorbHashes(jobs[k].section); err != nil {
+		var err error
+		switch {
+		case frameType == wire.FrameConfirm:
+			more, err := eng.AbsorbConfirm(jobs[k].body)
+			if err != nil {
 				return fmt.Errorf("collection: file %q: %w", cf.path, err)
 			}
-			replies[k] = eng.EmitReply()
+			if more {
+				replies[k] = eng.EmitBatch()
+			}
 			return nil
+		case len(cf.tryout) > 0:
+			// Alternate-basis candidates race on the first hash round; the
+			// best-matching one becomes the engine for good.
+			if eng, err = core.PickBasis(cf.tryout, jobs[k].body); err == nil {
+				cf.engine, cf.tryout = eng, nil
+			}
+		default:
+			err = eng.AbsorbHashes(jobs[k].body)
 		}
-		more, err := eng.AbsorbConfirm(jobs[k].section)
 		if err != nil {
-			return fmt.Errorf("collection: file %q: %w", engines[jobs[k].idx].path, err)
+			return fmt.Errorf("collection: file %q: %w", cf.path, err)
 		}
-		if more {
-			replies[k] = eng.EmitBatch()
-		}
+		replies[k] = eng.EmitReply()
 		return nil
 	})
 	if err != nil {
@@ -1056,13 +798,14 @@ func respond(workers int, engines []clientFile, frameType byte, payload []byte, 
 			count++
 		}
 	}
+	rb := cs.buf
 	rb.Reset()
 	rb.Uvarint(uint64(count))
 	for k, r := range replies {
+		files[jobs[k].idx].bytes += int64(len(jobs[k].body) + len(r))
 		if r != nil {
-			rb.Uvarint(jobs[k].idx)
+			rb.Uvarint(uint64(jobs[k].idx))
 			rb.Bytes(r)
-			perEngine[jobs[k].idx] += int64(len(r))
 		}
 	}
 	return rb.Build(), nil

@@ -101,8 +101,8 @@ func TestConfigDecodeTruncation(t *testing.T) {
 	}
 }
 
-// session runs one full sync over a pipe and returns both sides' costs.
-func session(t *testing.T, serverFiles, clientFiles map[string][]byte, cfg core.Config) (*Result, *stats.Costs) {
+// runSession runs one full sync over a pipe and returns both sides' costs.
+func runSession(t *testing.T, serverFiles, clientFiles map[string][]byte, cfg core.Config) (*Result, *stats.Costs) {
 	t.Helper()
 	srv, err := NewServer(serverFiles, cfg)
 	if err != nil {
@@ -133,7 +133,7 @@ func session(t *testing.T, serverFiles, clientFiles map[string][]byte, cfg core.
 // TestCostsAgreeBetweenSides: both endpoints account identical totals.
 func TestCostsAgreeBetweenSides(t *testing.T) {
 	v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
-	res, serverCosts := session(t, v2.Map(), v1.Map(), core.DefaultConfig())
+	res, serverCosts := runSession(t, v2.Map(), v1.Map(), core.DefaultConfig())
 	if err := VerifyAgainst(res.Files, v2.Map()); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDeepVerificationBatches(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Verify = gtest.Config{Batches: 4, GroupSize: 16, TrustedGroupSize: 16, SplitFactor: 2, RetryAlternates: 1}
 	v1, v2 := corpus.GCCProfile(0.05).Generate(8)
-	res, _ := session(t, v2.Map(), v1.Map(), cfg)
+	res, _ := runSession(t, v2.Map(), v1.Map(), cfg)
 	if err := VerifyAgainst(res.Files, v2.Map()); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestConnectionCutMidSession(t *testing.T) {
 // the manifest exchange.
 func TestUnchangedCollectionIsNearlyFree(t *testing.T) {
 	v1, _ := corpus.GCCProfile(0.1).Generate(3)
-	res, _ := session(t, v1.Map(), v1.Map(), core.DefaultConfig())
+	res, _ := runSession(t, v1.Map(), v1.Map(), core.DefaultConfig())
 	if err := VerifyAgainst(res.Files, v1.Map()); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestBinaryContent(t *testing.T) {
 	old := corpus.RandomText(rng, 40_000)
 	cur := append([]byte(nil), old...)
 	copy(cur[20_000:], corpus.RandomText(rng, 500))
-	res, _ := session(t, map[string][]byte{"bin": cur}, map[string][]byte{"bin": old}, core.DefaultConfig())
+	res, _ := runSession(t, map[string][]byte{"bin": cur}, map[string][]byte{"bin": old}, core.DefaultConfig())
 	if !bytes.Equal(res.Files["bin"], cur) {
 		t.Fatal("binary mismatch")
 	}
@@ -290,7 +290,7 @@ func TestFrameOverheadCounts(t *testing.T) {
 // and stays below the session total.
 func TestPerFileAttribution(t *testing.T) {
 	v1, v2 := corpus.GCCProfile(0.08).Generate(61)
-	res, _ := session(t, v2.Map(), v1.Map(), core.DefaultConfig())
+	res, _ := runSession(t, v2.Map(), v1.Map(), core.DefaultConfig())
 	if len(res.PerFile) != res.Costs.FilesSynced {
 		t.Fatalf("PerFile has %d entries, %d files synced", len(res.PerFile), res.Costs.FilesSynced)
 	}

@@ -8,7 +8,9 @@ package collection
 import (
 	"sort"
 
+	"msync/internal/core"
 	"msync/internal/md4"
+	"msync/internal/merkle"
 	"msync/internal/wire"
 )
 
@@ -78,6 +80,15 @@ func decodeManifest(p []byte) ([]ManifestEntry, error) {
 	return out, nil
 }
 
+// merkleEntries is the manifest as the merkle package's leaf entries.
+func merkleEntries(m []ManifestEntry) []merkle.Entry {
+	entries := make([]merkle.Entry, len(m))
+	for i, e := range m {
+		entries[i] = merkle.Entry{Path: e.Path, Len: e.Len, Sum: e.Sum}
+	}
+	return entries
+}
+
 // Session roles carried in the HELLO frame.
 const (
 	// rolePull: the initiator holds the outdated copy and wants updates.
@@ -136,6 +147,82 @@ const (
 	// without the trailing field — byte-identical to a legacy session.
 	helloExtMapMode = 4
 )
+
+// helloExts is the hello's extension trailer, one field per extension; the
+// zero-extension value is helloExts{announce: -1}.
+type helloExts struct {
+	announce int64        // helloExtVersion: the stored version announced; -1: none
+	mux      int          // helloExtMux: requested stream width; 0: none
+	treeCaps byte         // helloExtTree: requested treeCap* mask; 0: none
+	mapMode  core.MapMode // helloExtMapMode: requested mode; MapHalving: none
+}
+
+// encode appends the trailer to a hello: only the extensions that are set, in
+// id order, and nothing at all when none is.
+func (h helloExts) encode(b *wire.Buffer) {
+	var ids, vals [4]uint64
+	n := 0
+	add := func(id, v uint64) { ids[n], vals[n], n = id, v, n+1 }
+	if h.announce >= 0 {
+		add(helloExtVersion, uint64(h.announce))
+	}
+	if h.mux > 0 {
+		add(helloExtMux, uint64(h.mux))
+	}
+	if h.treeCaps != 0 {
+		add(helloExtTree, uint64(h.treeCaps))
+	}
+	if h.mapMode != core.MapHalving {
+		add(helloExtMapMode, uint64(h.mapMode))
+	}
+	if n == 0 {
+		return
+	}
+	b.Uvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		var v [10]byte
+		b.Uvarint(ids[i])
+		b.Bytes(wire.AppendUvarint(v[:0], vals[i]))
+	}
+}
+
+// parseHelloExts reads the trailer after the hello's mode byte. Values are cut
+// down to what this implementation knows (stream width to the wire cap, tree
+// capabilities to the defined bits). A malformed trailer ends the parse with
+// what was read so far: extensions are an optimization hint, never a reason
+// to fail a session.
+func parseHelloExts(hp *wire.Parser) helloExts {
+	h := helloExts{announce: -1}
+	n, err := hp.Uvarint()
+	if err != nil {
+		return h
+	}
+	for i := uint64(0); i < n; i++ {
+		id, err := hp.Uvarint()
+		if err != nil {
+			return h
+		}
+		ext, err := hp.Bytes()
+		if err != nil {
+			return h
+		}
+		v, err := wire.NewParser(ext).Uvarint()
+		if err != nil {
+			continue // this extension is unusable; the next may not be
+		}
+		switch id {
+		case helloExtVersion:
+			h.announce = int64(v)
+		case helloExtMux:
+			h.mux = int(min(v, wire.MaxStreams))
+		case helloExtTree:
+			h.treeCaps = byte(v) & (treeCapSpec | treeCapCross)
+		case helloExtMapMode:
+			h.mapMode = core.MapMode(v)
+		}
+	}
+	return h
+}
 
 // Tree-mode capability bits carried in helloExtTree and TREE_ACK.
 const (

@@ -1,7 +1,6 @@
 package collection
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -9,37 +8,53 @@ import (
 	"msync/internal/core"
 	"msync/internal/delta"
 	"msync/internal/obs"
+	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/transport"
 	"msync/internal/wire"
 )
 
-// Stream multiplexing (hello extension 2) interleaves the per-file phases of
-// one session on one connection: the sync files are partitioned into streams,
-// and every roundtrip — a server CYCLE and its client reply CYCLE — advances
-// all streams at once. A stream that finished its map rounds ships its delta
-// (and any full-transfer fallback) while slower streams are still mapping, so
-// the session's wall clock is governed by the deepest file's round count, not
-// the sum of phase tails, and tiny files batch their single rounds into
-// roundtrips they'd otherwise each pay for.
+// The per-file phases of every session — map rounds, verification batches,
+// delta, ack, full-transfer fallback — are run by one stream scheduler per
+// role. A stream is a contiguous run of the session's sync files walking that
+// sequence; every cycle of the scheduler advances all unfinished streams by
+// one frame each way:
 //
-// The cycle protocol is strict alternation. The server sends CYCLE(n) followed
-// by n STREAM frames — exactly one per unfinished stream, carrying that
-// stream's next legacy frame (ROUND_HASHES, CONFIRM, DELTA, or FULL) with
-// engine indexes local to the stream's contiguous file range. The client
-// replies CYCLE(m) + m STREAM frames (ROUND_REPLY or ACK); FULL frames get no
-// reply, so a final all-FULL cycle goes unanswered. Inside a stream the frame
-// sequence is byte-identical to a legacy session over that stream's files,
-// which is why both sides reuse the legacy respond/absorb logic unchanged.
+//	holder:   ROUND_HASHES ⇄ ROUND_REPLY … CONFIRM ⇄ ROUND_REPLY …   (map)
+//	          DELTA ⇄ ACK                                              (delta)
+//	          FULL, unanswered, only if the ACK listed failures        (fallback)
+//
+// File indexes in those frames are local to the stream, ascending, and never
+// more than the stream has files; anything else is rejected before a byte is
+// allocated for it (parseSections).
+//
+// How a cycle travels is the framer's business, and the only thing that
+// differs between the two session shapes. A session without a MUX_ACK is one
+// stream over all its files whose frames go out bare: the cycle is the frame.
+// A multiplexed session (hello extension 2) is the N streams the MUX_ACK
+// announced, each frame wrapped in a STREAM frame behind a CYCLE(n) count, so
+// a stream that finished its map ships its delta while slower streams are
+// still mapping and tiny files share their roundtrips. Unwrapped, a stream's
+// frames are byte for byte those of a bare session over its files
+// (TestMuxWidthOneEqualsLockstep).
+//
+// A journal hit is the stream with no engines: nothing to map, so its first
+// frame is an empty DELTA, and its ack ordinals count journal verdicts.
+//
+// Workers: the frames of a cycle are handled concurrently, and each handler
+// gets max(1, workers/frames) for the engines of its own stream — all of the
+// budget for the single stream of a bare session, one worker per stream once
+// there are more streams than workers. Frames are assembled in stream order
+// from index-addressed slots, so the bytes are the same for every split.
 
 // muxSessionCap bounds the granted stream count per session. The wire cap
 // (wire.MaxStreams) guards parsing; this is the scheduling policy: past a few
 // dozen streams the per-cycle framing overhead outweighs any extra overlap.
 const muxSessionCap = 64
 
-// muxPhase maps an inner frame type to the cost phase its stream-frame bytes
-// are accounted under, mirroring the legacy session's attribution.
-func muxPhase(inner byte) stats.Phase {
+// framePhase maps a per-file frame type to the cost phase its bytes are
+// accounted under.
+func framePhase(inner byte) stats.Phase {
 	switch inner {
 	case wire.FrameDelta:
 		return stats.PhaseDelta
@@ -87,585 +102,707 @@ func muxPartition(files []syncFile, width int) []int {
 	return counts
 }
 
-// streamAcct accumulates one stream's wire accounting. During a session each
-// stream's handler is the only writer of its own accumulator (on the client
-// the handlers run concurrently — on different streams); the scheduler
-// goroutine merges the result into the session Costs once the stream closes,
-// so the shared Costs is never touched concurrently.
-type streamAcct struct {
-	costs    stats.Costs
+// errIndexList marks a per-file frame whose index list a well-behaved peer
+// cannot have sent: more entries than the stream has files, or indexes that
+// are out of range or not strictly ascending.
+var errIndexList = errors.New("collection: malformed file index list")
+
+// section is one entry of a ROUND_HASHES, CONFIRM, ROUND_REPLY or FULL frame;
+// an ACK's entries are bare indexes.
+type section struct {
+	idx  int
+	body []byte
+}
+
+// parseSections decodes the index list of a per-file frame, `n (idx body)*n`
+// — or, for an ACK, `n idx*n` without bodies — for a stream of nFiles files.
+// Every sender builds these lists in index order, so n ≤ nFiles and strictly
+// ascending indexes are required: that bounds the allocation by what this end
+// already holds rather than by a number the peer chose, and keeps two workers
+// from ever being handed the same engine.
+func parseSections(payload []byte, nFiles int, bodies bool) ([]section, error) {
+	p := wire.NewParser(payload)
+	n, err := p.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(nFiles) {
+		return nil, fmt.Errorf("%w: %d entries for %d files", errIndexList, n, nFiles)
+	}
+	out := make([]section, n)
+	for k := range out {
+		idx, err := p.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if idx >= uint64(nFiles) || (k > 0 && int(idx) <= out[k-1].idx) {
+			return nil, fmt.Errorf("%w: index %d", errIndexList, idx)
+		}
+		out[k].idx = int(idx)
+		if bodies {
+			if out[k].body, err = p.Bytes(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// streamLink is the part of a stream its framer sees: the frame in flight and
+// the stream's share of the traffic.
+type streamLink struct {
+	id int
+	// buf assembles the stream's outgoing frames, one per cycle.
+	buf *wire.Buffer
+	// inner and payload are the frame in flight: built and about to be sent,
+	// or just received. inner == 0 means none.
+	inner   byte
+	payload []byte
+
+	done bool // closed; a frame for it is a protocol violation
+	seen int  // the cycle that last delivered a frame (wrapped framer)
+
+	// Wrapped streams report their traffic as one span when they close.
 	frames   int
 	up, down int64
 	start    time.Time
 }
 
-// add accounts one stream frame (payload plus framing, like addCost).
-func (a *streamAcct) add(d stats.Direction, p stats.Phase, payload int) {
-	addCost(&a.costs, d, p, payload)
-	a.frames++
-	n := int64(payload + frameOverhead(payload))
-	if d == stats.C2S {
-		a.up += n
-	} else {
-		a.down += n
+// framer puts the frames of one scheduler cycle on the wire and takes the
+// peer's off it, accounting both. Calls come from the scheduler goroutine only.
+type framer interface {
+	// begin opens cycle n. outs are the frames the holder is about to build
+	// (types decided, payloads not yet); a receiver passes nil.
+	begin(n int, outs []*streamLink)
+	// send writes the frame in flight of every link in outs. No flush.
+	send(outs []*streamLink) error
+	// recv reads the peer's next cycle into the links it names and returns
+	// them in wire order. A holder passes the links it expects a reply for —
+	// exactly those must answer; a receiver passes nil and takes what comes.
+	recv(waiting []*streamLink) ([]*streamLink, error)
+	// closed accounts a finished stream; end releases what is left.
+	closed(l *streamLink)
+	end()
+}
+
+// bareFramer frames the one stream of a session without a MUX_ACK: each cycle
+// is a single frame, written as it is, and the session's spans follow the
+// frame types — one round span per ROUND_HASHES with its verify spans, then
+// delta and full.
+type bareFramer struct {
+	s     *session
+	link  [1]*streamLink
+	round int
+}
+
+func (f *bareFramer) span(inner byte) {
+	switch inner {
+	case wire.FrameRoundHashes:
+		f.round++
+		f.s.st.begin(obs.PhaseRound, f.round)
+	case wire.FrameConfirm:
+		f.s.st.begin(obs.PhaseVerify, f.round)
+	case wire.FrameDelta:
+		f.s.st.begin(obs.PhaseDelta, 0)
+	case wire.FrameFull:
+		f.s.st.begin(obs.PhaseFull, 0)
 	}
 }
 
-// Server-side stream states. A stream always has exactly one frame to send
-// per server cycle until it is done, and every transition happens either
-// while building a cycle (srRounds→delta emission, srFull→done) or while
-// absorbing the client's reply cycle (everything else), so no stream is ever
-// left in srAwaitAck when the next cycle is built.
-const (
-	srRounds   = iota // emitting map-construction rounds
-	srConfirm         // emitting verification batches
-	srAwaitAck        // delta sent, waiting for the stream's ACK
-	srFull            // ACK reported failures; send full transfers next cycle
-	srDone
-)
-
-// serverStream is one stream of a multiplexed serving session: a contiguous
-// slice of the session's sync files plus the state machine walking them
-// through the legacy phase sequence.
-type serverStream struct {
-	streamAcct
-	id      int
-	files   []syncFile
-	state   int
-	pending []int    // stream-local indexes awaiting verification batches
-	failed  []uint64 // stream-local ack indexes needing full transfers
+func (f *bareFramer) begin(_ int, outs []*streamLink) {
+	if len(outs) > 0 {
+		f.span(outs[0].inner)
+	}
 }
 
-// parseAck decodes an ACK payload into stream-local failed indexes, bounds-
-// checked against the stream's file count.
-func parseAck(payload []byte, nFiles int) ([]uint64, error) {
-	p := wire.NewParser(payload)
-	nf, err := p.Uvarint()
+func (f *bareFramer) send(outs []*streamLink) error {
+	l := outs[0]
+	return f.s.send(l.inner, l.payload, framePhase(l.inner))
+}
+
+func (f *bareFramer) recv([]*streamLink) ([]*streamLink, error) {
+	ft, payload, err := f.s.read()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint64, 0, nf)
-	for k := uint64(0); k < nf; k++ {
-		idx, err := p.Uvarint()
-		if err != nil || int(idx) >= nFiles {
-			return nil, fmt.Errorf("collection: bad ack index")
-		}
-		out = append(out, idx)
-	}
-	return out, nil
+	f.span(ft)
+	f.s.cost(f.s.in(), framePhase(ft), len(payload))
+	f.link[0].inner, f.link[0].payload = ft, payload
+	return f.link[:], nil
 }
 
-// serveMux runs the multiplexed replacement for the legacy round/delta/ack
-// loop: the engines are already partitioned into counts (as acknowledged to
-// the client in MUX_ACK), and the session ends when every stream has closed.
-func (s *Server) serveMux(ctx context.Context, sess *transport.Session, fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, fail func(error) (*stats.Costs, error), engines []syncFile, counts []int, st *sessTrace) (*stats.Costs, error) {
-	streams := make([]*serverStream, len(counts))
-	now := time.Now()
-	off := 0
-	for k, c := range counts {
-		streams[k] = &serverStream{id: k, files: engines[off : off+c]}
-		streams[k].start = now
-		off += c
-	}
-	live := len(streams)
-	gauge := s.Metrics.Gauge(obs.MetricStreamsActive)
-	gauge.Add(int64(live))
-	defer func() { gauge.Add(-int64(live)) }()
+func (f *bareFramer) closed(*streamLink) {}
+func (f *bareFramer) end()               {}
 
-	var sd *transport.StreamDeadlines
-	if sess != nil && s.RoundTimeout > 0 {
-		sd = transport.NewStreamDeadlines()
-		defer sess.SetPhaseDeadline(time.Time{})
-	}
+// wrappedFramer frames the streams of a multiplexed session: CYCLE(n), then n
+// STREAM frames in stream order. Stream frames are accounted to their stream
+// (one span each, when it closes); the CYCLE frames to one round span per
+// cycle. A serving session with a round timeout also keeps one deadline per
+// stream and blocks on the earliest, so a single stalled stream fails the
+// session within its budget while the others advance.
+type wrappedFramer struct {
+	s     *session
+	links []streamLink // by stream id
+	open  int
+	cycle int
+	ins   []*streamLink
 
-	// closeStream harvests the stream's engine counters, merges its private
-	// Costs into the session's, and emits its span. Scheduler goroutine only.
-	closeStream := func(stm *serverStream) {
-		for i := range stm.files {
-			e := stm.files[i].engine
-			stm.costs.HashesSent += e.HashesSent
-			stm.costs.CandidatesFound += e.CandidatesSeen
-			stm.costs.MatchesConfirmed += e.MatchesConfirmed
-			stm.costs.BlockHashesComputed += e.BlockHashesComputed
-			stm.costs.BytesHashed += e.BytesHashed
-			stm.costs.CDCChunks += e.CDCChunks
-		}
-		stm.costs.FalseCandidates = stm.costs.CandidatesFound - stm.costs.MatchesConfirmed
-		costs.Merge(&stm.costs)
-		st.stream(stm.id, stm.frames, stm.up, stm.down, stm.start)
-		stm.state = srDone
-		if sd != nil {
-			sd.Drop(stm.id)
-		}
-		gauge.Dec()
-		live--
-	}
-
-	type outFrame struct {
-		stm     *serverStream
-		inner   byte
-		payload []byte
-	}
-	sfb := wire.GetBuffer(4096)
-	defer wire.PutBuffer(sfb)
-	cycle := 0
-	for live > 0 {
-		if err := ctx.Err(); err != nil {
-			return costs, fmt.Errorf("collection: session cancelled: %w", err)
-		}
-		cycle++
-		st.begin(obs.PhaseRound, cycle)
-
-		// Build this cycle: one frame per unfinished stream.
-		var outs []outFrame
-		expect := 0 // frames that will be answered in the client's reply cycle
-		roundsInCycle := 0
-		for _, stm := range streams {
-			switch stm.state {
-			case srDone:
-			case srRounds:
-				var active []int
-				for i := range stm.files {
-					if stm.files[i].engine.Active() {
-						active = append(active, i)
-					}
-				}
-				if len(active) == 0 {
-					// Every map is built: this stream moves on to its delta
-					// while other streams keep running rounds in the same
-					// cycle — the overlap multiplexing exists for.
-					sections := make([][]byte, len(stm.files))
-					parallelFiles(s.cfg.Workers, len(stm.files), func(i int) error {
-						sections[i] = stm.files[i].engine.EmitDelta()
-						return nil
-					})
-					b := wire.NewBuffer(1024)
-					b.Uvarint(uint64(len(stm.files)))
-					for i := range sections {
-						b.Bytes(sections[i])
-					}
-					stm.state = srAwaitAck
-					outs = append(outs, outFrame{stm, wire.FrameDelta, b.Build()})
-					expect++
-					continue
-				}
-				sections := make([][]byte, len(active))
-				parallelFiles(s.cfg.Workers, len(active), func(k int) error {
-					sections[k] = stm.files[active[k]].engine.EmitHashes()
-					return nil
-				})
-				b := wire.NewBuffer(1024)
-				b.Uvarint(uint64(len(active)))
-				for k, i := range active {
-					b.Uvarint(uint64(i))
-					b.Bytes(sections[k])
-				}
-				outs = append(outs, outFrame{stm, wire.FrameRoundHashes, b.Build()})
-				expect++
-				roundsInCycle++
-			case srConfirm:
-				b := wire.NewBuffer(1024)
-				b.Uvarint(uint64(len(stm.pending)))
-				for _, i := range stm.pending {
-					b.Uvarint(uint64(i))
-					b.Bytes(stm.files[i].engine.EmitConfirm())
-				}
-				outs = append(outs, outFrame{stm, wire.FrameConfirm, b.Build()})
-				expect++
-				roundsInCycle++
-			case srFull:
-				b := wire.NewBuffer(1024)
-				b.Uvarint(uint64(len(stm.failed)))
-				for _, idx := range stm.failed {
-					b.Uvarint(idx)
-					// The exact bytes the engine synced from, as in the
-					// legacy fallback, so a full transfer is consistent with
-					// the session even if the source changed underneath.
-					b.Bytes(delta.Compress(stm.files[idx].data))
-					stm.costs.FilesFull++
-				}
-				outs = append(outs, outFrame{stm, wire.FrameFull, b.Build()})
-			}
-		}
-
-		cp := wire.EncodeCycle(len(outs))
-		if err := fw.WriteFrame(wire.FrameCycle, cp); err != nil {
-			return costs, err
-		}
-		st.cost(costs, stats.S2C, stats.PhaseControl, len(cp))
-		fullCycle := false
-		for _, of := range outs {
-			sfb.Reset()
-			wire.AppendStreamFrame(sfb, of.stm.id, of.inner, of.payload)
-			sp := sfb.Build()
-			if err := fw.WriteFrame(wire.FrameStream, sp); err != nil {
-				return costs, err
-			}
-			of.stm.add(stats.S2C, muxPhase(of.inner), len(sp))
-			if of.inner == wire.FrameFull {
-				fullCycle = true
-				closeStream(of.stm) // FULL is the stream's last frame
-			}
-		}
-		if err := fw.Flush(); err != nil {
-			return costs, err
-		}
-		if fullCycle {
-			costs.Roundtrips++
-		}
-		if roundsInCycle >= 2 {
-			// Rounds that shared this cycle's flush instead of each paying
-			// their own roundtrip.
-			s.Metrics.Counter(obs.MetricRoundsBatched).Add(int64(roundsInCycle))
-		}
-		if expect == 0 {
-			continue // all-FULL cycle: unanswered; live is now 0
-		}
-
-		// Every reply-expecting stream gets a fresh round budget; the session
-		// blocks on the earliest so one stalled stream fails it in time.
-		if sd != nil {
-			dl := time.Now().Add(s.RoundTimeout)
-			for _, of := range outs {
-				if of.inner != wire.FrameFull {
-					sd.Touch(of.stm.id, dl)
-				}
-			}
-			sess.SetPhaseDeadline(sd.Earliest())
-		}
-
-		reply, err := fr.ExpectFrame(wire.FrameCycle)
-		if err != nil {
-			return costs, err
-		}
-		m, err := wire.ParseCycle(reply)
-		if err != nil {
-			return fail(err)
-		}
-		st.cost(costs, stats.C2S, stats.PhaseControl, len(reply))
-		costs.Roundtrips++
-		if m != expect {
-			return fail(fmt.Errorf("collection: reply cycle of %d frames, want %d", m, expect))
-		}
-		seen := make(map[int]bool, m)
-		for k := 0; k < m; k++ {
-			sp, err := fr.ExpectFrame(wire.FrameStream)
-			if err != nil {
-				return costs, err
-			}
-			sf, err := wire.ParseStreamFrame(sp, len(streams))
-			if err != nil {
-				return fail(err)
-			}
-			if seen[sf.ID] {
-				return fail(fmt.Errorf("collection: duplicate reply for stream %d", sf.ID))
-			}
-			seen[sf.ID] = true
-			stm := streams[sf.ID]
-			stm.add(stats.C2S, muxPhase(sf.Type), len(sp))
-			if sd != nil {
-				sd.Touch(sf.ID, time.Now().Add(s.RoundTimeout))
-				sess.SetPhaseDeadline(sd.Earliest())
-			}
-			switch {
-			case sf.Type == wire.FrameRoundReply && stm.state == srRounds:
-				pending, err := s.absorbReplies(stm.files, sf.Payload, true)
-				if err != nil {
-					return fail(err)
-				}
-				if len(pending) > 0 {
-					stm.pending = pending
-					stm.state = srConfirm
-				}
-			case sf.Type == wire.FrameRoundReply && stm.state == srConfirm:
-				pending, err := s.absorbReplies(stm.files, sf.Payload, false)
-				if err != nil {
-					return fail(err)
-				}
-				stm.pending = pending
-				if len(pending) == 0 {
-					stm.state = srRounds
-				}
-			case sf.Type == wire.FrameAck && stm.state == srAwaitAck:
-				failed, err := parseAck(sf.Payload, len(stm.files))
-				if err != nil {
-					return fail(err)
-				}
-				if len(failed) == 0 {
-					closeStream(stm)
-				} else {
-					stm.failed = failed
-					stm.state = srFull
-				}
-			default:
-				return fail(fmt.Errorf("collection: unexpected %s for stream %d", wire.FrameName(sf.Type), sf.ID))
-			}
-		}
-	}
-	return costs, nil
+	gauge   *obs.Gauge                 // streams-active, serving side only
+	sd      *transport.StreamDeadlines // nil without a round timeout
+	timeout time.Duration
 }
 
-// clientStream is one stream of a multiplexed pull: the contiguous slice of
-// the session's engines assigned by MUX_ACK plus everything the stream's
-// handler needs to run without touching shared state. files, perEngine, buf
-// and the accumulator are private to the stream, which is what lets the
-// cycle's handlers run concurrently under the race detector.
-type clientStream struct {
-	streamAcct
-	id        int
-	files     []clientFile
-	perEngine []int64 // stream-local slice of the session's perEngine array
-	buf       *wire.Buffer
+func (f *wrappedFramer) begin(n int, _ []*streamLink) {
+	f.cycle = n
+	f.s.st.begin(obs.PhaseRound, n)
+}
 
-	// Delta outcome, committed single-threaded by the scheduler.
-	results      [][]byte
-	verifyFailed []int
-	fullIdxs     []uint64
-	fullDatas    [][]byte
-	awaitingFull bool
-	done         bool
-
-	// reply is the frame the handler built for the current cycle; inner == 0
-	// means no reply (a FULL was received).
-	reply struct {
-		inner   byte
-		payload []byte
+// account adds one STREAM frame to its stream's span and the session's costs.
+func (f *wrappedFramer) account(l *streamLink, d stats.Direction, payload int) {
+	addCost(f.s.costs, d, framePhase(l.inner), payload)
+	l.frames++
+	if n := int64(payload + frameOverhead(payload)); d == stats.C2S {
+		l.up += n
+	} else {
+		l.down += n
 	}
 }
 
-// handle processes one received stream frame. It runs concurrently with other
-// streams' handlers and touches only this stream's state; rawLen is the full
-// STREAM frame payload length for cost accounting.
-func (cs *clientStream) handle(sf wire.StreamFrame, rawLen int) error {
-	cs.reply.inner = 0
-	cs.reply.payload = nil
-	switch sf.Type {
-	case wire.FrameRoundHashes, wire.FrameConfirm:
-		cs.add(stats.S2C, stats.PhaseMap, rawLen)
-		// Engine fan-out is across streams here, so within the stream the
-		// legacy respond runs serially; its reply bytes are identical for
-		// every worker split.
-		reply, err := respond(1, cs.files, sf.Type, sf.Payload, cs.perEngine, cs.buf)
-		if err != nil {
+// touch gives l a fresh round budget and blocks the session on the earliest.
+func (f *wrappedFramer) touch(ls ...*streamLink) {
+	if f.sd == nil {
+		return
+	}
+	dl := time.Now().Add(f.timeout)
+	for _, l := range ls {
+		f.sd.Touch(l.id, dl)
+	}
+	f.s.ts.SetPhaseDeadline(f.sd.Earliest())
+}
+
+func (f *wrappedFramer) send(outs []*streamLink) error {
+	s := f.s
+	if err := s.send(wire.FrameCycle, wire.EncodeCycle(len(outs)), stats.PhaseControl); err != nil {
+		return err
+	}
+	for _, l := range outs {
+		s.buf.Reset()
+		wire.AppendStreamFrame(s.buf, l.id, l.inner, l.payload)
+		if err := s.fw.WriteFrame(wire.FrameStream, s.buf.Build()); err != nil {
 			return err
 		}
-		cs.reply.inner = wire.FrameRoundReply
-		cs.reply.payload = reply
-	case wire.FrameDelta:
-		cs.add(stats.S2C, stats.PhaseDelta, rawLen)
-		dp := wire.NewParser(sf.Payload)
-		nd, err := dp.Uvarint()
-		if err != nil || int(nd) != len(cs.files) {
-			return fmt.Errorf("collection: delta count mismatch")
-		}
-		sections := make([][]byte, len(cs.files))
-		for i := range cs.files {
-			section, err := dp.Bytes()
-			if err != nil {
-				return err
-			}
-			sections[i] = section
-			cs.perEngine[i] += int64(len(section))
-		}
-		cs.results = make([][]byte, len(cs.files))
-		for i := range cs.files {
-			data, err := cs.files[i].engine.ApplyDelta(sections[i])
-			switch {
-			case err == nil:
-				cs.results[i] = data
-			case errors.Is(err, core.ErrVerifyFailed):
-				cs.verifyFailed = append(cs.verifyFailed, i)
-			default:
-				return fmt.Errorf("collection: file %q: %w", cs.files[i].path, err)
-			}
-		}
-		cs.buf.Reset()
-		cs.buf.Uvarint(uint64(len(cs.verifyFailed)))
-		for _, i := range cs.verifyFailed {
-			cs.buf.Uvarint(uint64(i))
-		}
-		cs.reply.inner = wire.FrameAck
-		cs.reply.payload = cs.buf.Build()
-		cs.awaitingFull = len(cs.verifyFailed) > 0
-	case wire.FrameFull:
-		if !cs.awaitingFull {
-			return fmt.Errorf("collection: unexpected FULL for stream %d", cs.id)
-		}
-		cs.add(stats.S2C, stats.PhaseFull, rawLen)
-		fp := wire.NewParser(sf.Payload)
-		nf, err := fp.Uvarint()
-		if err != nil || int(nf) != len(cs.verifyFailed) {
-			return fmt.Errorf("collection: full-transfer count mismatch")
-		}
-		for k := uint64(0); k < nf; k++ {
-			idx, err := fp.Uvarint()
-			if err != nil || int(idx) >= len(cs.files) {
-				return fmt.Errorf("collection: bad full index")
-			}
-			comp, err := fp.Bytes()
-			if err != nil {
-				return err
-			}
-			data, err := delta.Decompress(comp)
-			if err != nil {
-				return err
-			}
-			cs.fullIdxs = append(cs.fullIdxs, idx)
-			cs.fullDatas = append(cs.fullDatas, data)
-			cs.perEngine[idx] += int64(len(comp))
-			cs.costs.FilesFull++
-		}
-	default:
-		return fmt.Errorf("collection: unexpected frame %s in stream %d", wire.FrameName(sf.Type), cs.id)
+		f.account(l, s.out(), s.buf.Len())
 	}
 	return nil
 }
 
-// commit writes the stream's outcome into the session's result set. Scheduler
-// goroutine only: the result map is shared across streams.
-func (cs *clientStream) commit(out map[string][]byte) {
-	failed := make(map[int]bool, len(cs.verifyFailed))
-	for _, i := range cs.verifyFailed {
-		failed[i] = true
+func (f *wrappedFramer) recv(waiting []*streamLink) ([]*streamLink, error) {
+	s := f.s
+	f.touch(waiting...)
+	cp, err := s.expect(wire.FrameCycle, stats.PhaseControl)
+	if err != nil {
+		return nil, err
 	}
-	for i := range cs.files {
-		if !failed[i] {
-			out[cs.files[i].path] = cs.results[i]
+	n, err := wire.ParseCycle(cp)
+	if err != nil {
+		return nil, s.fail(err)
+	}
+	if waiting != nil && n != len(waiting) {
+		return nil, s.fail(fmt.Errorf("collection: reply cycle of %d frames, want %d", n, len(waiting)))
+	} else if n == 0 || n > f.open {
+		return nil, s.fail(fmt.Errorf("collection: cycle of %d frames with %d live streams", n, f.open))
+	}
+	f.ins = f.ins[:0]
+	for k := 0; k < n; k++ {
+		sp, err := s.fr.ExpectFrame(wire.FrameStream)
+		if err != nil {
+			return nil, err
 		}
+		sf, err := wire.ParseStreamFrame(sp, len(f.links))
+		if err != nil {
+			return nil, s.fail(err)
+		}
+		l := &f.links[sf.ID]
+		if l.done || l.seen == f.cycle {
+			return nil, s.fail(fmt.Errorf("collection: unexpected frame for stream %d", sf.ID))
+		}
+		l.seen = f.cycle
+		l.inner, l.payload = sf.Type, sf.Payload
+		f.account(l, s.in(), len(sp))
+		f.touch(l)
+		f.ins = append(f.ins, l)
 	}
-	for k, idx := range cs.fullIdxs {
-		out[cs.files[idx].path] = cs.fullDatas[k]
+	return f.ins, nil
+}
+
+func (f *wrappedFramer) closed(l *streamLink) {
+	f.open--
+	f.s.st.stream(l)
+	if f.sd != nil {
+		f.sd.Drop(l.id)
+	}
+	if f.gauge != nil {
+		f.gauge.Dec()
 	}
 }
 
-// consumeStreams runs the client half of a multiplexed session, replacing the
-// legacy round/delta/ack loop once MUX_ACK arrived: read each server cycle,
-// handle its stream frames concurrently, then reply and commit in cycle
-// order. perEngine is the session's per-engine byte attribution; each stream
-// writes only its own contiguous slice of it.
-func consumeStreams(ctx context.Context, fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, engines []clientFile, counts []int, workers int, perEngine []int64, out map[string][]byte, st *sessTrace) error {
-	streams := make([]*clientStream, len(counts))
-	now := time.Now()
-	off := 0
-	for k, c := range counts {
-		streams[k] = &clientStream{
-			id:        k,
-			files:     engines[off : off+c],
-			perEngine: perEngine[off : off+c],
-			buf:       wire.NewBuffer(1024),
-		}
-		streams[k].start = now
-		off += c
+func (f *wrappedFramer) end() {
+	if f.gauge != nil {
+		f.gauge.Add(-int64(f.open))
 	}
-	live := len(streams)
-	sfb := wire.GetBuffer(4096)
-	defer wire.PutBuffer(sfb)
+	if f.sd != nil {
+		f.s.ts.SetPhaseDeadline(time.Time{})
+	}
+}
 
-	closeStream := func(cs *clientStream) {
-		cs.done = true
-		costs.Merge(&cs.costs)
-		st.stream(cs.id, cs.frames, cs.up, cs.down, cs.start)
+// newFramer makes the links of a session's n streams and picks their framing:
+// wrapped when the session negotiated streams (a MUX_ACK went by), bare for
+// its single stream otherwise. The bare stream assembles its frames in the
+// session scratch; the wrapped framer needs that for the STREAM wrapping, so
+// wrapped streams get a buffer each. gauge and timeout are the serving side's
+// streams-active gauge and round timeout: a client passes nil and 0.
+func (s *session) newFramer(n int, wrapped bool, gauge *obs.Gauge, timeout time.Duration) (framer, []streamLink) {
+	links := make([]streamLink, n)
+	if !wrapped {
+		links[0].buf = s.buf
+		return &bareFramer{s: s, link: [1]*streamLink{&links[0]}}, links
+	}
+	f := &wrappedFramer{s: s, links: links, open: n, gauge: gauge, timeout: timeout}
+	now := time.Now()
+	for k := range links {
+		links[k] = streamLink{id: k, buf: wire.NewBuffer(1024), start: now}
+	}
+	if gauge != nil {
+		gauge.Add(int64(n))
+	}
+	if timeout > 0 {
+		f.sd = transport.NewStreamDeadlines()
+	}
+	return f, links
+}
+
+// handlerBudget is the worker-budget rule: n handlers run concurrently, each
+// with an equal share of the session's workers for its own engines.
+func (s *session) handlerBudget(n int) int {
+	return max(1, pool.Workers(s.cfg.Workers)/n)
+}
+
+// serverStream is one stream of a serving session: its files' engines and
+// where the stream stands in the phase sequence. What it sends next follows
+// from what it holds: failed ack indexes → FULL; engines awaiting a
+// verification batch → CONFIRM; engines with map rounds left → ROUND_HASHES;
+// none of those → DELTA.
+type serverStream struct {
+	*streamLink
+	files   []syncFile
+	sent    byte      // type of the frame the peer is answering
+	active  []int     // engines in the current ROUND_HASHES
+	pending []int     // engines awaiting a verification batch
+	failed  []section // acked ordinals needing a full transfer
+	// nAck is how many ack ordinals are legal and full where ordinal i's
+	// whole content comes from: the stream's files and the snapshots their
+	// engines synced from — or, for the engine-less journal stream, the
+	// journal verdicts and the version store.
+	nAck int
+	full func(i int) ([]byte, error)
+}
+
+// next decides the stream's frame for the coming cycle.
+func (stm *serverStream) next() {
+	switch {
+	case len(stm.failed) > 0:
+		stm.inner = wire.FrameFull
+	case len(stm.pending) > 0:
+		stm.inner = wire.FrameConfirm
+	default:
+		stm.active = stm.active[:0]
+		for i := range stm.files {
+			if stm.files[i].engine.Active() {
+				stm.active = append(stm.active, i)
+			}
+		}
+		stm.inner = wire.FrameDelta
+		if len(stm.active) > 0 {
+			stm.inner = wire.FrameRoundHashes
+		}
+	}
+	stm.sent = stm.inner
+}
+
+// build assembles the payload of the frame next decided on.
+func (stm *serverStream) build(workers int) error {
+	b := stm.buf
+	b.Reset()
+	switch stm.inner {
+	case wire.FrameRoundHashes:
+		sections := make([][]byte, len(stm.active))
+		parallelFiles(workers, len(stm.active), func(k int) error {
+			sections[k] = stm.files[stm.active[k]].engine.EmitHashes()
+			return nil
+		})
+		b.Uvarint(uint64(len(stm.active)))
+		for k, i := range stm.active {
+			b.Uvarint(uint64(i))
+			b.Bytes(sections[k])
+		}
+	case wire.FrameConfirm:
+		b.Uvarint(uint64(len(stm.pending)))
+		for _, i := range stm.pending {
+			b.Uvarint(uint64(i))
+			b.Bytes(stm.files[i].engine.EmitConfirm())
+		}
+	case wire.FrameDelta:
+		sections := make([][]byte, len(stm.files))
+		parallelFiles(workers, len(stm.files), func(i int) error {
+			sections[i] = stm.files[i].engine.EmitDelta()
+			return nil
+		})
+		b.Uvarint(uint64(len(stm.files)))
+		for _, sec := range sections {
+			b.Bytes(sec)
+		}
+	case wire.FrameFull:
+		b.Uvarint(uint64(len(stm.failed)))
+		for _, f := range stm.failed {
+			data, err := stm.full(f.idx)
+			if err != nil {
+				return err
+			}
+			b.Uvarint(uint64(f.idx))
+			b.Bytes(delta.Compress(data))
+		}
+	}
+	stm.payload = b.Build()
+	return nil
+}
+
+// absorb advances the stream with the peer's answer to the frame it sent.
+func (stm *serverStream) absorb(workers int) (err error) {
+	switch {
+	case stm.inner == wire.FrameRoundReply && (stm.sent == wire.FrameRoundHashes || stm.sent == wire.FrameConfirm):
+		stm.pending, err = stm.absorbReplies(workers, stm.sent == wire.FrameRoundHashes)
+	case stm.inner == wire.FrameAck && stm.sent == wire.FrameDelta:
+		stm.failed, err = parseSections(stm.payload, stm.nAck, false)
+	default:
+		err = fmt.Errorf("collection: stream %d: unexpected %s after %s", stm.id, wire.FrameName(stm.inner), wire.FrameName(stm.sent))
+	}
+	return err
+}
+
+// absorbReplies feeds one ROUND_REPLY (the first replies to a round's hashes,
+// or a later verification batch) to the stream's engines and returns the
+// files that still need another batch.
+func (stm *serverStream) absorbReplies(workers int, first bool) ([]int, error) {
+	jobs, err := parseSections(stm.payload, len(stm.files), true)
+	if err != nil {
+		return nil, err
+	}
+	mores := make([]bool, len(jobs))
+	err = parallelFiles(workers, len(jobs), func(k int) error {
+		f := &stm.files[jobs[k].idx]
+		absorb := f.engine.AbsorbBatch
+		if first {
+			absorb = f.engine.AbsorbReply
+		}
+		more, err := absorb(jobs[k].body)
+		if err != nil {
+			return fmt.Errorf("collection: file %q: %w", f.path, err)
+		}
+		mores[k] = more
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pending := stm.pending[:0]
+	for k, more := range mores {
+		if more {
+			pending = append(pending, jobs[k].idx)
+		}
+	}
+	return pending, nil
+}
+
+// harvest folds the stream's engine counters into the session's costs.
+func (stm *serverStream) harvest(c *stats.Costs) {
+	for i := range stm.files {
+		e := stm.files[i].engine
+		c.HashesSent += e.HashesSent
+		c.CandidatesFound += e.CandidatesSeen
+		c.MatchesConfirmed += e.MatchesConfirmed
+		c.BlockHashesComputed += e.BlockHashesComputed
+		c.BytesHashed += e.BytesHashed
+		c.CDCChunks += e.CDCChunks
+	}
+	c.FalseCandidates = c.CandidatesFound - c.MatchesConfirmed
+}
+
+// serveStreams is the holder's scheduler: every cycle sends one frame per
+// unfinished stream in one flush, then reads and absorbs the peer's answers.
+// FULL frames are a stream's last and go unanswered.
+func (s *session) serveStreams(streams []*serverStream, f framer, metrics *obs.Registry) error {
+	defer f.end()
+	live := len(streams)
+	closeStream := func(stm *serverStream) {
+		stm.harvest(s.costs)
+		stm.done = true
+		f.closed(stm.streamLink)
 		live--
 	}
-
-	cycle := 0
-	for live > 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("collection: session cancelled: %w", err)
+	outs := make([]*streamLink, 0, live)
+	waiting := make([]*streamLink, 0, live)
+	for cycle := 1; live > 0; cycle++ {
+		if err := s.cancelled(); err != nil {
+			return err
 		}
-		cycle++
-		st.begin(obs.PhaseRound, cycle)
-
-		cp, err := fr.ExpectFrame(wire.FrameCycle)
+		outs, waiting = outs[:0], waiting[:0]
+		rounds := 0
+		for _, stm := range streams {
+			if stm.done {
+				continue
+			}
+			stm.next()
+			outs = append(outs, stm.streamLink)
+			if stm.inner != wire.FrameFull {
+				waiting = append(waiting, stm.streamLink)
+			}
+			if stm.inner == wire.FrameRoundHashes || stm.inner == wire.FrameConfirm {
+				rounds++
+			}
+		}
+		f.begin(cycle, outs)
+		budget := s.handlerBudget(len(outs))
+		err := parallelFiles(s.cfg.Workers, len(outs), func(k int) error {
+			return streams[outs[k].id].build(budget)
+		})
+		if err != nil {
+			return s.fail(err)
+		}
+		if err = f.send(outs); err != nil {
+			return err
+		}
+		if len(waiting) < len(outs) {
+			err = s.flushAnswer() // the cycle carries a FULL: the answer to an ACK
+		} else {
+			err = s.flush()
+		}
 		if err != nil {
 			return err
 		}
-		n, err := wire.ParseCycle(cp)
+		for _, l := range outs {
+			if l.inner == wire.FrameFull {
+				stm := streams[l.id]
+				s.costs.FilesFull += len(stm.failed)
+				closeStream(stm)
+			}
+		}
+		if rounds >= 2 {
+			// Rounds that shared this cycle's flush instead of each paying
+			// their own roundtrip.
+			metrics.Counter(obs.MetricRoundsBatched).Add(int64(rounds))
+		}
+		if len(waiting) == 0 {
+			continue
+		}
+
+		ins, err := f.recv(waiting)
 		if err != nil {
 			return err
 		}
-		st.cost(costs, stats.S2C, stats.PhaseControl, len(cp))
-		if n == 0 || n > live {
-			return fmt.Errorf("collection: cycle of %d frames with %d live streams", n, live)
+		s.answered()
+		budget = s.handlerBudget(len(ins))
+		if err := parallelFiles(s.cfg.Workers, len(ins), func(k int) error {
+			return streams[ins[k].id].absorb(budget)
+		}); err != nil {
+			return s.fail(err)
 		}
-		frames := make([]wire.StreamFrame, n)
-		rawLens := make([]int, n)
-		seen := make(map[int]bool, n)
-		for k := 0; k < n; k++ {
-			sp, err := fr.ExpectFrame(wire.FrameStream)
-			if err != nil {
-				return err
+		for _, l := range ins {
+			if stm := streams[l.id]; stm.sent == wire.FrameDelta && len(stm.failed) == 0 {
+				closeStream(stm) // clean ACK
 			}
-			sf, err := wire.ParseStreamFrame(sp, len(streams))
-			if err != nil {
-				return err
-			}
-			if seen[sf.ID] || streams[sf.ID].done {
-				return fmt.Errorf("collection: unexpected frame for stream %d", sf.ID)
-			}
-			seen[sf.ID] = true
-			frames[k] = sf
-			rawLens[k] = len(sp)
 		}
+	}
+	return nil
+}
 
-		// Handle all received frames concurrently; each handler owns its
-		// stream's engines, byte attribution and cost accumulator.
-		if err := parallelFiles(workers, n, func(k int) error {
-			return streams[frames[k].ID].handle(frames[k], rawLens[k])
+// clientStream is one stream of a receiving session: the engines of its files,
+// what the delta phase left of them, and where fallback content lands.
+type clientStream struct {
+	*streamLink
+	// files are the stream's ack ordinals: its files with their engines, or,
+	// for the engine-less journal stream, the journal verdicts.
+	files   []clientFile
+	journal bool
+
+	acked   bool     // DELTA handled, ACK built
+	failed  []int    // ordinals whose content did not verify
+	results [][]byte // ApplyDelta output per file (nil where it failed)
+	fulls   [][]byte // FULL content per failed ordinal
+}
+
+// engines are the files the map and delta phases run over.
+func (cs *clientStream) engines() []clientFile {
+	if cs.journal {
+		return nil
+	}
+	return cs.files
+}
+
+// handle answers the frame in flight: it leaves the reply in flight, or none
+// after a FULL. It touches only the stream's own state, so the handlers of a
+// cycle run concurrently.
+func (cs *clientStream) handle(workers int) error {
+	inner, payload := cs.inner, cs.payload
+	cs.inner, cs.payload = 0, nil
+	switch {
+	case (inner == wire.FrameRoundHashes || inner == wire.FrameConfirm) && !cs.acked:
+		reply, err := cs.respond(workers, inner, payload)
+		if err != nil {
+			return err
+		}
+		cs.inner, cs.payload = wire.FrameRoundReply, reply
+	case inner == wire.FrameDelta && !cs.acked:
+		if err := cs.applyDeltas(workers, payload); err != nil {
+			return err
+		}
+		cs.buf.Reset()
+		cs.buf.Uvarint(uint64(len(cs.failed)))
+		for _, i := range cs.failed {
+			cs.buf.Uvarint(uint64(i))
+		}
+		cs.inner, cs.payload = wire.FrameAck, cs.buf.Build()
+		cs.acked = true
+		cs.done = len(cs.failed) == 0
+	case inner == wire.FrameFull && cs.acked && !cs.done:
+		// FULL answers the ACK: exactly the ordinals it listed, in order.
+		secs, err := parseSections(payload, len(cs.files), true)
+		if err != nil {
+			return err
+		}
+		if len(secs) != len(cs.failed) {
+			return fmt.Errorf("collection: full-transfer count mismatch")
+		}
+		cs.fulls = make([][]byte, len(secs))
+		for k, sec := range secs {
+			if sec.idx != cs.failed[k] {
+				return fmt.Errorf("%w: full transfer for %d, acked %d", errIndexList, sec.idx, cs.failed[k])
+			}
+			if cs.fulls[k], err = delta.Decompress(sec.body); err != nil {
+				return err
+			}
+			cs.files[sec.idx].bytes += int64(len(sec.body))
+		}
+		cs.done = true
+	default:
+		return fmt.Errorf("collection: stream %d: unexpected frame %s", cs.id, wire.FrameName(inner))
+	}
+	return nil
+}
+
+// applyDeltas handles a DELTA frame: one section per engine, applied across
+// workers; files whose whole-file check fails join the ack list.
+func (cs *clientStream) applyDeltas(workers int, payload []byte) error {
+	files := cs.engines()
+	dp := wire.NewParser(payload)
+	nd, err := dp.Uvarint()
+	if err != nil || nd != uint64(len(files)) {
+		return fmt.Errorf("collection: delta count mismatch")
+	}
+	sections := make([][]byte, len(files))
+	for i := range sections {
+		if sections[i], err = dp.Bytes(); err != nil {
+			return err
+		}
+		files[i].bytes += int64(len(sections[i]))
+	}
+	cs.results = make([][]byte, len(files))
+	verifyFailed := make([]bool, len(files))
+	err = parallelFiles(workers, len(files), func(i int) error {
+		data, err := files[i].engine.ApplyDelta(sections[i])
+		switch {
+		case err == nil:
+			cs.results[i] = data
+		case errors.Is(err, core.ErrVerifyFailed):
+			verifyFailed[i] = true
+		default:
+			return fmt.Errorf("collection: file %q: %w", files[i].path, err)
+		}
+		return nil
+	})
+	for i, bad := range verifyFailed {
+		if bad {
+			cs.failed = append(cs.failed, i)
+		}
+	}
+	return err
+}
+
+// commit writes a finished stream's outcome into the session's result.
+// Scheduler goroutine only: the result map is shared across streams.
+func (cs *clientStream) commit(res *Result) {
+	k := 0
+	for i, f := range cs.engines() {
+		if k < len(cs.failed) && cs.failed[k] == i {
+			k++
+		} else {
+			res.Files[f.path] = cs.results[i]
+		}
+		res.Costs.CDCChunks += f.engine.CDCChunks
+	}
+	for k, data := range cs.fulls {
+		res.Files[cs.files[cs.failed[k]].path] = data
+	}
+	res.Costs.FilesFull += len(cs.fulls)
+	for _, f := range cs.files {
+		res.PerFile[f.path] = f.bytes
+	}
+}
+
+// consumeStreams is the receiver's scheduler: every cycle reads the holder's
+// frames, handles them concurrently, replies in the order they came, and
+// commits the streams that finished — after a clean ACK went out, or after
+// the FULL fallback arrived.
+func (s *session) consumeStreams(streams []*clientStream, f framer, res *Result) error {
+	defer f.end()
+	live := len(streams)
+	outs := make([]*streamLink, 0, live)
+	for cycle := 1; live > 0; cycle++ {
+		if err := s.cancelled(); err != nil {
+			return err
+		}
+		f.begin(cycle, nil)
+		ins, err := f.recv(nil)
+		if err != nil {
+			return err
+		}
+		budget := s.handlerBudget(len(ins))
+		if err := parallelFiles(s.cfg.Workers, len(ins), func(k int) error {
+			return streams[ins[k].id].handle(budget)
 		}); err != nil {
 			return err
 		}
-
-		// Reply in cycle order (the order the server sent, so the reply
-		// bytes are deterministic for every worker count).
-		var outs []*clientStream
-		fullCycle := false
-		for k := 0; k < n; k++ {
-			stm := streams[frames[k].ID]
-			if stm.reply.inner != 0 {
-				outs = append(outs, stm)
+		outs = outs[:0]
+		for _, l := range ins {
+			if l.inner != 0 {
+				outs = append(outs, l)
 			}
-			if frames[k].Type == wire.FrameFull {
-				fullCycle = true
-			}
+		}
+		if len(outs) < len(ins) {
+			s.answered() // the cycle carried a FULL: the answer to our ACK
 		}
 		if len(outs) > 0 {
-			ccp := wire.EncodeCycle(len(outs))
-			if err := fw.WriteFrame(wire.FrameCycle, ccp); err != nil {
+			if err := f.send(outs); err != nil {
 				return err
 			}
-			st.cost(costs, stats.C2S, stats.PhaseControl, len(ccp))
-			for _, stm := range outs {
-				sfb.Reset()
-				wire.AppendStreamFrame(sfb, stm.id, stm.reply.inner, stm.reply.payload)
-				sp := sfb.Build()
-				if err := fw.WriteFrame(wire.FrameStream, sp); err != nil {
-					return err
-				}
-				stm.add(stats.C2S, muxPhase(stm.reply.inner), len(sp))
-			}
-			if err := fw.Flush(); err != nil {
+			if err := s.flushAnswer(); err != nil {
 				return err
 			}
-			costs.Roundtrips++
 		}
-		if fullCycle {
-			costs.Roundtrips++
-		}
-
-		// Commit finished streams single-threaded: a stream is done after a
-		// clean ACK went out, or after its FULL fallback arrived.
-		for k := 0; k < n; k++ {
-			stm := streams[frames[k].ID]
-			switch frames[k].Type {
-			case wire.FrameDelta:
-				if !stm.awaitingFull {
-					stm.commit(out)
-					closeStream(stm)
-				}
-			case wire.FrameFull:
-				stm.commit(out)
-				closeStream(stm)
+		for _, l := range ins {
+			if cs := streams[l.id]; cs.done {
+				cs.commit(res)
+				f.closed(l)
+				live--
 			}
 		}
 	}

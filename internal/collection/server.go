@@ -19,7 +19,6 @@ import (
 	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/store"
-	"msync/internal/transport"
 	"msync/internal/wire"
 )
 
@@ -111,10 +110,7 @@ func (s *Server) sessionState() (Source, []ManifestEntry, *merkle.TreeCache, err
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		entries := make([]merkle.Entry, len(m))
-		for i, e := range m {
-			entries[i] = merkle.Entry{Path: e.Path, Len: e.Len, Sum: e.Sum}
-		}
+		entries := merkleEntries(m)
 		s.manifest = m
 		fp := ManifestDigest(m)
 		if s.prevTree != nil {
@@ -180,360 +176,160 @@ func (s *Server) Serve(conn io.ReadWriter) (*stats.Costs, error) {
 // cancellation or a context deadline aborts the session at the next frame
 // boundary (interrupting blocked I/O when conn supports deadlines), and
 // RoundTimeout bounds every individual round.
-func (s *Server) ServeContext(ctx context.Context, conn io.ReadWriter) (*stats.Costs, error) {
-	sess := transport.NewSession(ctx, conn, s.RoundTimeout)
-	defer sess.Release()
+func (s *Server) ServeContext(ctx context.Context, conn io.ReadWriter) (_ *stats.Costs, err error) {
+	sess := openSession(ctx, conn, s.RoundTimeout, s.Tracer, s.Logger, "server")
+	defer func() { sess.close(err) }()
 	if s.HandshakeTimeout > 0 {
-		sess.SetPhaseDeadline(time.Now().Add(s.HandshakeTimeout))
+		sess.ts.SetPhaseDeadline(time.Now().Add(s.HandshakeTimeout))
 	}
-	costs := &stats.Costs{}
-	fr := wire.GetFrameReader(sess)
-	defer wire.PutFrameReader(fr)
-	fw := wire.GetFrameWriter(sess)
-	defer wire.PutFrameWriter(fw)
-	st := newSessTrace(s.Tracer, s.Logger, "server")
-
-	res, err := s.serveConn(ctx, sess, fr, fw, costs, st)
-	st.end(costs, err, fr, fw, sess.Stats())
-	return res, err
+	return sess.costs, s.serveConn(sess)
 }
 
 // serveConn runs the session body of ServeContext: handshake, role dispatch,
-// then serving (or consuming, for a push) the collection. sess carries the
-// handshake-phase deadline, lifted once the handshake is over.
-func (s *Server) serveConn(ctx context.Context, sess *transport.Session, fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, st *sessTrace) (*stats.Costs, error) {
-	fail := func(err error) (*stats.Costs, error) {
-		_ = fw.WriteFrame(wire.FrameError, []byte(err.Error()))
-		_ = fw.Flush()
-		return costs, err
-	}
+// then serving (or consuming, for a push) the collection. The session carries
+// the handshake-phase deadline, lifted once the handshake is over.
+func (s *Server) serveConn(sess *session) error {
+	sess.holder = true
 
 	// HELLO.
-	hello, err := fr.ExpectFrame(wire.FrameHello)
+	hello, err := sess.fr.ExpectFrame(wire.FrameHello)
 	if err != nil {
-		return costs, err
+		return err
 	}
-	st.cost(costs, stats.C2S, stats.PhaseControl, len(hello))
+	sess.cost(stats.C2S, stats.PhaseControl, len(hello))
 	hp := wire.NewParser(hello)
 	ver, err := hp.Uvarint()
 	if err != nil || ver != protocolVersion {
-		return fail(fmt.Errorf("collection: unsupported protocol version"))
+		return sess.fail(fmt.Errorf("collection: unsupported protocol version"))
 	}
 	role, err := hp.Byte()
 	if err != nil {
-		return fail(fmt.Errorf("collection: missing role"))
+		return sess.fail(fmt.Errorf("collection: missing role"))
 	}
-	mode, err := hp.Byte()
-	if err != nil {
-		return fail(fmt.Errorf("collection: missing manifest mode"))
+	if sess.mode, err = hp.Byte(); err != nil {
+		return sess.fail(fmt.Errorf("collection: missing manifest mode"))
 	}
-	announce, muxReq, treeCaps, mapMode := parseHelloExtensions(hp)
-	if role == rolePush {
+	switch role {
+	case rolePush:
 		// The remote side holds the newer data and plays the serving role;
 		// we consume the session and adopt the result.
 		if !s.AllowPush {
-			return fail(fmt.Errorf("collection: push not allowed"))
+			return sess.fail(fmt.Errorf("collection: push not allowed"))
 		}
 		// The pusher has identified itself and committed to a transfer; the
 		// anti-loris guard has done its job.
-		sess.SetPhaseDeadline(time.Time{})
-		src := s.source()
-		acct := beginAccounting(src)
-		res, err := consume(ctx, fr, fw, costs, src, false, mode == modeTree, false, s.cfg.Workers, 0, 0, nil, st)
-		acct.finish(costs)
+		sess.ts.SetPhaseDeadline(time.Time{})
+		sess.holder = false
+		sess.src = s.source()
+		sess.cfg.Workers = s.cfg.Workers
+		acct := beginAccounting(sess.src)
+		res, err := sess.consume(false, nil)
+		acct.finish(sess.costs)
 		if err != nil {
-			return costs, err
+			return err
 		}
 		s.setFiles(res.Files)
 		if s.OnUpdate != nil {
 			s.OnUpdate(res.Files)
 		}
-		return costs, nil
+		return nil
+	case rolePull:
+		sess.ext = parseHelloExts(hp)
+		if sess.ext.mux > s.MuxStreams {
+			sess.ext.mux = s.MuxStreams // 0 when the server refuses multiplexing
+		}
+		return s.serve(sess)
 	}
-	if role != rolePull {
-		return fail(fmt.Errorf("collection: unknown role %d", role))
-	}
-	if muxReq > s.MuxStreams {
-		muxReq = s.MuxStreams // 0 when the server refuses multiplexing
-	}
-	return s.serveSession(ctx, sess, fr, fw, costs, fail, mode, announce, muxReq, treeCaps, mapMode, st)
+	return sess.fail(fmt.Errorf("collection: unknown role %d", role))
 }
 
-// parseHelloExtensions reads the optional extension trailer after the mode
-// byte and returns the announced version (-1: none), the requested mux
-// stream width (0: none), the requested tree capabilities (masked to the
-// bits this server implements), and the requested map-construction mode
-// (MapHalving: none). A malformed trailer is treated as absent —
-// extensions are an optimization hint, never a reason to fail a session.
-func parseHelloExtensions(hp *wire.Parser) (announce int64, mux int, treeCaps byte, mapMode core.MapMode) {
-	announce = int64(-1)
-	if hp.Remaining() == 0 {
-		return announce, 0, 0, core.MapHalving
-	}
-	n, err := hp.Uvarint()
-	if err != nil {
-		return announce, 0, 0, core.MapHalving
-	}
-	for i := uint64(0); i < n; i++ {
-		id, err := hp.Uvarint()
-		if err != nil {
-			return announce, mux, treeCaps, mapMode
-		}
-		ext, err := hp.Bytes()
-		if err != nil {
-			return announce, mux, treeCaps, mapMode
-		}
-		switch id {
-		case helloExtVersion:
-			if v, err := wire.NewParser(ext).Uvarint(); err == nil {
-				announce = int64(v)
-			}
-		case helloExtMux:
-			if v, err := wire.NewParser(ext).Uvarint(); err == nil && v > 0 {
-				if v > wire.MaxStreams {
-					v = wire.MaxStreams
-				}
-				mux = int(v)
-			}
-		case helloExtTree:
-			if v, err := wire.NewParser(ext).Uvarint(); err == nil {
-				treeCaps = byte(v) & (treeCapSpec | treeCapCross)
-			}
-		case helloExtMapMode:
-			if v, err := wire.NewParser(ext).Uvarint(); err == nil {
-				mapMode = core.MapMode(v)
-			}
-		}
-	}
-	return announce, mux, treeCaps, mapMode
-}
-
-// serveSession runs the serving role after the handshake header, checking
-// ctx at every round boundary. sess may be nil (outbound push: no admission
-// guard to lift). announce is the client's hello-announced store version
-// (-1: absent); it only matters when the source is versioned. mux is the
-// granted stream width (0: legacy lockstep session); a journal hit or a
-// session without sync engines falls back to legacy regardless. treeCaps is
-// the client's requested tree-mode capability mask (already limited to what
-// this server implements). mapMode is the client's requested
-// map-construction mode; granting it is this server's call, made here by
-// building the session config the engines (and the shipped config) use.
-func (s *Server) serveSession(ctx context.Context, sess *transport.Session, fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, fail func(error) (*stats.Costs, error), mode byte, announce int64, mux int, treeCaps byte, mapMode core.MapMode, st *sessTrace) (*stats.Costs, error) {
+// serve runs the serving role after the handshake header: change detection
+// and verdicts in the hello's manifest mode, then the per-file phases. The
+// hello's extensions are requests: the announced store version only matters
+// when the source is versioned; the stream width is what this server would
+// grant (a journal hit or a session without sync engines runs one bare stream
+// regardless); the map mode is granted here, by building the session config
+// the engines (and the shipped config) use.
+func (s *Server) serve(sess *session) error {
 	// The session config starts from the server's: a granted map mode is
 	// the only per-session deviation, and an unusable request (unknown
 	// mode, or chunker parameters the config cannot support) degrades to
 	// halving rather than failing the session.
-	sessCfg := s.cfg
-	if mapMode != core.MapHalving {
-		sessCfg.MapMode = mapMode
-		if sessCfg.Validate() != nil {
-			sessCfg.MapMode = core.MapHalving
+	sess.cfg = s.cfg
+	if sess.ext.mapMode != core.MapHalving {
+		sess.cfg.MapMode = sess.ext.mapMode
+		if sess.cfg.Validate() != nil {
+			sess.cfg.MapMode = core.MapHalving
 		}
 	}
-	st.setMode(sessCfg.MapMode)
+	sess.st.setMode(sess.cfg.MapMode)
 	// Accounting must start before sessionState so a first session's
 	// manifest build (cache misses, streamed hashing) is attributed to it.
 	acct := beginAccounting(s.source())
-	defer acct.finish(costs)
+	defer acct.finish(sess.costs)
 	src, serverManifest, mtree, err := s.sessionState()
 	if err != nil {
-		return fail(err)
+		return sess.fail(err)
 	}
-	sbuf := wire.GetBuffer(4096) // session scratch for every frame we assemble
-	defer wire.PutBuffer(sbuf)
+	sess.src = src
 
-	var engines []syncFile
-	var jfiles []journalFile
-	var muxCounts []int
-	switch mode {
+	var work serverWork
+	switch sess.mode {
 	case modeManifest:
-		engines, jfiles, muxCounts, err = s.manifestHandshake(fr, fw, costs, &sessCfg, src, serverManifest, sbuf, announce, mux, st)
+		work, err = sess.manifestHandshake(serverManifest)
 	case modeTree:
-		engines, muxCounts, err = s.treeHandshake(fr, fw, costs, &sessCfg, src, mtree, sbuf, mux, treeCaps, st)
+		work, err = sess.treeHandshake(mtree)
 	default:
-		err = fmt.Errorf("collection: unknown manifest mode %d", mode)
+		err = fmt.Errorf("collection: unknown manifest mode %d", sess.mode)
 	}
 	if err != nil {
-		return fail(err)
+		return sess.fail(err)
 	}
-	if sess != nil {
-		// Verdicts are out: the client is real and transfer has begun, so
-		// the handshake deadline no longer applies.
-		sess.SetPhaseDeadline(time.Time{})
+	// Verdicts are out: the client is real and transfer has begun, so the
+	// handshake deadline no longer applies.
+	sess.ts.SetPhaseDeadline(time.Time{})
+	if sess.cfg.MapMode == core.MapCDC {
+		sess.costs.FilesCDC += len(work.engines)
 	}
-	if sessCfg.MapMode == core.MapCDC {
-		costs.FilesCDC += len(engines)
+	return s.serveFiles(sess, work)
+}
+
+// serveFiles runs the per-file phases over work: one stream per MUX_ACK
+// partition, or one bare stream over everything — which after a journal hit
+// has no engines: its ack ordinals are the journal verdicts, answered from
+// stored version content.
+func (s *Server) serveFiles(sess *session, work serverWork) error {
+	counts := work.counts
+	if counts == nil {
+		counts = []int{len(work.engines)}
 	}
-	if len(muxCounts) > 0 {
-		// The MUX_ACK went out with the verdicts: stream-multiplexed phases
-		// replace the lockstep loop below.
-		return s.serveMux(ctx, sess, fr, fw, costs, fail, engines, muxCounts, st)
+	var gauge *obs.Gauge
+	if work.counts != nil {
+		gauge = s.Metrics.Gauge(obs.MetricStreamsActive)
 	}
-
-	// Map-construction rounds, multiplexed across all sync files.
-	round := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return costs, fmt.Errorf("collection: session cancelled: %w", err)
-		}
-		var active []int
-		for i := range engines {
-			if engines[i].engine.Active() {
-				active = append(active, i)
-			}
-		}
-		if len(active) == 0 {
-			break
-		}
-		round++
-		st.begin(obs.PhaseRound, round)
-		sections := make([][]byte, len(active))
-		parallelFiles(s.cfg.Workers, len(active), func(k int) error {
-			sections[k] = engines[active[k]].engine.EmitHashes()
-			return nil
-		})
-		sbuf.Reset()
-		sbuf.Uvarint(uint64(len(active)))
-		for k, i := range active {
-			sbuf.Uvarint(uint64(i))
-			sbuf.Bytes(sections[k])
-		}
-		payload := sbuf.Build()
-		if err := fw.WriteFrame(wire.FrameRoundHashes, payload); err != nil {
-			return costs, err
-		}
-		if err := fw.Flush(); err != nil {
-			return costs, err
-		}
-		st.cost(costs, stats.S2C, stats.PhaseMap, len(payload))
-
-		reply, err := fr.ExpectFrame(wire.FrameRoundReply)
-		if err != nil {
-			return costs, err
-		}
-		st.cost(costs, stats.C2S, stats.PhaseMap, len(reply))
-		costs.Roundtrips++
-		pending, err := s.absorbReplies(engines, reply, true)
-		if err != nil {
-			return fail(err)
-		}
-
-		for len(pending) > 0 {
-			st.begin(obs.PhaseVerify, round)
-			sbuf.Reset()
-			sbuf.Uvarint(uint64(len(pending)))
-			for _, i := range pending {
-				sbuf.Uvarint(uint64(i))
-				sbuf.Bytes(engines[i].engine.EmitConfirm())
-			}
-			cp := sbuf.Build()
-			if err := fw.WriteFrame(wire.FrameConfirm, cp); err != nil {
-				return costs, err
-			}
-			if err := fw.Flush(); err != nil {
-				return costs, err
-			}
-			st.cost(costs, stats.S2C, stats.PhaseMap, len(cp))
-
-			batch, err := fr.ExpectFrame(wire.FrameRoundReply)
+	f, links := sess.newFramer(len(counts), work.counts != nil, gauge, s.RoundTimeout)
+	streams := make([]*serverStream, len(counts))
+	off := 0
+	for k, c := range counts {
+		files := work.engines[off : off+c]
+		// The exact bytes the engine synced from, so a fallback is always
+		// consistent with the session even if the source changed.
+		streams[k] = &serverStream{streamLink: &links[k], files: files, nAck: c,
+			full: func(i int) ([]byte, error) { return files[i].data, nil }}
+		off += c
+	}
+	if jf := work.journal; len(jf) > 0 {
+		vs := sess.src.(VersionedSource)
+		streams[0].nAck = len(jf)
+		streams[0].full = func(i int) ([]byte, error) {
+			data, err := vs.VersionContent(jf[i].sum)
 			if err != nil {
-				return costs, err
+				return nil, fmt.Errorf("collection: journal fallback %q: %w", jf[i].path, err)
 			}
-			st.cost(costs, stats.C2S, stats.PhaseMap, len(batch))
-			costs.Roundtrips++
-			pending, err = s.absorbReplies(engines, batch, false)
-			if err != nil {
-				return fail(err)
-			}
+			return data, nil
 		}
 	}
-
-	// Delta phase: one section per sync file.
-	st.begin(obs.PhaseDelta, 0)
-	deltaSections := make([][]byte, len(engines))
-	parallelFiles(s.cfg.Workers, len(engines), func(i int) error {
-		deltaSections[i] = engines[i].engine.EmitDelta()
-		return nil
-	})
-	sbuf.Reset()
-	sbuf.Uvarint(uint64(len(engines)))
-	for i := range engines {
-		sbuf.Bytes(deltaSections[i])
-	}
-	dp := sbuf.Build()
-	if err := fw.WriteFrame(wire.FrameDelta, dp); err != nil {
-		return costs, err
-	}
-	if err := fw.Flush(); err != nil {
-		return costs, err
-	}
-	st.cost(costs, stats.S2C, stats.PhaseDelta, len(dp))
-
-	// ACK lists files whose whole-file check failed; send them in full.
-	ack, err := fr.ExpectFrame(wire.FrameAck)
-	if err != nil {
-		return costs, err
-	}
-	st.cost(costs, stats.C2S, stats.PhaseControl, len(ack))
-	costs.Roundtrips++
-	ap := wire.NewParser(ack)
-	nFail, err := ap.Uvarint()
-	if err != nil {
-		return fail(err)
-	}
-	if nFail > 0 {
-		st.begin(obs.PhaseFull, 0)
-		nAcked := len(engines)
-		if len(jfiles) > 0 {
-			// Journal sessions run no engines: ack indexes are ordinals into
-			// the journal-file list, answered from stored version content.
-			nAcked = len(jfiles)
-		}
-		vs, _ := src.(VersionedSource)
-		sbuf.Reset()
-		sbuf.Uvarint(nFail)
-		for k := uint64(0); k < nFail; k++ {
-			idx, err := ap.Uvarint()
-			if err != nil || int(idx) >= nAcked {
-				return fail(fmt.Errorf("collection: bad ack index"))
-			}
-			sbuf.Uvarint(idx)
-			if len(jfiles) > 0 {
-				data, err := vs.VersionContent(jfiles[idx].sum)
-				if err != nil {
-					return fail(fmt.Errorf("collection: journal fallback %q: %w", jfiles[idx].path, err))
-				}
-				sbuf.Bytes(delta.Compress(data))
-			} else {
-				// Send the exact bytes the engine synced from, so a fallback
-				// is always consistent with the session even if the source
-				// changed.
-				sbuf.Bytes(delta.Compress(engines[idx].data))
-			}
-			costs.FilesFull++
-		}
-		fp := sbuf.Build()
-		if err := fw.WriteFrame(wire.FrameFull, fp); err != nil {
-			return costs, err
-		}
-		if err := fw.Flush(); err != nil {
-			return costs, err
-		}
-		st.cost(costs, stats.S2C, stats.PhaseFull, len(fp))
-		costs.Roundtrips++
-	}
-
-	for i := range engines {
-		e := engines[i].engine
-		costs.HashesSent += e.HashesSent
-		costs.CandidatesFound += e.CandidatesSeen
-		costs.MatchesConfirmed += e.MatchesConfirmed
-		costs.BlockHashesComputed += e.BlockHashesComputed
-		costs.BytesHashed += e.BytesHashed
-		costs.CDCChunks += e.CDCChunks
-	}
-	costs.FalseCandidates = costs.CandidatesFound - costs.MatchesConfirmed
-	return costs, nil
+	return sess.serveStreams(streams, f, s.Metrics)
 }
 
 // Push updates a remote replica over conn with this server's (newer)
@@ -546,42 +342,23 @@ func (s *Server) Push(conn io.ReadWriter) (*stats.Costs, error) {
 
 // PushContext runs Push under ctx, with the same cancellation and
 // round-timeout semantics as ServeContext.
-func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (*stats.Costs, error) {
-	sess := transport.NewSession(ctx, conn, s.RoundTimeout)
-	defer sess.Release()
-	costs := &stats.Costs{}
-	fr := wire.NewFrameReader(sess)
-	fw := wire.NewFrameWriter(sess)
-	st := newSessTrace(s.Tracer, s.Logger, "server")
-
-	res, err := func() (*stats.Costs, error) {
-		hb := wire.NewBuffer(8)
-		hb.Uvarint(protocolVersion)
-		hb.Byte(rolePush)
-		mode := byte(modeManifest)
-		if s.TreeManifest {
-			mode = modeTree
-		}
-		hb.Byte(mode)
-		if err := fw.WriteFrame(wire.FrameHello, hb.Build()); err != nil {
-			return costs, err
-		}
-		if err := fw.Flush(); err != nil {
-			return costs, err
-		}
-		st.cost(costs, stats.C2S, stats.PhaseControl, hb.Len())
-
-		fail := func(err error) (*stats.Costs, error) {
-			_ = fw.WriteFrame(wire.FrameError, []byte(err.Error()))
-			_ = fw.Flush()
-			return costs, err
-		}
-		// Push receivers never request multiplexing or tree extensions, so
-		// none are granted.
-		return s.serveSession(ctx, nil, fr, fw, costs, fail, mode, -1, 0, 0, core.MapHalving, st)
-	}()
-	st.end(costs, err, fr, fw, sess.Stats())
-	return res, err
+func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (_ *stats.Costs, err error) {
+	sess := openSession(ctx, conn, s.RoundTimeout, s.Tracer, s.Logger, "server")
+	defer func() { sess.close(err) }()
+	sess.holder = true
+	sess.mode = modeManifest
+	if s.TreeManifest {
+		sess.mode = modeTree
+	}
+	// Push receivers never request multiplexing or tree extensions, so the
+	// hello carries none and none are granted.
+	if err := sess.sendHello(rolePush); err != nil {
+		return sess.costs, err
+	}
+	if err := sess.flush(); err != nil {
+		return sess.costs, err
+	}
+	return sess.costs, s.serve(sess)
 }
 
 // journalFile is one verdictJournal entry of a journal session, in verdict
@@ -589,8 +366,15 @@ func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (*stats.Co
 // a normal session references its engines.
 type journalFile struct {
 	path string
-	len  int
 	sum  [16]byte
+}
+
+// serverWork is what a handshake leaves for the per-file phases: engines for
+// the files to map, or — never both — the journal verdicts of a journal hit.
+type serverWork struct {
+	engines []syncFile
+	journal []journalFile
+	counts  []int // the granted stream partition sent as MUX_ACK; nil: one bare stream
 }
 
 // manifestHandshake runs the flat-manifest handshake: read the client's
@@ -599,37 +383,34 @@ type journalFile struct {
 // precomputed journal delta replaces map construction entirely (journal
 // verdicts carry the payloads inline); any miss falls back to the normal
 // path and only appends the server's current version to the verdict frame.
-func (s *Server) manifestHandshake(fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, cfg *core.Config, src Source, serverManifest []ManifestEntry, vb *wire.Buffer, announce int64, mux int, st *sessTrace) ([]syncFile, []journalFile, []int, error) {
-	manifestRaw, err := fr.ExpectFrame(wire.FrameManifest)
+func (s *session) manifestHandshake(serverManifest []ManifestEntry) (work serverWork, err error) {
+	manifestRaw, err := s.expect(wire.FrameManifest, stats.PhaseControl)
 	if err != nil {
-		return nil, nil, nil, err
+		return work, err
 	}
-	st.cost(costs, stats.C2S, stats.PhaseControl, len(manifestRaw))
 	manifest, err := decodeManifest(manifestRaw)
 	if err != nil {
-		return nil, nil, nil, err
+		return work, err
 	}
 
-	vs, versioned := src.(VersionedSource)
-	if announce >= 0 && versioned {
-		if vd, ok := vs.VersionDelta(uint64(announce), md4.Sum(manifestRaw), ManifestDigest(serverManifest)); ok {
+	vs, versioned := s.src.(VersionedSource)
+	versioned = versioned && s.ext.announce >= 0
+	if versioned {
+		if vd, ok := vs.VersionDelta(uint64(s.ext.announce), md4.Sum(manifestRaw), ManifestDigest(serverManifest)); ok {
 			// A journal hit runs no engines, so there is nothing to
-			// multiplex: no MUX_ACK, legacy session shape.
-			costs.JournalHits++
-			jfiles, err := s.journalVerdicts(fw, costs, cfg, manifest, vd, vb, st)
-			return nil, jfiles, nil, err
+			// multiplex: no MUX_ACK, one bare stream.
+			s.costs.JournalHits++
+			work.journal, err = s.journalVerdicts(manifest, vd)
+			return work, err
 		}
-		costs.JournalMisses++
+		s.costs.JournalMisses++
 	}
 
 	serverByPath := make(map[string]int, len(serverManifest))
 	for i, e := range serverManifest {
 		serverByPath[e.Path] = i
 	}
-	vb.Reset()
-	vb.Bytes(encodeConfig(cfg))
-	vb.Uvarint(uint64(len(manifest)))
-	var engines []syncFile
+	vb := s.beginVerdicts(uint64(len(manifest)))
 	seen := make(map[string]bool, len(manifest))
 	fullBytes := 0
 	for _, e := range manifest {
@@ -642,24 +423,20 @@ func (s *Server) manifestHandshake(fr *wire.FrameReader, fw *wire.FrameWriter, c
 		se := serverManifest[si]
 		if se.Len == e.Len && se.Sum == e.Sum {
 			vb.Byte(verdictUnchanged)
-			costs.FilesUnchanged++
+			s.costs.FilesUnchanged++
 			continue
 		}
-		data, err := src.Load(e.Path)
+		data, err := s.src.Load(e.Path)
 		if errors.Is(err, fs.ErrNotExist) {
 			// Vanished since the manifest was built; treat as deleted.
 			vb.Byte(verdictDelete)
 			continue
 		}
 		if err != nil {
-			return nil, nil, nil, err
+			return work, err
 		}
-		eng, err := s.emitChangedVerdict(vb, cfg, src, e.Path, data, costs, &fullBytes)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if eng != nil {
-			engines = append(engines, syncFile{e.Path, eng, data})
+		if work.engines, err = s.changedVerdict(work.engines, e.Path, data, &fullBytes); err != nil {
+			return work, err
 		}
 	}
 	// New files (on the server, absent at the client), sorted manifest order.
@@ -669,12 +446,12 @@ func (s *Server) manifestHandshake(fr *wire.FrameReader, fw *wire.FrameWriter, c
 		if seen[e.Path] {
 			continue
 		}
-		data, err := src.Load(e.Path)
+		data, err := s.src.Load(e.Path)
 		if errors.Is(err, fs.ErrNotExist) {
 			continue // vanished since the manifest was built
 		}
 		if err != nil {
-			return nil, nil, nil, err
+			return work, err
 		}
 		newPaths = append(newPaths, e.Path)
 		newComp = append(newComp, delta.Compress(data))
@@ -684,18 +461,15 @@ func (s *Server) manifestHandshake(fr *wire.FrameReader, fw *wire.FrameWriter, c
 		vb.String(p)
 		vb.Bytes(newComp[i])
 		fullBytes += len(newComp[i])
-		costs.FilesFull++
+		s.costs.FilesFull++
 	}
-	if announce >= 0 && versioned {
+	if versioned {
 		// The announcing client learns the server's current version even on
 		// a journal miss, so its next sync can announce something useful.
 		vb.Uvarint(vs.CurrentVersion())
 	}
-	muxCounts := muxPartition(engines, mux)
-	if err := s.sendVerdicts(fw, costs, vb.Build(), fullBytes, 0, muxCounts, st); err != nil {
-		return nil, nil, nil, err
-	}
-	return engines, nil, muxCounts, nil
+	work.counts = muxPartition(work.engines, s.ext.mux)
+	return work, s.sendVerdicts(vb.Build(), fullBytes, 0, work.counts)
 }
 
 // journalVerdicts answers an announced client from a precomputed journal
@@ -703,17 +477,15 @@ func (s *Server) manifestHandshake(fr *wire.FrameReader, fw *wire.FrameWriter, c
 // (the journal verdict carries the delta payload inline), adds ride in the
 // new-files trailer, and the current version is appended. No engines run —
 // the whole transfer happens in this one frame plus the empty delta round.
-func (s *Server) journalVerdicts(fw *wire.FrameWriter, costs *stats.Costs, cfg *core.Config, clientManifest []ManifestEntry, vd *store.Delta, vb *wire.Buffer, st *sessTrace) ([]journalFile, error) {
-	vb.Reset()
-	vb.Bytes(encodeConfig(cfg))
-	vb.Uvarint(uint64(len(clientManifest)))
+func (s *session) journalVerdicts(clientManifest []ManifestEntry, vd *store.Delta) ([]journalFile, error) {
+	vb := s.beginVerdicts(uint64(len(clientManifest)))
 	var jfiles []journalFile
 	fullBytes, deltaBytes := 0, 0
 	for _, e := range clientManifest {
 		ch, ok := vd.Changes[e.Path]
 		if !ok {
 			vb.Byte(verdictUnchanged)
-			costs.FilesUnchanged++
+			s.costs.FilesUnchanged++
 			continue
 		}
 		switch ch.Op {
@@ -725,8 +497,8 @@ func (s *Server) journalVerdicts(fw *wire.FrameWriter, costs *stats.Costs, cfg *
 			vb.Raw(ch.Sum[:])
 			vb.Bytes(ch.Payload)
 			deltaBytes += len(ch.Payload)
-			jfiles = append(jfiles, journalFile{e.Path, ch.Len, ch.Sum})
-			costs.FilesJournal++
+			jfiles = append(jfiles, journalFile{e.Path, ch.Sum})
+			s.costs.FilesJournal++
 		default:
 			// An add for a path the client's digest-matched manifest already
 			// holds cannot happen; fail loudly rather than desynchronize.
@@ -739,147 +511,137 @@ func (s *Server) journalVerdicts(fw *wire.FrameWriter, costs *stats.Costs, cfg *
 		vb.String(p)
 		vb.Bytes(ch.Payload)
 		fullBytes += len(ch.Payload)
-		costs.FilesFull++
+		s.costs.FilesFull++
 	}
 	vb.Uvarint(vd.Current)
-	if err := s.sendVerdicts(fw, costs, vb.Build(), fullBytes, deltaBytes, nil, st); err != nil {
-		return nil, err
-	}
-	return jfiles, nil
+	return jfiles, s.sendVerdicts(vb.Build(), fullBytes, deltaBytes, nil)
 }
 
 // treeHandshake runs merkle reconciliation, then answers the client's WANT
-// list with verdicts for exactly those files. caps is the client's requested
-// tree capability mask; anything we grant is announced with a TREE_ACK sent
-// before the first TREE reply (same flush, no extra roundtrip). With caps ==
-// 0 the exchange is byte-identical to a pre-extension session.
-func (s *Server) treeHandshake(fr *wire.FrameReader, fw *wire.FrameWriter, costs *stats.Costs, cfg *core.Config, src Source, mtree *merkle.TreeCache, vb *wire.Buffer, mux int, caps byte, st *sessTrace) ([]syncFile, []int, error) {
+// list with verdicts for exactly those files. Whatever this server grants of
+// the tree capabilities the hello requested is announced with a TREE_ACK sent
+// before the first TREE reply (same flush, no extra roundtrip). With none
+// requested the exchange is byte-identical to a pre-extension session.
+func (s *session) treeHandshake(mtree *merkle.TreeCache) (work serverWork, err error) {
 	resp := merkle.NewResponderCached(mtree)
-	granted := caps & (treeCapSpec | treeCapCross)
+	granted := s.ext.treeCaps
 	resp.Speculative = granted&treeCapSpec != 0
-	ackPending := granted != 0
 
 	var want []byte
-	round := 0
-	for want == nil {
-		ft, payload, err := fr.ReadFrame()
+	for round := 0; want == nil; {
+		ft, payload, err := s.read()
 		if err != nil {
-			return nil, nil, err
+			return work, err
 		}
 		switch ft {
 		case wire.FrameTree:
 			round++
-			st.begin(obs.PhaseTree, round)
-			st.cost(costs, stats.C2S, stats.PhaseControl, len(payload))
+			s.st.begin(obs.PhaseTree, round)
+			s.cost(stats.C2S, stats.PhaseControl, len(payload))
 			reply, err := resp.Respond(payload)
 			if err != nil {
-				return nil, nil, err
+				return work, err
 			}
-			if ackPending {
-				ackPending = false
-				ab := wire.NewBuffer(2)
-				ab.Uvarint(uint64(granted))
-				if err := fw.WriteFrame(wire.FrameTreeAck, ab.Build()); err != nil {
-					return nil, nil, err
+			if round == 1 && granted != 0 {
+				if err := s.send(wire.FrameTreeAck, wire.AppendUvarint(nil, uint64(granted)), stats.PhaseControl); err != nil {
+					return work, err
 				}
-				st.cost(costs, stats.S2C, stats.PhaseControl, ab.Len())
 			}
-			if err := fw.WriteFrame(wire.FrameTree, reply); err != nil {
-				return nil, nil, err
+			if err := s.send(wire.FrameTree, reply, stats.PhaseControl); err != nil {
+				return work, err
 			}
-			if err := fw.Flush(); err != nil {
-				return nil, nil, err
+			if err := s.flushAnswer(); err != nil {
+				return work, err
 			}
-			st.cost(costs, stats.S2C, stats.PhaseControl, len(reply))
-			costs.Roundtrips++
-			costs.TreeRounds++
+			s.costs.TreeRounds++
 		case wire.FrameWant:
-			st.cost(costs, stats.C2S, stats.PhaseControl, len(payload))
+			s.cost(stats.C2S, stats.PhaseControl, len(payload))
 			want = payload
 		default:
-			return nil, nil, fmt.Errorf("collection: unexpected frame %s during reconciliation", wire.FrameName(ft))
+			return work, fmt.Errorf("collection: unexpected frame %s during reconciliation", wire.FrameName(ft))
 		}
 	}
-	st.begin(obs.PhaseHandshake, 0)
+	s.st.begin(obs.PhaseHandshake, 0)
 
 	wp := wire.NewParser(want)
 	n, err := wp.Uvarint()
 	if err != nil {
-		return nil, nil, err
+		return work, err
 	}
-	vb.Reset()
-	vb.Bytes(encodeConfig(cfg))
-	vb.Uvarint(n)
-	var engines []syncFile
+	vb := s.beginVerdicts(n)
 	fullBytes := 0
 	for k := uint64(0); k < n; k++ {
 		path, err := wp.String()
 		if err != nil {
-			return nil, nil, err
+			return work, err
 		}
 		have, err := wp.Byte()
 		if err != nil {
-			return nil, nil, err
+			return work, err
 		}
-		data, err := src.Load(path)
+		data, err := s.src.Load(path)
 		if errors.Is(err, fs.ErrNotExist) {
 			vb.Byte(verdictDelete)
 			continue
 		}
 		if err != nil {
-			return nil, nil, err
+			return work, err
 		}
 		if have == wantAbsent {
-			vb.Byte(verdictFull)
-			comp := delta.Compress(data)
-			vb.Bytes(comp)
-			fullBytes += len(comp)
-			costs.FilesFull++
+			s.fullVerdict(data, &fullBytes)
 			continue
 		}
 		if have == wantAltBasis {
 			// The client syncs against an alternate local basis; the map
 			// protocol is basis-agnostic, so the serving side is unchanged.
-			costs.FilesRebased++
+			s.costs.FilesRebased++
 		}
-		eng, err := s.emitChangedVerdict(vb, cfg, src, path, data, costs, &fullBytes)
-		if err != nil {
-			return nil, nil, err
-		}
-		if eng != nil {
-			engines = append(engines, syncFile{path, eng, data})
+		if work.engines, err = s.changedVerdict(work.engines, path, data, &fullBytes); err != nil {
+			return work, err
 		}
 	}
 	vb.Uvarint(0) // no trailing new-file section in tree mode
-	muxCounts := muxPartition(engines, mux)
-	if err := s.sendVerdicts(fw, costs, vb.Build(), fullBytes, 0, muxCounts, st); err != nil {
-		return nil, nil, err
-	}
-	return engines, muxCounts, nil
+	work.counts = muxPartition(work.engines, s.ext.mux)
+	return work, s.sendVerdicts(vb.Build(), fullBytes, 0, work.counts)
 }
 
-// emitChangedVerdict writes the verdict for a changed file the client holds:
-// small files go whole, larger ones get a sync engine. The announced length
-// and the engine both come from the same data snapshot, so the two sides can
-// never disagree even if the underlying file mutates mid-session.
-func (s *Server) emitChangedVerdict(vb *wire.Buffer, cfg *core.Config, src Source, path string, data []byte, costs *stats.Costs, fullBytes *int) (*core.ServerFile, error) {
+// beginVerdicts starts the verdict frame in the session scratch: the session
+// config, then the number of per-path verdicts that follow.
+func (s *session) beginVerdicts(n uint64) *wire.Buffer {
+	s.buf.Reset()
+	s.buf.Bytes(encodeConfig(&s.cfg))
+	s.buf.Uvarint(n)
+	return s.buf
+}
+
+// fullVerdict writes the verdict that ships a file whole.
+func (s *session) fullVerdict(data []byte, fullBytes *int) {
+	s.buf.Byte(verdictFull)
+	comp := delta.Compress(data)
+	s.buf.Bytes(comp)
+	*fullBytes += len(comp)
+	s.costs.FilesFull++
+}
+
+// changedVerdict writes the verdict for a changed file the client holds:
+// small files go whole, larger ones get a sync engine, appended to engines.
+// The announced length and the engine both come from the same data snapshot,
+// so the two sides can never disagree even if the underlying file mutates
+// mid-session.
+func (s *session) changedVerdict(engines []syncFile, path string, data []byte, fullBytes *int) ([]syncFile, error) {
 	if len(data) < s.cfg.MinBlockSize*2 {
-		vb.Byte(verdictFull)
-		comp := delta.Compress(data)
-		vb.Bytes(comp)
-		*fullBytes += len(comp)
-		costs.FilesFull++
-		return nil, nil
+		s.fullVerdict(data, fullBytes)
+		return engines, nil
 	}
-	vb.Byte(verdictSync)
-	vb.Uvarint(uint64(len(data)))
-	eng, err := core.NewServerFile(data, cfg)
+	s.buf.Byte(verdictSync)
+	s.buf.Uvarint(uint64(len(data)))
+	eng, err := core.NewServerFile(data, &s.cfg)
 	if err != nil {
-		return nil, err
+		return engines, err
 	}
-	eng.UseSignature(src.Signature(path))
-	costs.FilesSynced++
-	return eng, nil
+	eng.UseSignature(s.src.Signature(path))
+	s.costs.FilesSynced++
+	return append(engines, syncFile{path, eng, data}), nil
 }
 
 // sendVerdicts flushes the verdict frame with split cost attribution:
@@ -887,86 +649,26 @@ func (s *Server) emitChangedVerdict(vb *wire.Buffer, cfg *core.Config, src Sourc
 // and the remainder (verdict bytes, lengths, framing) as control. A non-nil
 // muxCounts grants stream multiplexing: the MUX_ACK precedes the verdicts in
 // the same flush, so granting costs no extra roundtrip.
-func (s *Server) sendVerdicts(fw *wire.FrameWriter, costs *stats.Costs, verdicts []byte, fullBytes, deltaBytes int, muxCounts []int, st *sessTrace) error {
+func (s *session) sendVerdicts(verdicts []byte, fullBytes, deltaBytes int, muxCounts []int) error {
 	if len(muxCounts) > 0 {
-		ack := wire.EncodeMuxAck(muxCounts)
-		if err := fw.WriteFrame(wire.FrameMuxAck, ack); err != nil {
+		if err := s.send(wire.FrameMuxAck, wire.EncodeMuxAck(muxCounts), stats.PhaseControl); err != nil {
 			return err
 		}
-		st.cost(costs, stats.S2C, stats.PhaseControl, len(ack))
 	}
-	if err := fw.WriteFrame(wire.FrameVerdicts, verdicts); err != nil {
+	if err := s.fw.WriteFrame(wire.FrameVerdicts, verdicts); err != nil {
 		return err
 	}
-	if err := fw.Flush(); err != nil {
-		return err
-	}
-	st.verdictCost(costs, len(verdicts), fullBytes, deltaBytes)
-	costs.Roundtrips++
-	return nil
+	s.st.verdictCost(s.costs, len(verdicts), fullBytes, deltaBytes)
+	return s.flushAnswer()
 }
 
-// parallelFiles runs fn(0..n-1) across the session's worker budget; per-file
-// engines are independent, so their CPU-heavy work parallelizes freely. The
-// first error wins. Results are always gathered into index-addressed slots by
-// the callers, so reply and section ordering is identical for every worker
+// parallelFiles runs fn(0..n-1) across a worker budget; per-file engines are
+// independent, so their CPU-heavy work parallelizes freely. The first error
+// wins. Results are always gathered into index-addressed slots by the
+// callers, so reply and section ordering is identical for every worker
 // count.
 func parallelFiles(workers, n int, fn func(i int) error) error {
 	return pool.Do(workers, n, fn)
-}
-
-// absorbReplies processes one client reply frame (initial replies or
-// subsequent batches) and returns the files that still need another batch.
-func (s *Server) absorbReplies(engines []syncFile, payload []byte, first bool) ([]int, error) {
-	pr := wire.NewParser(payload)
-	n, err := pr.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	type job struct {
-		idx     int
-		section []byte
-	}
-	jobs := make([]job, 0, n)
-	for k := uint64(0); k < n; k++ {
-		idx, err := pr.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if int(idx) >= len(engines) {
-			return nil, fmt.Errorf("collection: bad file index %d", idx)
-		}
-		section, err := pr.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, job{int(idx), section})
-	}
-	mores := make([]bool, len(jobs))
-	err = parallelFiles(s.cfg.Workers, len(jobs), func(k int) error {
-		var more bool
-		var err error
-		if first {
-			more, err = engines[jobs[k].idx].engine.AbsorbReply(jobs[k].section)
-		} else {
-			more, err = engines[jobs[k].idx].engine.AbsorbBatch(jobs[k].section)
-		}
-		if err != nil {
-			return fmt.Errorf("collection: file %q: %w", engines[jobs[k].idx].path, err)
-		}
-		mores[k] = more
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var pending []int
-	for k, more := range mores {
-		if more {
-			pending = append(pending, jobs[k].idx)
-		}
-	}
-	return pending, nil
 }
 
 // SelfTest verifies that the server's collection round-trips through a

@@ -7,8 +7,6 @@ import (
 	"msync/internal/core"
 	"msync/internal/obs"
 	"msync/internal/stats"
-	"msync/internal/transport"
-	"msync/internal/wire"
 )
 
 // sessTrace threads the optional observability hooks through one session:
@@ -164,30 +162,30 @@ func (t *sessTrace) addBytes(d stats.Direction, n int64) {
 }
 
 // stream folds one closed multiplexed stream's traffic into the session
-// totals and emits its span. Called from the session's scheduler goroutine
-// only, after the stream's (possibly concurrent) handler has finished, so
-// the accumulators are quiescent and the trace state is never shared.
-func (t *sessTrace) stream(id, frames int, up, down int64, start time.Time) {
+// totals and emits its span. Like every trace call it comes from the
+// session's scheduler goroutine: the framer accounts stream frames there,
+// never in the streams' concurrent handlers.
+func (t *sessTrace) stream(l *streamLink) {
 	if t == nil {
 		return
 	}
-	t.totFrames += frames
-	t.totUp += up
-	t.totDown += down
+	t.totFrames += l.frames
+	t.totUp += l.up
+	t.totDown += l.down
 	t.emit(obs.Event{
 		Phase:     obs.PhaseStream,
-		Stream:    id + 1,
-		Frames:    frames,
-		BytesUp:   up,
-		BytesDown: down,
-		Dur:       time.Since(start),
+		Stream:    l.id + 1,
+		Frames:    l.frames,
+		BytesUp:   l.up,
+		BytesDown: l.down,
+		Dur:       time.Since(l.start),
 	})
 }
 
 // end closes the session: flushes the last span, emits the session summary
 // event, and writes the structured session log line with the transport- and
 // wire-level counters.
-func (t *sessTrace) end(costs *stats.Costs, err error, fr *wire.FrameReader, fw *wire.FrameWriter, ios transport.IOStats) {
+func (t *sessTrace) end(s *session, err error) {
 	if t == nil {
 		return
 	}
@@ -204,13 +202,14 @@ func (t *sessTrace) end(costs *stats.Costs, err error, fr *wire.FrameReader, fw 
 	}
 	t.emit(ev)
 
-	framesRead, bytesRead := fr.Counts()
-	framesWritten, bytesWritten := fw.Counts()
+	framesRead, bytesRead := s.fr.Counts()
+	framesWritten, bytesWritten := s.fw.Counts()
+	ios := s.ts.Stats()
 	attrs := []any{
 		"session", t.sid,
 		"side", t.side,
-		"bytes", costs.Total(),
-		"roundtrips", costs.Roundtrips,
+		"bytes", s.costs.Total(),
+		"roundtrips", s.costs.Roundtrips,
 		"dur", time.Since(t.sessStart),
 		"frames_read", framesRead,
 		"frames_written", framesWritten,

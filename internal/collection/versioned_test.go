@@ -92,7 +92,7 @@ func runVersioned(t *testing.T, srv *Server, cli *Client) (*Result, *stats.Costs
 // exactly the tree a cold full sync produces, at workers 1 and 8.
 func TestJournalFastPath(t *testing.T) {
 	tree1, tree2 := versionedTrees()
-	cold, _ := session(t, tree2, tree1, core.DefaultConfig())
+	cold, _ := runSession(t, tree2, tree1, core.DefaultConfig())
 	if err := VerifyAgainst(cold.Files, tree2); err != nil {
 		t.Fatalf("cold sync: %v", err)
 	}
