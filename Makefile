@@ -10,7 +10,7 @@ FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/merkle ./internal/pubsig ./internal/cdc \
 	./internal/core ./internal/rolling
 
-.PHONY: all build test vet race check fuzz-smoke bench bench-check bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check clean
+.PHONY: all build test vet race check fuzz-smoke loc bench bench-check bench-cache bench-store bench-mux bench-manifest bench-pub bench-cdc api api-check clean
 
 all: check
 
@@ -60,6 +60,19 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
 	done
+
+# loc prints the code lines of every package: Go lines outside _test.go files
+# that are neither blank nor only a comment. This is the one definition of the
+# "net non-test LOC" ROADMAP.md counts (a block comment's inner lines count as
+# code; the tree has none outside tests).
+loc:
+	@total=0; for pkg in $$($(GO) list ./...); do \
+		files=$$(ls $$($(GO) list -f '{{.Dir}}' $$pkg)/*.go | grep -v _test.go); \
+		[ -n "$$files" ] || continue; \
+		n=$$(cat $$files | grep -vcE '^\s*(//|$$)'); \
+		total=$$((total + n)); \
+		printf '%7d  %s\n' $$n $$pkg; \
+	done; printf '%7d  total\n' $$total
 
 # bench runs the Go benchmarks once each, then regenerates BENCH_scan.json —
 # the scan-scaling report (serial vs parallel client map-construction

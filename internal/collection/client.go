@@ -101,7 +101,8 @@ type Client struct {
 	// fallbacks interleave on the one connection, so slow files no longer
 	// gate fast ones and tiny files share roundtrips. Servers that don't
 	// multiplex (or sessions with nothing to sync) ignore the request and
-	// the session runs the legacy lockstep protocol unchanged.
+	// the session runs as one unwrapped stream over all its files,
+	// byte-identical to a session that never asked.
 	MuxStreams int
 	// MapMode requests a map-construction mode (hello extension 4):
 	// core.MapCDC asks the server to derive block boundaries from

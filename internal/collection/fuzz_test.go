@@ -3,7 +3,9 @@ package collection
 import (
 	"testing"
 
+	"msync/internal/alloctest"
 	"msync/internal/core"
+	"msync/internal/wire"
 )
 
 // FuzzManifestDecode: arbitrary manifest bytes must never panic.
@@ -29,6 +31,48 @@ func FuzzConfigDecode(f *testing.F) {
 		if err == nil {
 			if verr := c.Validate(); verr != nil {
 				t.Fatalf("decode accepted invalid config: %v", verr)
+			}
+		}
+	})
+}
+
+// FuzzSessionFrames: arbitrary bytes in the peer-controlled lists of a running
+// session — the index lists of ROUND_HASHES, CONFIRM, ROUND_REPLY, ACK and
+// FULL, and the hello's extension trailer — never panic, never yield a list
+// longer than the stream or out of order, and never allocate more than a small
+// multiple of the payload, however many files the session has.
+func FuzzSessionFrames(f *testing.F) {
+	for _, bodies := range []bool{true, false} {
+		for _, p := range hostileLists(bodies) {
+			if len(p) <= 1024 {
+				f.Add(p, uint32(12), bodies)
+				f.Add(p, uint32(1<<20), bodies)
+			}
+		}
+	}
+	hb := wire.NewBuffer(32)
+	helloExts{announce: 7, mux: 16, treeCaps: treeCapSpec, mapMode: core.MapCDC}.encode(hb)
+	f.Add(hb.Build(), uint32(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, nFiles uint32, bodies bool) {
+		n := int(nFiles % (1 << 24))
+		var secs []section
+		var err error
+		got := alloctest.BytesPerOp(2, func() {
+			secs, err = parseSections(data, n, bodies)
+			parseHelloExts(wire.NewParser(data))
+		})
+		if ceiling := uint64(4<<10 + 64*len(data)); got > ceiling {
+			t.Fatalf("%d bytes allocated for a %d-byte payload (ceiling %d)", got, len(data), ceiling)
+		}
+		if err != nil {
+			return
+		}
+		if len(secs) > n {
+			t.Fatalf("%d entries for %d files", len(secs), n)
+		}
+		for k, s := range secs {
+			if s.idx < 0 || s.idx >= n || (k > 0 && s.idx <= secs[k-1].idx) {
+				t.Fatalf("entry %d: index %d out of range or order", k, s.idx)
 			}
 		}
 	})

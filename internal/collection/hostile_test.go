@@ -1,0 +1,236 @@
+package collection
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"msync/internal/alloctest"
+	"msync/internal/core"
+	"msync/internal/transport"
+	"msync/internal/wire"
+)
+
+// hostileLists are index-list payloads no honest peer sends, for a frame whose
+// entries carry bodies (ROUND_HASHES, CONFIRM, ROUND_REPLY, FULL) or not
+// (ACK). All are 16 bytes or less except "over" and "repeated".
+func hostileLists(bodies bool) map[string][]byte {
+	list := func(n uint64, idxs ...uint64) []byte {
+		p := wire.AppendUvarint(nil, n)
+		for _, i := range idxs {
+			p = wire.AppendUvarint(p, i)
+			if bodies {
+				p = append(p, 0) // empty body
+			}
+		}
+		return p
+	}
+	over := make([]uint64, 200)
+	for i := range over {
+		over[i] = uint64(i)
+	}
+	return map[string][]byte{
+		"count 2^62":  list(1 << 62),                         // makeslice: cap out of range
+		"count 2^31":  list(1 << 31),                         // a 64 GiB request
+		"count>files": list(200, over...),                    // well-formed, but for files that do not exist
+		"duplicate":   list(2, 0, 0),                         // two workers on one engine
+		"descending":  list(2, 1, 0),                         //
+		"repeated":    list(1<<20, make([]uint64, 1<<20)...), // one file re-sent a million times
+	}
+}
+
+// tamperProxy sits between a client and a server and replaces the payload of
+// the first frame matching (direction, type, type of the frame it answers)
+// with a hostile one, unwrapping and rewrapping STREAM frames so the same
+// cases run under both framings.
+type tamperProxy struct {
+	up      bool // tamper with the client's frames (false: the server's)
+	typ     byte // per-file frame type to replace
+	after   byte // ... when the stream's last frame the other way was this (0: any)
+	payload []byte
+
+	mu   sync.Mutex
+	last [2]map[int]byte // per direction and stream: last per-file frame type
+	done bool
+}
+
+func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
+	defer from.Close()
+	defer to.Close()
+	fr, fw := wire.NewFrameReader(from), wire.NewFrameWriter(to)
+	dir := 0
+	if up {
+		dir = 1
+	}
+	for {
+		ft, payload, err := fr.ReadFrame()
+		if err != nil {
+			return
+		}
+		id, inner, body := 0, ft, payload
+		if ft == wire.FrameStream {
+			sf, err := wire.ParseStreamFrame(payload, wire.MaxStreams)
+			if err != nil {
+				return
+			}
+			id, inner, body = sf.ID, sf.Type, sf.Payload
+		}
+		tp.mu.Lock()
+		tp.last[dir][id] = inner
+		hit := !tp.done && up == tp.up && inner == tp.typ && (tp.after == 0 || tp.last[1-dir][id] == tp.after)
+		tp.done = tp.done || hit
+		tp.mu.Unlock()
+		if hit {
+			body = tp.payload
+			if ft == wire.FrameStream {
+				b := wire.NewBuffer(len(body) + 4)
+				wire.AppendStreamFrame(b, id, inner, body)
+				body = b.Build()
+			}
+			payload = body
+		}
+		if fw.WriteFrame(ft, payload) != nil || fw.Flush() != nil {
+			return
+		}
+	}
+}
+
+// TestHostileIndexLists: a peer that sends an impossible index list — a count
+// no session could have, more entries than files, a repeated or descending
+// index — in any per-file frame, under either framing, gets a typed error
+// from the other end: no panic (there is no recover anywhere), no allocation
+// sized by its number, no engine handed to two workers.
+func TestHostileIndexLists(t *testing.T) {
+	v1, v2 := tinyTrees(12)
+	frames := []struct {
+		name       string
+		up         bool
+		typ, after byte
+	}{
+		{"server/ROUND_REPLY", true, wire.FrameRoundReply, wire.FrameRoundHashes},
+		{"server/CONFIRM-reply", true, wire.FrameRoundReply, wire.FrameConfirm},
+		{"server/ACK", true, wire.FrameAck, 0},
+		{"client/ROUND_HASHES", false, wire.FrameRoundHashes, 0},
+		{"client/CONFIRM", false, wire.FrameConfirm, 0},
+		{"client/FULL", false, wire.FrameFull, 0},
+	}
+	for _, fc := range frames {
+		for name, payload := range hostileLists(fc.typ != wire.FrameAck) {
+			for _, width := range []int{0, 4} {
+				fc, payload, width := fc, payload, width
+				framing := "bare"
+				if width > 0 {
+					framing = "mux"
+				}
+				t.Run(fc.name+"/"+name+"/"+framing, func(t *testing.T) {
+					t.Parallel()
+					// weakConfig: the session has verification batches and a
+					// FULL fallback to tamper with.
+					srv, err := NewServer(v2, weakConfig())
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv.MuxStreams = width
+					cli := NewClient(v1)
+					cli.MuxStreams = width
+
+					tp := &tamperProxy{up: fc.up, typ: fc.typ, after: fc.after, payload: payload}
+					tp.last[0], tp.last[1] = map[int]byte{}, map[int]byte{}
+					cliEnd, proxyDown := transport.Pipe()
+					proxyUp, srvEnd := transport.Pipe()
+					go tp.copyFrames(true, proxyDown, proxyUp)
+					go tp.copyFrames(false, proxyUp, proxyDown)
+
+					errs := make(chan [2]error, 1)
+					go func() {
+						var e [2]error
+						var wg sync.WaitGroup
+						wg.Add(2)
+						go func() { defer wg.Done(); defer srvEnd.Close(); _, e[0] = srv.Serve(srvEnd) }()
+						go func() { defer wg.Done(); defer cliEnd.Close(); _, e[1] = cli.Sync(cliEnd) }()
+						wg.Wait()
+						errs <- e
+					}()
+					var e [2]error
+					select {
+					case e = <-errs:
+					case <-time.After(30 * time.Second):
+						t.Fatal("session hung on the hostile frame")
+					}
+					if !tp.done {
+						t.Fatal("the session never sent the frame to tamper with")
+					}
+					victim, other := e[0], e[1]
+					if !fc.up {
+						victim, other = e[1], e[0]
+					}
+					if !errors.Is(victim, errIndexList) {
+						t.Fatalf("victim returned %v, want errIndexList", victim)
+					}
+					// FULL is a stream's last frame: a server can be done before the
+					// client has read it.
+					if other == nil && fc.typ != wire.FrameFull {
+						t.Fatal("the other end completed a session its peer gave up on")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestIndexListAllocation: what parsing a hostile list may allocate is bounded
+// by its payload, not by the count it declares — even in a session with a
+// million files, where count ≤ files alone would admit a 32 MB request.
+func TestIndexListAllocation(t *testing.T) {
+	const files = 1 << 20
+	for _, bodies := range []bool{true, false} {
+		lists := hostileLists(bodies)
+		lists["count=files"] = wire.AppendUvarint(nil, files)
+		for name, payload := range lists {
+			if len(payload) > 16 {
+				continue
+			}
+			if _, err := parseSections(payload, files, bodies); err == nil {
+				t.Errorf("%s (bodies=%v): accepted", name, bodies)
+			}
+			got := alloctest.BytesPerOp(5, func() { parseSections(payload, files, bodies) })
+			if got >= 64<<10 {
+				t.Errorf("%s (bodies=%v): %d bytes allocated for a %d-byte payload", name, bodies, got, len(payload))
+			}
+		}
+	}
+}
+
+// TestHelloExtsRoundTrip: the one encoder and the one parser agree, an
+// extension-free hello carries no trailer at all, and a trailer that is
+// truncated or malformed anywhere is a shorter hello, never an error.
+func TestHelloExtsRoundTrip(t *testing.T) {
+	for _, h := range []helloExts{
+		{announce: -1},
+		{announce: 0},
+		{announce: 7, mux: 16, treeCaps: treeCapSpec | treeCapCross, mapMode: core.MapCDC},
+		{announce: -1, mux: 4},
+		{announce: -1, treeCaps: treeCapCross},
+		{announce: -1, mapMode: core.MapCDC},
+	} {
+		b := wire.NewBuffer(32)
+		h.encode(b)
+		if h == (helloExts{announce: -1}) && b.Len() != 0 {
+			t.Fatalf("extension-free hello grew a %d-byte trailer", b.Len())
+		}
+		if got := parseHelloExts(wire.NewParser(b.Build())); got != h {
+			t.Fatalf("round trip of %+v gave %+v", h, got)
+		}
+		for cut := 0; cut < b.Len(); cut++ {
+			parseHelloExts(wire.NewParser(b.Build()[:cut])) // must not panic
+		}
+	}
+	// Requests beyond what this implementation knows are cut down, not refused.
+	b := wire.NewBuffer(32)
+	helloExts{announce: -1, mux: wire.MaxStreams + 5, treeCaps: 0xFF}.encode(b)
+	got := parseHelloExts(wire.NewParser(b.Build()))
+	if got.mux != wire.MaxStreams || got.treeCaps != treeCapSpec|treeCapCross {
+		t.Fatalf("unclamped hello: %+v", got)
+	}
+}

@@ -118,16 +118,17 @@ type section struct {
 // — or, for an ACK, `n idx*n` without bodies — for a stream of nFiles files.
 // Every sender builds these lists in index order, so n ≤ nFiles and strictly
 // ascending indexes are required: that bounds the allocation by what this end
-// already holds rather than by a number the peer chose, and keeps two workers
-// from ever being handed the same engine.
+// already holds (and by the payload, an entry being at least a byte) rather
+// than by a number the peer chose, and keeps two workers from ever being
+// handed the same engine.
 func parseSections(payload []byte, nFiles int, bodies bool) ([]section, error) {
 	p := wire.NewParser(payload)
 	n, err := p.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(nFiles) {
-		return nil, fmt.Errorf("%w: %d entries for %d files", errIndexList, n, nFiles)
+	if n > uint64(nFiles) || n > uint64(p.Remaining()) {
+		return nil, fmt.Errorf("%w: %d entries for %d files in %d bytes", errIndexList, n, nFiles, len(payload))
 	}
 	out := make([]section, n)
 	for k := range out {
@@ -680,7 +681,7 @@ func (cs *clientStream) handle(workers int) error {
 			return err
 		}
 		if len(secs) != len(cs.failed) {
-			return fmt.Errorf("collection: full-transfer count mismatch")
+			return fmt.Errorf("%w: %d full transfers, acked %d", errIndexList, len(secs), len(cs.failed))
 		}
 		cs.fulls = make([][]byte, len(secs))
 		for k, sec := range secs {

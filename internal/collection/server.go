@@ -68,9 +68,9 @@ type Server struct {
 	Logger *slog.Logger
 	// MuxStreams caps the stream width granted to clients requesting
 	// multiplexed sessions (hello extension 2). 0 refuses multiplexing:
-	// requests are ignored and every session runs the legacy lockstep
-	// protocol. The grant is further bounded by the session's sync-file
-	// count and the protocol cap.
+	// requests are ignored and every session runs as one unwrapped stream
+	// over all its files. The grant is further bounded by the session's
+	// sync-file count and the protocol cap.
 	MuxStreams int
 	// Metrics, if set, receives the server's live multiplexing gauges and
 	// counters (streams active, rounds batched). nil disables them.
