@@ -66,13 +66,11 @@ fuzz-smoke:
 # "net non-test LOC" ROADMAP.md counts (a block comment's inner lines count as
 # code; the tree has none outside tests).
 loc:
-	@total=0; for pkg in $$($(GO) list ./...); do \
-		files=$$(ls $$($(GO) list -f '{{.Dir}}' $$pkg)/*.go | grep -v _test.go); \
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		files=$$(ls $$dir/*.go | grep -v _test.go); \
 		[ -n "$$files" ] || continue; \
-		n=$$(cat $$files | grep -vcE '^\s*(//|$$)'); \
-		total=$$((total + n)); \
-		printf '%7d  %s\n' $$n $$pkg; \
-	done; printf '%7d  total\n' $$total
+		printf '%7d  %s\n' $$(cat $$files | grep -vcE '^\s*(//|$$)') $$pkg; \
+	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 # bench runs the Go benchmarks once each, then regenerates BENCH_scan.json —
 # the scan-scaling report (serial vs parallel client map-construction

@@ -343,6 +343,7 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 	}
 
 	work := &clientWork{}
+	synced := false // a sync verdict went by
 	fullBytes, deltaBytes := 0, 0
 	full := func(path, what string) error {
 		comp, err := vp.Bytes()
@@ -390,6 +391,7 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 				return nil, err
 			}
 			work.files = append(work.files, cf)
+			synced = true
 		case verdictJournal:
 			newLen, err := vp.Uvarint()
 			if err != nil {
@@ -425,7 +427,7 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 			return nil, fmt.Errorf("collection: unknown verdict %d", verdict)
 		}
 	}
-	if work.journal && s.costs.FilesSynced > 0 {
+	if work.journal && synced {
 		// Journal sessions never run engines; a server mixing the two would
 		// make ack indexes ambiguous.
 		return nil, fmt.Errorf("collection: mixed journal and sync verdicts")

@@ -35,7 +35,7 @@ func hostileLists(bodies bool) map[string][]byte {
 		"count 2^31":  list(1 << 31),                         // a 64 GiB request
 		"count>files": list(200, over...),                    // well-formed, but for files that do not exist
 		"duplicate":   list(2, 0, 0),                         // two workers on one engine
-		"descending":  list(2, 1, 0),                         //
+		"descending":  list(2, 1, 0),                         // out of order
 		"repeated":    list(1<<20, make([]uint64, 1<<20)...), // one file re-sent a million times
 	}
 }

@@ -160,29 +160,31 @@ type helloExts struct {
 // encode appends the trailer to a hello: only the extensions that are set, in
 // id order, and nothing at all when none is.
 func (h helloExts) encode(b *wire.Buffer) {
-	var ids, vals [4]uint64
+	exts := [...]struct {
+		id, v uint64
+		set   bool
+	}{
+		{helloExtVersion, uint64(h.announce), h.announce >= 0},
+		{helloExtMux, uint64(h.mux), h.mux > 0},
+		{helloExtTree, uint64(h.treeCaps), h.treeCaps != 0},
+		{helloExtMapMode, uint64(h.mapMode), h.mapMode != core.MapHalving},
+	}
 	n := 0
-	add := func(id, v uint64) { ids[n], vals[n], n = id, v, n+1 }
-	if h.announce >= 0 {
-		add(helloExtVersion, uint64(h.announce))
-	}
-	if h.mux > 0 {
-		add(helloExtMux, uint64(h.mux))
-	}
-	if h.treeCaps != 0 {
-		add(helloExtTree, uint64(h.treeCaps))
-	}
-	if h.mapMode != core.MapHalving {
-		add(helloExtMapMode, uint64(h.mapMode))
+	for _, e := range exts {
+		if e.set {
+			n++
+		}
 	}
 	if n == 0 {
 		return
 	}
 	b.Uvarint(uint64(n))
-	for i := 0; i < n; i++ {
-		var v [10]byte
-		b.Uvarint(ids[i])
-		b.Bytes(wire.AppendUvarint(v[:0], vals[i]))
+	for _, e := range exts {
+		if e.set {
+			var v [10]byte
+			b.Uvarint(e.id)
+			b.Bytes(wire.AppendUvarint(v[:0], e.v))
+		}
 	}
 }
 
