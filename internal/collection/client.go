@@ -311,16 +311,7 @@ type clientWork struct {
 // path it can: unchanged, deleted, sent in full, patched from the journal.
 // What is left is the work for the per-file phases.
 func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy bool) (*clientWork, error) {
-	var muxRaw []byte
-	ft, vraw, err := s.read()
-	if err == nil && ft == wire.FrameMuxAck && s.ext.mux > 0 {
-		muxRaw = vraw
-		s.cost(stats.S2C, stats.PhaseControl, len(muxRaw))
-		ft, vraw, err = s.read()
-	}
-	if err == nil && ft != wire.FrameVerdicts {
-		err = unexpected(ft, wire.FrameVerdicts)
-	}
+	muxRaw, vraw, err := s.readGranted(wire.FrameMuxAck, wire.FrameVerdicts, s.ext.mux > 0)
 	if err != nil {
 		return nil, asHandshake(err)
 	}
@@ -645,24 +636,19 @@ func (s *session) treeDetect(manifest []ManifestEntry, trees *treeState) (*treeR
 		if err := s.flush(); err != nil {
 			return nil, err
 		}
-		ft, payload, err := s.read()
-		if err == nil && ft == wire.FrameTreeAck && round == 1 && caps != 0 {
-			// The server grants extensions with a TREE_ACK before its first
-			// TREE reply (same flush: no extra roundtrip).
-			s.cost(stats.S2C, stats.PhaseControl, len(payload))
-			g, err := wire.NewParser(payload).Uvarint()
+		// The server grants extensions with a TREE_ACK before its first TREE
+		// reply (same flush: no extra roundtrip).
+		ack, payload, err := s.readGranted(wire.FrameTreeAck, wire.FrameTree, round == 1 && caps != 0)
+		if err != nil {
+			return nil, err
+		}
+		if ack != nil {
+			g, err := wire.NewParser(ack).Uvarint()
 			if err != nil {
 				return nil, err
 			}
 			granted = byte(g) & caps
 			ini.Speculative = granted&treeCapSpec != 0
-			ft, payload, err = s.read()
-		}
-		if err == nil && ft != wire.FrameTree {
-			err = unexpected(ft, wire.FrameTree)
-		}
-		if err != nil {
-			return nil, err
 		}
 		s.cost(stats.S2C, stats.PhaseControl, len(payload))
 		s.answered()

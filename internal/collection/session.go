@@ -131,6 +131,23 @@ func (s *session) read() (byte, []byte, error) {
 	return ft, payload, nil
 }
 
+// readGranted reads the holder's next frame, which must be of type want —
+// preceded, if this end's hello asked for something the holder may grant, by
+// the grant frame that says so (MUX_ACK before VERDICTS, TREE_ACK before the
+// first TREE reply). The grant is accounted here; want is the caller's.
+func (s *session) readGranted(grant, want byte, asked bool) (granted, payload []byte, err error) {
+	ft, payload, err := s.read()
+	if err == nil && asked && ft == grant {
+		granted = payload
+		s.cost(stats.S2C, stats.PhaseControl, len(granted))
+		ft, payload, err = s.read()
+	}
+	if err == nil && ft != want {
+		err = fmt.Errorf("wire: expected frame %s, got %s", wire.FrameName(want), wire.FrameName(ft))
+	}
+	return granted, payload, err
+}
+
 // expect reads the next frame, which must be of type ft, and accounts it.
 func (s *session) expect(ft byte, p stats.Phase) ([]byte, error) {
 	payload, err := s.fr.ExpectFrame(ft)
@@ -139,11 +156,6 @@ func (s *session) expect(ft byte, p stats.Phase) ([]byte, error) {
 	}
 	s.cost(s.in(), p, len(payload))
 	return payload, nil
-}
-
-// unexpected is the error for a well-formed frame of the wrong type.
-func unexpected(got, want byte) error {
-	return fmt.Errorf("wire: expected frame %s, got %s", wire.FrameName(want), wire.FrameName(got))
 }
 
 // Costs.Roundtrips counts answers: the frames one end sends because of what
