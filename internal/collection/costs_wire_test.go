@@ -8,6 +8,7 @@ import (
 
 	"msync/internal/core"
 	"msync/internal/corpus"
+	"msync/internal/obs"
 	"msync/internal/stats"
 	"msync/internal/transport"
 	"msync/internal/wire"
@@ -128,6 +129,8 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 				sh.tune(srv, cli)
 			}
 
+			ring := obs.NewRing(1024)
+			cli.Tracer = ring
 			a, b := transport.Pipe()
 			rec := &recordConn{rw: b}
 			var wg sync.WaitGroup
@@ -174,6 +177,22 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 				t.Errorf("FilesFull: client %d, server %d", res.Costs.FilesFull, serverCosts.FilesFull)
 			}
 			full := fullFrameBytes(t, rec.s2c.Bytes())
+			// An unwrapped session reports the fallback as one full span
+			// holding exactly the FULL frame; wrapped streams report theirs
+			// in their stream spans.
+			var spanned int64
+			for _, e := range ring.Events() {
+				if e.Phase == obs.PhaseFull {
+					spanned += e.BytesDown
+				}
+			}
+			want := full
+			if cli.MuxStreams > 0 {
+				want = 0
+			}
+			if spanned != want {
+				t.Errorf("full spans carry %d bytes, want %d", spanned, want)
+			}
 			for side, c := range map[string]*stats.Costs{"client": res.Costs, "server": serverCosts} {
 				if got := c.Bytes(stats.S2C, stats.PhaseFull); got != full {
 					t.Errorf("%s PhaseFull = %d bytes, the FULL frames carried %d", side, got, full)

@@ -218,7 +218,13 @@ func (f *bareFramer) begin(_ int, outs []*streamLink) {
 
 func (f *bareFramer) send(outs []*streamLink) error {
 	l := outs[0]
-	return f.s.send(l.inner, l.payload, framePhase(l.inner))
+	err := f.s.send(l.inner, l.payload, framePhase(l.inner))
+	if l.inner == wire.FrameAck && !l.done {
+		// The ACK listed failures: waiting for the FULL that answers it is
+		// already part of the full span.
+		f.span(wire.FrameFull)
+	}
+	return err
 }
 
 func (f *bareFramer) recv([]*streamLink) ([]*streamLink, error) {
