@@ -48,8 +48,8 @@ func main() {
 			v1, v2 = corpus.DefaultDeepTreeProfile(*scale).Generate(*seed)
 		case "logs":
 			v1, v2 = corpus.DefaultLogAppendProfile(*scale).Generate(*seed)
-		// The adversarial boundary-shift profiles behind the bench-cdc
-		// matrix (DESIGN.md §16); the fixed default seed keeps the written
+		// The adversarial boundary-shift profiles behind the cdc.map
+		// table (DESIGN.md §16); the fixed default seed keeps the written
 		// corpora deterministic across runs and machines.
 		case "logs-heavy":
 			v1, v2 = corpus.DefaultHeavyLogProfile(*scale).Generate(*seed)

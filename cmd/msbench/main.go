@@ -19,33 +19,17 @@ import (
 	"time"
 
 	"msync/internal/bench"
-	"msync/internal/pool"
 )
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (default: all)")
-		scale     = flag.Float64("scale", 1.0, "corpus scale factor")
-		seed      = flag.Int64("seed", 42, "corpus seed")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		scanJSON  = flag.String("scan-json", "", "write the parallel.scan report as JSON to this file and exit")
-		cacheJSON = flag.String("cache-json", "", "write the cache.sync (repeat-sync signature cache) report as JSON to this file and exit")
-		storeJSON = flag.String("store-json", "", "write the store.journal (versioned store, journal fast path) report as JSON to this file and exit")
-		muxJSON   = flag.String("mux-json", "", "write the mux.pipeline (multiplexed streams vs per-file/lockstep sessions) report as JSON to this file and exit")
-		manJSON   = flag.String("manifest-json", "", "write the manifest.scaling (flat vs merkle-tree change detection, cross-file matching) report as JSON to this file and exit")
-		pubJSON   = flag.String("pub-json", "", "write the pub.fanout (published artifacts vs interactive protocol under N readers) report as JSON to this file and exit")
-		cdcJSON   = flag.String("cdc-json", "", "write the cdc.map (CDC vs halving map construction on adversarial corpora) report as JSON to this file and exit")
-		cacheMode = flag.String("cache", "off", "signature-cache condition for parallel.scan: off, cold or warm (never changes wire bytes)")
+		exp   = flag.String("exp", "", "experiment id (default: all)")
+		scale = flag.Float64("scale", 1.0, "corpus scale factor")
+		seed  = flag.Int64("seed", 42, "corpus seed")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		csv   = flag.Bool("csv", false, "emit CSV instead of aligned text")
 	)
 	flag.Parse()
-
-	if pool.Parallelism() == 1 {
-		fmt.Fprintln(os.Stderr, "WARNING: effective parallelism is 1 (GOMAXPROCS or CPU count); "+
-			"every -workers point collapses to the serial path and parallel speedups "+
-			"cannot exceed 1.0. Re-run with GOMAXPROCS unset (or >= NumCPU) on a "+
-			"multi-core host for meaningful scan-scaling numbers.")
-	}
 
 	if *list {
 		for _, id := range bench.Experiments() {
@@ -53,48 +37,7 @@ func main() {
 		}
 		return
 	}
-	opts := bench.Options{Scale: *scale, Seed: *seed, CacheMode: *cacheMode}
-
-	writeReport := func(path string, gen func(bench.Options) ([]byte, error)) {
-		out, err := gen(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if *scanJSON != "" {
-		writeReport(*scanJSON, bench.ScanJSON)
-		return
-	}
-	if *cacheJSON != "" {
-		writeReport(*cacheJSON, bench.CacheJSON)
-		return
-	}
-	if *storeJSON != "" {
-		writeReport(*storeJSON, bench.StoreJSON)
-		return
-	}
-	if *muxJSON != "" {
-		writeReport(*muxJSON, bench.MuxJSON)
-		return
-	}
-	if *manJSON != "" {
-		writeReport(*manJSON, bench.ManifestJSON)
-		return
-	}
-	if *pubJSON != "" {
-		writeReport(*pubJSON, bench.PubJSON)
-		return
-	}
-	if *cdcJSON != "" {
-		writeReport(*cdcJSON, bench.CDCJSON)
-		return
-	}
+	opts := bench.Options{Scale: *scale, Seed: *seed}
 
 	ids := bench.Experiments()
 	if *exp != "" {

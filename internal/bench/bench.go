@@ -275,12 +275,6 @@ type Options struct {
 	// Scale multiplies corpus sizes; 1.0 is a multi-MB run, tests use less.
 	Scale float64
 	Seed  int64
-	// CacheMode selects the signature-cache condition for experiments that
-	// support it (parallel.scan): "" or "off" (no signature), "cold" (a
-	// fresh signature per run — levels memoized within the run only) or
-	// "warm" (a precomputed signature shared across runs — near-zero block
-	// hashing). Never changes the bytes on the wire.
-	CacheMode string
 }
 
 // DefaultOptions is the full-scale configuration used by cmd/msbench.
@@ -326,8 +320,6 @@ var registry = map[string]func(Options) *Table{
 	"ablate.cdc":      AblateCDC,
 	"ablate.cpu":      CPU,
 	"ablate.twophase": AblateTwoPhase,
-	"parallel.scan":   ParallelScan,
-	"cache.sync":      CacheSync,
 	"cdc.map":         CDCMap,
 }
 

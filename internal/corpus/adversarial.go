@@ -12,7 +12,7 @@ import (
 // with sector-level rewrites plus region shifts, and binary releases whose
 // sections move between builds. These are the scenarios where fixed
 // power-of-two block boundaries degrade and content-defined boundaries are
-// expected to win (see DESIGN.md §16 and the bench-cdc matrix).
+// expected to win (see DESIGN.md §16 and the cdc.map table).
 
 // HeavyLogProfile models aggressively-growing log files: big appends every
 // cycle, and a fraction of files rotated (head bytes dropped), which shifts
