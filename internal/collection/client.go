@@ -136,8 +136,10 @@ func NewClientSource(src Source) *Client {
 // the first map round picks the best-matching one (core.PickBasis) and it
 // becomes the engine. A journal verdict is a clientFile without an engine:
 // its delta came with the verdict, and only a fallback can still touch it.
+// newLen is the length the verdict announced; a FULL fallback must decode to it.
 type clientFile struct {
 	path   string
+	newLen int
 	engine *core.ClientFile
 	tryout []*core.ClientFile
 	bytes  int64 // payload bytes attributed to the file (Result.PerFile)
@@ -411,7 +413,7 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 			if !applied {
 				work.jfailed = append(work.jfailed, len(work.files))
 			}
-			work.files = append(work.files, clientFile{path: path, bytes: int64(len(payload))})
+			work.files = append(work.files, clientFile{path: path, newLen: int(newLen), bytes: int64(len(payload))})
 			work.journal = true
 			s.costs.FilesJournal++
 		default:
@@ -463,7 +465,7 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 // local basis, of which the first map round picks the best (see respond /
 // core.PickBasis).
 func (s *session) newClientFile(path string, newLen int, alts []string) (clientFile, error) {
-	cf := clientFile{path: path}
+	cf := clientFile{path: path, newLen: newLen}
 	s.costs.FilesSynced++
 	if len(alts) == 0 {
 		old, err := s.src.Load(path)

@@ -40,8 +40,12 @@ func FuzzConfigDecode(f *testing.F) {
 // session — the index lists of ROUND_HASHES, CONFIRM, ROUND_REPLY, ACK and
 // FULL, and the hello's extension trailer — never panic, never yield a list
 // longer than the stream or out of order, and never allocate more than a small
-// multiple of the payload, however many files the session has.
+// multiple of the payload, however many files the session has. A list that
+// parses is also handed to the FULL handler as the answer to an ACK of exactly
+// its ordinals: whatever the content streams declare, decoding costs what the
+// verdicts announced.
 func FuzzSessionFrames(f *testing.F) {
+	f.Add(hostileFullFrame(), uint32(12), true)
 	for _, bodies := range []bool{true, false} {
 		for _, p := range hostileLists(bodies) {
 			if len(p) <= 1024 {
@@ -70,10 +74,21 @@ func FuzzSessionFrames(f *testing.F) {
 		if len(secs) > n {
 			t.Fatalf("%d entries for %d files", len(secs), n)
 		}
+		failed := make([]int, len(secs))
 		for k, s := range secs {
 			if s.idx < 0 || s.idx >= n || (k > 0 && s.idx <= secs[k-1].idx) {
 				t.Fatalf("entry %d: index %d out of range or order", k, s.idx)
 			}
+			failed[k] = s.idx
+		}
+		if !bodies || n > 1<<10 {
+			return
+		}
+		// 64-byte files: a section that declares 64 and decodes costs its code
+		// tables (under 4 KB), any other is refused before it costs anything.
+		got = alloctest.BytesPerOp(2, func() { fullHandler(n, 64, failed, data).handle(1) })
+		if ceiling := uint64(8<<10 + 128*n + 16<<10*len(secs)); got > ceiling {
+			t.Fatalf("FULL handler allocated %d bytes for %d sections of %d files (ceiling %d)", got, len(secs), n, ceiling)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"msync/internal/alloctest"
 	"msync/internal/core"
+	"msync/internal/delta"
 	"msync/internal/transport"
 	"msync/internal/wire"
 )
@@ -40,6 +41,54 @@ func hostileLists(bodies bool) map[string][]byte {
 	}
 }
 
+// hostileFull is a FULL section body of twelve bytes that decodes as far as
+// the allocation: a declared length of 4 GiB, the entropy-coded mode, two
+// empty code tables (the stream delta's own tests call hostileStream).
+var hostileFull = append(wire.AppendUvarint(nil, 1<<32), 0, 0, 0, 0, 0, 0, 0)
+
+// hostileFullFrame is a FULL payload answering an ACK of ordinal 0 with
+// hostileFull.
+func hostileFullFrame() []byte {
+	b := wire.NewBuffer(16)
+	b.Uvarint(1)
+	b.Uvarint(0)
+	b.Bytes(hostileFull)
+	return b.Build()
+}
+
+// fullHandler is a receiving stream waiting for the FULL that answers its ACK
+// of the given ordinals, each file announced at newLen bytes, with payload in
+// flight.
+func fullHandler(nFiles, newLen int, failed []int, payload []byte) *clientStream {
+	cs := &clientStream{
+		streamLink: &streamLink{inner: wire.FrameFull, payload: payload},
+		files:      make([]clientFile, nFiles),
+		acked:      true,
+		failed:     failed,
+	}
+	for i := range cs.files {
+		cs.files[i].newLen = newLen
+	}
+	return cs
+}
+
+// fullDeclaring4GiB rewrites a real FULL payload: the index list stays as the
+// ACK asked for it, the first file's content becomes hostileFull.
+func fullDeclaring4GiB(real []byte) []byte {
+	secs, err := parseSections(real, 1<<20, true)
+	if err != nil || len(secs) == 0 {
+		panic("hostile_test: the session's FULL frame does not parse")
+	}
+	secs[0].body = hostileFull
+	b := wire.NewBuffer(len(real))
+	b.Uvarint(uint64(len(secs)))
+	for _, sec := range secs {
+		b.Uvarint(uint64(sec.idx))
+		b.Bytes(sec.body)
+	}
+	return b.Build()
+}
+
 // tamperProxy sits between a client and a server and replaces the payload of
 // the first frame matching (direction, type, type of the frame it answers)
 // with a hostile one, unwrapping and rewrapping STREAM frames so the same
@@ -49,6 +98,7 @@ type tamperProxy struct {
 	typ     byte // per-file frame type to replace
 	after   byte // ... when the stream's last frame the other way was this (0: any)
 	payload []byte
+	rewrite func(real []byte) []byte // in place of payload: derive it from the real frame
 
 	mu   sync.Mutex
 	last [2]map[int]byte // per direction and stream: last per-file frame type
@@ -82,7 +132,11 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 		tp.done = tp.done || hit
 		tp.mu.Unlock()
 		if hit {
-			body = tp.payload
+			if tp.rewrite != nil {
+				body = tp.rewrite(body)
+			} else {
+				body = tp.payload
+			}
 			if ft == wire.FrameStream {
 				b := wire.NewBuffer(len(body) + 4)
 				wire.AppendStreamFrame(b, id, inner, body)
@@ -100,7 +154,10 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 // no session could have, more entries than files, a repeated or descending
 // index — in any per-file frame, under either framing, gets a typed error
 // from the other end: no panic (there is no recover anywhere), no allocation
-// sized by its number, no engine handed to two workers.
+// sized by its number, no engine handed to two workers. Likewise a FULL whose
+// list is the one the ACK asked for but whose content declares another length
+// than the verdict announced: delta.ErrCorrupt, before anything is allocated
+// (TestIndexListAllocation holds the ceiling).
 func TestHostileIndexLists(t *testing.T) {
 	v1, v2 := tinyTrees(12)
 	frames := []struct {
@@ -116,7 +173,11 @@ func TestHostileIndexLists(t *testing.T) {
 		{"client/FULL", false, wire.FrameFull, 0},
 	}
 	for _, fc := range frames {
-		for name, payload := range hostileLists(fc.typ != wire.FrameAck) {
+		lists := hostileLists(fc.typ != wire.FrameAck)
+		if fc.typ == wire.FrameFull {
+			lists["declares 4 GiB"] = nil // not a list: fullDeclaring4GiB rewrites the real frame
+		}
+		for name, payload := range lists {
 			for _, width := range []int{0, 4} {
 				fc, payload, width := fc, payload, width
 				framing := "bare"
@@ -136,6 +197,10 @@ func TestHostileIndexLists(t *testing.T) {
 					cli.MuxStreams = width
 
 					tp := &tamperProxy{up: fc.up, typ: fc.typ, after: fc.after, payload: payload}
+					want := errIndexList
+					if payload == nil {
+						tp.rewrite, want = fullDeclaring4GiB, delta.ErrCorrupt
+					}
 					tp.last[0], tp.last[1] = map[int]byte{}, map[int]byte{}
 					cliEnd, proxyDown := transport.Pipe()
 					proxyUp, srvEnd := transport.Pipe()
@@ -165,8 +230,8 @@ func TestHostileIndexLists(t *testing.T) {
 					if !fc.up {
 						victim, other = e[1], e[0]
 					}
-					if !errors.Is(victim, errIndexList) {
-						t.Fatalf("victim returned %v, want errIndexList", victim)
+					if !errors.Is(victim, want) {
+						t.Fatalf("victim returned %v, want %v", victim, want)
 					}
 					// FULL is a stream's last frame: a server can be done before the
 					// client has read it.
@@ -181,8 +246,23 @@ func TestHostileIndexLists(t *testing.T) {
 
 // TestIndexListAllocation: what parsing a hostile list may allocate is bounded
 // by its payload, not by the count it declares — even in a session with a
-// million files, where count ≤ files alone would admit a 32 MB request.
+// million files, where count ≤ files alone would admit a 32 MB request. And
+// what a FULL section may allocate is bounded by the length the verdict
+// announced, not the one its stream declares: the handler both framers feed
+// refuses hostileFull for less than 64 KB (at 4 GiB before DecodeLen).
 func TestIndexListAllocation(t *testing.T) {
+	if len(hostileFull) > 32 {
+		t.Fatalf("hostile FULL body is %d bytes", len(hostileFull))
+	}
+	got := alloctest.BytesPerOp(5, func() {
+		if err := fullHandler(1, 4000, []int{0}, hostileFullFrame()).handle(1); !errors.Is(err, delta.ErrCorrupt) {
+			t.Fatalf("FULL declaring 4 GiB for a 4000-byte file: %v, want delta.ErrCorrupt", err)
+		}
+	})
+	if got >= 64<<10 {
+		t.Errorf("the hostile FULL section cost %d B, ceiling %d", got, 64<<10)
+	}
+
 	const files = 1 << 20
 	for _, bodies := range []bool{true, false} {
 		lists := hostileLists(bodies)

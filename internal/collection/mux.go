@@ -694,8 +694,8 @@ func (cs *clientStream) handle(workers int) error {
 			if sec.idx != cs.failed[k] {
 				return fmt.Errorf("%w: full transfer for %d, acked %d", errIndexList, sec.idx, cs.failed[k])
 			}
-			if cs.fulls[k], err = delta.Decompress(sec.body); err != nil {
-				return err
+			if cs.fulls[k], err = delta.DecodeLen(nil, sec.body, cs.files[sec.idx].newLen); err != nil {
+				return fmt.Errorf("collection: full transfer for %q: %w", cs.files[sec.idx].path, err)
 			}
 			cs.files[sec.idx].bytes += int64(len(sec.body))
 		}
