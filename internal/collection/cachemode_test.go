@@ -134,8 +134,11 @@ func TestCacheModesWireIdentical(t *testing.T) {
 		}
 	}
 
-	offS, offC, res, _ := runCacheModeSession(t, serverDir, clientDir, nil, nil, false)
+	offS, offC, res, offCosts := runCacheModeSession(t, serverDir, clientDir, nil, nil, false)
 	checkResult("off", res)
+	if offCosts.CacheHits != 0 || offCosts.CacheMisses != 0 {
+		t.Fatalf("run without a cache recorded %d hits / %d misses", offCosts.CacheHits, offCosts.CacheMisses)
+	}
 
 	sCache := sigcache.New(sigcache.Options{})
 	cCache := sigcache.New(sigcache.Options{})
@@ -228,6 +231,11 @@ func TestRepeatedServeReusesEngineLevels(t *testing.T) {
 	if costs2.BlockHashesComputed >= costs1.BlockHashesComputed {
 		t.Fatalf("second session computed %d block hashes, first %d — memoized levels unused",
 			costs2.BlockHashesComputed, costs1.BlockHashesComputed)
+	}
+	// What publish mode exists to avoid: every further reader still costs the
+	// interactive server hashing (the session-dependent probe hashes).
+	if costs2.BlockHashesComputed == 0 || costs2.BytesHashed == 0 {
+		t.Fatalf("second session accounted %d block hashes over %d bytes", costs2.BlockHashesComputed, costs2.BytesHashed)
 	}
 	if !bytes.Equal(wire1, wire2) {
 		t.Fatal("level reuse changed the bytes on the wire")

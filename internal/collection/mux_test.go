@@ -135,12 +135,27 @@ func streamSpans(r *obs.Ring) int {
 // TestMuxMatrixDeterminism: multiplexed sessions converge at every stream
 // width, both sides account identical costs, and for a fixed width the wire
 // costs are bit-identical for every worker count — parallelism is purely an
-// execution knob under multiplexing too.
+// execution knob under multiplexing too. What a slow link pays for is
+// roundtrips: no width needs more of them than the lockstep session, which
+// itself needs fewer than one session per changed file would.
 func TestMuxMatrixDeterminism(t *testing.T) {
 	pool.SetParallelism(8)
 	defer pool.SetParallelism(0)
 	v1, v2 := corpus.EmacsProfile(0.06).Generate(11)
 	want := v2.Map()
+	_, lockstep := muxSession(t, v2.Map(), v1.Map(), core.DefaultConfig(), 0, 1, nil)
+	perFile, changed := 0, 0
+	old := v1.Map()
+	for path, data := range want {
+		if prev, ok := old[path]; ok && !bytes.Equal(prev, data) {
+			_, c := muxSession(t, map[string][]byte{path: data}, map[string][]byte{path: prev}, core.DefaultConfig(), 0, 1, nil)
+			perFile += c.Roundtrips
+			changed++
+		}
+	}
+	if changed < 2 || perFile <= lockstep.Roundtrips {
+		t.Fatalf("%d changed files: %d roundtrips in sessions of their own, %d sharing one", changed, perFile, lockstep.Roundtrips)
+	}
 	for _, width := range []int{1, 4, 16} {
 		var base *stats.Costs
 		for _, workers := range []int{1, 8} {
@@ -166,6 +181,10 @@ func TestMuxMatrixDeterminism(t *testing.T) {
 			if res.Costs.Roundtrips != serverCosts.Roundtrips {
 				t.Fatalf("width=%d workers=%d: roundtrips disagree: %d vs %d",
 					width, workers, res.Costs.Roundtrips, serverCosts.Roundtrips)
+			}
+			if serverCosts.Roundtrips > lockstep.Roundtrips {
+				t.Fatalf("width=%d workers=%d: %d roundtrips, lockstep %d",
+					width, workers, serverCosts.Roundtrips, lockstep.Roundtrips)
 			}
 			if base == nil {
 				base = serverCosts

@@ -95,6 +95,9 @@ func TestTreeModeSublinearControl(t *testing.T) {
 	if tc*4 > mc {
 		t.Fatalf("tree control bytes %d not clearly below manifest %d", tc, mc)
 	}
+	if manifestCosts.TreeRounds != 0 || treeCosts.TreeRounds == 0 {
+		t.Fatalf("descent rounds misattributed: manifest %d, tree %d", manifestCosts.TreeRounds, treeCosts.TreeRounds)
+	}
 	t.Logf("control bytes: manifest %d, tree %d (%.1fx better)", mc, tc, float64(mc)/float64(tc))
 }
 

@@ -3,9 +3,13 @@ package pubsig
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"msync/internal/dirio"
@@ -37,10 +41,13 @@ func assertTreeEquals(t *testing.T, root string, want map[string][]byte) {
 	}
 }
 
-func publishServer(t *testing.T, versions ...map[string][]byte) (*httptest.Server, ArtifactStore) {
+// publishServer publishes the versions and serves them; the registry holds
+// the publisher's and the server's counters.
+func publishServer(t *testing.T, versions ...map[string][]byte) (*httptest.Server, *obs.Registry) {
 	t.Helper()
 	s := NewMemStore()
-	p, err := NewPublisher(s)
+	reg := obs.NewRegistry()
+	p, err := NewPublisher(s, WithPublisherMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +56,56 @@ func publishServer(t *testing.T, versions ...map[string][]byte) (*httptest.Serve
 			t.Fatal(err)
 		}
 	}
-	h, err := NewServer(s)
+	h, err := NewServer(s, WithServerMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
-	return srv, s
+	return srv, reg
+}
+
+// immutableCache is a shared HTTP cache in front of an origin, as a CDN is:
+// a response the origin marked immutable is stored (by URL and Range) and
+// answers every later request for it; the rest goes to the origin, counted.
+type immutableCache struct {
+	origin http.RoundTripper
+
+	mu             sync.Mutex
+	stored         map[string]cachedResponse
+	originRequests int
+}
+
+type cachedResponse struct {
+	resp *http.Response
+	body []byte
+}
+
+func (c *immutableCache) RoundTrip(req *http.Request) (*http.Response, error) {
+	key := req.URL.String() + " " + req.Header.Get("Range")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	hit, ok := c.stored[key]
+	if !ok {
+		c.originRequests++
+		resp, err := c.origin.RoundTrip(req)
+		if err != nil {
+			return nil, err
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		hit = cachedResponse{resp, body}
+		if resp.StatusCode < 300 && strings.Contains(resp.Header.Get("Cache-Control"), "immutable") {
+			c.stored[key] = hit
+		}
+	}
+	out := *hit.resp
+	out.Request = req
+	out.Body = io.NopCloser(bytes.NewReader(hit.body))
+	return &out, nil
 }
 
 func TestSyncerFullManifestPath(t *testing.T) {
@@ -68,10 +118,12 @@ func TestSyncerFullManifestPath(t *testing.T) {
 		return ""
 	}())
 	v2["added/file.txt"] = []byte("entirely new content here")
-	srv, _ := publishServer(t, v1, v2)
+	srv, pubReg := publishServer(t, v1, v2)
+	hashed := pubReg.Counter("pubsig_publish_bytes_hashed").Value()
+	cdn := &immutableCache{origin: srv.Client().Transport, stored: map[string]cachedResponse{}}
 
 	root := writeTree(t, v1)
-	sy := &Syncer{Client: srv.Client(), BaseURL: srv.URL}
+	sy := &Syncer{Client: &http.Client{Transport: cdn}, BaseURL: srv.URL}
 	res, err := sy.Sync(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +131,33 @@ func TestSyncerFullManifestPath(t *testing.T) {
 	assertTreeEquals(t, root, v2)
 	if res.Version != 2 || res.DeltaPath {
 		t.Fatalf("result: %+v", res)
+	}
+
+	// A second reader from the same base behind the same cache: every
+	// versioned artifact is immutable, so only the mutable endpoints reach
+	// the origin, and no reader makes the publisher hash anything.
+	first := cdn.originRequests
+	root2 := writeTree(t, v1)
+	if _, err := sy.Sync(context.Background(), root2); err != nil {
+		t.Fatal(err)
+	}
+	assertTreeEquals(t, root2, v2)
+	if extra := cdn.originRequests - first; first <= 4 || extra > 4 {
+		t.Fatalf("origin saw %d requests for the first reader and %d for the second, want > 4 and <= 4", first, extra)
+	}
+	// A third reader straight at the origin: every request reaches it, and it
+	// hashes nothing for them — each artifact's validator was computed once.
+	served := pubReg.Counter("pubsig_http_bytes_hashed").Value()
+	root3 := writeTree(t, v1)
+	if _, err := (&Syncer{Client: srv.Client(), BaseURL: srv.URL}).Sync(context.Background(), root3); err != nil {
+		t.Fatal(err)
+	}
+	assertTreeEquals(t, root3, v2)
+	if got := pubReg.Counter("pubsig_http_bytes_hashed").Value(); got != served || served == 0 {
+		t.Fatalf("a further reader moved the server's hashed bytes from %d to %d", served, got)
+	}
+	if got := pubReg.Counter("pubsig_publish_bytes_hashed").Value(); got != hashed || hashed == 0 {
+		t.Fatalf("readers moved the publisher's hashed bytes from %d to %d", hashed, got)
 	}
 	if res.FilesDeleted != 1 {
 		t.Fatalf("deleted %d files, want 1", res.FilesDeleted)
@@ -135,6 +214,9 @@ func TestSyncerDeltaPath(t *testing.T) {
 	}()
 	if res.ManifestBytes >= fullRes.ManifestBytes {
 		t.Fatalf("delta metadata %d >= full manifest %d", res.ManifestBytes, fullRes.ManifestBytes)
+	}
+	if res.BytesDown >= fullRes.BytesDown {
+		t.Fatalf("delta path downloaded %d bytes, the full-manifest path %d for the same version pair", res.BytesDown, fullRes.BytesDown)
 	}
 }
 

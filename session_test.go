@@ -9,10 +9,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -214,6 +217,92 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 	if err := <-serveDone; !errors.Is(err, msync.ErrServerClosed) {
 		t.Fatalf("ServeListener returned %v, want ErrServerClosed", err)
+	}
+}
+
+// TestShutdownRacesAccept: a Shutdown that begins while a dialed connection
+// may not have been accepted yet (TestShutdownDrainsInFlight waits for the
+// server's first byte, so it never sees this). Whichever side wins, the
+// client converges to the server's bytes or fails with a typed error — the
+// server closing, BUSY, or the connection ending under the handshake — never
+// a wrong file; Shutdown returns within its grace, ServeListener returns
+// ErrServerClosed, and no goroutine stays behind.
+func TestShutdownRacesAccept(t *testing.T) {
+	serverFiles, clientFiles := sessionFiles()
+	if l, err := listenLoopback(t); err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	} else {
+		l.Close()
+	}
+	before := runtime.NumGoroutine()
+	converged := 0
+	const iterations = 60
+	for i := 0; i < iterations; i++ {
+		srv, err := msync.NewServer(serverFiles, msync.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := listenLoopback(t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveDone := make(chan error, 1)
+		go func() { serveDone <- srv.ServeListener(l) }()
+
+		// The kernel completes the dial from the listen backlog; whether the
+		// accept loop has the connection yet is the race.
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		type outcome struct {
+			res *msync.Result
+			err error
+		}
+		cliDone := make(chan outcome, 1)
+		go func() {
+			defer conn.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			res, err := msync.NewClient(clientFiles).SyncContext(ctx, conn)
+			cliDone <- outcome{res, err}
+		}()
+		// Not a wait for anything: it moves the Shutdown across the accept
+		// and the handshake from one iteration to the next.
+		time.Sleep(time.Duration(i%6) * 40 * time.Microsecond)
+
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("iteration %d: Shutdown = %v, want a drain within the grace", i, err)
+		}
+		cancel()
+		if err := <-serveDone; !errors.Is(err, msync.ErrServerClosed) {
+			t.Fatalf("iteration %d: ServeListener returned %v, want ErrServerClosed", i, err)
+		}
+		out := <-cliDone
+		var busy *msync.BusyError
+		switch {
+		case out.err == nil:
+			if err := collection.VerifyAgainst(out.res.Files, serverFiles); err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+			converged++
+		case errors.Is(out.err, msync.ErrServerClosed), errors.As(out.err, &busy),
+			errors.Is(out.err, io.EOF), errors.Is(out.err, io.ErrUnexpectedEOF),
+			errors.Is(out.err, syscall.ECONNRESET), errors.Is(out.err, syscall.EPIPE):
+		default:
+			t.Fatalf("iteration %d: client failed with %v (%T), want a typed shutdown error", i, out.err, out.err)
+		}
+	}
+	t.Logf("%d of %d clients converged, the rest were refused", converged, iterations)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
