@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -151,5 +152,136 @@ func TestCLIJSONOutput(t *testing.T) {
 	}
 	if m["total_bytes"] <= 0 || m["roundtrips"] <= 0 {
 		t.Fatalf("implausible costs: %v", m)
+	}
+}
+
+// docCode returns what a markdown document sets as code: the contents of its
+// fenced blocks and of its inline `spans`, one entry per block line or span.
+func docCode(md string) []string {
+	var code []string
+	fenced := false
+	for _, line := range strings.Split(md, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			code = append(code, line)
+			continue
+		}
+		for i, span := range strings.Split(line, "`") {
+			if i%2 == 1 {
+				code = append(code, span)
+			}
+		}
+	}
+	return code
+}
+
+// withoutSection cuts the section whose heading contains title, up to the next
+// heading of the same or a higher level.
+func withoutSection(md, title string) string {
+	var out []string
+	level := 0
+	for _, line := range strings.Split(md, "\n") {
+		if hashes := len(line) - len(strings.TrimLeft(line, "#")); hashes > 0 && strings.HasPrefix(line[hashes:], " ") {
+			switch {
+			case level == 0 && strings.Contains(line, title):
+				level = hashes
+			case level > 0 && hashes <= level:
+				level = 0
+			}
+		}
+		if level == 0 {
+			out = append(out, line)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
+// TestDocsReferToExistingThings: in the documents a reader follows, every
+// `make <target>` is a Makefile target, every `msbench -<flag>` a flag msbench
+// has, every `-exp <id>` an experiment it lists, and every code span that is a
+// .go, .json or .md path names a file of the repository. EXPERIMENTS.md's
+// "Retired reports" is exempt: it names what was deleted, on purpose.
+func TestDocsReferToExistingThings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs msbench")
+	}
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+	flags := map[string]bool{}
+	usage, _ := exec.Command("go", "run", "./cmd/msbench", "-h").CombinedOutput() // -h exits 0 or 2 by Go version
+	for _, m := range regexp.MustCompile(`(?m)^\s+-([a-z][a-z0-9-]*)`).FindAllStringSubmatch(string(usage), -1) {
+		flags[m[1]] = true
+	}
+	ids := map[string]bool{}
+	for _, id := range strings.Fields(goRun(t, 2*time.Minute, "./cmd/msbench", "-list")) {
+		ids[id] = true
+	}
+	if len(targets) == 0 || len(flags) == 0 || len(ids) == 0 {
+		t.Fatalf("nothing to check against: %d targets, %d flags, %d ids", len(targets), len(flags), len(ids))
+	}
+	// Docs name files from the root (`internal/core/scan_test.go`) or from
+	// the package under discussion (`mux.go`): a path exists if some file's
+	// path ends in it.
+	suffixes := map[string]bool{}
+	filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if err == nil && !d.IsDir() {
+			for p := filepath.ToSlash(path); ; {
+				suffixes[p] = true
+				_, rest, ok := strings.Cut(p, "/")
+				if !ok {
+					break
+				}
+				p = rest
+			}
+		}
+		return nil
+	})
+
+	var (
+		makeRE    = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
+		msbenchRE = regexp.MustCompile(`\bmsbench((?: +[^ |;&>]+)*)`)
+		expRE     = regexp.MustCompile(`-exp ([a-z0-9][a-z0-9.]*)`)
+		pathRE    = regexp.MustCompile(`^(?:\./)?([A-Za-z0-9][A-Za-z0-9_./-]*\.(?:go|json|md))(?::\d+)?$`)
+	)
+	for _, doc := range []string{"README.md", "DESIGN.md", "PROTOCOL.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range docCode(withoutSection(string(raw), "Retired reports")) {
+			for _, m := range makeRE.FindAllStringSubmatch(code, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s: `make %s` is not a Makefile target (in %q)", doc, m[1], code)
+				}
+			}
+			for _, m := range msbenchRE.FindAllStringSubmatch(code, -1) {
+				for _, arg := range strings.Fields(m[1]) {
+					name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+					if strings.HasPrefix(arg, "-") && !flags[name] {
+						t.Errorf("%s: msbench has no flag %s (in %q)", doc, arg, code)
+					}
+				}
+			}
+			for _, m := range expRE.FindAllStringSubmatch(code, -1) {
+				if !ids[m[1]] {
+					t.Errorf("%s: `-exp %s` is not an experiment msbench lists (in %q)", doc, m[1], code)
+				}
+			}
+			if m := pathRE.FindStringSubmatch(code); m != nil && !suffixes[m[1]] {
+				t.Errorf("%s: no file `%s` in the repository", doc, m[1])
+			}
+		}
 	}
 }
