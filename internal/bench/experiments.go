@@ -173,8 +173,8 @@ func Table62(opts Options) *Table {
 		full := fullCosts(pairs)
 		rs := rsyncCosts(pairs, 700)
 		dl := deltaCosts(pairs)
-		ms := collectionCosts(base, newer, bestConfig())
-		msBasic := collectionCosts(base, newer, core.BasicConfig())
+		ms := collectionCosts(base.Map(), newer.Map(), bestConfig(), nil)
+		msBasic := collectionCosts(base.Map(), newer.Map(), core.BasicConfig(), nil)
 
 		t.Rows = append(t.Rows, Row{
 			Name: fmt.Sprintf("sync every %d night(s)", days),
@@ -193,28 +193,37 @@ func Table62(opts Options) *Table {
 	return t
 }
 
-// collectionCosts runs a real collection session over an in-memory pipe.
-func collectionCosts(oldTree, newTree *corpus.Tree, cfg core.Config) stats.Costs {
-	srv, err := collection.NewServer(newTree.Map(), cfg)
+// collectionCosts runs a real collection session over an in-memory pipe —
+// tune, if not nil, adjusts the client first — and returns the client's costs.
+// The reconstructed collection is compared with newFiles in full, so a mode
+// that corrupted even one byte cannot fill a row.
+func collectionCosts(oldFiles, newFiles map[string][]byte, cfg core.Config, tune func(*collection.Client)) stats.Costs {
+	srv, err := collection.NewServer(newFiles, cfg)
 	if err != nil {
 		panic(err)
 	}
+	cli := collection.NewClient(oldFiles)
+	if tune != nil {
+		tune(cli)
+	}
 	a, b := transport.Pipe()
-	done := make(chan *stats.Costs, 1)
+	srvErr := make(chan error, 1)
 	go func() {
 		defer a.Close()
-		costs, err := srv.Serve(a)
-		if err != nil {
-			panic(fmt.Sprintf("bench: collection server: %v", err))
-		}
-		done <- costs
+		_, err := srv.Serve(a)
+		srvErr <- err
 	}()
-	res, err := collection.NewClient(oldTree.Map()).Sync(b)
+	res, err := cli.Sync(b)
 	b.Close()
 	if err != nil {
 		panic(fmt.Sprintf("bench: collection client: %v", err))
 	}
-	<-done
+	if err := <-srvErr; err != nil {
+		panic(fmt.Sprintf("bench: collection server: %v", err))
+	}
+	if err := collection.VerifyAgainst(res.Files, newFiles); err != nil {
+		panic(fmt.Sprintf("bench: collection session did not converge: %v", err))
+	}
 	return *res.Costs
 }
 
@@ -252,24 +261,23 @@ func AblateManifest(opts Options) *Table {
 	nFiles := maxI(64, int(800*opts.Scale))
 	rng := rand.New(rand.NewSource(opts.Seed))
 	base := make(map[string][]byte, nFiles)
-	for i := 0; i < nFiles; i++ {
-		base[fmt.Sprintf("site/d%02d/f%05d.html", i%37, i)] = corpus.SourceText(rng, 400+rng.Intn(800))
+	paths := make([]string, nFiles)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("site/d%02d/f%05d.html", i%37, i)
+		base[paths[i]] = corpus.SourceText(rng, 400+rng.Intn(800))
 	}
 	for _, changed := range []int{1, 8, nFiles / 16, nFiles / 4} {
 		newer := make(map[string][]byte, nFiles)
 		for k, v := range base {
 			newer[k] = v
 		}
-		i := 0
-		for k := range newer {
-			if i >= changed {
-				break
-			}
+		// The first paths, not the first of a map walk: the table is the same
+		// at the same seed. The tree buckets by path hash, so these scatter.
+		for _, k := range paths[:changed] {
 			newer[k] = corpus.SourceText(rng, 400+rng.Intn(800))
-			i++
 		}
-		flat := collectionCostsMaps(base, newer, core.DefaultConfig(), false)
-		tree := collectionCostsMaps(base, newer, core.DefaultConfig(), true)
+		flat := collectionCosts(base, newer, core.DefaultConfig(), nil)
+		tree := collectionCosts(base, newer, core.DefaultConfig(), func(c *collection.Client) { c.TreeManifest = true })
 		t.Rows = append(t.Rows, Row{
 			Name: fmt.Sprintf("%d of %d files changed", changed, nFiles),
 			Values: []float64{
@@ -289,29 +297,6 @@ func maxI(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// collectionCostsMaps runs a real session over a pipe from raw maps.
-func collectionCostsMaps(oldFiles, newFiles map[string][]byte, cfg core.Config, tree bool) stats.Costs {
-	srv, err := collection.NewServer(newFiles, cfg)
-	if err != nil {
-		panic(err)
-	}
-	a, b := transport.Pipe()
-	go func() {
-		defer a.Close()
-		if _, err := srv.Serve(a); err != nil {
-			panic(fmt.Sprintf("bench: collection server: %v", err))
-		}
-	}()
-	cli := collection.NewClient(oldFiles)
-	cli.TreeManifest = tree
-	res, err := cli.Sync(b)
-	b.Close()
-	if err != nil {
-		panic(fmt.Sprintf("bench: collection client: %v", err))
-	}
-	return *res.Costs
 }
 
 // AblateDecomposable isolates the decomposable-hash saving on map-phase

@@ -43,7 +43,7 @@ func hostileLists(bodies bool) map[string][]byte {
 
 // hostileFull is a FULL section body of twelve bytes that decodes as far as
 // the allocation: a declared length of 4 GiB, the entropy-coded mode, two
-// empty code tables (the stream delta's own tests call hostileStream).
+// empty code tables (hostileStream in internal/delta's tests).
 var hostileFull = append(wire.AppendUvarint(nil, 1<<32), 0, 0, 0, 0, 0, 0, 0)
 
 // hostileFullFrame is a FULL payload answering an ACK of ordinal 0 with
