@@ -277,9 +277,6 @@ type Options struct {
 	Seed  int64
 }
 
-// DefaultOptions is the full-scale configuration used by cmd/msbench.
-func DefaultOptions() Options { return Options{Scale: 1.0, Seed: 42} }
-
 // row builds a Row from costs in KB columns:
 // s2c-map, c2s-map, delta, total, roundtrips.
 func costRow(name string, c stats.Costs) Row {

@@ -63,9 +63,6 @@ func (w *Writer) WriteBit(b bool) {
 	}
 }
 
-// WriteBool is an alias for WriteBit, matching encoding-style naming.
-func (w *Writer) WriteBool(b bool) { w.WriteBit(b) }
-
 // WriteBytes appends whole bytes (bit-aligned or not).
 func (w *Writer) WriteBytes(p []byte) {
 	if w.nCur == 0 {
@@ -82,17 +79,6 @@ func (w *Writer) Align() {
 	if w.nCur > 0 {
 		w.WriteBits(0, 8-w.nCur)
 	}
-}
-
-// BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
-// Len reports the number of bytes Bytes would currently return.
-func (w *Writer) Len() int {
-	if w.nCur > 0 {
-		return len(w.buf) + 1
-	}
-	return len(w.buf)
 }
 
 // Bytes returns the encoded bytes, padding the final partial byte with zeros.

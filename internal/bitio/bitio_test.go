@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// bitLen is the total number of bits written to w so far.
+func bitLen(w *Writer) int { return len(w.buf)*8 + int(w.nCur) }
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	w := &Writer{}
 	w.WriteBits(0b101, 3)
@@ -80,8 +83,8 @@ func TestWriteBitsMasksHighBits(t *testing.T) {
 func TestZeroWidth(t *testing.T) {
 	w := &Writer{}
 	w.WriteBits(123, 0)
-	if w.BitLen() != 0 {
-		t.Fatalf("BitLen = %d", w.BitLen())
+	if bitLen(w) != 0 {
+		t.Fatalf("BitLen = %d", bitLen(w))
 	}
 	r := NewReader(nil)
 	if v, err := r.ReadBits(0); err != nil || v != 0 {
@@ -126,12 +129,12 @@ func TestAlign(t *testing.T) {
 	w := &Writer{}
 	w.WriteBits(1, 3)
 	w.Align()
-	if w.BitLen() != 8 {
-		t.Fatalf("BitLen = %d", w.BitLen())
+	if bitLen(w) != 8 {
+		t.Fatalf("BitLen = %d", bitLen(w))
 	}
 	w.Align() // idempotent at a boundary
-	if w.BitLen() != 8 {
-		t.Fatalf("BitLen after second Align = %d", w.BitLen())
+	if bitLen(w) != 8 {
+		t.Fatalf("BitLen after second Align = %d", bitLen(w))
 	}
 	w.WriteBytes([]byte{0x42})
 	r := NewReader(w.Bytes())
@@ -145,12 +148,12 @@ func TestAlign(t *testing.T) {
 
 func TestLenAndBitLen(t *testing.T) {
 	w := &Writer{}
-	if w.Len() != 0 {
+	if len(w.Bytes()) != 0 {
 		t.Fatal("empty Len")
 	}
 	w.WriteBits(0, 9)
-	if w.Len() != 2 || w.BitLen() != 9 {
-		t.Fatalf("Len=%d BitLen=%d", w.Len(), w.BitLen())
+	if len(w.Bytes()) != 2 || bitLen(w) != 9 {
+		t.Fatalf("Len=%d BitLen=%d", len(w.Bytes()), bitLen(w))
 	}
 }
 
@@ -158,7 +161,7 @@ func TestReset(t *testing.T) {
 	w := &Writer{}
 	w.WriteBits(0xFFFF, 13)
 	w.Reset()
-	if w.BitLen() != 0 || len(w.Bytes()) != 0 {
+	if bitLen(w) != 0 || len(w.Bytes()) != 0 {
 		t.Fatal("reset did not clear")
 	}
 	w.WriteBits(0b1, 1)

@@ -803,7 +803,7 @@ func (cs *clientStream) respond(workers int, frameType byte, payload []byte) ([]
 }
 
 // VerifyAgainst checks that every file in result matches the expected
-// content; a helper for tests and the CLI's --check mode.
+// content; the convergence check of tests and experiments.
 func VerifyAgainst(result, want map[string][]byte) error {
 	if len(result) != len(want) {
 		return fmt.Errorf("collection: file count %d, want %d", len(result), len(want))

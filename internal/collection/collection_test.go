@@ -255,16 +255,6 @@ func TestVerifyAgainst(t *testing.T) {
 	}
 }
 
-func TestSelfTest(t *testing.T) {
-	srv, err := NewServer(map[string][]byte{"a": corpus.SourceText(rand.New(rand.NewSource(1)), 5000)}, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.SelfTest(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBinaryContent: collections are byte sets, not text.
 func TestBinaryContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))

@@ -232,7 +232,7 @@ func TestMuxSpansSumToCosts(t *testing.T) {
 		var up, down int64
 		streams := 0
 		for _, e := range side.ring.Events() {
-			if e.Phase == obs.PhaseSession || e.Phase == obs.PhaseCoreRound {
+			if e.Phase == obs.PhaseSession {
 				continue
 			}
 			up += e.BytesUp

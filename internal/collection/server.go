@@ -1,7 +1,6 @@
 package collection
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -669,24 +668,4 @@ func (s *session) sendVerdicts(verdicts []byte, fullBytes, deltaBytes int, muxCo
 // count.
 func parallelFiles(workers, n int, fn func(i int) error) error {
 	return pool.Do(workers, n, fn)
-}
-
-// SelfTest verifies that the server's collection round-trips through a
-// compression cycle; used by integration tests and the CLI's --check mode.
-func (s *Server) SelfTest() error {
-	src, manifest, _, err := s.sessionState()
-	if err != nil {
-		return err
-	}
-	for _, e := range manifest {
-		data, err := src.Load(e.Path)
-		if err != nil {
-			return fmt.Errorf("collection: self-test failed for %q: %w", e.Path, err)
-		}
-		dec, err := delta.Decompress(delta.Compress(data))
-		if err != nil || !bytes.Equal(dec, data) {
-			return fmt.Errorf("collection: self-test failed for %q", e.Path)
-		}
-	}
-	return nil
 }

@@ -56,9 +56,6 @@ func NewStoreSource(inner Source, st *store.Store) *StoreSource {
 	return &StoreSource{Source: inner, st: st}
 }
 
-// Store exposes the backing version store (for stats and tests).
-func (s *StoreSource) Store() *store.Store { return s.st }
-
 // WithInner returns a StoreSource over the same store but a new live source;
 // used when push adoption replaces the collection under a versioned server.
 func (s *StoreSource) WithInner(inner Source) *StoreSource {

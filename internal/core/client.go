@@ -952,24 +952,6 @@ func (c *ClientFile) openDelta(payload []byte) (wantSum, enc []byte, err error) 
 	return wantSum, enc, nil
 }
 
-// decodeGaps decodes enc against the reference gathered from src over ivs and
-// hands each gap, in file order, its share of the decoded target.
-func (c *ClientFile) decodeGaps(src []byte, ivs []interval, enc []byte, fill func(g interval, data []byte)) error {
-	ref, release := gather(src, ivs)
-	defer release()
-	// The gaps' total is known beforehand; a section declaring another length
-	// is refused before it costs what it declares.
-	target, err := delta.DecodeLen(ref[0], enc, c.n-c.coveredBytes())
-	if err != nil {
-		return fmt.Errorf("core: delta decode: %w", err)
-	}
-	for _, g := range c.gaps() {
-		fill(g, target[:g.end-g.start])
-		target = target[g.end-g.start:]
-	}
-	return nil
-}
-
 // ApplyDelta consumes the final delta section and reconstructs the current
 // file. On ErrVerifyFailed the caller should arrange a full transfer.
 func (c *ClientFile) ApplyDelta(payload []byte) ([]byte, error) {
@@ -983,10 +965,16 @@ func (c *ClientFile) ApplyDelta(payload []byte) ([]byte, error) {
 	for _, m := range c.matches {
 		copy(out[m.serverOff:m.serverOff+m.length], c.fOld[m.clientOff:m.clientOff+m.length])
 	}
-	if err := c.decodeGaps(out, c.coverIntervals(), enc, func(g interval, data []byte) {
-		copy(out[g.start:], data)
-	}); err != nil {
-		return nil, err
+	ref, release := gather(out, c.coverIntervals())
+	defer release()
+	// The gaps' total is known beforehand; a section declaring another length
+	// is refused before it costs what it declares.
+	target, err := delta.DecodeLen(ref[0], enc, c.n-c.coveredBytes())
+	if err != nil {
+		return nil, fmt.Errorf("core: delta decode: %w", err)
+	}
+	for _, g := range c.gaps() {
+		target = target[copy(out[g.start:g.end], target):]
 	}
 	got := md4.Sum(out)
 	if string(got[:]) != string(wantSum) {

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"time"
 
 	"msync/internal/delta"
-	"msync/internal/obs"
 	"msync/internal/stats"
 )
 
@@ -40,19 +38,6 @@ func SyncLocal(fOld, fNew []byte, cfg Config) (*LocalResult, error) {
 // protocol round, so long experiment sweeps over large corpora can be
 // aborted promptly.
 func SyncLocalContext(ctx context.Context, fOld, fNew []byte, cfg Config) (*LocalResult, error) {
-	return syncLocal(ctx, fOld, fNew, cfg, nil)
-}
-
-// SyncLocalTraced is SyncLocalContext with per-round trace events: one
-// obs.PhaseCoreRound event per map-construction round (bytes each way,
-// candidate/confirmation deltas, wall time) plus one obs.PhaseDelta event for
-// the delta/fallback transfer and a closing obs.PhaseSession summary. A nil
-// tracer degrades to exactly SyncLocalContext.
-func SyncLocalTraced(ctx context.Context, fOld, fNew []byte, cfg Config, tr obs.Tracer) (*LocalResult, error) {
-	return syncLocal(ctx, fOld, fNew, cfg, tr)
-}
-
-func syncLocal(ctx context.Context, fOld, fNew []byte, cfg Config, tr obs.Tracer) (*LocalResult, error) {
 	srv, err := NewServerFile(fNew, &cfg)
 	if err != nil {
 		return nil, err
@@ -63,50 +48,12 @@ func syncLocal(ctx context.Context, fOld, fNew []byte, cfg Config, tr obs.Tracer
 	}
 	res := &LocalResult{}
 
-	// Tracing state; untouched (and unallocated) when tr is nil.
-	var sid uint64
-	var sessStart time.Time
-	var prevCand, prevConf int64
-	dirTotal := func(c *stats.Costs, d stats.Direction) int64 {
-		var n int64
-		for _, p := range []stats.Phase{stats.PhaseControl, stats.PhaseMap, stats.PhaseDelta, stats.PhaseFull} {
-			n += c.Bytes(d, p)
-		}
-		return n
-	}
-	emit := func(phase string, round int, c0 stats.Costs, t0 time.Time) {
-		tr.Emit(obs.Event{
-			Time:       time.Now(),
-			Session:    sid,
-			Side:       "core",
-			Phase:      phase,
-			Round:      round,
-			BytesUp:    dirTotal(&res.Costs, stats.C2S) - dirTotal(&c0, stats.C2S),
-			BytesDown:  dirTotal(&res.Costs, stats.S2C) - dirTotal(&c0, stats.S2C),
-			Dur:        time.Since(t0),
-			Candidates: srv.CandidatesSeen - prevCand,
-			Confirmed:  srv.MatchesConfirmed - prevConf,
-		})
-		prevCand = srv.CandidatesSeen
-		prevConf = srv.MatchesConfirmed
-	}
-	if tr != nil {
-		sid = obs.NextSessionID()
-		sessStart = time.Now()
-	}
-
 	for srv.Active() {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: sync cancelled: %w", err)
 		}
 		if !cli.Active() {
 			return nil, fmt.Errorf("core: engine desync: server active, client done")
-		}
-		var roundCosts stats.Costs
-		var roundStart time.Time
-		if tr != nil {
-			roundCosts = res.Costs
-			roundStart = time.Now()
 		}
 		hashes := srv.EmitHashes()
 		res.Costs.Add(stats.S2C, stats.PhaseMap, len(hashes))
@@ -139,17 +86,8 @@ func syncLocal(ctx context.Context, fOld, fNew []byte, cfg Config, tr obs.Tracer
 			}
 			res.Costs.Roundtrips++
 		}
-		if tr != nil {
-			emit(obs.PhaseCoreRound, res.Rounds, roundCosts, roundStart)
-		}
 	}
 
-	var deltaCosts stats.Costs
-	var deltaStart time.Time
-	if tr != nil {
-		deltaCosts = res.Costs
-		deltaStart = time.Now()
-	}
 	dl := srv.EmitDelta()
 	res.Costs.Add(stats.S2C, stats.PhaseDelta, len(dl))
 	res.Costs.Roundtrips++
@@ -178,11 +116,5 @@ func syncLocal(ctx context.Context, fOld, fNew []byte, cfg Config, tr obs.Tracer
 	res.Costs.CandidatesFound = srv.CandidatesSeen
 	res.Costs.MatchesConfirmed = srv.MatchesConfirmed
 	res.Costs.FalseCandidates = srv.CandidatesSeen - srv.MatchesConfirmed
-	if tr != nil {
-		emit(obs.PhaseDelta, 0, deltaCosts, deltaStart)
-		var zero stats.Costs
-		prevCand, prevConf = 0, 0
-		emit(obs.PhaseSession, res.Rounds, zero, sessStart)
-	}
 	return res, nil
 }

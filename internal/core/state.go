@@ -790,15 +790,6 @@ func (st *state) splitBlocks(nextB int) {
 // Done reports whether map construction has finished for this file.
 func (st *state) Done() bool { return st.done }
 
-// MapBits reports the total map-construction wire bits spent so far.
-func (st *state) MapBits() int64 { return st.bitsSpent }
-
-// Matches reports the number of confirmed matches.
-func (st *state) Matches() int { return len(st.matches) }
-
-// Covered reports the covered byte count.
-func (st *state) Covered() int { return st.coveredBytes() }
-
 // Rounds returns per-round diagnostics for the rounds completed so far.
 // Server and client produce identical records.
 func (st *state) Rounds() []RoundStats { return st.rounds }

@@ -175,9 +175,6 @@ func OpenTree(root string) (t *Tree, werrs WalkErrors, err error) {
 	return t, werrs, nil
 }
 
-// Root returns the tree's root directory.
-func (t *Tree) Root() string { return t.root }
-
 // Files returns the walked file identities, sorted by path. The slice is
 // shared; callers must not mutate it.
 func (t *Tree) Files() []FileInfo { return t.files }

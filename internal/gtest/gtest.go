@@ -1,6 +1,5 @@
 // Package gtest implements the group-testing machinery behind the paper's
-// optimized match verification (Section 5.3) and the searching-with-liars
-// primitive behind match extension (Section 5.4).
+// optimized match verification (Section 5.3).
 //
 // Candidates for matches are "items"; a false match is a "defective" item.
 // A test asks "are all items in this group non-defective?" by comparing a
@@ -149,9 +148,6 @@ func (p *Plan) firstBatch() []Group {
 // complete.
 func (p *Plan) Groups() []Group { return p.current }
 
-// NumTests reports the number of tests in the current batch.
-func (p *Plan) NumTests() int { return len(p.current) }
-
 // Absorb records pass/fail results for the current batch (one bool per
 // group, in Groups() order) and computes the next batch. It returns true if
 // another batch is needed.
@@ -213,43 +209,5 @@ func split(members []int, k int) []Group {
 // Confirmed reports, after the plan completes, which candidates verified.
 func (p *Plan) Confirmed() []bool { return p.confirmed }
 
-// IsConfirmed reports whether candidate i verified.
-func (p *Plan) IsConfirmed(i int) bool { return p.confirmed[i] }
-
-// Batch reports the current batch index (0-based).
-func (p *Plan) Batch() int { return p.batch }
-
 // Done reports whether all candidates are resolved.
 func (p *Plan) Done() bool { return len(p.current) == 0 }
-
-// ExpectedTestCost estimates the wire cost in bits of a batch: vbits per test
-// plus one reply bit per test. Used by the adaptive round-stopping heuristic.
-func ExpectedTestCost(numTests int, vbits uint) int {
-	return numTests * (int(vbits) + 1)
-}
-
-// LiarSearch performs a binary search for the largest e in [0, n] such that
-// probe(e) is truly monotone-true (probe answers may lie "true" with small
-// probability but never lie "false"). verify(e) is a reliable but expensive
-// confirmation; on verification failure the search backtracks linearly.
-//
-// This models the paper's searching-with-liars view of match extension: each
-// probe is a cheap continuation hash comparison, the verify step a strong
-// hash. Returns the largest verified e.
-func LiarSearch(n int, probe func(e int) bool, verify func(e int) bool) int {
-	lo, hi := 0, n // invariant: probe truth known true at lo (e=0 trivially true)
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if probe(mid) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	// lo is the candidate answer; probes may have lied, so verify and walk
-	// back as needed.
-	for lo > 0 && !verify(lo) {
-		lo--
-	}
-	return lo
-}

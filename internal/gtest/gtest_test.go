@@ -41,7 +41,7 @@ func TestTrivialAllPass(t *testing.T) {
 	}
 	resolve(p, nil)
 	for i := 0; i < 10; i++ {
-		if !p.IsConfirmed(i) {
+		if !p.Confirmed()[i] {
 			t.Fatalf("candidate %d not confirmed", i)
 		}
 	}
@@ -52,8 +52,8 @@ func TestTrivialSomeFail(t *testing.T) {
 	resolve(p, map[int]bool{1: true, 3: true})
 	want := []bool{true, false, true, false, true}
 	for i, w := range want {
-		if p.IsConfirmed(i) != w {
-			t.Fatalf("candidate %d: confirmed=%v want %v", i, p.IsConfirmed(i), w)
+		if p.Confirmed()[i] != w {
+			t.Fatalf("candidate %d: confirmed=%v want %v", i, p.Confirmed()[i], w)
 		}
 	}
 }
@@ -69,8 +69,8 @@ func TestGroupSalvage(t *testing.T) {
 	resolve(p, map[int]bool{5: true})
 	for i := 0; i < 8; i++ {
 		want := i != 5
-		if p.IsConfirmed(i) != want {
-			t.Fatalf("candidate %d: confirmed=%v want %v", i, p.IsConfirmed(i), want)
+		if p.Confirmed()[i] != want {
+			t.Fatalf("candidate %d: confirmed=%v want %v", i, p.Confirmed()[i], want)
 		}
 	}
 }
@@ -82,7 +82,7 @@ func TestOneBatchGroupsDropOnFailure(t *testing.T) {
 	p := NewPlan(classes(4, ClassGlobal), cfg)
 	resolve(p, map[int]bool{0: true})
 	for i := 0; i < 4; i++ {
-		if p.IsConfirmed(i) {
+		if p.Confirmed()[i] {
 			t.Fatalf("candidate %d confirmed despite failed group", i)
 		}
 	}
@@ -126,7 +126,7 @@ func TestRetrySingleton(t *testing.T) {
 	if more := p.Absorb([]bool{true}); more {
 		t.Fatal("plan should be done")
 	}
-	if !p.IsConfirmed(0) {
+	if !p.Confirmed()[0] {
 		t.Fatal("retried candidate not confirmed")
 	}
 }
@@ -142,7 +142,7 @@ func TestRetryExhaustion(t *testing.T) {
 			t.Fatal("plan does not terminate")
 		}
 	}
-	if p.IsConfirmed(0) {
+	if p.Confirmed()[0] {
 		t.Fatal("confirmed despite always failing")
 	}
 	if rounds != 3 { // initial + 2 retries
@@ -172,7 +172,7 @@ func TestQuickResolution(t *testing.T) {
 		p := NewPlan(cls, cfg)
 		resolve(p, defective)
 		for i := 0; i < n; i++ {
-			if p.IsConfirmed(i) == defective[i] {
+			if p.Confirmed()[i] == defective[i] {
 				return false
 			}
 		}
@@ -207,45 +207,4 @@ func TestAbsorbCountMismatchPanics(t *testing.T) {
 		}
 	}()
 	p.Absorb([]bool{true})
-}
-
-func TestExpectedTestCost(t *testing.T) {
-	if ExpectedTestCost(10, 20) != 210 {
-		t.Fatalf("got %d", ExpectedTestCost(10, 20))
-	}
-}
-
-// TestLiarSearch: probes lie "true" with some probability; verification
-// must still land on the true boundary.
-func TestLiarSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(1000) + 1
-		truth := rng.Intn(n + 1)
-		probe := func(e int) bool {
-			if e <= truth {
-				return true
-			}
-			return rng.Float64() < 0.25 // 25% lies
-		}
-		verify := func(e int) bool { return e <= truth }
-		got := LiarSearch(n, probe, verify)
-		if got > truth {
-			t.Fatalf("LiarSearch returned %d beyond truth %d", got, truth)
-		}
-		// With truthful probes the result is exact.
-		exact := LiarSearch(n, verify, verify)
-		if exact != truth {
-			t.Fatalf("exact search got %d, want %d", exact, truth)
-		}
-	}
-}
-
-func TestDefaultConfigsSane(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(), TrivialConfig(), {}} {
-		s := cfg.sanitized()
-		if s.Batches < 1 || s.GroupSize < 1 || s.TrustedGroupSize < 1 || s.SplitFactor < 2 {
-			t.Fatalf("sanitized config invalid: %+v", s)
-		}
-	}
 }

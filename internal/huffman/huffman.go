@@ -184,9 +184,6 @@ func (c *Code) assignCodes() {
 	}
 }
 
-// NumSymbols reports the alphabet size (including unused symbols).
-func (c *Code) NumSymbols() int { return len(c.lengths) }
-
 // Length reports the codeword length of sym (0 if unused).
 func (c *Code) Length(sym int) int { return int(c.lengths[sym]) }
 

@@ -24,12 +24,6 @@ type TreeCache struct {
 	trees   map[int]*Tree
 }
 
-// NewTreeCache creates an in-memory cache over entries, which must not
-// change afterwards.
-func NewTreeCache(entries []Entry) *TreeCache {
-	return &TreeCache{entries: entries, trees: make(map[int]*Tree)}
-}
-
 // NewTreeCacheAt creates a cache over entries whose trees persist in dir
 // (the signature-cache directory), keyed by fp — the digest of the manifest
 // the entries came from. An empty dir disables persistence.

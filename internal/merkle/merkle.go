@@ -239,12 +239,6 @@ func (t *Tree) setBucket(i int, es []Entry) {
 	t.sbuckets[int32(i)] = es
 }
 
-// Depth reports the tree depth.
-func (t *Tree) Depth() int { return t.depth }
-
-// Count reports the number of entries in the tree.
-func (t *Tree) Count() int { return t.count }
-
 // Root returns the root digest.
 func (t *Tree) Root() [md4.Size]byte { return t.node(1) }
 

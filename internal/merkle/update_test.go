@@ -54,8 +54,8 @@ func TestUpdateMatchesBuild(t *testing.T) {
 			if tr.Root() != want.Root() {
 				t.Fatalf("depth %d round %d: update root != build root", depth, round)
 			}
-			if tr.Count() != want.Count() || tr.Count() != len(entries) {
-				t.Fatalf("depth %d round %d: count %d want %d", depth, round, tr.Count(), len(entries))
+			if tr.count != want.count || tr.count != len(entries) {
+				t.Fatalf("depth %d round %d: count %d want %d", depth, round, tr.count, len(entries))
 			}
 		}
 	}
@@ -72,8 +72,8 @@ func TestUpdateRedundantOps(t *testing.T) {
 	if tr.Root() != want {
 		t.Fatal("no-op update changed the root")
 	}
-	if tr.Count() != len(entries) {
-		t.Fatalf("count drifted to %d", tr.Count())
+	if tr.count != len(entries) {
+		t.Fatalf("count drifted to %d", tr.count)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if gotFP != fp {
 		t.Fatal("fingerprint mismatch after load")
 	}
-	if got.Root() != tr.Root() || got.Count() != tr.Count() {
+	if got.Root() != tr.Root() || got.count != tr.count {
 		t.Fatal("loaded tree differs from saved")
 	}
 	for id := 1; id < 2<<7; id++ {

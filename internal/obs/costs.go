@@ -67,25 +67,24 @@ const (
 var costCounters = []struct {
 	name string
 	get  func(*stats.Costs) int64
-	set  func(*stats.Costs, int64)
 }{
-	{"msync_roundtrips_total", func(c *stats.Costs) int64 { return int64(c.Roundtrips) }, func(c *stats.Costs, v int64) { c.Roundtrips = int(v) }},
-	{"msync_files_synced_total", func(c *stats.Costs) int64 { return int64(c.FilesSynced) }, func(c *stats.Costs, v int64) { c.FilesSynced = int(v) }},
-	{"msync_files_unchanged_total", func(c *stats.Costs) int64 { return int64(c.FilesUnchanged) }, func(c *stats.Costs, v int64) { c.FilesUnchanged = int(v) }},
-	{"msync_files_full_total", func(c *stats.Costs) int64 { return int64(c.FilesFull) }, func(c *stats.Costs, v int64) { c.FilesFull = int(v) }},
-	{"msync_files_journal_total", func(c *stats.Costs) int64 { return int64(c.FilesJournal) }, func(c *stats.Costs, v int64) { c.FilesJournal = int(v) }},
-	{"msync_store_journal_hits_total", func(c *stats.Costs) int64 { return c.JournalHits }, func(c *stats.Costs, v int64) { c.JournalHits = v }},
-	{"msync_store_journal_misses_total", func(c *stats.Costs) int64 { return c.JournalMisses }, func(c *stats.Costs, v int64) { c.JournalMisses = v }},
-	{"msync_hashes_sent_total", func(c *stats.Costs) int64 { return c.HashesSent }, func(c *stats.Costs, v int64) { c.HashesSent = v }},
-	{"msync_candidates_found_total", func(c *stats.Costs) int64 { return c.CandidatesFound }, func(c *stats.Costs, v int64) { c.CandidatesFound = v }},
-	{"msync_matches_confirmed_total", func(c *stats.Costs) int64 { return c.MatchesConfirmed }, func(c *stats.Costs, v int64) { c.MatchesConfirmed = v }},
-	{"msync_false_candidates_total", func(c *stats.Costs) int64 { return c.FalseCandidates }, func(c *stats.Costs, v int64) { c.FalseCandidates = v }},
-	{"msync_continuation_hashes_total", func(c *stats.Costs) int64 { return c.ContinuationHashes }, func(c *stats.Costs, v int64) { c.ContinuationHashes = v }},
-	{"msync_block_hashes_computed_total", func(c *stats.Costs) int64 { return c.BlockHashesComputed }, func(c *stats.Costs, v int64) { c.BlockHashesComputed = v }},
-	{"msync_bytes_hashed_total", func(c *stats.Costs) int64 { return c.BytesHashed }, func(c *stats.Costs, v int64) { c.BytesHashed = v }},
-	{"msync_cache_hits_total", func(c *stats.Costs) int64 { return c.CacheHits }, func(c *stats.Costs, v int64) { c.CacheHits = v }},
-	{"msync_cache_misses_total", func(c *stats.Costs) int64 { return c.CacheMisses }, func(c *stats.Costs, v int64) { c.CacheMisses = v }},
-	{"msync_cache_evictions_total", func(c *stats.Costs) int64 { return c.CacheEvictions }, func(c *stats.Costs, v int64) { c.CacheEvictions = v }},
+	{"msync_roundtrips_total", func(c *stats.Costs) int64 { return int64(c.Roundtrips) }},
+	{"msync_files_synced_total", func(c *stats.Costs) int64 { return int64(c.FilesSynced) }},
+	{"msync_files_unchanged_total", func(c *stats.Costs) int64 { return int64(c.FilesUnchanged) }},
+	{"msync_files_full_total", func(c *stats.Costs) int64 { return int64(c.FilesFull) }},
+	{"msync_files_journal_total", func(c *stats.Costs) int64 { return int64(c.FilesJournal) }},
+	{"msync_store_journal_hits_total", func(c *stats.Costs) int64 { return c.JournalHits }},
+	{"msync_store_journal_misses_total", func(c *stats.Costs) int64 { return c.JournalMisses }},
+	{"msync_hashes_sent_total", func(c *stats.Costs) int64 { return c.HashesSent }},
+	{"msync_candidates_found_total", func(c *stats.Costs) int64 { return c.CandidatesFound }},
+	{"msync_matches_confirmed_total", func(c *stats.Costs) int64 { return c.MatchesConfirmed }},
+	{"msync_false_candidates_total", func(c *stats.Costs) int64 { return c.FalseCandidates }},
+	{"msync_continuation_hashes_total", func(c *stats.Costs) int64 { return c.ContinuationHashes }},
+	{"msync_block_hashes_computed_total", func(c *stats.Costs) int64 { return c.BlockHashesComputed }},
+	{"msync_bytes_hashed_total", func(c *stats.Costs) int64 { return c.BytesHashed }},
+	{"msync_cache_hits_total", func(c *stats.Costs) int64 { return c.CacheHits }},
+	{"msync_cache_misses_total", func(c *stats.Costs) int64 { return c.CacheMisses }},
+	{"msync_cache_evictions_total", func(c *stats.Costs) int64 { return c.CacheEvictions }},
 }
 
 // byteCounterName returns the counter name for one cell of the byte matrix.
@@ -93,7 +92,7 @@ func byteCounterName(d stats.Direction, p stats.Phase) string {
 	return fmt.Sprintf("msync_bytes_%s_%s_total", d, p)
 }
 
-// directions and phases enumerate the cost matrix for RecordCosts/CostsView.
+// directions and phases enumerate the cost matrix for RecordCosts.
 var (
 	directions = []stats.Direction{stats.C2S, stats.S2C}
 	phases     = []stats.Phase{stats.PhaseControl, stats.PhaseMap, stats.PhaseDelta, stats.PhaseFull}
@@ -115,23 +114,4 @@ func RecordCosts(r *Registry, c *stats.Costs) {
 	for _, cc := range costCounters {
 		r.Counter(cc.name).Add(cc.get(c))
 	}
-}
-
-// CostsView reconstructs an aggregate stats.Costs from the registry's
-// counters: the compatible snapshot view over everything recorded so far.
-// Code written against Costs keeps working unmodified on live metrics.
-func CostsView(r *Registry) stats.Costs {
-	var c stats.Costs
-	if r == nil {
-		return c
-	}
-	for _, d := range directions {
-		for _, p := range phases {
-			c.Add(d, p, int(r.Counter(byteCounterName(d, p)).Value()))
-		}
-	}
-	for _, cc := range costCounters {
-		cc.set(&c, r.Counter(cc.name).Value())
-	}
-	return c
 }

@@ -88,12 +88,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // HistogramSnapshot is a consistent-enough copy of a histogram for export.
 // (Per-bucket loads are individually atomic; a snapshot taken during
 // concurrent observation may be off by in-flight increments, which is the

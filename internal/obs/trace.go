@@ -12,8 +12,7 @@ import (
 // Span phases emitted by the protocol layers. Collection sessions emit one
 // handshake span (hello, change detection, verdicts), one span per
 // map-construction round, one per group-verification pass, one delta span,
-// an optional full-transfer span, and a closing session summary. The
-// in-process core driver emits per-round engine events under PhaseCoreRound.
+// an optional full-transfer span, and a closing session summary.
 const (
 	PhaseHandshake = "handshake"
 	PhaseRound     = "round"
@@ -21,7 +20,6 @@ const (
 	PhaseDelta     = "delta"
 	PhaseFull      = "full"
 	PhaseSession   = "session"
-	PhaseCoreRound = "core-round"
 	// PhaseTree covers one merkle-descent roundtrip of tree-manifest
 	// change detection (the Event.Round field carries the descent round).
 	PhaseTree = "tree"
@@ -73,10 +71,6 @@ type Event struct {
 	Mode string `json:"mode,omitempty"`
 	// Err carries the session error on a failed PhaseSession event.
 	Err string `json:"err,omitempty"`
-	// Candidates and Confirmed carry per-round engine diagnostics on
-	// PhaseCoreRound events.
-	Candidates int64 `json:"candidates,omitempty"`
-	Confirmed  int64 `json:"confirmed,omitempty"`
 }
 
 // Tracer receives protocol span events. Implementations must be safe for

@@ -127,9 +127,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 	return &DirStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (d *DirStore) Dir() string { return d.dir }
-
 func (d *DirStore) path(key string) string {
 	return filepath.Join(d.dir, filepath.FromSlash(key))
 }

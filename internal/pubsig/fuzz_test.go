@@ -26,7 +26,6 @@ func FuzzSignature(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = plan.BlocksLocal()
 		// With no old file nothing can match, so the plan's fetch volume
 		// equals the declared file length; bound it before allocating.
 		if len(old) == 0 && plan.FetchBytes() < 1<<20 {

@@ -1,58 +1,13 @@
 package pubsig
 
 import (
-	"bytes"
 	"context"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
-
-	"msync/internal/md4"
 )
-
-// SigSuffix is appended to a resource's path to address its signature.
-const SigSuffix = ".msig"
-
-// Handler serves a named resource and its signature over HTTP — what a
-// sync-friendly web server needs to publish (paper §1.1, application 3):
-//
-//	GET /<name>        the content (stdlib Range support included)
-//	GET /<name>.msig   the published signature
-//
-// The signature is computed once at construction; the server does no
-// per-client synchronization work at all. Validators are derived from
-// content (strong ETag = hex MD4), so two replicas serving the same version
-// agree on them and a restart does not invalidate caches; Last-Modified is
-// omitted unless supplied via HandlerModTime.
-func Handler(name string, content []byte, blockSize int) http.Handler {
-	return HandlerModTime(name, content, blockSize, time.Time{})
-}
-
-// HandlerModTime is Handler with a caller-supplied modification time (e.g.
-// the file's real mtime), surfaced as Last-Modified. A zero modTime omits
-// the header and leaves conditional requests to the ETags.
-func HandlerModTime(name string, content []byte, blockSize int, modTime time.Time) http.Handler {
-	sig := Build(content, blockSize)
-	contentSum := md4.Sum(content)
-	sigSum := md4.Sum(sig)
-	contentTag := `"` + hex.EncodeToString(contentSum[:]) + `"`
-	sigTag := `"` + hex.EncodeToString(sigSum[:]) + `"`
-	mux := http.NewServeMux()
-	mux.HandleFunc("/"+name, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("ETag", contentTag)
-		http.ServeContent(w, r, name, modTime, bytes.NewReader(content))
-	})
-	mux.HandleFunc("/"+name+SigSuffix, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("ETag", sigTag)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		http.ServeContent(w, r, "", modTime, bytes.NewReader(sig))
-	})
-	return mux
-}
 
 // parseContentRange parses a Content-Range header of the form
 // "bytes <start>-<end>/<total>" (total may be "*"), returning total = -1
@@ -156,60 +111,4 @@ func HTTPRangeFetcher(client *http.Client, url string) ContextFetcher {
 			return nil, fmt.Errorf("pubsig: range request: %s", resp.Status)
 		}
 	}
-}
-
-// HTTPFetcher is HTTPRangeFetcher without cancellation, kept for callers
-// holding a plain Fetcher.
-func HTTPFetcher(client *http.Client, url string) Fetcher {
-	f := HTTPRangeFetcher(client, url)
-	return func(off, length int) ([]byte, error) {
-		return f(context.Background(), off, length)
-	}
-}
-
-// SyncHTTP updates old to the current version of baseURL/name using the
-// published signature and range requests, returning the new content and the
-// total bytes downloaded (signature + ranges).
-func SyncHTTP(client *http.Client, baseURL, name string, old []byte) ([]byte, int, error) {
-	return SyncHTTPContext(context.Background(), client, baseURL, name, old)
-}
-
-// SyncHTTPContext is SyncHTTP under a context: both the signature fetch and
-// every range request honor cancellation and deadlines.
-func SyncHTTPContext(ctx context.Context, client *http.Client, baseURL, name string, old []byte) ([]byte, int, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/"+name+SigSuffix, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil, 0, fmt.Errorf("pubsig: signature fetch: %s", resp.Status)
-	}
-	sig, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, 0, err
-	}
-	plan, err := NewPlan(old, sig)
-	if err != nil {
-		return nil, len(sig), err
-	}
-	down := len(sig)
-	fetch := HTTPRangeFetcher(client, baseURL+"/"+name)
-	out, err := plan.ReconstructContext(ctx, old, func(ctx context.Context, off, length int) ([]byte, error) {
-		data, err := fetch(ctx, off, length)
-		down += len(data)
-		return data, err
-	})
-	if err != nil {
-		return nil, down, err
-	}
-	return out, down, nil
 }

@@ -1,68 +1,13 @@
 package pubsig
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"msync/internal/corpus"
 )
-
-func TestSyncHTTPEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cur := corpus.SourceText(rng, 200_000)
-	old := append([]byte(nil), cur...)
-	copy(old[120_000:], []byte("this region was different yesterday"))
-
-	srv := httptest.NewServer(Handler("page.html", cur, DefaultBlockSize))
-	defer srv.Close()
-
-	got, down, err := SyncHTTP(srv.Client(), srv.URL, "page.html", old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cur) {
-		t.Fatal("mismatch")
-	}
-	if down >= len(cur)/4 {
-		t.Fatalf("downloaded %d bytes for a one-region change in %d", down, len(cur))
-	}
-	t.Logf("HTTP sync: %d bytes for a %d-byte resource (%.1f%%)",
-		down, len(cur), 100*float64(down)/float64(len(cur)))
-}
-
-func TestSyncHTTPFromScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cur := corpus.SourceText(rng, 30_000)
-	srv := httptest.NewServer(Handler("doc", cur, 512))
-	defer srv.Close()
-
-	got, down, err := SyncHTTP(srv.Client(), srv.URL, "doc", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cur) {
-		t.Fatal("mismatch")
-	}
-	// No old copy: everything is fetched, plus the signature.
-	if down < len(cur) {
-		t.Fatalf("downloaded %d < resource size %d", down, len(cur))
-	}
-}
-
-func TestSyncHTTPMissingResource(t *testing.T) {
-	srv := httptest.NewServer(Handler("exists", []byte("x"), 512))
-	defer srv.Close()
-	if _, _, err := SyncHTTP(srv.Client(), srv.URL, "absent", nil); err == nil {
-		t.Fatal("missing resource accepted")
-	}
-}
 
 // TestHTTPFetcherAgainstNonRangeServer: servers that ignore Range must
 // still work (the fetcher slices the full body).
@@ -72,15 +17,15 @@ func TestHTTPFetcherAgainstNonRangeServer(t *testing.T) {
 		w.Write(content) // 200, no Range handling
 	}))
 	defer srv.Close()
-	fetch := HTTPFetcher(srv.Client(), srv.URL)
-	got, err := fetch(4, 6)
+	fetch := HTTPRangeFetcher(srv.Client(), srv.URL)
+	got, err := fetch(context.Background(), 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "456789" {
 		t.Fatalf("got %q", got)
 	}
-	if _, err := fetch(10, 100); err == nil {
+	if _, err := fetch(context.Background(), 10, 100); err == nil {
 		t.Fatal("over-long range accepted")
 	}
 }
@@ -90,7 +35,7 @@ func TestHTTPFetcherServerError(t *testing.T) {
 		http.Error(w, "nope", http.StatusForbidden)
 	}))
 	defer srv.Close()
-	if _, err := HTTPFetcher(srv.Client(), srv.URL)(0, 4); err == nil {
+	if _, err := HTTPRangeFetcher(srv.Client(), srv.URL)(context.Background(), 0, 4); err == nil {
 		t.Fatal("403 accepted")
 	}
 }
@@ -184,115 +129,5 @@ func TestHTTPFetcherHonorsContext(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("fetch did not respect the context deadline")
-	}
-}
-
-// TestHandlerValidatorsStableAcrossRestarts pins the modTime = time.Now()
-// fix: two Handler instances over the same content (a restart, or two
-// replicas) must agree on validators, and a conditional request primed by
-// one must revalidate against the other.
-func TestHandlerValidatorsStableAcrossRestarts(t *testing.T) {
-	content := []byte("stable published content, version 7")
-	srv1 := httptest.NewServer(Handler("doc", content, 16))
-	resp1, err := srv1.Client().Get(srv1.URL + "/doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp1.Body.Close()
-	etag := resp1.Header.Get("ETag")
-	if etag == "" {
-		t.Fatal("no ETag served")
-	}
-	if lm := resp1.Header.Get("Last-Modified"); lm != "" {
-		t.Fatalf("Last-Modified %q fabricated from server start time", lm)
-	}
-	srv1.Close()
-	time.Sleep(10 * time.Millisecond)
-
-	srv2 := httptest.NewServer(Handler("doc", content, 16))
-	defer srv2.Close()
-	req, _ := http.NewRequest(http.MethodGet, srv2.URL+"/doc", nil)
-	req.Header.Set("If-None-Match", etag)
-	resp2, err := srv2.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotModified {
-		t.Fatalf("restarted replica answered %s to a valid If-None-Match, want 304", resp2.Status)
-	}
-}
-
-// TestHandlerSignatureConditionalAndRange: the signature endpoint must get
-// the same HTTP treatment as the content (Content-Length, HEAD, Range,
-// If-None-Match) instead of a bare write.
-func TestHandlerSignatureConditionalAndRange(t *testing.T) {
-	content := []byte("some resource whose signature readers cache")
-	srv := httptest.NewServer(Handler("doc", content, 8))
-	defer srv.Close()
-	url := srv.URL + "/doc" + SigSuffix
-
-	resp, err := srv.Client().Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.ContentLength != int64(len(sig)) || resp.ContentLength <= 0 {
-		t.Fatalf("sig Content-Length = %d, body %d", resp.ContentLength, len(sig))
-	}
-	etag := resp.Header.Get("ETag")
-	if etag == "" {
-		t.Fatal("sig has no ETag")
-	}
-	if !bytes.Equal(sig, Build(content, 8)) {
-		t.Fatal("served signature differs from Build")
-	}
-
-	req, _ := http.NewRequest(http.MethodHead, url, nil)
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 || resp.ContentLength != int64(len(sig)) {
-		t.Fatalf("HEAD sig: %s, length %d", resp.Status, resp.ContentLength)
-	}
-
-	req, _ = http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set("If-None-Match", etag)
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("sig If-None-Match: %s, want 304", resp.Status)
-	}
-
-	req, _ = http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set("Range", "bytes=0-3")
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(part, sig[:4]) {
-		t.Fatalf("sig range: %s, %q", resp.Status, part)
-	}
-}
-
-func TestHandlerModTimeServed(t *testing.T) {
-	mod := time.Unix(1700000000, 0).UTC()
-	srv := httptest.NewServer(HandlerModTime("doc", []byte("content"), 8, mod))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if lm := resp.Header.Get("Last-Modified"); lm != mod.Format(http.TimeFormat) {
-		t.Fatalf("Last-Modified = %q, want %q", lm, mod.Format(http.TimeFormat))
 	}
 }

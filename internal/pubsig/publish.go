@@ -295,16 +295,9 @@ func NewPublisher(s ArtifactStore, opts ...PublisherOption) (*Publisher, error) 
 			return nil, err
 		}
 	}
-	keys, err := s.Keys("v/")
+	latest, err := LatestVersion(s)
 	if err != nil {
 		return nil, fmt.Errorf("pubsig: recovering versions: %w", err)
-	}
-	var latest uint64
-	for _, k := range keys {
-		var n uint64
-		if _, err := fmt.Sscanf(k, manifestKeyFmt, &n); err == nil && n > latest {
-			latest = n
-		}
 	}
 	if latest > 0 {
 		data, err := s.Get(manifestKey(latest))
@@ -321,28 +314,6 @@ func NewPublisher(s ArtifactStore, opts ...PublisherOption) (*Publisher, error) 
 		p.latest, p.prev = latest, m
 	}
 	return p, nil
-}
-
-// Latest returns the newest published version (0 when none).
-func (p *Publisher) Latest() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.latest
-}
-
-// Publish snapshots a path-keyed file set as the next version. It returns
-// the resulting version and whether a new one was created — an unchanged
-// collection returns the current version with created == false and writes
-// nothing.
-func (p *Publisher) Publish(files map[string][]byte) (version uint64, created bool, err error) {
-	entries := collection.BuildManifest(files)
-	return p.publish(entries, func(path string) ([]byte, error) {
-		data, ok := files[path]
-		if !ok {
-			return nil, fmt.Errorf("pubsig: no content for %q", path)
-		}
-		return data, nil
-	})
 }
 
 // PublishTree snapshots a directory tree (walked lazily via dirio: content
@@ -479,15 +450,6 @@ func LatestVersion(s ArtifactStore) (uint64, error) {
 		}
 	}
 	return latest, nil
-}
-
-// LoadManifest fetches and parses one version's manifest artifact.
-func LoadManifest(s ArtifactStore, version uint64) (*Manifest, error) {
-	data, err := s.Get(manifestKey(version))
-	if err != nil {
-		return nil, err
-	}
-	return ParseManifest(data)
 }
 
 // ComposeDelta builds the delta from base to current by composing the

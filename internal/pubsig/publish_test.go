@@ -2,10 +2,12 @@ package pubsig
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"msync/internal/collection"
 	"msync/internal/corpus"
 	"msync/internal/md4"
 	"msync/internal/obs"
@@ -39,6 +41,31 @@ func editSome(files map[string][]byte, seed int64) map[string][]byte {
 	return next
 }
 
+// Publish snapshots a path-keyed file set held in memory as the next
+// version: what PublishTree does for a directory, for tests.
+func (p *Publisher) Publish(files map[string][]byte) (version uint64, created bool, err error) {
+	return p.publish(collection.BuildManifest(files), func(path string) ([]byte, error) {
+		data, ok := files[path]
+		if !ok {
+			return nil, fmt.Errorf("pubsig: no content for %q", path)
+		}
+		return data, nil
+	})
+}
+
+func loadManifest(t *testing.T, s ArtifactStore, version uint64) *Manifest {
+	t.Helper()
+	data, err := s.Get(manifestKey(version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ParseManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestPublishRoundTrip(t *testing.T) {
 	s := NewMemStore()
 	p, err := NewPublisher(s, WithBlockSize(512))
@@ -50,10 +77,7 @@ func TestPublishRoundTrip(t *testing.T) {
 	if err != nil || !created || v != 1 {
 		t.Fatalf("publish: v=%d created=%v err=%v", v, created, err)
 	}
-	m, err := LoadManifest(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadManifest(t, s, 1)
 	if len(m.Entries) != len(files) || m.Version != 1 || m.BlockSize != 512 {
 		t.Fatalf("manifest: %+v", m)
 	}
@@ -91,8 +115,8 @@ func TestPublishIdempotentAndVersioned(t *testing.T) {
 	if v, created, err := p.Publish(next); v != 2 || !created || err != nil {
 		t.Fatalf("v2: %d %v %v", v, created, err)
 	}
-	if p.Latest() != 2 {
-		t.Fatalf("latest = %d", p.Latest())
+	if p.latest != 2 {
+		t.Fatalf("latest = %d", p.latest)
 	}
 	// The delta artifact exists and lists exactly the changed paths.
 	d, err := ComposeDelta(s, 1, 2)
@@ -137,8 +161,8 @@ func TestPublishDeterministicAcrossRestarts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p2.Latest() != 1 {
-			t.Fatalf("recovered latest = %d", p2.Latest())
+		if p2.latest != 1 {
+			t.Fatalf("recovered latest = %d", p2.latest)
 		}
 		if v, created, err := p2.Publish(next); v != 2 || !created || err != nil {
 			t.Fatalf("post-restart publish: %d %v %v", v, created, err)

@@ -130,17 +130,6 @@ func (p *Plan) FetchBytes() int {
 	return n
 }
 
-// BlocksLocal reports how many new-file blocks were found in the old file.
-func (p *Plan) BlocksLocal() int {
-	n := 0
-	for _, off := range p.localOff {
-		if off >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // NewPlan matches the old file against a published signature: a rolling
 // scan finds, for every block of the new file, whether its content already
 // exists anywhere in old. Unmatched blocks become coalesced fetch ranges.

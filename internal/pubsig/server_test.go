@@ -211,10 +211,7 @@ func TestServerBlobRangeAndHead(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	m, err := LoadManifest(store, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadManifest(t, store, 2)
 	e := m.Entries[0]
 	url := fmt.Sprintf("%s/v/2/blob/%x", srv.URL, e.Sum)
 

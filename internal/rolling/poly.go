@@ -7,7 +7,7 @@
 //
 //   - rolling:      H(s[i+1 : i+m+1]) is computable in O(1) from H(s[i : i+m])
 //   - composable:   H(XY) is computable from H(X), H(Y), |Y|
-//   - decomposable: H(Y) (and H(X)) is computable from H(XY) and the sibling
+//   - decomposable: H(Y) is computable from H(XY), H(X) and |Y|
 //   - bit-prefix:   all of the above hold for the low k bits alone, for any k
 //
 // Bit-prefix decomposability is what lets the protocol transmit only
@@ -32,9 +32,8 @@ const DefaultSeed uint64 = 0x1D8AF066D5F8FD4F
 
 // Poly is a polynomial hash family H(s) = sum T[s[i]] * base^(m-1-i) mod 2^64.
 type Poly struct {
-	base    uint64
-	invBase uint64
-	table   [256]uint64
+	base  uint64
+	table [256]uint64
 }
 
 // NewPoly returns a Poly with the given base (must be odd) and diffusion
@@ -43,7 +42,7 @@ func NewPoly(base, seed uint64) *Poly {
 	if base%2 == 0 {
 		panic("rolling: base must be odd")
 	}
-	p := &Poly{base: base, invBase: invMod64(base)}
+	p := &Poly{base: base}
 	// SplitMix64 fills the diffusion table deterministically from the seed.
 	x := seed
 	for i := range p.table {
@@ -62,9 +61,6 @@ func NewPoly(base, seed uint64) *Poly {
 func Default() *Poly { return defaultPoly }
 
 var defaultPoly = NewPoly(DefaultBase, DefaultSeed)
-
-// Base returns the polynomial base.
-func (p *Poly) Base() uint64 { return p.base }
 
 // Hash computes the full 64-bit hash of data.
 func (p *Poly) Hash(data []byte) uint64 {
@@ -91,35 +87,9 @@ func (p *Poly) Pow(n int) uint64 {
 	return result
 }
 
-// InvPow returns base^-n mod 2^64.
-func (p *Poly) InvPow(n int) uint64 {
-	if n < 0 {
-		panic("rolling: negative exponent")
-	}
-	result := uint64(1)
-	b := p.invBase
-	for e := uint(n); e > 0; e >>= 1 {
-		if e&1 == 1 {
-			result *= b
-		}
-		b *= b
-	}
-	return result
-}
-
 // Compose returns H(XY) given hx = H(X), hy = H(Y) and |Y|.
 func (p *Poly) Compose(hx, hy uint64, lenY int) uint64 {
 	return hx*p.Pow(lenY) + hy
-}
-
-// DecomposeRight returns H(Y) given hxy = H(XY), hx = H(X) and |Y|.
-func (p *Poly) DecomposeRight(hxy, hx uint64, lenY int) uint64 {
-	return hxy - hx*p.Pow(lenY)
-}
-
-// DecomposeLeft returns H(X) given hxy = H(XY), hy = H(Y) and |Y|.
-func (p *Poly) DecomposeLeft(hxy, hy uint64, lenY int) uint64 {
-	return (hxy - hy) * p.InvPow(lenY)
 }
 
 // Truncate keeps the low bits of h. bits must be in [1, 64].
@@ -128,16 +98,6 @@ func Truncate(h uint64, bits uint) uint64 {
 		return h
 	}
 	return h & ((1 << bits) - 1)
-}
-
-// invMod64 returns the multiplicative inverse of odd a modulo 2^64 using
-// Newton iteration (each step doubles the number of correct low bits).
-func invMod64(a uint64) uint64 {
-	x := a // 3 correct bits for odd a (a*a ≡ 1 mod 8, so x=a works: a*a mod 8 = 1)
-	for i := 0; i < 6; i++ {
-		x *= 2 - a*x
-	}
-	return x
 }
 
 // Roller computes the hash of a sliding fixed-size window in O(1) per step.
@@ -155,9 +115,6 @@ func (p *Poly) NewRoller(window int) *Roller {
 	}
 	return &Roller{p: p, window: window, powTop: p.Pow(window - 1)}
 }
-
-// Window reports the window size.
-func (r *Roller) Window() int { return r.window }
 
 // Init computes the hash of the first window. data must have length >= window.
 func (r *Roller) Init(data []byte) {
@@ -210,9 +167,4 @@ func (r *Roller) Fill(dst []uint64, data []byte, pos int) {
 		dst[slides] = h
 	}
 	r.h = h
-}
-
-// HashBits is a convenience wrapper: the low `bits` of Hash(data).
-func (p *Poly) HashBits(data []byte, bits uint) uint64 {
-	return Truncate(p.Hash(data), bits)
 }

@@ -36,19 +36,13 @@ func TestRollEqualsRecompute(t *testing.T) {
 	}
 }
 
-// TestComposeDecompose: H(XY) from H(X), H(Y); and both inverses.
+// TestComposeDecompose: H(XY) from H(X), H(Y); and H(Y) back from H(XY), H(X).
 func TestComposeDecompose(t *testing.T) {
 	p := Default()
 	f := func(x, y []byte) bool {
 		hx, hy := p.Hash(x), p.Hash(y)
 		hxy := p.Hash(append(append([]byte{}, x...), y...))
-		if p.Compose(hx, hy, len(y)) != hxy {
-			return false
-		}
-		if p.DecomposeRight(hxy, hx, len(y)) != hy {
-			return false
-		}
-		return p.DecomposeLeft(hxy, hy, len(y)) == hx
+		return p.Compose(hx, hy, len(y)) == hxy && p.DeriveRight(hxy, 64, hx, len(y)) == hy
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -65,34 +59,10 @@ func TestBitPrefixDecomposability(t *testing.T) {
 		hx, hy := p.Hash(x), p.Hash(y)
 		hxy := p.Compose(hx, hy, len(y))
 		// Derive low-k of H(Y) using ONLY low-k inputs.
-		gotRight := Truncate(Truncate(hxy, k)-Truncate(hx, k)*p.Pow(len(y)), k)
-		if gotRight != Truncate(hy, k) {
-			return false
-		}
-		gotLeft := Truncate((Truncate(hxy, k)-Truncate(hy, k))*p.InvPow(len(y)), k)
-		return gotLeft == Truncate(hx, k)
+		return p.DeriveRight(Truncate(hxy, k), k, Truncate(hx, k), len(y)) == Truncate(hy, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInvPow(t *testing.T) {
-	p := Default()
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		if p.Pow(n)*p.InvPow(n) != 1 {
-			t.Fatalf("Pow(%d)*InvPow(%d) != 1", n, n)
-		}
-	}
-}
-
-func TestInvMod64(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		a := rng.Uint64() | 1
-		if a*invMod64(a) != 1 {
-			t.Fatalf("invMod64(%x) wrong", a)
-		}
 	}
 }
 
@@ -120,7 +90,7 @@ func TestLowBitDistribution(t *testing.T) {
 			data[j] = byte((i + j) % 7) // highly structured
 		}
 		data[i%64] = byte(i)
-		counts[p.HashBits(data, bits)]++
+		counts[Truncate(p.Hash(data), bits)]++
 	}
 	max := 0
 	for _, c := range counts {

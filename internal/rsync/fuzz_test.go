@@ -15,12 +15,5 @@ func FuzzPatch(f *testing.F) {
 		if err == nil && len(out) > 1<<24 {
 			t.Fatalf("implausible output %d", len(out))
 		}
-		outIP, _, errIP := PatchInPlace(append([]byte(nil), old...), sig, tokens)
-		if (err == nil) != (errIP == nil) && err == nil {
-			// In-place adds write-tiling validation, so it may reject
-			// streams Patch accepts — but never the reverse.
-			t.Fatalf("in-place accepted what Patch rejected")
-		}
-		_ = outIP
 	})
 }

@@ -301,13 +301,6 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Len reports the number of resident entries (for tests).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
 // insert makes sig resident under k and evicts LRU entries over budget.
 func (c *Cache) insert(k Key, sig *Sig) {
 	cost := sig.cost(k.Path)

@@ -60,8 +60,8 @@ func TestStaleSlotReplacedByPut(t *testing.T) {
 	k2 := k1
 	k2.MTime++
 	c.Put(k2, sig("v2"))
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, one path must own one slot", c.Len())
+	if c.lru.Len() != 1 {
+		t.Fatalf("Len = %d, one path must own one slot", c.lru.Len())
 	}
 	if _, ok := c.Get(k2, nil); !ok {
 		t.Fatal("new key not resident after same-path Put")
@@ -71,8 +71,8 @@ func TestStaleSlotReplacedByPut(t *testing.T) {
 	if _, ok := c.Get(k1, nil); ok {
 		t.Fatal("old key still resident after same-path Put")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after stale lookup, want 0", c.Len())
+	if c.lru.Len() != 0 {
+		t.Fatalf("Len = %d after stale lookup, want 0", c.lru.Len())
 	}
 }
 
@@ -83,8 +83,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	ka, kb, kc := key("a"), key("b"), key("c")
 	c.Put(ka, sig("a"))
 	c.Put(kb, sig("b"))
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d before eviction", c.Len())
+	if c.lru.Len() != 2 {
+		t.Fatalf("Len = %d before eviction", c.lru.Len())
 	}
 
 	// Touch a so b becomes least-recently used, then overflow with c.

@@ -474,17 +474,6 @@ func (s *Store) LatestVersion() uint64 {
 	return 0
 }
 
-// Versions lists the retained version numbers in ascending order.
-func (s *Store) Versions() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint64, len(s.versions))
-	for i, v := range s.versions {
-		out[i] = v.n
-	}
-	return out
-}
-
 // Manifest returns the manifest of version n, or nil if not retained.
 func (s *Store) Manifest(n uint64) []Entry {
 	s.mu.Lock()

@@ -14,6 +14,15 @@ import (
 )
 
 // manifestOf builds a sorted manifest from a file map.
+// versions lists the retained version numbers in ascending order.
+func versions(s *Store) []uint64 {
+	var out []uint64
+	for _, v := range s.versions {
+		out = append(out, v.n)
+	}
+	return out
+}
+
 func manifestOf(files map[string][]byte) []Entry {
 	paths := make([]string, 0, len(files))
 	for p := range files {
@@ -219,7 +228,7 @@ func TestReopenPreservesVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.Versions(); len(got) != 3 || got[2] != 3 {
+	if got := versions(s); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("Versions after reopen = %v, want [1 2 3]", got)
 	}
 	m := manifestOf(trees[2])
@@ -257,7 +266,7 @@ func TestCrashPartialJournalAppend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open after torn append: %v", err)
 	}
-	if got := s.Versions(); len(got) != 2 {
+	if got := versions(s); len(got) != 2 {
 		t.Fatalf("Versions = %v, want the 2 committed ones", got)
 	}
 	// The store must keep working: a new snapshot lands after the valid
@@ -306,7 +315,7 @@ func TestCrashCorruptMiddleRecord(t *testing.T) {
 		t.Fatalf("Open with corrupt middle record: %v", err)
 	}
 	defer s.Close()
-	if got := s.Versions(); len(got) != 1 || got[0] != 1 {
+	if got := versions(s); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Versions = %v, want [1]", got)
 	}
 	// The lost versions read as unknown -> miss, not error.
@@ -339,7 +348,7 @@ func TestCrashTruncatedSegment(t *testing.T) {
 		t.Fatalf("Open with truncated segment: %v", err)
 	}
 	defer s.Close()
-	for _, v := range s.Versions() {
+	for _, v := range versions(s) {
 		if v == 3 {
 			t.Fatal("truncated version still served after reopen")
 		}
@@ -446,7 +455,7 @@ func TestGCRescueKeepsSurvivorContent(t *testing.T) {
 		t.Fatal("rescued content mismatch")
 	}
 	// A journal delta from the oldest surviving version still reconstructs.
-	vs := s.Versions()
+	vs := versions(s)
 	base := vs[0]
 	bm := manifestOf(trees[base-1])
 	m := manifestOf(trees[5])

@@ -50,6 +50,3 @@ func (d *StreamDeadlines) Earliest() time.Time {
 	}
 	return min
 }
-
-// Len reports how many streams currently carry a deadline.
-func (d *StreamDeadlines) Len() int { return len(d.byStream) }

@@ -18,8 +18,8 @@ func TestStreamDeadlines(t *testing.T) {
 	if got := d.Earliest(); !got.Equal(base.Add(1 * time.Second)) {
 		t.Fatalf("earliest = %v, want +1s", got)
 	}
-	if d.Len() != 3 {
-		t.Fatalf("len = %d, want 3", d.Len())
+	if len(d.byStream) != 3 {
+		t.Fatalf("len = %d, want 3", len(d.byStream))
 	}
 
 	// Progress on the tightest stream relaxes the session bound.
@@ -42,8 +42,8 @@ func TestStreamDeadlines(t *testing.T) {
 	}
 
 	d.Drop(1)
-	if !d.Earliest().IsZero() || d.Len() != 0 {
-		t.Fatalf("drained tracker: earliest=%v len=%d", d.Earliest(), d.Len())
+	if !d.Earliest().IsZero() || len(d.byStream) != 0 {
+		t.Fatalf("drained tracker: earliest=%v len=%d", d.Earliest(), len(d.byStream))
 	}
 }
 

@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
 // ErrSevered is returned by writes to a FaultConn after its sever trigger
@@ -20,8 +18,7 @@ var ErrSevered = errors.New("transport: connection severed")
 //     sees the prefix and then an unexpected EOF mid-frame;
 //   - DropAfter: deliver the first n bytes, then silently discard the rest
 //     while reporting success — the peer observes a stalled connection
-//     (its read deadline, not an error, ends the session);
-//   - DelayWrites: sleep before each write, simulating a slow link.
+//     (its read deadline, not an error, ends the session).
 //
 // Deadline methods are inherited from the embedded PipeEnd, so a FaultConn
 // composes with Session round timeouts.
@@ -32,8 +29,6 @@ type FaultConn struct {
 	written    int
 	severAfter int // -1 = disabled
 	dropAfter  int // -1 = disabled
-	delay      time.Duration
-	clock      Clock
 }
 
 // NewFaultConn wraps p with no faults armed.
@@ -59,27 +54,8 @@ func (f *FaultConn) DropAfter(n int) *FaultConn {
 	return f
 }
 
-// DelayWrites sleeps d on clock (nil = SystemClock) before every write.
-func (f *FaultConn) DelayWrites(d time.Duration, clock Clock) *FaultConn {
-	f.mu.Lock()
-	f.delay = d
-	f.clock = clock
-	f.mu.Unlock()
-	return f
-}
-
 // Write implements io.Writer, applying the armed faults in byte order.
 func (f *FaultConn) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	delay, clock := f.delay, f.clock
-	f.mu.Unlock()
-	if delay > 0 {
-		if clock == nil {
-			clock = SystemClock
-		}
-		_ = clock.Sleep(context.Background(), delay)
-	}
-
 	f.mu.Lock()
 	defer f.mu.Unlock()
 

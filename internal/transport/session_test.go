@@ -167,22 +167,6 @@ func TestFaultConnDropStallsPeer(t *testing.T) {
 	}
 }
 
-func TestFaultConnDelayUsesClock(t *testing.T) {
-	a, b := Pipe()
-	defer b.Close()
-	clock := NewFakeClock(time.Unix(0, 0))
-	f := NewFaultConn(a).DelayWrites(50*time.Millisecond, clock)
-	f.Write([]byte("x"))
-	f.Write([]byte("y"))
-	if got := clock.Slept(); len(got) != 2 || got[0] != 50*time.Millisecond {
-		t.Fatalf("delays not routed through clock: %v", got)
-	}
-	buf := make([]byte, 2)
-	if _, err := io.ReadFull(b, buf); err != nil || string(buf) != "xy" {
-		t.Fatalf("delayed writes lost: %q %v", buf, err)
-	}
-}
-
 func TestBackoffDelaySchedule(t *testing.T) {
 	p := BackoffPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond, Multiplier: 2}
 	for i, want := range []time.Duration{100, 200, 400, 400} {

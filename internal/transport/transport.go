@@ -1,17 +1,14 @@
 // Package transport provides the connections the protocol engines run over:
-// an unbounded in-memory duplex pipe (for tests, benchmarks and examples) and
-// byte-metering wrappers that feed the stats package.
+// an unbounded in-memory duplex pipe (for tests, benchmarks and examples),
+// fault injection over it, and the deadline and retry policy of a session.
 package transport
 
 import (
 	"errors"
 	"io"
-	"net"
 	"os"
 	"sync"
 	"time"
-
-	"msync/internal/stats"
 )
 
 // ErrClosed is returned by operations on a closed pipe end.
@@ -161,13 +158,6 @@ func (p *PipeEnd) SetWriteDeadline(t time.Time) error {
 	return nil
 }
 
-// SetDeadline sets both read and write deadlines.
-func (p *PipeEnd) SetDeadline(t time.Time) error {
-	p.r.setReadDeadline(t)
-	p.w.setWriteDeadline(t)
-	return nil
-}
-
 // FaultyEnd wraps a PipeEnd and fails after a byte budget, for failure
 // injection tests.
 type FaultyEnd struct {
@@ -204,45 +194,3 @@ func (f *FaultyEnd) Write(buf []byte) (int, error) {
 	}
 	return m, nil
 }
-
-// Meter wraps an io.ReadWriter and records transferred payload bytes into a
-// stats.Costs. Direction and phase are set by the protocol engine as it moves
-// through the session (the engine is single-threaded per session).
-type Meter struct {
-	rw    io.ReadWriter
-	costs *stats.Costs
-	// writeDir is the direction of Write calls from this endpoint's view.
-	writeDir stats.Direction
-	phase    stats.Phase
-}
-
-// NewMeter wraps rw. writeDir is the stats direction of local writes (e.g.
-// stats.S2C when metering the server side).
-func NewMeter(rw io.ReadWriter, costs *stats.Costs, writeDir stats.Direction) *Meter {
-	return &Meter{rw: rw, costs: costs, writeDir: writeDir}
-}
-
-// SetPhase switches the phase attributed to subsequent traffic.
-func (m *Meter) SetPhase(p stats.Phase) { m.phase = p }
-
-// Phase reports the current phase.
-func (m *Meter) Phase() stats.Phase { return m.phase }
-
-// Read implements io.Reader. Reads are not metered: each payload byte is
-// counted once, by the writer.
-func (m *Meter) Read(p []byte) (int, error) { return m.rw.Read(p) }
-
-// Write implements io.Writer, metering payload bytes.
-func (m *Meter) Write(p []byte) (int, error) {
-	n, err := m.rw.Write(p)
-	if m.costs != nil {
-		m.costs.Add(m.writeDir, m.phase, n)
-	}
-	return n, err
-}
-
-// Dial connects to a TCP msync server.
-func Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-
-// Listen starts a TCP listener for a msync server.
-func Listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }

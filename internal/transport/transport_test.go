@@ -6,8 +6,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-
-	"msync/internal/stats"
 )
 
 func TestPipeBasic(t *testing.T) {
@@ -136,29 +134,5 @@ func TestFaultyEnd(t *testing.T) {
 	buf := make([]byte, 10)
 	if _, err := io.ReadFull(b, buf); err != nil {
 		t.Fatalf("the 10 allowed bytes should be readable: %v", err)
-	}
-}
-
-func TestMeter(t *testing.T) {
-	a, b := Pipe()
-	var costs stats.Costs
-	m := NewMeter(a, &costs, stats.S2C)
-	m.SetPhase(stats.PhaseMap)
-	m.Write([]byte("12345"))
-	m.SetPhase(stats.PhaseDelta)
-	m.Write([]byte("123"))
-	if m.Phase() != stats.PhaseDelta {
-		t.Fatal("phase")
-	}
-	if costs.Bytes(stats.S2C, stats.PhaseMap) != 5 || costs.Bytes(stats.S2C, stats.PhaseDelta) != 3 {
-		t.Fatalf("metering wrong: %+v", costs)
-	}
-	// Reads are not metered.
-	buf := make([]byte, 8)
-	io.ReadFull(b, buf)
-	b.Write([]byte("xy"))
-	io.ReadFull(m, buf[:2])
-	if costs.Total() != 8 {
-		t.Fatalf("reads were metered: total %d", costs.Total())
 	}
 }

@@ -57,9 +57,6 @@ func FuzzParser(f *testing.F) {
 		if _, err := p.Uvarint(); err != nil && err != ErrTruncated && err != ErrVarintOverflow {
 			t.Fatalf("Uvarint error %v, want ErrTruncated or ErrVarintOverflow", err)
 		}
-		if _, err := p.Varint(); err != nil && err != ErrTruncated && err != ErrVarintOverflow {
-			t.Fatalf("Varint error %v, want ErrTruncated or ErrVarintOverflow", err)
-		}
 		p.Byte()
 		p.Bool()
 		p.Bytes()

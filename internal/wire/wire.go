@@ -162,11 +162,6 @@ func AppendUvarint(buf []byte, v uint64) []byte {
 	return binary.AppendUvarint(buf, v)
 }
 
-// AppendVarint appends a zigzag-encoded signed value.
-func AppendVarint(buf []byte, v int64) []byte {
-	return binary.AppendVarint(buf, v)
-}
-
 // Buffer is an append-only message builder with varint helpers.
 // The zero value is ready to use.
 type Buffer struct {
@@ -178,9 +173,6 @@ func NewBuffer(sizeHint int) *Buffer { return &Buffer{b: make([]byte, 0, sizeHin
 
 // Uvarint appends an unsigned varint.
 func (m *Buffer) Uvarint(v uint64) { m.b = binary.AppendUvarint(m.b, v) }
-
-// Varint appends a signed (zigzag) varint.
-func (m *Buffer) Varint(v int64) { m.b = binary.AppendVarint(m.b, v) }
 
 // Byte appends a single byte.
 func (m *Buffer) Byte(v byte) { m.b = append(m.b, v) }
@@ -234,19 +226,6 @@ var errShort = ErrTruncated
 // ErrTruncated; an overlong encoding returns ErrVarintOverflow.
 func (p *Parser) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(p.b[p.pos:])
-	if n == 0 {
-		return 0, errShort
-	}
-	if n < 0 {
-		return 0, ErrVarintOverflow
-	}
-	p.pos += n
-	return v, nil
-}
-
-// Varint reads a signed varint, with the same error split as Uvarint.
-func (p *Parser) Varint() (int64, error) {
-	v, n := binary.Varint(p.b[p.pos:])
 	if n == 0 {
 		return 0, errShort
 	}

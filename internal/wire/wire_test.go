@@ -8,15 +8,12 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"msync/internal/bitio"
 )
 
 func TestBufferParserRoundTrip(t *testing.T) {
 	b := NewBuffer(64)
 	b.Uvarint(0)
 	b.Uvarint(1 << 40)
-	b.Varint(-12345)
 	b.Byte(0xAB)
 	b.Bool(true)
 	b.Bool(false)
@@ -30,9 +27,6 @@ func TestBufferParserRoundTrip(t *testing.T) {
 	}
 	if v, _ := p.Uvarint(); v != 1<<40 {
 		t.Fatal("uvarint big")
-	}
-	if v, _ := p.Varint(); v != -12345 {
-		t.Fatal("varint")
 	}
 	if v, _ := p.Byte(); v != 0xAB {
 		t.Fatal("byte")
@@ -58,14 +52,14 @@ func TestBufferParserRoundTrip(t *testing.T) {
 }
 
 func TestQuickVarints(t *testing.T) {
-	f := func(u uint64, s int64) bool {
+	f := func(u, v uint64) bool {
 		b := NewBuffer(20)
 		b.Uvarint(u)
-		b.Varint(s)
+		b.Uvarint(v)
 		p := NewParser(b.Build())
 		gu, err1 := p.Uvarint()
-		gs, err2 := p.Varint()
-		return err1 == nil && err2 == nil && gu == u && gs == s
+		gv, err2 := p.Uvarint()
+		return err1 == nil && err2 == nil && gu == u && gv == v && p.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -183,38 +177,6 @@ func TestFrameNames(t *testing.T) {
 	}
 }
 
-func TestBitmapRoundTrip(t *testing.T) {
-	f := func(bits []bool) bool {
-		bm := NewBitmap(len(bits))
-		for i, v := range bits {
-			bm.Set(i, v)
-		}
-		w := &bitio.Writer{}
-		bm.Encode(w)
-		r := bitio.NewReader(w.Bytes())
-		got, err := DecodeBitmap(r, len(bits))
-		if err != nil {
-			return false
-		}
-		for i, v := range bits {
-			if got.Get(i) != v {
-				return false
-			}
-		}
-		return got.Count() == bm.Count()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBitmapDecodeShort(t *testing.T) {
-	r := bitio.NewReader([]byte{0xFF})
-	if _, err := DecodeBitmap(r, 9); err == nil {
-		t.Fatal("no error for short input")
-	}
-}
-
 // TestVarintTypedErrors: overlong and truncated varints are told apart by
 // distinct typed errors instead of a shared "truncated" catch-all.
 func TestVarintTypedErrors(t *testing.T) {
@@ -222,9 +184,6 @@ func TestVarintTypedErrors(t *testing.T) {
 	overlong = append(overlong, 0x01) // 11 bytes: past MaxVarintLen64
 	if _, err := NewParser(overlong).Uvarint(); err != ErrVarintOverflow {
 		t.Fatalf("overlong Uvarint error = %v, want ErrVarintOverflow", err)
-	}
-	if _, err := NewParser(overlong).Varint(); err != ErrVarintOverflow {
-		t.Fatalf("overlong Varint error = %v, want ErrVarintOverflow", err)
 	}
 	// Tenth byte with more than one value bit: overflows uint64.
 	hot := append(bytes.Repeat([]byte{0xFF}, 9), 0x7F)
@@ -234,9 +193,6 @@ func TestVarintTypedErrors(t *testing.T) {
 	truncated := []byte{0xFF, 0x90}
 	if _, err := NewParser(truncated).Uvarint(); err != ErrTruncated {
 		t.Fatalf("truncated Uvarint error = %v, want ErrTruncated", err)
-	}
-	if _, err := NewParser(truncated).Varint(); err != ErrTruncated {
-		t.Fatalf("truncated Varint error = %v, want ErrTruncated", err)
 	}
 	if _, err := NewParser(nil).Uvarint(); err != ErrTruncated {
 		t.Fatalf("empty Uvarint error = %v, want ErrTruncated", err)

@@ -21,6 +21,7 @@ import (
 
 	"msync"
 	"msync/internal/collection"
+	"msync/internal/transport"
 )
 
 // sessionFiles is a small collection pair with one changed file.
@@ -28,30 +29,6 @@ func sessionFiles() (serverFiles, clientFiles map[string][]byte) {
 	old := bytes.Repeat([]byte("all work and no play makes jack a dull boy. "), 300)
 	cur := append(append([]byte{}, old[:4000]...), bytes.Repeat([]byte("NEW"), 1500)...)
 	return map[string][]byte{"f.txt": cur}, map[string][]byte{"f.txt": old}
-}
-
-// fakeClock implements msync.Clock, recording sleeps without blocking.
-type fakeClock struct {
-	mu    sync.Mutex
-	slept []time.Duration
-}
-
-func (c *fakeClock) Now() time.Time { return time.Unix(0, 0) }
-
-func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.slept = append(c.slept, d)
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *fakeClock) Slept() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.slept...)
 }
 
 // gatedConn blocks every Read until the gate channel is closed, pinning a
@@ -435,7 +412,7 @@ func TestRetryBackoffRecovery(t *testing.T) {
 		}
 	}()
 
-	clock := &fakeClock{}
+	clock := transport.NewFakeClock(time.Unix(0, 0))
 	cli := msync.NewClient(clientFiles,
 		msync.WithRoundTimeout(150*time.Millisecond),
 		msync.WithClock(clock),
@@ -480,7 +457,7 @@ func TestRetryBoundedAttempts(t *testing.T) {
 	l.Close() // nothing listens: every dial fails
 
 	_, clientFiles := sessionFiles()
-	clock := &fakeClock{}
+	clock := transport.NewFakeClock(time.Unix(0, 0))
 	cli := msync.NewClient(clientFiles,
 		msync.WithClock(clock),
 		msync.WithRetry(msync.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, Seed: 7}))

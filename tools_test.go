@@ -6,11 +6,18 @@ package msync_test
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -283,5 +290,356 @@ func TestDocsReferToExistingThings(t *testing.T) {
 				t.Errorf("%s: no file `%s` in the repository", doc, m[1])
 			}
 		}
+	}
+}
+
+// reachAllow names the functions TestNoUnreachableCode lets stay although
+// only their own package's tests reach them. Twelve entries at most, none of
+// them a feature.
+var reachAllow = map[string]string{
+	"msync/internal/core.verifyHash":             "reference: verifyGroupSums' pooled loop is held to it",
+	"msync/internal/merkle.Reconcile":            "reference: both ends of a tree descent in one loop, what the session's descent is held to",
+	"msync/internal/vcdiff.Decode":               "reference: the vcdiff baseline's byte counts are of streams this decodes back",
+	"msync/internal/pubsig.WithPublisherMetrics": "observation seam: tests read a publish's hashing and artifact bytes through it",
+	"msync/internal/pubsig.WithServerMetrics":    "observation seam: tests count a reader's origin requests through it",
+	"msync/internal/pubsig.WithModTime":          "observation seam: pins Last-Modified so replicas and tests agree on it",
+	"msync/internal/wire.FrameWriter.Flushes":    "observation seam: a side's half-roundtrip count",
+}
+
+// A reachPkg is one package of the module, type-checked with its in-package
+// test files: non-test declarations are what the walk judges, test files
+// only contribute roots in other packages.
+type reachPkg struct {
+	ImportPath, Dir, Name              string
+	GoFiles, TestGoFiles, XTestGoFiles []string
+
+	files, tests []*ast.File
+	info         *types.Info
+	types        *types.Package
+}
+
+// reachImporter type-checks the module's packages on demand, so every package
+// sees the same objects, and leaves the standard library to the source
+// importer.
+type reachImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*reachPkg
+}
+
+func (im *reachImporter) Import(path string) (*types.Package, error) {
+	p := im.pkgs[path]
+	if p == nil {
+		return im.std.Import(path)
+	}
+	if p.types != nil {
+		return p.types, nil
+	}
+	parse := func(names []string) ([]*ast.File, error) {
+		var out []*ast.File
+		for _, name := range names {
+			f, err := parser.ParseFile(im.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, f)
+		}
+		return out, nil
+	}
+	var err error
+	if p.files, err = parse(p.GoFiles); err != nil {
+		return nil, err
+	}
+	if p.tests, err = parse(p.TestGoFiles); err != nil {
+		return nil, err
+	}
+	p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	p.types, err = (&types.Config{Importer: im}).Check(path, im.fset, append(p.files[:len(p.files):len(p.files)], p.tests...), p.info)
+	return p.types, err
+}
+
+// reachKey names a function or method across type-checker instances:
+// import path, receiver's type name if any, name.
+func reachKey(f *types.Func) string {
+	f = f.Origin()
+	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+		t := types.Unalias(recv.Type())
+		if p, ok := t.(*types.Pointer); ok {
+			t = types.Unalias(p.Elem())
+		}
+		if n, ok := t.(*types.Named); ok && !types.IsInterface(n) {
+			return f.Pkg().Path() + "." + n.Obj().Name() + "." + f.Name()
+		}
+		return "" // an interface's method: resolved by name
+	}
+	return f.Pkg().Path() + "." + f.Name()
+}
+
+// TestNoUnreachableCode: every function and method declared outside _test.go
+// files is reachable from a main, an init, a package-level initialiser or
+// package msync's exported API (its exported functions, and the exported
+// methods of the types it exports or aliases), or is used by a _test.go file
+// of a different package (test infrastructure Go forces into non-test files),
+// or is in reachAllow. A call through an interface reaches every method of
+// that name on a type the reachable code mentions; so does satisfying an
+// interface of the standard library, which may call it.
+func TestNoUnreachableCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	out, err := exec.Command("go", "list", "-json=ImportPath,Dir,Name,GoFiles,TestGoFiles,XTestGoFiles", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	fset := token.NewFileSet()
+	// No cgo variants of net and os/user: the source importer would run the
+	// cgo tool for them.
+	defer func(was bool) { build.Default.CgoEnabled = was }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	im := &reachImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*reachPkg{}}
+	var pkgs []*reachPkg
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(reachPkg)
+		if err := dec.Decode(p); err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+		im.pkgs[p.ImportPath] = p
+	}
+
+	type node struct {
+		n    ast.Node
+		info *types.Info
+	}
+	var (
+		decls     = map[string]node{}     // every non-test function, by reachKey
+		typeSpecs = map[string]node{}     // every non-test named type, by path.Name
+		methods   = map[string][]string{} // type key -> its methods' reachKeys
+		stdCalled = map[string][]string{} // type key -> methods an interface of the standard library has
+		reached   = map[string]bool{}
+		liveTypes = map[string]bool{}
+		byName    = map[string]bool{"Unwrap": true, "Is": true, "As": true} // unnamed interfaces of package errors
+		work      []node
+	)
+	inModule := func(o types.Object) bool { return o.Pkg() != nil && im.pkgs[o.Pkg().Path()] != nil }
+	reachFunc := func(key string) {
+		if d, ok := decls[key]; ok && !reached[key] {
+			reached[key] = true
+			work = append(work, d)
+		}
+	}
+	methodName := func(key string) string { return key[strings.LastIndexByte(key, '.')+1:] }
+	reachType := func(key string) {
+		if liveTypes[key] {
+			return
+		}
+		liveTypes[key] = true
+		if spec, ok := typeSpecs[key]; ok {
+			work = append(work, spec)
+		}
+		for _, m := range stdCalled[key] {
+			reachFunc(m)
+		}
+		for _, m := range methods[key] {
+			if byName[methodName(m)] {
+				reachFunc(m)
+			}
+		}
+	}
+	reachName := func(name string) {
+		if byName[name] {
+			return
+		}
+		byName[name] = true
+		for tk := range liveTypes {
+			for _, m := range methods[tk] {
+				if methodName(m) == name {
+					reachFunc(m)
+				}
+			}
+		}
+	}
+	use := func(o types.Object) {
+		switch o := o.(type) {
+		case *types.Func:
+			if key := reachKey(o); key == "" {
+				reachName(o.Name())
+			} else if inModule(o) {
+				reachFunc(key)
+			}
+		case *types.TypeName:
+			if inModule(o) {
+				reachType(o.Pkg().Path() + "." + o.Name())
+			}
+		}
+	}
+
+	// Type-check everything; index declarations; collect the roots.
+	var roots []node
+	stdPkgs := map[*types.Package]bool{}
+	var addStd func(p *types.Package)
+	addStd = func(p *types.Package) {
+		if im.pkgs[p.Path()] != nil || stdPkgs[p] {
+			return
+		}
+		stdPkgs[p] = true
+		for _, q := range p.Imports() {
+			addStd(q)
+		}
+	}
+	for _, p := range pkgs {
+		if _, err := im.Import(p.ImportPath); err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		for _, q := range p.types.Imports() {
+			addStd(q)
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := p.info.Defs[d.Name].(*types.Func)
+					key, n := reachKey(fn), node{d, p.info}
+					decls[key] = n
+					if d.Recv != nil {
+						tk := key[:strings.LastIndexByte(key, '.')]
+						methods[tk] = append(methods[tk], key)
+					}
+					api := p.ImportPath == "msync" && d.Recv == nil && fn.Exported()
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.Name == "main") || api {
+						roots = append(roots, n)
+						reached[key] = true
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							typeSpecs[p.ImportPath+"."+s.Name.Name] = node{s, p.info}
+						case *ast.ValueSpec:
+							roots = append(roots, node{s, p.info})
+						}
+					}
+				}
+			}
+		}
+	}
+	// Methods the standard library may call through one of its interfaces.
+	var stdIfaces []*types.Interface
+	for sp := range stdPkgs {
+		for _, name := range sp.Scope().Names() {
+			if tn, ok := sp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !tn.IsAlias() && tn.Type().(*types.Named).TypeParams() == nil {
+					stdIfaces = append(stdIfaces, it)
+				}
+			}
+		}
+	}
+	stdIfaces = append(stdIfaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, p := range pkgs {
+		for _, name := range p.types.Scope().Names() {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) || tn.Type().(*types.Named).TypeParams() != nil {
+				continue
+			}
+			tk := p.ImportPath + "." + name
+			for _, it := range stdIfaces {
+				if !types.Implements(tn.Type(), it) && !types.Implements(types.NewPointer(tn.Type()), it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					o, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), false, p.types, it.Method(i).Name())
+					if fn, ok := o.(*types.Func); ok && inModule(fn) {
+						stdCalled[tk] = append(stdCalled[tk], reachKey(fn))
+					}
+				}
+			}
+		}
+	}
+	// What package msync exports or aliases is API, with its exported methods.
+	api := im.pkgs["msync"].types.Scope()
+	for _, name := range api.Names() {
+		if tn, ok := api.Lookup(name).(*types.TypeName); ok && tn.Exported() {
+			if n, ok := types.Unalias(tn.Type()).(*types.Named); ok && inModule(n.Obj()) {
+				tk := n.Obj().Pkg().Path() + "." + n.Obj().Name()
+				reachType(tk)
+				if it, ok := n.Underlying().(*types.Interface); ok {
+					for i := 0; i < it.NumMethods(); i++ {
+						reachName(it.Method(i).Name()) // a caller's to call
+					}
+				}
+				for _, m := range methods[tk] {
+					if ast.IsExported(methodName(m)) {
+						reachFunc(m)
+					}
+				}
+			}
+		}
+	}
+	// What a test file of another package uses.
+	for _, p := range pkgs {
+		tests, info := p.tests, p.info
+		if len(p.XTestGoFiles) > 0 {
+			info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			var xfiles []*ast.File
+			for _, name := range p.XTestGoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				xfiles = append(xfiles, f)
+			}
+			if _, err := (&types.Config{Importer: im}).Check(p.ImportPath+"_test", fset, xfiles, info); err != nil {
+				t.Fatalf("type-checking %s_test: %v", p.ImportPath, err)
+			}
+			for _, o := range info.Uses {
+				if o.Pkg() != nil && o.Pkg().Path() != p.ImportPath {
+					use(o)
+				}
+			}
+		}
+		for _, f := range tests {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if o := p.info.Uses[id]; o != nil && o.Pkg() != nil && o.Pkg().Path() != p.ImportPath {
+						use(o)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key, why := range reachAllow {
+		if _, ok := decls[key]; !ok {
+			t.Errorf("reachAllow names %s (%s), which does not exist", key, why)
+		}
+		reachFunc(key)
+	}
+
+	work = append(work, roots...)
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		ast.Inspect(n.n, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok {
+				if o := n.info.Uses[id]; o != nil {
+					use(o)
+				}
+			}
+			return true
+		})
+	}
+
+	var dead []string
+	for key := range decls {
+		if !reached[key] {
+			dead = append(dead, strings.TrimPrefix(key, "msync/internal/"))
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s: no command, API, example, experiment, benchmark or other package's test reaches it", d)
+	}
+	if len(reachAllow) > 12 {
+		t.Errorf("reachAllow has %d entries, at most 12 allowed", len(reachAllow))
 	}
 }
