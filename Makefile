@@ -55,13 +55,18 @@ fuzz-smoke:
 # loc prints the code lines of every package: Go lines outside _test.go files
 # that are neither blank nor only a comment. This is the one definition of the
 # "net non-test LOC" ROADMAP.md counts (a block comment's inner lines count as
-# code; the tree has none outside tests).
+# code; the tree has none outside tests). The last line, shipping, is the same
+# count over the packages the msync binary and the library link.
 loc:
-	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+	@count() { while read pkg dir; do \
 		files=$$(ls $$dir/*.go | grep -v _test.go); \
 		[ -n "$$files" ] || continue; \
 		printf '%7d  %s\n' $$(cat $$files | grep -vcE '^\s*(//|$$)') $$pkg; \
-	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
+	done; }; \
+	$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | count | \
+		awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'; \
+	$(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}} {{.Dir}}{{end}}' ./cmd/msync . | count | \
+		awk '{ total += $$1 } END { printf "%7d  shipping\n", total }'
 
 # bench runs every Go micro-benchmark once as a smoke test; measurements come
 # from bench-check.

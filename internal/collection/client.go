@@ -626,9 +626,8 @@ func altBasisCandidates(wanted []merkle.Entry, orphans []string) map[string][]st
 // to the legacy descent.
 func (s *session) treeDetect(manifest []ManifestEntry, trees *treeState) (*treeResult, error) {
 	costs, caps := s.costs, s.ext.treeCaps
-	entries := merkleEntries(manifest)
-	tc := trees.acquire(entries, ManifestDigest(manifest), treeDir(s.src))
-	ini := merkle.NewInitiator(tc.Tree(merkle.DepthFor(len(entries))))
+	tc := trees.acquire(manifest, ManifestDigest(manifest), treeDir(s.src))
+	ini := merkle.NewInitiator(tc.Tree(merkle.DepthFor(len(manifest))))
 	var granted byte
 	for round := 1; !ini.Done(); round++ {
 		s.st.begin(obs.PhaseTree, round)

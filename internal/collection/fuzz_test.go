@@ -45,7 +45,8 @@ func FuzzConfigDecode(f *testing.F) {
 // its ordinals: whatever the content streams declare, decoding costs what the
 // verdicts announced.
 func FuzzSessionFrames(f *testing.F) {
-	f.Add(hostileFullFrame(), uint32(12), true)
+	f.Add(hostileFullFrame(hostileFull), uint32(12), true)
+	f.Add(hostileFullFrame(hostileDecoding), uint32(12), true)
 	for _, bodies := range []bool{true, false} {
 		for _, p := range hostileLists(bodies) {
 			if len(p) <= 1024 {

@@ -1,6 +1,8 @@
 package collection
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -46,13 +48,23 @@ func hostileLists(bodies bool) map[string][]byte {
 // empty code tables (hostileStream in internal/delta's tests).
 var hostileFull = append(wire.AppendUvarint(nil, 1<<32), 0, 0, 0, 0, 0, 0, 0)
 
-// hostileFullFrame is a FULL payload answering an ACK of ordinal 0 with
-// hostileFull.
-func hostileFullFrame() []byte {
+// hostileDecoding declares 4 GiB like hostileFull, in 26 bytes, but decodes:
+// valid code tables, a thousand bytes of output, then the end of the block
+// (hostileDecoding in internal/delta's tests). It is for the receiver that
+// cannot know the length, a verdict's: delta.Decode must find it corrupt at
+// the cost of what it decoded, not of what it declares.
+var hostileDecoding = func() []byte {
+	enc := delta.Compress(bytes.Repeat([]byte("a"), 1000))
+	_, n := binary.Uvarint(enc)
+	return append(wire.AppendUvarint(nil, 1<<32), enc[n:]...)
+}()
+
+// hostileFullFrame is a FULL payload answering an ACK of ordinal 0 with body.
+func hostileFullFrame(body []byte) []byte {
 	b := wire.NewBuffer(16)
 	b.Uvarint(1)
 	b.Uvarint(0)
-	b.Bytes(hostileFull)
+	b.Bytes(body)
 	return b.Build()
 }
 
@@ -85,6 +97,47 @@ func fullDeclaring4GiB(real []byte) []byte {
 	for _, sec := range secs {
 		b.Uvarint(uint64(sec.idx))
 		b.Bytes(sec.body)
+	}
+	return b.Build()
+}
+
+// verdictDeclaring4GiB rewrites a real VERDICTS payload: the first file sent
+// whole, as a verdict or in the new-files trailer, becomes hostileDecoding;
+// everything else stays.
+func verdictDeclaring4GiB(real []byte) []byte {
+	p, b := wire.NewParser(real), wire.NewBuffer(len(real))
+	hit := false
+	whole := func() {
+		body, _ := p.Bytes()
+		if !hit {
+			body, hit = hostileDecoding, true
+		}
+		b.Bytes(body)
+	}
+	cfg, _ := p.Bytes()
+	b.Bytes(cfg)
+	n, _ := p.Uvarint()
+	b.Uvarint(n)
+	for ; n > 0; n-- {
+		verdict, _ := p.Byte()
+		b.Byte(verdict)
+		switch verdict {
+		case verdictFull:
+			whole()
+		case verdictSync:
+			newLen, _ := p.Uvarint()
+			b.Uvarint(newLen)
+		}
+	}
+	n, _ = p.Uvarint()
+	b.Uvarint(n)
+	for ; n > 0; n-- {
+		path, _ := p.String()
+		b.String(path)
+		whole()
+	}
+	if !hit || p.Remaining() != 0 {
+		panic("hostile_test: no file sent whole in the session's VERDICTS frame")
 	}
 	return b.Build()
 }
@@ -156,26 +209,37 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 // from the other end: no panic (there is no recover anywhere), no allocation
 // sized by its number, no engine handed to two workers. Likewise a FULL whose
 // list is the one the ACK asked for but whose content declares another length
-// than the verdict announced: delta.ErrCorrupt, before anything is allocated
-// (TestIndexListAllocation holds the ceiling).
+// than the verdict announced: delta.ErrCorrupt, before anything is allocated.
+// And a verdict that ships a new file whole, whose length the client cannot
+// know, declaring 4 GiB in 26 bytes: delta.ErrCorrupt once its ops run out
+// (TestIndexListAllocation holds both ceilings).
 func TestHostileIndexLists(t *testing.T) {
 	v1, v2 := tinyTrees(12)
+	v2new := map[string][]byte{"dir/new.txt": []byte("a file the client has never seen")}
+	for path, data := range v2 {
+		v2new[path] = data
+	}
 	frames := []struct {
 		name       string
 		up         bool
 		typ, after byte
+		rewrite    func(real []byte) []byte // the "declares 4 GiB" case of a frame that has one
 	}{
-		{"server/ROUND_REPLY", true, wire.FrameRoundReply, wire.FrameRoundHashes},
-		{"server/CONFIRM-reply", true, wire.FrameRoundReply, wire.FrameConfirm},
-		{"server/ACK", true, wire.FrameAck, 0},
-		{"client/ROUND_HASHES", false, wire.FrameRoundHashes, 0},
-		{"client/CONFIRM", false, wire.FrameConfirm, 0},
-		{"client/FULL", false, wire.FrameFull, 0},
+		{"server/ROUND_REPLY", true, wire.FrameRoundReply, wire.FrameRoundHashes, nil},
+		{"server/CONFIRM-reply", true, wire.FrameRoundReply, wire.FrameConfirm, nil},
+		{"server/ACK", true, wire.FrameAck, 0, nil},
+		{"client/ROUND_HASHES", false, wire.FrameRoundHashes, 0, nil},
+		{"client/CONFIRM", false, wire.FrameConfirm, 0, nil},
+		{"client/FULL", false, wire.FrameFull, 0, fullDeclaring4GiB},
+		{"client/VERDICTS", false, wire.FrameVerdicts, 0, verdictDeclaring4GiB},
 	}
 	for _, fc := range frames {
-		lists := hostileLists(fc.typ != wire.FrameAck)
-		if fc.typ == wire.FrameFull {
-			lists["declares 4 GiB"] = nil // not a list: fullDeclaring4GiB rewrites the real frame
+		lists, serverFiles := hostileLists(fc.typ != wire.FrameAck), v2
+		if fc.typ == wire.FrameVerdicts {
+			lists, serverFiles = map[string][]byte{}, v2new // a verdict frame has no index list
+		}
+		if fc.rewrite != nil {
+			lists["declares 4 GiB"] = nil // not a list: fc.rewrite derives it from the real frame
 		}
 		for name, payload := range lists {
 			for _, width := range []int{0, 4} {
@@ -188,7 +252,7 @@ func TestHostileIndexLists(t *testing.T) {
 					t.Parallel()
 					// weakConfig: the session has verification batches and a
 					// FULL fallback to tamper with.
-					srv, err := NewServer(v2, weakConfig())
+					srv, err := NewServer(serverFiles, weakConfig())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -199,7 +263,7 @@ func TestHostileIndexLists(t *testing.T) {
 					tp := &tamperProxy{up: fc.up, typ: fc.typ, after: fc.after, payload: payload}
 					want := errIndexList
 					if payload == nil {
-						tp.rewrite, want = fullDeclaring4GiB, delta.ErrCorrupt
+						tp.rewrite, want = fc.rewrite, delta.ErrCorrupt
 					}
 					tp.last[0], tp.last[1] = map[int]byte{}, map[int]byte{}
 					cliEnd, proxyDown := transport.Pipe()
@@ -249,18 +313,30 @@ func TestHostileIndexLists(t *testing.T) {
 // million files, where count ≤ files alone would admit a 32 MB request. And
 // what a FULL section may allocate is bounded by the length the verdict
 // announced, not the one its stream declares: the handler both framers feed
-// refuses hostileFull for less than 64 KB (at 4 GiB before DecodeLen).
+// refuses hostileFull for less than 64 KB (at 4 GiB before DecodeLen). A
+// verdict's whole file has no announced length: what session.verdicts hands
+// hostileDecoding to, delta.Decompress, allocates what its ops produce.
 func TestIndexListAllocation(t *testing.T) {
-	if len(hostileFull) > 32 {
-		t.Fatalf("hostile FULL body is %d bytes", len(hostileFull))
+	if len(hostileFull) > 32 || len(hostileDecoding) > 32 {
+		t.Fatalf("hostile bodies are %d and %d bytes", len(hostileFull), len(hostileDecoding))
+	}
+	for _, body := range [][]byte{hostileFull, hostileDecoding} {
+		got := alloctest.BytesPerOp(5, func() {
+			if err := fullHandler(1, 4000, []int{0}, hostileFullFrame(body)).handle(1); !errors.Is(err, delta.ErrCorrupt) {
+				t.Fatalf("FULL declaring 4 GiB for a 4000-byte file: %v, want delta.ErrCorrupt", err)
+			}
+		})
+		if got >= 64<<10 {
+			t.Errorf("the hostile FULL section cost %d B, ceiling %d", got, 64<<10)
+		}
 	}
 	got := alloctest.BytesPerOp(5, func() {
-		if err := fullHandler(1, 4000, []int{0}, hostileFullFrame()).handle(1); !errors.Is(err, delta.ErrCorrupt) {
-			t.Fatalf("FULL declaring 4 GiB for a 4000-byte file: %v, want delta.ErrCorrupt", err)
+		if _, err := delta.Decompress(hostileDecoding); !errors.Is(err, delta.ErrCorrupt) {
+			t.Fatalf("a whole file declaring 4 GiB in %d bytes: %v, want delta.ErrCorrupt", len(hostileDecoding), err)
 		}
 	})
 	if got >= 64<<10 {
-		t.Errorf("the hostile FULL section cost %d B, ceiling %d", got, 64<<10)
+		t.Errorf("the hostile verdict payload cost %d B, ceiling %d", got, 64<<10)
 	}
 
 	const files = 1 << 20

@@ -16,12 +16,9 @@ import (
 
 // ManifestEntry fingerprints one client file: the paper's "very strong
 // 16-byte hash value for each file" used both to detect unchanged files and
-// to backstop per-file failures.
-type ManifestEntry struct {
-	Path string
-	Len  int
-	Sum  [md4.Size]byte
-}
+// to backstop per-file failures. It is the merkle tree's leaf entry, so a tree
+// session reads the manifest as it stands.
+type ManifestEntry = merkle.Entry
 
 // BuildManifest fingerprints a path-keyed file set, sorted by path.
 func BuildManifest(files map[string][]byte) []ManifestEntry {
@@ -78,15 +75,6 @@ func decodeManifest(p []byte) ([]ManifestEntry, error) {
 		out = append(out, e)
 	}
 	return out, nil
-}
-
-// merkleEntries is the manifest as the merkle package's leaf entries.
-func merkleEntries(m []ManifestEntry) []merkle.Entry {
-	entries := make([]merkle.Entry, len(m))
-	for i, e := range m {
-		entries[i] = merkle.Entry{Path: e.Path, Len: e.Len, Sum: e.Sum}
-	}
-	return entries
 }
 
 // Session roles carried in the HELLO frame.

@@ -109,14 +109,13 @@ func (s *Server) sessionState() (Source, []ManifestEntry, *merkle.TreeCache, err
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		entries := merkleEntries(m)
 		s.manifest = m
 		fp := ManifestDigest(m)
 		if s.prevTree != nil {
-			s.mtree = s.prevTree.Rebase(entries, fp)
+			s.mtree = s.prevTree.Rebase(m, fp)
 			s.prevTree = nil
 		} else {
-			s.mtree = merkle.NewTreeCacheAt(entries, fp, treeDir(s.src))
+			s.mtree = merkle.NewTreeCacheAt(m, fp, treeDir(s.src))
 		}
 	}
 	return s.src, s.manifest, s.mtree, nil

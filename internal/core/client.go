@@ -48,6 +48,7 @@ type ClientFile struct {
 	scratchVals  []uint64
 	scratchCands [][]int32
 	candArena    []int32
+	candStride   int
 
 	// sets[:nsets] are the round's search sets, one per window size. By the
 	// splitting invariant a round's blocks are [k·b, min((k+1)·b, n)), so
@@ -290,35 +291,12 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 	c.plan = c.buildPlan()
 	hb := c.cfg.hashBits(c.n, c.b)
 
-	// Per-entry scratch: hash values, candidate-slice headers, and the
-	// arena the candidate slices are carved from. The fixed per-entry
-	// stride caps every slice's capacity, so appends (including the
-	// sharded scan's merge) stay in place and rounds reuse one block.
 	ne := len(c.plan.entries)
-	maxAlt := c.cfg.MaxAlternates
-	if maxAlt < 1 {
-		maxAlt = 1
-	}
-	stride := maxAlt
-	if stride < 2 {
-		stride = 2 // continuation probes may record two predicted positions
-	}
 	if cap(c.scratchVals) < ne {
 		c.scratchVals = make([]uint64, ne)
 	}
-	if cap(c.scratchCands) < ne {
-		c.scratchCands = make([][]int32, ne)
-	}
-	if cap(c.candArena) < ne*stride {
-		c.candArena = make([]int32, ne*stride)
-	}
 	vals := c.scratchVals[:ne]
-	cands := c.scratchCands[:ne]
-	arena := c.candArena[:ne*stride]
-	candAt := func(i int) []int32 { return arena[i*stride : i*stride : i*stride+stride] }
-	for i := range cands {
-		cands[i] = nil
-	}
+	cands, maxAlt := c.candScratch(ne)
 
 	c.nsets = 0
 	for i := range c.plan.entries {
@@ -349,9 +327,9 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 		}
 		switch e.kind {
 		case kProbe:
-			cands[i] = c.probeCandidates(e, full, candAt(i))
+			cands[i] = c.probeCandidates(e, full, c.candAt(i))
 		case kLocal:
-			cands[i] = c.localCandidates(e, full, candAt(i))
+			cands[i] = c.localCandidates(e, full, c.candAt(i))
 		default:
 			if e.size > 0 && e.size <= len(c.fOld) {
 				c.setFor(e.size).n++
@@ -372,26 +350,55 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 				continue
 			}
 			c.setFor(e.size).add(rolling.Truncate(vals[i], uint(hb)), int32(i))
-			cands[i] = candAt(i)
+			cands[i] = c.candAt(i)
 		}
 		c.scanOld(sets, uint(hb), cands, maxAlt, c.scanShards(sets))
 	}
 
+	c.collectCandidates(cands)
+	return nil
+}
+
+// candScratch readies the per-entry candidate scratch of a round of ne
+// entries: the slice headers, all nil, and the arena candAt carves each
+// entry's slice from. The fixed per-entry stride caps every slice's capacity,
+// so appends (including the sharded scan's merge) stay in place and rounds
+// reuse one block. maxAlt is how many alternates an entry may keep.
+func (c *ClientFile) candScratch(ne int) (cands [][]int32, maxAlt int) {
+	maxAlt = max(c.cfg.MaxAlternates, 1)
+	c.candStride = max(maxAlt, 2) // continuation probes may record two predicted positions
+	if cap(c.scratchCands) < ne {
+		c.scratchCands = make([][]int32, ne)
+	}
+	if cap(c.candArena) < ne*c.candStride {
+		c.candArena = make([]int32, ne*c.candStride)
+	}
+	cands = c.scratchCands[:ne]
+	clear(cands)
+	return cands, maxAlt
+}
+
+// candAt is entry i's empty candidate slice in the round's arena.
+func (c *ClientFile) candAt(i int) []int32 {
+	lo := i * c.candStride
+	return c.candArena[lo : lo : lo+c.candStride]
+}
+
+// collectCandidates keeps the entries that found a candidate, each with its
+// first offset and its alternates, for the reply and the verification plan.
+func (c *ClientFile) collectCandidates(cands [][]int32) {
 	c.candEntries = c.candEntries[:0]
 	c.candOff = c.candOff[:0]
 	c.candAlts = c.candAlts[:0]
-	for i := range c.plan.entries {
-		if len(cands[i]) > 0 {
+	c.altNext = c.altNext[:0]
+	for i, alts := range cands {
+		if len(alts) > 0 {
 			c.candEntries = append(c.candEntries, i)
-			c.candOff = append(c.candOff, int(cands[i][0]))
-			c.candAlts = append(c.candAlts, cands[i])
+			c.candOff = append(c.candOff, int(alts[0]))
+			c.candAlts = append(c.candAlts, alts)
+			c.altNext = append(c.altNext, 0)
 		}
 	}
-	c.altNext = c.altNext[:0]
-	for range c.candEntries {
-		c.altNext = append(c.altNext, 0)
-	}
-	return nil
 }
 
 // absorbHashesCDC processes a CDC round's hash section (see emitHashesCDC
@@ -521,35 +528,14 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 		c.CDCChunks += int64(len(cuts))
 	}
 
-	// Candidate scratch, carved exactly like the halving path so rounds
-	// reuse one arena block.
-	ne := len(p.entries)
-	maxAlt := c.cfg.MaxAlternates
-	if maxAlt < 1 {
-		maxAlt = 1
-	}
-	stride := maxAlt
-	if stride < 2 {
-		stride = 2 // continuation probes may record two predicted positions
-	}
-	if cap(c.scratchCands) < ne {
-		c.scratchCands = make([][]int32, ne)
-	}
-	if cap(c.candArena) < ne*stride {
-		c.candArena = make([]int32, ne*stride)
-	}
-	cands := c.scratchCands[:ne]
-	arena := c.candArena[:ne*stride]
-	for i := range cands {
-		cands[i] = nil
-	}
+	cands, maxAlt := c.candScratch(len(p.entries))
 	for i := range p.entries {
 		e := &p.entries[i]
 		raw, err := r.ReadBits(uint(e.bits))
 		if err != nil {
 			return fmt.Errorf("core: cdc round hashes: %w", err)
 		}
-		dst := arena[i*stride : i*stride : i*stride+stride]
+		dst := c.candAt(i)
 		if e.kind == kProbe {
 			cands[i] = c.probeCandidates(e, raw, dst)
 			continue
@@ -584,20 +570,7 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 		}
 	}
 
-	c.candEntries = c.candEntries[:0]
-	c.candOff = c.candOff[:0]
-	c.candAlts = c.candAlts[:0]
-	for i := range p.entries {
-		if len(cands[i]) > 0 {
-			c.candEntries = append(c.candEntries, i)
-			c.candOff = append(c.candOff, int(cands[i][0]))
-			c.candAlts = append(c.candAlts, cands[i])
-		}
-	}
-	c.altNext = c.altNext[:0]
-	for range c.candEntries {
-		c.altNext = append(c.altNext, 0)
-	}
+	c.collectCandidates(cands)
 	return nil
 }
 

@@ -183,3 +183,45 @@ func TestManySmallEditsWorstCase(t *testing.T) {
 		t.Errorf("cost %d too close to full size", res.Costs.Total())
 	}
 }
+
+// TestWholeFileCheckCatchesFalseMatches: with 2-bit global hashes and 1-bit
+// verification most candidates are false matches and half of those verify, so
+// the map the engines agree on is wrong and ApplyDelta's whole-file check is
+// all that stands between the client and a wrong file. Over fixed seeds (all
+// but one confirm a false match; seed 39 in CDC mode does not) it returns
+// exactly ErrVerifyFailed or the server's bytes, never anything else, and
+// SyncLocal's full-transfer fallback then converges — for both map modes,
+// serial and with the scan and verification fanned out.
+func TestWholeFileCheckCatchesFalseMatches(t *testing.T) {
+	for _, mode := range []MapMode{MapHalving, MapCDC} {
+		for _, workers := range []int{1, 8} {
+			tripped := 0
+			for _, seed := range []int64{1, 2, 3, 39} {
+				rng := rand.New(rand.NewSource(seed))
+				old := corpus.SourceText(rng, 4000+rng.Intn(20_000))
+				cur := corpus.EditModel{BurstsPer32KB: 4, BurstEdits: 4, EditSize: 50, BurstSpread: 300}.Apply(rng, old)
+				cfg := DefaultConfig()
+				cfg.MapMode, cfg.Workers = mode, workers
+				cfg.MinHashBits, cfg.MaxHashBits, cfg.VerifyBits = 2, 2, 1
+
+				srv, cli := mapRounds(t, old, cur, cfg) // any engine error is fatal there
+				out, err := cli.ApplyDelta(srv.EmitDelta())
+				switch {
+				case err == ErrVerifyFailed && out == nil:
+					tripped++
+				case err != nil:
+					t.Fatalf("%v workers %d seed %d: ApplyDelta returned %v (%d bytes), want ErrVerifyFailed or the file", mode, workers, seed, err, len(out))
+				case !bytes.Equal(out, cur):
+					t.Fatalf("%v workers %d seed %d: ApplyDelta accepted wrong bytes", mode, workers, seed)
+				}
+				res, lerr := SyncLocal(old, cur, cfg)
+				if lerr != nil || !bytes.Equal(res.Output, cur) || res.FellBack != (err != nil) {
+					t.Fatalf("%v workers %d seed %d: SyncLocal err %v, fell back %v after ApplyDelta's %v", mode, workers, seed, lerr, res != nil && res.FellBack, err)
+				}
+			}
+			if tripped == 0 {
+				t.Fatalf("%v workers %d: no seed confirmed a false match; the backstop went untested", mode, workers)
+			}
+		}
+	}
+}

@@ -529,9 +529,11 @@ func mustEncodeOff(c *huffman.Code, w *bitio.Writer, sym int) {
 	}
 }
 
-// Decode reconstructs the target from ref and a delta produced by Encode. It
-// allocates the target length the stream declares, up to 4 GiB, before it
-// reads one op: for a stream from a peer, use DecodeLen.
+// Decode reconstructs the target from ref and a delta produced by Encode. The
+// length a stream declares (up to 4 GiB) only bounds the output: the buffer
+// starts at no more than 64 bytes per input byte and grows as ops produce
+// output, so a short stream declaring a long target costs its ops, not its
+// claim. A caller that knows the length beforehand uses DecodeLen.
 func Decode(ref, enc []byte) ([]byte, error) {
 	targetLen, n := binary.Uvarint(enc)
 	if n <= 0 {
@@ -564,7 +566,7 @@ func Decode(ref, enc []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("delta: offset table: %w", err)
 	}
-	out := make([]byte, 0, targetLen)
+	out := make([]byte, 0, min(targetLen, 64*uint64(len(enc))+4096))
 	lastRef := 0
 	for uint64(len(out)) < targetLen {
 		sym, err := mainDec.Decode(r)

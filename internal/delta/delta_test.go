@@ -201,6 +201,49 @@ func hostileStream() []byte {
 	return append(enc, modeHuffman, 0, 0, 0, 0, 0, 0)
 }
 
+// hostileDecoding declares 4 GiB like hostileStream, in 26 bytes, but decodes:
+// valid code tables, a thousand bytes of output, then the end of the block.
+func hostileDecoding() []byte {
+	enc := Compress(bytes.Repeat([]byte("a"), 1000))
+	_, n := binary.Uvarint(enc)
+	return append(binary.AppendUvarint(nil, 1<<32), enc[n:]...)
+}
+
+// TestDecodeAllocatesWhatOpsProduce: a caller that cannot know the target
+// length (a verdict's whole file, a store blob) pays for the output the
+// stream's ops produce, not for the length it declares; a stream that
+// compresses no better than 64:1 gets its exact buffer as before, and one
+// that does still decodes.
+func TestDecodeAllocatesWhatOpsProduce(t *testing.T) {
+	hostile := hostileDecoding()
+	if len(hostile) > 32 {
+		t.Fatalf("hostile stream is %d bytes", len(hostile))
+	}
+	got := alloctest.BytesPerOp(5, func() {
+		if _, err := Decompress(hostile); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Decompress of %d bytes declaring 4 GiB: %v, want ErrCorrupt", len(hostile), err)
+		}
+	})
+	if got >= 64<<10 {
+		t.Errorf("the hostile stream cost %d B, ceiling %d", got, 64<<10)
+	}
+
+	text := bytes.Repeat([]byte("not all that compressible: 0123456789 abcdefghij\n"), 40)
+	rand.New(rand.NewSource(1)).Shuffle(len(text), func(i, j int) { text[i], text[j] = text[j], text[i] })
+	out, err := Decompress(Compress(text))
+	if err != nil || !bytes.Equal(out, text) || cap(out) != len(text) {
+		t.Fatalf("honest stream: err %v, %d bytes in a buffer of %d, want exactly %d", err, len(out), cap(out), len(text))
+	}
+	run := bytes.Repeat([]byte("a"), 1<<20)
+	enc := Compress(run)
+	if 64*len(enc)+4096 >= len(run) {
+		t.Fatalf("a megabyte run compressed to %d bytes: not past the preallocation bound", len(enc))
+	}
+	if out, err := Decompress(enc); err != nil || !bytes.Equal(out, run) {
+		t.Fatalf("a stream compressing better than 64:1 no longer decodes: %v", err)
+	}
+}
+
 // TestDecodeLenChecksBeforeAllocating: a stream whose declared length is not
 // the one the caller expects is corrupt, and costs nothing to find so.
 func TestDecodeLenChecksBeforeAllocating(t *testing.T) {

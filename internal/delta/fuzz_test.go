@@ -13,6 +13,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{}, Encode(nil, []byte("self-compressed payload payload payload")))
 	f.Add(ref, []byte{})
 	f.Add(ref, []byte{0xFF, 0xFF, 0xFF})
+	f.Add([]byte{}, hostileStream())
+	f.Add([]byte{}, hostileDecoding())
 	f.Fuzz(func(t *testing.T, refIn, enc []byte) {
 		out, err := Decode(refIn, enc)
 		if err == nil && len(out) > 1<<24 {

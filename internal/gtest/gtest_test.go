@@ -208,3 +208,12 @@ func TestAbsorbCountMismatchPanics(t *testing.T) {
 	}()
 	p.Absorb([]bool{true})
 }
+
+func TestDefaultConfigsSane(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), TrivialConfig(), {}} {
+		s := cfg.sanitized()
+		if s.Batches < 1 || s.GroupSize < 1 || s.TrustedGroupSize < 1 || s.SplitFactor < 2 {
+			t.Fatalf("sanitized config invalid: %+v", s)
+		}
+	}
+}
