@@ -474,8 +474,9 @@ func TestNoUnreachableCode(t *testing.T) {
 		}
 	}
 
-	// Type-check everything; index declarations; collect the roots.
-	var roots []node
+	// Type-check everything and index the declarations. Roots go on the
+	// work list: main, init, package msync's exported functions, every
+	// package-level initialiser.
 	stdPkgs := map[*types.Package]bool{}
 	var addStd func(p *types.Package)
 	addStd = func(p *types.Package) {
@@ -499,16 +500,14 @@ func TestNoUnreachableCode(t *testing.T) {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					fn := p.info.Defs[d.Name].(*types.Func)
-					key, n := reachKey(fn), node{d, p.info}
-					decls[key] = n
-					if d.Recv != nil {
+					key := reachKey(fn)
+					decls[key] = node{d, p.info}
+					switch {
+					case d.Recv != nil:
 						tk := key[:strings.LastIndexByte(key, '.')]
 						methods[tk] = append(methods[tk], key)
-					}
-					api := p.ImportPath == "msync" && d.Recv == nil && fn.Exported()
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.Name == "main") || api {
-						roots = append(roots, n)
-						reached[key] = true
+					case d.Name.Name == "init", d.Name.Name == "main" && p.Name == "main", p.ImportPath == "msync" && fn.Exported():
+						reachFunc(key)
 					}
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
@@ -516,7 +515,7 @@ func TestNoUnreachableCode(t *testing.T) {
 						case *ast.TypeSpec:
 							typeSpecs[p.ImportPath+"."+s.Name.Name] = node{s, p.info}
 						case *ast.ValueSpec:
-							roots = append(roots, node{s, p.info})
+							work = append(work, node{s, p.info})
 						}
 					}
 				}
@@ -577,9 +576,8 @@ func TestNoUnreachableCode(t *testing.T) {
 	}
 	// What a test file of another package uses.
 	for _, p := range pkgs {
-		tests, info := p.tests, p.info
 		if len(p.XTestGoFiles) > 0 {
-			info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 			var xfiles []*ast.File
 			for _, name := range p.XTestGoFiles {
 				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
@@ -597,7 +595,7 @@ func TestNoUnreachableCode(t *testing.T) {
 				}
 			}
 		}
-		for _, f := range tests {
+		for _, f := range p.tests {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
 					if o := p.info.Uses[id]; o != nil && o.Pkg() != nil && o.Pkg().Path() != p.ImportPath {
@@ -615,7 +613,6 @@ func TestNoUnreachableCode(t *testing.T) {
 		reachFunc(key)
 	}
 
-	work = append(work, roots...)
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
