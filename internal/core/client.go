@@ -48,7 +48,6 @@ type ClientFile struct {
 	scratchVals  []uint64
 	scratchCands [][]int32
 	candArena    []int32
-	candStride   int
 
 	// sets[:nsets] are the round's search sets, one per window size. By the
 	// splitting invariant a round's blocks are [k·b, min((k+1)·b, n)), so
@@ -365,23 +364,25 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 // so appends (including the sharded scan's merge) stay in place and rounds
 // reuse one block. maxAlt is how many alternates an entry may keep.
 func (c *ClientFile) candScratch(ne int) (cands [][]int32, maxAlt int) {
-	maxAlt = max(c.cfg.MaxAlternates, 1)
-	c.candStride = max(maxAlt, 2) // continuation probes may record two predicted positions
 	if cap(c.scratchCands) < ne {
 		c.scratchCands = make([][]int32, ne)
 	}
-	if cap(c.candArena) < ne*c.candStride {
-		c.candArena = make([]int32, ne*c.candStride)
+	if cap(c.candArena) < ne*c.candStride() {
+		c.candArena = make([]int32, ne*c.candStride())
 	}
 	cands = c.scratchCands[:ne]
 	clear(cands)
-	return cands, maxAlt
+	return cands, max(c.cfg.MaxAlternates, 1)
 }
+
+// candStride is an entry's share of the arena: its alternates, and never
+// less than the two positions a continuation probe may predict.
+func (c *ClientFile) candStride() int { return max(c.cfg.MaxAlternates, 2) }
 
 // candAt is entry i's empty candidate slice in the round's arena.
 func (c *ClientFile) candAt(i int) []int32 {
-	lo := i * c.candStride
-	return c.candArena[lo : lo : lo+c.candStride]
+	lo, stride := i*c.candStride(), c.candStride()
+	return c.candArena[lo : lo : lo+stride]
 }
 
 // collectCandidates keeps the entries that found a candidate, each with its
