@@ -88,9 +88,11 @@ type Client struct {
 	// AnnounceVersion adds the optional version extension to the hello:
 	// the client announces BaseVersion (0 = none known) and a versioned
 	// server may answer with a precomputed journal delta instead of map
-	// construction. Servers without a store ignore the extension; the
-	// session is unchanged beyond the few extension bytes. The server's
-	// current version is reported back in Result.Version.
+	// construction. Above 0 the client names its manifest by its digest
+	// (MANIFEST_REF) and sends the manifest only to a server that asks — one
+	// without a store, or one that cannot serve that version — at the price
+	// of one roundtrip. The server's current version is reported back in
+	// Result.Version.
 	AnnounceVersion bool
 	// BaseVersion is the stored version this client's collection matches,
 	// as learned from a previous Result.Version.
@@ -242,7 +244,8 @@ func (s *session) consume(lazy bool, trees *treeState) (*Result, error) {
 }
 
 // detect is change detection: it tells the holder what this end has — the
-// flat manifest, or a merkle descent and a WANT list — and returns the paths
+// flat manifest (by reference when a stored version above 0 is announced), or
+// a merkle descent and a WANT list — and returns the paths
 // under discussion in verdict order. In tree mode it also settles, in res,
 // every local path the descent already decided: unchanged, deleted, or
 // copied from a renamed local file.
@@ -254,7 +257,14 @@ func (s *session) detect(res *Result, lazy bool, trees *treeState) ([]string, *t
 	if s.mode != modeTree {
 		s.buf.Reset()
 		encodeManifestInto(s.buf, manifest)
-		if err := s.send(wire.FrameManifest, s.buf.Build(), stats.PhaseControl); err != nil {
+		ft, payload := wire.FrameManifest, s.buf.Build()
+		if s.ext.announce > 0 {
+			// The holder's store may hold this very list under the announced
+			// version: name it by its digest, and send it only if asked.
+			digest := md4.Sum(payload)
+			s.withheld, ft, payload = payload, wire.FrameManifestRef, digest[:]
+		}
+		if err := s.send(ft, payload, stats.PhaseControl); err != nil {
 			return nil, nil, err
 		}
 		paths := make([]string, len(manifest))

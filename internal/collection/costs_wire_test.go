@@ -92,20 +92,25 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 		name string
 		tune func(*Server, *Client)
 		weak bool
+		base uint64 // nonzero: a store-backed server (versions 1 and 2), a client announcing this one
 	}{
-		{"lockstep", func(*Server, *Client) {}, false},
-		{"mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 16, 16 }, false},
+		{"lockstep", func(*Server, *Client) {}, false, 0},
+		{"mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 16, 16 }, false, 0},
 		{"tree", func(_ *Server, c *Client) {
 			c.TreeManifest, c.SpeculativeDescent, c.CrossFileMatch = true, true, true
-		}, false},
+		}, false, 0},
 		{"tree+mux", func(s *Server, c *Client) {
 			c.TreeManifest, c.SpeculativeDescent, c.CrossFileMatch = true, true, true
 			s.MuxStreams, c.MuxStreams = 16, 16
-		}, false},
-		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }, false},
-		{"journal", nil, false}, // store-backed server, see below
-		{"fallback", func(*Server, *Client) {}, true},
-		{"fallback+mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 4, 4 }, true},
+		}, false, 0},
+		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }, false, 0},
+		{"fallback", func(*Server, *Client) {}, true, 0},
+		{"fallback+mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 4, 4 }, true, 0},
+		// Announced by reference: a hit; a miss that grants streams (WANT,
+		// MANIFEST, MUX_ACK, VERDICTS); a miss on a server without a store.
+		{"journal", func(*Server, *Client) {}, false, 1},
+		{"journal-miss+mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 4, 4 }, false, 99},
+		{"announce-storeless", func(_ *Server, c *Client) { c.AnnounceVersion, c.BaseVersion = true, 3 }, false, 0},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -118,16 +123,16 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			}
 			var srv *Server
 			cli := NewClient(v1)
-			if sh.tune == nil {
+			if sh.base > 0 {
 				srv = versionedServer(t, v1, v2, cfg)
-				cli.AnnounceVersion, cli.BaseVersion = true, 1
+				cli.AnnounceVersion, cli.BaseVersion = true, sh.base
 			} else {
 				var err error
 				if srv, err = NewServer(v2, cfg); err != nil {
 					t.Fatal(err)
 				}
-				sh.tune(srv, cli)
 			}
+			sh.tune(srv, cli)
 
 			ring := obs.NewRing(1024)
 			cli.Tracer = ring
@@ -154,12 +159,20 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			if sh.name == "journal" && res.Costs.FilesJournal == 0 {
 				t.Fatal("the journal shape did not take the journal path")
 			}
-			wire := int64(rec.c2s.Len() + rec.s2c.Len())
-			if got := res.Costs.Total(); got != wire {
-				t.Errorf("client Costs.Total() = %d, the connection carried %d", got, wire)
+			if cli.AnnounceVersion {
+				sent := transcriptFrames(t, rec.c2s.Bytes())[1].typ
+				asked := transcriptFrames(t, rec.s2c.Bytes())[0].typ == wire.FrameManifestWant
+				if sent != wire.FrameManifestRef || asked != (serverCosts.JournalMisses == 1) {
+					t.Fatalf("an announcing session opens with MANIFEST_REF (sent %s) and is asked for the manifest exactly when it misses (asked %v, %d misses)",
+						wire.FrameName(sent), asked, serverCosts.JournalMisses)
+				}
 			}
-			if got := serverCosts.Total(); got != wire {
-				t.Errorf("server Costs.Total() = %d, the connection carried %d", got, wire)
+			carried := int64(rec.c2s.Len() + rec.s2c.Len())
+			if got := res.Costs.Total(); got != carried {
+				t.Errorf("client Costs.Total() = %d, the connection carried %d", got, carried)
+			}
+			if got := serverCosts.Total(); got != carried {
+				t.Errorf("server Costs.Total() = %d, the connection carried %d", got, carried)
 			}
 			if res.Costs.Roundtrips != serverCosts.Roundtrips {
 				t.Errorf("roundtrips: client %d, server %d", res.Costs.Roundtrips, serverCosts.Roundtrips)

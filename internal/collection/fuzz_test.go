@@ -1,10 +1,12 @@
 package collection
 
 import (
+	"errors"
 	"testing"
 
 	"msync/internal/alloctest"
 	"msync/internal/core"
+	"msync/internal/md4"
 	"msync/internal/wire"
 )
 
@@ -43,10 +45,38 @@ func FuzzConfigDecode(f *testing.F) {
 // multiple of the payload, however many files the session has. A list that
 // parses is also handed to the FULL handler as the answer to an ACK of exactly
 // its ordinals: whatever the content streams declare, decoding costs what the
-// verdicts announced.
+// verdicts announced. And the same bytes are the payload of each of the
+// handshake's two fixed-size frames, sent where it is legal: a MANIFEST_REF of
+// anything but 16 bytes and a MANIFEST_WANT of anything but none are the
+// protocol error errFrame, and the legal size gets as far as the script's end.
 func FuzzSessionFrames(f *testing.F) {
+	f.Add(make([]byte, md4.Size), uint32(2), false) // a MANIFEST_REF's payload
+	f.Add([]byte{}, uint32(2), false)               // a MANIFEST_WANT's
+	f.Add(make([]byte, md4.Size+1), uint32(2), false)
+	old, cur := tinyTrees(2)
+	srv, err := NewServer(cur, core.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	cli := NewClient(old)
+	cli.AnnounceVersion, cli.BaseVersion = true, 1
+	refHello := wire.NewBuffer(16)
+	refHello.Uvarint(protocolVersion)
+	refHello.Byte(rolePull)
+	refHello.Byte(modeManifest)
+	helloExts{announce: 1}.encode(refHello)
+	handshake := func(t *testing.T, frames []wireFrame, sized bool, run func(*scriptConn) error) {
+		conn := &scriptConn{}
+		conn.script.Reset(wireBytes(t, frames))
+		if err := run(conn); errors.Is(err, core.ErrProtocol) == sized || err == nil {
+			t.Fatalf("%s of %d bytes: %v", wire.FrameName(frames[len(frames)-1].typ), len(frames[len(frames)-1].payload), err)
+		}
+	}
 	f.Add(hostileFullFrame(hostileFull), uint32(12), true)
 	f.Add(hostileFullFrame(hostileDecoding), uint32(12), true)
+	// One 64-byte section whose code tables cost 22 KB to read: found by the
+	// fuzzer against the 16 KB a section was allowed before.
+	f.Add([]byte("\x010\x1a@\x00x00000000000000000000000"), uint32(56), true)
 	for _, bodies := range []bool{true, false} {
 		for _, p := range hostileLists(bodies) {
 			if len(p) <= 1024 {
@@ -69,6 +99,10 @@ func FuzzSessionFrames(f *testing.F) {
 		if ceiling := uint64(4<<10 + 64*len(data)); got > ceiling {
 			t.Fatalf("%d bytes allocated for a %d-byte payload (ceiling %d)", got, len(data), ceiling)
 		}
+		handshake(t, []wireFrame{{wire.FrameHello, refHello.Build()}, {wire.FrameManifestRef, data}}, len(data) == md4.Size,
+			func(c *scriptConn) error { _, err := srv.Serve(c); return err })
+		handshake(t, []wireFrame{{wire.FrameManifestWant, data}}, len(data) == 0,
+			func(c *scriptConn) error { _, err := cli.Sync(c); return err })
 		if err != nil {
 			return
 		}
@@ -85,10 +119,12 @@ func FuzzSessionFrames(f *testing.F) {
 		if !bodies || n > 1<<10 {
 			return
 		}
-		// 64-byte files: a section that declares 64 and decodes costs its code
-		// tables (under 4 KB), any other is refused before it costs anything.
+		// 64-byte files: a section that declares 64 costs its two code tables —
+		// huffman.ReadTable allocates the up to 65 535 symbols a table declares
+		// in its first two bytes, then some 40 bytes per length it goes on to
+		// read — and any other is refused before it costs anything.
 		got = alloctest.BytesPerOp(2, func() { fullHandler(n, 64, failed, data).handle(1) })
-		if ceiling := uint64(8<<10 + 128*n + 16<<10*len(secs)); got > ceiling {
+		if ceiling := uint64(8<<10 + 128*n + 160<<10*len(secs) + 64*len(data)); got > ceiling {
 			t.Fatalf("FULL handler allocated %d bytes for %d sections of %d files (ceiling %d)", got, len(secs), n, ceiling)
 		}
 	})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,8 @@ import (
 	"msync/internal/alloctest"
 	"msync/internal/core"
 	"msync/internal/delta"
+	"msync/internal/md4"
+	"msync/internal/stats"
 	"msync/internal/transport"
 	"msync/internal/wire"
 )
@@ -152,16 +156,57 @@ type tamperProxy struct {
 	after   byte // ... when the stream's last frame the other way was this (0: any)
 	payload []byte
 	rewrite func(real []byte) []byte // in place of payload: derive it from the real frame
+	retype  byte                     // nonzero: the replaced frame also changes its type to this
 
 	mu   sync.Mutex
 	last [2]map[int]byte // per direction and stream: last per-file frame type
 	done bool
+	fed  bytes.Buffer // everything forwarded in the tampered direction: what the victim read
+}
+
+// newTamperProxy is a proxy that has seen no frame yet.
+func newTamperProxy(up bool, typ, after byte, payload []byte) *tamperProxy {
+	tp := &tamperProxy{up: up, typ: typ, after: after, payload: payload}
+	tp.last[0], tp.last[1] = map[int]byte{}, map[int]byte{}
+	return tp
+}
+
+// run drives one session of cli against srv through the proxy and returns
+// both ends' outcomes; a session that hangs on the hostile frame fails the test.
+func (tp *tamperProxy) run(t *testing.T, srv *Server, cli *Client) (sc *stats.Costs, res *Result, serverErr, clientErr error) {
+	t.Helper()
+	cliEnd, proxyDown := transport.Pipe()
+	proxyUp, srvEnd := transport.Pipe()
+	go tp.copyFrames(true, proxyDown, proxyUp)
+	go tp.copyFrames(false, proxyUp, proxyDown)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); defer srvEnd.Close(); sc, serverErr = srv.Serve(srvEnd) }()
+		go func() { defer wg.Done(); defer cliEnd.Close(); res, clientErr = cli.Sync(cliEnd) }()
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("session hung on the hostile frame")
+	}
+	if !tp.done {
+		t.Fatal("the session never sent the frame to tamper with")
+	}
+	return sc, res, serverErr, clientErr
 }
 
 func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 	defer from.Close()
 	defer to.Close()
-	fr, fw := wire.NewFrameReader(from), wire.NewFrameWriter(to)
+	var out io.Writer = to
+	if up == tp.up {
+		out = io.MultiWriter(to, &tp.fed) // one goroutine per direction writes it
+	}
+	fr, fw := wire.NewFrameReader(from), wire.NewFrameWriter(out)
 	dir := 0
 	if up {
 		dir = 1
@@ -194,6 +239,8 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 				b := wire.NewBuffer(len(body) + 4)
 				wire.AppendStreamFrame(b, id, inner, body)
 				body = b.Build()
+			} else if tp.retype != 0 {
+				ft = tp.retype
 			}
 			payload = body
 		}
@@ -212,8 +259,10 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 // than the verdict announced: delta.ErrCorrupt, before anything is allocated.
 // And a verdict that ships a new file whole, whose length the client cannot
 // know, declaring 4 GiB in 26 bytes: delta.ErrCorrupt once its ops run out
-// (TestIndexListAllocation holds both ceilings).
+// (TestIndexListAllocation holds both ceilings). The handshake's two
+// fixed-size frames have their own rows: hostileHandshakes.
 func TestHostileIndexLists(t *testing.T) {
+	t.Run("handshake", hostileHandshakes)
 	v1, v2 := tinyTrees(12)
 	v2new := map[string][]byte{"dir/new.txt": []byte("a file the client has never seen")}
 	for path, data := range v2 {
@@ -260,39 +309,14 @@ func TestHostileIndexLists(t *testing.T) {
 					cli := NewClient(v1)
 					cli.MuxStreams = width
 
-					tp := &tamperProxy{up: fc.up, typ: fc.typ, after: fc.after, payload: payload}
+					tp := newTamperProxy(fc.up, fc.typ, fc.after, payload)
 					want := errIndexList
 					if payload == nil {
 						tp.rewrite, want = fc.rewrite, delta.ErrCorrupt
 					}
-					tp.last[0], tp.last[1] = map[int]byte{}, map[int]byte{}
-					cliEnd, proxyDown := transport.Pipe()
-					proxyUp, srvEnd := transport.Pipe()
-					go tp.copyFrames(true, proxyDown, proxyUp)
-					go tp.copyFrames(false, proxyUp, proxyDown)
-
-					errs := make(chan [2]error, 1)
-					go func() {
-						var e [2]error
-						var wg sync.WaitGroup
-						wg.Add(2)
-						go func() { defer wg.Done(); defer srvEnd.Close(); _, e[0] = srv.Serve(srvEnd) }()
-						go func() { defer wg.Done(); defer cliEnd.Close(); _, e[1] = cli.Sync(cliEnd) }()
-						wg.Wait()
-						errs <- e
-					}()
-					var e [2]error
-					select {
-					case e = <-errs:
-					case <-time.After(30 * time.Second):
-						t.Fatal("session hung on the hostile frame")
-					}
-					if !tp.done {
-						t.Fatal("the session never sent the frame to tamper with")
-					}
-					victim, other := e[0], e[1]
+					_, _, victim, other := tp.run(t, srv, cli)
 					if !fc.up {
-						victim, other = e[1], e[0]
+						victim, other = other, victim
 					}
 					if !errors.Is(victim, want) {
 						t.Fatalf("victim returned %v, want %v", victim, want)
@@ -305,6 +329,201 @@ func TestHostileIndexLists(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// scriptConn plays a recorded peer: reads come from the script, writes vanish.
+type scriptConn struct{ script bytes.Reader }
+
+func (c *scriptConn) Read(p []byte) (int, error)  { return c.script.Read(p) }
+func (c *scriptConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// helloWithoutVersion rewrites a hello: the same extensions, minus the first.
+func helloWithoutVersion(real []byte) []byte {
+	h := parseHelloExts(wire.NewParser(real[3:]))
+	h.announce = -1
+	b := wire.NewBuffer(len(real))
+	b.Raw(real[:3])
+	h.encode(b)
+	return b.Build()
+}
+
+// hostileHandshakes runs the manifest-by-reference rows of
+// TestHostileIndexLists: MANIFEST_REF and MANIFEST_WANT each have one legal
+// place and one legal size, and a peer that sends either anywhere else, twice,
+// or at another size gets the one errFrame from the other end, which a replay
+// of what the victim read shows costs it less than 64 KB. A REF whose hello
+// announced nothing is none of those: a miss, served in full.
+func hostileHandshakes(t *testing.T) {
+	v1, v2 := tinyTrees(12)
+	digest := make([]byte, md4.Size)
+	rows := []struct {
+		name    string
+		base    uint64 // the version the client announces; 0: it does not announce
+		tree    bool
+		up      bool // the victim is the server
+		typ     byte
+		retype  byte
+		payload []byte
+		rewrite func([]byte) []byte
+	}{
+		{name: "server/REF of 15 bytes", base: 1, up: true, typ: wire.FrameManifestRef, payload: digest[:15]},
+		{name: "server/REF of 17 bytes", base: 1, up: true, typ: wire.FrameManifestRef, payload: append(digest, 0)},
+		{name: "server/REF without a version in the hello", base: 1, up: true, typ: wire.FrameHello, rewrite: helloWithoutVersion},
+		{name: "server/REF in tree mode", tree: true, up: true, typ: wire.FrameTree, retype: wire.FrameManifestRef, payload: digest},
+		{name: "server/second REF after WANT", base: 99, up: true, typ: wire.FrameManifest, retype: wire.FrameManifestRef, payload: digest},
+		{name: "client/WANT after MANIFEST", typ: wire.FrameVerdicts, retype: wire.FrameManifestWant, payload: []byte{}},
+		{name: "client/WANT twice", base: 99, typ: wire.FrameVerdicts, retype: wire.FrameManifestWant, payload: []byte{}},
+		{name: "client/WANT with a payload", base: 99, typ: wire.FrameManifestWant, payload: []byte{0}},
+	}
+	for _, row := range rows {
+		for _, width := range []int{0, 4} {
+			framing := "bare"
+			if width > 0 {
+				framing = "mux"
+			}
+			t.Run(row.name+"/"+framing, func(t *testing.T) {
+				// Not parallel: the allocation ceiling below reads the
+				// process's allocation counter.
+				srv := versionedServer(t, v1, v2, core.DefaultConfig())
+				srv.MuxStreams = width
+				cli := NewClient(v1)
+				cli.MuxStreams, cli.TreeManifest = width, row.tree
+				cli.AnnounceVersion, cli.BaseVersion = row.base > 0, row.base
+
+				tp := newTamperProxy(row.up, row.typ, 0, row.payload)
+				tp.retype, tp.rewrite = row.retype, row.rewrite
+				sc, res, victim, other := tp.run(t, srv, cli)
+				if row.rewrite != nil {
+					if victim != nil || other != nil {
+						t.Fatalf("server %v, client %v: a REF without an announced version is a miss, not an error", victim, other)
+					}
+					if err := VerifyAgainst(res.Files, v2); err != nil {
+						t.Fatal(err)
+					}
+					if sc.JournalMisses != 1 || sc.JournalHits != 0 || res.Version != 0 {
+						t.Fatalf("misses %d, hits %d, version %d: want one miss and nothing learned", sc.JournalMisses, sc.JournalHits, res.Version)
+					}
+					return
+				}
+				if !row.up {
+					victim, other = other, victim
+				}
+				if !errors.Is(victim, core.ErrProtocol) || other == nil {
+					t.Fatalf("victim returned %v (want core.ErrProtocol), the other end %v (want an error)", victim, other)
+				}
+				// What the victim read, read again: the same error, cheaply.
+				// (Sixteen runs: under the race detector sync.Pool drops a
+				// quarter of what is put, and one dropped 64 KB frame
+				// reader is the whole ceiling.)
+				conn := &scriptConn{}
+				got := alloctest.BytesPerOp(16, func() {
+					conn.script.Reset(tp.fed.Bytes())
+					var err error
+					if row.up {
+						_, err = srv.Serve(conn)
+					} else {
+						_, err = cli.Sync(conn)
+					}
+					if !errors.Is(err, core.ErrProtocol) {
+						t.Fatalf("replayed: %v, want core.ErrProtocol", err)
+					}
+				})
+				if got >= 64<<10 {
+					t.Errorf("refusing the frame cost the victim %d B, ceiling %d", got, 64<<10)
+				}
+			})
+		}
+	}
+}
+
+// TestRefAgainstOlderServer: a server from before MANIFEST_REF expects a
+// MANIFEST after the hello and says so in an ERROR frame. The announcing
+// client fails at once with a handshake error — retry-safe, and the cue to
+// sync without announcing — and never waits for an answer that cannot come.
+func TestRefAgainstOlderServer(t *testing.T) {
+	v1, _ := tinyTrees(4)
+	cli := NewClient(v1)
+	cli.AnnounceVersion, cli.BaseVersion = true, 3
+	a, b := transport.Pipe()
+	go func() {
+		defer a.Close()
+		fr, fw := wire.NewFrameReader(a), wire.NewFrameWriter(a)
+		if _, err := fr.ExpectFrame(wire.FrameHello); err != nil {
+			return
+		}
+		_, err := fr.ExpectFrame(wire.FrameManifest)
+		if err == nil {
+			err = errors.New("the client sent its manifest")
+		}
+		_ = fw.WriteFrame(wire.FrameError, []byte(err.Error()))
+		_ = fw.Flush()
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cli.Sync(b)
+		b.Close()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrHandshake) || !strings.Contains(err.Error(), "expected frame MANIFEST") {
+			t.Fatalf("client returned %v, want ErrHandshake carrying the older server's complaint", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the client hung on a server that does not know MANIFEST_REF")
+	}
+}
+
+// wireBytes serializes frames the way a FrameWriter puts them on a connection.
+func wireBytes(t *testing.T, frames []wireFrame) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	fw := wire.NewFrameWriter(&out)
+	for _, f := range frames {
+		if err := fw.WriteFrame(f.typ, f.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestRefHandshakeAllocation: what a server allocates to answer a journal hit
+// named by reference does not depend on how many files the client holds — 200
+// or 4 000, it reads 18 bytes and iterates its own stored list — where the
+// same hit announced with the MANIFEST costs it the frame, some 30 bytes a
+// file (and nothing else: a hit by either frame never decodes a manifest).
+func TestRefHandshakeAllocation(t *testing.T) {
+	serve := func(files int, withManifest bool) uint64 {
+		tree1, tree2 := manyFiles(files)
+		srv := versionedServer(t, tree1, tree2, core.DefaultConfig())
+		cli := NewClient(tree1)
+		cli.AnnounceVersion, cli.BaseVersion = true, 1
+		c2s, _ := runRecorded(t, srv, cli)
+		if withManifest {
+			frames := transcriptFrames(t, c2s)
+			frames[1] = wireFrame{wire.FrameManifest, encodeManifest(BuildManifest(tree1))}
+			c2s = wireBytes(t, frames)
+		}
+		conn := &scriptConn{}
+		return alloctest.BytesPerOp(16, func() { // sixteen: see hostileHandshakes
+			conn.script.Reset(c2s)
+			sc, err := srv.Serve(conn)
+			if err != nil || sc.JournalHits != 1 {
+				t.Fatalf("replayed hit over %d files: %v, %d hits", files, err, sc.JournalHits)
+			}
+		})
+	}
+	small, large, legacy := serve(200, false), serve(4000, false), serve(4000, true)
+	t.Logf("server bytes allocated per hit: %d over 200 files, %d over 4000, %d over 4000 sent as MANIFEST", small, large, legacy)
+	if large > small+16<<10 {
+		t.Errorf("a REF hit over 4000 files allocates %d B on the server, over 200 files %d B: it grows with the client's tree", large, small)
+	}
+	if legacy < large+100<<10 {
+		t.Errorf("a MANIFEST hit over 4000 files allocates %d B, a REF hit %d B: expected the frame to cost 100 KB more", legacy, large)
 	}
 }
 

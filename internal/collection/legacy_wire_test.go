@@ -9,12 +9,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"msync/internal/core"
 	"msync/internal/corpus"
+	"msync/internal/md4"
 	"msync/internal/transport"
+	"msync/internal/wire"
 )
 
 // -update regenerates the recorded legacy wire streams in testdata/. Only do
@@ -54,11 +57,63 @@ func encodeStreams(c2s, s2c []byte) []byte {
 	return out.Bytes()
 }
 
+// decodeStreams is the inverse of encodeStreams.
+func decodeStreams(t *testing.T, raw []byte) (c2s, s2c []byte) {
+	t.Helper()
+	var out [2][]byte
+	for i := range out {
+		if len(raw) < 8 || uint64(len(raw)-8) < binary.LittleEndian.Uint64(raw) {
+			t.Fatalf("recorded transcript is truncated in stream %d", i)
+		}
+		n := binary.LittleEndian.Uint64(raw)
+		out[i], raw = raw[8:8+n], raw[8+n:]
+	}
+	return out[0], out[1]
+}
+
 // legacyScenario runs one client/server session pair over a pipe with the
-// client end recorded and returns the serialized transcript.
+// client end recorded and returns the serialized transcript. A replay
+// scenario has no live client any more: its client half is the one an older
+// client recorded, fed to today's server, and -update leaves its file alone.
 type legacyScenario struct {
-	name string
-	run  func(t *testing.T) (c2s, s2c []byte)
+	name   string
+	run    func(t *testing.T) (c2s, s2c []byte)
+	replay bool
+}
+
+// goldenPath is where a scenario's transcript is recorded.
+func goldenPath(name string) string {
+	return filepath.Join("testdata", fmt.Sprintf("legacy_%s.bin", name))
+}
+
+// readGolden returns the two halves of a scenario's recorded transcript.
+func readGolden(t *testing.T, name string) (c2s, s2c []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeStreams(t, raw)
+}
+
+// replayRecorded feeds the client half of a recorded transcript to srv over
+// the pipe and returns it with what the server answered.
+func replayRecorded(t *testing.T, srv *Server, name string) (c2s, s2c []byte) {
+	t.Helper()
+	c2s, _ = readGolden(t, name)
+	a, b := transport.Pipe()
+	if _, err := b.Write(c2s); err != nil { // pipe writes never block
+		t.Fatal(err)
+	}
+	_, err := srv.Serve(a)
+	a.Close()
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	if s2c, err = io.ReadAll(b); err != nil {
+		t.Fatal(err)
+	}
+	return c2s, s2c
 }
 
 // runRecorded drives client against server over a recorded pipe.
@@ -184,9 +239,19 @@ func legacyScenarios() []legacyScenario {
 			cli.CrossFileMatch = true
 			return runRecorded(t, srv, cli)
 		}},
-		{name: "announce_unversioned", run: func(t *testing.T) ([]byte, []byte) {
-			// The version-announcement extension against a server without a
-			// store: the extension rides in the hello and is ignored.
+		{name: "announce_unversioned", replay: true, run: func(t *testing.T) ([]byte, []byte) {
+			// An older client: it announces version 3 and sends its MANIFEST
+			// with it. A server without a store ignores the extension.
+			_, v2 := corpus.EmacsProfile(0.08).Generate(5)
+			srv, err := NewServer(v2.Map(), core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return replayRecorded(t, srv, "announce_unversioned")
+		}},
+		{name: "announce_ref_unversioned", run: func(t *testing.T) ([]byte, []byte) {
+			// Today's client: version 3 by reference. A server without a
+			// store asks for the manifest and goes on as above.
 			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
 			srv, err := NewServer(v2.Map(), core.DefaultConfig())
 			if err != nil {
@@ -259,14 +324,33 @@ func legacyScenarios() []legacyScenario {
 			cli.MapMode = core.MapCDC
 			return runRecorded(t, srv, cli)
 		}},
-		{name: "journal_pull", run: func(t *testing.T) ([]byte, []byte) {
-			// Store-backed server, announced base version, journal hit: no
-			// engines, verdicts carry the deltas, empty DELTA and ACK follow.
+		{name: "journal_pull", replay: true, run: func(t *testing.T) ([]byte, []byte) {
+			// An older client's journal hit: base version 1 announced, the
+			// MANIFEST sent with it. No engines, verdicts carry the deltas,
+			// empty DELTA and ACK follow.
+			v1, v2 := costTrees()
+			return replayRecorded(t, versionedServer(t, v1, v2, core.DefaultConfig()), "journal_pull")
+		}},
+		{name: "journal_ref_pull", run: func(t *testing.T) ([]byte, []byte) {
+			// Today's journal hit: the manifest's digest goes up, the same
+			// answer comes down (TestJournalRefAnswerIsTheLegacyAnswer).
 			v1, v2 := costTrees()
 			srv := versionedServer(t, v1, v2, core.DefaultConfig())
 			cli := NewClient(v1)
 			cli.AnnounceVersion = true
 			cli.BaseVersion = 1
+			return runRecorded(t, srv, cli)
+		}},
+		{name: "journal_ref_miss", run: func(t *testing.T) ([]byte, []byte) {
+			// A version the store never held, with streams requested:
+			// MANIFEST_REF, MANIFEST_WANT, MANIFEST, MUX_ACK, VERDICTS.
+			v1, v2 := costTrees()
+			srv := versionedServer(t, v1, v2, core.DefaultConfig())
+			srv.MuxStreams = 4
+			cli := NewClient(v1)
+			cli.AnnounceVersion = true
+			cli.BaseVersion = 99
+			cli.MuxStreams = 4
 			return runRecorded(t, srv, cli)
 		}},
 	}
@@ -320,8 +404,8 @@ func TestLegacyWireRecorded(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			c2s, s2c := sc.run(t)
 			got := encodeStreams(c2s, s2c)
-			path := filepath.Join("testdata", fmt.Sprintf("legacy_%s.bin", sc.name))
-			if *updateGoldens {
+			path := goldenPath(sc.name)
+			if *updateGoldens && !sc.replay {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -340,6 +424,35 @@ func TestLegacyWireRecorded(t *testing.T) {
 					"non-extension sessions must stay byte-identical", sc.name, len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestJournalRefAnswerIsTheLegacyAnswer: a journal hit answers a manifest
+// named by its digest with the bytes it answered the manifest itself with —
+// the stored list and the client's are one list — while the client's half
+// loses the manifest for 18 bytes and stays under a hundred, and a miss opens with
+// the five handshake frames in their order.
+func TestJournalRefAnswerIsTheLegacyAnswer(t *testing.T) {
+	oldUp, oldDown := readGolden(t, "journal_pull")
+	newUp, newDown := readGolden(t, "journal_ref_pull")
+	if !bytes.Equal(oldDown, newDown) {
+		t.Fatalf("the server answers a MANIFEST_REF hit with %d bytes, the MANIFEST hit with %d: not the same stream", len(newDown), len(oldDown))
+	}
+	// The client's half differs by the one frame: MANIFEST out, 18 bytes in.
+	manifest := transcriptFrames(t, oldUp)[1]
+	if manifest.typ != wire.FrameManifest || len(newUp) > 96 || len(oldUp)-len(newUp) != manifest.size()-(2+md4.Size) {
+		t.Fatalf("client half: %d bytes by reference, %d with a manifest frame of %d", len(newUp), len(oldUp), manifest.size())
+	}
+	var got []string
+	up, down := readGolden(t, "journal_ref_miss")
+	for _, f := range transcriptFrames(t, up)[:3] {
+		got = append(got, wire.FrameName(f.typ))
+	}
+	for _, f := range transcriptFrames(t, down)[:3] {
+		got = append(got, wire.FrameName(f.typ))
+	}
+	if want := "HELLO MANIFEST_REF MANIFEST MANIFEST_WANT MUX_ACK VERDICTS"; strings.Join(got, " ") != want {
+		t.Fatalf("a miss with streams opens %v, want %s", got, want)
 	}
 }
 

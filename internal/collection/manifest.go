@@ -112,7 +112,8 @@ const (
 	// helloExtVersion announces the client's stored collection version as a
 	// uvarint (0 = none known). A versioned server answers with journal
 	// verdicts when it can serve the announced version's delta, and appends
-	// its current version to the verdict frame either way.
+	// its current version to the verdict frame either way. A client
+	// announcing a version above 0 sends MANIFEST_REF in place of MANIFEST.
 	helloExtVersion = 1
 	// helloExtMux requests stream multiplexing: the payload is the uvarint
 	// stream width the client is willing to run. A server that grants it

@@ -274,7 +274,7 @@ func (s *Server) serve(sess *session) error {
 	var work serverWork
 	switch sess.mode {
 	case modeManifest:
-		work, err = sess.manifestHandshake(serverManifest)
+		work, err = sess.manifestHandshake(serverManifest, mtree.Fingerprint())
 	case modeTree:
 		work, err = sess.treeHandshake(mtree)
 	default:
@@ -375,33 +375,73 @@ type serverWork struct {
 	counts  []int // the granted stream partition sent as MUX_ACK; nil: one bare stream
 }
 
+// manifestFrame reads the receiver's side of flat change detection: its
+// MANIFEST or, while ref is still an option, the 16-byte MANIFEST_REF that
+// names it.
+func (s *session) manifestFrame(refOK bool) (raw []byte, ref bool, err error) {
+	ft, raw, err := s.read()
+	if err != nil {
+		return nil, false, err
+	}
+	s.cost(stats.C2S, stats.PhaseControl, len(raw))
+	ref = refOK && ft == wire.FrameManifestRef && len(raw) == md4.Size
+	if !ref && ft != wire.FrameManifest {
+		return nil, false, errFrame(ft, raw)
+	}
+	return raw, ref, nil
+}
+
 // manifestHandshake runs the flat-manifest handshake: read the client's
 // full manifest, reply with per-file verdicts plus new files. When the
 // client announced a stored version and the source is versioned, a
 // precomputed journal delta replaces map construction entirely (journal
 // verdicts carry the payloads inline); any miss falls back to the normal
 // path and only appends the server's current version to the verdict frame.
-func (s *session) manifestHandshake(serverManifest []ManifestEntry) (work serverWork, err error) {
-	manifestRaw, err := s.expect(wire.FrameManifest, stats.PhaseControl)
+// A client announcing a version above 0 sends the digest of its manifest
+// (MANIFEST_REF) in place of the manifest, which a hit never needs; a miss
+// asks for it with MANIFEST_WANT — one roundtrip — and goes on as above.
+// serverDigest is ManifestDigest(serverManifest).
+func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest [md4.Size]byte) (work serverWork, err error) {
+	raw, ref, err := s.manifestFrame(true)
 	if err != nil {
 		return work, err
 	}
-	manifest, err := decodeManifest(manifestRaw)
-	if err != nil {
-		return work, err
-	}
-
 	vs, versioned := s.src.(VersionedSource)
 	versioned = versioned && s.ext.announce >= 0
-	if versioned {
-		if vd, ok := vs.VersionDelta(uint64(s.ext.announce), md4.Sum(manifestRaw), ManifestDigest(serverManifest)); ok {
-			// A journal hit runs no engines, so there is nothing to
-			// multiplex: no MUX_ACK, one bare stream.
-			s.costs.JournalHits++
-			work.journal, err = s.journalVerdicts(manifest, vd)
-			return work, err
+	if versioned || ref {
+		miss, current := "unversioned", uint64(0) // no store here, or no version in the hello
+		if versioned {
+			digest := md4.Sum(raw)
+			if ref {
+				copy(digest[:], raw) // by reference: the payload is the digest
+			}
+			vd, ok := vs.VersionDelta(uint64(s.ext.announce), digest, serverDigest)
+			if ok {
+				// A journal hit runs no engines, so there is nothing to
+				// multiplex: no MUX_ACK, one bare stream.
+				s.costs.JournalHits++
+				work.journal, err = s.journalVerdicts(vd)
+				return work, err
+			}
+			miss, current = vd.Miss, vs.CurrentVersion()
 		}
 		s.costs.JournalMisses++
+		s.st.journalMiss(s.ext.announce, current, miss)
+		if ref {
+			if err := s.send(wire.FrameManifestWant, nil, stats.PhaseControl); err != nil {
+				return work, err
+			}
+			if err := s.flushAnswer(); err != nil {
+				return work, err
+			}
+			if raw, _, err = s.manifestFrame(false); err != nil {
+				return work, err
+			}
+		}
+	}
+	manifest, err := decodeManifest(raw)
+	if err != nil {
+		return work, err
 	}
 
 	serverByPath := make(map[string]int, len(serverManifest))
@@ -471,15 +511,16 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry) (work server
 }
 
 // journalVerdicts answers an announced client from a precomputed journal
-// delta: every client-manifest entry gets unchanged/delete/journal verdicts
+// delta: every entry of the stored base manifest — the client's own list, the
+// digests being equal — gets unchanged/delete/journal verdicts
 // (the journal verdict carries the delta payload inline), adds ride in the
 // new-files trailer, and the current version is appended. No engines run —
 // the whole transfer happens in this one frame plus the empty delta round.
-func (s *session) journalVerdicts(clientManifest []ManifestEntry, vd *store.Delta) ([]journalFile, error) {
-	vb := s.beginVerdicts(uint64(len(clientManifest)))
+func (s *session) journalVerdicts(vd *store.Delta) ([]journalFile, error) {
+	vb := s.beginVerdicts(uint64(len(vd.BaseManifest)))
 	var jfiles []journalFile
 	fullBytes, deltaBytes := 0, 0
-	for _, e := range clientManifest {
+	for _, e := range vd.BaseManifest {
 		ch, ok := vd.Changes[e.Path]
 		if !ok {
 			vb.Byte(verdictUnchanged)
@@ -556,7 +597,7 @@ func (s *session) treeHandshake(mtree *merkle.TreeCache) (work serverWork, err e
 			s.cost(stats.C2S, stats.PhaseControl, len(payload))
 			want = payload
 		default:
-			return work, fmt.Errorf("collection: unexpected frame %s during reconciliation", wire.FrameName(ft))
+			return work, errFrame(ft, payload)
 		}
 	}
 	s.st.begin(obs.PhaseHandshake, 0)

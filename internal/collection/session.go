@@ -41,6 +41,9 @@ type session struct {
 	// client asked for (on the server, already cut down to what it grants).
 	mode byte
 	ext  helloExts
+	// withheld is the MANIFEST payload a receiver announced by reference
+	// (MANIFEST_REF) and still owes a holder that asks for it; nil otherwise.
+	withheld []byte
 }
 
 // openSession wraps conn for one session; the caller must close it.
@@ -131,19 +134,39 @@ func (s *session) read() (byte, []byte, error) {
 	return ft, payload, nil
 }
 
+// errFrame is the one error for a frame that is not legal where it arrived,
+// or whose payload is not the size its type fixes.
+func errFrame(ft byte, payload []byte) error {
+	return fmt.Errorf("%w: unexpected frame %s of %d bytes", core.ErrProtocol, wire.FrameName(ft), len(payload))
+}
+
 // readGranted reads the holder's next frame, which must be of type want —
 // preceded, if this end's hello asked for something the holder may grant, by
 // the grant frame that says so (MUX_ACK before VERDICTS, TREE_ACK before the
-// first TREE reply). The grant is accounted here; want is the caller's.
+// first TREE reply). The grant is accounted here; want is the caller's. A
+// holder that could not resolve this end's MANIFEST_REF asks first, once and
+// with an empty MANIFEST_WANT, for the manifest withheld: an answer, so a
+// roundtrip, and the frames above follow the MANIFEST sent here.
 func (s *session) readGranted(grant, want byte, asked bool) (granted, payload []byte, err error) {
 	ft, payload, err := s.read()
+	if err == nil && s.withheld != nil && ft == wire.FrameManifestWant && len(payload) == 0 {
+		s.cost(stats.S2C, stats.PhaseControl, 0)
+		s.answered()
+		if err = s.send(wire.FrameManifest, s.withheld, stats.PhaseControl); err == nil {
+			err = s.flush()
+		}
+		s.withheld = nil
+		if err == nil {
+			ft, payload, err = s.read()
+		}
+	}
 	if err == nil && asked && ft == grant {
 		granted = payload
 		s.cost(stats.S2C, stats.PhaseControl, len(granted))
 		ft, payload, err = s.read()
 	}
 	if err == nil && ft != want {
-		err = fmt.Errorf("wire: expected frame %s, got %s", wire.FrameName(want), wire.FrameName(ft))
+		err = errFrame(ft, payload)
 	}
 	return granted, payload, err
 }

@@ -30,8 +30,9 @@ type sessTrace struct {
 	round  int
 	start  time.Time
 	frames int
-	up     int64 // toward the data holder (stats.C2S)
-	down   int64 // from the data holder (stats.S2C)
+	up     int64  // toward the data holder (stats.C2S)
+	down   int64  // from the data holder (stats.S2C)
+	note   string // a fallback the span took (obs.Event.Note)
 
 	// Session totals.
 	sessStart time.Time
@@ -85,10 +86,22 @@ func (t *sessTrace) flush() {
 		BytesUp:   t.up,
 		BytesDown: t.down,
 		Dur:       time.Since(t.start),
+		Note:      t.note,
 	})
 	t.frames = 0
 	t.up = 0
 	t.down = 0
+	t.note = ""
+}
+
+// journalMiss is the one log line of a session whose announced version could
+// not be served from the journal; the handshake span carries the reason.
+func (t *sessTrace) journalMiss(base int64, current uint64, reason string) {
+	if t == nil {
+		return
+	}
+	t.note = "journal_miss:" + reason
+	t.log.Info("msync: journal miss", "session", t.sid, "base", base, "current", current, "reason", reason)
 }
 
 // setMode records the session's negotiated map-construction mode; spans

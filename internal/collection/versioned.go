@@ -14,7 +14,8 @@ import (
 // and the latest one. A Server whose source implements VersionedSource can
 // answer a client that announces a known version with the journal delta
 // instead of running fresh map construction; any miss (unknown or GC'd
-// version, digest drift, unreadable history) falls back to the full protocol.
+// version, digest drift, unreadable history) falls back to the full protocol,
+// counted and logged with its reason.
 type VersionedSource interface {
 	Source
 	// CurrentVersion reports the latest committed version, 0 when none.
@@ -23,9 +24,10 @@ type VersionedSource interface {
 	// (idempotent when nothing changed) and returns its number.
 	Snapshot() (uint64, error)
 	// VersionDelta returns the precomputed journal delta from base to the
-	// latest version, or a miss. baseDigest is the digest of the client's
-	// announced manifest and currentDigest of the server's live one; both
-	// must match the stored versions exactly for a hit.
+	// latest version, or a miss: false, and a Delta that holds only the
+	// reason. baseDigest is the digest of the client's announced manifest and
+	// currentDigest of the server's live one; both must match the stored
+	// versions exactly for a hit, whose Delta lists the base manifest.
 	VersionDelta(base uint64, baseDigest, currentDigest [md4.Size]byte) (*store.Delta, bool)
 	// VersionContent reconstructs stored content by whole-file checksum,
 	// for full-transfer fallbacks on journal files.

@@ -2,13 +2,19 @@ package collection
 
 import (
 	"bytes"
+	"fmt"
+	"log/slog"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"msync/internal/core"
 	"msync/internal/delta"
 	"msync/internal/md4"
+	"msync/internal/obs"
 	"msync/internal/sigcache"
 	"msync/internal/stats"
 	"msync/internal/store"
@@ -40,7 +46,13 @@ func versionedTrees() (v1, v2 map[string][]byte) {
 // tree2 snapshotted as versions 1 and 2.
 func versionedServer(t *testing.T, tree1, tree2 map[string][]byte, cfg core.Config) *Server {
 	t.Helper()
-	st, err := store.Open(t.TempDir(), store.Options{})
+	return versionedServerAt(t, t.TempDir(), store.Options{}, tree1, tree2, cfg)
+}
+
+// versionedServerAt is versionedServer with the store in dir, opened with opt.
+func versionedServerAt(t *testing.T, dir string, opt store.Options, tree1, tree2 map[string][]byte, cfg core.Config) *Server {
+	t.Helper()
+	st, err := store.Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,80 +99,154 @@ func runVersioned(t *testing.T, srv *Server, cli *Client) (*Result, *stats.Costs
 	return res, serverCosts
 }
 
+// manyFiles is versionedTrees grown to n files by unchanged padding, so the
+// change set stays what it was while the manifest grows.
+func manyFiles(n int) (v1, v2 map[string][]byte) {
+	v1, v2 = versionedTrees()
+	for i := len(v1); i < n; i++ {
+		path, data := fmt.Sprintf("pad/%05d.txt", i), []byte(fmt.Sprintf("padding file %d\n", i))
+		v1[path], v2[path] = data, data
+	}
+	return v1, v2
+}
+
 // TestJournalFastPath: an announcing client at a known version receives the
 // precomputed journal delta — no map-construction rounds — and converges to
-// exactly the tree a cold full sync produces, at workers 1 and 8.
+// exactly the tree a cold full sync produces, at workers 1 and 8. What the
+// client sends does not grow with its tree: the hello, the 16-byte digest of
+// its manifest and two empty per-file frames, 96 bytes at most for 50 files
+// as for 2 000, in two roundtrips.
 func TestJournalFastPath(t *testing.T) {
-	tree1, tree2 := versionedTrees()
-	cold, _ := runSession(t, tree2, tree1, core.DefaultConfig())
-	if err := VerifyAgainst(cold.Files, tree2); err != nil {
-		t.Fatalf("cold sync: %v", err)
-	}
-	for _, workers := range []int{1, 8} {
-		cfg := core.DefaultConfig()
-		cfg.Workers = workers
-		srv := versionedServer(t, tree1, tree2, cfg)
+	for _, files := range []int{50, 2000} {
+		tree1, tree2 := manyFiles(files)
+		cold, _ := runSession(t, tree2, tree1, core.DefaultConfig())
+		if err := VerifyAgainst(cold.Files, tree2); err != nil {
+			t.Fatalf("cold sync: %v", err)
+		}
+		for _, workers := range []int{1, 8} {
+			name := fmt.Sprintf("files=%d workers=%d", files, workers)
+			cfg := core.DefaultConfig()
+			cfg.Workers = workers
+			srv := versionedServer(t, tree1, tree2, cfg)
 
-		cli := NewClient(tree1)
-		cli.Workers = workers
-		cli.AnnounceVersion = true
-		cli.BaseVersion = 1
-		res, serverCosts := runVersioned(t, srv, cli)
+			cli := NewClient(tree1)
+			cli.Workers = workers
+			cli.AnnounceVersion = true
+			cli.BaseVersion = 1
+			res, serverCosts := runVersioned(t, srv, cli)
 
-		if serverCosts.JournalHits != 1 || serverCosts.JournalMisses != 0 {
-			t.Fatalf("workers=%d: journal hits/misses = %d/%d, want 1/0",
-				workers, serverCosts.JournalHits, serverCosts.JournalMisses)
-		}
-		if serverCosts.FilesJournal == 0 {
-			t.Fatalf("workers=%d: no journal files counted", workers)
-		}
-		if got := serverCosts.Bytes(stats.S2C, stats.PhaseMap) + serverCosts.Bytes(stats.C2S, stats.PhaseMap); got != 0 {
-			t.Fatalf("workers=%d: journal session spent %d map bytes", workers, got)
-		}
-		if res.Version != 2 {
-			t.Fatalf("workers=%d: result version = %d, want 2", workers, res.Version)
-		}
-		if err := VerifyAgainst(res.Files, tree2); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		// Byte-identical convergence with the cold full sync.
-		for path, want := range cold.Files {
-			if !bytes.Equal(res.Files[path], want) {
-				t.Fatalf("workers=%d: %q differs from cold sync result", workers, path)
+			if serverCosts.JournalHits != 1 || serverCosts.JournalMisses != 0 {
+				t.Fatalf("%s: journal hits/misses = %d/%d, want 1/0",
+					name, serverCosts.JournalHits, serverCosts.JournalMisses)
 			}
-		}
-		if len(res.Files) != len(cold.Files) {
-			t.Fatalf("workers=%d: file count %d vs cold %d", workers, len(res.Files), len(cold.Files))
-		}
-		// Both sides account the same totals on the journal path too.
-		if res.Costs.Total() != serverCosts.Total() {
-			t.Fatalf("workers=%d: cost totals disagree: %d vs %d",
-				workers, res.Costs.Total(), serverCosts.Total())
+			if serverCosts.FilesJournal == 0 {
+				t.Fatalf("%s: no journal files counted", name)
+			}
+			if got := serverCosts.Bytes(stats.S2C, stats.PhaseMap) + serverCosts.Bytes(stats.C2S, stats.PhaseMap); got != 0 {
+				t.Fatalf("%s: journal session spent %d map bytes", name, got)
+			}
+			for side, c := range map[string]*stats.Costs{"client": res.Costs, "server": serverCosts} {
+				if up := c.DirTotal(stats.C2S); up > 96 {
+					t.Fatalf("%s: %s counts %d bytes client to server, want at most 96", name, side, up)
+				}
+				if c.Roundtrips != 2 {
+					t.Fatalf("%s: %s counts %d roundtrips, want 2", name, side, c.Roundtrips)
+				}
+			}
+			if res.Version != 2 {
+				t.Fatalf("%s: result version = %d, want 2", name, res.Version)
+			}
+			if err := VerifyAgainst(res.Files, tree2); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// Byte-identical convergence with the cold full sync.
+			for path, want := range cold.Files {
+				if !bytes.Equal(res.Files[path], want) {
+					t.Fatalf("%s: %q differs from cold sync result", name, path)
+				}
+			}
+			if len(res.Files) != len(cold.Files) {
+				t.Fatalf("%s: file count %d vs cold %d", name, len(res.Files), len(cold.Files))
+			}
+			// Both sides account the same totals on the journal path too.
+			if res.Costs.Total() != serverCosts.Total() {
+				t.Fatalf("%s: cost totals disagree: %d vs %d",
+					name, res.Costs.Total(), serverCosts.Total())
+			}
 		}
 	}
 }
 
-// TestJournalUnknownVersionFallsBack: an unknown (or GC'd) announced version
-// runs the full protocol and still teaches the client the current version.
+// checkJournalMiss announces base, by reference, from a replica holding files
+// to a server that cannot answer it from its journal. The session converges
+// on want, learns version, counts one miss, logs it once with its reason, and
+// costs exactly one roundtrip — the MANIFEST_WANT — more on both ends than
+// the same replica announcing version 0, which sends its manifest outright.
+func checkJournalMiss(t *testing.T, srv *Server, files, want map[string][]byte, base, version uint64, reason string) {
+	t.Helper()
+	var log bytes.Buffer
+	srv.Logger = slog.New(slog.NewTextHandler(&log, nil))
+	ring := obs.NewRing(64)
+	srv.Tracer = ring
+	cli := NewClient(files)
+	cli.AnnounceVersion = true
+	plain, plainServer := runVersioned(t, srv, cli)
+	log.Reset()
+	ring.Reset()
+	cli.BaseVersion = base
+	res, serverCosts := runVersioned(t, srv, cli)
+
+	if serverCosts.JournalHits != 0 || serverCosts.JournalMisses != 1 || serverCosts.FilesJournal != 0 {
+		t.Fatalf("journal hits/misses/files = %d/%d/%d, want 0/1/0",
+			serverCosts.JournalHits, serverCosts.JournalMisses, serverCosts.FilesJournal)
+	}
+	if err := VerifyAgainst(res.Files, want); err != nil {
+		t.Fatal(err)
+	}
+	if res.Version != version {
+		t.Fatalf("the missed session reports version %d, want %d", res.Version, version)
+	}
+	if res.Costs.Roundtrips != plain.Costs.Roundtrips+1 || serverCosts.Roundtrips != plainServer.Roundtrips+1 {
+		t.Fatalf("roundtrips client %d server %d, want one more than announcing version 0 (%d, %d)",
+			res.Costs.Roundtrips, serverCosts.Roundtrips, plain.Costs.Roundtrips, plainServer.Roundtrips)
+	}
+	// The miss costs the REF and the empty WANT, nothing else.
+	if extra := res.Costs.Total() - plain.Costs.Total(); extra != 2+md4.Size+2 || res.Costs.Total() != serverCosts.Total() {
+		t.Fatalf("the miss cost %d bytes more than announcing version 0, want %d (client total %d, server %d)",
+			extra, 2+md4.Size+2, res.Costs.Total(), serverCosts.Total())
+	}
+	line := fmt.Sprintf("base=%d current=%d reason=%s", base, version, reason)
+	if got := log.String(); strings.Count(got, "journal miss") != 1 || !strings.Contains(got, line) {
+		t.Fatalf("server log, want one journal miss line with %q:\n%s", line, got)
+	}
+	noted := 0
+	for _, e := range ring.Events() {
+		if e.Note == "journal_miss:"+reason && e.Phase == obs.PhaseHandshake {
+			noted++
+		} else if e.Note != "" {
+			t.Fatalf("span %+v carries a note", e)
+		}
+	}
+	if noted != 1 {
+		t.Fatalf("%d handshake spans carry the miss reason, want 1", noted)
+	}
+}
+
+// TestJournalUnknownVersionFallsBack: an unknown announced version asks for
+// the manifest, runs the full protocol and still teaches the client the
+// current version.
 func TestJournalUnknownVersionFallsBack(t *testing.T) {
 	tree1, tree2 := versionedTrees()
 	srv := versionedServer(t, tree1, tree2, core.DefaultConfig())
-	cli := NewClient(tree1)
-	cli.AnnounceVersion = true
-	cli.BaseVersion = 99
-	res, serverCosts := runVersioned(t, srv, cli)
-	if serverCosts.JournalHits != 0 || serverCosts.JournalMisses != 1 {
-		t.Fatalf("journal hits/misses = %d/%d, want 0/1", serverCosts.JournalHits, serverCosts.JournalMisses)
-	}
-	if serverCosts.FilesJournal != 0 {
-		t.Fatal("fallback session must not use journal verdicts")
-	}
-	if res.Version != 2 {
-		t.Fatalf("fallback must still report the current version, got %d", res.Version)
-	}
-	if err := VerifyAgainst(res.Files, tree2); err != nil {
-		t.Fatal(err)
-	}
+	checkJournalMiss(t, srv, tree1, tree2, 99, 2, "version_unknown")
+}
+
+// TestJournalCollectedVersionFallsBack: a version the store's budget has
+// collected is as unknown as one it never held.
+func TestJournalCollectedVersionFallsBack(t *testing.T) {
+	tree1, tree2 := versionedTrees()
+	srv := versionedServerAt(t, t.TempDir(), store.Options{Budget: 1}, tree1, tree2, core.DefaultConfig())
+	checkJournalMiss(t, srv, tree1, tree2, 1, 2, "version_unknown")
 }
 
 // TestJournalDriftedManifestFallsBack: announcing a stored version while
@@ -173,16 +259,35 @@ func TestJournalDriftedManifestFallsBack(t *testing.T) {
 		drifted[p] = d
 	}
 	drifted["mod.txt"] = []byte("locally drifted content, not what v1 recorded")
-	cli := NewClient(drifted)
-	cli.AnnounceVersion = true
-	cli.BaseVersion = 1
-	res, serverCosts := runVersioned(t, srv, cli)
-	if serverCosts.JournalMisses != 1 {
-		t.Fatalf("drifted manifest should miss, got %d misses", serverCosts.JournalMisses)
+	checkJournalMiss(t, srv, drifted, tree2, 1, 2, "digest_mismatch")
+}
+
+// TestJournalLiveTreeAheadFallsBack: a server whose tree has moved since its
+// latest snapshot serves the tree, not the snapshot.
+func TestJournalLiveTreeAheadFallsBack(t *testing.T) {
+	tree1, tree2 := versionedTrees()
+	srv := versionedServer(t, tree1, tree2, core.DefaultConfig())
+	tree3 := map[string][]byte{"only.txt": []byte("the tree after the last snapshot")}
+	srv.setFiles(tree3)
+	checkJournalMiss(t, srv, tree1, tree3, 1, 2, "tree_ahead_of_snapshot")
+}
+
+// TestJournalDamagedStoreFallsBack: a store that cannot read back the content
+// its journal names serves the live tree.
+func TestJournalDamagedStoreFallsBack(t *testing.T) {
+	tree1, tree2 := versionedTrees()
+	dir := t.TempDir()
+	srv := versionedServerAt(t, dir, store.Options{}, tree1, tree2, core.DefaultConfig())
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files in the store: %v", err)
 	}
-	if err := VerifyAgainst(res.Files, tree2); err != nil {
-		t.Fatal(err)
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
 	}
+	checkJournalMiss(t, srv, tree1, tree2, 1, 2, "unreadable")
 }
 
 // recordWriter wraps a pipe end, recording every byte written (the
@@ -270,6 +375,9 @@ func (c *corruptVersioned) Snapshot() (uint64, error) { return 2, nil }
 
 func (c *corruptVersioned) VersionDelta(base uint64, baseDigest, currentDigest [md4.Size]byte) (*store.Delta, bool) {
 	d := &store.Delta{Base: base, Current: 2, Changes: map[string]*store.Change{}}
+	for _, e := range BuildManifest(c.base) {
+		d.BaseManifest = append(d.BaseManifest, store.Entry(e))
+	}
 	for path, data := range c.target {
 		old, held := c.base[path]
 		switch {
@@ -339,26 +447,14 @@ func TestJournalCorruptPayloadFallsBackToFull(t *testing.T) {
 }
 
 // TestAnnounceAgainstPlainServer: announcing to a server without a store is
-// harmless — the session runs the normal protocol, Version stays 0.
+// a miss like any other, except that there is no version to learn.
 func TestAnnounceAgainstPlainServer(t *testing.T) {
 	tree1, tree2 := versionedTrees()
 	srv, err := NewServer(tree2, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(tree1)
-	cli.AnnounceVersion = true
-	cli.BaseVersion = 7
-	res, serverCosts := runVersioned(t, srv, cli)
-	if serverCosts.JournalHits != 0 || serverCosts.JournalMisses != 0 {
-		t.Fatal("plain server must not count journal outcomes")
-	}
-	if res.Version != 0 {
-		t.Fatalf("plain server reported version %d", res.Version)
-	}
-	if err := VerifyAgainst(res.Files, tree2); err != nil {
-		t.Fatal(err)
-	}
+	checkJournalMiss(t, srv, tree1, tree2, 7, 0, "unversioned")
 }
 
 // TestAnnounceTreeMode: the version extension is ignored in tree mode.

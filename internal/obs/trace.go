@@ -71,6 +71,9 @@ type Event struct {
 	Mode string `json:"mode,omitempty"`
 	// Err carries the session error on a failed PhaseSession event.
 	Err string `json:"err,omitempty"`
+	// Note names a fallback the span took, e.g. "journal_miss:version_unknown"
+	// on the handshake span of a session the journal could not serve.
+	Note string `json:"note,omitempty"`
 }
 
 // Tracer receives protocol span events. Implementations must be safe for

@@ -81,11 +81,22 @@ type Change struct {
 // Delta is a precomputed journal delta between two stored versions.
 type Delta struct {
 	Base, Current uint64
+	// BaseManifest is the base version's manifest, in manifest order. It is
+	// the store's own slice: read-only.
+	BaseManifest []Entry
 	// Changes maps each changed path to its Change.
 	Changes map[string]*Change
 	// Added lists the OpAdd paths in sorted order.
 	Added []string
+	// Miss is all a missed Delta holds, the reason: "version_unknown" (never
+	// stored, or collected), "digest_mismatch" (the replica is not what the
+	// base version recorded), "tree_ahead_of_snapshot" (the live tree is not
+	// the latest version) or "unreadable" (stored content a payload needs
+	// cannot be read back).
+	Miss string
 }
+
+func miss(reason string) (*Delta, bool) { return &Delta{Miss: reason}, false }
 
 // Options configures a Store.
 type Options struct {
@@ -690,19 +701,23 @@ func (s *Store) readBlob(ref blobRef) ([]byte, error) {
 // the server's live manifest, so a hit guarantees the delta transforms
 // exactly the client's tree into exactly the server's. Any mismatch,
 // unknown or GC'd version, or unreadable content reports a miss (never an
-// error): the session falls back to the full protocol.
+// error) whose Delta holds only the reason: the session falls back to the
+// full protocol.
 func (s *Store) Delta(base uint64, baseDigest, currentDigest [md4.Size]byte) (*Delta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	latest := s.latest()
 	if latest == nil || latest.digest != currentDigest {
-		return nil, false
+		return miss("tree_ahead_of_snapshot")
 	}
 	bv := s.find(base)
-	if bv == nil || bv.digest != baseDigest {
-		return nil, false
+	if bv == nil {
+		return miss("version_unknown")
 	}
-	d := &Delta{Base: base, Current: latest.n, Changes: make(map[string]*Change)}
+	if bv.digest != baseDigest {
+		return miss("digest_mismatch")
+	}
+	d := &Delta{Base: base, Current: latest.n, BaseManifest: bv.manifest, Changes: make(map[string]*Change)}
 	if bv.n == latest.n {
 		return d, true
 	}
@@ -716,14 +731,14 @@ func (s *Store) Delta(base uint64, baseDigest, currentDigest [md4.Size]byte) (*D
 		case OpAdd:
 			payload, err := s.fullPayload(ch.New.Sum, memo)
 			if err != nil {
-				return nil, false
+				return miss("unreadable")
 			}
 			out.Payload = payload
 			d.Added = append(d.Added, ch.New.Path)
 		case OpModify:
 			payload, err := s.modifyPayload(ch.Old.Sum, ch.New.Sum, memo)
 			if err != nil {
-				return nil, false
+				return miss("unreadable")
 			}
 			out.Payload = payload
 		}

@@ -63,6 +63,14 @@ const (
 	// sent unless the client asked, so legacy tree sessions stay
 	// byte-identical.
 	FrameTreeAck
+	// FrameManifestRef stands in for MANIFEST in a flat-mode pull that
+	// announces a base version above 0: its payload is exactly the 16-byte
+	// digest of the manifest the client withholds.
+	FrameManifestRef
+	// FrameManifestWant is the server's answer to a MANIFEST_REF it cannot
+	// resolve: an empty payload, a roundtrip of its own, and the client sends
+	// the withheld MANIFEST. Never sent to a client that sent MANIFEST.
+	FrameManifestWant
 )
 
 // FrameName returns a human-readable name for a frame type.
@@ -104,6 +112,10 @@ func FrameName(t byte) string {
 		return "CYCLE"
 	case FrameTreeAck:
 		return "TREE_ACK"
+	case FrameManifestRef:
+		return "MANIFEST_REF"
+	case FrameManifestWant:
+		return "MANIFEST_WANT"
 	default:
 		return fmt.Sprintf("UNKNOWN(%d)", t)
 	}

@@ -478,12 +478,17 @@ func WithStoreBudget(n int64) Option {
 }
 
 // WithBaseVersion makes a Client announce v as the store version its local
-// copy corresponds to. A server holding that version in its store answers
-// with the precomputed journal delta — no map-construction rounds — and any
-// server (versioned or not) that cannot honor the announcement simply runs
-// the normal protocol. The session's Result.Version reports the server's
-// current version for the next sync's announcement. v = 0 announces "no
-// known version" (useful to just learn the server's current version).
+// copy corresponds to. With v > 0 the client sends the 16-byte digest of its
+// manifest in place of the manifest: a server holding that version in its
+// store answers with the precomputed journal delta — no map-construction
+// rounds, and next to nothing sent up — and any server (versioned or not)
+// that cannot honor the announcement asks for the manifest, one more
+// roundtrip, and runs the normal protocol. A server older than that exchange
+// refuses it (the sync fails in the handshake, before anything is written):
+// do not announce to servers of unknown age. The session's Result.Version
+// reports the server's current version for the next sync's announcement.
+// v = 0 announces "no known version" (useful to just learn the server's
+// current version) and sends the manifest outright.
 func WithBaseVersion(v uint64) Option {
 	return func(o *sessionOptions) {
 		o.announce = true

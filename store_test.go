@@ -12,6 +12,7 @@ import (
 
 	"msync"
 	"msync/internal/obs"
+	"msync/internal/stats"
 )
 
 // storeSyncOnce runs one sync between srv and cli over a pipe.
@@ -108,6 +109,26 @@ func TestStoreServerJournalSync(t *testing.T) {
 	if !bytes.Equal(res2.Files["new/d.txt"], []byte(body("d", 40))) {
 		t.Fatal("journal sync missed the added file")
 	}
+	// The hit named the client's manifest by its digest: two roundtrips, and
+	// next to nothing sent up.
+	if up := res2.Costs.DirTotal(stats.C2S); up > 96 || res2.Costs.Roundtrips != 2 || serverCosts.Roundtrips != 2 {
+		t.Fatalf("journal hit: %d bytes client to server (want at most 96), roundtrips %d and %d (want 2)",
+			up, res2.Costs.Roundtrips, serverCosts.Roundtrips)
+	}
+
+	// The same replica announcing a version the store never held is asked
+	// for its manifest: one roundtrip more on both ends than announcing
+	// version 0, which sends it outright — and it converges and learns v2
+	// all the same.
+	zero, zeroServer := storeSyncOnce(t, srv2, msync.NewClient(clientFiles, msync.WithBaseVersion(0)))
+	miss, missServer := storeSyncOnce(t, srv2, msync.NewClient(clientFiles, msync.WithBaseVersion(77)))
+	if missServer.JournalMisses != 1 || miss.Version != 2 || !bytes.Equal(miss.Files["mod/b.txt"], res2.Files["mod/b.txt"]) {
+		t.Fatalf("unknown version: %d misses, version %d", missServer.JournalMisses, miss.Version)
+	}
+	if miss.Costs.Roundtrips != zero.Costs.Roundtrips+1 || missServer.Roundtrips != zeroServer.Roundtrips+1 {
+		t.Fatalf("unknown version: roundtrips %d and %d, want one more than announcing version 0 (%d and %d)",
+			miss.Costs.Roundtrips, missServer.Roundtrips, zero.Costs.Roundtrips, zeroServer.Roundtrips)
+	}
 
 	// Store gauges and journal counters reached the registry.
 	if got := reg.Gauge(obs.MetricStoreVersions).Value(); got != 2 {
@@ -187,11 +208,19 @@ func TestAnnounceVersionAgainstPlainServer(t *testing.T) {
 	}
 	defer srv.Close()
 	cli := msync.NewClient(nil, msync.WithBaseVersion(3))
-	res, _ := storeSyncOnce(t, srv, cli)
+	res, serverCosts := storeSyncOnce(t, srv, cli)
 	if res.Version != 0 {
 		t.Fatalf("plain server reported version %d", res.Version)
 	}
 	if !bytes.Equal(res.Files["a"], []byte("server content")) {
 		t.Fatal("sync did not converge")
+	}
+	// The server has no store to look version 3 up in and asks for the
+	// manifest: a counted miss, and one roundtrip more on both ends than
+	// announcing version 0.
+	zero, zeroServer := storeSyncOnce(t, srv, msync.NewClient(nil, msync.WithBaseVersion(0)))
+	if serverCosts.JournalMisses != 1 || res.Costs.Roundtrips != zero.Costs.Roundtrips+1 || serverCosts.Roundtrips != zeroServer.Roundtrips+1 {
+		t.Fatalf("%d misses, roundtrips %d and %d; want 1 miss and one roundtrip more than announcing version 0 (%d and %d)",
+			serverCosts.JournalMisses, res.Costs.Roundtrips, serverCosts.Roundtrips, zero.Costs.Roundtrips, zeroServer.Roundtrips)
 	}
 }

@@ -18,11 +18,13 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"msync/internal/dirio"
+	"msync/internal/wire"
 )
 
 func goRun(t *testing.T, timeout time.Duration, args ...string) string {
@@ -210,11 +212,15 @@ func withoutSection(md, title string) string {
 // `make <target>` is a Makefile target, every `msbench -<flag>` a flag msbench
 // has, every `-exp <id>` an experiment it lists, and every code span that is a
 // .go, .json or .md path names a file of the repository. EXPERIMENTS.md's
-// "Retired reports" is exempt: it names what was deleted, on purpose.
+// "Retired reports" is exempt: it names what was deleted, on purpose. And
+// PROTOCOL.md's frame table is the frame types `internal/wire` declares: every
+// Frame* constant has its row, under the name FrameName prints, and no row
+// names a frame that does not exist.
 func TestDocsReferToExistingThings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs msbench")
 	}
+	checkFrameTable(t)
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +295,48 @@ func TestDocsReferToExistingThings(t *testing.T) {
 			if m := pathRE.FindStringSubmatch(code); m != nil && !suffixes[m[1]] {
 				t.Errorf("%s: no file `%s` in the repository", doc, m[1])
 			}
+		}
+	}
+}
+
+// checkFrameTable holds PROTOCOL.md's frame table (rows `| id | NAME | …`) to
+// the Frame* constants of internal/wire/wire.go, which count up from 1.
+func checkFrameTable(t *testing.T) {
+	t.Helper()
+	src, err := parser.ParseFile(token.NewFileSet(), "internal/wire/wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for _, d := range src.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if strings.HasPrefix(name.Name, "Frame") {
+						frames++
+					}
+				}
+			}
+		}
+	}
+	if frames < 18 {
+		t.Fatalf("found %d Frame* constants in internal/wire/wire.go", frames)
+	}
+	doc, err := os.ReadFile("PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[int]string{}
+	for _, m := range regexp.MustCompile(`(?m)^\| (\d+) \| ([A-Z_]+) \|`).FindAllStringSubmatch(string(doc), -1) {
+		id, _ := strconv.Atoi(m[1])
+		rows[id] = m[2]
+		if id < 1 || id > frames || wire.FrameName(byte(id)) != m[2] {
+			t.Errorf("PROTOCOL.md: frame table row %d %s, but wire.FrameName(%d) is %s", id, m[2], id, wire.FrameName(byte(id)))
+		}
+	}
+	for id := 1; id <= frames; id++ {
+		if name := wire.FrameName(byte(id)); rows[id] == "" {
+			t.Errorf("PROTOCOL.md: no frame table row for frame type %d %s", id, name)
 		}
 	}
 }
