@@ -314,6 +314,7 @@ var registry = map[string]func(Options) *Table{
 	"ablate.rounds":   AblateRounds,
 	"ablate.latency":  Latency,
 	"ablate.manifest": AblateManifest,
+	"ablate.detect":   AblateDetect,
 	"ablate.cdc":      AblateCDC,
 	"ablate.cpu":      CPU,
 	"ablate.twophase": AblateTwoPhase,

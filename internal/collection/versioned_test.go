@@ -191,7 +191,16 @@ func checkJournalMiss(t *testing.T, srv *Server, files, want map[string][]byte, 
 	cli := NewClient(files)
 	cli.AnnounceVersion = true
 	plain, plainServer := runVersioned(t, srv, cli)
+	// Version 0 asks for the server's version: nothing fell back, nothing to log.
+	if strings.Contains(log.String(), "journal miss") {
+		t.Fatalf("announcing version 0, the server logged a miss:\n%s", &log)
+	}
 	log.Reset()
+	for _, e := range ring.Events() {
+		if e.Note != "" {
+			t.Fatalf("announcing version 0: span %+v carries a note", e)
+		}
+	}
 	ring.Reset()
 	cli.BaseVersion = base
 	res, serverCosts := runVersioned(t, srv, cli)
