@@ -2,6 +2,7 @@ package collection
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"msync/internal/alloctest"
@@ -10,16 +11,47 @@ import (
 	"msync/internal/wire"
 )
 
-// FuzzManifestDecode: arbitrary manifest bytes must never panic.
+// FuzzManifestDecode: arbitrary manifest bytes must never panic, as MANIFEST
+// or as MANIFEST_PACKED. The packed decoder refuses them with errPacked or
+// returns at most one entry per 16 bytes, for no more than a small multiple of
+// the input.
 func FuzzManifestDecode(f *testing.F) {
 	f.Add(encodeManifest(BuildManifest(map[string][]byte{"a/b": []byte("x")})))
 	f.Add([]byte{0xFF})
+	v1, _ := tinyTrees(12)
+	packed, _ := packManifest(BuildManifest(v1))
+	f.Add(packed)
+	for _, p := range sortedPayloads(hostilePacked()) {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
 		if err == nil && len(m) > 1<<20 {
 			t.Fatal("implausible manifest size")
 		}
+		got := alloctest.BytesPerOp(2, func() { m, err = unpackManifest(data) })
+		if ceiling := uint64(4<<10 + 64*len(data)); got > ceiling {
+			t.Fatalf("%d bytes allocated for a %d-byte MANIFEST_PACKED (ceiling %d)", got, len(data), ceiling)
+		}
+		if err != nil && !errors.Is(err, errPacked) || err == nil && len(m) > len(data)/md4.Size {
+			t.Fatalf("%d entries from %d bytes: %v", len(m), len(data), err)
+		}
 	})
+}
+
+// sortedPayloads lists a map's payloads in key order, so a seed keeps its
+// number from run to run.
+func sortedPayloads(m map[string][]byte) [][]byte {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out
 }
 
 // FuzzConfigDecode: arbitrary config bytes must never panic and only yield
@@ -48,7 +80,9 @@ func FuzzConfigDecode(f *testing.F) {
 // verdicts announced. And the same bytes are the payload of each of the
 // handshake's two fixed-size frames, sent where it is legal: a MANIFEST_REF of
 // anything but 16 bytes and a MANIFEST_WANT of anything but none are the
-// protocol error errFrame, and the legal size gets as far as the script's end.
+// protocol error errFrame, and the legal size gets as far as the script's end;
+// the bytes as a MANIFEST_PACKED payload are errPacked exactly when
+// unpackManifest refuses them.
 func FuzzSessionFrames(f *testing.F) {
 	f.Add(make([]byte, md4.Size), uint32(2), false) // a MANIFEST_REF's payload
 	f.Add([]byte{}, uint32(2), false)               // a MANIFEST_WANT's
@@ -64,6 +98,7 @@ func FuzzSessionFrames(f *testing.F) {
 	refHello.Uvarint(protocolVersion)
 	refHello.Byte(rolePull)
 	refHello.Byte(modeManifest)
+	plainHello := append([]byte(nil), refHello.Build()...)
 	helloExts{announce: 1}.encode(refHello)
 	handshake := func(t *testing.T, frames []wireFrame, sized bool, run func(*scriptConn) error) {
 		conn := &scriptConn{}
@@ -85,6 +120,11 @@ func FuzzSessionFrames(f *testing.F) {
 	hb := wire.NewBuffer(32)
 	helloExts{announce: 7, mux: 16, treeCaps: treeCapSpec, mapMode: core.MapCDC}.encode(hb)
 	f.Add(hb.Build(), uint32(0), false)
+	packed, _ := packManifest(BuildManifest(old))
+	f.Add(packed, uint32(2), false) // a MANIFEST_PACKED's
+	for _, p := range sortedPayloads(hostilePacked()) {
+		f.Add(p, uint32(2), false)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, nFiles uint32, bodies bool) {
 		n := int(nFiles % (1 << 24))
 		var secs []section
@@ -100,6 +140,9 @@ func FuzzSessionFrames(f *testing.F) {
 			func(c *scriptConn) error { _, err := srv.Serve(c); return err })
 		handshake(t, []wireFrame{{wire.FrameManifestWant, data}}, len(data) == 0,
 			func(c *scriptConn) error { _, err := cli.Sync(c); return err })
+		_, unpackErr := unpackManifest(data)
+		handshake(t, []wireFrame{{wire.FrameHello, plainHello}, {wire.FrameManifestPacked, data}}, unpackErr == nil,
+			func(c *scriptConn) error { _, err := srv.Serve(c); return err })
 		if err != nil {
 			return
 		}

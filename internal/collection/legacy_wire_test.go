@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"msync/internal/core"
 	"msync/internal/corpus"
 	"msync/internal/md4"
+	"msync/internal/stats"
 	"msync/internal/transport"
 	"msync/internal/wire"
 )
@@ -73,12 +75,14 @@ func decodeStreams(t *testing.T, raw []byte) (c2s, s2c []byte) {
 
 // legacyScenario runs one client/server session pair over a pipe with the
 // client end recorded and returns the serialized transcript. A replay
-// scenario has no live client any more: its client half is the one an older
-// client recorded, fed to today's server, and -update leaves its file alone.
+// scenario has no live receiver any more: its receiver half is the one an
+// older receiver recorded, fed to today's holder, and -update leaves its file
+// alone. In a push the recorded end is the holder, so its half is c2s.
 type legacyScenario struct {
 	name   string
 	run    func(t *testing.T) (c2s, s2c []byte)
 	replay bool
+	push   bool
 }
 
 // goldenPath is where a scenario's transcript is recorded.
@@ -96,21 +100,26 @@ func readGolden(t *testing.T, name string) (c2s, s2c []byte) {
 	return decodeStreams(t, raw)
 }
 
-// replayRecorded feeds the client half of a recorded transcript to srv over
-// the pipe and returns it with what the server answered.
-func replayRecorded(t *testing.T, srv *Server, name string) (c2s, s2c []byte) {
+// replayRecorded feeds the receiver half of a recorded transcript to a holder
+// over the pipe — hold is a server's Serve, or a pusher's Push — and returns
+// the transcript with what the holder answered in place of its recorded half.
+func replayRecorded(t *testing.T, name string, hold func(io.ReadWriter) (*stats.Costs, error), push bool) (c2s, s2c []byte) {
 	t.Helper()
-	c2s, _ = readGolden(t, name)
+	c2s, s2c = readGolden(t, name)
+	recv, answer := &c2s, &s2c
+	if push {
+		recv, answer = &s2c, &c2s
+	}
 	a, b := transport.Pipe()
-	if _, err := b.Write(c2s); err != nil { // pipe writes never block
+	if _, err := b.Write(*recv); err != nil { // pipe writes never block
 		t.Fatal(err)
 	}
-	_, err := srv.Serve(a)
+	_, err := hold(a)
 	a.Close()
 	if err != nil {
-		t.Fatalf("server: %v", err)
+		t.Fatalf("holder: %v", err)
 	}
-	if s2c, err = io.ReadAll(b); err != nil {
+	if *answer, err = io.ReadAll(b); err != nil {
 		t.Fatal(err)
 	}
 	return c2s, s2c
@@ -141,16 +150,98 @@ func runRecorded(t *testing.T, srv *Server, cli *Client) (c2s, s2c []byte) {
 	return rec.c2s.Bytes(), rec.s2c.Bytes()
 }
 
-func legacyScenarios() []legacyScenario {
+// pushRecorded drives pusher against receiver over a pipe with the pusher's
+// end recorded.
+func pushRecorded(t *testing.T, pusher, receiver *Server) (c2s, s2c []byte) {
+	t.Helper()
+	receiver.AllowPush = true
+	a, b := transport.Pipe()
+	rec := &recordConn{rw: b}
+	var wg sync.WaitGroup
+	var srvErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer a.Close()
+		_, srvErr = receiver.Serve(a)
+	}()
+	_, err := pusher.Push(rec)
+	b.Close()
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("pusher: %v", err)
+	}
+	if srvErr != nil {
+		t.Fatalf("receiver: %v", srvErr)
+	}
+	return rec.c2s.Bytes(), rec.s2c.Bytes()
+}
+
+// flatPull records one flat-manifest pull twice. name_packed is today's live
+// session. name keeps the transcript a client from before MANIFEST_PACKED
+// recorded: its client half, replayed against today's server, must draw the
+// recorded answer — which is also name_packed's
+// (TestPackedAnswerIsTheLegacyAnswer).
+func flatPull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
 	return []legacyScenario{
-		{name: "manifest_pull", run: func(t *testing.T) ([]byte, []byte) {
-			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
-			srv, err := NewServer(v2.Map(), core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return runRecorded(t, srv, NewClient(v1.Map()))
+		{name: name + "_packed", run: func(t *testing.T) ([]byte, []byte) {
+			srv, cli := setup(t)
+			return runRecorded(t, srv, cli)
 		}},
+		{name: name, replay: true, run: func(t *testing.T) ([]byte, []byte) {
+			srv, _ := setup(t)
+			return replayRecorded(t, name, srv.Serve, false)
+		}},
+	}
+}
+
+// emacsPull is the flat pull of manifest_pull and its tuned variants: the
+// Emacs-profile corpus at seed 5.
+func emacsPull(tune func(*Server, *Client)) func(t *testing.T) (*Server, *Client) {
+	return func(t *testing.T) (*Server, *Client) {
+		v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
+		srv, err := NewServer(v2.Map(), core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := NewClient(v1.Map())
+		tune(srv, cli)
+		return srv, cli
+	}
+}
+
+// weakPull is the fallback pull: tinyTrees(12) under weakConfig.
+func weakPull(width int) func(t *testing.T) (*Server, *Client) {
+	return func(t *testing.T) (*Server, *Client) {
+		v1, v2 := tinyTrees(12)
+		srv, err := NewServer(v2, weakConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := NewClient(v1)
+		srv.MuxStreams, cli.MuxStreams = width, width
+		return srv, cli
+	}
+}
+
+// pushServers are the push scenario's two ends: the pusher holds the newer
+// tree.
+func pushServers(t *testing.T) (pusher, receiver *Server) {
+	v1, v2 := corpus.EmacsProfile(0.06).Generate(11)
+	pusher, err := NewServer(v2.Map(), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if receiver, err = NewServer(v1.Map(), core.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	return pusher, receiver
+}
+
+func legacyScenarios() []legacyScenario {
+	var out []legacyScenario
+	out = append(out, flatPull("manifest_pull", emacsPull(func(*Server, *Client) {}))...)
+	out = append(out, []legacyScenario{
 		{name: "tree_pull", run: func(t *testing.T) ([]byte, []byte) {
 			v1, v2 := corpus.GCCProfile(0.05).Generate(9)
 			srv, err := NewServer(v2.Map(), core.DefaultConfig())
@@ -161,37 +252,15 @@ func legacyScenarios() []legacyScenario {
 			cli.TreeManifest = true
 			return runRecorded(t, srv, cli)
 		}},
-		{name: "push", run: func(t *testing.T) ([]byte, []byte) {
-			v1, v2 := corpus.EmacsProfile(0.06).Generate(11)
-			pusher, err := NewServer(v2.Map(), core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			receiver, err := NewServer(v1.Map(), core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			receiver.AllowPush = true
-			a, b := transport.Pipe()
-			rec := &recordConn{rw: b}
-			var wg sync.WaitGroup
-			var srvErr error
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer a.Close()
-				_, srvErr = receiver.Serve(a)
-			}()
-			_, err = pusher.Push(rec)
-			b.Close()
-			wg.Wait()
-			if err != nil {
-				t.Fatalf("pusher: %v", err)
-			}
-			if srvErr != nil {
-				t.Fatalf("receiver: %v", srvErr)
-			}
-			return rec.c2s.Bytes(), rec.s2c.Bytes()
+		{name: "push_packed", push: true, run: func(t *testing.T) ([]byte, []byte) {
+			pusher, receiver := pushServers(t)
+			return pushRecorded(t, pusher, receiver)
+		}},
+		{name: "push", push: true, replay: true, run: func(t *testing.T) ([]byte, []byte) {
+			// A receiver from before MANIFEST_PACKED, replayed against
+			// today's pusher.
+			pusher, _ := pushServers(t)
+			return replayRecorded(t, "push", pusher.Push, true)
 		}},
 		{name: "tree_pull_spec", run: func(t *testing.T) ([]byte, []byte) {
 			// Tree pull with the tree-extension hello (speculative descent):
@@ -242,94 +311,50 @@ func legacyScenarios() []legacyScenario {
 		{name: "announce_unversioned", replay: true, run: func(t *testing.T) ([]byte, []byte) {
 			// An older client: it announces version 3 and sends its MANIFEST
 			// with it. A server without a store ignores the extension.
-			_, v2 := corpus.EmacsProfile(0.08).Generate(5)
-			srv, err := NewServer(v2.Map(), core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return replayRecorded(t, srv, "announce_unversioned")
+			srv, _ := emacsPull(func(*Server, *Client) {})(t)
+			return replayRecorded(t, "announce_unversioned", srv.Serve, false)
 		}},
-		{name: "announce_ref_unversioned", run: func(t *testing.T) ([]byte, []byte) {
-			// Today's client: version 3 by reference. A server without a
-			// store asks for the manifest and goes on as above.
-			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
-			srv, err := NewServer(v2.Map(), core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cli := NewClient(v1.Map())
-			cli.AnnounceVersion = true
-			cli.BaseVersion = 3
-			return runRecorded(t, srv, cli)
-		}},
-		// The shapes below negotiate an extension that changes the per-file
-		// phases; they pin what the benchmark's tiny_tree, big_cdc and
-		// journal_live workloads put on the wire.
-		{name: "mux_manifest_pull", run: func(t *testing.T) ([]byte, []byte) {
-			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
-			srv, err := NewServer(v2.Map(), core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.MuxStreams = 4
-			cli := NewClient(v1.Map())
-			cli.MuxStreams = 4
-			return runRecorded(t, srv, cli)
-		}},
-		{name: "mux_tree_pull", run: func(t *testing.T) ([]byte, []byte) {
-			// The tiny_tree option set: merkle manifest, speculative descent,
-			// cross-file matching and 16 streams in one session.
-			clientFiles, serverFiles := movedTrees(tinyTrees(48))
-			srv, err := NewServer(serverFiles, core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.MuxStreams = 16
-			cli := NewClient(clientFiles)
-			cli.TreeManifest = true
-			cli.SpeculativeDescent = true
-			cli.CrossFileMatch = true
-			cli.MuxStreams = 16
-			return runRecorded(t, srv, cli)
-		}},
-		{name: "fallback_pull", run: func(t *testing.T) ([]byte, []byte) {
-			// Hashes weak enough that false matches survive verification:
-			// the ACK lists the files whose whole-file check failed and a
-			// FULL frame re-sends them.
-			v1, v2 := tinyTrees(12)
-			srv, err := NewServer(v2, weakConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return runRecorded(t, srv, NewClient(v1))
-		}},
-		{name: "mux_fallback_pull", run: func(t *testing.T) ([]byte, []byte) {
-			v1, v2 := tinyTrees(12)
-			srv, err := NewServer(v2, weakConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.MuxStreams = 4
-			cli := NewClient(v1)
-			cli.MuxStreams = 4
-			return runRecorded(t, srv, cli)
-		}},
-		{name: "cdc_pull", run: func(t *testing.T) ([]byte, []byte) {
-			v1, v2 := corpus.EmacsProfile(0.08).Generate(5)
-			srv, err := NewServer(v2.Map(), core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cli := NewClient(v1.Map())
-			cli.MapMode = core.MapCDC
-			return runRecorded(t, srv, cli)
-		}},
+	}...)
+	// Today's client: version 3 by reference. A server without a store asks
+	// for the manifest and goes on as above.
+	out = append(out, flatPull("announce_ref_unversioned", emacsPull(func(_ *Server, c *Client) {
+		c.AnnounceVersion, c.BaseVersion = true, 3
+	}))...)
+	// The shapes below negotiate an extension that changes the per-file
+	// phases; they pin what the benchmark's tiny_tree, big_cdc and
+	// journal_live workloads put on the wire.
+	out = append(out, flatPull("mux_manifest_pull", emacsPull(func(s *Server, c *Client) {
+		s.MuxStreams, c.MuxStreams = 4, 4
+	}))...)
+	out = append(out, legacyScenario{name: "mux_tree_pull", run: func(t *testing.T) ([]byte, []byte) {
+		// The tiny_tree option set: merkle manifest, speculative descent,
+		// cross-file matching and 16 streams in one session.
+		clientFiles, serverFiles := movedTrees(tinyTrees(48))
+		srv, err := NewServer(serverFiles, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.MuxStreams = 16
+		cli := NewClient(clientFiles)
+		cli.TreeManifest = true
+		cli.SpeculativeDescent = true
+		cli.CrossFileMatch = true
+		cli.MuxStreams = 16
+		return runRecorded(t, srv, cli)
+	}})
+	// Hashes weak enough that false matches survive verification: the ACK
+	// lists the files whose whole-file check failed and a FULL frame re-sends
+	// them.
+	out = append(out, flatPull("fallback_pull", weakPull(0))...)
+	out = append(out, flatPull("mux_fallback_pull", weakPull(4))...)
+	out = append(out, flatPull("cdc_pull", emacsPull(func(_ *Server, c *Client) { c.MapMode = core.MapCDC }))...)
+	out = append(out, []legacyScenario{
 		{name: "journal_pull", replay: true, run: func(t *testing.T) ([]byte, []byte) {
 			// An older client's journal hit: base version 1 announced, the
 			// MANIFEST sent with it. No engines, verdicts carry the deltas,
 			// empty DELTA and ACK follow.
 			v1, v2 := costTrees()
-			return replayRecorded(t, versionedServer(t, v1, v2, core.DefaultConfig()), "journal_pull")
+			return replayRecorded(t, "journal_pull", versionedServer(t, v1, v2, core.DefaultConfig()).Serve, false)
 		}},
 		{name: "journal_ref_pull", run: func(t *testing.T) ([]byte, []byte) {
 			// Today's journal hit: the manifest's digest goes up, the same
@@ -341,19 +366,17 @@ func legacyScenarios() []legacyScenario {
 			cli.BaseVersion = 1
 			return runRecorded(t, srv, cli)
 		}},
-		{name: "journal_ref_miss", run: func(t *testing.T) ([]byte, []byte) {
-			// A version the store never held, with streams requested:
-			// MANIFEST_REF, MANIFEST_WANT, MANIFEST, MUX_ACK, VERDICTS.
-			v1, v2 := costTrees()
-			srv := versionedServer(t, v1, v2, core.DefaultConfig())
-			srv.MuxStreams = 4
-			cli := NewClient(v1)
-			cli.AnnounceVersion = true
-			cli.BaseVersion = 99
-			cli.MuxStreams = 4
-			return runRecorded(t, srv, cli)
-		}},
-	}
+	}...)
+	// A version the store never held, with streams requested: MANIFEST_REF,
+	// MANIFEST_WANT, the manifest, MUX_ACK, VERDICTS.
+	return append(out, flatPull("journal_ref_miss", func(t *testing.T) (*Server, *Client) {
+		v1, v2 := costTrees()
+		srv := versionedServer(t, v1, v2, core.DefaultConfig())
+		srv.MuxStreams = 4
+		cli := NewClient(v1)
+		cli.AnnounceVersion, cli.BaseVersion, cli.MuxStreams = true, 99, 4
+		return srv, cli
+	})...)
 }
 
 // weakConfig is a legal configuration whose 4-bit block hashes and 6-bit
@@ -453,6 +476,57 @@ func TestJournalRefAnswerIsTheLegacyAnswer(t *testing.T) {
 	}
 	if want := "HELLO MANIFEST_REF MANIFEST MANIFEST_WANT MUX_ACK VERDICTS"; strings.Join(got, " ") != want {
 		t.Fatalf("a miss with streams opens %v, want %s", got, want)
+	}
+}
+
+// TestPackedAnswerIsTheLegacyAnswer: in every flat shape the holder's half of
+// today's session, whose receiver sent MANIFEST_PACKED, is byte for byte the
+// answer the replayed older receiver draws with MANIFEST — the two frames carry
+// one list. The receivers' halves differ in that one frame, and the packed one
+// is the shorter.
+func TestPackedAnswerIsTheLegacyAnswer(t *testing.T) {
+	pairs := 0
+	for _, sc := range legacyScenarios() {
+		name, ok := strings.CutSuffix(sc.name, "_packed")
+		if !ok {
+			continue
+		}
+		pairs++
+		t.Run(name, func(t *testing.T) {
+			oldRecv, oldHold := readGolden(t, name)
+			newRecv, newHold := readGolden(t, sc.name)
+			if sc.push { // the recorded end is the holder
+				oldRecv, oldHold, newRecv, newHold = oldHold, oldRecv, newHold, newRecv
+			}
+			if !bytes.Equal(oldHold, newHold) {
+				t.Fatalf("the holder answers MANIFEST_PACKED with %d bytes, MANIFEST with %d: not the same stream", len(newHold), len(oldHold))
+			}
+			of, nf := transcriptFrames(t, oldRecv), transcriptFrames(t, newRecv)
+			if len(of) != len(nf) {
+				t.Fatalf("receiver sent %d frames, the older one %d", len(nf), len(of))
+			}
+			changed := 0
+			for i := range of {
+				if of[i].typ == nf[i].typ && bytes.Equal(of[i].payload, nf[i].payload) {
+					continue
+				}
+				changed++
+				legacy, err := decodeManifest(of[i].payload)
+				if err != nil || of[i].typ != wire.FrameManifest || nf[i].typ != wire.FrameManifestPacked {
+					t.Fatalf("frame %d: %s in place of %s (%v)", i, wire.FrameName(nf[i].typ), wire.FrameName(of[i].typ), err)
+				}
+				packed, err := unpackManifest(nf[i].payload)
+				if err != nil || !reflect.DeepEqual(packed, legacy) || nf[i].size() >= of[i].size() {
+					t.Fatalf("frame %d: MANIFEST_PACKED of %d bytes for a MANIFEST of %d does not carry its list (%v)", i, nf[i].size(), of[i].size(), err)
+				}
+			}
+			if changed != 1 {
+				t.Fatalf("%d receiver frames differ, want the manifest alone", changed)
+			}
+		})
+	}
+	if pairs != 8 {
+		t.Fatalf("%d replay/live pairs, want the eight flat shapes", pairs)
 	}
 }
 

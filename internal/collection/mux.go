@@ -491,7 +491,7 @@ func (stm *serverStream) absorb(workers int) (err error) {
 	case stm.inner == wire.FrameAck && stm.sent == wire.FrameDelta:
 		stm.failed, err = parseSections(stm.payload, stm.nAck, false)
 	default:
-		err = fmt.Errorf("collection: stream %d: unexpected %s after %s", stm.id, wire.FrameName(stm.inner), wire.FrameName(stm.sent))
+		err = fmt.Errorf("%w: stream %d: unexpected %s after %s", core.ErrProtocol, stm.id, wire.FrameName(stm.inner), wire.FrameName(stm.sent))
 	}
 	return err
 }
@@ -701,7 +701,7 @@ func (cs *clientStream) handle(workers int) error {
 		}
 		cs.done = true
 	default:
-		return fmt.Errorf("collection: stream %d: unexpected frame %s", cs.id, wire.FrameName(inner))
+		return fmt.Errorf("%w: stream %d: unexpected frame %s", core.ErrProtocol, cs.id, wire.FrameName(inner))
 	}
 	return nil
 }

@@ -376,19 +376,21 @@ type serverWork struct {
 }
 
 // manifestFrame reads the receiver's side of flat change detection: its
-// MANIFEST or, while ref is still an option, the 16-byte MANIFEST_REF that
-// names it.
-func (s *session) manifestFrame(refOK bool) (raw []byte, ref bool, err error) {
-	ft, raw, err := s.read()
-	if err != nil {
-		return nil, false, err
+// MANIFEST, its MANIFEST_PACKED — decoded here, into m — or, while ref is
+// still an option, the 16-byte MANIFEST_REF that names it.
+func (s *session) manifestFrame(refOK bool) (ft byte, raw []byte, m []ManifestEntry, err error) {
+	if ft, raw, err = s.read(); err != nil {
+		return 0, nil, nil, err
 	}
 	s.cost(stats.C2S, stats.PhaseControl, len(raw))
-	ref = refOK && ft == wire.FrameManifestRef && len(raw) == md4.Size
-	if !ref && ft != wire.FrameManifest {
-		return nil, false, errFrame(ft, raw)
+	switch {
+	case ft == wire.FrameManifestPacked:
+		m, err = unpackManifest(raw)
+	case ft == wire.FrameManifest, refOK && ft == wire.FrameManifestRef && len(raw) == md4.Size:
+	default:
+		err = errFrame(ft, raw)
 	}
-	return raw, ref, nil
+	return ft, raw, m, err
 }
 
 // manifestHandshake runs the flat-manifest handshake: read the client's
@@ -400,12 +402,14 @@ func (s *session) manifestFrame(refOK bool) (raw []byte, ref bool, err error) {
 // A client announcing a version above 0 sends the digest of its manifest
 // (MANIFEST_REF) in place of the manifest, which a hit never needs; a miss
 // asks for it with MANIFEST_WANT — one roundtrip — and goes on as above.
-// serverDigest is ManifestDigest(serverManifest).
+// Either manifest frame, MANIFEST or MANIFEST_PACKED, is the same list from
+// here on. serverDigest is ManifestDigest(serverManifest).
 func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest [md4.Size]byte) (work serverWork, err error) {
-	raw, ref, err := s.manifestFrame(true)
+	ft, raw, manifest, err := s.manifestFrame(true)
 	if err != nil {
 		return work, err
 	}
+	ref := ft == wire.FrameManifestRef
 	vs, stored := s.src.(VersionedSource)
 	versioned := stored && s.ext.announce >= 0
 	if versioned || ref {
@@ -415,8 +419,11 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 		}
 		if versioned {
 			digest := md4.Sum(raw)
-			if ref {
+			switch ft {
+			case wire.FrameManifestRef:
 				copy(digest[:], raw) // by reference: the payload is the digest
+			case wire.FrameManifestPacked:
+				digest = ManifestDigest(manifest) // the digest is the list's, not the encoding's
 			}
 			vd, ok := vs.VersionDelta(uint64(s.ext.announce), digest, serverDigest)
 			if ok {
@@ -439,14 +446,15 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 			if err := s.flushAnswer(); err != nil {
 				return work, err
 			}
-			if raw, _, err = s.manifestFrame(false); err != nil {
+			if ft, raw, manifest, err = s.manifestFrame(false); err != nil {
 				return work, err
 			}
 		}
 	}
-	manifest, err := decodeManifest(raw)
-	if err != nil {
-		return work, err
+	if ft == wire.FrameManifest {
+		if manifest, err = decodeManifest(raw); err != nil {
+			return work, err
+		}
 	}
 
 	serverByPath := make(map[string]int, len(serverManifest))

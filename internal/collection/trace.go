@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"fmt"
 	"log/slog"
 	"time"
 
@@ -32,7 +33,7 @@ type sessTrace struct {
 	frames int
 	up     int64  // toward the data holder (stats.C2S)
 	down   int64  // from the data holder (stats.S2C)
-	note   string // a fallback the span took (obs.Event.Note)
+	note   string // a fallback or choice the span took (obs.Event.Note)
 
 	// Session totals.
 	sessStart time.Time
@@ -102,6 +103,14 @@ func (t *sessTrace) journalMiss(base int64, current uint64, reason string) {
 	}
 	t.note = "journal_miss:" + reason
 	t.log.Info("msync: journal miss", "session", t.sid, "base", base, "current", current, "reason", reason)
+}
+
+// manifestSent notes on the receiver's handshake span which frame its flat
+// manifest goes in, with both encodings' sizes: the choice is never silent.
+func (t *sessTrace) manifestSent(frame string, packed, legacy int) {
+	if t != nil {
+		t.note = fmt.Sprintf("%s: packed %d, legacy %d", frame, packed, legacy)
+	}
 }
 
 // setMode records the session's negotiated map-construction mode; spans

@@ -38,9 +38,10 @@ type VersionedSource interface {
 // carries no version store.
 var ErrNotVersioned = errors.New("collection: server has no version store")
 
-// ManifestDigest fingerprints a manifest by hashing its wire encoding — the
-// same bytes a client sends in its manifest frame, so the digest of a stored
-// version can be compared directly against md4.Sum of a received manifest.
+// ManifestDigest fingerprints a manifest by hashing its MANIFEST encoding, so
+// the digest of a stored version can be compared directly against md4.Sum of
+// a received MANIFEST payload. A MANIFEST_PACKED frame is digested as the list
+// it decodes to: the packed encoding never defines a digest.
 func ManifestDigest(m []ManifestEntry) [md4.Size]byte {
 	return md4.Sum(encodeManifest(m))
 }

@@ -80,10 +80,15 @@ func bucket(v int) (code int, extraBits uint, extraVal uint64) {
 	return 8 + nb - 4, uint(nb - 1), uint64(v) - 1<<(nb-1)
 }
 
-// unbucket reverses bucket given the code and a bit reader for extras.
+// unbucket reverses bucket given the code and a bit reader for extras. A code
+// past the numLenCodes (= numOffCodes) that bucket yields comes from a code
+// table declaring a larger alphabet than the encoder's: corrupt.
 func unbucket(code int, r *bitio.Reader) (int, error) {
 	if code < 8 {
 		return code, nil
+	}
+	if code >= numLenCodes {
+		return 0, ErrCorrupt
 	}
 	nb := code - 8 + 4
 	extra, err := r.ReadBits(uint(nb - 1))

@@ -71,8 +71,10 @@ type Event struct {
 	Mode string `json:"mode,omitempty"`
 	// Err carries the session error on a failed PhaseSession event.
 	Err string `json:"err,omitempty"`
-	// Note names a fallback the span took, e.g. "journal_miss:version_unknown"
-	// on the handshake span of a session the journal could not serve.
+	// Note names a fallback or choice the span took, e.g.
+	// "journal_miss:version_unknown" on the handshake span of a session the
+	// journal could not serve, or "MANIFEST_PACKED: packed 60383, legacy
+	// 117002" on a receiver's.
 	Note string `json:"note,omitempty"`
 }
 

@@ -71,6 +71,11 @@ const (
 	// resolve: an empty payload, a roundtrip of its own, and the client sends
 	// the withheld MANIFEST. Never sent to a client that sent MANIFEST.
 	FrameManifestWant
+	// FrameManifestPacked carries the entries of a MANIFEST in fewer bytes:
+	// front-coded paths and lengths compressed as one column, then the raw
+	// sums. A receiver sends it in place of MANIFEST when it is strictly
+	// shorter.
+	FrameManifestPacked
 )
 
 // FrameName returns a human-readable name for a frame type.
@@ -116,6 +121,8 @@ func FrameName(t byte) string {
 		return "MANIFEST_REF"
 	case FrameManifestWant:
 		return "MANIFEST_WANT"
+	case FrameManifestPacked:
+		return "MANIFEST_PACKED"
 	default:
 		return fmt.Sprintf("UNKNOWN(%d)", t)
 	}
