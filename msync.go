@@ -37,6 +37,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -910,7 +911,10 @@ func (c *Client) SyncTCP(addr string) (*Result, error) {
 // verdicts) are retried with exponential backoff and jitter; failures after
 // the handshake are returned immediately. A BUSY load-shedding answer from
 // the server is likewise retried, waiting at least the server's RetryAfter
-// hint before the next attempt.
+// hint before the next attempt. A server too old to know a frame this client
+// sent (MANIFEST_REF, MANIFEST_PACKED) refuses it the same way every time:
+// that handshake failure is returned after one attempt, and a client in tree
+// mode (WithTreeManifest) interoperates with it.
 func (c *Client) SyncTCPContext(ctx context.Context, addr string) (*Result, error) {
 	var res *Result
 	err := transport.Retry(ctx, c.opt.clock, c.opt.retry, func(n int) error {
@@ -942,6 +946,12 @@ func (c *Client) SyncTCPContext(ctx context.Context, addr string) (*Result, erro
 						"retry_after", busy.RetryAfter)
 				}
 				return transport.RetryAfterHint(err, busy.RetryAfter)
+			}
+			if errors.Is(err, collection.ErrHandshake) && strings.Contains(err.Error(), "UNKNOWN(") {
+				// The server named a frame this client sent (MANIFEST_REF,
+				// MANIFEST_PACKED) by the only name its older build has for
+				// it: every attempt would draw the same refusal.
+				return transport.Permanent(err)
 			}
 			if errors.Is(err, collection.ErrHandshake) {
 				return err // no content exchanged: retry-safe

@@ -485,9 +485,9 @@ func WithStoreBudget(n int64) Option {
 // that cannot honor the announcement asks for the manifest, one more
 // roundtrip, and runs the normal protocol. A server older than that exchange
 // refuses it (the sync fails in the handshake, before anything is written)
-// and refuses it the same way every time: a WithRetry policy, which retries
-// handshake failures, repeats the refusal until it runs out. Do not announce
-// to servers of unknown age. The session's Result.Version
+// and refuses it the same way every time, so SyncTCPContext returns that
+// failure after one attempt whatever WithRetry says. Do not announce to
+// servers of unknown age. The session's Result.Version
 // reports the server's current version for the next sync's announcement.
 // v = 0 announces "no known version" (useful to just learn the server's
 // current version) and sends the manifest outright.

@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -22,6 +24,7 @@ import (
 	"msync"
 	"msync/internal/collection"
 	"msync/internal/transport"
+	"msync/internal/wire"
 )
 
 // sessionFiles is a small collection pair with one changed file.
@@ -467,6 +470,58 @@ func TestRetryBoundedAttempts(t *testing.T) {
 	}
 	if got := clock.Slept(); len(got) != 2 {
 		t.Fatalf("3 attempts should record exactly 2 sleeps, got %v", got)
+	}
+}
+
+// TestRetryStopsAtOlderServer: a server from before MANIFEST_PACKED refuses a
+// packed manifest the same way on every attempt — its ERROR names the frame
+// UNKNOWN(21) — so the client gives up after one, with no backoff sleeps,
+// where any other handshake failure is retried.
+func TestRetryStopsAtOlderServer(t *testing.T) {
+	l, err := listenLoopback(t)
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	defer l.Close()
+	var attempts atomic.Int32
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			attempts.Add(1)
+			go func(c net.Conn) {
+				defer c.Close()
+				fr, fw := wire.NewFrameReader(c), wire.NewFrameWriter(c)
+				if _, err := fr.ExpectFrame(wire.FrameHello); err != nil {
+					return
+				}
+				ft, _, err := fr.ReadFrame()
+				if err != nil {
+					return
+				}
+				// What wire.ExpectFrame said before MANIFEST_REF existed.
+				_ = fw.WriteFrame(wire.FrameError, fmt.Appendf(nil, "wire: expected frame MANIFEST, got UNKNOWN(%d)", ft))
+				_ = fw.Flush()
+			}(c)
+		}
+	}()
+
+	files := make(map[string][]byte)
+	for i := range 40 {
+		files[fmt.Sprintf("docs/chapter%02d.txt", i)] = bytes.Repeat([]byte{byte('a' + i%26)}, 100+i)
+	}
+	clock := transport.NewFakeClock(time.Unix(0, 0))
+	cli := msync.NewClient(files,
+		msync.WithClock(clock),
+		msync.WithRetry(msync.RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, Seed: 7}))
+	_, err = cli.SyncTCPContext(context.Background(), l.Addr().String())
+	if !errors.Is(err, collection.ErrHandshake) || !strings.Contains(err.Error(), "got UNKNOWN(21)") {
+		t.Fatalf("want the older server's refusal as a handshake error, got %v", err)
+	}
+	if got, slept := attempts.Load(), clock.Slept(); got != 1 || len(slept) != 0 {
+		t.Fatalf("%d attempts, sleeps %v: want one attempt and no backoff", got, slept)
 	}
 }
 
