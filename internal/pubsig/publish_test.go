@@ -139,6 +139,46 @@ func TestPublishIdempotentAndVersioned(t *testing.T) {
 	}
 }
 
+// TestArtifactBytesPinned holds the md4 of the psm1 manifests and the psd1
+// delta a publisher writes for two fixed versions — one file modified, one
+// added, one deleted — so a change to their codecs that moves a byte fails
+// here.
+func TestArtifactBytesPinned(t *testing.T) {
+	s := NewMemStore()
+	p, err := NewPublisher(s, WithBlockSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := map[string][]byte{
+		"a.txt":      bytes.Repeat([]byte("first version of a "), 20),
+		"dir/b.txt":  []byte("b stays the same"),
+		"dir/gone.c": []byte("deleted in version two"),
+	}
+	v2 := map[string][]byte{
+		"a.txt":     bytes.Repeat([]byte("second version of a "), 20),
+		"dir/b.txt": v1["dir/b.txt"],
+		"new.md":    []byte("added in version two"),
+	}
+	for _, files := range []map[string][]byte{v1, v2} {
+		if _, created, err := p.Publish(files); !created || err != nil {
+			t.Fatalf("publish: created %v, %v", created, err)
+		}
+	}
+	for _, c := range []struct{ key, want string }{
+		{manifestKey(1), "e504294574eb6c416fb6cb01149fcec9"},
+		{manifestKey(2), "a7b9ea63fe4ada4be10eb71c6e2fab00"},
+		{deltaKey(1, 2), "c583de04514e1b5830dbfd01954f7a1a"},
+	} {
+		data, err := s.Get(c.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", md4.Sum(data)); got != c.want {
+			t.Errorf("%s: md4 %s, want %s", c.key, got, c.want)
+		}
+	}
+}
+
 // TestPublishDeterministicAcrossRestarts pins the acceptance criterion:
 // the same collection version yields byte-identical artifacts no matter
 // which publisher instance (or process lifetime) produced them.
