@@ -13,6 +13,7 @@ import (
 
 	"msync/internal/core"
 	"msync/internal/delta"
+	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/merkle"
 	"msync/internal/obs"
@@ -306,7 +307,7 @@ func (s *session) detect(res *Result, lazy bool, trees *treeState) ([]string, *t
 // within the holder's caps, MANIFEST otherwise — noted on the handshake span.
 func (s *session) sendManifest(manifest []ManifestEntry, ref bool) error {
 	s.buf.Reset()
-	encodeManifestInto(s.buf, manifest)
+	filelist.Append(s.buf, manifest)
 	legacy := s.buf.Build()
 	if ref {
 		digest := md4.Sum(legacy)

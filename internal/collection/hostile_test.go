@@ -387,7 +387,7 @@ func hostilePacked() map[string][]byte {
 	long := strings.Repeat("a", 4096)
 	repeats := make([]packedEntry, 100)
 	for i := range repeats {
-		repeats[i] = packedEntry{len(long), ""}
+		repeats[i] = packedEntry{len(long), string(rune(i))} // ascending: long+"\x01", long+"\x02", ...
 	}
 	repeats[0] = packedEntry{0, long}
 	return map[string][]byte{
@@ -400,8 +400,9 @@ func hostilePacked() map[string][]byte {
 		"shares past the previous path": packedPayload(2, []packedEntry{{0, "a"}, {2, "b"}}, 2*md4.Size),
 		"column short of the count":     packedPayload(2, []packedEntry{{0, "a"}}, 2*md4.Size),
 		"column past the count":         packedPayload(1, []packedEntry{{0, "a"}, {1, "b"}}, md4.Size),
-		// A 4 KB path shared a hundred times over: 400 KB of paths from a
-		// 1.7 KB frame.
+		"descending pair":               packedPayload(2, []packedEntry{{0, "b"}, {0, "a"}}, 2*md4.Size),
+		// A 4 KB path shared a hundred times over, one more byte after it
+		// each time: 400 KB of paths from a 1.9 KB frame.
 		"paths past their cap": packedPayload(uint64(len(repeats)), repeats, len(repeats)*md4.Size),
 	}
 }
@@ -409,7 +410,8 @@ func hostilePacked() map[string][]byte {
 // hostileHandshakes runs the manifest-frame rows of TestHostileIndexLists:
 // MANIFEST_REF and MANIFEST_WANT each have one legal place and one legal size,
 // MANIFEST_PACKED one legal place — where MANIFEST is — and a payload that
-// checks out before it is decoded. A peer that sends any of them anywhere
+// checks out before it is decoded, and either manifest frame a list strictly
+// ascending by path with no more entries than its bytes can hold. A peer that sends any of them anywhere
 // else, twice, at another size or malformed gets one typed error wrapping
 // core.ErrProtocol from the other end, which a replay of what the victim read
 // shows costs it less than 64 KB. Two rows are served, not refused: a REF
@@ -454,6 +456,16 @@ func hostileHandshakes(t *testing.T) {
 	}
 	for name, payload := range hostilePacked() {
 		rows = append(rows, row{name: "server/PACKED " + name, up: true, typ: wire.FrameManifestPacked, payload: payload})
+	}
+	// A MANIFEST in place of the client's MANIFEST_PACKED, holding a list no
+	// receiver builds.
+	m := BuildManifest(v1)
+	for name, payload := range map[string][]byte{
+		"duplicated path":      encodeManifest([]ManifestEntry{m[0], m[1], m[1]}),
+		"descending pair":      encodeManifest([]ManifestEntry{m[1], m[0]}),
+		"count past its bytes": append(wire.AppendUvarint(nil, 1<<20), encodeManifest(m)[1:]...),
+	} {
+		rows = append(rows, row{name: "server/MANIFEST " + name, up: true, typ: wire.FrameManifestPacked, retype: wire.FrameManifest, payload: payload})
 	}
 	for _, row := range rows {
 		for _, width := range []int{0, 4} {

@@ -12,16 +12,16 @@ import (
 
 	"msync/internal/core"
 	"msync/internal/delta"
+	"msync/internal/filelist"
 	"msync/internal/md4"
-	"msync/internal/merkle"
 	"msync/internal/wire"
 )
 
 // ManifestEntry fingerprints one client file: the paper's "very strong
 // 16-byte hash value for each file" used both to detect unchanged files and
-// to backstop per-file failures. It is the merkle tree's leaf entry, so a tree
-// session reads the manifest as it stands.
-type ManifestEntry = merkle.Entry
+// to backstop per-file failures. It is the one file-list entry, so a tree
+// session reads the manifest as it stands and a store keeps it as it is.
+type ManifestEntry = filelist.Entry
 
 // BuildManifest fingerprints a path-keyed file set, sorted by path.
 func BuildManifest(files map[string][]byte) []ManifestEntry {
@@ -33,51 +33,22 @@ func BuildManifest(files map[string][]byte) []ManifestEntry {
 	return out
 }
 
-// encodeManifestInto serializes a manifest into b (not reset first).
-func encodeManifestInto(b *wire.Buffer, m []ManifestEntry) {
-	b.Uvarint(uint64(len(m)))
-	for _, e := range m {
-		b.String(e.Path)
-		b.Uvarint(uint64(e.Len))
-		b.Raw(e.Sum[:])
-	}
-}
-
-// encodeManifest serializes a manifest into a fresh buffer.
+// encodeManifest serializes a manifest as a MANIFEST payload: the file list.
 func encodeManifest(m []ManifestEntry) []byte {
 	b := wire.NewBuffer(len(m) * 32)
-	encodeManifestInto(b, m)
+	filelist.Append(b, m)
 	return b.Build()
 }
 
-// decodeManifest parses a manifest.
+// decodeManifest parses a MANIFEST payload. A list filelist.Parse refuses —
+// out of path order, a path twice, more entries than bytes — is a protocol
+// error.
 func decodeManifest(p []byte) ([]ManifestEntry, error) {
-	pr := wire.NewParser(p)
-	n, err := pr.Uvarint()
+	m, err := filelist.Parse(wire.NewParser(p))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: malformed MANIFEST: %w", core.ErrProtocol, err)
 	}
-	// An entry is at least 18 bytes (two one-byte varints and the sum), so
-	// the payload bounds the count worth allocating for, whatever it declares.
-	out := make([]ManifestEntry, 0, min(n, uint64(len(p)/(2+md4.Size))))
-	for i := uint64(0); i < n; i++ {
-		var e ManifestEntry
-		if e.Path, err = pr.String(); err != nil {
-			return nil, err
-		}
-		l, err := pr.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		e.Len = int(l)
-		sum, err := pr.Raw(md4.Size)
-		if err != nil {
-			return nil, err
-		}
-		copy(e.Sum[:], sum)
-		out = append(out, e)
-	}
-	return out, nil
+	return m, nil
 }
 
 // What a MANIFEST_PACKED payload may decode to, in bytes per payload byte: its
@@ -121,8 +92,9 @@ func packManifest(m []ManifestEntry) (payload []byte, fits bool) {
 }
 
 // unpackManifest parses a MANIFEST_PACKED payload into the entries a MANIFEST
-// of the same list decodes to. Every count and length it is given is checked
-// against the payload before anything is allocated for it.
+// of the same list decodes to: strictly ascending paths, like every file list.
+// Every count and length it is given is checked against the payload, and every
+// path against the one before it, before anything is allocated for it.
 func unpackManifest(p []byte) ([]ManifestEntry, error) {
 	pr := wire.NewParser(p)
 	n, err1 := pr.Uvarint()
@@ -155,6 +127,9 @@ func unpackManifest(p []byte) ([]ManifestEntry, error) {
 		}
 		if shared > uint64(len(prev)) {
 			return nil, fmt.Errorf("%w: entry %d shares %d bytes of a %d-byte path", errPacked, i, shared, len(prev))
+		}
+		if i > 0 && string(suffix) <= prev[shared:] { // the shared prefixes are equal
+			return nil, fmt.Errorf("%w: entry %d is not after entry %d", errPacked, i, i-1)
 		}
 		if paths += int(shared) + len(suffix); paths > packedPathCap*len(p) {
 			return nil, fmt.Errorf("%w: paths past %d bytes", errPacked, packedPathCap*len(p))

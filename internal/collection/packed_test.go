@@ -131,6 +131,7 @@ func TestUnpackRefusesHostile(t *testing.T) {
 		"column short of the count":     "entry 1",
 		"column past the count":         "after 1 entries",
 		"paths past their cap":          "paths past",
+		"descending pair":               "entry 1 is not after entry 0",
 	}
 	for name, p := range hostilePacked() {
 		_, err := unpackManifest(p)

@@ -12,12 +12,12 @@ import (
 
 	"msync/internal/core"
 	"msync/internal/delta"
+	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/merkle"
 	"msync/internal/obs"
 	"msync/internal/pool"
 	"msync/internal/stats"
-	"msync/internal/store"
 	"msync/internal/wire"
 )
 
@@ -427,11 +427,10 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 			}
 			vd, ok := vs.VersionDelta(uint64(s.ext.announce), digest, serverDigest)
 			if ok {
-				// A journal hit runs no engines, so there is nothing to
-				// multiplex: no MUX_ACK, one bare stream.
 				s.costs.JournalHits++
-				work.journal, err = s.journalVerdicts(vd)
-				return work, err
+				return s.flatVerdicts(vd.BaseManifest, len(vd.Changes), func(k int) (filelist.Change, []byte) {
+					return vd.Changes[k].Change, vd.Changes[k].Payload
+				}, int64(vd.Current))
 			}
 			miss = vd.Miss
 		}
@@ -456,56 +455,82 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 			return work, err
 		}
 	}
+	version := int64(-1)
+	if versioned {
+		// The announcing client learns the server's current version even on
+		// a journal miss, so its next sync can announce something useful.
+		version = int64(vs.CurrentVersion())
+	}
+	changes := filelist.Diff(manifest, serverManifest)
+	return s.flatVerdicts(manifest, len(changes), func(k int) (filelist.Change, []byte) { return changes[k], nil }, version)
+}
 
-	serverByPath := make(map[string]int, len(serverManifest))
-	for i, e := range serverManifest {
-		serverByPath[e.Path] = i
-	}
-	vb := s.beginVerdicts(uint64(len(manifest)))
-	seen := make(map[string]bool, len(manifest))
-	fullBytes := 0
-	for _, e := range manifest {
-		seen[e.Path] = true
-		si, ok := serverByPath[e.Path]
-		if !ok {
-			vb.Byte(verdictDelete)
-			continue
-		}
-		se := serverManifest[si]
-		if se.Len == e.Len && se.Sum == e.Sum {
-			vb.Byte(verdictUnchanged)
-			s.costs.FilesUnchanged++
-			continue
-		}
-		data, err := s.src.Load(e.Path)
-		if errors.Is(err, fs.ErrNotExist) {
-			// Vanished since the manifest was built; treat as deleted.
-			vb.Byte(verdictDelete)
-			continue
-		}
-		if err != nil {
-			return work, err
-		}
-		if work.engines, err = s.changedVerdict(work.engines, e.Path, data, &fullBytes); err != nil {
-			return work, err
-		}
-	}
-	// New files (on the server, absent at the client), sorted manifest order.
+// flatVerdicts writes the VERDICTS frame for the receiver's flat list in one
+// walk over it beside n changes, at(k) the k-th: filelist.Diff(list, the
+// holder's list), each with its payload if it comes from a journal delta. An
+// entry no change names is unchanged, a deleted one deleted. With a payload, a
+// modified file gets a journal verdict carrying it and an added one rides in
+// the new-files trailer as it: no engines run, and the whole transfer happens
+// in this frame plus the empty delta round. Without, the file is loaded: a
+// modified one is synced or sent whole, an added one sent whole, and one that
+// vanished since the manifest was built is deleted or left out. The holder's
+// current version ends the frame unless version is -1.
+func (s *session) flatVerdicts(list []ManifestEntry, n int, at func(k int) (filelist.Change, []byte), version int64) (work serverWork, err error) {
+	vb := s.beginVerdicts(uint64(len(list)))
+	fullBytes, deltaBytes := 0, 0
 	var newPaths []string
 	var newComp [][]byte
-	for _, e := range serverManifest {
-		if seen[e.Path] {
+	i := 0 // list[i] is the first entry without a verdict
+	for k := 0; k < n; k++ {
+		ch, payload := at(k)
+		if ch.Op == filelist.OpAdd {
+			if payload == nil {
+				data, err := s.src.Load(ch.New.Path)
+				if errors.Is(err, fs.ErrNotExist) {
+					continue
+				}
+				if err != nil {
+					return work, err
+				}
+				payload = delta.Compress(data)
+			}
+			newPaths = append(newPaths, ch.New.Path)
+			newComp = append(newComp, payload)
 			continue
 		}
-		data, err := s.src.Load(e.Path)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue // vanished since the manifest was built
+		for ; list[i].Path != ch.Old.Path; i++ {
+			vb.Byte(verdictUnchanged)
+			s.costs.FilesUnchanged++
 		}
-		if err != nil {
-			return work, err
+		i++
+		switch {
+		case ch.Op == filelist.OpDelete:
+			vb.Byte(verdictDelete)
+		case payload != nil:
+			vb.Byte(verdictJournal)
+			vb.Uvarint(uint64(ch.New.Len))
+			vb.Raw(ch.New.Sum[:])
+			vb.Bytes(payload)
+			deltaBytes += len(payload)
+			work.journal = append(work.journal, journalFile{ch.New.Path, ch.New.Sum})
+			s.costs.FilesJournal++
+		default:
+			data, err := s.src.Load(ch.New.Path)
+			if errors.Is(err, fs.ErrNotExist) {
+				vb.Byte(verdictDelete)
+				continue
+			}
+			if err != nil {
+				return work, err
+			}
+			if work.engines, err = s.changedVerdict(work.engines, ch.New.Path, data, &fullBytes); err != nil {
+				return work, err
+			}
 		}
-		newPaths = append(newPaths, e.Path)
-		newComp = append(newComp, delta.Compress(data))
+	}
+	for ; i < len(list); i++ {
+		vb.Byte(verdictUnchanged)
+		s.costs.FilesUnchanged++
 	}
 	vb.Uvarint(uint64(len(newPaths)))
 	for i, p := range newPaths {
@@ -514,59 +539,13 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 		fullBytes += len(newComp[i])
 		s.costs.FilesFull++
 	}
-	if versioned {
-		// The announcing client learns the server's current version even on
-		// a journal miss, so its next sync can announce something useful.
-		vb.Uvarint(vs.CurrentVersion())
+	if version >= 0 {
+		vb.Uvarint(uint64(version))
 	}
+	// A journal hit runs no engines, so there is nothing to multiplex: no
+	// MUX_ACK, one bare stream.
 	work.counts = muxPartition(work.engines, s.ext.mux)
-	return work, s.sendVerdicts(vb.Build(), fullBytes, 0, work.counts)
-}
-
-// journalVerdicts answers an announced client from a precomputed journal
-// delta: every entry of the stored base manifest — the client's own list, the
-// digests being equal — gets unchanged/delete/journal verdicts
-// (the journal verdict carries the delta payload inline), adds ride in the
-// new-files trailer, and the current version is appended. No engines run —
-// the whole transfer happens in this one frame plus the empty delta round.
-func (s *session) journalVerdicts(vd *store.Delta) ([]journalFile, error) {
-	vb := s.beginVerdicts(uint64(len(vd.BaseManifest)))
-	var jfiles []journalFile
-	fullBytes, deltaBytes := 0, 0
-	for _, e := range vd.BaseManifest {
-		ch, ok := vd.Changes[e.Path]
-		if !ok {
-			vb.Byte(verdictUnchanged)
-			s.costs.FilesUnchanged++
-			continue
-		}
-		switch ch.Op {
-		case store.OpDelete:
-			vb.Byte(verdictDelete)
-		case store.OpModify:
-			vb.Byte(verdictJournal)
-			vb.Uvarint(uint64(ch.Len))
-			vb.Raw(ch.Sum[:])
-			vb.Bytes(ch.Payload)
-			deltaBytes += len(ch.Payload)
-			jfiles = append(jfiles, journalFile{e.Path, ch.Sum})
-			s.costs.FilesJournal++
-		default:
-			// An add for a path the client's digest-matched manifest already
-			// holds cannot happen; fail loudly rather than desynchronize.
-			return nil, fmt.Errorf("collection: journal delta inconsistent at %q", e.Path)
-		}
-	}
-	vb.Uvarint(uint64(len(vd.Added)))
-	for _, p := range vd.Added {
-		ch := vd.Changes[p]
-		vb.String(p)
-		vb.Bytes(ch.Payload)
-		fullBytes += len(ch.Payload)
-		s.costs.FilesFull++
-	}
-	vb.Uvarint(vd.Current)
-	return jfiles, s.sendVerdicts(vb.Build(), fullBytes, deltaBytes, nil)
+	return work, s.sendVerdicts(vb.Build(), fullBytes, deltaBytes, work.counts)
 }
 
 // treeHandshake runs merkle reconciliation, then answers the client's WANT

@@ -76,11 +76,7 @@ func (s *StoreSource) Snapshot() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	entries := make([]store.Entry, len(m))
-	for i, e := range m {
-		entries[i] = store.Entry{Path: e.Path, Len: e.Len, Sum: e.Sum}
-	}
-	v, _, err := s.st.Snapshot(entries, ManifestDigest(m), s.Source.Load)
+	v, _, err := s.st.Snapshot(m, ManifestDigest(m), s.Source.Load)
 	return v, err
 }
 

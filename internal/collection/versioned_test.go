@@ -6,13 +6,13 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"msync/internal/core"
 	"msync/internal/delta"
+	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/obs"
 	"msync/internal/sigcache"
@@ -383,38 +383,17 @@ func (c *corruptVersioned) CurrentVersion() uint64    { return 2 }
 func (c *corruptVersioned) Snapshot() (uint64, error) { return 2, nil }
 
 func (c *corruptVersioned) VersionDelta(base uint64, baseDigest, currentDigest [md4.Size]byte) (*store.Delta, bool) {
-	d := &store.Delta{Base: base, Current: 2, Changes: map[string]*store.Change{}}
-	for _, e := range BuildManifest(c.base) {
-		d.BaseManifest = append(d.BaseManifest, store.Entry(e))
-	}
-	for path, data := range c.target {
-		old, held := c.base[path]
-		switch {
-		case held && bytes.Equal(old, data):
-			continue
-		case held:
-			d.Changes[path] = &store.Change{
-				Op:      store.OpModify,
-				Len:     len(data),
-				Sum:     md4.Sum(data),
-				Payload: []byte("definitely not a valid delta stream"),
-			}
-		default:
-			d.Changes[path] = &store.Change{
-				Op:      store.OpAdd,
-				Len:     len(data),
-				Sum:     md4.Sum(data),
-				Payload: delta.Compress(data),
-			}
-			d.Added = append(d.Added, path)
+	d := &store.Delta{Base: base, Current: 2, BaseManifest: BuildManifest(c.base)}
+	for _, ch := range filelist.Diff(d.BaseManifest, BuildManifest(c.target)) {
+		out := store.Change{Change: ch}
+		switch ch.Op {
+		case filelist.OpModify:
+			out.Payload = []byte("definitely not a valid delta stream")
+		case filelist.OpAdd:
+			out.Payload = delta.Compress(c.target[ch.New.Path])
 		}
+		d.Changes = append(d.Changes, out)
 	}
-	for path := range c.base {
-		if _, held := c.target[path]; !held {
-			d.Changes[path] = &store.Change{Op: store.OpDelete}
-		}
-	}
-	sort.Strings(d.Added)
 	return d, true
 }
 

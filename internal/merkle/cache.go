@@ -24,9 +24,9 @@ type TreeCache struct {
 	trees   map[int]*Tree
 }
 
-// NewTreeCacheAt creates a cache over entries whose trees persist in dir
-// (the signature-cache directory), keyed by fp — the digest of the manifest
-// the entries came from. An empty dir disables persistence.
+// NewTreeCacheAt creates a cache over entries — a manifest, sorted by path —
+// whose trees persist in dir (the signature-cache directory), keyed by fp, the
+// digest of that manifest. An empty dir disables persistence.
 func NewTreeCacheAt(entries []Entry, fp [md4.Size]byte, dir string) *TreeCache {
 	return &TreeCache{entries: entries, fp: fp, dir: dir, trees: make(map[int]*Tree)}
 }
@@ -54,7 +54,7 @@ func (tc *TreeCache) Tree(depth int) *Tree {
 				tc.trees[depth] = t
 				return t
 			}
-			ups, dels := entriesDiff(t.AllEntries(), tc.entries)
+			ups, dels := changeSet(t.AllEntries(), tc.entries)
 			if !rebuildCutoff(len(ups)+len(dels), len(tc.entries)) {
 				t.Update(ups, dels)
 				saveTree(tc.dir, tc.fp, t)
@@ -71,15 +71,15 @@ func (tc *TreeCache) Tree(depth int) *Tree {
 	return t
 }
 
-// Rebase carries the cache forward to a new entry set: every already-built
-// tree is updated in place from the set difference (O(changed · depth)
-// hashing) rather than rebuilt. The receiver must not be used afterwards —
-// its trees now belong to the returned cache.
+// Rebase carries the cache forward to a new entry set, sorted by path like the
+// first: every already-built tree is updated in place from the set difference
+// (O(changed · depth) hashing) rather than rebuilt. The receiver must not be
+// used afterwards — its trees now belong to the returned cache.
 func (tc *TreeCache) Rebase(entries []Entry, fp [md4.Size]byte) *TreeCache {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	nc := &TreeCache{entries: entries, fp: fp, dir: tc.dir, trees: make(map[int]*Tree)}
-	ups, dels := entriesDiff(tc.entries, entries)
+	ups, dels := changeSet(tc.entries, entries)
 	if rebuildCutoff(len(ups)+len(dels), len(entries)) {
 		return nc
 	}

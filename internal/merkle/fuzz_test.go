@@ -44,6 +44,7 @@ func FuzzInitiatorAbsorb(f *testing.F) {
 	f.Add([]byte{0}, false)
 	f.Add([]byte{0, 3}, true)
 	f.Add(forgedBucketReply(1800), false)
+	f.Add(unsortedBucketReply("b", "a"), false)
 	f.Fuzz(func(t *testing.T, reply []byte, spec bool) {
 		ini := NewInitiator(Build(entries, 4))
 		ini.Speculative = spec

@@ -33,17 +33,14 @@ import (
 	"sort"
 	"sync"
 
+	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/wire"
 )
 
 // Entry is one file fingerprint: the path and a strong hash of content
 // (plus length, so the collection layer can size engine state).
-type Entry struct {
-	Path string
-	Len  int
-	Sum  [md4.Size]byte
-}
+type Entry = filelist.Entry
 
 // MaxDepth bounds the trie depth (2^MaxDepth leaf buckets). Depths above
 // denseLimit switch to a sparse representation, so the cap can sit far past
@@ -350,7 +347,7 @@ func (ini *Initiator) Absorb(payload []byte) error {
 // absorbNode processes the responder's answer for one disputed node.
 func (ini *Initiator) absorbNode(p *wire.Parser, id int) error {
 	if id >= 1<<ini.t.depth { // leaf: bucket contents follow
-		remote, err := decodeBucket(p)
+		remote, err := filelist.Parse(p)
 		if err != nil {
 			return err
 		}
@@ -423,22 +420,14 @@ func (ini *Initiator) absorbNodeSpec(p *wire.Parser, id int) error {
 
 // compareBucket merges a remote bucket against the local one.
 func (ini *Initiator) compareBucket(bucket int, remote []Entry) {
-	local := ini.t.bucket(bucket)
-	i, j := 0, 0
-	for i < len(local) || j < len(remote) {
-		switch {
-		case j >= len(remote) || (i < len(local) && local[i].Path < remote[j].Path):
-			ini.diff.OnlyLocal = append(ini.diff.OnlyLocal, local[i].Path)
-			i++
-		case i >= len(local) || local[i].Path > remote[j].Path:
-			ini.diff.OnlyRemote = append(ini.diff.OnlyRemote, remote[j])
-			j++
+	for _, ch := range filelist.Diff(ini.t.bucket(bucket), remote) {
+		switch ch.Op {
+		case filelist.OpDelete:
+			ini.diff.OnlyLocal = append(ini.diff.OnlyLocal, ch.Old.Path)
+		case filelist.OpAdd:
+			ini.diff.OnlyRemote = append(ini.diff.OnlyRemote, ch.New)
 		default:
-			if local[i].Len != remote[j].Len || local[i].Sum != remote[j].Sum {
-				ini.diff.Changed = append(ini.diff.Changed, remote[j])
-			}
-			i++
-			j++
+			ini.diff.Changed = append(ini.diff.Changed, ch.New)
 		}
 	}
 }
@@ -556,7 +545,7 @@ func (r *Responder) Respond(payload []byte) ([]byte, error) {
 // by all descendant digests down to that relative level, in heap order.
 func (r *Responder) answerNode(out *wire.Buffer, id, specLv int) {
 	if id >= 1<<r.t.depth {
-		encodeBucket(out, r.t.bucket(id-(1<<r.t.depth)))
+		filelist.Append(out, r.t.bucket(id-(1<<r.t.depth)))
 		return
 	}
 	if !r.Speculative {
@@ -577,46 +566,6 @@ func (r *Responder) answerNode(out *wire.Buffer, id, specLv int) {
 			out.Raw(d[:])
 		}
 	}
-}
-
-func encodeBucket(out *wire.Buffer, entries []Entry) {
-	out.Uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		out.String(e.Path)
-		out.Uvarint(uint64(e.Len))
-		out.Raw(e.Sum[:])
-	}
-}
-
-func decodeBucket(p *wire.Parser) ([]Entry, error) {
-	n, err := p.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Each encoded entry is at least 18 bytes (path length, file length,
-	// 16-byte digest); bound the allocation by what the payload can hold.
-	if n > uint64(p.Remaining()/(2+md4.Size)) {
-		return nil, fmt.Errorf("merkle: bucket count %d exceeds payload", n)
-	}
-	out := make([]Entry, 0, n)
-	for k := uint64(0); k < n; k++ {
-		var e Entry
-		if e.Path, err = p.String(); err != nil {
-			return nil, err
-		}
-		l, err := p.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		e.Len = int(l)
-		raw, err := p.Raw(md4.Size)
-		if err != nil {
-			return nil, err
-		}
-		copy(e.Sum[:], raw)
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 // Reconcile runs a full reconciliation locally (for tests and library use

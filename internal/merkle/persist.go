@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/wire"
 )
@@ -46,7 +47,7 @@ func saveTree(dir string, fp [md4.Size]byte, t *Tree) {
 		b.Uvarint(uint64(i))
 		d := t.node((1 << t.depth) + i)
 		b.Raw(d[:])
-		encodeBucket(b, t.bucket(i))
+		filelist.Append(b, t.bucket(i))
 	}
 	body := b.Build()
 	sum := md4.Sum(body)
@@ -142,7 +143,7 @@ func decodeTree(data []byte, depth int) (*Tree, [md4.Size]byte, error) {
 		if err != nil {
 			return nil, fp, err
 		}
-		es, err := decodeBucket(p)
+		es, err := filelist.Parse(p)
 		if err != nil {
 			return nil, fp, err
 		}

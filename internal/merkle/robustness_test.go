@@ -113,6 +113,35 @@ func forgedBucketReply(n int) []byte {
 	return append(reply, bytes.Repeat([]byte{0xFF}, n)...)
 }
 
+// unsortedBucketReply answers a depth-0 initiator's root with a leaf bucket
+// whose entries are not strictly ascending by path: paths in that order, each
+// with an empty content.
+func unsortedBucketReply(paths ...string) []byte {
+	b := wire.NewBuffer(64)
+	b.Bool(false) // root differs; the bucket follows
+	b.Uvarint(uint64(len(paths)))
+	for _, p := range paths {
+		e := entry(p, "")
+		b.String(e.Path)
+		b.Uvarint(uint64(e.Len))
+		b.Raw(e.Sum[:])
+	}
+	return b.Build()
+}
+
+// TestAbsorbRefusesUnsortedBucket: a TREE reply whose bucket repeats a path or
+// lists two out of order fails Absorb — the merge against the local bucket
+// assumes a sorted list, and would otherwise report a wrong diff.
+func TestAbsorbRefusesUnsortedBucket(t *testing.T) {
+	for _, paths := range [][]string{{"b", "a"}, {"a", "a"}} {
+		ini := NewInitiator(Build([]Entry{entry("a", "local")}, 0))
+		ini.Next()
+		if err := ini.Absorb(unsortedBucketReply(paths...)); err == nil {
+			t.Errorf("bucket %q absorbed: diff %+v", paths, ini.Diff())
+		}
+	}
+}
+
 // TestBucketCountAllocation: a TREE reply's bucket count is held to what its
 // bytes can encode before the entries are allocated, so a forged count costs
 // the initiator at most three times the reply (an Entry is 40 bytes, an

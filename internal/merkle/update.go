@@ -1,6 +1,10 @@
 package merkle
 
-import "sort"
+import (
+	"sort"
+
+	"msync/internal/filelist"
+)
 
 // Update applies a manifest change set in place: upserts insert new entries
 // or replace same-path ones, deletes remove paths. Only the touched buckets
@@ -73,24 +77,14 @@ func (t *Tree) recomputeAncestors(buckets []int) {
 	}
 }
 
-// entriesDiff computes the change set turning old into new: entries to
-// upsert (paths that are new or whose length/hash changed) and paths to
-// delete. Pure map work, no hashing.
-func entriesDiff(old, new []Entry) (upserts []Entry, deletes []string) {
-	prev := make(map[string]Entry, len(old))
-	for _, e := range old {
-		prev[e.Path] = e
-	}
-	seen := make(map[string]bool, len(new))
-	for _, e := range new {
-		seen[e.Path] = true
-		if o, ok := prev[e.Path]; !ok || o.Len != e.Len || o.Sum != e.Sum {
-			upserts = append(upserts, e)
-		}
-	}
-	for _, e := range old {
-		if !seen[e.Path] {
-			deletes = append(deletes, e.Path)
+// changeSet splits filelist.Diff(old, new) — both sorted by path — into
+// what Update takes: the entries to upsert and the paths to delete.
+func changeSet(old, new []Entry) (upserts []Entry, deletes []string) {
+	for _, ch := range filelist.Diff(old, new) {
+		if ch.Op == filelist.OpDelete {
+			deletes = append(deletes, ch.Old.Path)
+		} else {
+			upserts = append(upserts, ch.New)
 		}
 	}
 	return upserts, deletes

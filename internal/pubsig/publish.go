@@ -10,9 +10,9 @@ import (
 
 	"msync/internal/collection"
 	"msync/internal/dirio"
+	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/obs"
-	"msync/internal/store"
 	"msync/internal/wire"
 )
 
@@ -70,12 +70,7 @@ func EncodeManifest(m *Manifest) []byte {
 	b.Uvarint(m.Version)
 	b.Uvarint(uint64(m.BlockSize))
 	b.Raw(m.Digest[:])
-	b.Uvarint(uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		b.String(e.Path)
-		b.Uvarint(uint64(e.Len))
-		b.Raw(e.Sum[:])
-	}
+	filelist.Append(b, m.Entries)
 	return b.Build()
 }
 
@@ -104,36 +99,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		return nil, ErrBadArtifact
 	}
 	copy(m.Digest[:], sum)
-	n, err := p.Uvarint()
-	// A serialized entry is at least 18 bytes; bounding the count by the
-	// remaining payload keeps a forged header from forcing a huge alloc.
-	if err != nil || n > uint64(p.Remaining())/18+1 {
-		return nil, ErrBadArtifact
-	}
-	m.Entries = make([]collection.ManifestEntry, 0, n)
-	prev := ""
-	for i := uint64(0); i < n; i++ {
-		var e collection.ManifestEntry
-		if e.Path, err = p.String(); err != nil {
-			return nil, ErrBadArtifact
-		}
-		if i > 0 && e.Path <= prev {
-			return nil, ErrBadArtifact // must be strictly path-sorted
-		}
-		prev = e.Path
-		l, err := p.Uvarint()
-		if err != nil || l > 1<<40 {
-			return nil, ErrBadArtifact
-		}
-		e.Len = int(l)
-		sum, err := p.Raw(md4.Size)
-		if err != nil {
-			return nil, ErrBadArtifact
-		}
-		copy(e.Sum[:], sum)
-		m.Entries = append(m.Entries, e)
-	}
-	if p.Remaining() != 0 {
+	if m.Entries, err = filelist.Parse(p); err != nil || p.Remaining() != 0 {
 		return nil, ErrBadArtifact
 	}
 	if collection.ManifestDigest(m.Entries) != m.Digest {
@@ -169,12 +135,7 @@ func EncodeDelta(d *Delta) []byte {
 	for _, p := range d.Deleted {
 		b.String(p)
 	}
-	b.Uvarint(uint64(len(d.Upserts)))
-	for _, e := range d.Upserts {
-		b.String(e.Path)
-		b.Uvarint(uint64(e.Len))
-		b.Raw(e.Sum[:])
-	}
+	filelist.Append(b, d.Upserts)
 	return b.Build()
 }
 
@@ -211,30 +172,7 @@ func ParseDelta(data []byte) (*Delta, error) {
 		prev = path
 		d.Deleted = append(d.Deleted, path)
 	}
-	nu, err := p.Uvarint()
-	if err != nil || nu > uint64(p.Remaining())/18+1 {
-		return nil, ErrBadArtifact
-	}
-	prev = ""
-	for i := uint64(0); i < nu; i++ {
-		var e collection.ManifestEntry
-		if e.Path, err = p.String(); err != nil || (i > 0 && e.Path <= prev) {
-			return nil, ErrBadArtifact
-		}
-		prev = e.Path
-		l, err := p.Uvarint()
-		if err != nil || l > 1<<40 {
-			return nil, ErrBadArtifact
-		}
-		e.Len = int(l)
-		sum, err := p.Raw(md4.Size)
-		if err != nil {
-			return nil, ErrBadArtifact
-		}
-		copy(e.Sum[:], sum)
-		d.Upserts = append(d.Upserts, e)
-	}
-	if p.Remaining() != 0 {
+	if d.Upserts, err = filelist.Parse(p); err != nil || p.Remaining() != 0 {
 		return nil, ErrBadArtifact
 	}
 	return d, nil
@@ -342,7 +280,7 @@ func (p *Publisher) count(name string, n int64) {
 
 // publish commits entries (path-sorted) as the next version, loading
 // changed content on demand. The diff against the previous version is
-// computed with store.DiffManifests — the identical change semantics the
+// computed with filelist.Diff — the identical change semantics the
 // interactive journal fast path commits — so the delta artifact and a
 // versioned store agree about what "changed between versions" means.
 func (p *Publisher) publish(entries []collection.ManifestEntry, load func(string) ([]byte, error)) (uint64, bool, error) {
@@ -358,7 +296,7 @@ func (p *Publisher) publish(entries []collection.ManifestEntry, load func(string
 		}
 		prevEntries = p.prev.Entries
 	}
-	changes := store.DiffManifests(toStoreEntries(prevEntries), toStoreEntries(entries))
+	changes := filelist.Diff(prevEntries, entries)
 
 	next := &Manifest{
 		Version:   p.latest + 1,
@@ -371,11 +309,11 @@ func (p *Publisher) publish(entries []collection.ManifestEntry, load func(string
 	var hashed, artifactBytes, files int64
 	written := make(map[[md4.Size]byte]bool)
 	for _, ch := range changes {
-		if ch.Op == store.OpDelete {
+		if ch.Op == filelist.OpDelete {
 			delta.Deleted = append(delta.Deleted, ch.Old.Path)
 			continue
 		}
-		e := collection.ManifestEntry{Path: ch.New.Path, Len: ch.New.Len, Sum: ch.New.Sum}
+		e := ch.New
 		delta.Upserts = append(delta.Upserts, e)
 		files++
 		if written[e.Sum] {
@@ -424,14 +362,6 @@ func (p *Publisher) publish(entries []collection.ManifestEntry, load func(string
 		p.metrics.Histogram("pubsig_publish_seconds", nil).ObserveDuration(time.Since(start))
 	}
 	return next.Version, true, nil
-}
-
-func toStoreEntries(m []collection.ManifestEntry) []store.Entry {
-	out := make([]store.Entry, len(m))
-	for i, e := range m {
-		out[i] = store.Entry{Path: e.Path, Len: e.Len, Sum: e.Sum}
-	}
-	return out
 }
 
 // LatestVersion inspects an artifact store directly (no Publisher state)

@@ -42,39 +42,21 @@ import (
 	"sync"
 
 	"msync/internal/delta"
+	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/wire"
 )
 
 // Entry is one manifest row: a path with its length and whole-file checksum.
-// It mirrors collection.ManifestEntry without importing the package (the
-// dependency points the other way: collection consumes store).
-type Entry struct {
-	Path string
-	Len  int
-	Sum  [md4.Size]byte
-}
-
-// Change ops in a Delta, from the base version's point of view.
-const (
-	// OpModify: the path exists in both versions with different content.
-	OpModify byte = iota
-	// OpAdd: the path is new since the base version.
-	OpAdd
-	// OpDelete: the path was removed since the base version.
-	OpDelete
-)
+type Entry = filelist.Entry
 
 // Change describes one path's evolution between a Delta's base and current
 // versions, with the payload a client needs to apply it.
 type Change struct {
-	// Op is OpModify, OpAdd or OpDelete.
-	Op byte
-	// Len and Sum describe the current content (zero for OpDelete).
-	Len int
-	Sum [md4.Size]byte
-	// Payload is delta.Encode(base content, current content) for OpModify
-	// and delta.Compress(current content) for OpAdd; nil for OpDelete.
+	filelist.Change
+	// Payload is delta.Encode(base content, current content) for
+	// filelist.OpModify and delta.Compress(current content) for
+	// filelist.OpAdd; nil for filelist.OpDelete.
 	Payload []byte
 }
 
@@ -84,10 +66,9 @@ type Delta struct {
 	// BaseManifest is the base version's manifest, in manifest order. It is
 	// the store's own slice: read-only.
 	BaseManifest []Entry
-	// Changes maps each changed path to its Change.
-	Changes map[string]*Change
-	// Added lists the OpAdd paths in sorted order.
-	Added []string
+	// Changes is filelist.Diff(BaseManifest, current manifest), in path
+	// order, with payloads.
+	Changes []Change
 	// Miss is all a missed Delta holds, the reason: "version_unknown" (never
 	// stored, or collected), "digest_mismatch" (the replica is not what the
 	// base version recorded), "tree_ahead_of_snapshot" (the live tree is not
@@ -132,9 +113,6 @@ const (
 	blobDelta = 1
 
 	defaultMaxChain = 8
-	// maxRecord bounds a single journal record payload on replay; larger
-	// values mean a corrupt length field.
-	maxRecord = 1 << 30
 )
 
 var journalMagic = [4]byte{'m', 's', 'j', '1'}
@@ -223,8 +201,14 @@ func (s *Store) Close() error {
 }
 
 // replay reads the journal from the start, applying every structurally valid
-// record, and returns the byte offset of the valid prefix.
+// record, and returns the byte offset of the valid prefix. A record's declared
+// length is believed only as far as the file holds it, and every count inside
+// a record only as far as the record's bytes do.
 func (s *Store) replay() (int64, error) {
+	fi, err := s.jf.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
 	if _, err := s.jf.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
@@ -241,7 +225,7 @@ func (s *Store) replay() (int64, error) {
 		}
 		n := int64(le32(hdr[4:8]))
 		crc := le32(hdr[8:12])
-		if n > maxRecord {
+		if n > fi.Size()-off-12 {
 			return off, nil
 		}
 		payload := make([]byte, n)
@@ -286,22 +270,8 @@ func (s *Store) applyVersion(p *wire.Parser) bool {
 	if !readSum(p, &v.digest) {
 		return false
 	}
-	nm, err := p.Uvarint()
-	if err != nil || nm > maxRecord {
+	if v.manifest, err = filelist.Parse(p); err != nil {
 		return false
-	}
-	v.manifest = make([]Entry, 0, nm)
-	for i := uint64(0); i < nm; i++ {
-		var e Entry
-		if e.Path, err = p.String(); err != nil {
-			return false
-		}
-		l, err := p.Uvarint()
-		if err != nil || !readSum(p, &e.Sum) {
-			return false
-		}
-		e.Len = int(l)
-		v.manifest = append(v.manifest, e)
 	}
 	seg := segName(n)
 	refs, segSize, ok := readBlobTable(p, seg)
@@ -320,8 +290,9 @@ func (s *Store) applyVersion(p *wire.Parser) bool {
 }
 
 func (s *Store) applyGC(p *wire.Parser) bool {
+	// Every version number and segment name takes at least a byte.
 	nd, err := p.Uvarint()
-	if err != nil || nd > maxRecord {
+	if err != nil || nd > uint64(p.Remaining()) {
 		return false
 	}
 	dropped := make(map[uint64]bool, nd)
@@ -333,7 +304,7 @@ func (s *Store) applyGC(p *wire.Parser) bool {
 		dropped[v] = true
 	}
 	ns, err := p.Uvarint()
-	if err != nil || ns > maxRecord {
+	if err != nil || ns > uint64(p.Remaining()) {
 		return false
 	}
 	deleted := make(map[string]bool, ns)
@@ -531,10 +502,16 @@ func (s *Store) find(n uint64) *version {
 // content through load. digest is an opaque fingerprint of the manifest
 // (the caller's wire-encoded manifest checksum): when it matches the latest
 // version's digest the call is an idempotent no-op returning that version.
-// The manifest must be sorted by path (collection manifests are); content
-// loaded for a path must match its manifest entry or Snapshot fails without
-// committing. Returns the version number and whether a new version was cut.
+// The manifest must be strictly sorted by path (collection manifests are) and
+// content loaded for a path must match its manifest entry, or Snapshot fails
+// without writing anything. Returns the version number and whether a new
+// version was cut.
 func (s *Store) Snapshot(manifest []Entry, digest [md4.Size]byte, load func(string) ([]byte, error)) (uint64, bool, error) {
+	for i := 1; i < len(manifest); i++ {
+		if manifest[i].Path <= manifest[i-1].Path {
+			return 0, false, fmt.Errorf("store: snapshot manifest not sorted by path at entry %d", i)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v := s.latest(); v != nil && v.digest == digest {
@@ -545,7 +522,7 @@ func (s *Store) Snapshot(manifest []Entry, digest [md4.Size]byte, load func(stri
 	if v := s.latest(); v != nil {
 		prev = v.manifest
 	}
-	changes := DiffManifests(prev, manifest)
+	changes := filelist.Diff(prev, manifest)
 	memo := make(map[[md4.Size]byte][]byte)
 
 	seg := segName(n)
@@ -553,7 +530,7 @@ func (s *Store) Snapshot(manifest []Entry, digest [md4.Size]byte, load func(stri
 	refs := make(map[[md4.Size]byte]blobRef)
 	ordered := make([][md4.Size]byte, 0, len(changes))
 	for _, ch := range changes {
-		if ch.Op == OpDelete {
+		if ch.Op == filelist.OpDelete {
 			continue
 		}
 		if _, ok := refs[ch.New.Sum]; ok {
@@ -571,7 +548,7 @@ func (s *Store) Snapshot(manifest []Entry, digest [md4.Size]byte, load func(stri
 		}
 		blob := delta.Compress(data)
 		ref := blobRef{seg: seg, kind: blobFull}
-		if ch.Op == OpModify {
+		if ch.Op == filelist.OpModify {
 			// Prefer a delta against the previous version's content when it
 			// is resolvable, the chain stays bounded, and it actually wins.
 			if baseRef, ok := s.blobs[ch.Old.Sum]; ok && baseRef.chain+1 <= s.opt.MaxChain && s.chainOK(baseRef) {
@@ -604,12 +581,7 @@ func (s *Store) Snapshot(manifest []Entry, digest [md4.Size]byte, load func(stri
 	b.Byte(recVersion)
 	b.Uvarint(n)
 	b.Raw(digest[:])
-	b.Uvarint(uint64(len(manifest)))
-	for _, e := range manifest {
-		b.String(e.Path)
-		b.Uvarint(uint64(e.Len))
-		b.Raw(e.Sum[:])
-	}
+	filelist.Append(b, manifest)
 	writeBlobTable(b, refs, ordered)
 	if err := s.appendRecord(b.Build()); err != nil {
 		// The segment may remain as a stray file; Open cleans it up.
@@ -717,36 +689,22 @@ func (s *Store) Delta(base uint64, baseDigest, currentDigest [md4.Size]byte) (*D
 	if bv.digest != baseDigest {
 		return miss("digest_mismatch")
 	}
-	d := &Delta{Base: base, Current: latest.n, BaseManifest: bv.manifest, Changes: make(map[string]*Change)}
-	if bv.n == latest.n {
-		return d, true
-	}
+	d := &Delta{Base: base, Current: latest.n, BaseManifest: bv.manifest}
 	memo := make(map[[md4.Size]byte][]byte)
-	for _, ch := range DiffManifests(bv.manifest, latest.manifest) {
-		out := &Change{Op: ch.Op}
+	for _, ch := range filelist.Diff(bv.manifest, latest.manifest) {
+		out := Change{Change: ch}
+		var err error
 		switch ch.Op {
-		case OpDelete:
-			d.Changes[ch.Old.Path] = out
-			continue
-		case OpAdd:
-			payload, err := s.fullPayload(ch.New.Sum, memo)
-			if err != nil {
-				return miss("unreadable")
-			}
-			out.Payload = payload
-			d.Added = append(d.Added, ch.New.Path)
-		case OpModify:
-			payload, err := s.modifyPayload(ch.Old.Sum, ch.New.Sum, memo)
-			if err != nil {
-				return miss("unreadable")
-			}
-			out.Payload = payload
+		case filelist.OpAdd:
+			out.Payload, err = s.fullPayload(ch.New.Sum, memo)
+		case filelist.OpModify:
+			out.Payload, err = s.modifyPayload(ch.Old.Sum, ch.New.Sum, memo)
 		}
-		out.Len = ch.New.Len
-		out.Sum = ch.New.Sum
-		d.Changes[ch.New.Path] = out
+		if err != nil {
+			return miss("unreadable")
+		}
+		d.Changes = append(d.Changes, out)
 	}
-	sort.Strings(d.Added)
 	return d, true
 }
 
@@ -974,48 +932,6 @@ func (s *Store) appendRecord(payload []byte) error {
 	return nil
 }
 
-// manifest diffing
-
-// ManifestChange is one path's evolution between two manifests, as computed
-// by DiffManifests: Old is the base entry (zero for OpAdd), New the current
-// one (zero for OpDelete).
-type ManifestChange struct {
-	Op       byte
-	Old, New Entry
-}
-
-// DiffManifests computes the change list between two path-sorted manifests —
-// the same diff the store's Snapshot commits to its journal, exported so
-// publish-style pipelines (internal/pubsig) derive their version-to-version
-// delta artifacts from the identical change semantics.
-func DiffManifests(old, new []Entry) []ManifestChange {
-	var out []ManifestChange
-	i, j := 0, 0
-	for i < len(old) && j < len(new) {
-		switch {
-		case old[i].Path == new[j].Path:
-			if old[i].Len != new[j].Len || old[i].Sum != new[j].Sum {
-				out = append(out, ManifestChange{Op: OpModify, Old: old[i], New: new[j]})
-			}
-			i++
-			j++
-		case old[i].Path < new[j].Path:
-			out = append(out, ManifestChange{Op: OpDelete, Old: old[i]})
-			i++
-		default:
-			out = append(out, ManifestChange{Op: OpAdd, New: new[j]})
-			j++
-		}
-	}
-	for ; i < len(old); i++ {
-		out = append(out, ManifestChange{Op: OpDelete, Old: old[i]})
-	}
-	for ; j < len(new); j++ {
-		out = append(out, ManifestChange{Op: OpAdd, New: new[j]})
-	}
-	return out
-}
-
 // blob table encoding (shared by recVersion and recGC)
 
 func writeBlobTable(b *wire.Buffer, refs map[[md4.Size]byte]blobRef, order [][md4.Size]byte) {
@@ -1035,8 +951,9 @@ func writeBlobTable(b *wire.Buffer, refs map[[md4.Size]byte]blobRef, order [][md
 }
 
 func readBlobTable(p *wire.Parser, seg string) (map[[md4.Size]byte]blobRef, int64, bool) {
+	// A row is at least 20 bytes: the sum, three one-byte varints and the kind.
 	nb, err := p.Uvarint()
-	if err != nil || nb > maxRecord {
+	if err != nil || nb > uint64(p.Remaining()/20) {
 		return nil, 0, false
 	}
 	refs := make(map[[md4.Size]byte]blobRef, nb)
