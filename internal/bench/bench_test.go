@@ -303,18 +303,23 @@ func TestAblateManifestShape(t *testing.T) {
 	}
 }
 
-// TestAblateDetectShape: a hit by reference sends the same few bytes up in two
-// roundtrips whatever the collection's size, and a miss costs the flat
-// session one roundtrip more.
+// TestAblateDetectShape: group-tested sums send a flat session's manifest in
+// fewer bytes up than full sums, for a few more down (one MD4 per 64 unchanged
+// files) and in as many roundtrips; a hit by reference sends the same few
+// bytes up in two roundtrips whatever the collection's size, and a miss costs
+// the group-tested flat session one roundtrip more.
 func TestAblateDetectShape(t *testing.T) {
 	rows := runFor(t, "ablate.detect").Rows
-	for i := 0; i+3 < len(rows); i += 4 {
-		flat, hit := rows[i].Values, rows[i+1].Values
-		if hit[0] != rows[1].Values[0] || hit[0] > 96 || hit[2] != 2 {
-			t.Fatalf("%s: %.0f bytes up in %.0f roundtrips, want the %.0f of the smallest collection in 2",
-				rows[i+1].Name, hit[0], hit[2], rows[1].Values[0])
+	for i := 0; i+4 < len(rows); i += 5 {
+		full, flat, hit := rows[i].Values, rows[i+1].Values, rows[i+2].Values
+		if flat[0] >= full[0] || flat[1] <= full[1] || flat[1] > full[1]+full[1]/4 || flat[2] != full[2] {
+			t.Fatalf("%s: %v against full sums' %v", rows[i+1].Name, flat, full)
 		}
-		for _, miss := range rows[i+2 : i+4] {
+		if hit[0] != rows[2].Values[0] || hit[0] > 96 || hit[2] != 2 {
+			t.Fatalf("%s: %.0f bytes up in %.0f roundtrips, want the %.0f of the smallest collection in 2",
+				rows[i+2].Name, hit[0], hit[2], rows[2].Values[0])
+		}
+		for _, miss := range rows[i+3 : i+5] {
 			if miss.Values[2] != flat[2]+1 || miss.Values[0] > flat[0]+32 {
 				t.Fatalf("%s: %.0f bytes up in %.0f roundtrips against the flat session's %.0f in %.0f",
 					miss.Name, miss.Values[0], miss.Values[2], flat[0], flat[2])

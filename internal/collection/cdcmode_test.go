@@ -1,6 +1,9 @@
 package collection
 
 import (
+	"bytes"
+	"log/slog"
+	"strings"
 	"testing"
 
 	"msync/internal/core"
@@ -83,17 +86,30 @@ func TestCDCModeMux(t *testing.T) {
 
 // TestCDCModeUnusableDegrades: a server that cannot validate the requested
 // mode (here: one it has never heard of) refuses the grant and the session
-// completes in halving mode instead of failing.
+// completes in halving mode instead of failing — noted on the server's
+// handshake span and logged once.
 func TestCDCModeUnusableDegrades(t *testing.T) {
 	v1, v2 := corpus.DefaultHeavyLogProfile(0.15).Generate(11)
+	ring := obs.NewRing(256)
+	var log bytes.Buffer
 	res, srvCosts := muxSession(t, v2.Map(), v1.Map(), core.DefaultConfig(), 0, 1, func(s *Server, c *Client) {
 		c.MapMode = core.MapMode(7)
+		s.Tracer, s.Logger = ring, slog.New(slog.NewTextHandler(&log, nil))
 	})
 	if err := VerifyAgainst(res.Files, v2.Map()); err != nil {
 		t.Fatalf("degraded session diverged: %v", err)
 	}
 	if res.Costs.FilesCDC != 0 || res.Costs.CDCChunks != 0 || srvCosts.FilesCDC != 0 {
 		t.Fatalf("refused CDC grant still accounted CDC work: client %+v server %+v", res.Costs, srvCosts)
+	}
+	noted := 0
+	for _, e := range ring.Events() {
+		if e.Side == "server" && e.Phase == obs.PhaseHandshake && strings.Contains(e.Note, "map_mode_refused:unknown_mode") {
+			noted++
+		}
+	}
+	if noted != 1 || strings.Count(log.String(), "msync: map mode refused") != 1 || !strings.Contains(log.String(), "reason=unknown_mode") {
+		t.Fatalf("%d handshake spans note the refusal, log:\n%s\nwant one note and one log line", noted, &log)
 	}
 }
 

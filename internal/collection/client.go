@@ -1,12 +1,14 @@
 package collection
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"path"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"msync/internal/md4"
 	"msync/internal/merkle"
 	"msync/internal/obs"
+	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/wire"
 )
@@ -140,12 +143,17 @@ func NewClientSource(src Source) *Client {
 // becomes the engine. A journal verdict is a clientFile without an engine:
 // its delta came with the verdict, and only a fallback can still touch it.
 // newLen is the length the verdict announced; a FULL fallback must decode to it.
+// A file the verdicts settled without an engine has its ack ordinal past the
+// stream's engines, and is owed a FULL, whatever the DELTA says, when it is
+// not settled after all.
 type clientFile struct {
 	path   string
 	newLen int
 	engine *core.ClientFile
 	tryout []*core.ClientFile
 	bytes  int64 // payload bytes attributed to the file (Result.PerFile)
+	ack    int
+	owed   bool
 }
 
 // Result is the outcome of one synchronization session.
@@ -302,9 +310,10 @@ func (s *session) detect(res *Result, lazy bool, trees *treeState) ([]string, *t
 // sendManifest sends the flat manifest. By reference (ref: a stored version
 // above 0 is announced, and the holder's store may hold this very list under
 // it) that is the digest of its MANIFEST encoding as MANIFEST_REF, and the
-// list is withheld until a MANIFEST_WANT asks for it. Otherwise it is the
-// shorter frame — MANIFEST_PACKED when strictly shorter than MANIFEST and
-// within the holder's caps, MANIFEST otherwise — noted on the handshake span.
+// list is withheld until a MANIFEST_WANT asks for it. Otherwise, where packing
+// pays — the packed frame strictly shorter than MANIFEST — it is MANIFEST_SHORT,
+// or MANIFEST_PACKED when only the wider frame is within the holder's caps;
+// MANIFEST when neither is. The choice is noted on the handshake span.
 func (s *session) sendManifest(manifest []ManifestEntry, ref bool) error {
 	s.buf.Reset()
 	filelist.Append(s.buf, manifest)
@@ -315,22 +324,31 @@ func (s *session) sendManifest(manifest []ManifestEntry, ref bool) error {
 		return s.send(wire.FrameManifestRef, digest[:], stats.PhaseControl)
 	}
 	ft, payload := wire.FrameManifest, legacy
-	packed, fits := packManifest(manifest)
-	if fits && len(packed) < len(legacy) {
-		ft, payload = wire.FrameManifestPacked, packed
+	short, fits := packManifest(manifest, shortSum)
+	packed := len(short) + (md4.Size-shortSum)*len(manifest) // the same column, wider sums
+	switch {
+	case packed >= len(legacy):
+	case fits:
+		ft, payload = wire.FrameManifestShort, short
+		s.groups = &sumGroups{list: manifest, kept: make([]int, 0, len(manifest))}
+	default:
+		if p, fits := packManifest(manifest, md4.Size); fits {
+			ft, payload = wire.FrameManifestPacked, p
+		}
 	}
-	s.st.manifestSent(wire.FrameName(ft), len(packed), len(legacy))
+	s.st.manifestSent(wire.FrameName(ft), len(short), packed, len(legacy))
 	return s.send(ft, payload, stats.PhaseControl)
 }
 
 // clientWork is what the verdicts leave for the per-file phases: the files to
-// map, with their engines, or — never both — the journal verdicts of an
-// engine-less session, whose deltas were applied on the spot. Either way the
-// list is what ack indexes count.
+// map, with their engines, and the files settled in the verdicts that may
+// still need a FULL. Those are stream 0's ack ordinals after its engines:
+// the journal verdicts of an engine-less session, whose deltas were applied
+// on the spot, or the members of failed sum groups, acked by their place
+// among the files judged unchanged.
 type clientWork struct {
-	files   []clientFile
-	journal bool  // files are journal verdicts
-	jfailed []int // journal verdicts whose delta did not apply
+	files   []clientFile // the engines' files
+	settled []clientFile
 	counts  []int // the MUX_ACK's stream partition; nil: one bare stream
 }
 
@@ -362,7 +380,6 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 	}
 
 	work := &clientWork{}
-	synced := false // a sync verdict went by
 	fullBytes, deltaBytes := 0, 0
 	full := func(path, what string) error {
 		comp, err := vp.Bytes()
@@ -376,7 +393,7 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 		s.costs.FilesFull++
 		return nil
 	}
-	for _, path := range paths {
+	for i, path := range paths {
 		verdict, err := vp.Byte()
 		if err != nil {
 			return nil, err
@@ -389,6 +406,9 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 				return nil, err
 			}
 			s.costs.FilesUnchanged++
+			if s.groups != nil {
+				s.groups.kept = append(s.groups.kept, i)
+			}
 		case verdictDelete:
 			delete(res.Files, path)
 			res.Deleted = append(res.Deleted, path)
@@ -410,7 +430,6 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 				return nil, err
 			}
 			work.files = append(work.files, cf)
-			synced = true
 		case verdictJournal:
 			newLen, err := vp.Uvarint()
 			if err != nil {
@@ -436,17 +455,13 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 					applied = true
 				}
 			}
-			if !applied {
-				work.jfailed = append(work.jfailed, len(work.files))
-			}
-			work.files = append(work.files, clientFile{path: path, newLen: int(newLen), bytes: int64(len(payload))})
-			work.journal = true
+			work.settled = append(work.settled, clientFile{path: path, newLen: int(newLen), bytes: int64(len(payload)), ack: len(work.settled), owed: !applied})
 			s.costs.FilesJournal++
 		default:
 			return nil, fmt.Errorf("collection: unknown verdict %d", verdict)
 		}
 	}
-	if work.journal && synced {
+	if len(work.settled) > 0 && len(work.files) > 0 {
 		// Journal sessions never run engines; a server mixing the two would
 		// make ack indexes ambiguous.
 		return nil, fmt.Errorf("collection: mixed journal and sync verdicts")
@@ -464,6 +479,11 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 			return nil, err
 		}
 	}
+	if s.groups != nil {
+		if err := s.checkGroups(res, vp, work, lazy); err != nil {
+			return nil, err
+		}
+	}
 	if s.ext.announce >= 0 && s.mode != modeTree && vp.Remaining() > 0 {
 		// Versioned servers append their current version for announcing
 		// clients; its absence just means the server has no store.
@@ -471,10 +491,13 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 			res.Version = v
 		}
 	}
+	if vp.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the verdicts", core.ErrProtocol, vp.Remaining())
+	}
 	s.st.verdictCost(s.costs, len(vraw), fullBytes, deltaBytes)
 
 	if muxRaw != nil {
-		if work.journal || len(work.files) == 0 {
+		if len(work.files) == 0 {
 			// The server only grants multiplexing to sessions running sync
 			// engines; anything else is a protocol violation.
 			return nil, fmt.Errorf("collection: unexpected mux ack")
@@ -484,6 +507,39 @@ func (s *session) verdicts(res *Result, paths []string, tr *treeResult, lazy boo
 		}
 	}
 	return work, nil
+}
+
+// checkGroups reads the VERDICTS trailer that answers a MANIFEST_SHORT — one
+// MD4 per group of the files judged unchanged — and compares each with the
+// digest of this end's own full sums. The files of a group that differs are
+// unchanged no longer: they join the ack ordinals past the engines as their
+// place among the unchanged files, so the holder's FULL brings them whole.
+func (s *session) checkGroups(res *Result, vp *wire.Parser, work *clientWork, lazy bool) error {
+	g, want := s.groups, s.groups.digests()
+	trailer, err := vp.Raw(len(want))
+	if err != nil || len(work.settled) > 0 { // journal verdicts never answer MANIFEST_SHORT
+		return fmt.Errorf("%w: VERDICTS without the group sums of %d files", core.ErrProtocol, len(g.kept))
+	}
+	for k := 0; k < len(g.kept); k += sumGroup {
+		if at := k / sumGroup * md4.Size; bytes.Equal(want[at:at+md4.Size], trailer[at:at+md4.Size]) {
+			continue
+		}
+		s.costs.SumGroupsFailed++
+		for u := k; u < min(k+sumGroup, len(g.kept)); u++ {
+			e := g.list[g.kept[u]]
+			work.settled = append(work.settled, clientFile{path: e.Path, newLen: e.Len, ack: u, owed: true})
+		}
+	}
+	if n := s.costs.SumGroupsFailed; n > 0 {
+		s.costs.FilesUnchanged -= len(work.settled)
+		if lazy {
+			res.Unchanged = slices.DeleteFunc(res.Unchanged, func(p string) bool {
+				return slices.ContainsFunc(work.settled, func(f clientFile) bool { return f.path == p })
+			})
+		}
+		s.st.fellBack(fmt.Sprintf("sum_groups_failed:%d", n), "msync: sum groups failed", "groups", n, "files", len(work.settled))
+	}
+	return nil
 }
 
 // newClientFile builds the engine for a sync verdict: over the same-path local
@@ -529,7 +585,8 @@ func (s *session) newClientFile(path string, newLen int, alts []string) (clientF
 
 // receive runs the per-file phases over work: the streams the MUX_ACK
 // announced, or one bare stream over everything — which for a journal session
-// has no engines, only the ack ordinals of its journal verdicts.
+// has no engines, only the ack ordinals of its journal verdicts. The settled
+// files follow stream 0's engines.
 func (s *session) receive(res *Result, work *clientWork) error {
 	res.PerFile = make(map[string]int64, len(work.files))
 	counts := work.counts
@@ -540,10 +597,10 @@ func (s *session) receive(res *Result, work *clientWork) error {
 	streams := make([]*clientStream, len(counts))
 	off := 0
 	for k, c := range counts {
-		streams[k] = &clientStream{streamLink: &links[k], files: work.files[off : off+c], journal: work.journal}
+		streams[k] = &clientStream{streamLink: &links[k], files: work.files[off : off+c], nEng: c}
 		off += c
 	}
-	streams[0].failed = work.jfailed
+	streams[0].files = append(streams[0].files[:counts[0]:counts[0]], work.settled...)
 	return s.consumeStreams(streams, f, res)
 }
 
@@ -776,7 +833,7 @@ func (cs *clientStream) respond(workers int, frameType byte, payload []byte) ([]
 		return nil, err
 	}
 	replies := make([][]byte, len(jobs)) // nil = no reply for this file
-	err = parallelFiles(workers, len(jobs), func(k int) error {
+	err = pool.Do(workers, len(jobs), func(k int) error {
 		cf := &files[jobs[k].idx]
 		eng := cf.engine
 		var err error

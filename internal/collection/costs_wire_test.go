@@ -9,6 +9,7 @@ import (
 
 	"msync/internal/core"
 	"msync/internal/corpus"
+	"msync/internal/md4"
 	"msync/internal/obs"
 	"msync/internal/stats"
 	"msync/internal/transport"
@@ -113,7 +114,7 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 		{"fallback", func(*Server, *Client) {}, true, 0, nil},
 		{"fallback+mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 4, 4 }, true, 0, nil},
 		// Announced by reference: a hit; a miss that grants streams (WANT,
-		// MANIFEST_PACKED, MUX_ACK, VERDICTS); a miss on a server without a
+		// MANIFEST_SHORT, MUX_ACK, VERDICTS); a miss on a server without a
 		// store.
 		{"journal", func(*Server, *Client) {}, false, 1, nil},
 		{"journal-miss+mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 4, 4 }, false, 99, nil},
@@ -183,13 +184,15 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 				}
 			}
 			if !cli.TreeManifest {
-				// The manifest goes in the shorter frame — MANIFEST when
-				// packing does not pay — and the handshake span says which;
-				// a REF hit sends none, so notes none.
+				// The manifest goes as MANIFEST_SHORT — MANIFEST when
+				// packing does not pay — and the handshake span says which,
+				// with the three encodings' sizes; a REF hit sends none, so
+				// notes none.
 				m := BuildManifest(v1)
-				packed, _ := packManifest(m)
+				short, _ := packManifest(m, shortSum)
+				packed, _ := packManifest(m, md4.Size)
 				legacy := encodeManifest(m)
-				want := wire.FrameManifestPacked
+				want := wire.FrameManifestShort
 				if sh.trees != nil {
 					want = wire.FrameManifest
 				}
@@ -197,7 +200,7 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 				if sent && (up[1].typ != want || len(up[1].payload) > len(legacy)) {
 					t.Fatalf("the manifest went as %s of %d bytes, want %s of at most %d", wire.FrameName(up[1].typ), len(up[1].payload), wire.FrameName(want), len(legacy))
 				}
-				note, noted := fmt.Sprintf("%s: packed %d, legacy %d", wire.FrameName(want), len(packed), len(legacy)), false
+				note, noted := fmt.Sprintf("%s: short %d, packed %d, legacy %d", wire.FrameName(want), len(short), len(packed), len(legacy)), false
 				for _, e := range ring.Events() {
 					noted = noted || (e.Phase == obs.PhaseHandshake && e.Note == note)
 				}

@@ -11,17 +11,22 @@ import (
 	"msync/internal/wire"
 )
 
-// FuzzManifestDecode: arbitrary manifest bytes must never panic, as MANIFEST
-// or as MANIFEST_PACKED. The packed decoder refuses them with errPacked or
-// returns at most one entry per 16 bytes, for no more than a small multiple of
-// the input.
+// FuzzManifestDecode: arbitrary manifest bytes must never panic, as MANIFEST,
+// as MANIFEST_PACKED or as MANIFEST_SHORT. The packed decoder refuses them with
+// errPacked or returns at most one entry per sum width — 16 bytes, or 3 — for
+// no more than a small multiple of the input.
 func FuzzManifestDecode(f *testing.F) {
 	f.Add(encodeManifest(BuildManifest(map[string][]byte{"a/b": []byte("x")})))
 	f.Add([]byte{0xFF})
 	v1, _ := tinyTrees(12)
-	packed, _ := packManifest(BuildManifest(v1))
+	packed, _ := packManifest(BuildManifest(v1), md4.Size)
 	f.Add(packed)
-	for _, p := range sortedPayloads(hostilePacked()) {
+	for _, p := range sortedPayloads(hostilePacked(md4.Size)) {
+		f.Add(p)
+	}
+	short, _ := packManifest(BuildManifest(v1), shortSum)
+	f.Add(short)
+	for _, p := range sortedPayloads(hostilePacked(shortSum)) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -29,12 +34,14 @@ func FuzzManifestDecode(f *testing.F) {
 		if err == nil && len(m) > 1<<20 {
 			t.Fatal("implausible manifest size")
 		}
-		got := alloctest.BytesPerOp(2, func() { m, err = unpackManifest(data) })
-		if ceiling := uint64(4<<10 + 64*len(data)); got > ceiling {
-			t.Fatalf("%d bytes allocated for a %d-byte MANIFEST_PACKED (ceiling %d)", got, len(data), ceiling)
-		}
-		if err != nil && !errors.Is(err, errPacked) || err == nil && len(m) > len(data)/md4.Size {
-			t.Fatalf("%d entries from %d bytes: %v", len(m), len(data), err)
+		for _, width := range []int{md4.Size, shortSum} {
+			got := alloctest.BytesPerOp(2, func() { m, err = unpackManifest(data, width) })
+			if ceiling := uint64(4<<10 + 64*len(data)); got > ceiling {
+				t.Fatalf("%d bytes allocated for a %d-byte payload at width %d (ceiling %d)", got, len(data), width, ceiling)
+			}
+			if err != nil && !errors.Is(err, errPacked) || err == nil && len(m) > len(data)/width {
+				t.Fatalf("%d entries from %d bytes at width %d: %v", len(m), len(data), width, err)
+			}
 		}
 	})
 }
@@ -81,8 +88,8 @@ func FuzzConfigDecode(f *testing.F) {
 // handshake's two fixed-size frames, sent where it is legal: a MANIFEST_REF of
 // anything but 16 bytes and a MANIFEST_WANT of anything but none are the
 // protocol error errFrame, and the legal size gets as far as the script's end;
-// the bytes as a MANIFEST_PACKED payload are errPacked exactly when
-// unpackManifest refuses them.
+// the bytes as a MANIFEST_PACKED or MANIFEST_SHORT payload are errPacked
+// exactly when unpackManifest refuses them at that width.
 func FuzzSessionFrames(f *testing.F) {
 	f.Add(make([]byte, md4.Size), uint32(2), false) // a MANIFEST_REF's payload
 	f.Add([]byte{}, uint32(2), false)               // a MANIFEST_WANT's
@@ -120,11 +127,13 @@ func FuzzSessionFrames(f *testing.F) {
 	hb := wire.NewBuffer(32)
 	helloExts{announce: 7, mux: 16, treeCaps: treeCapSpec, mapMode: core.MapCDC}.encode(hb)
 	f.Add(hb.Build(), uint32(0), false)
-	packed, _ := packManifest(BuildManifest(old))
+	packed, _ := packManifest(BuildManifest(old), md4.Size)
 	f.Add(packed, uint32(2), false) // a MANIFEST_PACKED's
-	for _, p := range sortedPayloads(hostilePacked()) {
+	for _, p := range sortedPayloads(hostilePacked(md4.Size)) {
 		f.Add(p, uint32(2), false)
 	}
+	short, _ := packManifest(BuildManifest(old), shortSum)
+	f.Add(short, uint32(2), false) // a MANIFEST_SHORT's
 	f.Fuzz(func(t *testing.T, data []byte, nFiles uint32, bodies bool) {
 		n := int(nFiles % (1 << 24))
 		var secs []section
@@ -140,9 +149,11 @@ func FuzzSessionFrames(f *testing.F) {
 			func(c *scriptConn) error { _, err := srv.Serve(c); return err })
 		handshake(t, []wireFrame{{wire.FrameManifestWant, data}}, len(data) == 0,
 			func(c *scriptConn) error { _, err := cli.Sync(c); return err })
-		_, unpackErr := unpackManifest(data)
-		handshake(t, []wireFrame{{wire.FrameHello, plainHello}, {wire.FrameManifestPacked, data}}, unpackErr == nil,
-			func(c *scriptConn) error { _, err := srv.Serve(c); return err })
+		for ft, width := range map[byte]int{wire.FrameManifestPacked: md4.Size, wire.FrameManifestShort: shortSum} {
+			_, unpackErr := unpackManifest(data, width)
+			handshake(t, []wireFrame{{wire.FrameHello, plainHello}, {ft, data}}, unpackErr == nil,
+				func(c *scriptConn) error { _, err := srv.Serve(c); return err })
+		}
 		if err != nil {
 			return
 		}

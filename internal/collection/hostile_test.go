@@ -85,7 +85,7 @@ func fullHandler(nFiles, newLen int, failed []int, payload []byte) *clientStream
 		failed:     failed,
 	}
 	for i := range cs.files {
-		cs.files[i].newLen = newLen
+		cs.files[i].newLen, cs.files[i].ack = newLen, i
 	}
 	return cs
 }
@@ -380,11 +380,12 @@ func packedWith(n uint64, column []byte, sums int) []byte {
 	return b.Build()
 }
 
-// hostilePacked are MANIFEST_PACKED payloads no receiver builds, one per
-// check unpackManifest makes before allocating; "sums short" and "bytes after
-// the sums" are derived from the live frame instead.
-func hostilePacked() map[string][]byte {
-	long := strings.Repeat("a", 4096)
+// hostilePacked are MANIFEST_PACKED (width md4.Size) or MANIFEST_SHORT (width
+// shortSum) payloads no receiver builds, one per check unpackManifest makes
+// before allocating; "sums short" and "bytes after the sums" are derived from
+// the live frame instead.
+func hostilePacked(width int) map[string][]byte {
+	long := strings.Repeat("a", 256*width) // 4 KB at width 16: the column stays under its cap
 	repeats := make([]packedEntry, 100)
 	for i := range repeats {
 		repeats[i] = packedEntry{len(long), string(rune(i))} // ascending: long+"\x01", long+"\x02", ...
@@ -392,38 +393,48 @@ func hostilePacked() map[string][]byte {
 	repeats[0] = packedEntry{0, long}
 	return map[string][]byte{
 		// 26 bytes of column declaring 4 GiB: refused before it is decoded.
-		"column past its cap": packedWith(1, hostileDecoding, md4.Size),
+		"column past its cap": packedWith(1, hostileDecoding, width),
 		// A code table declaring more length codes than there are: a panic
 		// in delta.Decode until PR 25 (internal/delta's FuzzDecode seed).
-		"column past the alphabet":      packedWith(1, []byte("0\x00\x01\x9a\x01\x800'\x00\x7f0 \x06\x00\x00\x020"), md4.Size),
+		"column past the alphabet":      packedWith(1, []byte("0\x00\x01\x9a\x01\x800'\x00\x7f0 \x06\x00\x00\x020"), width),
 		"count past the payload":        packedPayload(1<<40, nil, 0),
-		"shares past the previous path": packedPayload(2, []packedEntry{{0, "a"}, {2, "b"}}, 2*md4.Size),
-		"column short of the count":     packedPayload(2, []packedEntry{{0, "a"}}, 2*md4.Size),
-		"column past the count":         packedPayload(1, []packedEntry{{0, "a"}, {1, "b"}}, md4.Size),
-		"descending pair":               packedPayload(2, []packedEntry{{0, "b"}, {0, "a"}}, 2*md4.Size),
-		// A 4 KB path shared a hundred times over, one more byte after it
-		// each time: 400 KB of paths from a 1.9 KB frame.
-		"paths past their cap": packedPayload(uint64(len(repeats)), repeats, len(repeats)*md4.Size),
+		"shares past the previous path": packedPayload(2, []packedEntry{{0, "a"}, {2, "b"}}, 2*width),
+		"column short of the count":     packedPayload(2, []packedEntry{{0, "a"}}, 2*width),
+		"column past the count":         packedPayload(1, []packedEntry{{0, "a"}, {1, "b"}}, width),
+		"descending pair":               packedPayload(2, []packedEntry{{0, "b"}, {0, "a"}}, 2*width),
+		// A 4 KB path (768 bytes at width 3) shared a hundred times over, one
+		// more byte after it each time: 400 KB of paths from a 1.9 KB frame.
+		"paths past their cap": packedPayload(uint64(len(repeats)), repeats, len(repeats)*width),
 	}
 }
 
 // hostileHandshakes runs the manifest-frame rows of TestHostileIndexLists:
 // MANIFEST_REF and MANIFEST_WANT each have one legal place and one legal size,
-// MANIFEST_PACKED one legal place — where MANIFEST is — and a payload that
-// checks out before it is decoded, and either manifest frame a list strictly
-// ascending by path with no more entries than its bytes can hold. A peer that sends any of them anywhere
+// MANIFEST_PACKED and MANIFEST_SHORT one legal place — where MANIFEST is — and
+// a payload that checks out before it is decoded, every manifest frame a list
+// strictly ascending by path with no more entries than its bytes can hold, and
+// the VERDICTS that answer MANIFEST_SHORT exactly one group sum per 64
+// unchanged files, the others none. A peer that sends any of them anywhere
 // else, twice, at another size or malformed gets one typed error wrapping
 // core.ErrProtocol from the other end, which a replay of what the victim read
 // shows costs it less than 64 KB. Two rows are served, not refused: a REF
-// whose hello announced nothing is a miss, and a PACKED is what a WANT may be
-// answered with.
+// whose hello announced nothing is a miss, and a SHORT is what a WANT is
+// answered with (the legacy_journal_ref_miss_packed replay pins the holder's
+// answer to a PACKED there).
 func hostileHandshakes(t *testing.T) {
 	v1, v2 := tinyTrees(12)
+	for i := 0; i < 3; i++ { // unchanged files, so VERDICTS carries group sums
+		p := fmt.Sprintf("same/f%d.txt", i)
+		v1[p] = []byte(strings.Repeat(p, 40))
+		v2[p] = v1[p]
+	}
 	digest := make([]byte, md4.Size)
-	packed, fits := packManifest(BuildManifest(v1))
-	if !fits {
+	packed, fits := packManifest(BuildManifest(v1), md4.Size)
+	short, fitsShort := packManifest(BuildManifest(v1), shortSum)
+	if !fits || !fitsShort {
 		t.Fatal("tinyTrees(12)'s manifest does not pack")
 	}
+	groupSums := func(real []byte) []byte { return append(real, make([]byte, md4.Size)...) }
 	type row struct {
 		name    string
 		base    uint64 // the version the client announces; 0: it does not announce
@@ -443,19 +454,31 @@ func hostileHandshakes(t *testing.T) {
 		{name: "server/REF without a version in the hello", base: 1, up: true, typ: wire.FrameHello, rewrite: helloWithoutVersion,
 			served: "base=-1 current=2 reason=not_announced"},
 		{name: "server/REF in tree mode", tree: true, up: true, typ: wire.FrameTree, retype: wire.FrameManifestRef, payload: digest},
-		{name: "server/second REF after WANT", base: 99, up: true, typ: wire.FrameManifestPacked, retype: wire.FrameManifestRef, payload: digest},
+		{name: "server/second REF after WANT", base: 99, up: true, typ: wire.FrameManifestShort, retype: wire.FrameManifestRef, payload: digest},
 		{name: "client/WANT after MANIFEST", typ: wire.FrameVerdicts, retype: wire.FrameManifestWant, payload: []byte{}},
 		{name: "client/WANT twice", base: 99, typ: wire.FrameVerdicts, retype: wire.FrameManifestWant, payload: []byte{}},
 		{name: "client/WANT with a payload", base: 99, typ: wire.FrameManifestWant, payload: []byte{0}},
 		{name: "server/PACKED in tree mode", tree: true, up: true, typ: wire.FrameTree, retype: wire.FrameManifestPacked, payload: packed},
-		{name: "server/PACKED answering a WANT", base: 99, up: true, typ: wire.FrameManifestPacked, payload: packed,
+		{name: "server/SHORT answering a WANT", base: 99, up: true, typ: wire.FrameManifestShort, payload: short,
 			served: "base=99 current=2 reason=version_unknown", version: 2},
 		{name: "server/PACKED after a REF hit", base: 1, up: true, typ: wire.FrameAck, retype: wire.FrameManifestPacked, payload: packed, last: true},
-		{name: "server/PACKED sums short", up: true, typ: wire.FrameManifestPacked, rewrite: func(real []byte) []byte { return real[:len(real)-1] }},
-		{name: "server/PACKED bytes after the sums", up: true, typ: wire.FrameManifestPacked, rewrite: func(real []byte) []byte { return append(real, 0) }},
+		{name: "server/PACKED sums short", up: true, typ: wire.FrameManifestShort, retype: wire.FrameManifestPacked, payload: packed[:len(packed)-1]},
+		{name: "server/PACKED bytes after the sums", up: true, typ: wire.FrameManifestShort, retype: wire.FrameManifestPacked, payload: append(packed[:len(packed):len(packed)], 0)},
+		{name: "server/SHORT in tree mode", tree: true, up: true, typ: wire.FrameTree, retype: wire.FrameManifestShort, payload: short},
+		{name: "server/SHORT after a REF hit", base: 1, up: true, typ: wire.FrameAck, retype: wire.FrameManifestShort, payload: short, last: true},
+		{name: "server/SHORT sums short", up: true, typ: wire.FrameManifestShort, rewrite: func(real []byte) []byte { return real[:len(real)-1] }},
+		{name: "server/SHORT bytes after the sums", up: true, typ: wire.FrameManifestShort, rewrite: func(real []byte) []byte { return append(real, 0) }},
+		// The group sums that answer MANIFEST_SHORT: one short, one too
+		// many, and some where no MANIFEST_SHORT asked for them.
+		{name: "client/VERDICTS group sums short", typ: wire.FrameVerdicts, rewrite: func(real []byte) []byte { return real[:len(real)-1] }},
+		{name: "client/VERDICTS group sums past their count", typ: wire.FrameVerdicts, rewrite: groupSums},
+		{name: "client/VERDICTS group sums in tree mode", tree: true, typ: wire.FrameVerdicts, rewrite: groupSums},
 	}
-	for name, payload := range hostilePacked() {
-		rows = append(rows, row{name: "server/PACKED " + name, up: true, typ: wire.FrameManifestPacked, payload: payload})
+	for name, payload := range hostilePacked(md4.Size) {
+		rows = append(rows, row{name: "server/PACKED " + name, up: true, typ: wire.FrameManifestShort, retype: wire.FrameManifestPacked, payload: payload})
+	}
+	for name, payload := range hostilePacked(shortSum) {
+		rows = append(rows, row{name: "server/SHORT " + name, up: true, typ: wire.FrameManifestShort, payload: payload})
 	}
 	// A MANIFEST in place of the client's MANIFEST_PACKED, holding a list no
 	// receiver builds.
@@ -465,7 +488,7 @@ func hostileHandshakes(t *testing.T) {
 		"descending pair":      encodeManifest([]ManifestEntry{m[1], m[0]}),
 		"count past its bytes": append(wire.AppendUvarint(nil, 1<<20), encodeManifest(m)[1:]...),
 	} {
-		rows = append(rows, row{name: "server/MANIFEST " + name, up: true, typ: wire.FrameManifestPacked, retype: wire.FrameManifest, payload: payload})
+		rows = append(rows, row{name: "server/MANIFEST " + name, up: true, typ: wire.FrameManifestShort, retype: wire.FrameManifest, payload: payload})
 	}
 	for _, row := range rows {
 		for _, width := range []int{0, 4} {
@@ -539,10 +562,11 @@ func hostileHandshakes(t *testing.T) {
 }
 
 // TestRefAgainstOlderServer: a server from before MANIFEST_REF expects a
-// MANIFEST after the hello, and one from before MANIFEST_PACKED any manifest
-// frame it knows; each says so in an ERROR frame naming the frame it got by the
-// only name its build has for it, UNKNOWN(type). A client that announces a
-// version, and one that does not but packs its manifest, fails at once with a
+// MANIFEST after the hello, and one from before MANIFEST_PACKED or from before
+// MANIFEST_SHORT any manifest frame it knows; each says so in an ERROR frame
+// naming the frame it got by the only name its build has for it,
+// UNKNOWN(type). A client that announces a version, and one that does not but
+// packs its manifest (as MANIFEST_SHORT, frame 22), fails at once with a
 // handshake error carrying that complaint — which msync's retry loop reads as
 // not worth a retry (TestRetryStopsAtOlderServer), and the cue to sync in tree
 // mode — and never waits for an answer that cannot come.
@@ -551,7 +575,7 @@ func TestRefAgainstOlderServer(t *testing.T) {
 	beforeRef := func(ft byte, _ []byte) string { // what wire.ExpectFrame said then
 		return fmt.Sprintf("wire: expected frame MANIFEST, got UNKNOWN(%d)", ft)
 	}
-	beforePacked := func(ft byte, payload []byte) string { // errFrame, then
+	beforeShort := func(ft byte, payload []byte) string { // errFrame, then
 		return fmt.Sprintf("core: protocol error: unexpected frame UNKNOWN(%d) of %d bytes", ft, len(payload))
 	}
 	for _, c := range []struct {
@@ -560,8 +584,9 @@ func TestRefAgainstOlderServer(t *testing.T) {
 		complaint func(byte, []byte) string
 	}{
 		{"announced/before REF", 3, beforeRef},
-		{"packed/before REF", 0, beforeRef},
-		{"packed/before PACKED", 0, beforePacked},
+		{"short/before REF", 0, beforeRef},
+		{"short/before PACKED", 0, beforeShort},
+		{"short/before SHORT", 0, beforeShort},
 	} {
 		cli := NewClient(v1)
 		cli.AnnounceVersion, cli.BaseVersion = c.base > 0, c.base
@@ -592,6 +617,9 @@ func TestRefAgainstOlderServer(t *testing.T) {
 		select {
 		case err := <-done:
 			msg := <-complained
+			if c.base == 0 && !strings.Contains(msg, fmt.Sprintf("UNKNOWN(%d)", wire.FrameManifestShort)) {
+				t.Fatalf("%s: the client sent no MANIFEST_SHORT: %q", c.name, msg)
+			}
 			if !errors.Is(err, ErrHandshake) || !strings.Contains(err.Error(), msg) || !strings.Contains(msg, "UNKNOWN(") {
 				t.Fatalf("%s: client returned %v, want ErrHandshake carrying the older server's %q", c.name, err, msg)
 			}

@@ -177,22 +177,24 @@ func pushRecorded(t *testing.T, pusher, receiver *Server) (c2s, s2c []byte) {
 	return rec.c2s.Bytes(), rec.s2c.Bytes()
 }
 
-// flatPull records one flat-manifest pull twice. name_packed is today's live
-// session. name keeps the transcript a client from before MANIFEST_PACKED
-// recorded: its client half, replayed against today's server, must draw the
-// recorded answer — which is also name_packed's
-// (TestPackedAnswerIsTheLegacyAnswer).
+// flatPull records one flat-manifest pull three times. name_short is today's
+// live session. name keeps the transcript a client from before MANIFEST_PACKED
+// recorded, name_packed one from before MANIFEST_SHORT: each client half,
+// replayed against today's server, must draw its recorded answer — which is
+// the same for both (TestPackedAnswerIsTheLegacyAnswer) and, but for the
+// VERDICTS trailer, name_short's (TestShortAnswerIsThePackedAnswer).
 func flatPull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
-	return []legacyScenario{
-		{name: name + "_packed", run: func(t *testing.T) ([]byte, []byte) {
-			srv, cli := setup(t)
-			return runRecorded(t, srv, cli)
-		}},
-		{name: name, replay: true, run: func(t *testing.T) ([]byte, []byte) {
+	out := []legacyScenario{{name: name + "_short", run: func(t *testing.T) ([]byte, []byte) {
+		srv, cli := setup(t)
+		return runRecorded(t, srv, cli)
+	}}}
+	for _, old := range []string{name + "_packed", name} {
+		out = append(out, legacyScenario{name: old, replay: true, run: func(t *testing.T) ([]byte, []byte) {
 			srv, _ := setup(t)
-			return replayRecorded(t, name, srv.Serve, false)
-		}},
+			return replayRecorded(t, old, srv.Serve, false)
+		}})
 	}
+	return out
 }
 
 // emacsPull is the flat pull of manifest_pull and its tuned variants: the
@@ -252,13 +254,18 @@ func legacyScenarios() []legacyScenario {
 			cli.TreeManifest = true
 			return runRecorded(t, srv, cli)
 		}},
-		{name: "push_packed", push: true, run: func(t *testing.T) ([]byte, []byte) {
+		{name: "push_short", push: true, run: func(t *testing.T) ([]byte, []byte) {
 			pusher, receiver := pushServers(t)
 			return pushRecorded(t, pusher, receiver)
 		}},
-		{name: "push", push: true, replay: true, run: func(t *testing.T) ([]byte, []byte) {
-			// A receiver from before MANIFEST_PACKED, replayed against
+		{name: "push_packed", push: true, replay: true, run: func(t *testing.T) ([]byte, []byte) {
+			// A receiver from before MANIFEST_SHORT, replayed against
 			// today's pusher.
+			pusher, _ := pushServers(t)
+			return replayRecorded(t, "push_packed", pusher.Push, true)
+		}},
+		{name: "push", push: true, replay: true, run: func(t *testing.T) ([]byte, []byte) {
+			// A receiver from before MANIFEST_PACKED.
 			pusher, _ := pushServers(t)
 			return replayRecorded(t, "push", pusher.Push, true)
 		}},
@@ -479,11 +486,11 @@ func TestJournalRefAnswerIsTheLegacyAnswer(t *testing.T) {
 	}
 }
 
-// TestPackedAnswerIsTheLegacyAnswer: in every flat shape the holder's half of
-// today's session, whose receiver sent MANIFEST_PACKED, is byte for byte the
-// answer the replayed older receiver draws with MANIFEST — the two frames carry
-// one list. The receivers' halves differ in that one frame, and the packed one
-// is the shorter.
+// TestPackedAnswerIsTheLegacyAnswer: in every flat shape the holder's answer
+// to a receiver that sent MANIFEST_PACKED is byte for byte the answer the
+// older receiver draws with MANIFEST — the two frames carry one list. The
+// receivers' halves differ in that one frame, and the packed one is the
+// shorter.
 func TestPackedAnswerIsTheLegacyAnswer(t *testing.T) {
 	pairs := 0
 	for _, sc := range legacyScenarios() {
@@ -515,7 +522,7 @@ func TestPackedAnswerIsTheLegacyAnswer(t *testing.T) {
 				if err != nil || of[i].typ != wire.FrameManifest || nf[i].typ != wire.FrameManifestPacked {
 					t.Fatalf("frame %d: %s in place of %s (%v)", i, wire.FrameName(nf[i].typ), wire.FrameName(of[i].typ), err)
 				}
-				packed, err := unpackManifest(nf[i].payload)
+				packed, err := unpackManifest(nf[i].payload, md4.Size)
 				if err != nil || !reflect.DeepEqual(packed, legacy) || nf[i].size() >= of[i].size() {
 					t.Fatalf("frame %d: MANIFEST_PACKED of %d bytes for a MANIFEST of %d does not carry its list (%v)", i, nf[i].size(), of[i].size(), err)
 				}
@@ -527,6 +534,82 @@ func TestPackedAnswerIsTheLegacyAnswer(t *testing.T) {
 	}
 	if pairs != 8 {
 		t.Fatalf("%d replay/live pairs, want the eight flat shapes", pairs)
+	}
+}
+
+// TestShortAnswerIsThePackedAnswer: in every flat shape today's receiver sends
+// MANIFEST_SHORT where the older one sent MANIFEST_PACKED — the same list,
+// 13 bytes a file shorter — and every other frame as it did; the holder answers
+// byte for byte as it answered MANIFEST_PACKED, but for the group sums its
+// VERDICTS gains: whole MD4s, inserted in one place.
+func TestShortAnswerIsThePackedAnswer(t *testing.T) {
+	pairs, trailers := 0, 0
+	for _, sc := range legacyScenarios() {
+		name, ok := strings.CutSuffix(sc.name, "_short")
+		if !ok {
+			continue
+		}
+		pairs++
+		t.Run(name, func(t *testing.T) {
+			oldRecv, oldHold := readGolden(t, name+"_packed")
+			newRecv, newHold := readGolden(t, sc.name)
+			if sc.push {
+				oldRecv, oldHold, newRecv, newHold = oldHold, oldRecv, newHold, newRecv
+			}
+			for _, dir := range []struct {
+				what       string
+				old, new   []byte
+				oldT, newT byte
+			}{
+				{"receiver", oldRecv, newRecv, wire.FrameManifestPacked, wire.FrameManifestShort},
+				{"holder", oldHold, newHold, wire.FrameVerdicts, wire.FrameVerdicts},
+			} {
+				of, nf := transcriptFrames(t, dir.old), transcriptFrames(t, dir.new)
+				if len(of) != len(nf) {
+					t.Fatalf("%s sent %d frames, the older one %d", dir.what, len(nf), len(of))
+				}
+				changed := 0
+				for i := range of {
+					o, n := of[i].payload, nf[i].payload
+					if of[i].typ == nf[i].typ && bytes.Equal(o, n) {
+						continue
+					}
+					changed++
+					if of[i].typ != dir.oldT || nf[i].typ != dir.newT {
+						t.Fatalf("%s frame %d: %s in place of %s", dir.what, i, wire.FrameName(nf[i].typ), wire.FrameName(of[i].typ))
+					}
+					if dir.oldT == wire.FrameVerdicts {
+						g := len(n) - len(o)
+						inserted := false
+						for p := 0; p <= len(o) && g > 0 && g%md4.Size == 0; p++ {
+							inserted = inserted || bytes.Equal(n[:p], o[:p]) && bytes.Equal(n[p+g:], o[p:])
+						}
+						if !inserted {
+							t.Fatalf("VERDICTS of %d bytes is not the older %d with whole group sums inserted", len(n), len(o))
+						}
+						continue
+					}
+					full, err1 := unpackManifest(o, md4.Size)
+					short, err2 := unpackManifest(n, shortSum)
+					for k := range full {
+						clear(full[k].Sum[shortSum:])
+					}
+					if err1 != nil || err2 != nil || !sameManifest(full, short) || len(o)-len(n) != (md4.Size-shortSum)*len(full) {
+						t.Fatalf("MANIFEST_SHORT of %d bytes does not carry the %d-byte MANIFEST_PACKED's list (%v, %v)", len(n), len(o), err1, err2)
+					}
+				}
+				if dir.oldT == wire.FrameVerdicts && changed == 0 {
+					continue // no file unchanged, no group sums: fallback_pull's twelve files all differ
+				}
+				if changed != 1 {
+					t.Fatalf("%d %s frames differ, want one", changed, dir.what)
+				}
+				trailers++
+			}
+		})
+	}
+	if pairs != 8 || trailers != 8+6 {
+		t.Fatalf("%d live/replay pairs, %d with group sums: want the eight flat shapes, six of them with unchanged files", pairs, trailers-8)
 	}
 }
 

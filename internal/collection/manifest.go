@@ -58,15 +58,24 @@ func decodeManifest(p []byte) ([]ManifestEntry, error) {
 // break either sends MANIFEST instead.
 const packedColumnCap, packedPathCap = 4, 16
 
-// errPacked marks a MANIFEST_PACKED payload that no receiver builds.
+// errPacked marks a MANIFEST_PACKED or MANIFEST_SHORT payload that no receiver
+// builds.
 var errPacked = fmt.Errorf("%w: malformed MANIFEST_PACKED", core.ErrProtocol)
 
-// packManifest encodes m as a MANIFEST_PACKED payload: n, then one
-// delta.Compress'ed column of n × (shared, suffix, len) — shared being how many
-// leading bytes the path has in common with the previous one — then the n sums
-// raw. Random sums would only dilute the column, so they stay out of it. fits
-// is false when the payload breaks one of unpackManifest's caps.
-func packManifest(m []ManifestEntry) (payload []byte, fits bool) {
+// shortSum is how many leading bytes of each file's MD4 a MANIFEST_SHORT
+// carries, and sumGroup how many files the holder judged unchanged share one
+// MD4 over their full sums in the VERDICTS trailer that answers it. A changed
+// file passes the 24-bit prefix with probability 2⁻²⁴, and then its group's
+// 128-bit MD4 still catches it.
+const shortSum, sumGroup = 3, 64
+
+// packManifest encodes m as a MANIFEST_PACKED payload (width md4.Size) or a
+// MANIFEST_SHORT one (width shortSum): n, then one delta.Compress'ed column of
+// n × (shared, suffix, len) — shared being how many leading bytes the path has
+// in common with the previous one — then the first width bytes of each of the
+// n sums, raw. Random sums would only dilute the column, so they stay out of
+// it. fits is false when the payload breaks one of unpackManifest's caps.
+func packManifest(m []ManifestEntry, width int) (payload []byte, fits bool) {
 	col := wire.NewBuffer(len(m) * 12)
 	prev, paths := "", 0
 	for _, e := range m {
@@ -81,21 +90,22 @@ func packManifest(m []ManifestEntry) (payload []byte, fits bool) {
 		paths += len(e.Path)
 	}
 	comp := delta.Compress(col.Build())
-	b := wire.NewBuffer(len(comp) + len(m)*md4.Size + 16)
+	b := wire.NewBuffer(len(comp) + len(m)*width + 16)
 	b.Uvarint(uint64(len(m)))
 	b.Bytes(comp)
 	for _, e := range m {
-		b.Raw(e.Sum[:])
+		b.Raw(e.Sum[:width])
 	}
 	payload = b.Build()
 	return payload, col.Len() <= packedColumnCap*len(payload) && paths <= packedPathCap*len(payload)
 }
 
-// unpackManifest parses a MANIFEST_PACKED payload into the entries a MANIFEST
-// of the same list decodes to: strictly ascending paths, like every file list.
+// unpackManifest parses a payload packManifest built at the given width into
+// the entries a MANIFEST of the same list decodes to — each sum's first width
+// bytes, the rest zero —: strictly ascending paths, like every file list.
 // Every count and length it is given is checked against the payload, and every
 // path against the one before it, before anything is allocated for it.
-func unpackManifest(p []byte) ([]ManifestEntry, error) {
+func unpackManifest(p []byte, width int) ([]ManifestEntry, error) {
 	pr := wire.NewParser(p)
 	n, err1 := pr.Uvarint()
 	comp, err2 := pr.Bytes()
@@ -104,7 +114,7 @@ func unpackManifest(p []byte) ([]ManifestEntry, error) {
 	err := cmp.Or(err1, err2, err3)
 	switch {
 	case err != nil:
-	case n > uint64(len(p)/md4.Size) || pr.Remaining() != int(n)*md4.Size:
+	case n > uint64(len(p)/width) || pr.Remaining() != int(n)*width:
 		err = fmt.Errorf("%d bytes of sums for %d entries", pr.Remaining(), n)
 	case declared > packedColumnCap*uint64(len(p)):
 		err = fmt.Errorf("a %d-byte column declares %d bytes", len(comp), declared)
@@ -114,7 +124,7 @@ func unpackManifest(p []byte) ([]ManifestEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", errPacked, err)
 	}
-	sums := p[len(p)-int(n)*md4.Size:]
+	sums := p[len(p)-int(n)*width:]
 	cp := wire.NewParser(col)
 	out := make([]ManifestEntry, n)
 	prev, paths := "", 0
@@ -135,12 +145,56 @@ func unpackManifest(p []byte) ([]ManifestEntry, error) {
 			return nil, fmt.Errorf("%w: paths past %d bytes", errPacked, packedPathCap*len(p))
 		}
 		prev = prev[:shared] + string(suffix)
-		out[i] = ManifestEntry{Path: prev, Len: int(l), Sum: [md4.Size]byte(sums[i*md4.Size:])}
+		out[i] = ManifestEntry{Path: prev, Len: int(l)}
+		copy(out[i].Sum[:], sums[i*width:(i+1)*width])
 	}
 	if cp.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after %d entries", errPacked, cp.Remaining(), n)
 	}
 	return out, nil
+}
+
+// widen gives each entry of a MANIFEST_SHORT list the holder's full sum where
+// the holder has the same path at the same length with the same leading
+// shortSum bytes, so that filelist.Diff against the holder's list names exactly
+// the files whose length or sum prefix differ.
+func widen(short, full []ManifestEntry) {
+	j := 0
+	for i := range short {
+		e := &short[i]
+		for j < len(full) && full[j].Path < e.Path {
+			j++
+		}
+		if j < len(full) && full[j].Path == e.Path && full[j].Len == e.Len && [shortSum]byte(full[j].Sum[:]) == [shortSum]byte(e.Sum[:]) {
+			e.Sum = full[j].Sum
+		}
+	}
+}
+
+// sumGroups is one end's record of a MANIFEST_SHORT session's unchanged files:
+// list is the flat list the verdicts walk (the receiver's own; on the holder,
+// the received one widened), kept the indexes of the files judged unchanged,
+// in list order. Every sumGroup of them in a row, the last group possibly
+// shorter, make one group, whose digest the VERDICTS trailer carries.
+type sumGroups struct {
+	list []ManifestEntry
+	kept []int
+}
+
+// digests is the VERDICTS trailer: per group, the MD4 over its members' full
+// sums — the same 16 bytes on both ends exactly when every member's sum agrees.
+func (g *sumGroups) digests() []byte {
+	out := make([]byte, 0, (len(g.kept)+sumGroup-1)/sumGroup*md4.Size)
+	var buf [sumGroup * md4.Size]byte
+	for k := 0; k < len(g.kept); k += sumGroup {
+		n := 0
+		for _, i := range g.kept[k:min(k+sumGroup, len(g.kept))] {
+			n += copy(buf[n:], g.list[i].Sum[:])
+		}
+		d := md4.Sum(buf[:n])
+		out = append(out, d[:]...)
+	}
+	return out
 }
 
 // Session roles carried in the HELLO frame.

@@ -443,7 +443,7 @@ func (stm *serverStream) build(workers int) error {
 	switch stm.inner {
 	case wire.FrameRoundHashes:
 		sections := make([][]byte, len(stm.active))
-		parallelFiles(workers, len(stm.active), func(k int) error {
+		pool.Do(workers, len(stm.active), func(k int) error {
 			sections[k] = stm.files[stm.active[k]].engine.EmitHashes()
 			return nil
 		})
@@ -460,7 +460,7 @@ func (stm *serverStream) build(workers int) error {
 		}
 	case wire.FrameDelta:
 		sections := make([][]byte, len(stm.files))
-		parallelFiles(workers, len(stm.files), func(i int) error {
+		pool.Do(workers, len(stm.files), func(i int) error {
 			sections[i] = stm.files[i].engine.EmitDelta()
 			return nil
 		})
@@ -505,7 +505,7 @@ func (stm *serverStream) absorbReplies(workers int, first bool) ([]int, error) {
 		return nil, err
 	}
 	mores := make([]bool, len(jobs))
-	err = parallelFiles(workers, len(jobs), func(k int) error {
+	err = pool.Do(workers, len(jobs), func(k int) error {
 		f := &stm.files[jobs[k].idx]
 		absorb := f.engine.AbsorbBatch
 		if first {
@@ -579,7 +579,7 @@ func (s *session) serveStreams(streams []*serverStream, f framer, metrics *obs.R
 		}
 		f.begin(cycle, outs)
 		budget := s.handlerBudget(len(outs))
-		err := parallelFiles(s.cfg.Workers, len(outs), func(k int) error {
+		err := pool.Do(s.cfg.Workers, len(outs), func(k int) error {
 			return streams[outs[k].id].build(budget)
 		})
 		if err != nil {
@@ -618,7 +618,7 @@ func (s *session) serveStreams(streams []*serverStream, f framer, metrics *obs.R
 		}
 		s.answered()
 		budget = s.handlerBudget(len(ins))
-		if err := parallelFiles(s.cfg.Workers, len(ins), func(k int) error {
+		if err := pool.Do(s.cfg.Workers, len(ins), func(k int) error {
 			return streams[ins[k].id].absorb(budget)
 		}); err != nil {
 			return s.fail(err)
@@ -636,23 +636,29 @@ func (s *session) serveStreams(streams []*serverStream, f framer, metrics *obs.R
 // what the delta phase left of them, and where fallback content lands.
 type clientStream struct {
 	*streamLink
-	// files are the stream's ack ordinals: its files with their engines, or,
-	// for the engine-less journal stream, the journal verdicts.
-	files   []clientFile
-	journal bool
+	// files are what the stream's ack ordinals name: its nEng files with
+	// their engines, then, on stream 0, the files the verdicts settled (see
+	// clientWork): journal verdicts, or failed sum groups' members.
+	files []clientFile
+	nEng  int
 
 	acked   bool     // DELTA handled, ACK built
-	failed  []int    // ordinals whose content did not verify
+	failed  []int    // files whose content did not verify, ascending
 	results [][]byte // ApplyDelta output per file (nil where it failed)
-	fulls   [][]byte // FULL content per failed ordinal
+	fulls   [][]byte // FULL content per failed file
 }
 
 // engines are the files the map and delta phases run over.
 func (cs *clientStream) engines() []clientFile {
-	if cs.journal {
-		return nil
+	return cs.files[:cs.nEng]
+}
+
+// ordinal is the ack ordinal of files[i]; ordinals ascend with i.
+func (cs *clientStream) ordinal(i int) int {
+	if i < cs.nEng {
+		return i
 	}
-	return cs.files
+	return cs.nEng + cs.files[i].ack
 }
 
 // handle answers the frame in flight: it leaves the reply in flight, or none
@@ -672,17 +678,22 @@ func (cs *clientStream) handle(workers int) error {
 		if err := cs.applyDeltas(workers, payload); err != nil {
 			return err
 		}
+		for i := cs.nEng; i < len(cs.files); i++ {
+			if cs.files[i].owed {
+				cs.failed = append(cs.failed, i)
+			}
+		}
 		cs.buf.Reset()
 		cs.buf.Uvarint(uint64(len(cs.failed)))
 		for _, i := range cs.failed {
-			cs.buf.Uvarint(uint64(i))
+			cs.buf.Uvarint(uint64(cs.ordinal(i)))
 		}
 		cs.inner, cs.payload = wire.FrameAck, cs.buf.Build()
 		cs.acked = true
 		cs.done = len(cs.failed) == 0
 	case inner == wire.FrameFull && cs.acked && !cs.done:
 		// FULL answers the ACK: exactly the ordinals it listed, in order.
-		secs, err := parseSections(payload, len(cs.files), true)
+		secs, err := parseSections(payload, cs.ordinal(len(cs.files)-1)+1, true)
 		if err != nil {
 			return err
 		}
@@ -691,13 +702,14 @@ func (cs *clientStream) handle(workers int) error {
 		}
 		cs.fulls = make([][]byte, len(secs))
 		for k, sec := range secs {
-			if sec.idx != cs.failed[k] {
-				return fmt.Errorf("%w: full transfer for %d, acked %d", errIndexList, sec.idx, cs.failed[k])
+			f := &cs.files[cs.failed[k]]
+			if want := cs.ordinal(cs.failed[k]); sec.idx != want {
+				return fmt.Errorf("%w: full transfer for %d, acked %d", errIndexList, sec.idx, want)
 			}
-			if cs.fulls[k], err = delta.DecodeLen(nil, sec.body, cs.files[sec.idx].newLen); err != nil {
-				return fmt.Errorf("collection: full transfer for %q: %w", cs.files[sec.idx].path, err)
+			if cs.fulls[k], err = delta.DecodeLen(nil, sec.body, f.newLen); err != nil {
+				return fmt.Errorf("collection: full transfer for %q: %w", f.path, err)
 			}
-			cs.files[sec.idx].bytes += int64(len(sec.body))
+			f.bytes += int64(len(sec.body))
 		}
 		cs.done = true
 	default:
@@ -724,7 +736,7 @@ func (cs *clientStream) applyDeltas(workers int, payload []byte) error {
 	}
 	cs.results = make([][]byte, len(files))
 	verifyFailed := make([]bool, len(files))
-	err = parallelFiles(workers, len(files), func(i int) error {
+	err = pool.Do(workers, len(files), func(i int) error {
 		data, err := files[i].engine.ApplyDelta(sections[i])
 		switch {
 		case err == nil:
@@ -783,7 +795,7 @@ func (s *session) consumeStreams(streams []*clientStream, f framer, res *Result)
 			return err
 		}
 		budget := s.handlerBudget(len(ins))
-		if err := parallelFiles(s.cfg.Workers, len(ins), func(k int) error {
+		if err := pool.Do(s.cfg.Workers, len(ins), func(k int) error {
 			return streams[ins[k].id].handle(budget)
 		}); err != nil {
 			return err

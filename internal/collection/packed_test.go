@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"testing/quick"
 
 	"msync/internal/core"
+	"msync/internal/md4"
 	"msync/internal/wire"
 )
 
@@ -55,16 +57,24 @@ func sameManifest(a, b []ManifestEntry) bool {
 // TestPackedManifestRoundTrip: a packed manifest decodes to the list it was
 // built from — empty, one and two entries, 4 KB and non-ASCII paths, paths
 // sharing nothing, lengths up to 2⁶³−1 — exactly when the encoder says it fits
-// the decoder's caps; otherwise the decoder refuses it with errPacked.
+// the decoder's caps; otherwise the decoder refuses it with errPacked. At
+// MANIFEST_SHORT's width the list comes back with each sum cut to its first
+// three bytes.
 func TestPackedManifestRoundTrip(t *testing.T) {
 	check := func(m []ManifestEntry) error {
-		p, fits := packManifest(m)
-		got, err := unpackManifest(p)
-		switch {
-		case fits && (err != nil || !sameManifest(got, m)):
-			return fmt.Errorf("%d entries: a fitting frame decodes to %d entries (%v)", len(m), len(got), err)
-		case !fits && !errors.Is(err, errPacked):
-			return fmt.Errorf("%d entries: a frame past its caps decodes (%v)", len(m), err)
+		for _, width := range []int{md4.Size, shortSum} {
+			p, fits := packManifest(m, width)
+			got, err := unpackManifest(p, width)
+			want := append([]ManifestEntry(nil), m...)
+			for i := range want {
+				clear(want[i].Sum[width:])
+			}
+			switch {
+			case fits && (err != nil || !sameManifest(got, want)):
+				return fmt.Errorf("%d entries, width %d: a fitting frame decodes to %d entries (%v)", len(m), width, len(got), err)
+			case !fits && !errors.Is(err, errPacked):
+				return fmt.Errorf("%d entries, width %d: a frame past its caps decodes (%v)", len(m), width, err)
+			}
 		}
 		return nil
 	}
@@ -108,20 +118,51 @@ func tinyManifest() []ManifestEntry {
 
 // TestPackedManifestSize: on the benchmark's tiny shape the packed frame is at
 // most 0.55× the legacy one (the 48 000 bytes of raw sums are most of what is
-// left).
+// left), and the short frame is the packed one less 13 bytes a file: at most
+// 0.2× the legacy one.
 func TestPackedManifestSize(t *testing.T) {
 	m := tinyManifest()
-	packed, fits := packManifest(m)
+	packed, fits := packManifest(m, md4.Size)
+	short, fitsShort := packManifest(m, shortSum)
 	legacy := encodeManifest(m)
-	ratio := float64(len(packed)) / float64(len(legacy))
-	t.Logf("3 000 tiny entries: packed %d B, legacy %d B (%.3f×)", len(packed), len(legacy), ratio)
+	ratio, shortRatio := float64(len(packed))/float64(len(legacy)), float64(len(short))/float64(len(legacy))
+	t.Logf("3 000 tiny entries: short %d B, packed %d B, legacy %d B (%.3f×, %.3f×)", len(short), len(packed), len(legacy), shortRatio, ratio)
 	if !fits || ratio > 0.55 {
 		t.Fatalf("packed %d B against legacy %d B (%.3f×, fits %v), want ≤ 0.55×", len(packed), len(legacy), ratio, fits)
+	}
+	if !fitsShort || shortRatio > 0.2 || len(packed)-len(short) != (md4.Size-shortSum)*len(m) {
+		t.Fatalf("short %d B against packed %d B and legacy %d B (fits %v), want 13 B a file less and ≤ 0.2×", len(short), len(packed), len(legacy), fitsShort)
+	}
+}
+
+// TestLongPathsFallBackToPackedSums: long paths that front-code to a few
+// bytes each break the path cap of a frame whose sums are cut to 3 bytes, not
+// of one whose sums are whole. Such a receiver sends MANIFEST_PACKED, as
+// before MANIFEST_SHORT existed, expects no group sums, and converges.
+func TestLongPathsFallBackToPackedSums(t *testing.T) {
+	v1, v2 := map[string][]byte{}, map[string][]byte{}
+	for i := 0; i < 300; i++ {
+		p := fmt.Sprintf("%sf%05d.txt", strings.Repeat("deep/", 40), i)
+		v1[p], v2[p] = []byte(p), []byte(p)
+	}
+	v2[strings.Repeat("deep/", 40)+"f00007.txt"] = []byte("edited")
+	m := BuildManifest(v1)
+	if _, fits := packManifest(m, shortSum); fits {
+		t.Fatal("the short frame fits: the tree does not reach the fallback")
+	}
+	srv, err := NewServer(v2, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, _ := runRecorded(t, srv, NewClient(v1))
+	packed, _ := packManifest(m, md4.Size)
+	if f := transcriptFrames(t, up)[1]; f.typ != wire.FrameManifestPacked || !bytes.Equal(f.payload, packed) {
+		t.Fatalf("the manifest went as %s of %d bytes, want MANIFEST_PACKED of %d", wire.FrameName(f.typ), len(f.payload), len(packed))
 	}
 }
 
 // TestUnpackRefusesHostile: each hostile payload is refused by the check
-// meant for it.
+// meant for it, at either sum width.
 func TestUnpackRefusesHostile(t *testing.T) {
 	reasons := map[string]string{
 		"column past its cap":           "column declares",
@@ -133,10 +174,12 @@ func TestUnpackRefusesHostile(t *testing.T) {
 		"paths past their cap":          "paths past",
 		"descending pair":               "entry 1 is not after entry 0",
 	}
-	for name, p := range hostilePacked() {
-		_, err := unpackManifest(p)
-		if !errors.Is(err, errPacked) || !errors.Is(err, core.ErrProtocol) || !strings.Contains(err.Error(), reasons[name]) {
-			t.Errorf("%s: %v, want errPacked naming %q", name, err, reasons[name])
+	for _, width := range []int{md4.Size, shortSum} {
+		for name, p := range hostilePacked(width) {
+			_, err := unpackManifest(p, width)
+			if !errors.Is(err, errPacked) || !errors.Is(err, core.ErrProtocol) || !strings.Contains(err.Error(), reasons[name]) {
+				t.Errorf("%s at width %d: %v, want errPacked naming %q", name, width, err, reasons[name])
+			}
 		}
 	}
 }
@@ -153,7 +196,7 @@ func TestPackedAnnouncementHits(t *testing.T) {
 	hello.Byte(rolePull)
 	hello.Byte(modeManifest)
 	helloExts{announce: 1}.encode(hello)
-	packed, _ := packManifest(BuildManifest(v1))
+	packed, _ := packManifest(BuildManifest(v1), md4.Size)
 	conn := &scriptConn{}
 	conn.script.Reset(wireBytes(t, []wireFrame{{wire.FrameHello, hello.Build()}, {wire.FrameManifestPacked, packed}}))
 	// The script ends after the manifest: the session fails after its verdicts.

@@ -16,7 +16,6 @@ import (
 	"msync/internal/md4"
 	"msync/internal/merkle"
 	"msync/internal/obs"
-	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/wire"
 )
@@ -252,11 +251,16 @@ func (s *Server) serve(sess *session) error {
 	// The session config starts from the server's: a granted map mode is
 	// the only per-session deviation, and an unusable request (unknown
 	// mode, or chunker parameters the config cannot support) degrades to
-	// halving rather than failing the session.
+	// halving rather than failing the session — noted and logged once.
 	sess.cfg = s.cfg
 	if sess.ext.mapMode != core.MapHalving {
 		sess.cfg.MapMode = sess.ext.mapMode
-		if sess.cfg.Validate() != nil {
+		if err := sess.cfg.Validate(); err != nil {
+			reason := "unusable_config"
+			if sess.ext.mapMode != core.MapCDC {
+				reason = "unknown_mode"
+			}
+			sess.st.fellBack("map_mode_refused:"+reason, "msync: map mode refused", "mode", int(sess.ext.mapMode), "reason", reason, "err", err)
 			sess.cfg.MapMode = core.MapHalving
 		}
 	}
@@ -320,11 +324,31 @@ func (s *Server) serveFiles(sess *session, work serverWork) error {
 		vs := sess.src.(VersionedSource)
 		streams[0].nAck = len(jf)
 		streams[0].full = func(i int) ([]byte, error) {
-			data, err := vs.VersionContent(jf[i].sum)
+			data, err := vs.VersionContent(jf[i].Sum)
 			if err != nil {
-				return nil, fmt.Errorf("collection: journal fallback %q: %w", jf[i].path, err)
+				return nil, fmt.Errorf("collection: journal fallback %q: %w", jf[i].Path, err)
 			}
 			return data, nil
+		}
+	}
+	if g := sess.groups; g != nil && len(g.kept) > 0 {
+		// The unchanged files of a MANIFEST_SHORT session are stream 0's
+		// ordinals after its engines: a receiver whose group sum did not
+		// match acks every file of the group, the first one included, and
+		// gets it whole. The FULL is built on stream 0's handler alone, so
+		// the counting is race-free.
+		stm, c := streams[0], streams[0].nAck
+		engines := stm.full
+		stm.nAck += len(g.kept)
+		stm.full = func(i int) ([]byte, error) {
+			if i < c {
+				return engines(i)
+			}
+			if (i-c)%sumGroup == 0 {
+				sess.costs.SumGroupsFailed++
+			}
+			sess.costs.FilesUnchanged--
+			return sess.src.Load(g.list[g.kept[i-c]].Path)
 		}
 	}
 	return sess.serveStreams(streams, f, s.Metrics)
@@ -359,25 +383,19 @@ func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (_ *stats.
 	return sess.costs, s.serve(sess)
 }
 
-// journalFile is one verdictJournal entry of a journal session, in verdict
-// order: ack indexes and full-transfer fallbacks reference this list the way
-// a normal session references its engines.
-type journalFile struct {
-	path string
-	sum  [16]byte
-}
-
 // serverWork is what a handshake leaves for the per-file phases: engines for
-// the files to map, or — never both — the journal verdicts of a journal hit.
+// the files to map, or — never both — the journal verdicts of a journal hit:
+// each file's new entry, in verdict order, which ack indexes and full-transfer
+// fallbacks reference the way a normal session references its engines.
 type serverWork struct {
 	engines []syncFile
-	journal []journalFile
+	journal []ManifestEntry
 	counts  []int // the granted stream partition sent as MUX_ACK; nil: one bare stream
 }
 
 // manifestFrame reads the receiver's side of flat change detection: its
-// MANIFEST, its MANIFEST_PACKED — decoded here, into m — or, while ref is
-// still an option, the 16-byte MANIFEST_REF that names it.
+// MANIFEST, its MANIFEST_PACKED or MANIFEST_SHORT — decoded here, into m — or,
+// while ref is still an option, the 16-byte MANIFEST_REF that names it.
 func (s *session) manifestFrame(refOK bool) (ft byte, raw []byte, m []ManifestEntry, err error) {
 	if ft, raw, err = s.read(); err != nil {
 		return 0, nil, nil, err
@@ -385,7 +403,9 @@ func (s *session) manifestFrame(refOK bool) (ft byte, raw []byte, m []ManifestEn
 	s.cost(stats.C2S, stats.PhaseControl, len(raw))
 	switch {
 	case ft == wire.FrameManifestPacked:
-		m, err = unpackManifest(raw)
+		m, err = unpackManifest(raw, md4.Size)
+	case ft == wire.FrameManifestShort:
+		m, err = unpackManifest(raw, shortSum)
 	case ft == wire.FrameManifest, refOK && ft == wire.FrameManifestRef && len(raw) == md4.Size:
 	default:
 		err = errFrame(ft, raw)
@@ -436,7 +456,7 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 		}
 		s.costs.JournalMisses++
 		if s.ext.announce > 0 || ref { // announcing 0 asks for the version: nothing fell back
-			s.st.journalMiss(s.ext.announce, current, miss)
+			s.st.fellBack("journal_miss:"+miss, "msync: journal miss", "base", s.ext.announce, "current", current, "reason", miss)
 		}
 		if ref {
 			if err := s.send(wire.FrameManifestWant, nil, stats.PhaseControl); err != nil {
@@ -461,6 +481,10 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 		// a journal miss, so its next sync can announce something useful.
 		version = int64(vs.CurrentVersion())
 	}
+	if ft == wire.FrameManifestShort {
+		widen(manifest, serverManifest)
+		s.groups = &sumGroups{list: manifest, kept: make([]int, 0, len(manifest))}
+	}
 	changes := filelist.Diff(manifest, serverManifest)
 	return s.flatVerdicts(manifest, len(changes), func(k int) (filelist.Change, []byte) { return changes[k], nil }, version)
 }
@@ -473,14 +497,22 @@ func (s *session) manifestHandshake(serverManifest []ManifestEntry, serverDigest
 // the new-files trailer as it: no engines run, and the whole transfer happens
 // in this frame plus the empty delta round. Without, the file is loaded: a
 // modified one is synced or sent whole, an added one sent whole, and one that
-// vanished since the manifest was built is deleted or left out. The holder's
-// current version ends the frame unless version is -1.
+// vanished since the manifest was built is deleted or left out. After a
+// MANIFEST_SHORT the unchanged files' group sums follow the new files. The
+// holder's current version ends the frame unless version is -1.
 func (s *session) flatVerdicts(list []ManifestEntry, n int, at func(k int) (filelist.Change, []byte), version int64) (work serverWork, err error) {
 	vb := s.beginVerdicts(uint64(len(list)))
 	fullBytes, deltaBytes := 0, 0
 	var newPaths []string
 	var newComp [][]byte
 	i := 0 // list[i] is the first entry without a verdict
+	unchanged := func() {
+		vb.Byte(verdictUnchanged)
+		s.costs.FilesUnchanged++
+		if s.groups != nil {
+			s.groups.kept = append(s.groups.kept, i)
+		}
+	}
 	for k := 0; k < n; k++ {
 		ch, payload := at(k)
 		if ch.Op == filelist.OpAdd {
@@ -499,8 +531,7 @@ func (s *session) flatVerdicts(list []ManifestEntry, n int, at func(k int) (file
 			continue
 		}
 		for ; list[i].Path != ch.Old.Path; i++ {
-			vb.Byte(verdictUnchanged)
-			s.costs.FilesUnchanged++
+			unchanged()
 		}
 		i++
 		switch {
@@ -512,7 +543,7 @@ func (s *session) flatVerdicts(list []ManifestEntry, n int, at func(k int) (file
 			vb.Raw(ch.New.Sum[:])
 			vb.Bytes(payload)
 			deltaBytes += len(payload)
-			work.journal = append(work.journal, journalFile{ch.New.Path, ch.New.Sum})
+			work.journal = append(work.journal, ch.New)
 			s.costs.FilesJournal++
 		default:
 			data, err := s.src.Load(ch.New.Path)
@@ -529,8 +560,7 @@ func (s *session) flatVerdicts(list []ManifestEntry, n int, at func(k int) (file
 		}
 	}
 	for ; i < len(list); i++ {
-		vb.Byte(verdictUnchanged)
-		s.costs.FilesUnchanged++
+		unchanged()
 	}
 	vb.Uvarint(uint64(len(newPaths)))
 	for i, p := range newPaths {
@@ -538,6 +568,9 @@ func (s *session) flatVerdicts(list []ManifestEntry, n int, at func(k int) (file
 		vb.Bytes(newComp[i])
 		fullBytes += len(newComp[i])
 		s.costs.FilesFull++
+	}
+	if s.groups != nil {
+		vb.Raw(s.groups.digests())
 	}
 	if version >= 0 {
 		vb.Uvarint(uint64(version))
@@ -691,13 +724,4 @@ func (s *session) sendVerdicts(verdicts []byte, fullBytes, deltaBytes int, muxCo
 	}
 	s.st.verdictCost(s.costs, len(verdicts), fullBytes, deltaBytes)
 	return s.flushAnswer()
-}
-
-// parallelFiles runs fn(0..n-1) across a worker budget; per-file engines are
-// independent, so their CPU-heavy work parallelizes freely. The first error
-// wins. Results are always gathered into index-addressed slots by the
-// callers, so reply and section ordering is identical for every worker
-// count.
-func parallelFiles(workers, n int, fn func(i int) error) error {
-	return pool.Do(workers, n, fn)
 }

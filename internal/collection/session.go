@@ -45,6 +45,9 @@ type session struct {
 	// (MANIFEST_REF) and, while owed, still owes a holder that asks for it.
 	withheld []ManifestEntry
 	owed     bool
+	// groups is set, on both ends, once the flat manifest went as
+	// MANIFEST_SHORT: the files judged unchanged and their group sums.
+	groups *sumGroups
 }
 
 // openSession wraps conn for one session; the caller must close it.

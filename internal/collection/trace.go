@@ -95,22 +95,33 @@ func (t *sessTrace) flush() {
 	t.note = ""
 }
 
-// journalMiss is the one log line of a session whose announced version could
-// not be served from the journal; the handshake span carries the reason.
-func (t *sessTrace) journalMiss(base int64, current uint64, reason string) {
+// fellBack is the one log line of a session that took a fallback — msg with
+// attrs — and its note on the current span: a journal miss
+// ("journal_miss:<reason>"), a refused map mode ("map_mode_refused:<reason>"),
+// failed sum groups ("sum_groups_failed:<n>").
+func (t *sessTrace) fellBack(note, msg string, attrs ...any) {
 	if t == nil {
 		return
 	}
-	t.note = "journal_miss:" + reason
-	t.log.Info("msync: journal miss", "session", t.sid, "base", base, "current", current, "reason", reason)
+	t.addNote(note)
+	t.log.Info(msg, append([]any{"session", t.sid}, attrs...)...)
 }
 
 // manifestSent notes on the receiver's handshake span which frame its flat
-// manifest goes in, with both encodings' sizes: the choice is never silent.
-func (t *sessTrace) manifestSent(frame string, packed, legacy int) {
+// manifest goes in, with the three encodings' sizes: the choice is never
+// silent.
+func (t *sessTrace) manifestSent(frame string, short, packed, legacy int) {
 	if t != nil {
-		t.note = fmt.Sprintf("%s: packed %d, legacy %d", frame, packed, legacy)
+		t.addNote(fmt.Sprintf("%s: short %d, packed %d, legacy %d", frame, short, packed, legacy))
 	}
+}
+
+// addNote appends n to the current span's note.
+func (t *sessTrace) addNote(n string) {
+	if t.note != "" {
+		n = t.note + "; " + n
+	}
+	t.note = n
 }
 
 // setMode records the session's negotiated map-construction mode; spans

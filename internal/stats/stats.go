@@ -91,6 +91,10 @@ type Costs struct {
 	// from the version store, a miss falls back to the full protocol.
 	JournalHits   int64
 	JournalMisses int64
+	// Groups of files a MANIFEST_SHORT's 3-byte sums passed as unchanged
+	// whose 128-bit group sum then failed; each group's files went whole
+	// (counted in FilesFull, not FilesUnchanged).
+	SumGroupsFailed int
 	// Merkle-descent roundtrips within tree-manifest change detection
 	// (a subset of Roundtrips; both sides count each TREE exchange once).
 	TreeRounds int
@@ -159,6 +163,7 @@ func (c *Costs) Merge(other *Costs) {
 	c.CDCChunks += other.CDCChunks
 	c.JournalHits += other.JournalHits
 	c.JournalMisses += other.JournalMisses
+	c.SumGroupsFailed += other.SumGroupsFailed
 	c.TreeRounds += other.TreeRounds
 	c.FilesRenamed += other.FilesRenamed
 	c.RenameBytesSaved += other.RenameBytesSaved
@@ -230,6 +235,7 @@ func (c *Costs) MarshalJSON() ([]byte, error) {
 		"cdc_chunks":            c.CDCChunks,
 		"journal_hits":          c.JournalHits,
 		"journal_misses":        c.JournalMisses,
+		"sum_groups_failed":     int64(c.SumGroupsFailed),
 		"tree_rounds":           int64(c.TreeRounds),
 		"files_renamed":         int64(c.FilesRenamed),
 		"rename_bytes_saved":    c.RenameBytesSaved,

@@ -76,6 +76,10 @@ const (
 	// sums. A receiver sends it in place of MANIFEST when it is strictly
 	// shorter.
 	FrameManifestPacked
+	// FrameManifestShort is MANIFEST_PACKED with each sum cut to its first
+	// three bytes; the holder's VERDICTS then end in one MD4 per group of the
+	// files it judged unchanged, which the receiver checks against its own.
+	FrameManifestShort
 )
 
 // FrameName returns a human-readable name for a frame type.
@@ -123,6 +127,8 @@ func FrameName(t byte) string {
 		return "MANIFEST_WANT"
 	case FrameManifestPacked:
 		return "MANIFEST_PACKED"
+	case FrameManifestShort:
+		return "MANIFEST_SHORT"
 	default:
 		return fmt.Sprintf("UNKNOWN(%d)", t)
 	}

@@ -912,9 +912,9 @@ func (c *Client) SyncTCP(addr string) (*Result, error) {
 // the handshake are returned immediately. A BUSY load-shedding answer from
 // the server is likewise retried, waiting at least the server's RetryAfter
 // hint before the next attempt. A server too old to know a frame this client
-// sent (MANIFEST_REF, MANIFEST_PACKED) refuses it the same way every time:
-// that handshake failure is returned after one attempt, and a client in tree
-// mode (WithTreeManifest) interoperates with it.
+// sent (MANIFEST_REF, MANIFEST_PACKED, MANIFEST_SHORT) refuses it the same
+// way every time: that handshake failure is returned after one attempt, and a
+// client in tree mode (WithTreeManifest) interoperates with it.
 func (c *Client) SyncTCPContext(ctx context.Context, addr string) (*Result, error) {
 	var res *Result
 	err := transport.Retry(ctx, c.opt.clock, c.opt.retry, func(n int) error {
@@ -949,7 +949,7 @@ func (c *Client) SyncTCPContext(ctx context.Context, addr string) (*Result, erro
 			}
 			if errors.Is(err, collection.ErrHandshake) && strings.Contains(err.Error(), "UNKNOWN(") {
 				// The server named a frame this client sent (MANIFEST_REF,
-				// MANIFEST_PACKED) by the only name its older build has for
+				// MANIFEST_SHORT) by the only name its older build has for
 				// it: every attempt would draw the same refusal.
 				return transport.Permanent(err)
 			}

@@ -473,9 +473,9 @@ func TestRetryBoundedAttempts(t *testing.T) {
 	}
 }
 
-// TestRetryStopsAtOlderServer: a server from before MANIFEST_PACKED refuses a
-// packed manifest the same way on every attempt — its ERROR names the frame
-// UNKNOWN(21) — so the client gives up after one, with no backoff sleeps,
+// TestRetryStopsAtOlderServer: a server from before MANIFEST_SHORT refuses a
+// short-sum manifest the same way on every attempt — its ERROR names the frame
+// UNKNOWN(22) — so the client gives up after one, with no backoff sleeps,
 // where any other handshake failure is retried.
 func TestRetryStopsAtOlderServer(t *testing.T) {
 	l, err := listenLoopback(t)
@@ -517,7 +517,7 @@ func TestRetryStopsAtOlderServer(t *testing.T) {
 		msync.WithClock(clock),
 		msync.WithRetry(msync.RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, Seed: 7}))
 	_, err = cli.SyncTCPContext(context.Background(), l.Addr().String())
-	if !errors.Is(err, collection.ErrHandshake) || !strings.Contains(err.Error(), "got UNKNOWN(21)") {
+	if !errors.Is(err, collection.ErrHandshake) || !strings.Contains(err.Error(), "got UNKNOWN(22)") {
 		t.Fatalf("want the older server's refusal as a handshake error, got %v", err)
 	}
 	if got, slept := attempts.Load(), clock.Slept(); got != 1 || len(slept) != 0 {
