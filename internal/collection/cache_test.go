@@ -45,7 +45,7 @@ func TestManifestCacheReused(t *testing.T) {
 		defer a.Close()
 		srv.Serve(a)
 	}()
-	if _, err := pusher.Push(b); err != nil {
+	if _, err := pusher.PushContext(t.Context(), b); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()

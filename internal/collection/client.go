@@ -6,14 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"sort"
-	"time"
 
 	"msync/internal/core"
 	"msync/internal/delta"
 	"msync/internal/md4"
-	"msync/internal/obs"
 	"msync/internal/pool"
 	"msync/internal/stats"
 	"msync/internal/wire"
@@ -43,83 +40,13 @@ func asHandshake(err error) error {
 
 // Client synchronizes a local collection copy against a Server.
 type Client struct {
+	Options
 	src Source
-	// LazyResult, for sources that can re-read their own files (TreeSource),
-	// keeps unchanged files out of Result.Files: the result then holds only
-	// written content, with unchanged and deleted paths listed by name, so
-	// peak memory scales with the change set instead of the collection.
-	LazyResult bool
-	// TreeManifest switches change detection from the flat fingerprint
-	// manifest to merkle-tree reconciliation, which costs O(changed·log n)
-	// instead of O(n) — the right choice when almost nothing changed.
-	TreeManifest bool
-	// SpeculativeDescent requests (hello extension 3) that tree-mode
-	// descent answers carry several levels of digests at once, finishing
-	// a typical descent in roughly half the roundtrips. Ignored by
-	// servers that don't support it; the session then runs the legacy
-	// one-level descent byte-identically.
-	SpeculativeDescent bool
-	// CrossFileMatch requests (hello extension 3) cross-file matching in
-	// tree mode: files the server has under a new path are first matched
-	// against the whole local collection by content fingerprint (a pure
-	// rename then costs zero content bytes — the client copies its local
-	// file), and unmatched new files may be synced against an alternate
-	// local basis named in the WANT exchange instead of transferred in
-	// full.
-	CrossFileMatch bool
 	// trees carries the client's built merkle trees across sessions (and,
 	// when the source has a signature-cache directory, across processes),
 	// so a repeat tree-mode sync updates its tree incrementally from the
 	// manifest diff instead of rebuilding O(n) nodes.
 	trees treeState
-	// RoundTimeout, if positive, bounds each frame-level read/write of a
-	// session (and therefore each protocol round), so a stalled server
-	// fails the session instead of hanging it. Requires a connection with
-	// deadline support (net.Conn, transport.PipeEnd) to interrupt blocked
-	// I/O.
-	RoundTimeout time.Duration
-	// Workers bounds the client's local parallelism: per-file engine
-	// fan-out plus the engines' internal sharded scans and batched
-	// verification hashing. 0 means runtime.GOMAXPROCS(0); 1 is fully
-	// serial. Purely an execution knob — the wire output is bit-identical
-	// for every value.
-	Workers int
-	// AnnounceVersion adds the optional version extension to the hello:
-	// the client announces BaseVersion (0 = none known) and a versioned
-	// server may answer with a precomputed journal delta instead of map
-	// construction. Above 0 the client names its manifest by its digest
-	// (MANIFEST_REF) and sends the manifest only to a server that asks — one
-	// without a store, or one that cannot serve that version — at the price
-	// of one roundtrip. The server's current version is reported back in
-	// Result.Version.
-	AnnounceVersion bool
-	// BaseVersion is the stored version this client's collection matches,
-	// as learned from a previous Result.Version.
-	BaseVersion uint64
-	// MuxStreams, if positive, requests stream multiplexing (hello
-	// extension 2) with up to that many concurrent streams: the server
-	// partitions the sync files into streams whose map rounds, deltas and
-	// fallbacks interleave on the one connection, so slow files no longer
-	// gate fast ones and tiny files share roundtrips. Servers that don't
-	// multiplex (or sessions with nothing to sync) ignore the request and
-	// the session runs as one unwrapped stream over all its files,
-	// byte-identical to a session that never asked.
-	MuxStreams int
-	// MapMode requests a map-construction mode (hello extension 4):
-	// core.MapCDC asks the server to derive block boundaries from
-	// content-defined chunk cuts instead of recursive halving. The server
-	// is authoritative — it grants the mode by echoing it in the session
-	// config it ships with the verdicts, and servers that predate the
-	// extension ignore it, so the session falls back to halving
-	// byte-identically. The zero value never emits the extension.
-	MapMode core.MapMode
-	// Tracer, if set, receives span-like events per protocol phase; the
-	// summed frame bytes of a session's spans equal its Costs wire totals.
-	// Tracing never changes what goes on the wire.
-	Tracer obs.Tracer
-	// Logger, if set, receives structured session lifecycle logs. nil
-	// disables logging entirely.
-	Logger *slog.Logger
 }
 
 // NewClient creates a client over the local (path → content) collection.
@@ -153,7 +80,7 @@ type clientFile struct {
 
 // Result is the outcome of one synchronization session.
 type Result struct {
-	// Files is the updated collection. Under Client.LazyResult it holds only
+	// Files is the updated collection. Under Options.LazyResult it holds only
 	// the files the session wrote (synced, full, new); combined with
 	// Unchanged and Deleted it still describes the complete outcome.
 	Files map[string][]byte
@@ -168,7 +95,7 @@ type Result struct {
 	// and control traffic are not attributed).
 	PerFile map[string]int64
 	// Version is the server's current store version, reported when the
-	// client announced one (Client.AnnounceVersion) and the server is
+	// client announced one (Options.AnnounceVersion) and the server is
 	// versioned; 0 otherwise. Announce it as BaseVersion on the next sync
 	// of the updated collection to receive a journal delta.
 	Version uint64
@@ -182,10 +109,10 @@ func (c *Client) Sync(conn io.ReadWriter) (*Result, error) {
 
 // SyncContext runs one session over conn under ctx: cancellation or a
 // context deadline aborts the session at the next frame boundary (and
-// interrupts blocked I/O when conn supports deadlines), and RoundTimeout
-// bounds every individual round.
+// interrupts blocked I/O when conn supports deadlines), Timeout bounds the
+// whole session and RoundTimeout every individual round.
 func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Result, err error) {
-	s := openSession(ctx, conn, c.RoundTimeout, c.Tracer, c.Logger, "client")
+	s := openSession(ctx, conn, &c.Options, "client")
 	defer func() { s.close(err) }()
 	acct := beginAccounting(c.src)
 	defer acct.finish(s.costs)

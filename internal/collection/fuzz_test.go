@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"encoding/binary"
 	"errors"
 	"sort"
 	"testing"
@@ -92,7 +93,8 @@ func FuzzConfigDecode(f *testing.F) {
 // the bytes as a MANIFEST_PACKED or MANIFEST_SHORT payload are errPacked
 // exactly when unpackManifest refuses them at that width, and as the WANT after
 // a tree-mode TREE query a protocol error exactly when resolveWant refuses them
-// against the holder's files.
+// against the holder's files. As what follows a HELLO's type byte, a declared
+// length past maxHello is a protocol error that costs the server under 64 KB.
 func FuzzSessionFrames(f *testing.F) {
 	f.Add(make([]byte, md4.Size), uint32(2), false) // a MANIFEST_REF's payload
 	f.Add([]byte{}, uint32(2), false)               // a MANIFEST_WANT's
@@ -148,6 +150,7 @@ func FuzzSessionFrames(f *testing.F) {
 	for _, p := range sortedPayloads(hostileWants()) {
 		f.Add(p, uint32(2), false)
 	}
+	f.Add(append(wire.AppendUvarint(nil, maxHello+1), 1, 0, 0), uint32(0), false) // an oversized HELLO's header
 	f.Fuzz(func(t *testing.T, data []byte, nFiles uint32, bodies bool) {
 		n := int(nFiles % (1 << 24))
 		var secs []section
@@ -167,6 +170,18 @@ func FuzzSessionFrames(f *testing.F) {
 			_, unpackErr := unpackManifest(data, width)
 			handshake(t, []wireFrame{{wire.FrameHello, plainHello}, {ft, data}}, unpackErr == nil,
 				func(c *scriptConn) error { _, err := srv.Serve(c); return err })
+		}
+		if size, k := binary.Uvarint(data); k > 0 && size > maxHello {
+			conn, script := &scriptConn{}, append([]byte{wire.FrameHello}, data...)
+			got := alloctest.BytesPerOp(2, func() {
+				conn.script.Reset(script)
+				if _, err := srv.Serve(conn); !errors.Is(err, core.ErrProtocol) {
+					t.Fatalf("HELLO declaring %d bytes: %v", size, err)
+				}
+			})
+			if got >= 64<<10 {
+				t.Fatalf("HELLO declaring %d bytes cost %d B", size, got)
+			}
 		}
 		_, _, wantErr := resolveWant(data, BuildManifest(cur))
 		handshake(t, []wireFrame{{wire.FrameHello, treeHello.Build()}, {wire.FrameTree, treeQuery}, {wire.FrameWant, data}}, wantErr == nil,

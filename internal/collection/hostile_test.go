@@ -757,6 +757,33 @@ func wireBytes(t *testing.T, frames []wireFrame) []byte {
 	return out.Bytes()
 }
 
+// TestOversizedHelloRefused: the HELLO is the one frame a server reads before
+// it knows anything of its peer, so its length is capped at maxHello. A header
+// declaring more is refused as a protocol error before a payload byte is read:
+// a peer streaming a megabyte behind a 1 GiB header costs the server less than
+// 64 KB. A HELLO at the cap is read, and refused for what it says.
+func TestOversizedHelloRefused(t *testing.T) {
+	srv, err := NewServer(map[string][]byte{"a": []byte("x")}, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, declared := range []uint64{wire.MaxFrameSize, maxHello + 1, maxHello} {
+		script := append([]byte{wire.FrameHello}, wire.AppendUvarint(nil, declared)...)
+		script = append(script, make([]byte, min(declared, 1<<20))...)
+		conn := &scriptConn{}
+		var err error
+		got := alloctest.BytesPerOp(5, func() {
+			conn.script.Reset(script)
+			_, err = srv.Serve(conn)
+		})
+		if capped := declared > maxHello; errors.Is(err, core.ErrProtocol) != capped || err == nil {
+			t.Errorf("HELLO declaring %d bytes: %v", declared, err)
+		} else if capped && got >= 64<<10 {
+			t.Errorf("HELLO declaring %d bytes cost %d B, ceiling %d", declared, got, 64<<10)
+		}
+	}
+}
+
 // TestRefHandshakeAllocation: what a server allocates to answer a journal hit
 // named by reference does not depend on how many files the client holds — 200
 // or 4 000, it reads 18 bytes and iterates its own stored list — where the

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -103,7 +104,7 @@ func readGolden(t *testing.T, name string) (c2s, s2c []byte) {
 // replayRecorded feeds the receiver half of a recorded transcript to a holder
 // over the pipe — hold is a server's Serve, or a pusher's Push — and returns
 // the transcript with what the holder answered in place of its recorded half.
-func replayRecorded(t *testing.T, name string, hold func(io.ReadWriter) (*stats.Costs, error), push bool) (c2s, s2c []byte) {
+func replayRecorded(t *testing.T, name string, hold func(context.Context, io.ReadWriter) (*stats.Costs, error), push bool) (c2s, s2c []byte) {
 	t.Helper()
 	c2s, s2c = readGolden(t, name)
 	recv, answer := &c2s, &s2c
@@ -114,7 +115,7 @@ func replayRecorded(t *testing.T, name string, hold func(io.ReadWriter) (*stats.
 	if _, err := b.Write(*recv); err != nil { // pipe writes never block
 		t.Fatal(err)
 	}
-	_, err := hold(a)
+	_, err := hold(t.Context(), a)
 	a.Close()
 	if err != nil {
 		t.Fatalf("holder: %v", err)
@@ -165,7 +166,7 @@ func pushRecorded(t *testing.T, pusher, receiver *Server) (c2s, s2c []byte) {
 		defer a.Close()
 		_, srvErr = receiver.Serve(a)
 	}()
-	_, err := pusher.Push(rec)
+	_, err := pusher.PushContext(t.Context(), rec)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -191,7 +192,7 @@ func flatPull(name string, setup func(t *testing.T) (*Server, *Client)) []legacy
 	for _, old := range []string{name + "_packed", name} {
 		out = append(out, legacyScenario{name: old, replay: true, run: func(t *testing.T) ([]byte, []byte) {
 			srv, _ := setup(t)
-			return replayRecorded(t, old, srv.Serve, false)
+			return replayRecorded(t, old, srv.ServeContext, false)
 		}})
 	}
 	return out
@@ -262,12 +263,12 @@ func legacyScenarios() []legacyScenario {
 			// A receiver from before MANIFEST_SHORT, replayed against
 			// today's pusher.
 			pusher, _ := pushServers(t)
-			return replayRecorded(t, "push_packed", pusher.Push, true)
+			return replayRecorded(t, "push_packed", pusher.PushContext, true)
 		}},
 		{name: "push", push: true, replay: true, run: func(t *testing.T) ([]byte, []byte) {
 			// A receiver from before MANIFEST_PACKED.
 			pusher, _ := pushServers(t)
-			return replayRecorded(t, "push", pusher.Push, true)
+			return replayRecorded(t, "push", pusher.PushContext, true)
 		}},
 		{name: "tree_pull_spec", run: func(t *testing.T) ([]byte, []byte) {
 			// Tree pull with the tree-extension hello (speculative descent):
@@ -332,7 +333,7 @@ func legacyScenarios() []legacyScenario {
 			// An older client: it announces version 3 and sends its MANIFEST
 			// with it. A server without a store ignores the extension.
 			srv, _ := emacsPull(func(*Server, *Client) {})(t)
-			return replayRecorded(t, "announce_unversioned", srv.Serve, false)
+			return replayRecorded(t, "announce_unversioned", srv.ServeContext, false)
 		}},
 	}...)
 	// Today's client: version 3 by reference. A server without a store asks
@@ -374,7 +375,7 @@ func legacyScenarios() []legacyScenario {
 			// MANIFEST sent with it. No engines, verdicts carry the deltas,
 			// empty DELTA and ACK follow.
 			v1, v2 := costTrees()
-			return replayRecorded(t, "journal_pull", versionedServer(t, v1, v2, core.DefaultConfig()).Serve, false)
+			return replayRecorded(t, "journal_pull", versionedServer(t, v1, v2, core.DefaultConfig()).ServeContext, false)
 		}},
 		{name: "journal_ref_pull", run: func(t *testing.T) ([]byte, []byte) {
 			// Today's journal hit: the manifest's digest goes up, the same

@@ -10,7 +10,6 @@ import (
 	"msync/internal/obs"
 	"msync/internal/pool"
 	"msync/internal/stats"
-	"msync/internal/transport"
 	"msync/internal/wire"
 )
 
@@ -238,8 +237,8 @@ func (f *bareFramer) end()               {}
 // wrappedFramer frames the streams of a multiplexed session: CYCLE(n), then n
 // STREAM frames in stream order. Stream frames are accounted to their stream
 // (one span each, when it closes); the CYCLE frames to one round span per
-// cycle. A serving session with a round timeout also keeps one deadline per
-// stream and blocks on the earliest, so a single stalled stream fails the
+// cycle. A serving session with a round timeout also bounds every cycle by
+// it: every open stream waits in every cycle, so one stalled stream fails the
 // session within its budget while the others advance.
 type wrappedFramer struct {
 	s     *session
@@ -248,9 +247,8 @@ type wrappedFramer struct {
 	cycle int
 	ins   []*streamLink
 
-	gauge   *obs.Gauge                 // streams-active, serving side only
-	sd      *transport.StreamDeadlines // nil without a round timeout
-	timeout time.Duration
+	gauge   *obs.Gauge    // streams-active, serving side only
+	timeout time.Duration // the serving side's round timeout; 0: none
 }
 
 func (f *wrappedFramer) begin(n int, _ []*streamLink) {
@@ -269,16 +267,11 @@ func (f *wrappedFramer) account(l *streamLink, d stats.Direction, payload int) {
 	}
 }
 
-// touch gives l a fresh round budget and blocks the session on the earliest.
-func (f *wrappedFramer) touch(ls ...*streamLink) {
-	if f.sd == nil {
-		return
+// roundFrom sets the session's round deadline one round timeout after t.
+func (f *wrappedFramer) roundFrom(t time.Time) {
+	if f.timeout > 0 {
+		f.s.ts.SetPhaseDeadline("round", t.Add(f.timeout))
 	}
-	dl := time.Now().Add(f.timeout)
-	for _, l := range ls {
-		f.sd.Touch(l.id, dl)
-	}
-	f.s.ts.SetPhaseDeadline(f.sd.Earliest())
 }
 
 func (f *wrappedFramer) send(outs []*streamLink) error {
@@ -297,9 +290,12 @@ func (f *wrappedFramer) send(outs []*streamLink) error {
 	return nil
 }
 
+// recv reads one cycle. Under a round timeout the cycle must be in within it
+// of the read's start, and the answer the holder sends next within it of the
+// cycle's first STREAM frame.
 func (f *wrappedFramer) recv(waiting []*streamLink) ([]*streamLink, error) {
 	s := f.s
-	f.touch(waiting...)
+	f.roundFrom(time.Now())
 	cp, err := s.expect(wire.FrameCycle, stats.PhaseControl)
 	if err != nil {
 		return nil, err
@@ -314,10 +310,14 @@ func (f *wrappedFramer) recv(waiting []*streamLink) ([]*streamLink, error) {
 		return nil, s.fail(fmt.Errorf("collection: cycle of %d frames with %d live streams", n, f.open))
 	}
 	f.ins = f.ins[:0]
+	var first time.Time
 	for k := 0; k < n; k++ {
 		sp, err := s.fr.ExpectFrame(wire.FrameStream)
 		if err != nil {
 			return nil, err
+		}
+		if k == 0 {
+			first = time.Now()
 		}
 		sf, err := wire.ParseStreamFrame(sp, len(f.links))
 		if err != nil {
@@ -330,18 +330,15 @@ func (f *wrappedFramer) recv(waiting []*streamLink) ([]*streamLink, error) {
 		l.seen = f.cycle
 		l.inner, l.payload = sf.Type, sf.Payload
 		f.account(l, s.in(), len(sp))
-		f.touch(l)
 		f.ins = append(f.ins, l)
 	}
+	f.roundFrom(first)
 	return f.ins, nil
 }
 
 func (f *wrappedFramer) closed(l *streamLink) {
 	f.open--
 	f.s.st.stream(l)
-	if f.sd != nil {
-		f.sd.Drop(l.id)
-	}
 	if f.gauge != nil {
 		f.gauge.Dec()
 	}
@@ -351,9 +348,7 @@ func (f *wrappedFramer) end() {
 	if f.gauge != nil {
 		f.gauge.Add(-int64(f.open))
 	}
-	if f.sd != nil {
-		f.s.ts.SetPhaseDeadline(time.Time{})
-	}
+	f.s.ts.SetPhaseDeadline("", time.Time{})
 }
 
 // newFramer makes the links of a session's streams and picks their framing:
@@ -378,9 +373,6 @@ func (s *session) newFramer(counts []int, files int, gauge *obs.Gauge, timeout t
 	}
 	if gauge != nil {
 		gauge.Add(int64(n))
-	}
-	if timeout > 0 {
-		f.sd = transport.NewStreamDeadlines()
 	}
 	return f, links, counts
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,7 +371,8 @@ func TestMuxSevered(t *testing.T) {
 
 // TestMuxStalledClient: a client that silently stops sending mid-stream
 // (writes dropped inside its final reply cycle) fails the serving session via
-// the per-stream round deadlines instead of pinning it forever.
+// the per-cycle round deadline instead of pinning it forever, and the error
+// names the round, not the handshake.
 func TestMuxStalledClient(t *testing.T) {
 	v1, v2 := tinyTrees(12)
 	_, clientBytes := muxByteProbe(t, v2, v1, 8)
@@ -399,8 +401,8 @@ func TestMuxStalledClient(t *testing.T) {
 	}()
 	select {
 	case err := <-srvDone:
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("want deadline error from the stalled stream, got %v", err)
+		if !errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), "transport: round deadline exceeded") {
+			t.Fatalf("want the round deadline from the stalled stream, got %v", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server never noticed the stalled stream")

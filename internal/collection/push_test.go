@@ -36,7 +36,7 @@ func pushSession(t *testing.T, srcFiles, dstFiles map[string][]byte, tree bool) 
 		defer a.Close()
 		_, replicaErr = replica.Serve(a)
 	}()
-	costs, err := pusher.Push(b)
+	costs, err := pusher.PushContext(t.Context(), b)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -85,7 +85,7 @@ func TestPushRejectedWhenDisallowed(t *testing.T) {
 		defer a.Close()
 		replica.Serve(a)
 	}()
-	_, pushErr := pusher.Push(b)
+	_, pushErr := pusher.PushContext(t.Context(), b)
 	b.Close()
 	wg.Wait()
 	if pushErr == nil {
@@ -114,7 +114,7 @@ func TestPushThenServe(t *testing.T) {
 		defer a.Close()
 		replica.Serve(a)
 	}()
-	if _, err := pusher.Push(b); err != nil {
+	if _, err := pusher.PushContext(t.Context(), b); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -23,6 +22,7 @@ import (
 // can also push its collection to a remote replica (paper §7's asymmetric
 // scenario: the data holder initiates).
 type Server struct {
+	Options
 	cfg core.Config
 
 	mu  sync.RWMutex
@@ -36,42 +36,6 @@ type Server struct {
 	manifest []ManifestEntry
 	mtree    *merkle.TreeCache
 	prevTree *merkle.TreeCache
-
-	// AllowPush lets clients push updated collections into this server.
-	AllowPush bool
-	// TreeManifest selects merkle change detection when this server pushes.
-	TreeManifest bool
-	// OnUpdate, if set, is called with the new collection after a received
-	// push (e.g. to persist it).
-	OnUpdate func(map[string][]byte)
-	// RoundTimeout, if positive, bounds each frame-level read/write of a
-	// session so a stalled client fails the session instead of pinning a
-	// server goroutine forever. Requires a connection with deadline
-	// support (net.Conn, transport.PipeEnd) to interrupt blocked I/O.
-	RoundTimeout time.Duration
-	// HandshakeTimeout, if positive, bounds the whole handshake phase
-	// (HELLO through the verdict exchange) with one absolute deadline, so
-	// an idle or deliberately slow dial cannot pin a session slot the way
-	// it could under the per-operation RoundTimeout alone. Cleared once
-	// per-file transfer begins. Requires deadline support on the
-	// connection, like RoundTimeout.
-	HandshakeTimeout time.Duration
-	// Tracer, if set, receives span-like events per protocol phase; the
-	// summed frame bytes of a session's spans equal its Costs wire totals.
-	// Tracing never changes what goes on the wire.
-	Tracer obs.Tracer
-	// Logger, if set, receives structured session lifecycle logs. nil
-	// disables logging entirely.
-	Logger *slog.Logger
-	// MuxStreams caps the stream width granted to clients requesting
-	// multiplexed sessions (hello extension 2). 0 refuses multiplexing:
-	// requests are ignored and every session runs as one unwrapped stream
-	// over all its files. The grant is further bounded by the session's
-	// sync-file count and the protocol cap.
-	MuxStreams int
-	// Metrics, if set, receives the server's live multiplexing gauges and
-	// counters (streams active, rounds batched). nil disables them.
-	Metrics *obs.Registry
 }
 
 // NewServer creates a server over the given (path → content) collection.
@@ -170,16 +134,20 @@ func (s *Server) Serve(conn io.ReadWriter) (*stats.Costs, error) {
 
 // ServeContext runs one synchronization session over conn under ctx:
 // cancellation or a context deadline aborts the session at the next frame
-// boundary (interrupting blocked I/O when conn supports deadlines), and
-// RoundTimeout bounds every individual round.
+// boundary (interrupting blocked I/O when conn supports deadlines), Timeout
+// bounds the whole session, HandshakeTimeout its handshake and RoundTimeout
+// every individual round.
 func (s *Server) ServeContext(ctx context.Context, conn io.ReadWriter) (_ *stats.Costs, err error) {
-	sess := openSession(ctx, conn, s.RoundTimeout, s.Tracer, s.Logger, "server")
+	sess := openSession(ctx, conn, &s.Options, "server")
 	defer func() { sess.close(err) }()
 	if s.HandshakeTimeout > 0 {
-		sess.ts.SetPhaseDeadline(time.Now().Add(s.HandshakeTimeout))
+		sess.ts.SetPhaseDeadline("handshake", time.Now().Add(s.HandshakeTimeout))
 	}
 	return sess.costs, s.serveConn(sess)
 }
+
+// maxHello caps the HELLO payload a server reads.
+const maxHello = 64 << 10
 
 // serveConn runs the session body of ServeContext: handshake, role dispatch,
 // then serving (or consuming, for a push) the collection. The session carries
@@ -187,8 +155,11 @@ func (s *Server) ServeContext(ctx context.Context, conn io.ReadWriter) (_ *stats
 func (s *Server) serveConn(sess *session) error {
 	sess.holder = true
 
-	// HELLO.
-	hello, err := sess.fr.ExpectFrame(wire.FrameHello)
+	// HELLO, capped: nothing is known of the peer before it.
+	hello, err := sess.fr.ExpectFrameMax(wire.FrameHello, maxHello)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		err = sess.fail(fmt.Errorf("%w: HELLO over %d bytes", core.ErrProtocol, maxHello))
+	}
 	if err != nil {
 		return err
 	}
@@ -214,7 +185,7 @@ func (s *Server) serveConn(sess *session) error {
 		}
 		// The pusher has identified itself and committed to a transfer; the
 		// anti-loris guard has done its job.
-		sess.ts.SetPhaseDeadline(time.Time{})
+		sess.ts.SetPhaseDeadline("", time.Time{})
 		sess.holder = false
 		sess.src = s.source()
 		sess.cfg.Workers = s.cfg.Workers
@@ -279,7 +250,7 @@ func (s *Server) serve(sess *session) error {
 	}
 	// Verdicts are out: the client is real and transfer has begun, so the
 	// handshake deadline no longer applies.
-	sess.ts.SetPhaseDeadline(time.Time{})
+	sess.ts.SetPhaseDeadline("", time.Time{})
 	if sess.cfg.MapMode == core.MapCDC {
 		sess.costs.FilesCDC += len(work.engines)
 	}
@@ -308,18 +279,13 @@ func (s *Server) serveFiles(sess *session, work serverWork) error {
 	return sess.serveStreams(streams, f, s.Metrics)
 }
 
-// Push updates a remote replica over conn with this server's (newer)
+// PushContext updates a remote replica over conn with this server's (newer)
 // collection: the inverse transfer direction of Serve, for replicas that
 // cannot dial out or for backup-style workflows. The remote end must be a
-// Server with AllowPush set. It is PushContext with a background context.
-func (s *Server) Push(conn io.ReadWriter) (*stats.Costs, error) {
-	return s.PushContext(context.Background(), conn)
-}
-
-// PushContext runs Push under ctx, with the same cancellation and
-// round-timeout semantics as ServeContext.
+// Server with AllowPush set. ctx and the options bound it as they bound
+// ServeContext.
 func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (_ *stats.Costs, err error) {
-	sess := openSession(ctx, conn, s.RoundTimeout, s.Tracer, s.Logger, "server")
+	sess := openSession(ctx, conn, &s.Options, "server")
 	defer func() { sess.close(err) }()
 	sess.holder = true
 	sess.mode = modeManifest

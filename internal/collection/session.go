@@ -14,6 +14,89 @@ import (
 	"msync/internal/wire"
 )
 
+// Options are the settings of one endpoint's sessions. Client and Server
+// embed them, and each end reads the fields its role uses: a pulling client
+// its change detection, extensions and lazy result, a server its push
+// acceptance and grants. The timeouts, the worker budget and the
+// observability hooks apply to every session either end runs.
+type Options struct {
+	// Timeout, if positive, bounds each whole session, handshake through the
+	// final ack.
+	Timeout time.Duration
+	// RoundTimeout, if positive, bounds each frame-level read and write of a
+	// session, and therefore each protocol round, so a stalled peer fails the
+	// session instead of hanging it. A serving session also bounds each
+	// multiplexed cycle by it (DESIGN.md §13 "Deadlines"). Interrupting
+	// blocked I/O needs a connection with deadline support (net.Conn,
+	// transport.PipeEnd).
+	RoundTimeout time.Duration
+	// HandshakeTimeout, if positive, bounds a served session's handshake
+	// (HELLO through the verdict exchange for a pull, the HELLO for a push)
+	// with one absolute deadline, so an idle or deliberately slow dial cannot
+	// pin a session slot the way it could under RoundTimeout alone.
+	HandshakeTimeout time.Duration
+	// Workers bounds a client's local parallelism: per-file engine fan-out
+	// plus the engines' sharded scans and batched verification hashing.
+	// 0 means runtime.GOMAXPROCS(0); 1 is fully serial. A server's budget is
+	// its config's Workers. The wire output is bit-identical for every value.
+	Workers int
+
+	// TreeManifest switches change detection from the flat fingerprint
+	// manifest to merkle-tree reconciliation, O(changed·log n) instead of
+	// O(n): for a client's pulls and a server's pushes.
+	TreeManifest bool
+	// SpeculativeDescent requests (hello extension 3) that tree-mode descent
+	// answers carry several levels of digests at once, finishing a typical
+	// descent in roughly half the roundtrips.
+	SpeculativeDescent bool
+	// CrossFileMatch requests (hello extension 3) cross-file matching in tree
+	// mode: a file the server has under a new path is first matched against
+	// the whole local collection by fingerprint (a pure rename costs no
+	// content bytes), and an unmatched new file may be synced against an
+	// alternate local basis named in the WANT exchange.
+	CrossFileMatch bool
+	// MuxStreams, on a client, requests stream multiplexing (hello extension
+	// 2) with up to that many streams, whose map rounds, deltas and fallbacks
+	// interleave on the one connection; on a server it caps the width
+	// granted, 0 refusing. A session either side leaves at 0 runs as one
+	// unwrapped stream, byte-identical to one that never asked.
+	MuxStreams int
+	// MapMode requests a map-construction mode (hello extension 4). The
+	// server grants it by echoing it in the session config it ships with the
+	// verdicts; one that predates the extension runs halving byte-identically.
+	// The zero value never emits the extension.
+	MapMode core.MapMode
+	// AnnounceVersion adds the version extension to the hello: the client
+	// announces BaseVersion (0 = none known), and above 0 names its manifest
+	// by its digest (MANIFEST_REF), sending it only to a server that asks. A
+	// versioned server may answer with a precomputed journal delta and
+	// reports its current version in Result.Version.
+	AnnounceVersion bool
+	// BaseVersion is the stored version this client's collection matches, as
+	// learned from a previous Result.Version.
+	BaseVersion uint64
+	// LazyResult, for client sources that can re-read their own files
+	// (TreeSource), keeps unchanged files out of Result.Files: the result
+	// holds only written content, with unchanged and deleted paths listed by
+	// name, so peak memory scales with the change set.
+	LazyResult bool
+	// AllowPush lets clients push updated collections into this server;
+	// OnUpdate, if set, is called with the new collection after each.
+	AllowPush bool
+	OnUpdate  func(map[string][]byte)
+
+	// Tracer, if set, receives span-like events per protocol phase; the
+	// summed frame bytes of a session's spans equal its Costs wire totals.
+	// Logger, if set, receives structured session lifecycle logs. Neither
+	// ever changes what goes on the wire.
+	Tracer obs.Tracer
+	Logger *slog.Logger
+	// Metrics, if set, receives every session's outcome — the active gauge,
+	// the session and error counts, the duration histogram and its Costs —
+	// and a server's multiplexing gauges and counters.
+	Metrics *obs.Registry
+}
+
 // session is one end of a running session: the connection with its frame
 // reader and writer, the accounting every frame goes through, a pooled
 // scratch buffer for the frames this end assembles, and what the hello
@@ -21,13 +104,17 @@ import (
 // or pushing) and the receiver (a pulling client, or a server accepting a
 // push) — so a frame is written, counted and traced the same way everywhere.
 type session struct {
-	ctx   context.Context
-	ts    *transport.Session
-	fr    *wire.FrameReader
-	fw    *wire.FrameWriter
-	costs *stats.Costs
-	st    *sessTrace
-	buf   *wire.Buffer
+	ctx    context.Context
+	cancel context.CancelFunc
+	ts     *transport.Session
+	fr     *wire.FrameReader
+	fw     *wire.FrameWriter
+	costs  *stats.Costs
+	st     *sessTrace
+	buf    *wire.Buffer
+
+	metrics *obs.Registry
+	start   time.Time
 
 	// holder is the role: the data holder sends S2C and tells the peer why
 	// before giving up on a protocol violation (see fail).
@@ -44,29 +131,53 @@ type session struct {
 	ext  helloExts
 }
 
-// openSession wraps conn for one session; the caller must close it.
-func openSession(ctx context.Context, conn io.ReadWriter, roundTimeout time.Duration, tr obs.Tracer, log *slog.Logger, side string) *session {
-	ts := transport.NewSession(ctx, conn, roundTimeout)
+// openSession is the one envelope of every session, whatever its role: it
+// wraps conn under opt's whole-session Timeout and per-round RoundTimeout,
+// starts the trace and the log, and counts the session active. The caller
+// must close it.
+func openSession(ctx context.Context, conn io.ReadWriter, opt *Options, side string) *session {
+	cancel := context.CancelFunc(func() {})
+	if opt.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
+	}
+	if opt.Metrics != nil {
+		opt.Metrics.Gauge(obs.MetricSessionsActive).Inc()
+	}
+	ts := transport.NewSession(ctx, conn, opt.RoundTimeout)
 	return &session{
-		ctx:   ctx,
-		ts:    ts,
-		fr:    wire.GetFrameReader(ts),
-		fw:    wire.GetFrameWriter(ts),
-		costs: &stats.Costs{},
-		st:    newSessTrace(tr, log, side),
-		buf:   wire.GetBuffer(4096),
-		ext:   helloExts{announce: -1},
+		ctx:     ctx,
+		cancel:  cancel,
+		ts:      ts,
+		fr:      wire.GetFrameReader(ts),
+		fw:      wire.GetFrameWriter(ts),
+		costs:   &stats.Costs{},
+		st:      newSessTrace(opt.Tracer, opt.Logger, side),
+		buf:     wire.GetBuffer(4096),
+		metrics: opt.Metrics,
+		start:   time.Now(),
+		ext:     helloExts{announce: -1},
 	}
 }
 
-// close ends the session's trace with its outcome and returns the pooled
-// reader, writer and scratch.
+// close ends the session: its trace and log with the outcome, its metrics
+// with the outcome, duration and costs; then it returns the pooled reader,
+// writer and scratch and releases the connection.
 func (s *session) close(err error) {
 	s.st.end(s, err)
+	if r := s.metrics; r != nil {
+		r.Gauge(obs.MetricSessionsActive).Dec()
+		r.Counter(obs.MetricSessions).Inc()
+		if err != nil {
+			r.Counter(obs.MetricSessionErrors).Inc()
+		}
+		r.Histogram(obs.MetricSessionSeconds, obs.DurationBuckets).Observe(int64(time.Since(s.start)))
+		obs.RecordCosts(r, s.costs)
+	}
 	wire.PutBuffer(s.buf)
 	wire.PutFrameWriter(s.fw)
 	wire.PutFrameReader(s.fr)
 	s.ts.Release()
+	s.cancel()
 }
 
 // out and in are the directions this end's frames travel in the session's

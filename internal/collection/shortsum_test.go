@@ -137,7 +137,11 @@ func runCollision(t *testing.T, push, lazy bool, width int, old, cur map[string]
 		receiver.OnUpdate = func(files map[string][]byte) { run.files = files }
 		go func() { defer wg.Done(); relay(dialProxy, acceptProxy, down) }()
 		go func() { defer wg.Done(); relay(acceptProxy, dialProxy, up) }()
-		go func() { defer wg.Done(); defer dialer.Close(); run.holder, holdErr = holder.Push(dialer) }()
+		go func() {
+			defer wg.Done()
+			defer dialer.Close()
+			run.holder, holdErr = holder.PushContext(t.Context(), dialer)
+		}()
 		go func() { defer wg.Done(); defer acceptor.Close(); run.recv, recvErr = receiver.Serve(acceptor) }()
 	} else {
 		holder.MuxStreams = width

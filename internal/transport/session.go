@@ -39,12 +39,14 @@ type Session struct {
 	opTimeout time.Duration
 
 	// phaseDeadline, when non-zero, caps every operation's effective
-	// deadline in addition to opTimeout and the context deadline. The
-	// server's admission layer uses it to bound the handshake phase so an
-	// idle or slow-loris dial cannot pin a session slot; the serving loop
-	// clears it once the handshake completes. Owned by the session's
-	// protocol goroutine (never touched by the watcher), so a plain field.
+	// deadline in addition to opTimeout and the context deadline; phase
+	// names it in the error it ends a session with. A serving session bounds
+	// its handshake with one, so an idle or slow-loris dial cannot pin a
+	// session slot, and each multiplexed cycle with another. Owned by the
+	// session's protocol goroutine (never touched by the watcher), so plain
+	// fields.
 	phaseDeadline time.Time
+	phase         string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -111,12 +113,16 @@ func (s *Session) Release() {
 	})
 }
 
-// SetPhaseDeadline installs an absolute deadline applied to every
-// subsequent operation until cleared with the zero time. It composes with
-// the per-operation timeout and the context deadline: the earliest wins.
+// SetPhaseDeadline installs an absolute deadline for the named phase
+// ("handshake", "round"), applied to every subsequent operation until cleared
+// with the zero time. It composes with the per-operation timeout and the
+// context deadline: the earliest wins, and an operation it ends fails with
+// "transport: <phase> deadline exceeded", wrapping os.ErrDeadlineExceeded.
 // Effective only on connections with deadline support; call it from the
 // session's own protocol goroutine.
-func (s *Session) SetPhaseDeadline(t time.Time) { s.phaseDeadline = t }
+func (s *Session) SetPhaseDeadline(phase string, t time.Time) {
+	s.phase, s.phaseDeadline = phase, t
+}
 
 // Read implements io.Reader with context and round-timeout checks.
 func (s *Session) Read(p []byte) (int, error) { return s.do(p, true) }
@@ -165,7 +171,7 @@ func (s *Session) do(p []byte, read bool) (int, error) {
 			return n, fmt.Errorf("transport: session: %w", cerr)
 		}
 		if !s.phaseDeadline.IsZero() && errors.Is(err, os.ErrDeadlineExceeded) && !time.Now().Before(s.phaseDeadline) {
-			return n, fmt.Errorf("transport: handshake deadline exceeded: %w", err)
+			return n, fmt.Errorf("transport: %s deadline exceeded: %w", s.phase, err)
 		}
 		if s.opTimeout > 0 && errors.Is(err, os.ErrDeadlineExceeded) {
 			return n, fmt.Errorf("transport: round timeout after %v: %w", s.opTimeout, err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -99,6 +100,27 @@ func TestSessionRoundTimeout(t *testing.T) {
 	a.Write([]byte("y"))
 	if _, err := s.Read(buf); err != nil || buf[0] != 'y' {
 		t.Fatalf("next round read: %v %q", err, buf)
+	}
+}
+
+// TestSessionPhaseDeadline: a phase deadline cuts a blocked read short even
+// though the session has a generous op timeout — the earliest wins — and the
+// error names the phase the deadline was set for.
+func TestSessionPhaseDeadline(t *testing.T) {
+	c, s := Pipe()
+	defer c.Close()
+	defer s.Close()
+	sess := NewSession(t.Context(), c, 30*time.Second)
+	defer sess.Release()
+	sess.SetPhaseDeadline("round", time.Now().Add(20*time.Millisecond))
+
+	start := time.Now()
+	_, err := sess.Read(make([]byte, 1)) // the peer never writes
+	if !errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), "transport: round deadline exceeded") {
+		t.Fatalf("want the round deadline, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("read blocked %v; phase deadline not applied", elapsed)
 	}
 }
 

@@ -385,13 +385,19 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // ErrVarintOverflow instead of desynchronizing the stream; a stream that
 // ends inside the header or payload fails with io.ErrUnexpectedEOF.
 func (fr *FrameReader) ReadFrame() (frameType byte, payload []byte, err error) {
+	return fr.readFrame(MaxFrameSize)
+}
+
+// readFrame is ReadFrame for a payload of at most max bytes: a longer
+// declared length fails with ErrFrameTooLarge before a payload byte is read.
+func (fr *FrameReader) readFrame(max int) (frameType byte, payload []byte, err error) {
 	frameType, err = fr.r.ReadByte()
 	if err != nil {
 		return 0, nil, err
 	}
 	size, sizeLen, err := readUvarint(fr.r)
 	if err == nil {
-		if size > MaxFrameSize {
+		if size > uint64(max) {
 			return 0, nil, ErrFrameTooLarge
 		}
 		payload, err = readPayload(fr.r, int(size))
@@ -461,7 +467,14 @@ func (fr *FrameReader) ResetCounts() { fr.frames, fr.bytes = 0, 0 }
 // place of the expected frame decodes to a *BusyError so retry loops can
 // recognize admission refusals wherever they land in the handshake.
 func (fr *FrameReader) ExpectFrame(want byte) ([]byte, error) {
-	got, payload, err := fr.ReadFrame()
+	return fr.ExpectFrameMax(want, MaxFrameSize)
+}
+
+// ExpectFrameMax is ExpectFrame for a frame whose payload may not exceed max
+// bytes: a longer declared length fails with ErrFrameTooLarge before a
+// payload byte is read.
+func (fr *FrameReader) ExpectFrameMax(want byte, max int) ([]byte, error) {
+	got, payload, err := fr.readFrame(max)
 	if err != nil {
 		return nil, err
 	}

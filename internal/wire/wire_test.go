@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 
@@ -290,5 +291,19 @@ func TestBusyRoundTrip(t *testing.T) {
 	}
 	if FrameName(FrameBusy) != "BUSY" {
 		t.Fatalf("FrameName(FrameBusy) = %q", FrameName(FrameBusy))
+	}
+}
+
+// TestExpectFrameMax: a frame at the cap reads; one declaring a byte past it
+// is refused with ErrFrameTooLarge before a payload byte is read.
+func TestExpectFrameMax(t *testing.T) {
+	frame := []byte{FrameHello, 3, 1, 2, 3}
+	if p, err := NewFrameReader(bytes.NewReader(frame)).ExpectFrameMax(FrameHello, 3); err != nil || len(p) != 3 {
+		t.Fatalf("frame at the cap: %v, %d bytes", err, len(p))
+	}
+	header := bytes.NewReader(frame[:2])
+	payload := iotest.ErrReader(errors.New("payload read"))
+	if _, err := NewFrameReader(io.MultiReader(header, payload)).ExpectFrameMax(FrameHello, 2); err != ErrFrameTooLarge {
+		t.Fatalf("frame past the cap: %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -203,46 +203,42 @@ func (s *Server) initServing() {
 // timeouts, push acceptance, the version store and session observation; see
 // Option. Invalid options are reported wrapped in ErrBadOption.
 func NewServer(files map[string][]byte, cfg Config, opts ...Option) (*Server, error) {
+	s, _, err := newServer(cfg, opts, func(*sessionOptions, *Config) (collection.Source, []error, error) {
+		return collection.MapSource(files), nil, nil
+	})
+	return s, err
+}
+
+// newServer builds a Server over the source open returns, once the options
+// are applied and the config has its worker budget: the version store, if
+// configured, around the source, the inner server with the options, and the
+// serving path. open's per-file errors are passed through.
+func newServer(cfg Config, opts []Option, open func(*sessionOptions, *Config) (collection.Source, []error, error)) (*Server, []error, error) {
 	s := &Server{
+		opt:       applyOptions(opts),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
-	for _, o := range opts {
-		o(&s.opt)
-	}
 	if s.opt.err != nil {
-		return nil, s.opt.err
+		return nil, nil, s.opt.err
 	}
-	if s.opt.workers != 0 {
-		cfg.Workers = s.opt.workers
+	if s.opt.Workers != 0 {
+		cfg.Workers = s.opt.Workers
 	}
-	src, err := s.attachStore(collection.MapSource(files))
+	src, werrs, err := open(&s.opt, &cfg)
+	if err == nil {
+		src, err = s.attachStore(src)
+	}
 	if err != nil {
-		return nil, err
+		return nil, werrs, err
 	}
-	inner, err := collection.NewServerSource(src, cfg)
-	if err != nil {
+	if s.inner, err = collection.NewServerSource(src, cfg); err != nil {
 		s.closeStore()
-		return nil, err
+		return nil, werrs, err
 	}
-	s.finishServer(inner)
-	return s, nil
-}
-
-// finishServer wires the applied options into the inner collection server
-// and initializes the serving path.
-func (s *Server) finishServer(inner *collection.Server) {
-	s.inner = inner
-	inner.TreeManifest = s.opt.treeManifest
-	inner.RoundTimeout = s.opt.roundTimeout
-	inner.HandshakeTimeout = s.opt.handshakeTimeout
-	inner.AllowPush = s.opt.allowPush
-	inner.OnUpdate = s.opt.onUpdate
-	inner.Tracer = s.opt.tracer
-	inner.Logger = s.opt.logger
-	inner.MuxStreams = s.opt.muxStreams
-	inner.Metrics = s.opt.metrics
+	s.inner.Options = s.opt.Options
 	s.initServing()
+	return s, werrs, nil
 }
 
 // attachStore opens the version store configured with WithStore (if any) and
@@ -263,7 +259,7 @@ func (s *Server) attachStore(src collection.Source) (collection.Source, error) {
 // updateStoreGauges refreshes the msync_store_versions and msync_store_bytes
 // gauges from the store's current stats.
 func (s *Server) updateStoreGauges() {
-	r := s.opt.metrics
+	r := s.opt.Metrics
 	if r == nil || s.st == nil {
 		return
 	}
@@ -307,34 +303,9 @@ func (s *Server) Snapshot() (uint64, error) {
 // affected files are simply absent from the collection. The error result is
 // non-nil only when root itself is unusable.
 func NewDirServer(root string, cfg Config, opts ...Option) (*Server, []error, error) {
-	s := &Server{
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
-	}
-	for _, o := range opts {
-		o(&s.opt)
-	}
-	if s.opt.err != nil {
-		return nil, nil, s.opt.err
-	}
-	if s.opt.workers != 0 {
-		cfg.Workers = s.opt.workers
-	}
-	tree, werrs, err := newTreeSource(root, &s.opt, collection.ConfigFingerprint(&cfg))
-	if err != nil {
-		return nil, werrs, err
-	}
-	src, err := s.attachStore(tree)
-	if err != nil {
-		return nil, werrs, err
-	}
-	inner, err := collection.NewServerSource(src, cfg)
-	if err != nil {
-		s.closeStore()
-		return nil, werrs, err
-	}
-	s.finishServer(inner)
-	return s, werrs, nil
+	return newServer(cfg, opts, func(o *sessionOptions, cfg *Config) (collection.Source, []error, error) {
+		return newTreeSource(root, o, collection.ConfigFingerprint(cfg))
+	})
 }
 
 // NewStoreServer creates a directory-backed Server with a version store at
@@ -350,7 +321,7 @@ func NewStoreServer(root, storeDir string, cfg Config, opts ...Option) (*Server,
 // signature cache configured by the options. The client side keys cached
 // signatures with fingerprint 0: it caches only whole-file sums, which do
 // not depend on the engine config.
-func newTreeSource(root string, opt *sessionOptions, fingerprint uint64) (*collection.TreeSource, []error, error) {
+func newTreeSource(root string, opt *sessionOptions, fingerprint uint64) (collection.Source, []error, error) {
 	tree, werrs, err := dirio.OpenTree(root)
 	var errs []error
 	for _, we := range werrs {
@@ -372,42 +343,13 @@ func (s *Server) Serve(conn io.ReadWriter) (*Costs, error) {
 	return s.ServeContext(context.Background(), conn)
 }
 
-// beginSession marks a session active in the metrics registry and returns
-// the closer that records its outcome. The no-op path (no registry) costs a
-// nil check.
-func (o *sessionOptions) beginSession() func(costs *Costs, err error, dur time.Duration) {
-	r := o.metrics
-	if r == nil {
-		return func(*Costs, error, time.Duration) {}
-	}
-	r.Gauge(obs.MetricSessionsActive).Inc()
-	return func(costs *Costs, err error, dur time.Duration) {
-		r.Gauge(obs.MetricSessionsActive).Dec()
-		r.Counter(obs.MetricSessions).Inc()
-		if err != nil {
-			r.Counter(obs.MetricSessionErrors).Inc()
-		}
-		r.Histogram(obs.MetricSessionSeconds, obs.DurationBuckets).Observe(int64(dur))
-		if costs != nil {
-			obs.RecordCosts(r, costs)
-		}
-	}
-}
-
 // ServeContext runs one session over conn under ctx: cancellation aborts
 // the session at the next protocol round, the WithTimeout option bounds the
 // whole session, and WithRoundTimeout bounds each round. The session hook,
 // if installed, observes the outcome.
 func (s *Server) ServeContext(ctx context.Context, conn io.ReadWriter) (*Costs, error) {
-	if s.opt.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opt.timeout)
-		defer cancel()
-	}
 	start := time.Now()
-	record := s.opt.beginSession()
 	costs, err := s.inner.ServeContext(ctx, conn)
-	record(costs, err, time.Since(start))
 	if s.opt.hook != nil {
 		ev := SessionEvent{Costs: costs, Err: err, Duration: time.Since(start)}
 		if nc, ok := conn.(net.Conn); ok {
@@ -471,10 +413,10 @@ func (s *Server) ServeListener(l net.Listener) error {
 			} else if acceptDelay *= 2; acceptDelay > time.Second {
 				acceptDelay = time.Second
 			}
-			if r := s.opt.metrics; r != nil {
+			if r := s.opt.Metrics; r != nil {
 				r.Counter(obs.MetricAcceptRetries).Inc()
 			}
-			if lg := s.opt.logger; lg != nil {
+			if lg := s.opt.Logger; lg != nil {
 				lg.Warn("msync: transient accept error; retrying",
 					"error", err, "backoff", acceptDelay)
 			}
@@ -486,7 +428,7 @@ func (s *Server) ServeListener(l net.Listener) error {
 			continue
 		}
 		acceptDelay = 0
-		if r := s.opt.metrics; r != nil {
+		if r := s.opt.Metrics; r != nil {
 			r.Counter(obs.MetricConnsAccepted).Inc()
 		}
 		s.mu.Lock()
@@ -538,7 +480,7 @@ func (s *Server) handleConn(c net.Conn) {
 		return
 	}
 	defer release()
-	if r := s.opt.metrics; r != nil {
+	if r := s.opt.Metrics; r != nil {
 		r.Counter(obs.MetricSessionsAdmitted).Inc()
 	}
 	_, err := s.ServeContext(s.baseCtx, c)
@@ -566,11 +508,11 @@ func (s *Server) admit() (release func(), ok bool) {
 	default:
 		return nil, false
 	}
-	if r := s.opt.metrics; r != nil {
+	if r := s.opt.Metrics; r != nil {
 		r.Gauge(obs.MetricSessionsQueued).Inc()
 	}
 	defer func() {
-		if r := s.opt.metrics; r != nil {
+		if r := s.opt.Metrics; r != nil {
 			r.Gauge(obs.MetricSessionsQueued).Dec()
 		}
 		<-s.queue
@@ -592,10 +534,10 @@ func (s *Server) releaseSlot() { <-s.sem }
 // the connection, destroying the BUSY answer in the peer's buffer before
 // it can be read.
 func (s *Server) shed(c net.Conn) {
-	if r := s.opt.metrics; r != nil {
+	if r := s.opt.Metrics; r != nil {
 		r.Counter(obs.MetricSessionsShed).Inc()
 	}
-	if lg := s.opt.logger; lg != nil {
+	if lg := s.opt.Logger; lg != nil {
 		lg.Warn("msync: shedding connection: server at capacity",
 			"remote", c.RemoteAddr().String(), "retry_after", s.opt.busyRetryAfter)
 	}
@@ -618,14 +560,14 @@ func (s *Server) recordSessionError(c net.Conn, err error) {
 		return
 	}
 	abort := isClientAbort(err)
-	if r := s.opt.metrics; r != nil {
+	if r := s.opt.Metrics; r != nil {
 		if abort {
 			r.Counter(obs.MetricClientAborts).Inc()
 		} else {
 			r.Counter(obs.MetricSessionFailures).Inc()
 		}
 	}
-	if lg := s.opt.logger; lg != nil {
+	if lg := s.opt.Logger; lg != nil {
 		if abort {
 			lg.Warn("msync: session aborted by client",
 				"remote", c.RemoteAddr().String(), "error", err)
@@ -719,22 +661,13 @@ func (s *Server) forceClose() {
 // reverse transfer direction, for replicas that cannot dial out. The remote
 // must allow pushes (WithPush). It is PushContext with a background context.
 func (s *Server) Push(conn io.ReadWriter) (*Costs, error) {
-	return s.inner.Push(conn)
+	return s.PushContext(context.Background(), conn)
 }
 
 // PushContext runs Push under ctx with the configured timeouts: the
 // WithTimeout option bounds the whole push and WithRoundTimeout each round.
 func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (*Costs, error) {
-	if s.opt.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opt.timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	record := s.opt.beginSession()
-	costs, err := s.inner.PushContext(ctx, conn)
-	record(costs, err, time.Since(start))
-	return costs, err
+	return s.inner.PushContext(ctx, conn)
 }
 
 // PushTCP dials addr and pushes over TCP. It is PushTCPContext with a
@@ -784,30 +717,13 @@ func NewClientE(files map[string][]byte, opts ...Option) (*Client, error) {
 
 // newClient builds a map-backed client, returning the collected option
 // error, if any; the client is usable either way (invalid options keep
-// their defaults).
+// their defaults). A map-backed client holds its collection in memory
+// anyway, so it ignores WithLazyResult.
 func newClient(files map[string][]byte, opts ...Option) (*Client, error) {
-	c := &Client{inner: collection.NewClient(files)}
-	for _, o := range opts {
-		o(&c.opt)
-	}
-	c.applyClientOptions()
+	c := &Client{inner: collection.NewClient(files), opt: applyOptions(opts)}
+	c.opt.LazyResult = false
+	c.inner.Options = c.opt.Options
 	return c, c.opt.err
-}
-
-// applyClientOptions wires the applied options into the inner collection
-// client.
-func (c *Client) applyClientOptions() {
-	c.inner.TreeManifest = c.opt.treeManifest
-	c.inner.SpeculativeDescent = c.opt.specDescent
-	c.inner.CrossFileMatch = c.opt.crossFile
-	c.inner.RoundTimeout = c.opt.roundTimeout
-	c.inner.Workers = c.opt.workers
-	c.inner.AnnounceVersion = c.opt.announce
-	c.inner.BaseVersion = c.opt.baseVersion
-	c.inner.Tracer = c.opt.tracer
-	c.inner.Logger = c.opt.logger
-	c.inner.MuxStreams = c.opt.muxStreams
-	c.inner.MapMode = c.opt.mapMode
 }
 
 // NewDirClient creates a Client whose local copy is streamed from a
@@ -818,10 +734,7 @@ func (c *Client) applyClientOptions() {
 // second value (the files are treated as absent); the error result is
 // non-nil only when root itself is unusable.
 func NewDirClient(root string, opts ...Option) (*Client, []error, error) {
-	c := &Client{}
-	for _, o := range opts {
-		o(&c.opt)
-	}
+	c := &Client{opt: applyOptions(opts)}
 	if c.opt.err != nil {
 		return nil, nil, c.opt.err
 	}
@@ -830,8 +743,7 @@ func NewDirClient(root string, opts ...Option) (*Client, []error, error) {
 		return nil, werrs, err
 	}
 	c.inner = collection.NewClientSource(src)
-	c.applyClientOptions()
-	c.inner.LazyResult = c.opt.lazyResult
+	c.inner.Options = c.opt.Options
 	return c, werrs, nil
 }
 
@@ -873,19 +785,7 @@ func (c *Client) Sync(conn io.ReadWriter) (*Result, error) {
 // supports deadlines), the WithTimeout option bounds the whole session, and
 // WithRoundTimeout bounds each round.
 func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (*Result, error) {
-	if c.opt.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opt.timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	record := c.opt.beginSession()
 	res, err := c.inner.SyncContext(ctx, conn)
-	var costs *Costs
-	if res != nil {
-		costs = res.Costs
-	}
-	record(costs, err, time.Since(start))
 	if err != nil {
 		return nil, err
 	}
@@ -919,10 +819,10 @@ func (c *Client) SyncTCPContext(ctx context.Context, addr string) (*Result, erro
 	var res *Result
 	err := transport.Retry(ctx, c.opt.clock, c.opt.retry, func(n int) error {
 		if n > 1 {
-			if r := c.opt.metrics; r != nil {
+			if r := c.opt.Metrics; r != nil {
 				r.Counter(obs.MetricRetries).Inc()
 			}
-			if l := c.opt.logger; l != nil {
+			if l := c.opt.Logger; l != nil {
 				l.Warn("msync: retrying sync", "attempt", n, "addr", addr)
 			}
 		}
@@ -938,10 +838,10 @@ func (c *Client) SyncTCPContext(ctx context.Context, addr string) (*Result, erro
 			if errors.As(err, &busy) {
 				// Load-shedding answer: retry, waiting at least the
 				// server's hint before the next attempt.
-				if reg := c.opt.metrics; reg != nil {
+				if reg := c.opt.Metrics; reg != nil {
 					reg.Counter(obs.MetricBusyResponses).Inc()
 				}
-				if l := c.opt.logger; l != nil {
+				if l := c.opt.Logger; l != nil {
 					l.Warn("msync: server busy", "attempt", n, "addr", addr,
 						"retry_after", busy.RetryAfter)
 				}

@@ -3,6 +3,7 @@ package msync_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -203,5 +204,16 @@ func TestBroadcastFile(t *testing.T) {
 	}
 	if res.Total() >= res.UnicastTotal() {
 		t.Fatalf("broadcast %d not below unicast %d", res.Total(), res.UnicastTotal())
+	}
+}
+
+// TestMapClientIgnoresLazyResult: a map-backed client holds its collection in
+// memory anyway, so WithLazyResult leaves its Result whole: every file of the
+// server's collection is in Files, unchanged ones included.
+func TestMapClientIgnoresLazyResult(t *testing.T) {
+	_, newFiles := obsCorpus()
+	res, _ := runTracedSync(t, nil, []msync.Option{msync.WithLazyResult()})
+	if !reflect.DeepEqual(res.Files, newFiles) || len(res.Unchanged) != 0 {
+		t.Fatalf("lazy map client: %d files (want %d), %d listed unchanged", len(res.Files), len(newFiles), len(res.Unchanged))
 	}
 }

@@ -223,3 +223,73 @@ func TestConcurrentSyncMetricsMatchSerial(t *testing.T) {
 		t.Errorf("event counts diverge: serial %d, parallel %d", s, p)
 	}
 }
+
+// TestSessionMetricsPerEntryPoint: every entry point of either end runs in
+// one session envelope, so WithMetrics counts exactly one session per Sync,
+// Serve, Push and PushContext call on the endpoint that holds the registry,
+// on both ends, and the active gauge is back at 0 once the call returns.
+func TestSessionMetricsPerEntryPoint(t *testing.T) {
+	oldFiles, newFiles := obsCorpus()
+	server := func(t *testing.T, files map[string][]byte, opts ...msync.Option) *msync.Server {
+		t.Helper()
+		srv, err := msync.NewServer(files, msync.DefaultConfig(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	for _, tc := range []struct {
+		name string
+		push bool // the accepting end takes a push instead of serving a pull
+		dial func(t *testing.T, reg *msync.MetricsRegistry, conn io.ReadWriter) error
+	}{
+		{"Sync", false, func(t *testing.T, reg *msync.MetricsRegistry, conn io.ReadWriter) error {
+			_, err := msync.NewClient(oldFiles, msync.WithMetrics(reg)).Sync(conn)
+			return err
+		}},
+		{"Push", true, func(t *testing.T, reg *msync.MetricsRegistry, conn io.ReadWriter) error {
+			_, err := server(t, newFiles, msync.WithMetrics(reg)).Push(conn)
+			return err
+		}},
+		{"PushContext", true, func(t *testing.T, reg *msync.MetricsRegistry, conn io.ReadWriter) error {
+			_, err := server(t, newFiles, msync.WithMetrics(reg)).PushContext(t.Context(), conn)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dialReg, serveReg := msync.NewMetricsRegistry(), msync.NewMetricsRegistry()
+			files, opts := newFiles, []msync.Option{msync.WithMetrics(serveReg)}
+			if tc.push {
+				files, opts = oldFiles, append(opts, msync.WithPush(nil))
+			}
+			acceptor := server(t, files, opts...)
+			a, b := msync.Pipe()
+			served := make(chan error, 1)
+			go func() {
+				defer a.Close()
+				_, err := acceptor.Serve(a)
+				served <- err
+			}()
+			err := tc.dial(t, dialReg, b)
+			b.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if err := <-served; err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+			for _, end := range []struct {
+				name string
+				reg  *msync.MetricsRegistry
+			}{{tc.name, dialReg}, {"Serve", serveReg}} {
+				snap := end.reg.Snapshot()
+				if got := snap.Counters[obs.MetricSessions]; got != 1 {
+					t.Errorf("%s: %s = %d, want 1", end.name, obs.MetricSessions, got)
+				}
+				if got := snap.Gauges[obs.MetricSessionsActive]; got != 0 {
+					t.Errorf("%s: %s = %d after the session, want 0", end.name, obs.MetricSessionsActive, got)
+				}
+			}
+		})
+	}
+}

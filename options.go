@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"time"
 
+	"msync/internal/collection"
 	"msync/internal/transport"
 )
 
@@ -51,47 +52,41 @@ type SessionEvent struct {
 	Duration time.Duration
 }
 
-// sessionOptions collects the knobs shared by NewClient and NewServer.
-// Options that only apply to one side are silently ignored by the other.
+// sessionOptions collects the knobs shared by NewClient and NewServer: the
+// settings the collection endpoint's sessions read, handed to it whole, and
+// the ones the root applies itself around them. Options that only apply to
+// one side are silently ignored by the other.
 type sessionOptions struct {
-	treeManifest bool
-	timeout      time.Duration // whole-session deadline
-	roundTimeout time.Duration // per-round (frame-level I/O) deadline
-	dialTimeout  time.Duration
-	retry        RetryPolicy
-	clock        Clock
-	allowPush    bool
-	onUpdate     func(map[string][]byte)
-	hook         func(SessionEvent)
-	workers      int
-	muxStreams   int
-	specDescent  bool
-	crossFile    bool
-	mapMode      MapMode
+	collection.Options
 
-	maxSessions      int           // concurrent-session cap; 0 = unlimited
-	maxQueued        int           // admission wait-queue depth; 0 = no queue
-	handshakeTimeout time.Duration // server-side handshake phase deadline
-	busyRetryAfter   time.Duration // retry-after hint carried by BUSY answers
+	dialTimeout time.Duration
+	retry       RetryPolicy
+	clock       Clock
+	hook        func(SessionEvent)
+
+	maxSessions    int           // concurrent-session cap; 0 = unlimited
+	maxQueued      int           // admission wait-queue depth; 0 = no queue
+	busyRetryAfter time.Duration // retry-after hint carried by BUSY answers
 
 	cacheEnabled  bool
 	cacheDir      string
 	cacheMem      int64
 	cacheParanoid bool
-	lazyResult    bool
 
 	storeDir    string // version-store directory; "" = no store (server side)
 	storeBudget int64  // GC byte budget for the store; 0 = unlimited
-	announce    bool   // client announces a base version in its hello
-	baseVersion uint64 // the version announced
-
-	logger  *slog.Logger
-	tracer  Tracer
-	metrics *MetricsRegistry
 
 	// err records the first invalid option; error-returning constructors
 	// surface it wrapped in ErrBadOption, NewClient drops it.
 	err error
+}
+
+// applyOptions runs opts over the defaults.
+func applyOptions(opts []Option) (o sessionOptions) {
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
 }
 
 // badf records the first option-validation failure, wrapped in ErrBadOption.
@@ -114,7 +109,7 @@ type Option func(*sessionOptions)
 // large, mostly-unchanged collections. Applies to a Client's pulls and a
 // Server's pushes.
 func WithTreeManifest() Option {
-	return func(o *sessionOptions) { o.treeManifest = true }
+	return func(o *sessionOptions) { o.TreeManifest = true }
 }
 
 // WithSpeculativeDescent makes a tree-manifest Client request speculative
@@ -125,7 +120,7 @@ func WithTreeManifest() Option {
 // byte-identically. Implies nothing without WithTreeManifest; ignored by
 // servers (they always grant it when asked).
 func WithSpeculativeDescent() Option {
-	return func(o *sessionOptions) { o.specDescent = true }
+	return func(o *sessionOptions) { o.SpeculativeDescent = true }
 }
 
 // WithCrossFileMatch makes a tree-manifest Client request cross-file
@@ -137,7 +132,7 @@ func WithSpeculativeDescent() Option {
 // support the extension ignore it; the session then runs byte-identically
 // to one without this option. Implies nothing without WithTreeManifest.
 func WithCrossFileMatch() Option {
-	return func(o *sessionOptions) { o.crossFile = true }
+	return func(o *sessionOptions) { o.CrossFileMatch = true }
 }
 
 // WithTimeout bounds each whole synchronization session (handshake through
@@ -149,7 +144,7 @@ func WithTimeout(d time.Duration) Option {
 			o.badf("WithTimeout: negative duration %v", d)
 			return
 		}
-		o.timeout = d
+		o.Timeout = d
 	}
 }
 
@@ -162,7 +157,7 @@ func WithRoundTimeout(d time.Duration) Option {
 			o.badf("WithRoundTimeout: negative duration %v", d)
 			return
 		}
-		o.roundTimeout = d
+		o.RoundTimeout = d
 	}
 }
 
@@ -217,8 +212,8 @@ func WithClock(c Clock) Option {
 // (optional, may be nil) receives the adopted collection after each push.
 func WithPush(onUpdate func(map[string][]byte)) Option {
 	return func(o *sessionOptions) {
-		o.allowPush = true
-		o.onUpdate = onUpdate
+		o.AllowPush = true
+		o.OnUpdate = onUpdate
 	}
 }
 
@@ -283,7 +278,7 @@ func WithHandshakeTimeout(d time.Duration) Option {
 			o.badf("WithHandshakeTimeout: negative duration %v", d)
 			return
 		}
-		o.handshakeTimeout = d
+		o.HandshakeTimeout = d
 	}
 }
 
@@ -341,7 +336,7 @@ func WithParanoidCache() Option {
 // set instead of the collection size. Ignored by map-backed clients, which
 // have the collection in memory anyway.
 func WithLazyResult() Option {
-	return func(o *sessionOptions) { o.lazyResult = true }
+	return func(o *sessionOptions) { o.LazyResult = true }
 }
 
 // WithLogger attaches a structured logger to the endpoint: session starts,
@@ -355,7 +350,7 @@ func WithLogger(l *slog.Logger) Option {
 			o.badf("WithLogger: nil logger")
 			return
 		}
-		o.logger = l
+		o.Logger = l
 	}
 }
 
@@ -368,7 +363,7 @@ func WithTracer(tr Tracer) Option {
 			o.badf("WithTracer: nil tracer")
 			return
 		}
-		o.tracer = tr
+		o.Tracer = tr
 	}
 }
 
@@ -384,7 +379,7 @@ func WithMetrics(r *MetricsRegistry) Option {
 			o.badf("WithMetrics: nil registry")
 			return
 		}
-		o.metrics = r
+		o.Metrics = r
 	}
 }
 
@@ -400,7 +395,7 @@ func WithWorkers(n int) Option {
 			o.badf("WithWorkers: negative worker count %d", n)
 			return
 		}
-		o.workers = n
+		o.Workers = n
 	}
 }
 
@@ -420,7 +415,7 @@ func WithMuxStreams(n int) Option {
 			o.badf("WithMuxStreams: negative stream count %d", n)
 			return
 		}
-		o.muxStreams = n
+		o.MuxStreams = n
 	}
 }
 
@@ -441,7 +436,7 @@ func WithMapMode(m MapMode) Option {
 			o.badf("WithMapMode: unknown mode %d", int(m))
 			return
 		}
-		o.mapMode = m
+		o.MapMode = m
 	}
 }
 
@@ -493,7 +488,7 @@ func WithStoreBudget(n int64) Option {
 // current version) and sends the manifest outright.
 func WithBaseVersion(v uint64) Option {
 	return func(o *sessionOptions) {
-		o.announce = true
-		o.baseVersion = v
+		o.AnnounceVersion = true
+		o.BaseVersion = v
 	}
 }

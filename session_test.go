@@ -23,6 +23,7 @@ import (
 
 	"msync"
 	"msync/internal/collection"
+	"msync/internal/obs"
 	"msync/internal/transport"
 	"msync/internal/wire"
 )
@@ -372,6 +373,57 @@ func TestStalledEndpointRoundDeadline(t *testing.T) {
 	}
 	if elapsed < 140*time.Millisecond || elapsed > 10*time.Second {
 		t.Fatalf("deadline fired after %v, configured round timeout 150ms", elapsed)
+	}
+}
+
+// TestPushHonorsSessionOptions: Push is PushContext with a background
+// context, so the session options bound and count it too: WithMetrics counts
+// the push, and WithTimeout ends a push whose peer never answers.
+func TestPushHonorsSessionOptions(t *testing.T) {
+	serverFiles, clientFiles := sessionFiles()
+	reg := msync.NewMetricsRegistry()
+	pusher, err := msync.NewServer(serverFiles, msync.DefaultConfig(), msync.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver, err := msync.NewServer(clientFiles, msync.DefaultConfig(), msync.WithPush(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := msync.Pipe()
+	go func() {
+		defer a.Close()
+		receiver.Serve(a)
+	}()
+	_, err = pusher.Push(b)
+	b.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters[obs.MetricSessions]; got != 1 {
+		t.Errorf("%s = %d after one Push, want 1", obs.MetricSessions, got)
+	}
+
+	stalled, err := msync.NewServer(serverFiles, msync.DefaultConfig(), msync.WithTimeout(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b = msync.Pipe() // nothing ever answers on a
+	defer a.Close()
+	defer b.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := stalled.Push(b)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		// The connection's deadline is the context's, and may fire first.
+		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("want the session timeout, got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Push under WithTimeout(100ms) still blocked after 2s")
 	}
 }
 
