@@ -173,7 +173,7 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		if size, k := binary.Uvarint(data); k > 0 && size > maxHello {
 			conn, script := &scriptConn{}, append([]byte{wire.FrameHello}, data...)
-			got := alloctest.BytesPerOp(2, func() {
+			got := alloctest.BytesPerOp(16, func() { // sixteen: see hostileHandshakes
 				conn.script.Reset(script)
 				if _, err := srv.Serve(conn); !errors.Is(err, core.ErrProtocol) {
 					t.Fatalf("HELLO declaring %d bytes: %v", size, err)

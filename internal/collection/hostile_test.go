@@ -772,7 +772,7 @@ func TestOversizedHelloRefused(t *testing.T) {
 		script = append(script, make([]byte, min(declared, 1<<20))...)
 		conn := &scriptConn{}
 		var err error
-		got := alloctest.BytesPerOp(5, func() {
+		got := alloctest.BytesPerOp(16, func() { // sixteen: see hostileHandshakes
 			conn.script.Reset(script)
 			_, err = srv.Serve(conn)
 		})

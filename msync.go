@@ -215,10 +215,10 @@ func NewServer(files map[string][]byte, cfg Config, opts ...Option) (*Server, er
 // serving path. open's per-file errors are passed through.
 func newServer(cfg Config, opts []Option, open func(*sessionOptions, *Config) (collection.Source, []error, error)) (*Server, []error, error) {
 	s := &Server{
-		opt:       applyOptions(opts),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
+	s.opt.apply(opts)
 	if s.opt.err != nil {
 		return nil, nil, s.opt.err
 	}
@@ -720,7 +720,8 @@ func NewClientE(files map[string][]byte, opts ...Option) (*Client, error) {
 // their defaults). A map-backed client holds its collection in memory
 // anyway, so it ignores WithLazyResult.
 func newClient(files map[string][]byte, opts ...Option) (*Client, error) {
-	c := &Client{inner: collection.NewClient(files), opt: applyOptions(opts)}
+	c := &Client{inner: collection.NewClient(files)}
+	c.opt.apply(opts)
 	c.opt.LazyResult = false
 	c.inner.Options = c.opt.Options
 	return c, c.opt.err
@@ -734,7 +735,8 @@ func newClient(files map[string][]byte, opts ...Option) (*Client, error) {
 // second value (the files are treated as absent); the error result is
 // non-nil only when root itself is unusable.
 func NewDirClient(root string, opts ...Option) (*Client, []error, error) {
-	c := &Client{opt: applyOptions(opts)}
+	c := &Client{}
+	c.opt.apply(opts)
 	if c.opt.err != nil {
 		return nil, nil, c.opt.err
 	}

@@ -81,12 +81,11 @@ type sessionOptions struct {
 	err error
 }
 
-// applyOptions runs opts over the defaults.
-func applyOptions(opts []Option) (o sessionOptions) {
+// apply runs opts over o.
+func (o *sessionOptions) apply(opts []Option) {
 	for _, opt := range opts {
-		opt(&o)
+		opt(o)
 	}
-	return o
 }
 
 // badf records the first option-validation failure, wrapped in ErrBadOption.

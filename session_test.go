@@ -391,14 +391,19 @@ func TestPushHonorsSessionOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := msync.Pipe()
+	served := make(chan error, 1)
 	go func() {
 		defer a.Close()
-		receiver.Serve(a)
+		_, err := receiver.Serve(a)
+		served <- err
 	}()
 	_, err = pusher.Push(b)
 	b.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("receiver: %v", err)
 	}
 	if got := reg.Snapshot().Counters[obs.MetricSessions]; got != 1 {
 		t.Errorf("%s = %d after one Push, want 1", obs.MetricSessions, got)
