@@ -114,7 +114,7 @@ type session struct {
 	buf    *wire.Buffer
 
 	metrics *obs.Registry
-	start   time.Time
+	start   time.Time // the session's, for its duration in the metrics and the trace
 
 	// holder is the role: the data holder sends S2C and tells the peer why
 	// before giving up on a protocol violation (see fail).
@@ -151,10 +151,10 @@ func openSession(ctx context.Context, conn io.ReadWriter, opt *Options, side str
 		fr:      wire.GetFrameReader(ts),
 		fw:      wire.GetFrameWriter(ts),
 		costs:   &stats.Costs{},
+		start:   time.Now(), // before the trace's first span starts
 		st:      newSessTrace(opt.Tracer, opt.Logger, side),
 		buf:     wire.GetBuffer(4096),
 		metrics: opt.Metrics,
-		start:   time.Now(),
 		ext:     helloExts{announce: -1},
 	}
 }

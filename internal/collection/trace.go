@@ -36,7 +36,6 @@ type sessTrace struct {
 	note   string // a fallback or choice the span took (obs.Event.Note)
 
 	// Session totals.
-	sessStart time.Time
 	totFrames int
 	totUp     int64
 	totDown   int64
@@ -48,15 +47,13 @@ func newSessTrace(tr obs.Tracer, log *slog.Logger, side string) *sessTrace {
 	if tr == nil && log == nil {
 		return nil
 	}
-	now := time.Now()
 	st := &sessTrace{
-		tr:        tr,
-		log:       obs.OrNop(log),
-		sid:       obs.NextSessionID(),
-		side:      side,
-		phase:     obs.PhaseHandshake,
-		start:     now,
-		sessStart: now,
+		tr:    tr,
+		log:   obs.OrNop(log),
+		sid:   obs.NextSessionID(),
+		side:  side,
+		phase: obs.PhaseHandshake,
+		start: time.Now(),
 	}
 	st.log.Debug("msync: session start", "session", st.sid, "side", side)
 	return st
@@ -228,7 +225,7 @@ func (t *sessTrace) end(s *session, err error) {
 		Frames:    t.totFrames,
 		BytesUp:   t.totUp,
 		BytesDown: t.totDown,
-		Dur:       time.Since(t.sessStart),
+		Dur:       time.Since(s.start),
 	}
 	if err != nil {
 		ev.Err = err.Error()
@@ -243,7 +240,7 @@ func (t *sessTrace) end(s *session, err error) {
 		"side", t.side,
 		"bytes", s.costs.Total(),
 		"roundtrips", s.costs.Roundtrips,
-		"dur", time.Since(t.sessStart),
+		"dur", time.Since(s.start),
 		"frames_read", framesRead,
 		"frames_written", framesWritten,
 		"wire_bytes_read", bytesRead,
