@@ -8,6 +8,7 @@ import (
 
 	"msync/internal/alloctest"
 	"msync/internal/core"
+	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/merkle"
 	"msync/internal/wire"
@@ -93,8 +94,12 @@ func FuzzConfigDecode(f *testing.F) {
 // the bytes as a MANIFEST_PACKED or MANIFEST_SHORT payload are errPacked
 // exactly when unpackManifest refuses them at that width, and as the WANT after
 // a tree-mode TREE query a protocol error exactly when resolveWant refuses them
-// against the holder's files. As what follows a HELLO's type byte, a declared
-// length past maxHello is a protocol error that costs the server under 64 KB.
+// against the holder's files. As a MANIFEST_TABLE in the receiver's first
+// flight they are a protocol error exactly when filelist.ParseTable refuses
+// them or leaves bytes after the table; answering a MANIFEST_WANT, or as a
+// second MANIFEST_WANT, any table and any WANT is one. As what follows a
+// HELLO's type byte, a declared length past maxHello is a protocol error that
+// costs the server under 64 KB.
 func FuzzSessionFrames(f *testing.F) {
 	f.Add(make([]byte, md4.Size), uint32(2), false) // a MANIFEST_REF's payload
 	f.Add([]byte{}, uint32(2), false)               // a MANIFEST_WANT's
@@ -151,6 +156,10 @@ func FuzzSessionFrames(f *testing.F) {
 		f.Add(p, uint32(2), false)
 	}
 	f.Add(append(wire.AppendUvarint(nil, maxHello+1), 1, 0, 0), uint32(0), false) // an oversized HELLO's header
+	table, _ := tableOf(BuildManifest(old))
+	f.Add(table, uint32(2), false)                                                       // a MANIFEST_TABLE's
+	f.Add(append(wire.AppendUvarint(nil, 1<<26), make([]byte, 38)...), uint32(2), false) // one of 2²⁶ cells in 42 bytes
+	serve := func(c *scriptConn) error { _, err := srv.Serve(c); return err }
 	f.Fuzz(func(t *testing.T, data []byte, nFiles uint32, bodies bool) {
 		n := int(nFiles % (1 << 24))
 		var secs []section
@@ -183,6 +192,12 @@ func FuzzSessionFrames(f *testing.F) {
 				t.Fatalf("HELLO declaring %d bytes cost %d B", size, got)
 			}
 		}
+		tp := wire.NewParser(data)
+		_, tableErr := filelist.ParseTable(tp)
+		handshake(t, []wireFrame{{wire.FrameHello, plainHello}, {wire.FrameManifestTable, data}}, tableErr == nil && tp.Remaining() == 0, serve)
+		handshake(t, []wireFrame{{wire.FrameHello, refHello.Build()}, {wire.FrameManifestRef, make([]byte, md4.Size)}, {wire.FrameManifestTable, data}}, false, serve)
+		handshake(t, []wireFrame{{wire.FrameManifestWant, data}, {wire.FrameManifestWant, nil}}, false,
+			func(c *scriptConn) error { _, err := cli.Sync(c); return err })
 		_, _, wantErr := resolveWant(data, BuildManifest(cur))
 		handshake(t, []wireFrame{{wire.FrameHello, treeHello.Build()}, {wire.FrameTree, treeQuery}, {wire.FrameWant, data}}, wantErr == nil,
 			func(c *scriptConn) error { _, err := srv.Serve(c); return err })

@@ -76,6 +76,7 @@ var costCounters = []struct {
 	{"msync_store_journal_hits_total", func(c *stats.Costs) int64 { return c.JournalHits }},
 	{"msync_store_journal_misses_total", func(c *stats.Costs) int64 { return c.JournalMisses }},
 	{"msync_sum_groups_failed_total", func(c *stats.Costs) int64 { return int64(c.SumGroupsFailed) }},
+	{"msync_table_peels_failed_total", func(c *stats.Costs) int64 { return int64(c.TablePeelsFailed) }},
 	{"msync_hashes_sent_total", func(c *stats.Costs) int64 { return c.HashesSent }},
 	{"msync_candidates_found_total", func(c *stats.Costs) int64 { return c.CandidatesFound }},
 	{"msync_matches_confirmed_total", func(c *stats.Costs) int64 { return c.MatchesConfirmed }},

@@ -95,6 +95,9 @@ type Costs struct {
 	// whose 128-bit group sum then failed; each group's files went whole
 	// (counted in FilesFull, not FilesUnchanged).
 	SumGroupsFailed int
+	// MANIFEST_TABLEs the holder could not peel: it asked for the list with
+	// MANIFEST_WANT, one roundtrip more (both ends count it).
+	TablePeelsFailed int
 	// Merkle-descent roundtrips within tree-manifest change detection
 	// (a subset of Roundtrips; both sides count each TREE exchange once).
 	TreeRounds int
@@ -164,6 +167,7 @@ func (c *Costs) Merge(other *Costs) {
 	c.JournalHits += other.JournalHits
 	c.JournalMisses += other.JournalMisses
 	c.SumGroupsFailed += other.SumGroupsFailed
+	c.TablePeelsFailed += other.TablePeelsFailed
 	c.TreeRounds += other.TreeRounds
 	c.FilesRenamed += other.FilesRenamed
 	c.RenameBytesSaved += other.RenameBytesSaved
@@ -236,6 +240,7 @@ func (c *Costs) MarshalJSON() ([]byte, error) {
 		"journal_hits":          c.JournalHits,
 		"journal_misses":        c.JournalMisses,
 		"sum_groups_failed":     int64(c.SumGroupsFailed),
+		"table_peels_failed":    int64(c.TablePeelsFailed),
 		"tree_rounds":           int64(c.TreeRounds),
 		"files_renamed":         int64(c.FilesRenamed),
 		"rename_bytes_saved":    c.RenameBytesSaved,
