@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -305,35 +306,43 @@ func TestAblateManifestShape(t *testing.T) {
 
 // TestAblateDetectShape: group-tested sums send a flat session's manifest in
 // fewer bytes up than full sums, for a few more down (one MD4 per 64 unchanged
-// files) and in as many roundtrips; a hit by reference sends the same few
-// bytes up in two roundtrips whatever the collection's size, and a miss costs
-// the group-tested flat session one roundtrip more. The tree sends less up
-// than the group-tested flat list, in more roundtrips, and speculative descent
-// takes fewer of them than the one-level descent.
+// files) and in as many roundtrips. The table is the group-tested session byte
+// for byte on the smallest collection, whose MANIFEST_SHORT is too short to
+// replace, and sends fewer bytes up and down than it on the largest, in as
+// many roundtrips; in between it is one or the other. A hit by reference
+// sends the same few bytes up in two roundtrips whatever the collection's
+// size, and a miss costs the group-tested flat session one roundtrip more. The
+// tree sends less up than the group-tested flat list, in more roundtrips, and
+// speculative descent takes fewer of them than the one-level descent.
 func TestAblateDetectShape(t *testing.T) {
 	rows := runFor(t, "ablate.detect").Rows
-	if len(rows)%7 != 0 {
-		t.Fatalf("%d rows, want 7 a size", len(rows))
+	if len(rows)%8 != 0 {
+		t.Fatalf("%d rows, want 8 a size", len(rows))
 	}
-	for i := 0; i+6 < len(rows); i += 7 {
-		full, flat, hit := rows[i].Values, rows[i+1].Values, rows[i+2].Values
+	for i := 0; i+7 < len(rows); i += 8 {
+		full, flat, table, hit := rows[i].Values, rows[i+1].Values, rows[i+2].Values, rows[i+3].Values
 		if flat[0] >= full[0] || flat[1] <= full[1] || flat[1] > full[1]+full[1]/4 || flat[2] != full[2] {
 			t.Fatalf("%s: %v against full sums' %v", rows[i+1].Name, flat, full)
 		}
-		if hit[0] != rows[2].Values[0] || hit[0] > 96 || hit[2] != 2 {
-			t.Fatalf("%s: %.0f bytes up in %.0f roundtrips, want the %.0f of the smallest collection in 2",
-				rows[i+2].Name, hit[0], hit[2], rows[2].Values[0])
+		same := slices.Equal(table, flat)
+		fewer := table[0] < flat[0] && table[1] < flat[1] && table[2] == flat[2]
+		if i == 0 && !same || i+8 == len(rows) && !fewer || !same && !fewer {
+			t.Fatalf("%s: %v against the group-tested session's %v", rows[i+2].Name, table, flat)
 		}
-		for _, miss := range rows[i+3 : i+5] {
+		if hit[0] != rows[3].Values[0] || hit[0] > 96 || hit[2] != 2 {
+			t.Fatalf("%s: %.0f bytes up in %.0f roundtrips, want the %.0f of the smallest collection in 2",
+				rows[i+3].Name, hit[0], hit[2], rows[3].Values[0])
+		}
+		for _, miss := range rows[i+4 : i+6] {
 			if miss.Values[2] != flat[2]+1 || miss.Values[0] > flat[0]+32 {
 				t.Fatalf("%s: %.0f bytes up in %.0f roundtrips against the flat session's %.0f in %.0f",
 					miss.Name, miss.Values[0], miss.Values[2], flat[0], flat[2])
 			}
 		}
-		tree, spec := rows[i+5].Values, rows[i+6].Values
+		tree, spec := rows[i+6].Values, rows[i+7].Values
 		if tree[0] >= flat[0] || tree[2] <= flat[2] || spec[0] >= flat[0] || spec[2] >= tree[2] {
 			t.Fatalf("%s: %v and %s: %v against the group-tested flat session's %v",
-				rows[i+5].Name, tree, rows[i+6].Name, spec, flat)
+				rows[i+6].Name, tree, rows[i+7].Name, spec, flat)
 		}
 	}
 }
