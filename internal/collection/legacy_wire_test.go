@@ -369,6 +369,17 @@ func legacyScenarios() []legacyScenario {
 	out = append(out, flatPull("fallback_pull", weakPull(0))...)
 	out = append(out, flatPull("mux_fallback_pull", weakPull(4))...)
 	out = append(out, flatPull("cdc_pull", emacsPull(func(_ *Server, c *Client) { c.MapMode = core.MapCDC }))...)
+	// A list past tableMin whose table peels: MANIFEST_TABLE up, VERDICTS
+	// naming the differing files and ending with the list digest down
+	// (TestTableAnswerIsTheShortAnswer holds the rest to the short answer).
+	out = append(out, legacyScenario{name: "table_pull", run: func(t *testing.T) ([]byte, []byte) {
+		v1, v2 := tableTrees(2000, 30)
+		srv, err := NewServer(v2, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runRecorded(t, srv, NewClient(v1))
+	}})
 	out = append(out, []legacyScenario{
 		{name: "journal_pull", replay: true, run: func(t *testing.T) ([]byte, []byte) {
 			// An older client's journal hit: base version 1 announced, the
