@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"msync"
-	"msync/internal/collection"
+	"msync/internal/corpus"
 	"msync/internal/obs"
 	"msync/internal/wire"
 )
@@ -69,7 +69,7 @@ func TestAdmissionSwarm(t *testing.T) {
 				failures.Add(1)
 				return
 			}
-			if err := collection.VerifyAgainst(res.Files, serverFiles); err != nil {
+			if err := corpus.VerifyAgainst(res.Files, serverFiles); err != nil {
 				t.Errorf("swarm client diverged: %v", err)
 				failures.Add(1)
 			}
@@ -228,7 +228,7 @@ func TestAcceptLoopSurvivesTemporaryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sync after transient accept errors: %v", err)
 	}
-	if err := collection.VerifyAgainst(res.Files, serverFiles); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters[obs.MetricAcceptRetries]; got != flakes {
@@ -359,7 +359,7 @@ func TestHandshakeTimeoutFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sync behind a slow-loris dial: %v", err)
 	}
-	if err := collection.VerifyAgainst(res.Files, serverFiles); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
 	if failsrv := reg.Snapshot().Counters[obs.MetricSessionFailures]; failsrv != 1 {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"msync"
-	"msync/internal/collection"
 	"msync/internal/corpus"
 )
 
@@ -48,7 +47,7 @@ func TestConcurrentSessions(t *testing.T) {
 				errs <- fmt.Errorf("client %d: %w", i, err)
 				return
 			}
-			if err := collection.VerifyAgainst(res.Files, current); err != nil {
+			if err := corpus.VerifyAgainst(res.Files, current); err != nil {
 				errs <- fmt.Errorf("client %d: %w", i, err)
 			}
 		}(day, i)
@@ -130,7 +129,7 @@ func TestRandomizedCollectionProperty(t *testing.T) {
 			if serveErr != nil {
 				t.Fatalf("server: %v", serveErr)
 			}
-			if err := collection.VerifyAgainst(res.Files, serverFiles); err != nil {
+			if err := corpus.VerifyAgainst(res.Files, serverFiles); err != nil {
 				t.Fatal(err)
 			}
 		})

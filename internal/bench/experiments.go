@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -216,10 +217,10 @@ func sessionCosts(srv *collection.Server, oldFiles, newFiles map[string][]byte, 
 	srvErr := make(chan error, 1)
 	go func() {
 		defer a.Close()
-		_, err := srv.Serve(a)
+		_, err := srv.ServeContext(context.Background(), a)
 		srvErr <- err
 	}()
-	res, err := cli.Sync(b)
+	res, err := cli.SyncContext(context.Background(), b)
 	b.Close()
 	if err != nil {
 		panic(fmt.Sprintf("bench: collection client: %v", err))
@@ -227,7 +228,7 @@ func sessionCosts(srv *collection.Server, oldFiles, newFiles map[string][]byte, 
 	if err := <-srvErr; err != nil {
 		panic(fmt.Sprintf("bench: collection server: %v", err))
 	}
-	if err := collection.VerifyAgainst(res.Files, newFiles); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, newFiles); err != nil {
 		panic(fmt.Sprintf("bench: collection session did not converge: %v", err))
 	}
 	return *res.Costs

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"msync"
-	"msync/internal/collection"
 	"msync/internal/corpus"
 )
 
@@ -44,7 +43,7 @@ func runSession(t *testing.T, serverFiles, clientFiles map[string][]byte, cfg ms
 func TestCollectionSyncEndToEnd(t *testing.T) {
 	v1, v2 := corpus.GCCProfile(0.15).Generate(42)
 	res := runSession(t, v2.Map(), v1.Map(), msync.DefaultConfig())
-	if err := collection.VerifyAgainst(res.Files, v2.Map()); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, v2.Map()); err != nil {
 		t.Fatal(err)
 	}
 	total := res.Costs.Total()
@@ -71,7 +70,7 @@ func TestCollectionNewAndDeletedFiles(t *testing.T) {
 		"change.txt": bytes.Repeat([]byte("version one of this file "), 400),
 	}
 	res := runSession(t, serverFiles, clientFiles, msync.DefaultConfig())
-	if err := collection.VerifyAgainst(res.Files, serverFiles); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
 	if res.Costs.FilesUnchanged != 1 {
@@ -83,7 +82,7 @@ func TestCollectionEmptySides(t *testing.T) {
 	files := map[string][]byte{"a": []byte("hello"), "b": bytes.Repeat([]byte("x"), 5000)}
 	// Empty client: everything arrives as new files.
 	res := runSession(t, files, map[string][]byte{}, msync.DefaultConfig())
-	if err := collection.VerifyAgainst(res.Files, files); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, files); err != nil {
 		t.Fatal(err)
 	}
 	// Empty server: everything is deleted.
@@ -134,7 +133,7 @@ func TestTCPSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := collection.VerifyAgainst(res.Files, v2.Map()); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, v2.Map()); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("tcp sync: %d bytes, %d roundtrips", res.Costs.Total(), res.Costs.Roundtrips)
@@ -174,7 +173,7 @@ func TestMuxStreamsOption(t *testing.T) {
 	if serveErr != nil {
 		t.Fatalf("server: %v", serveErr)
 	}
-	if err := collection.VerifyAgainst(res.Files, v2.Map()); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, v2.Map()); err != nil {
 		t.Fatal(err)
 	}
 	if res.Costs.Roundtrips > legacy.Costs.Roundtrips {

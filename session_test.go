@@ -23,6 +23,7 @@ import (
 
 	"msync"
 	"msync/internal/collection"
+	"msync/internal/corpus"
 	"msync/internal/obs"
 	"msync/internal/transport"
 	"msync/internal/wire"
@@ -71,7 +72,7 @@ func TestOptionsAPISync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := collection.VerifyAgainst(res.Files, serverFiles); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,7 +186,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("in-flight sync never finished")
 	}
-	if err := collection.VerifyAgainst(res.Files, serverFiles); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -259,7 +260,7 @@ func TestShutdownRacesAccept(t *testing.T) {
 		var busy *msync.BusyError
 		switch {
 		case out.err == nil:
-			if err := collection.VerifyAgainst(out.res.Files, serverFiles); err != nil {
+			if err := corpus.VerifyAgainst(out.res.Files, serverFiles); err != nil {
 				t.Fatalf("iteration %d: %v", i, err)
 			}
 			converged++
@@ -488,7 +489,7 @@ func TestRetryBackoffRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sync did not recover via retry: %v", err)
 	}
-	if err := collection.VerifyAgainst(res.Files, serverFiles); err != nil {
+	if err := corpus.VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
 	if got := attempts.Load(); got != 3 {
