@@ -12,16 +12,31 @@ import (
 // transcriptSync drives both engines through a full session, recording every
 // frame (both directions, in exchange order) so runs at different worker
 // counts can be compared byte for byte.
-func transcriptSync(t *testing.T, fOld, fNew []byte, cfg Config) (frames [][]byte, costs int64, out []byte) {
+func transcriptSync(t testing.TB, fOld, fNew []byte, cfg Config) (frames [][]byte, costs int64, out []byte) {
 	t.Helper()
-	srv, err := NewServerFile(fNew, &cfg)
+	srv, cli := newEngines(t, fOld, fNew, &cfg)
+	return runTranscript(t, srv, cli, nil)
+}
+
+// newEngines starts both engines for one file under cfg.
+func newEngines(t testing.TB, fOld, fNew []byte, cfg *Config) (*ServerFile, *ClientFile) {
+	t.Helper()
+	srv, err := NewServerFile(fNew, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := NewClientFile(fOld, len(fNew), &cfg)
+	cli, err := NewClientFile(fOld, len(fNew), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, cli
+}
+
+// runTranscript is transcriptSync over engines the caller built; absorbed,
+// when set, runs after every AbsorbHashes, while the client's round candidates
+// are in place. A failed whole-file check returns a nil out, not an error.
+func runTranscript(t testing.TB, srv *ServerFile, cli *ClientFile, absorbed func()) (frames [][]byte, costs int64, out []byte) {
+	t.Helper()
 	record := func(frame []byte) {
 		frames = append(frames, append([]byte(nil), frame...))
 		costs += int64(len(frame))
@@ -31,6 +46,9 @@ func transcriptSync(t *testing.T, fOld, fNew []byte, cfg Config) (frames [][]byt
 		record(hashes)
 		if err := cli.AbsorbHashes(hashes); err != nil {
 			t.Fatal(err)
+		}
+		if absorbed != nil {
+			absorbed()
 		}
 		reply := cli.EmitReply()
 		record(reply)
@@ -58,8 +76,8 @@ func transcriptSync(t *testing.T, fOld, fNew []byte, cfg Config) (frames [][]byt
 	}
 	dl := srv.EmitDelta()
 	record(dl)
-	out, err = cli.ApplyDelta(dl)
-	if err != nil {
+	out, err := cli.ApplyDelta(dl)
+	if err != nil && err != ErrVerifyFailed {
 		t.Fatal(err)
 	}
 	return frames, costs, out
@@ -68,7 +86,8 @@ func transcriptSync(t *testing.T, fOld, fNew []byte, cfg Config) (frames [][]byt
 // TestParallelWireDeterminism is the tentpole invariant: for Workers in
 // {1, 2, 8}, every frame of the session must be byte-identical to the serial
 // run, on files large enough that the sharded scan path actually engages
-// (old file ≫ scanMinShard positions). Both configurations are swept.
+// (old file ≫ scanMinShard positions). Both halving configurations and CDC
+// mode are swept.
 func TestParallelWireDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	old := corpus.SourceText(rng, 300_000)
@@ -81,6 +100,7 @@ func TestParallelWireDeterminism(t *testing.T) {
 	}{
 		{"default-poly", DefaultConfig()},
 		{"basic-poly", BasicConfig()},
+		{"cdc", cdcConfig()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
