@@ -271,13 +271,11 @@ func (c *ClientFile) finalizeRound() {
 	c.altNext = c.altNext[:0]
 }
 
-// AbsorbHashes processes a round's hash section: it finalizes the previous
-// round from the piggybacked confirm bits, derives the same plan as the
-// server, reads the hashes, and searches fOld for candidates.
+// AbsorbHashes processes a round's hash section (see EmitHashes): it
+// finalizes the previous round from the piggybacked confirm bits, derives the
+// same plan as the server, reads a CDC round's cut, reads the hashes, and
+// searches fOld for candidates.
 func (c *ClientFile) AbsorbHashes(payload []byte) error {
-	if c.cfg.MapMode == MapCDC {
-		return c.absorbHashesCDC(payload)
-	}
 	r := bitio.NewReader(payload)
 	if err := c.finalizePending(r); err != nil {
 		return err
@@ -285,8 +283,12 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 	if c.done {
 		return fmt.Errorf("%w: hashes for a finished file", ErrProtocol)
 	}
-	c.plan = c.buildPlan()
-	hb := c.cfg.hashBits(c.n, c.b)
+	var regions []interval
+	c.plan, regions = c.buildPlan()
+	if err := c.readChunks(r, regions); err != nil {
+		return err
+	}
+	hb := c.plan.hb
 
 	ne := len(c.plan.entries)
 	if cap(c.scratchVals) < ne {
@@ -294,61 +296,98 @@ func (c *ClientFile) AbsorbHashes(payload []byte) error {
 	}
 	vals := c.scratchVals[:ne]
 	cands, maxAlt := c.candScratch(ne)
-
-	c.nsets = 0
 	for i := range c.plan.entries {
 		e := &c.plan.entries[i]
 		raw, err := r.ReadBits(uint(e.bits))
 		if err != nil {
 			return fmt.Errorf("core: round hashes: %w", err)
 		}
-		var full uint64
-		var totalBits uint
-		switch e.kind {
-		case kTopUp:
-			bl := &c.blocks[e.blockIdx]
-			eff := uint(hb) - uint(e.bits)
-			leftVal := vals[e.siblingIdx]
-			low := c.poly.DeriveRight(bl.parentVal, eff, leftVal, e.size)
-			full = raw<<eff | low
-			totalBits = uint(hb)
-		default:
-			full = raw
-			totalBits = uint(e.bits)
+		full, width := raw, uint(e.bits)
+		if e.kind == kTopUp {
+			eff := hb - uint(e.bits)
+			low := c.poly.DeriveRight(c.blocks[e.blockIdx].parentVal, eff, vals[e.siblingIdx], e.size)
+			full, width = raw<<eff|low, hb
 		}
 		vals[i] = full
-		if e.kind != kProbe {
+		if e.blockIdx >= 0 {
 			bl := &c.blocks[e.blockIdx]
-			bl.hashBits = uint8(totalBits)
+			bl.hashBits = uint8(width)
 			bl.hashVal = full
 		}
 		if e.kind == kProbe {
 			cands[i] = c.probeCandidates(e, full, c.candAt(i))
-		} else if e.size > 0 && e.size <= len(c.fOld) {
+		}
+	}
+	if c.cfg.MapMode == MapCDC {
+		c.chunkCandidates(regions, vals, cands, maxAlt)
+	} else {
+		c.windowCandidates(vals, cands, maxAlt)
+	}
+	c.collectCandidates(cands)
+	return nil
+}
+
+// readChunks reads a CDC round's cut by chunkLayout and plans one entry per
+// chunk, refusing lengths that do not tile their region exactly.
+func (c *ClientFile) readChunks(r *bitio.Reader, regions []interval) error {
+	params, lenBits := c.chunkLayout()
+	for _, g := range regions {
+		count := 1
+		if cb := cdcCountBits(g.end-g.start, params.Min); cb > 0 {
+			v, err := r.ReadBits(cb)
+			if err != nil {
+				return fmt.Errorf("core: cdc chunk count: %w", err)
+			}
+			count = int(v) + 1
+			c.roundBits += int64(cb)
+		}
+		start := g.start
+		for i := 0; i < count; i++ {
+			l := g.end - start // a region's last chunk runs to its end
+			if i < count-1 {
+				v, err := r.ReadBits(lenBits)
+				if err != nil {
+					return fmt.Errorf("core: cdc chunk lengths: %w", err)
+				}
+				l = int(v) + params.Min
+				c.roundBits += int64(lenBits)
+			}
+			if l <= 0 || l > params.Max || start+l > g.end {
+				return fmt.Errorf("%w: cdc chunk length %d does not tile region [%d,%d)", ErrProtocol, l, g.start, g.end)
+			}
+			c.addChunk(start, l)
+			start += l
+		}
+	}
+	return nil
+}
+
+// windowCandidates searches fOld for a halving round's blocks: one pass over
+// the old file, every window size against the small set of this round's hash
+// values for that size.
+func (c *ClientFile) windowCandidates(vals []uint64, cands [][]int32, maxAlt int) {
+	c.nsets = 0
+	for i := range c.plan.entries {
+		if e := &c.plan.entries[i]; e.kind != kProbe && e.size > 0 && e.size <= len(c.fOld) {
 			c.setFor(e.size).n++
 		}
 	}
-
-	// Global/top-up entries: one pass over the old file, every window size
-	// against the small set of this round's hash values for that size.
-	if c.nsets > 0 {
-		sets := c.sets[:c.nsets]
-		for k := range sets {
-			sets[k].reset()
-		}
-		for i := range c.plan.entries {
-			e := &c.plan.entries[i]
-			if e.kind == kProbe || e.size <= 0 || e.size > len(c.fOld) {
-				continue
-			}
-			c.setFor(e.size).add(rolling.Truncate(vals[i], uint(hb)), int32(i))
-			cands[i] = c.candAt(i)
-		}
-		c.scanOld(sets, uint(hb), cands, maxAlt, c.scanShards(sets))
+	if c.nsets == 0 {
+		return
 	}
-
-	c.collectCandidates(cands)
-	return nil
+	sets := c.sets[:c.nsets]
+	for k := range sets {
+		sets[k].reset()
+	}
+	for i := range c.plan.entries {
+		e := &c.plan.entries[i]
+		if e.kind == kProbe || e.size <= 0 || e.size > len(c.fOld) {
+			continue
+		}
+		c.setFor(e.size).add(rolling.Truncate(vals[i], c.plan.hb), int32(i))
+		cands[i] = c.candAt(i)
+	}
+	c.scanOld(sets, c.plan.hb, cands, maxAlt, c.scanShards(sets))
 }
 
 // candScratch readies the per-entry candidate scratch of a round of ne
@@ -395,63 +434,20 @@ func (c *ClientFile) collectCandidates(cands [][]int32) {
 	}
 }
 
-// absorbHashesCDC processes a CDC round's hash section (see emitHashesCDC
-// for the layout): it derives the same probe plan and chunk regions from
-// shared state, rebuilds the server's chunk entries from the transmitted
-// lengths — validating that they tile each region exactly — then chunks its
-// own old file at the same parameters and matches the received truncated
-// hashes by exact (length, hash) lookup. Candidate offsets come out in
-// ascending old-file order, so the reply is deterministic and the
-// retry-alternate machinery works unchanged.
-func (c *ClientFile) absorbHashesCDC(payload []byte) error {
-	r := bitio.NewReader(payload)
-	if err := c.finalizePending(r); err != nil {
-		return err
+// chunkCandidates finds a CDC round's chunks in fOld: it chunks the old file
+// at the round's parameters and matches the received truncated hashes by
+// exact (length, hash) lookup. Candidate offsets come out in ascending
+// old-file order, so the reply is deterministic and the retry-alternate
+// machinery works unchanged.
+func (c *ClientFile) chunkCandidates(regions []interval, vals []uint64, cands [][]int32, maxAlt int) {
+	p := c.plan
+	nProbes := 0
+	for nProbes < len(p.entries) && p.entries[nProbes].kind == kProbe {
+		nProbes++
 	}
-	if c.done {
-		return fmt.Errorf("%w: hashes for a finished file", ErrProtocol)
+	if nProbes == len(p.entries) {
+		return
 	}
-	p, regions := c.cdcPlanBase()
-	nProbes := len(p.entries)
-	params := c.cfg.cdcParams(c.b)
-	lenBits := uint(bits.Len(uint(params.Max - params.Min)))
-	hb := c.cfg.cdcHashBits(c.n, c.b)
-	var mapBits int64
-	for _, g := range regions {
-		count := 1
-		if cb := cdcCountBits(g.end-g.start, params.Min); cb > 0 {
-			v, err := r.ReadBits(cb)
-			if err != nil {
-				return fmt.Errorf("core: cdc chunk count: %w", err)
-			}
-			count = int(v) + 1
-			mapBits += int64(cb)
-		}
-		start := g.start
-		for i := 0; i < count; i++ {
-			l := g.end - start // a region's last chunk runs to its end
-			if i < count-1 {
-				v, err := r.ReadBits(lenBits)
-				if err != nil {
-					return fmt.Errorf("core: cdc chunk lengths: %w", err)
-				}
-				l = int(v) + params.Min
-				mapBits += int64(lenBits)
-			}
-			if l <= 0 || l > params.Max || start+l > g.end {
-				return fmt.Errorf("%w: cdc chunk length %d does not tile region [%d,%d)", ErrProtocol, l, g.start, g.end)
-			}
-			p.entries = append(p.entries, entry{
-				kind: kGlobal, bits: uint8(hb),
-				blockIdx: -1, off: start, size: l,
-				matchIdx: -1, matchIdx2: -1,
-			})
-			start += l
-		}
-	}
-	c.plan = p
-	c.roundBits += mapBits + int64(len(p.entries)-nProbes)*int64(hb)
-
 	// A region's first and last chunks start/end at confirmed cover edges —
 	// positions the old-file chunking almost never cuts at — so exact chunk
 	// lookup cannot find them. But the match adjacent to the enclosing gap
@@ -504,7 +500,8 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 	var index map[ckey]int32
 	var next []int32
 	var cuts, bounds []int
-	if len(c.fOld) > 0 && len(p.entries) > nProbes {
+	if len(c.fOld) > 0 {
+		params, _ := c.chunkLayout()
 		var err error
 		cuts, err = cdc.CutsE(c.fOld, params)
 		if err != nil {
@@ -515,25 +512,16 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 		next = make([]int32, len(cuts))
 		for k := len(cuts) - 1; k >= 0; k-- {
 			chunk := c.fOld[bounds[k]:bounds[k+1]]
-			key := ckey{len(chunk), rolling.Truncate(c.poly.Hash(chunk), hb)}
+			key := ckey{len(chunk), rolling.Truncate(c.poly.Hash(chunk), p.hb)}
 			next[k] = index[key]
 			index[key] = int32(k + 1)
 		}
 		c.CDCChunks += int64(len(cuts))
 	}
 
-	cands, maxAlt := c.candScratch(len(p.entries))
-	for i := range p.entries {
+	for i := nProbes; i < len(p.entries); i++ {
 		e := &p.entries[i]
-		raw, err := r.ReadBits(uint(e.bits))
-		if err != nil {
-			return fmt.Errorf("core: cdc round hashes: %w", err)
-		}
 		dst := c.candAt(i)
-		if e.kind == kProbe {
-			cands[i] = c.probeCandidates(e, raw, dst)
-			continue
-		}
 		if ep, ok := preds[i]; ok {
 			// Edge chunk: try the collinear continuation position(s) first —
 			// they are the most likely source, so they get the first verify.
@@ -542,10 +530,10 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 			// fOld, so also try cut-anchored positions near the prediction.
 			pe := *e
 			pe.matchIdx, pe.matchIdx2 = ep.mi1-1, ep.mi2-1
-			dst = c.probeCandidates(&pe, raw, dst)
-			dst = c.cutAnchoredCandidates(&pe, raw, cuts, dst)
+			dst = c.probeCandidates(&pe, vals[i], dst)
+			dst = c.cutAnchoredCandidates(&pe, vals[i], cuts, dst)
 		}
-		for k := index[ckey{e.size, raw}]; k != 0 && len(dst) < maxAlt; k = next[k-1] {
+		for k := index[ckey{e.size, vals[i]}]; k != 0 && len(dst) < maxAlt; k = next[k-1] {
 			a := int32(bounds[k-1])
 			dup := false
 			for _, d := range dst {
@@ -562,9 +550,6 @@ func (c *ClientFile) absorbHashesCDC(payload []byte) error {
 			cands[i] = dst
 		}
 	}
-
-	c.collectCandidates(cands)
-	return nil
 }
 
 // cutAnchorRadius is how far from a CDC edge chunk's predicted position

@@ -195,7 +195,7 @@ func (c *Config) Validate() error {
 		// Probe the chunker with the largest and smallest scheduled chunk
 		// sizes so an unusable derived Params surfaces here as the cdc
 		// package's typed error (the negotiation path reports it verbatim).
-		for _, avg := range []int{c.cdcInitialAvg(c.MaxBlockSize * 2), c.cdcFloor()} {
+		for _, avg := range []int{c.initialBlockSize(c.MaxBlockSize * 2), c.globalFloor()} {
 			if _, err := cdc.CutsE(nil, c.cdcParams(avg)); err != nil {
 				return fmt.Errorf("core: MapCDC schedule unusable at avg %d: %w", avg, err)
 			}
@@ -204,41 +204,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: unknown MapMode %d", int(c.MapMode))
 	}
 	return nil
-}
-
-// cdcFloor is the smallest average chunk size the CDC schedule chunks at.
-// Exact (length, hash) chunk lookup confines collisions to the ~n/avg old
-// chunks of equal length — not the n window positions a halving-mode scan
-// visits — so CDC can afford one level below the halving global floor
-// (MinBlockSize/2). The hard limit is Avg = 64: the chunker needs
-// Min > its 48-byte rolling window (Min is clamped to 49 at small averages).
-// Below the floor, rounds continue probe-only down to ContMinBlock (see
-// cdcMinSchedule), like halving below MinBlockSize.
-func (c *Config) cdcFloor() int {
-	f := c.MinBlockSize / 2
-	if f < 64 {
-		f = 64
-	}
-	return f
-}
-
-// cdcMinSchedule is the smallest per-round size the CDC schedule reaches:
-// the chunking floor, or the continuation-probe minimum when that is smaller.
-func (c *Config) cdcMinSchedule() int {
-	if c.ContMinBlock > 0 && c.ContMinBlock < c.cdcFloor() {
-		return c.ContMinBlock
-	}
-	return c.cdcFloor()
-}
-
-// cdcInitialAvg picks the starting average chunk size for a file of length
-// n: the halving schedule's initial block size, clamped up to the CDC floor.
-func (c *Config) cdcInitialAvg(n int) int {
-	avg := c.initialBlockSize(n)
-	if avg < c.cdcFloor() {
-		avg = c.cdcFloor()
-	}
-	return avg
 }
 
 // cdcHashBits returns the width of a chunk hash for average chunk size avg in
@@ -275,7 +240,7 @@ func cdcCountBits(regionLen, min int) uint {
 }
 
 // cdcParams derives the chunker parameters for one CDC round from its
-// average chunk size (a power of two >= cdcFloor). Min is Avg/4 but never at
+// average chunk size (a power of two >= globalFloor). Min is Avg/4 but never at
 // or below the chunker's 48-byte rolling window, which keeps small averages
 // (64, 128) usable.
 func (c *Config) cdcParams(avg int) cdc.Params {
@@ -309,21 +274,36 @@ func (c *Config) hashBits(n, b int) uint {
 	return h
 }
 
+// globalFloor is the smallest block size a round hashes blocks at; below it
+// rounds continue probe-only down to ContMinBlock. In halving it is
+// MinBlockSize. CDC goes one level lower: exact (length, hash) chunk lookup
+// confines collisions to the ~n/avg old chunks of equal length — not the n
+// window positions a halving scan visits — but no lower than an average of
+// 64, since the chunker needs Min > its 48-byte rolling window (Min is
+// clamped to 49 at small averages).
+func (c *Config) globalFloor() int {
+	if c.MapMode != MapCDC {
+		return c.MinBlockSize
+	}
+	return max(c.MinBlockSize/2, 64)
+}
+
 // initialBlockSize picks the starting block size for a file of length n:
 // MaxBlockSize, halved until it is at most n/2 (but never below
-// MinBlockSize).
+// MinBlockSize), and never below globalFloor.
 func (c *Config) initialBlockSize(n int) int {
 	b := c.MaxBlockSize
 	for b > c.MinBlockSize && b > n/2 {
 		b /= 2
 	}
-	return b
+	return max(b, c.globalFloor())
 }
 
-// minScheduleBlock is the smallest block size any round uses.
+// minScheduleBlock is the smallest block size any round uses: the
+// continuation-probe minimum, or globalFloor when that is smaller.
 func (c *Config) minScheduleBlock() int {
-	if c.ContMinBlock > 0 && c.ContMinBlock < c.MinBlockSize {
+	if c.ContMinBlock > 0 && c.ContMinBlock < c.globalFloor() {
 		return c.ContMinBlock
 	}
-	return c.MinBlockSize
+	return c.globalFloor()
 }

@@ -195,7 +195,7 @@ func TestConcurrentSyncMatchesSerial(t *testing.T) {
 	wg.Wait()
 }
 
-// refSubtractIntervals is how cdcPlanBase cut its regions out of each gap
+// refSubtractIntervals is how a CDC round plan cut its regions out of each gap
 // before the single merged sweep (subtractIntervals at commit 48c6d22): the parts of g not covered by any of ivs, which
 // need not be sorted or disjoint. Frozen as the reference.
 func refSubtractIntervals(g interval, ivs []interval) []interval {

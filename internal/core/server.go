@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"msync/internal/bitio"
 	"msync/internal/cdc"
@@ -154,23 +153,24 @@ func PrecomputeSignature(data []byte, cfg *Config) (*sigcache.Sig, error) {
 }
 
 // EmitHashes builds the round plan and writes the round's hash section:
-// pending confirm bits followed by one hash per planned entry.
+// pending confirm bits, then a CDC round's cut (cutChunks), then one hash per
+// planned entry — probes at ContBits, blocks and chunks at the round's global
+// width, a top-up only the bits its parent and sibling do not imply.
 func (s *ServerFile) EmitHashes() []byte {
-	if s.cfg.MapMode == MapCDC {
-		return s.emitHashesCDC()
-	}
 	w := bitio.NewWriter(64)
 	for _, r := range s.pendingConfirm {
 		w.WriteBit(r)
 	}
 	s.pendingConfirm = nil
 
-	s.plan = s.buildPlan()
-	hb := s.cfg.hashBits(s.n, s.b)
+	var regions []interval
+	s.plan, regions = s.buildPlan()
+	s.cutChunks(w, regions)
+	hb := s.plan.hb
 	var level []uint64
 	if s.sig != nil {
 		for i := range s.plan.entries {
-			if s.plan.entries[i].kind != kProbe {
+			if s.plan.entries[i].blockIdx >= 0 {
 				level = s.levelForRound()
 				break
 			}
@@ -179,25 +179,24 @@ func (s *ServerFile) EmitHashes() []byte {
 	for i := range s.plan.entries {
 		e := &s.plan.entries[i]
 		var full uint64
-		if e.kind != kProbe && level != nil {
+		if e.blockIdx >= 0 && level != nil {
 			full = level[e.off/s.b]
 		} else {
-			// Probes sit at session-dependent gap edges; always fresh.
+			// Probes sit at session-dependent gap edges, chunks at the
+			// round's cuts: always fresh.
 			full = s.poly.Hash(s.fNew[e.off : e.off+e.size])
 			s.BlockHashesComputed++
 			s.BytesHashed += int64(e.size)
 		}
-		switch e.kind {
-		case kTopUp:
-			eff := uint(hb) - uint(e.bits)
-			w.WriteBits(rolling.Truncate(full, uint(hb))>>eff, uint(e.bits))
-		default:
-			w.WriteBits(rolling.Truncate(full, uint(e.bits)), uint(e.bits))
+		width := uint(e.bits)
+		if e.kind == kTopUp {
+			width = hb // the top bits of the full-width hash
 		}
-		if e.kind != kProbe {
+		w.WriteBits(rolling.Truncate(full, width)>>(width-uint(e.bits)), uint(e.bits))
+		if e.blockIdx >= 0 {
 			// Record what the client now knows about this block.
 			bl := &s.blocks[e.blockIdx]
-			bl.hashBits = s.entryTotalBits(e)
+			bl.hashBits = uint8(width)
 			bl.hashVal = full
 		}
 	}
@@ -205,70 +204,31 @@ func (s *ServerFile) EmitHashes() []byte {
 	return w.Bytes()
 }
 
-// emitHashesCDC writes a CDC round's hash section: pending confirm bits;
-// then — per chunk region (uncovered gaps minus this round's probe ranges,
-// in file order) — the content-defined chunk lengths of the region's bytes;
-// then one truncated hash per plan entry (continuation probes at ContBits,
-// chunks at the round's global width). Probes derive from shared state
-// exactly as in halving rounds, but chunk boundaries depend on server
-// content, so the chunk structure itself travels in the payload; the client
-// rebuilds the identical plan from the lengths (absorbHashesCDC) and
-// everything downstream — candidate bitmap, group-testing verification,
-// retry alternates, delta — is shared code.
-func (s *ServerFile) emitHashesCDC() []byte {
-	w := bitio.NewWriter(64)
-	for _, r := range s.pendingConfirm {
-		w.WriteBit(r)
-	}
-	s.pendingConfirm = nil
-
-	p, regions := s.cdcPlanBase()
-	nProbes := len(p.entries)
-	params := s.cfg.cdcParams(s.b)
-	lenBits := uint(bits.Len(uint(params.Max - params.Min)))
-	hb := s.cfg.cdcHashBits(s.n, s.b)
-	var mapBits int64
+// cutChunks cuts each region of a CDC round at fNew's content-defined chunk
+// boundaries, writes the cut by chunkLayout and plans one entry per chunk.
+func (s *ServerFile) cutChunks(w *bitio.Writer, regions []interval) {
+	params, lenBits := s.chunkLayout()
 	for _, g := range regions {
 		cuts, err := cdc.CutsE(s.fNew[g.start:g.end], params)
 		if err != nil {
 			panic("core: validated config yielded bad cdc params: " + err.Error())
 		}
-		// Chunk lengths travel biased by Min (every chunk but a region's last
-		// is at least Min long), and the last length not at all — it is
-		// implied by the region end the client already knows, once the count
-		// field says how many lengths to expect.
 		if cb := cdcCountBits(g.end-g.start, params.Min); cb > 0 {
 			w.WriteBits(uint64(len(cuts)-1), cb)
-			mapBits += int64(cb)
+			s.roundBits += int64(cb)
 		}
 		start := g.start
 		for i, cut := range cuts {
 			end := g.start + cut
 			if i < len(cuts)-1 {
 				w.WriteBits(uint64(end-start-params.Min), lenBits)
-				mapBits += int64(lenBits)
+				s.roundBits += int64(lenBits)
 			}
-			p.entries = append(p.entries, entry{
-				kind: kGlobal, bits: uint8(hb),
-				blockIdx: -1, off: start, size: end - start,
-				matchIdx: -1, matchIdx2: -1,
-			})
+			s.addChunk(start, end-start)
 			start = end
 		}
+		s.CDCChunks += int64(len(cuts))
 	}
-	for i := range p.entries {
-		e := &p.entries[i]
-		full := s.poly.Hash(s.fNew[e.off : e.off+e.size])
-		s.BlockHashesComputed++
-		s.BytesHashed += int64(e.size)
-		w.WriteBits(rolling.Truncate(full, uint(e.bits)), uint(e.bits))
-	}
-	nChunks := len(p.entries) - nProbes
-	s.CDCChunks += int64(nChunks)
-	s.HashesSent += int64(len(p.entries))
-	s.roundBits += mapBits + int64(nChunks)*int64(hb)
-	s.plan = p
-	return w.Bytes()
 }
 
 // AbsorbReply processes the client's candidate bitmap and first verification
