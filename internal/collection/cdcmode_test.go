@@ -86,15 +86,16 @@ func TestCDCModeMux(t *testing.T) {
 
 // TestCDCModeUnusableDegrades: a server that cannot validate the requested
 // mode (here: one it has never heard of) refuses the grant and the session
-// completes in halving mode instead of failing — noted on the server's
-// handshake span and logged once.
+// completes in halving mode instead of failing — noted on each end's
+// handshake span and logged once by each.
 func TestCDCModeUnusableDegrades(t *testing.T) {
 	v1, v2 := corpus.DefaultHeavyLogProfile(0.15).Generate(11)
-	ring := obs.NewRing(256)
-	var log bytes.Buffer
+	ring, cliRing := obs.NewRing(256), obs.NewRing(256)
+	var log, cliLog bytes.Buffer
 	res, srvCosts := muxSession(t, v2.Map(), v1.Map(), core.DefaultConfig(), 0, 1, func(s *Server, c *Client) {
 		c.MapMode = core.MapMode(7)
 		s.Tracer, s.Logger = ring, slog.New(slog.NewTextHandler(&log, nil))
+		c.Tracer, c.Logger = cliRing, slog.New(slog.NewTextHandler(&cliLog, nil))
 	})
 	if err := VerifyAgainst(res.Files, v2.Map()); err != nil {
 		t.Fatalf("degraded session diverged: %v", err)
@@ -110,6 +111,15 @@ func TestCDCModeUnusableDegrades(t *testing.T) {
 	}
 	if noted != 1 || strings.Count(log.String(), "msync: map mode refused") != 1 || !strings.Contains(log.String(), "reason=unknown_mode") {
 		t.Fatalf("%d handshake spans note the refusal, log:\n%s\nwant one note and one log line", noted, &log)
+	}
+	noted = 0
+	for _, e := range cliRing.Events() {
+		if e.Side == "client" && e.Phase == obs.PhaseHandshake && strings.Contains(e.Note, "map_mode_not_granted") {
+			noted++
+		}
+	}
+	if noted != 1 || strings.Count(cliLog.String(), "msync: map mode not granted") != 1 || !strings.Contains(cliLog.String(), "mode=7 granted=0") {
+		t.Fatalf("%d client handshake spans note the missing grant, log:\n%s\nwant one note and one log line", noted, &cliLog)
 	}
 }
 

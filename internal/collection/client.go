@@ -262,6 +262,9 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 	cfg.Workers = s.cfg.Workers
 	s.cfg = cfg
 	s.st.setMode(cfg.MapMode)
+	if s.ext.mapMode != core.MapHalving && cfg.MapMode != s.ext.mapMode {
+		s.st.fellBack("map_mode_not_granted", "msync: map mode not granted", "mode", int(s.ext.mapMode), "granted", int(cfg.MapMode))
+	}
 	nv, err := vp.Uvarint()
 	names := det.named()
 	if err != nil || nv > uint64(len(list)) || names == nil && nv != uint64(len(list)) {
@@ -409,13 +412,13 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 func (s *session) newClientFile(path string, newLen int, alts []string) (clientFile, error) {
 	cf := clientFile{path: path, newLen: newLen}
 	s.costs.FilesSynced++
+	if s.cfg.MapMode == core.MapCDC {
+		s.costs.FilesCDC++
+	}
 	if len(alts) == 0 {
 		old, err := s.src.Load(path)
 		if err != nil {
 			return cf, err
-		}
-		if s.cfg.MapMode == core.MapCDC {
-			s.costs.FilesCDC++
 		}
 		cf.engine, err = core.NewClientFile(old, newLen, &s.cfg)
 		return cf, err

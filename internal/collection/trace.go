@@ -94,7 +94,8 @@ func (t *sessTrace) flush() {
 
 // fellBack is the one log line of a session that took a fallback — msg with
 // attrs — and its note on the current span: a journal miss
-// ("journal_miss:<reason>"), a refused map mode ("map_mode_refused:<reason>"),
+// ("journal_miss:<reason>"), a refused map mode ("map_mode_refused:<reason>"
+// on the holder, "map_mode_not_granted" on the receiver),
 // failed sum groups ("sum_groups_failed:<n>"), a table the holder could not
 // peel ("table_peel_failed").
 func (t *sessTrace) fellBack(note, msg string, attrs ...any) {

@@ -131,6 +131,22 @@ func TestCrossFileAltBasis(t *testing.T) {
 	}
 	t.Logf("moved-and-edited %d bytes: alt-basis %d vs full %d wire bytes",
 		len(edited), cc.Total(), flat.Total())
+
+	// CDC arm: a rebased file and a same-path edit are two CDC files on
+	// both ends, whatever basis each syncs against.
+	serverFiles["src/keep.go"] = em.Apply(rng, orig)
+	clientFiles["src/keep.go"] = orig
+	res, cc, sc = extSession(t, serverFiles, clientFiles, func(c *Client) {
+		c.CrossFileMatch = true
+		c.MapMode = core.MapCDC
+	})
+	if err := VerifyAgainst(res.Files, serverFiles); err != nil {
+		t.Fatal(err)
+	}
+	if cc.FilesRebased != 1 || cc.FilesCDC != 2 || sc.FilesCDC != cc.FilesCDC {
+		t.Fatalf("CDC arm: client FilesRebased %d, FilesCDC %d; server FilesCDC %d; want 1, 2, 2",
+			cc.FilesRebased, cc.FilesCDC, sc.FilesCDC)
+	}
 }
 
 // TestCrossFileAltBasisPrefersRelated: with several orphans available the
