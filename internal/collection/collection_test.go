@@ -86,17 +86,20 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigPresetsKeepTheirBytes: the presets encode to the bytes they
-// encoded to while two-phase rounds, local hashes and the hash family were
-// still settable, so verdict frames, ConfigFingerprint and warm signature
-// caches are unchanged by their retirement.
+// TestConfigPresetsKeepTheirBytes: the paper's presets encode to the bytes
+// they encoded to while two-phase rounds, local hashes and the hash family
+// were still settable, so verdict frames, ConfigFingerprint and warm
+// signature caches are unchanged by their retirement. The default's row holds
+// the one-batch default, whose fingerprint differs from the paper config's
+// that was the default before it.
 func TestConfigPresetsKeepTheirBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
 		hex  string
 	}{
-		{"default", core.DefaultConfig(), "801080011008060a2814020408020101000080028020050400000000"},
+		{"default", core.DefaultConfig(), "801080012008060a2814010208020001000080028020050400000000"},
+		{"paper", core.PaperConfig(), "801080011008060a2814020408020101000080028020050400000000"},
 		{"basic", core.BasicConfig(), "801080010008060a2810010101020001000080028020050400000000"},
 		{"oneshot512", core.OneShotConfig(512), "8004800400080c0a2810010101020001000080028020050400000000"},
 	} {
@@ -111,7 +114,7 @@ func TestConfigPresetsKeepTheirBytes(t *testing.T) {
 // one is refused with errRetiredConfig; the same config with them off decodes.
 func TestConfigRefusesRetiredTechniques(t *testing.T) {
 	const (
-		head = "801080011008060a2814020408020101" // DefaultConfig through Decomposable
+		head = "801080011008060a2814020408020101" // PaperConfig through Decomposable
 		mid  = "800280200504000000"               // local radius, range, slack; MaxAlternates; Adaptive
 	)
 	family := func(name string) string { return fmt.Sprintf("%02x", len(name)) + hex.EncodeToString([]byte(name)) }
@@ -134,8 +137,8 @@ func TestConfigRefusesRetiredTechniques(t *testing.T) {
 		if tc.refused && !errors.Is(err, core.ErrProtocol) {
 			t.Errorf("%s: %v is not a protocol error", tc.name, err)
 		}
-		if !tc.refused && (err != nil || got != core.DefaultConfig()) {
-			t.Errorf("%s: decoded %+v, %v; want DefaultConfig", tc.name, got, err)
+		if !tc.refused && (err != nil || got != core.PaperConfig()) {
+			t.Errorf("%s: decoded %+v, %v; want PaperConfig", tc.name, got, err)
 		}
 	}
 }

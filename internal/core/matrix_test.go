@@ -121,8 +121,11 @@ func TestVerifyHashProperties(t *testing.T) {
 // TestPresetProperties pins the exported presets' technique selections.
 func TestPresetProperties(t *testing.T) {
 	d := DefaultConfig()
-	if d.ContMinBlock == 0 || !d.Decomposable || d.Verify.Batches < 2 {
+	if d.ContMinBlock == 0 || !d.Decomposable || d.Verify.GroupSize < 2 || d.Verify.TrustedGroupSize < 2 {
 		t.Fatalf("DefaultConfig lost techniques: %+v", d)
+	}
+	if p := PaperConfig(); p.ContMinBlock == 0 || !p.Decomposable || p.Verify.Batches < 2 {
+		t.Fatalf("PaperConfig lost techniques: %+v", p)
 	}
 	b := BasicConfig()
 	if b.ContMinBlock != 0 || b.Verify.GroupSize != 1 || b.Verify.Batches != 1 {
