@@ -67,7 +67,8 @@ func encodeConfig(c *core.Config) []byte {
 
 // decodeConfig parses a configuration. A config that switches on a retired
 // technique is refused with errRetiredConfig; the retired numbers are read
-// and ignored.
+// and ignored. One that does not parse or fails Validate is a protocol error
+// too: the holder's config sizes the receiver's engines.
 func decodeConfig(p []byte) (core.Config, error) {
 	pr := wire.NewParser(p)
 	var err error
@@ -107,10 +108,13 @@ func decodeConfig(p []byte) (core.Config, error) {
 		c.MapMode = core.MapMode(num())
 	}
 	if err != nil {
-		return c, fmt.Errorf("collection: config: %w", err)
+		return c, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
 	}
 	if twoPhase || local || (family != "" && family != "poly") {
 		return c, fmt.Errorf("%w (two-phase %v, local hashes %v, hash family %q)", errRetiredConfig, twoPhase, local, family)
 	}
-	return c, c.Validate()
+	if err := c.Validate(); err != nil {
+		return c, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
+	}
+	return c, nil
 }

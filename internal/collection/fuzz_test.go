@@ -70,6 +70,8 @@ func FuzzConfigDecode(f *testing.F) {
 	cfg := core.DefaultConfig()
 	f.Add(encodeConfig(&cfg))
 	f.Add([]byte{1, 2, 3})
+	cfg.MaxAlternates = 1 << 40
+	f.Add(encodeConfig(&cfg))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := decodeConfig(data)
 		if err == nil {
@@ -99,7 +101,8 @@ func FuzzConfigDecode(f *testing.F) {
 // them or leaves bytes after the table; answering a MANIFEST_WANT, or as a
 // second MANIFEST_WANT, any table and any WANT is one. As what follows a
 // HELLO's type byte, a declared length past maxHello is a protocol error that
-// costs the server under 64 KB.
+// costs the server under 64 KB; as a VERDICTS whose config decodeConfig
+// refuses, one that costs the client under 64 KB.
 func FuzzSessionFrames(f *testing.F) {
 	f.Add(make([]byte, md4.Size), uint32(2), false) // a MANIFEST_REF's payload
 	f.Add([]byte{}, uint32(2), false)               // a MANIFEST_WANT's
@@ -159,6 +162,11 @@ func FuzzSessionFrames(f *testing.F) {
 	table, _ := tableOf(BuildManifest(old))
 	f.Add(table, uint32(2), false)                                                       // a MANIFEST_TABLE's
 	f.Add(append(wire.AppendUvarint(nil, 1<<26), make([]byte, 38)...), uint32(2), false) // one of 2²⁶ cells in 42 bytes
+	hostileCfg := core.DefaultConfig()
+	hostileCfg.MaxAlternates = 1 << 40
+	vb := wire.NewBuffer(64)
+	vb.Bytes(encodeConfig(&hostileCfg))
+	f.Add(vb.Build(), uint32(2), false) // a VERDICTS whose config declares 2⁴⁰ alternates
 	serve := func(c *scriptConn) error { _, err := srv.Serve(c); return err }
 	f.Fuzz(func(t *testing.T, data []byte, nFiles uint32, bodies bool) {
 		n := int(nFiles % (1 << 24))
@@ -190,6 +198,20 @@ func FuzzSessionFrames(f *testing.F) {
 			})
 			if got >= 64<<10 {
 				t.Fatalf("HELLO declaring %d bytes cost %d B", size, got)
+			}
+		}
+		if raw, err := wire.NewParser(data).Bytes(); err == nil {
+			if _, cfgErr := decodeConfig(raw); cfgErr != nil {
+				conn, script := &scriptConn{}, wireBytes(t, []wireFrame{{wire.FrameVerdicts, data}})
+				got := alloctest.BytesPerOp(16, func() { // sixteen: see hostileHandshakes
+					conn.script.Reset(script)
+					if _, err := cli.Sync(conn); !errors.Is(err, core.ErrProtocol) {
+						t.Fatalf("VERDICTS with a config decodeConfig refuses (%v): %v", cfgErr, err)
+					}
+				})
+				if got >= 64<<10 {
+					t.Fatalf("VERDICTS with a refused config cost %d B", got)
+				}
 			}
 		}
 		tp := wire.NewParser(data)
