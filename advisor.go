@@ -61,12 +61,9 @@ func Recommend(sampleOld, sampleNew []byte, link LinkModel) Advice {
 				"exchange beats multi-round mapping", bytesPerRTT/1024)}
 
 	case bytesPerRTT > 64<<10:
-		// High-latency link: keep the recursion but spend only one
-		// verification batch per round.
-		cfg := DefaultConfig()
-		cfg.Verify = gtest.Config{Batches: 1, GroupSize: 2, TrustedGroupSize: 4, SplitFactor: 2}
-		cfg.ContMinBlock = 32
-		return Advice{cfg, sim, fmt.Sprintf(
+		// High-latency link: keep the recursion, which the default does
+		// with one verification batch per round.
+		return Advice{DefaultConfig(), sim, fmt.Sprintf(
 			"latency is significant (~%.0f KB per roundtrip); multi-round "+
 				"mapping with a single verification batch per round", bytesPerRTT/1024)}
 

@@ -62,8 +62,8 @@ type Config = core.Config
 // roundtrips, and per-technique counters.
 type Costs = stats.Costs
 
-// DefaultConfig enables all of the paper's techniques with its best
-// practical settings.
+// DefaultConfig enables all of the paper's techniques, tuned for slow links:
+// one verification batch per round and continuation probes down to 32 bytes.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // BasicConfig is the paper's "basic protocol": recursive halving and
