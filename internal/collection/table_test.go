@@ -252,7 +252,7 @@ func TestForgedListDigestFails(t *testing.T) {
 			cli.MuxStreams, cli.LazyResult = width, lazy
 			tp := newTamperProxy(false, wire.FrameVerdicts, 0, nil)
 			tp.rewrite = forgeDigest
-			_, res, serverErr, clientErr := tp.run(t, srv, cli)
+			_, res, serverErr, clientErr := tp.run(t, srv, cli.Sync)
 			if !errors.Is(clientErr, ErrListMismatch) || !errors.Is(clientErr, core.ErrProtocol) || res != nil || serverErr != nil {
 				t.Fatalf("width %d, lazy %v: client %v with result %v, server %v: want ErrListMismatch and no result", width, lazy, clientErr, res, serverErr)
 			}
