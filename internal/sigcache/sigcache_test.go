@@ -2,6 +2,7 @@ package sigcache
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -416,4 +417,32 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 	c.Flush()
+}
+
+// pinnedEntry is one entry that exercises every field of the disk layout: a
+// negative mtime (a signed varint), a ctime, a 64-bit fingerprint and two
+// level tables.
+func pinnedEntry() (Key, *Sig) {
+	k := Key{Path: "src/pinned.c", Size: 4096, MTime: -1_234_567_891, CTime: 1_700_000_000_123_456_789, Fingerprint: 0xfedcba9876543210}
+	s := NewSig(k.Size, md4.Sum([]byte("pinned content")))
+	s.setLevel(512, []uint64{1, 1 << 63, 0xdeadbeefcafef00d})
+	s.setLevel(2048, []uint64{42, 7})
+	return k, s
+}
+
+// TestDiskEntryBytesPinned: the bytes of a persisted entry are the on-disk
+// format. A change to them must bump diskVersion, so old entries read as
+// misses instead of being misparsed.
+func TestDiskEntryBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	k, s := pinnedEntry()
+	New(Options{Dir: dir}).Put(k, s)
+	data, err := os.ReadFile(entryFile(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ab276fa34e02936efd265ebdc4884d25"
+	if got := fmt.Sprintf("%x", md4.Sum(data)); got != want || len(data) != 123 {
+		t.Fatalf("entry md4 %s (%d bytes), want %s (123 bytes)", got, len(data), want)
+	}
 }
