@@ -162,7 +162,7 @@ type tamperProxy struct {
 	after   byte // ... when the stream's last frame the other way was this (0: any)
 	payload []byte
 	rewrite func(real []byte) []byte // in place of payload: derive it from the real frame
-	retype  byte                     // nonzero: the replaced frame also changes its type to this
+	retype  byte                     // nonzero: the replaced frame goes out bare as this type, even in place of a STREAM frame
 
 	mu   sync.Mutex
 	last [2]map[int]byte // per direction and stream: last per-file frame type
@@ -244,12 +244,12 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 			} else {
 				body = tp.payload
 			}
-			if ft == wire.FrameStream {
+			if tp.retype != 0 {
+				ft = tp.retype
+			} else if ft == wire.FrameStream {
 				b := wire.NewBuffer(len(body) + 4)
 				wire.AppendStreamFrame(b, id, inner, body)
 				body = b.Build()
-			} else if tp.retype != 0 {
-				ft = tp.retype
 			}
 			payload = body
 		}
@@ -425,8 +425,8 @@ func hostilePacked(width int) map[string][]byte {
 // else, twice, at another size or malformed gets one typed error wrapping
 // core.ErrProtocol from the other end, which a replay of what the victim read
 // shows costs it less than 64 KB; a server refuses a WANT before it loads a
-// file. Two rows are served,
-// not refused: a REF
+// file. A frame of another type where the HELLO, a CYCLE or a STREAM frame
+// is due gets the same typed error. Two rows are served, not refused: a REF
 // whose hello announced nothing is a miss, and a SHORT is what a WANT is
 // answered with (the legacy_journal_ref_miss_packed replay pins the holder's
 // answer to a PACKED there).
@@ -457,6 +457,7 @@ func hostileHandshakes(t *testing.T) {
 		version uint64 // for a served row: the version the client learns
 		last    bool   // the tampered frame is the client's last: it may finish
 		push    bool   // the connecting end pushes to a server that allows it
+		mux     bool   // the frame is sent only when the session is multiplexed
 	}
 	rows := []row{
 		{name: "server/REF of 15 bytes", base: 1, up: true, typ: wire.FrameManifestRef, payload: digest[:15]},
@@ -488,6 +489,12 @@ func hostileHandshakes(t *testing.T) {
 		// push the server.
 		{name: "client/VERDICTS config of 2^40 alternates", typ: wire.FrameVerdicts, rewrite: withAlternates(1 << 40)},
 		{name: "server/pushed VERDICTS config of 2^40 alternates", push: true, up: true, typ: wire.FrameVerdicts, rewrite: withAlternates(1 << 40)},
+		// Another frame where the one read is due is refused as one that
+		// arrives out of place anywhere else: the HELLO, a cycle's CYCLE,
+		// and each of its STREAM frames.
+		{name: "server/MANIFEST in place of HELLO", up: true, typ: wire.FrameHello, retype: wire.FrameManifest, payload: digest},
+		{name: "client/DELTA in place of CYCLE", mux: true, typ: wire.FrameCycle, retype: wire.FrameDelta, payload: digest},
+		{name: "client/DELTA in place of a STREAM frame", mux: true, typ: wire.FrameRoundHashes, retype: wire.FrameDelta, payload: digest},
 	}
 	for name, payload := range hostilePacked(md4.Size) {
 		rows = append(rows, row{name: "server/PACKED " + name, up: true, typ: wire.FrameManifestShort, retype: wire.FrameManifestPacked, payload: payload})
@@ -513,6 +520,8 @@ func hostileHandshakes(t *testing.T) {
 			framing := "bare"
 			if width > 0 {
 				framing = "mux"
+			} else if row.mux {
+				continue
 			}
 			t.Run(row.name+"/"+framing, func(t *testing.T) {
 				// Not parallel: the allocation ceiling below reads the

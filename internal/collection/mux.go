@@ -296,10 +296,11 @@ func (f *wrappedFramer) send(outs []*streamLink) error {
 func (f *wrappedFramer) recv(waiting []*streamLink) ([]*streamLink, error) {
 	s := f.s
 	f.roundFrom(time.Now())
-	cp, err := s.expect(wire.FrameCycle, stats.PhaseControl)
+	cp, err := s.expect(wire.FrameCycle, wire.MaxFrameSize)
 	if err != nil {
 		return nil, err
 	}
+	s.cost(s.in(), stats.PhaseControl, len(cp))
 	n, err := wire.ParseCycle(cp)
 	if err != nil {
 		return nil, s.fail(err)
@@ -312,7 +313,7 @@ func (f *wrappedFramer) recv(waiting []*streamLink) ([]*streamLink, error) {
 	f.ins = f.ins[:0]
 	var first time.Time
 	for k := 0; k < n; k++ {
-		sp, err := s.fr.ExpectFrame(wire.FrameStream)
+		sp, err := s.expect(wire.FrameStream, wire.MaxFrameSize)
 		if err != nil {
 			return nil, err
 		}

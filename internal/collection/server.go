@@ -150,7 +150,7 @@ func (s *Server) serveConn(sess *session) error {
 	sess.holder = true
 
 	// HELLO, capped: nothing is known of the peer before it.
-	hello, err := sess.fr.ExpectFrameMax(wire.FrameHello, maxHello)
+	hello, err := sess.expect(wire.FrameHello, maxHello)
 	if errors.Is(err, wire.ErrFrameTooLarge) {
 		err = sess.fail(fmt.Errorf("%w: HELLO over %d bytes", core.ErrProtocol, maxHello))
 	}

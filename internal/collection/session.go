@@ -228,10 +228,13 @@ func (s *session) sendHello(role byte) error {
 }
 
 // read returns the next frame, whatever its type; the caller accounts it once
-// it knows the phase. A peer's ERROR or BUSY answer surfaces as the error
-// wire.FrameReader.ExpectFrame would report.
-func (s *session) read() (byte, []byte, error) {
-	ft, payload, err := s.fr.ReadFrame()
+// it knows the phase. A peer's ERROR answer surfaces as an error carrying its
+// message, a BUSY answer as a *wire.BusyError.
+func (s *session) read() (byte, []byte, error) { return s.readMax(wire.MaxFrameSize) }
+
+// readMax is read for a frame of at most max bytes.
+func (s *session) readMax(max int) (byte, []byte, error) {
+	ft, payload, err := s.fr.ReadFrameMax(max)
 	switch {
 	case err != nil:
 		return 0, nil, err
@@ -241,6 +244,16 @@ func (s *session) read() (byte, []byte, error) {
 		return 0, nil, wire.DecodeBusy(payload)
 	}
 	return ft, payload, nil
+}
+
+// expect reads the next frame, of at most max bytes, which must be of type
+// want. The caller accounts it.
+func (s *session) expect(want byte, max int) ([]byte, error) {
+	ft, payload, err := s.readMax(max)
+	if err == nil && ft != want {
+		err = errFrame(ft, payload)
+	}
+	return payload, err
 }
 
 // errFrame is the one error for a frame that is not legal where it arrived,
@@ -266,16 +279,6 @@ func (s *session) readGranted(read func() (byte, []byte, error), grant, want byt
 		err = errFrame(ft, payload)
 	}
 	return granted, payload, err
-}
-
-// expect reads the next frame, which must be of type ft, and accounts it.
-func (s *session) expect(ft byte, p stats.Phase) ([]byte, error) {
-	payload, err := s.fr.ExpectFrame(ft)
-	if err != nil {
-		return nil, err
-	}
-	s.cost(s.in(), p, len(payload))
-	return payload, nil
 }
 
 // Costs.Roundtrips counts answers: the frames one end sends because of what
