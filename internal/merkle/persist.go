@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"msync/internal/dirio"
 	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/wire"
@@ -15,9 +16,10 @@ import (
 // holding the occupied leaf buckets (entries plus their leaf digest) and
 // the manifest fingerprint the tree was built from. Internal digests are
 // not stored — they are recomputed from the occupied leaves on load, which
-// is O(occupied · depth) tiny hashes. A whole-file MD4 trailer guards
-// against torn or corrupted writes; any mismatch reads as a miss and the
-// file is removed, mirroring internal/sigcache's crash-safety posture.
+// is O(occupied · depth) tiny hashes. The file is written by
+// dirio.WriteCache, the best-effort cache discipline: its MD4 trailer guards
+// against torn or corrupted writes, and any mismatch reads as a miss and
+// removes the file, as internal/sigcache does.
 //
 // The file lives alongside sigcache's per-path ".sig" entries, which are
 // only ever addressed by exact name — never scanned — so sharing the
@@ -49,27 +51,7 @@ func saveTree(dir string, fp [md4.Size]byte, t *Tree) {
 		b.Raw(d[:])
 		filelist.Append(b, t.bucket(i))
 	}
-	body := b.Build()
-	sum := md4.Sum(body)
-	body = append(body, sum[:]...)
-
-	tmp, err := os.CreateTemp(dir, "mtree-*.tmp")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, treeFileName(dir, t.depth)); err != nil {
-		os.Remove(name)
-	}
+	_ = dirio.WriteCache(treeFileName(dir, t.depth), b.Build())
 }
 
 // loadTree reads the persisted tree for depth from dir, returning the tree
@@ -92,11 +74,8 @@ func loadTree(dir string, depth int) (*Tree, [md4.Size]byte, bool) {
 
 func decodeTree(data []byte, depth int) (*Tree, [md4.Size]byte, error) {
 	var fp [md4.Size]byte
-	if len(data) < md4.Size {
-		return nil, fp, fmt.Errorf("merkle: tree file too short")
-	}
-	body, tail := data[:len(data)-md4.Size], data[len(data)-md4.Size:]
-	if md4.Sum(body) != *(*[md4.Size]byte)(tail) {
+	body, ok := dirio.Unseal(data)
+	if !ok {
 		return nil, fp, fmt.Errorf("merkle: tree file checksum mismatch")
 	}
 	p := wire.NewParser(body)

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"msync/internal/dirio"
 )
 
 func stores(t *testing.T) map[string]ArtifactStore {
@@ -119,6 +121,26 @@ func TestDirStoreIgnoresOrphanedTempFiles(t *testing.T) {
 	}
 	keys, err := s.Keys("")
 	if err != nil || len(keys) != 1 || keys[0] != "blob/aa" {
+		t.Fatalf("keys with orphan present: %v, %v", keys, err)
+	}
+}
+
+// TestDirStoreIgnoresDirioTempFiles: since artifacts are written through
+// dirio, a crash mid-publish leaves a temp file under dirio's prefix, which
+// Keys skips as it skips the older ".pub-" ones.
+func TestDirStoreIgnoresDirioTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("blob/aa", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "blob", dirio.TempPrefix+"123"), []byte("torn"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := s.Keys(""); err != nil || len(keys) != 1 || keys[0] != "blob/aa" {
 		t.Fatalf("keys with orphan present: %v, %v", keys, err)
 	}
 }

@@ -32,6 +32,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -42,6 +43,7 @@ import (
 	"sync"
 
 	"msync/internal/delta"
+	"msync/internal/dirio"
 	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/wire"
@@ -433,8 +435,13 @@ func (s *Store) resolvable(manifest []Entry) bool {
 
 // removeStraySegments deletes *.seg files not referenced by the live index —
 // leftovers of a crash between segment write and journal commit, or of a
-// crash between a GC record and its file deletions.
+// crash between a GC record and its file deletions — and the temporary file
+// of a segment write a crash cut short.
 func (s *Store) removeStraySegments() {
+	temps, _ := filepath.Glob(filepath.Join(s.dir, dirio.TempPrefix+"*"))
+	for _, path := range temps {
+		os.Remove(path)
+	}
 	matches, err := filepath.Glob(filepath.Join(s.dir, "*.seg"))
 	if err != nil {
 		return
@@ -886,28 +893,11 @@ func (s *Store) markChain(sum [md4.Size]byte, reachable map[[md4.Size]byte]bool)
 	}
 }
 
-// writeFileSync writes name under the store dir, fsyncing the file and the
-// directory so the data is durable before the journal commits a reference.
+// writeFileSync writes name under the store dir durably (dirio.ReplaceFile
+// and a directory fsync) before the journal commits a reference to it.
 func (s *Store) writeFileSync(name string, data []byte) error {
-	path := filepath.Join(s.dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := cmp.Or(dirio.ReplaceFile(filepath.Join(s.dir, name), data), dirio.SyncDir(s.dir)); err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

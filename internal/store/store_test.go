@@ -11,6 +11,7 @@ import (
 
 	"msync/internal/alloctest"
 	"msync/internal/delta"
+	"msync/internal/dirio"
 	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/wire"
@@ -373,6 +374,34 @@ func TestCrashTruncatedSegment(t *testing.T) {
 	}
 	if got := applyDelta(t, d, trees[0]); !sameTree(got, trees[1]) {
 		t.Fatal("surviving delta does not reconstruct v2")
+	}
+}
+
+// TestCrashMidSegmentWrite: a crash between a segment's temporary file and
+// its rename leaves the temporary file and no segment. The reopened store
+// serves the committed versions and removes the orphan.
+func TestCrashMidSegmentWrite(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap(t, s, treeV(0))
+	s.Close()
+	orphan := filepath.Join(dir, dirio.TempPrefix+"123")
+	if err := os.WriteFile(orphan, []byte("half a segm"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open with an orphaned temporary file: %v", err)
+	}
+	defer s.Close()
+	if got := versions(s); len(got) != 1 {
+		t.Fatalf("Versions = %v, want the committed one", got)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("the orphaned temporary file survived Open: %v", err)
 	}
 }
 

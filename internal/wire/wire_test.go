@@ -69,6 +69,27 @@ func TestQuickVarints(t *testing.T) {
 	}
 }
 
+func TestQuickSignedVarints(t *testing.T) {
+	f := func(u int64, v uint64) bool {
+		b := NewBuffer(20)
+		b.Varint(u)
+		b.Uvarint(v)
+		p := NewParser(b.Build())
+		gu, err1 := p.Varint()
+		gv, err2 := p.Uvarint()
+		return err1 == nil && err2 == nil && gu == u && gv == v && p.Remaining() == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewParser([]byte{0xFF}).Varint(); err != ErrTruncated {
+		t.Fatalf("truncated Varint error = %v, want ErrTruncated", err)
+	}
+	if _, err := NewParser(append(bytes.Repeat([]byte{0xFF}, 9), 0x7F)).Varint(); err != ErrVarintOverflow {
+		t.Fatalf("hot-tail Varint error = %v, want ErrVarintOverflow", err)
+	}
+}
+
 func TestParserTruncation(t *testing.T) {
 	b := NewBuffer(8)
 	b.Bytes([]byte("hello"))
