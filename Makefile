@@ -8,7 +8,8 @@ FUZZTIME ?= 10s
 FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/collection ./internal/rsync ./internal/vcdiff \
 	./internal/merkle ./internal/pubsig ./internal/cdc \
-	./internal/core ./internal/rolling ./internal/filelist
+	./internal/core ./internal/rolling ./internal/filelist \
+	./internal/sigcache
 
 .PHONY: all build test vet race check fuzz-smoke loc bench bench-check api api-check clean
 
