@@ -9,7 +9,7 @@ FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/collection ./internal/rsync ./internal/vcdiff \
 	./internal/merkle ./internal/pubsig ./internal/cdc \
 	./internal/core ./internal/rolling ./internal/filelist \
-	./internal/sigcache
+	./internal/sigcache ./internal/store
 
 .PHONY: all build test vet race check fuzz-smoke loc bench bench-check api api-check clean
 

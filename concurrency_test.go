@@ -99,9 +99,7 @@ func TestRandomizedCollectionProperty(t *testing.T) {
 			case 2:
 				cfg.Decomposable = false
 			case 3:
-				cfg.Adaptive = true
-				cfg.AdaptiveMinBlock = 512
-				cfg.AdaptiveFactor = 3
+				cfg = msync.OneShotConfig(512)
 			}
 			srv, err := msync.NewServer(serverFiles, cfg)
 			if err != nil {

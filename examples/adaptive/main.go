@@ -1,8 +1,9 @@
-// Adaptive: demonstrates the paper's §7 "future work" features implemented
-// here — adaptive early stopping (give up on map construction when a file
-// turns out to be unrelated) and choosing the round budget from the link
-// characteristics (multi-round for slow links, one-shot for high-latency
-// ones).
+// Round budgets chosen from the link characteristics, the paper's §7
+// "future work": multi-round map construction for slow links, one-shot for
+// high-latency ones. The rule msync documents is measured, not guessed: a
+// single-shot exchange (OneShotConfig(512)) wins once one roundtrip is worth
+// more than about 512 KB of the link's downstream capacity; below that the
+// default wins.
 //
 //	go run ./examples/adaptive
 package main
@@ -20,44 +21,13 @@ import (
 func main() {
 	rng := rand.New(rand.NewSource(11))
 
-	// Two files of the same size: one lightly edited, one replaced outright.
+	// A lightly edited file.
 	oldSimilar := corpus.SourceText(rng, 300_000)
 	newSimilar := corpus.EditModel{BurstsPer32KB: 2, BurstEdits: 4, EditSize: 60, BurstSpread: 400}.
 		Apply(rng, oldSimilar)
-	oldReplaced := corpus.SourceText(rng, 300_000)
-	newReplaced := corpus.RandomText(rng, 300_000)
-
-	plain := msync.DefaultConfig()
-	adaptive := msync.DefaultConfig()
-	adaptive.Adaptive = true
-	adaptive.AdaptiveMinBlock = 1024
-	adaptive.AdaptiveFactor = 4
-
-	fmt.Println("=== adaptive early stopping ===")
-	fmt.Printf("%-22s %12s %8s %12s %8s\n", "file", "plain bytes", "rounds", "adapt bytes", "rounds")
-	for _, tc := range []struct {
-		name     string
-		old, cur []byte
-	}{
-		{"lightly edited", oldSimilar, newSimilar},
-		{"replaced outright", oldReplaced, newReplaced},
-	} {
-		rp, err := msync.SyncFile(tc.old, tc.cur, plain)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ra, err := msync.SyncFile(tc.old, tc.cur, adaptive)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-22s %12d %8d %12d %8d\n", tc.name,
-			rp.Costs.Total(), rp.Rounds, ra.Costs.Total(), ra.Rounds)
-	}
-	fmt.Println("\nadaptive mode abandons map construction on the unrelated file")
-	fmt.Println("and pays (almost) nothing extra on the well-behaved one.")
 
 	// Link-aware mode choice: estimate sync times for the edited file.
-	fmt.Println("\n=== round budget vs link characteristics ===")
+	fmt.Println("=== round budget vs link characteristics ===")
 	links := []struct {
 		name string
 		l    msync.LinkModel

@@ -9,7 +9,9 @@ import (
 // The cdc.map table: halving vs CDC map construction over the adversarial
 // boundary-shift corpora (internal/corpus/adversarial.go, DESIGN.md §16).
 // Every arm runs a full collection session and is convergence-verified
-// (collectionCosts); the per-scenario winner is what advisor.Recommend's shift detection encodes.
+// (collectionCosts). The per-scenario winner shows which churn shape favours
+// which mode; choosing the mode is left to whoever knows the collection's
+// churn.
 
 // cdcScenarios are the table's rows. logs-heavy and dbdump are the acceptance
 // scenarios (CDC must beat halving on total wire bytes); vmimage and

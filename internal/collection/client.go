@@ -268,7 +268,7 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 	nv, err := vp.Uvarint()
 	names := det.named()
 	if err != nil || nv > uint64(len(list)) || names == nil && nv != uint64(len(list)) {
-		return nil, fmt.Errorf("collection: verdict count mismatch")
+		return nil, fmt.Errorf("%w: verdict count mismatch", core.ErrProtocol)
 	}
 
 	work := &clientWork{}
@@ -285,7 +285,7 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 		}
 		fullBytes += len(comp)
 		if res.Files[path], err = delta.Decompress(comp); err != nil {
-			return fmt.Errorf("collection: %s file %q: %w", what, path, err)
+			return fmt.Errorf("%w: %s file %q: %w", core.ErrProtocol, what, path, err)
 		}
 		s.costs.FilesFull++
 		return nil
@@ -356,7 +356,7 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 			work.settled = append(work.settled, clientFile{path: path, newLen: int(newLen), bytes: int64(len(payload)), ack: len(work.settled), owed: !applied})
 			s.costs.FilesJournal++
 		default:
-			return nil, fmt.Errorf("collection: unknown verdict %d", verdict)
+			return nil, fmt.Errorf("%w: unknown verdict %d", core.ErrProtocol, verdict)
 		}
 	}
 	for i, e := range list {
@@ -370,7 +370,7 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 	if len(work.settled) > 0 && len(work.files) > 0 {
 		// Journal sessions never run engines; a server mixing the two would
 		// make ack indexes ambiguous.
-		return nil, fmt.Errorf("collection: mixed journal and sync verdicts")
+		return nil, fmt.Errorf("%w: mixed journal and sync verdicts", core.ErrProtocol)
 	}
 	nNew, err := vp.Uvarint()
 	if err != nil {

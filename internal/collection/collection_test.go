@@ -70,11 +70,6 @@ func TestConfigRoundTrip(t *testing.T) {
 		core.BasicConfig(),
 		core.OneShotConfig(512),
 	}
-	adaptive := core.DefaultConfig()
-	adaptive.Adaptive = true
-	adaptive.AdaptiveMinBlock = 512
-	adaptive.AdaptiveFactor = 2.5
-	configs = append(configs, adaptive)
 	for i, cfg := range configs {
 		got, err := decodeConfig(encodeConfig(&cfg))
 		if err != nil {
@@ -110,12 +105,15 @@ func TestConfigPresetsKeepTheirBytes(t *testing.T) {
 }
 
 // TestConfigRefusesRetiredTechniques: a config from a peer that switches on
-// two-phase rounds, local hashes or a hash family other than the polynomial
-// one is refused with errRetiredConfig; the same config with them off decodes.
+// two-phase rounds, local hashes, adaptive early stopping or a hash family
+// other than the polynomial one is refused with errRetiredConfig; the same
+// config with them off decodes.
 func TestConfigRefusesRetiredTechniques(t *testing.T) {
 	const (
 		head = "801080011008060a2814020408020101" // PaperConfig through Decomposable
-		mid  = "800280200504000000"               // local radius, range, slack; MaxAlternates; Adaptive
+		mid  = "800280200504000000"               // local radius, range, slack; MaxAlternates; adaptive, its minimum block and factor
+		// The adaptive switch on, with a 1024-byte minimum block and factor 4.
+		adaptive = "80028020050401" + "8008" + "808080808080808840"
 	)
 	family := func(name string) string { return fmt.Sprintf("%02x", len(name)) + hex.EncodeToString([]byte(name)) }
 	for _, tc := range []struct {
@@ -126,6 +124,7 @@ func TestConfigRefusesRetiredTechniques(t *testing.T) {
 		{"local", head + "0001" + mid + family(""), true},
 		{"adler", head + "0000" + mid + family("adler"), true},
 		{"unknown-family", head + "0000" + mid + family("xxh3"), true},
+		{"adaptive", head + "0000" + adaptive + family(""), true},
 		{"default", head + "0000" + mid + family(""), false},
 		{"poly", head + "0000" + mid + family("poly"), false},
 	} {
@@ -256,8 +255,8 @@ func TestConnectionCutMidSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := transport.Pipe()
-	// The server's writes die after 200 bytes (mid-verdicts/rounds).
-	faulty := transport.NewFaultyEnd(a, 200, errors.New("carrier lost"))
+	// The link dies after the server's first 200 bytes (mid-verdicts/rounds).
+	faulty := transport.NewFaultConn(a).SeverAfter(200)
 	var wg sync.WaitGroup
 	var serverErr error
 	wg.Add(1)

@@ -2,7 +2,6 @@ package collection
 
 import (
 	"fmt"
-	"math"
 
 	"msync/internal/core"
 	"msync/internal/wire"
@@ -11,11 +10,12 @@ import (
 // protocolVersion guards wire compatibility.
 const protocolVersion = 1
 
-// The config keeps a place for six fields of techniques msync no longer
+// The config keeps a place for nine fields of techniques msync no longer
 // runs: two-phase rounds, local hashes (their switch, radius, range and
-// slack) and the hash family. They are written as the constants every preset
-// wrote while the techniques existed, so verdict frames, ConfigFingerprint
-// and warm signature caches stay byte-identical.
+// slack), adaptive early stopping (its switch, minimum block and factor) and
+// the hash family. They are written as the constants every preset wrote while
+// the techniques existed, so verdict frames, ConfigFingerprint and warm
+// signature caches stay byte-identical.
 const (
 	retiredLocalRadius = 256
 	retiredLocalRange  = 4096
@@ -23,8 +23,9 @@ const (
 )
 
 // errRetiredConfig refuses a peer's config that switches on a retired
-// technique — two-phase rounds, local hashes, or a hash family other than the
-// polynomial one — which this engine cannot plan in step with that peer.
+// technique — two-phase rounds, local hashes, adaptive early stopping, or a
+// hash family other than the polynomial one — which this engine cannot plan
+// in step with that peer.
 var errRetiredConfig = fmt.Errorf("%w: config switches on a retired technique", core.ErrProtocol)
 
 // encodeConfig serializes the protocol configuration. The server is
@@ -52,10 +53,10 @@ func encodeConfig(c *core.Config) []byte {
 	b.Uvarint(retiredLocalRange)
 	b.Uvarint(retiredLocalSlack)
 	b.Uvarint(uint64(c.MaxAlternates))
-	b.Bool(c.Adaptive)
-	b.Uvarint(uint64(c.AdaptiveMinBlock))
-	b.Uvarint(math.Float64bits(c.AdaptiveFactor))
-	b.String("") // the hash family: "" is the polynomial one
+	b.Bool(false) // adaptive early stopping
+	b.Uvarint(0)  // its minimum block
+	b.Uvarint(0)  // and its factor
+	b.String("")  // the hash family: "" is the polynomial one
 	// The map mode rides as an optional trailing field: sessions that
 	// negotiated CDC (hello extension 4) append it; halving sessions end
 	// the config here, byte-identical to pre-CDC servers.
@@ -97,9 +98,9 @@ func decodeConfig(p []byte) (core.Config, error) {
 	num()
 	num()
 	c.MaxAlternates = int(num())
-	c.Adaptive = flag()
-	c.AdaptiveMinBlock = int(num())
-	c.AdaptiveFactor = math.Float64frombits(num())
+	adaptive := flag()
+	num() // adaptive minimum block and factor
+	num()
 	var family string
 	if err == nil {
 		family, err = pr.String()
@@ -110,8 +111,8 @@ func decodeConfig(p []byte) (core.Config, error) {
 	if err != nil {
 		return c, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
 	}
-	if twoPhase || local || (family != "" && family != "poly") {
-		return c, fmt.Errorf("%w (two-phase %v, local hashes %v, hash family %q)", errRetiredConfig, twoPhase, local, family)
+	if twoPhase || local || adaptive || (family != "" && family != "poly") {
+		return c, fmt.Errorf("%w (two-phase %v, local hashes %v, adaptive %v, hash family %q)", errRetiredConfig, twoPhase, local, adaptive, family)
 	}
 	if err := c.Validate(); err != nil {
 		return c, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)

@@ -327,8 +327,8 @@ func TestHostileIndexLists(t *testing.T) {
 					if !fc.up {
 						victim, other = other, victim
 					}
-					if !errors.Is(victim, want) {
-						t.Fatalf("victim returned %v, want %v", victim, want)
+					if !errors.Is(victim, want) || !errors.Is(victim, core.ErrProtocol) {
+						t.Fatalf("victim returned %v, want %v wrapping core.ErrProtocol", victim, want)
 					}
 					// FULL is a stream's last frame: a server can be done before the
 					// client has read it.
@@ -355,6 +355,29 @@ func helloWithoutVersion(real []byte) []byte {
 	b.Raw(real[:3])
 	h.encode(b)
 	return b.Build()
+}
+
+// helloWith rewrites a hello: its byte at (0 the version, 1 the role, 2 the
+// manifest mode) becomes v.
+func helloWith(at int, v byte) func(real []byte) []byte {
+	return func(real []byte) []byte {
+		h := bytes.Clone(real)
+		h[at] = v
+		return h
+	}
+}
+
+// unknownVerdict rewrites a VERDICTS payload: its first verdict becomes a
+// byte no holder sends.
+func unknownVerdict(real []byte) []byte {
+	p := wire.NewParser(real)
+	p.Bytes() // the config
+	if n, err := p.Uvarint(); err != nil || n == 0 {
+		panic("hostile_test: the session's VERDICTS frame has no verdict")
+	}
+	v := bytes.Clone(real)
+	v[len(real)-p.Remaining()] = 0xff
+	return v
 }
 
 // packedEntry is one (shared, suffix, len) entry of a MANIFEST_PACKED column.
@@ -493,6 +516,11 @@ func hostileHandshakes(t *testing.T) {
 		// arrives out of place anywhere else: the HELLO, a cycle's CYCLE,
 		// and each of its STREAM frames.
 		{name: "server/MANIFEST in place of HELLO", up: true, typ: wire.FrameHello, retype: wire.FrameManifest, payload: digest},
+		// A HELLO this server cannot speak, and a verdict no holder sends.
+		{name: "server/HELLO of version 2", up: true, typ: wire.FrameHello, rewrite: helloWith(0, 2)},
+		{name: "server/HELLO of role 7", up: true, typ: wire.FrameHello, rewrite: helloWith(1, 7)},
+		{name: "server/HELLO of mode 9", up: true, typ: wire.FrameHello, rewrite: helloWith(2, 9)},
+		{name: "client/VERDICTS with an unknown verdict", typ: wire.FrameVerdicts, rewrite: unknownVerdict},
 		{name: "client/DELTA in place of CYCLE", mux: true, typ: wire.FrameCycle, retype: wire.FrameDelta, payload: digest},
 		{name: "client/DELTA in place of a STREAM frame", mux: true, typ: wire.FrameRoundHashes, retype: wire.FrameDelta, payload: digest},
 	}
@@ -747,7 +775,7 @@ func (c *recordingScript) Write(p []byte) (int, error) { return c.out.Write(p) }
 // mode — and never waits for an answer that cannot come.
 func TestRefAgainstOlderServer(t *testing.T) {
 	v1, _ := tinyTrees(12)
-	beforeRef := func(ft byte, _ []byte) string { // what wire.ExpectFrame said then
+	beforeRef := func(ft byte, _ []byte) string { // what a server said then
 		return fmt.Sprintf("wire: expected frame MANIFEST, got UNKNOWN(%d)", ft)
 	}
 	beforeShort := func(ft byte, payload []byte) string { // errFrame, then
@@ -770,7 +798,7 @@ func TestRefAgainstOlderServer(t *testing.T) {
 		go func() {
 			defer a.Close()
 			fr, fw := wire.NewFrameReader(a), wire.NewFrameWriter(a)
-			if _, err := fr.ExpectFrame(wire.FrameHello); err != nil {
+			if ft, _, err := fr.ReadFrame(); err != nil || ft != wire.FrameHello {
 				return
 			}
 			msg := "the client sent its manifest"
@@ -824,7 +852,7 @@ func wireBytes(t *testing.T, frames []wireFrame) []byte {
 // it knows anything of its peer, so its length is capped at maxHello. A header
 // declaring more is refused as a protocol error before a payload byte is read:
 // a peer streaming a megabyte behind a 1 GiB header costs the server less than
-// 64 KB. A HELLO at the cap is read, and refused for what it says.
+// 64 KB. A HELLO at the cap is read, and refused for what it says: version 0.
 func TestOversizedHelloRefused(t *testing.T) {
 	srv, err := NewServer(map[string][]byte{"a": []byte("x")}, core.DefaultConfig())
 	if err != nil {
@@ -839,8 +867,13 @@ func TestOversizedHelloRefused(t *testing.T) {
 			conn.script.Reset(script)
 			_, err = srv.Serve(conn)
 		})
-		if capped := declared > maxHello; errors.Is(err, core.ErrProtocol) != capped || err == nil {
-			t.Errorf("HELLO declaring %d bytes: %v", declared, err)
+		capped := declared > maxHello
+		want := "unsupported protocol version"
+		if capped {
+			want = "HELLO over"
+		}
+		if !errors.Is(err, core.ErrProtocol) || !strings.Contains(err.Error(), want) {
+			t.Errorf("HELLO declaring %d bytes: %v, want a protocol error saying %q", declared, err, want)
 		} else if capped && got >= 64<<10 {
 			t.Errorf("HELLO declaring %d bytes cost %d B, ceiling %d", declared, got, 64<<10)
 		}

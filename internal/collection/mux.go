@@ -98,7 +98,7 @@ func muxPartition(files []syncFile, width int) []int {
 // errIndexList marks a per-file frame whose index list a well-behaved peer
 // cannot have sent: more entries than the stream has files, or indexes that
 // are out of range or not strictly ascending.
-var errIndexList = errors.New("collection: malformed file index list")
+var errIndexList = fmt.Errorf("%w: malformed file index list", core.ErrProtocol)
 
 // section is one entry of a ROUND_HASHES, CONFIRM, ROUND_REPLY or FULL frame;
 // an ACK's entries are bare indexes.
@@ -306,9 +306,9 @@ func (f *wrappedFramer) recv(waiting []*streamLink) ([]*streamLink, error) {
 		return nil, s.fail(err)
 	}
 	if waiting != nil && n != len(waiting) {
-		return nil, s.fail(fmt.Errorf("collection: reply cycle of %d frames, want %d", n, len(waiting)))
+		return nil, s.fail(fmt.Errorf("%w: reply cycle of %d frames, want %d", core.ErrProtocol, n, len(waiting)))
 	} else if n == 0 || n > f.open {
-		return nil, s.fail(fmt.Errorf("collection: cycle of %d frames with %d live streams", n, f.open))
+		return nil, s.fail(fmt.Errorf("%w: cycle of %d frames with %d live streams", core.ErrProtocol, n, f.open))
 	}
 	f.ins = f.ins[:0]
 	var first time.Time
@@ -326,7 +326,7 @@ func (f *wrappedFramer) recv(waiting []*streamLink) ([]*streamLink, error) {
 		}
 		l := &f.links[sf.ID]
 		if l.done || l.seen == f.cycle {
-			return nil, s.fail(fmt.Errorf("collection: unexpected frame for stream %d", sf.ID))
+			return nil, s.fail(fmt.Errorf("%w: unexpected frame for stream %d", core.ErrProtocol, sf.ID))
 		}
 		l.seen = f.cycle
 		l.inner, l.payload = sf.Type, sf.Payload
@@ -707,7 +707,7 @@ func (cs *clientStream) handle(workers int) error {
 				return fmt.Errorf("%w: full transfer for %d, acked %d", errIndexList, sec.idx, want)
 			}
 			if cs.fulls[k], err = delta.DecodeLen(nil, sec.body, f.newLen); err != nil {
-				return fmt.Errorf("collection: full transfer for %q: %w", f.path, err)
+				return fmt.Errorf("%w: full transfer for %q: %w", core.ErrProtocol, f.path, err)
 			}
 			f.bytes += int64(len(sec.body))
 		}
@@ -725,7 +725,7 @@ func (cs *clientStream) applyDeltas(workers int, payload []byte) error {
 	dp := wire.NewParser(payload)
 	nd, err := dp.Uvarint()
 	if err != nil || nd != uint64(len(files)) {
-		return fmt.Errorf("collection: delta count mismatch")
+		return fmt.Errorf("%w: delta count mismatch", core.ErrProtocol)
 	}
 	sections := make([][]byte, len(files))
 	for i := range sections {

@@ -161,14 +161,14 @@ func (s *Server) serveConn(sess *session) error {
 	hp := wire.NewParser(hello)
 	ver, err := hp.Uvarint()
 	if err != nil || ver != protocolVersion {
-		return sess.fail(fmt.Errorf("collection: unsupported protocol version"))
+		return sess.fail(fmt.Errorf("%w: unsupported protocol version", core.ErrProtocol))
 	}
 	role, err := hp.Byte()
 	if err != nil {
-		return sess.fail(fmt.Errorf("collection: missing role"))
+		return sess.fail(fmt.Errorf("%w: missing role", core.ErrProtocol))
 	}
 	if sess.mode, err = hp.Byte(); err != nil || sess.mode > modeTree {
-		return sess.fail(fmt.Errorf("collection: missing or unknown manifest mode %d", sess.mode))
+		return sess.fail(fmt.Errorf("%w: missing or unknown manifest mode %d", core.ErrProtocol, sess.mode))
 	}
 	switch role {
 	case rolePush:
@@ -201,7 +201,7 @@ func (s *Server) serveConn(sess *session) error {
 		}
 		return s.serve(sess)
 	}
-	return sess.fail(fmt.Errorf("collection: unknown role %d", role))
+	return sess.fail(fmt.Errorf("%w: unknown role %d", core.ErrProtocol, role))
 }
 
 // serve runs the serving role after the handshake header: change detection

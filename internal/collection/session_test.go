@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -346,5 +347,32 @@ func TestBusyAnswerTreeMode(t *testing.T) {
 	}
 	if !errors.Is(err, ErrHandshake) {
 		t.Fatalf("tree-mode busy must be ErrHandshake, got %v", err)
+	}
+}
+
+// TestSessionExpect: the frame due is returned; an ERROR in its place
+// surfaces the remote message, a BUSY decodes to a *wire.BusyError that retry
+// loops recognise, and any other frame is a protocol error naming it.
+func TestSessionExpect(t *testing.T) {
+	var buf bytes.Buffer
+	fw := wire.NewFrameWriter(&buf)
+	fw.WriteFrame(wire.FrameAck, []byte("ok"))
+	fw.WriteFrame(wire.FrameError, []byte("boom"))
+	fw.WriteFrame(wire.FrameBusy, wire.EncodeBusy(2*time.Second))
+	fw.WriteFrame(wire.FrameDone, nil)
+	fw.Flush()
+	s := &session{fr: wire.NewFrameReader(&buf)}
+	if p, err := s.expect(wire.FrameAck, wire.MaxFrameSize); err != nil || string(p) != "ok" {
+		t.Fatalf("p=%q err=%v", p, err)
+	}
+	if _, err := s.expect(wire.FrameAck, wire.MaxFrameSize); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("ERROR frame: %v, want the remote message", err)
+	}
+	var busy *wire.BusyError
+	if _, err := s.expect(wire.FrameVerdicts, wire.MaxFrameSize); !errors.As(err, &busy) || busy.RetryAfter != 2*time.Second {
+		t.Fatalf("BUSY frame: %v, want BusyError{2s}", err)
+	}
+	if _, err := s.expect(wire.FrameDelta, wire.MaxFrameSize); !errors.Is(err, core.ErrProtocol) || !strings.Contains(err.Error(), "DONE") {
+		t.Fatalf("DONE in place of DELTA: %v, want a protocol error naming DONE", err)
 	}
 }

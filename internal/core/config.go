@@ -90,12 +90,6 @@ type Config struct {
 	// remembers per candidate (for retry-on-failed-verification); at most
 	// maxAlternates.
 	MaxAlternates int
-	// Adaptive enables the early-stopping heuristic (paper §7 future work):
-	// once block sizes reach AdaptiveMinBlock, a file stops recursing when a
-	// round's map-phase bits exceed AdaptiveFactor × 8 × newly covered bytes.
-	Adaptive         bool
-	AdaptiveMinBlock int
-	AdaptiveFactor   float64
 	// Workers bounds the parallelism of CPU-heavy engine work: sharded
 	// old-file scans and batched verification hashing (and, at the
 	// collection layer, per-file engine fan-out). 0 (the default) means
@@ -203,9 +197,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxAlternates < 0 || c.MaxAlternates > maxAlternates {
 		return fmt.Errorf("core: MaxAlternates %d out of range (0..%d)", c.MaxAlternates, maxAlternates)
-	}
-	if c.Adaptive && c.AdaptiveFactor <= 0 {
-		return fmt.Errorf("core: Adaptive enabled with AdaptiveFactor %v", c.AdaptiveFactor)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: Workers %d negative", c.Workers)

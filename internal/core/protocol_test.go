@@ -19,11 +19,6 @@ func TestQuickProtocolReconstructs(t *testing.T) {
 		"basic":   BasicConfig(),
 		"oneshot": OneShotConfig(256),
 	}
-	adaptive := DefaultConfig()
-	adaptive.Adaptive = true
-	adaptive.AdaptiveMinBlock = 256
-	adaptive.AdaptiveFactor = 1.0
-	configs["adaptive"] = adaptive
 	deep := DefaultConfig()
 	deep.Verify = gtest.Config{Batches: 4, GroupSize: 8, TrustedGroupSize: 16, SplitFactor: 2, RetryAlternates: 2}
 	configs["deep-verify"] = deep
@@ -112,7 +107,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MaxHashBits = 60 },
 		func(c *Config) { c.MinHashBits = 0 },
 		func(c *Config) { c.MinHashBits = c.MaxHashBits + 1 },
-		func(c *Config) { c.Adaptive = true; c.AdaptiveFactor = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -158,34 +152,6 @@ func TestInitialBlockSize(t *testing.T) {
 	}
 	if got := cfg.initialBlockSize(10); got != cfg.MinBlockSize {
 		t.Fatalf("tiny file: %d", got)
-	}
-}
-
-func TestAdaptiveStopsEarly(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	// Unrelated files: map construction is pure waste; adaptive should quit.
-	old := corpus.RandomText(rng, 100_000)
-	cur := corpus.RandomText(rng, 100_000)
-
-	plain := DefaultConfig()
-	resPlain, err := SyncLocal(old, cur, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad := DefaultConfig()
-	ad.Adaptive = true
-	ad.AdaptiveMinBlock = 1024
-	ad.AdaptiveFactor = 4
-	resAd, err := SyncLocal(old, cur, ad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resAd.Rounds >= resPlain.Rounds {
-		t.Fatalf("adaptive rounds %d not fewer than plain %d", resAd.Rounds, resPlain.Rounds)
-	}
-	if resAd.Costs.Total() >= resPlain.Costs.Total() {
-		t.Fatalf("adaptive cost %d not below plain %d on unrelated files",
-			resAd.Costs.Total(), resPlain.Costs.Total())
 	}
 }
 

@@ -563,21 +563,13 @@ func (st *state) finishRound(confirmed []bool, confirmedOff []int) {
 	}
 	st.coverCache = nil // cover dirty
 
-	// Adaptive early stop.
-	newCovered := st.coveredBytes() - st.coveredAtRound
-	if st.cfg.Adaptive && st.b <= st.cfg.AdaptiveMinBlock {
-		if float64(st.roundBits)/8 > st.cfg.AdaptiveFactor*float64(newCovered)+1 {
-			st.done = true
-		}
-	}
-
 	// Record the round for diagnostics.
 	rs := RoundStats{
 		Round:        st.round,
 		BlockSize:    st.b,
 		Candidates:   len(st.candEntries),
 		CoveredBytes: st.coveredBytes(),
-		NewBytes:     newCovered,
+		NewBytes:     st.coveredBytes() - st.coveredAtRound,
 		Bits:         st.roundBits,
 	}
 	for i := range p.entries {

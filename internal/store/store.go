@@ -86,9 +86,6 @@ type Options struct {
 	// Budget caps total segment bytes; once exceeded, oldest versions are
 	// garbage-collected (the latest version is never evicted). 0 = unlimited.
 	Budget int64
-	// MaxChain bounds delta-chain depth before a full blob is forced.
-	// 0 selects the default of 8.
-	MaxChain int
 }
 
 // Stats is a point-in-time summary of the store, for gauges.
@@ -114,7 +111,9 @@ const (
 	blobFull  = 0
 	blobDelta = 1
 
-	defaultMaxChain = 8
+	// maxChain bounds delta-chain depth: a version whose base is this deep is
+	// stored as a full blob.
+	maxChain = 8
 )
 
 var journalMagic = [4]byte{'m', 's', 'j', '1'}
@@ -156,9 +155,6 @@ type Store struct {
 // segment is missing or short are dropped from the tail so that the latest
 // retained version is always reconstructible.
 func Open(dir string, opt Options) (*Store, error) {
-	if opt.MaxChain <= 0 {
-		opt.MaxChain = defaultMaxChain
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -558,7 +554,7 @@ func (s *Store) Snapshot(manifest []Entry, digest [md4.Size]byte, load func(stri
 		if ch.Op == filelist.OpModify {
 			// Prefer a delta against the previous version's content when it
 			// is resolvable, the chain stays bounded, and it actually wins.
-			if baseRef, ok := s.blobs[ch.Old.Sum]; ok && baseRef.chain+1 <= s.opt.MaxChain && s.chainOK(baseRef) {
+			if baseRef, ok := s.blobs[ch.Old.Sum]; ok && baseRef.chain < maxChain && s.chainOK(baseRef) {
 				if base, err := s.content(ch.Old.Sum, memo); err == nil {
 					if d := delta.Encode(base, data); len(d) < len(blob) {
 						blob = d

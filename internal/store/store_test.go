@@ -613,11 +613,9 @@ func TestSnapshotRefusesUnsortedManifest(t *testing.T) {
 	}
 }
 
-// TestReplayBoundsCountsByRecord: a journal whose only record is CRC-valid
-// but declares 2^22 manifest entries or 2^22 blob rows in some twenty bytes
-// costs Open less than 1 MB, and the valid prefix ends before that record.
-// (Each count was once checked against 2^30 only: 168 MB and 739 MB.)
-func TestReplayBoundsCountsByRecord(t *testing.T) {
+// hostileRecords are version records of some twenty bytes that declare 2^22
+// manifest entries or 2^22 blob rows.
+func hostileRecords() map[string][]byte {
 	header := func(entries uint64) *wire.Buffer {
 		b := wire.NewBuffer(32)
 		b.Byte(recVersion)
@@ -629,10 +627,18 @@ func TestReplayBoundsCountsByRecord(t *testing.T) {
 	manifest := header(1 << 22)
 	rows := header(0)
 	rows.Uvarint(1 << 22)
-	for name, payload := range map[string][]byte{
+	return map[string][]byte{
 		"manifest entries": manifest.Build(),
 		"blob rows":        rows.Build(),
-	} {
+	}
+}
+
+// TestReplayBoundsCountsByRecord: a journal whose only record is CRC-valid
+// but declares 2^22 manifest entries or 2^22 blob rows in some twenty bytes
+// costs Open less than 1 MB, and the valid prefix ends before that record.
+// (Each count was once checked against 2^30 only: 168 MB and 739 MB.)
+func TestReplayBoundsCountsByRecord(t *testing.T) {
+	for name, payload := range hostileRecords() {
 		dir := t.TempDir()
 		journal := filepath.Join(dir, "journal")
 		framed := make([]byte, 12, 12+len(payload))
@@ -662,25 +668,36 @@ func TestReplayBoundsCountsByRecord(t *testing.T) {
 	}
 }
 
+// TestDeltaChainBound: a file edited in every version is stored as deltas
+// until its chain reaches maxChain, then whole again; past the bound every
+// version still resolves.
 func TestDeltaChainBound(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{MaxChain: 2})
+	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	files := map[string][]byte{"f": bytes.Repeat([]byte("seed content here "), 200)}
 	snap(t, s, files)
-	for i := 0; i < 6; i++ {
+	var sums [][md4.Size]byte
+	for i := 0; i < 2*maxChain+2; i++ {
 		files["f"] = append(files["f"], byte('0'+i))
 		snap(t, s, files)
+		sums = append(sums, md4.Sum(files["f"]))
 	}
-	// Every stored version's content must resolve within the chain bound.
-	if _, err := s.Content(md4.Sum(files["f"])); err != nil {
-		t.Fatalf("content unresolvable: %v", err)
-	}
-	for sum, ref := range s.blobs {
-		if ref.chain > 2 {
-			t.Fatalf("blob %x chain %d exceeds MaxChain 2", sum[:4], ref.chain)
+	for _, sum := range sums {
+		if got, err := s.Content(sum); err != nil || md4.Sum(got) != sum {
+			t.Fatalf("content %x unresolvable: %v", sum[:4], err)
 		}
+	}
+	deepest := 0
+	for sum, ref := range s.blobs {
+		if ref.chain > maxChain {
+			t.Fatalf("blob %x chain %d exceeds maxChain %d", sum[:4], ref.chain, maxChain)
+		}
+		deepest = max(deepest, ref.chain)
+	}
+	if deepest != maxChain {
+		t.Fatalf("deepest chain %d: the versions never reached maxChain %d", deepest, maxChain)
 	}
 }

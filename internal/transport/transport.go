@@ -157,40 +157,3 @@ func (p *PipeEnd) SetWriteDeadline(t time.Time) error {
 	p.w.setWriteDeadline(t)
 	return nil
 }
-
-// FaultyEnd wraps a PipeEnd and fails after a byte budget, for failure
-// injection tests.
-type FaultyEnd struct {
-	*PipeEnd
-	mu        sync.Mutex
-	remaining int
-	err       error
-}
-
-// NewFaultyEnd returns an end whose writes fail with err after writing
-// allowBytes bytes.
-func NewFaultyEnd(p *PipeEnd, allowBytes int, err error) *FaultyEnd {
-	return &FaultyEnd{PipeEnd: p, remaining: allowBytes, err: err}
-}
-
-// Write implements io.Writer, failing once the budget is exhausted.
-func (f *FaultyEnd) Write(buf []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.remaining <= 0 {
-		return 0, f.err
-	}
-	n := len(buf)
-	if n > f.remaining {
-		n = f.remaining
-	}
-	f.remaining -= n
-	m, err := f.PipeEnd.Write(buf[:n])
-	if err != nil {
-		return m, err
-	}
-	if m < len(buf) {
-		return m, f.err
-	}
-	return m, nil
-}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"sync"
 	"testing"
@@ -114,25 +113,5 @@ func TestPipeConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 	if count != n {
 		t.Fatalf("read %d bytes, want %d", count, n)
-	}
-}
-
-func TestFaultyEnd(t *testing.T) {
-	a, b := Pipe()
-	boom := errors.New("link died")
-	f := NewFaultyEnd(a, 10, boom)
-	if _, err := f.Write(make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	// Second write exceeds the budget: partial write then error.
-	if _, err := f.Write(make([]byte, 8)); err != boom {
-		t.Fatalf("want boom, got %v", err)
-	}
-	if _, err := f.Write([]byte("x")); err != boom {
-		t.Fatalf("budget exhausted should keep failing, got %v", err)
-	}
-	buf := make([]byte, 10)
-	if _, err := io.ReadFull(b, buf); err != nil {
-		t.Fatalf("the 10 allowed bytes should be readable: %v", err)
 	}
 }

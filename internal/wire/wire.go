@@ -451,30 +451,3 @@ func (fr *FrameReader) Counts() (frames, bytes int64) { return fr.frames, fr.byt
 // ResetCounts zeroes the frame/byte counters (pooled readers reset between
 // sessions).
 func (fr *FrameReader) ResetCounts() { fr.frames, fr.bytes = 0, 0 }
-
-// ExpectFrame reads the next frame and verifies its type. A BUSY answer in
-// place of the expected frame decodes to a *BusyError so retry loops can
-// recognize admission refusals wherever they land in the handshake.
-func (fr *FrameReader) ExpectFrame(want byte) ([]byte, error) {
-	return fr.ExpectFrameMax(want, MaxFrameSize)
-}
-
-// ExpectFrameMax is ExpectFrame for a frame whose payload may not exceed max
-// bytes: a longer declared length fails with ErrFrameTooLarge before a
-// payload byte is read.
-func (fr *FrameReader) ExpectFrameMax(want byte, max int) ([]byte, error) {
-	got, payload, err := fr.ReadFrameMax(max)
-	if err != nil {
-		return nil, err
-	}
-	if got != want {
-		if got == FrameError {
-			return nil, fmt.Errorf("wire: remote error: %s", payload)
-		}
-		if got == FrameBusy {
-			return nil, DecodeBusy(payload)
-		}
-		return nil, fmt.Errorf("wire: expected frame %s, got %s", FrameName(want), FrameName(got))
-	}
-	return payload, nil
-}

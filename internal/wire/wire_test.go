@@ -146,27 +146,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExpectFrame(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	fw.WriteFrame(FrameAck, []byte("ok"))
-	fw.WriteFrame(FrameError, []byte("boom"))
-	fw.WriteFrame(FrameDone, nil)
-	fw.Flush()
-	fr := NewFrameReader(&buf)
-	if p, err := fr.ExpectFrame(FrameAck); err != nil || string(p) != "ok" {
-		t.Fatalf("p=%q err=%v", p, err)
-	}
-	// An error frame surfaces the remote message.
-	if _, err := fr.ExpectFrame(FrameAck); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v", err)
-	}
-	// A wrong type is reported with both names.
-	if _, err := fr.ExpectFrame(FrameDelta); err == nil || !strings.Contains(err.Error(), "DONE") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestFrameTooLarge(t *testing.T) {
 	// Craft a header declaring an absurd size.
 	var buf bytes.Buffer
@@ -281,8 +260,7 @@ func TestFrameReaderVarintErrors(t *testing.T) {
 	}
 }
 
-// TestBusyRoundTrip: BUSY payload encoding, decoding and the ExpectFrame
-// classification that turns it into a typed error.
+// TestBusyRoundTrip: BUSY payload encoding and decoding into a typed error.
 func TestBusyRoundTrip(t *testing.T) {
 	for _, d := range []time.Duration{0, time.Millisecond, 250 * time.Millisecond, 30 * time.Second} {
 		got := DecodeBusy(EncodeBusy(d))
@@ -299,32 +277,21 @@ func TestBusyRoundTrip(t *testing.T) {
 		t.Fatalf("malformed busy payload decoded to %v", got.RetryAfter)
 	}
 
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	if err := fw.WriteFrame(FrameBusy, EncodeBusy(2*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	fw.Flush()
-	_, err := NewFrameReader(bytes.NewReader(buf.Bytes())).ExpectFrame(FrameVerdicts)
-	var busy *BusyError
-	if !errors.As(err, &busy) || busy.RetryAfter != 2*time.Second {
-		t.Fatalf("ExpectFrame on BUSY = %v, want BusyError{2s}", err)
-	}
 	if FrameName(FrameBusy) != "BUSY" {
 		t.Fatalf("FrameName(FrameBusy) = %q", FrameName(FrameBusy))
 	}
 }
 
-// TestExpectFrameMax: a frame at the cap reads; one declaring a byte past it
+// TestReadFrameMax: a frame at the cap reads; one declaring a byte past it
 // is refused with ErrFrameTooLarge before a payload byte is read.
-func TestExpectFrameMax(t *testing.T) {
+func TestReadFrameMax(t *testing.T) {
 	frame := []byte{FrameHello, 3, 1, 2, 3}
-	if p, err := NewFrameReader(bytes.NewReader(frame)).ExpectFrameMax(FrameHello, 3); err != nil || len(p) != 3 {
+	if _, p, err := NewFrameReader(bytes.NewReader(frame)).ReadFrameMax(3); err != nil || len(p) != 3 {
 		t.Fatalf("frame at the cap: %v, %d bytes", err, len(p))
 	}
 	header := bytes.NewReader(frame[:2])
 	payload := iotest.ErrReader(errors.New("payload read"))
-	if _, err := NewFrameReader(io.MultiReader(header, payload)).ExpectFrameMax(FrameHello, 2); err != ErrFrameTooLarge {
+	if _, _, err := NewFrameReader(io.MultiReader(header, payload)).ReadFrameMax(2); err != ErrFrameTooLarge {
 		t.Fatalf("frame past the cap: %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -552,14 +552,14 @@ func TestRetryStopsAtOlderServer(t *testing.T) {
 			go func(c net.Conn) {
 				defer c.Close()
 				fr, fw := wire.NewFrameReader(c), wire.NewFrameWriter(c)
-				if _, err := fr.ExpectFrame(wire.FrameHello); err != nil {
+				if ft, _, err := fr.ReadFrame(); err != nil || ft != wire.FrameHello {
 					return
 				}
 				ft, _, err := fr.ReadFrame()
 				if err != nil {
 					return
 				}
-				// What wire.ExpectFrame said before MANIFEST_REF existed.
+				// What a server said before MANIFEST_REF existed.
 				_ = fw.WriteFrame(wire.FrameError, fmt.Appendf(nil, "wire: expected frame MANIFEST, got UNKNOWN(%d)", ft))
 				_ = fw.Flush()
 			}(c)
