@@ -22,8 +22,8 @@
 // dials that go idle before completing the opening exchange so they cannot
 // pin scarce slots.
 //
-// Both roles accept -workers to bound local hashing/scanning parallelism
-// (0 = all CPUs, 1 = serial). The setting never changes the bytes exchanged —
+// Both roles accept -workers to bound local hashing/scanning parallelism,
+// the tree walk and the manifest included (0 = all CPUs, 1 = serial). The setting never changes the bytes exchanged —
 // each side picks its own value independently.
 //
 // With -cache-dir both roles keep a persistent signature cache keyed by

@@ -8,7 +8,8 @@ package collection
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"msync/internal/core"
 	"msync/internal/delta"
@@ -29,7 +30,7 @@ func BuildManifest(files map[string][]byte) []ManifestEntry {
 	for path, data := range files {
 		out = append(out, ManifestEntry{Path: path, Len: len(data), Sum: md4.Sum(data)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	slices.SortFunc(out, func(a, b ManifestEntry) int { return strings.Compare(a.Path, b.Path) })
 	return out
 }
 

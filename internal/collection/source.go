@@ -3,12 +3,15 @@ package collection
 import (
 	"encoding/binary"
 	"io/fs"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"msync/internal/core"
 	"msync/internal/dirio"
 	"msync/internal/md4"
+	"msync/internal/pool"
 	"msync/internal/sigcache"
 	"msync/internal/stats"
 )
@@ -61,7 +64,8 @@ func ConfigFingerprint(cfg *core.Config) uint64 {
 // TreeSource serves a collection from a lazily walked directory tree,
 // optionally backed by a signature cache. The manifest is computed once (a
 // stat-backed cache lookup per file; only misses stream the file through
-// MD4) and reused by every session, mirroring the server's manifest cache.
+// MD4), spread over the tree's workers, and reused by every session,
+// mirroring the server's manifest cache.
 type TreeSource struct {
 	tree     *dirio.Tree
 	cache    *sigcache.Cache // nil: no cross-session caching
@@ -70,7 +74,7 @@ type TreeSource struct {
 
 	mu       sync.Mutex
 	manifest []ManifestEntry
-	sigs     map[string]*sigcache.Sig
+	sigs     []*sigcache.Sig // by manifest index: the cache's, else built on first ask
 
 	bytesHashed atomic.Int64
 }
@@ -80,7 +84,8 @@ type TreeSource struct {
 // serving side, 0 on a pulling client, which caches only whole-file sums).
 // With paranoid set, every cache hit is re-verified by streaming the file —
 // catching content changes that restored size and mtime, at the cost of the
-// hashing the cache was meant to avoid.
+// hashing the cache was meant to avoid. The manifest runs on the worker
+// bound the tree was opened with (dirio.OpenTreeWorkers).
 func NewTreeSource(tree *dirio.Tree, cache *sigcache.Cache, fingerprint uint64, paranoid bool) *TreeSource {
 	return &TreeSource{tree: tree, cache: cache, fp: fingerprint, paranoid: paranoid}
 }
@@ -92,7 +97,9 @@ func (s *TreeSource) Cache() *sigcache.Cache { return s.cache }
 // for manifest fingerprints (cache misses and paranoid re-verification).
 func (s *TreeSource) HashedBytes() int64 { return s.bytesHashed.Load() }
 
-// Manifest implements Source.
+// Manifest implements Source. The files are fingerprinted in chunks over the
+// tree's workers, each into its own slot; a failure reports the first
+// failing file in path order.
 func (s *TreeSource) Manifest() ([]ManifestEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -100,73 +107,91 @@ func (s *TreeSource) Manifest() ([]ManifestEntry, error) {
 		return s.manifest, nil
 	}
 	files := s.tree.Files()
-	manifest := make([]ManifestEntry, 0, len(files))
-	sigs := make(map[string]*sigcache.Sig, len(files))
-	for _, fi := range files {
-		sig, err := s.signatureFor(fi)
-		if err != nil {
-			return nil, err
-		}
-		manifest = append(manifest, ManifestEntry{Path: fi.Path, Len: int(fi.Size), Sum: sig.Sum})
-		sigs[fi.Path] = sig
-	}
-	s.manifest = manifest
-	s.sigs = sigs
-	return manifest, nil
-}
-
-// signatureFor resolves one file's signature: cache hit (optionally
-// re-verified), or a streamed hash that is then cached.
-func (s *TreeSource) signatureFor(fi dirio.FileInfo) (*sigcache.Sig, error) {
-	var hashErr error
-	if s.cache != nil {
-		key := sigcache.Key{Path: fi.Path, Size: fi.Size, MTime: fi.MTime.UnixNano(), CTime: fi.CTime, Fingerprint: s.fp}
-		var verify func(*sigcache.Sig) bool
-		if s.paranoid {
-			verify = func(sig *sigcache.Sig) bool {
-				sum, n, err := s.tree.HashFile(fi.Path)
-				if err != nil {
-					hashErr = err
-					return false
-				}
-				s.bytesHashed.Add(n)
-				return sum == sig.Sum && n == sig.Len
+	manifest := make([]ManifestEntry, len(files))
+	sigs := make([]*sigcache.Sig, len(files))
+	err := pool.Range(s.tree.Workers(), len(files), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			fi := files[i]
+			var sum [md4.Size]byte
+			var err error
+			if s.cache == nil {
+				sum, _, err = s.hash(fi)
+			} else if sigs[i], err = s.cachedSignature(fi); err == nil {
+				sum = sigs[i].Sum
 			}
+			if err != nil {
+				return err
+			}
+			manifest[i] = ManifestEntry{Path: fi.Path, Len: int(fi.Size), Sum: sum}
 		}
-		if sig, ok := s.cache.Get(key, verify); ok {
-			return sig, nil
-		}
-		if hashErr != nil {
-			return nil, hashErr
-		}
-		sig, err := s.hashSignature(fi)
-		if err != nil {
-			return nil, err
-		}
-		s.cache.Put(key, sig)
-		return sig, nil
-	}
-	return s.hashSignature(fi)
-}
-
-// hashSignature streams the file and builds a fresh signature.
-func (s *TreeSource) hashSignature(fi dirio.FileInfo) (*sigcache.Sig, error) {
-	sum, n, err := s.tree.HashFile(fi.Path)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.bytesHashed.Add(n)
-	return sigcache.NewSig(n, sum), nil
+	s.manifest, s.sigs = manifest, sigs
+	return manifest, nil
+}
+
+// cachedSignature resolves one file's signature through the cache: a hit
+// (optionally re-verified), or a streamed hash that is then cached.
+func (s *TreeSource) cachedSignature(fi dirio.FileInfo) (*sigcache.Sig, error) {
+	var hashErr error
+	key := sigcache.Key{Path: fi.Path, Size: fi.Size, MTime: fi.MTime.UnixNano(), CTime: fi.CTime, Fingerprint: s.fp}
+	var verify func(*sigcache.Sig) bool
+	if s.paranoid {
+		verify = func(sig *sigcache.Sig) bool {
+			sum, n, err := s.hash(fi)
+			if err != nil {
+				hashErr = err
+				return false
+			}
+			return sum == sig.Sum && n == sig.Len
+		}
+	}
+	if sig, ok := s.cache.Get(key, verify); ok {
+		return sig, nil
+	}
+	if hashErr != nil {
+		return nil, hashErr
+	}
+	sum, n, err := s.hash(fi)
+	if err != nil {
+		return nil, err
+	}
+	sig := sigcache.NewSig(n, sum)
+	s.cache.Put(key, sig)
+	return sig, nil
+}
+
+// hash streams one file through MD4 and counts the bytes.
+func (s *TreeSource) hash(fi dirio.FileInfo) ([md4.Size]byte, int64, error) {
+	sum, n, err := s.tree.HashFile(fi.Path)
+	if err == nil {
+		s.bytesHashed.Add(n)
+	}
+	return sum, n, err
 }
 
 // Load implements Source.
 func (s *TreeSource) Load(path string) ([]byte, error) { return s.tree.Load(path) }
 
-// Signature implements Source.
+// Signature implements Source: the cache's signature for path or, without a
+// cache, one built from its manifest entry the first time a session asks, so
+// the levels engines add to it serve the sessions after.
 func (s *TreeSource) Signature(path string) *sigcache.Sig {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sigs[path]
+	i, ok := slices.BinarySearchFunc(s.manifest, path, func(e ManifestEntry, path string) int {
+		return strings.Compare(e.Path, path)
+	})
+	if !ok {
+		return nil
+	}
+	if s.sigs[i] == nil {
+		s.sigs[i] = sigcache.NewSig(int64(s.manifest[i].Len), s.manifest[i].Sum)
+	}
+	return s.sigs[i]
 }
 
 // cacheBacked lets the session layer discover a source's signature cache

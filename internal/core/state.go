@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"sort"
@@ -168,11 +169,8 @@ func (st *state) allowProbe(edgeOff int, left bool, size int) bool {
 // mergeIntervals sorts ivs in place and merges overlapping and touching
 // intervals, returning the sorted disjoint result (which reuses ivs).
 func mergeIntervals(ivs []interval) []interval {
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
-		}
-		return ivs[i].end < ivs[j].end
+	slices.SortFunc(ivs, func(a, b interval) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end))
 	})
 	merged := ivs[:0]
 	for _, iv := range ivs {

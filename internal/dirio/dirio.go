@@ -15,12 +15,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"msync/internal/md4"
+	"msync/internal/pool"
 )
 
 // FileError wraps a per-file stat/read failure with the offending path.
@@ -46,7 +47,7 @@ type WalkErrors []*FileError
 // sortByPath orders w by path (ties keep insertion order) so aggregated
 // failures from different collection stages report deterministically.
 func (w WalkErrors) sortByPath() {
-	sort.SliceStable(w, func(i, j int) bool { return w[i].Path < w[j].Path })
+	slices.SortStableFunc(w, func(a, b *FileError) int { return strings.Compare(a.Path, b.Path) })
 }
 
 // Error implements error.
@@ -66,56 +67,74 @@ func (w WalkErrors) Unwrap() []error {
 	return errs
 }
 
-// readFile and statEntry are indirection points for tests to inject per-file
-// failures (the suite runs as root, where permission bits don't bite).
+// readFile, readDir and statEntry are indirection points for tests to inject
+// per-file failures (the suite runs as root, where permission bits don't
+// bite).
 var (
 	readFile  = os.ReadFile
+	readDir   = os.ReadDir
 	statEntry = func(d fs.DirEntry) (fs.FileInfo, error) { return d.Info() }
 )
 
-// walk visits every regular file under root in sorted order, collecting
-// per-entry errors and continuing. Symlinks are skipped (following them could
-// escape root).
-func walk(root string, visit func(rel, path string, d fs.DirEntry)) WalkErrors {
+// walkEntry is one regular file a walk found, not yet stat'ed.
+type walkEntry struct {
+	rel string // slash-separated, relative to the walk root
+	d   fs.DirEntry
+}
+
+// walk lists every regular file under root, sorted by path. It reads each
+// directory once and builds each slash-relative path from its parent's.
+// Symlinks (following them could escape root), other non-regular files and
+// the temporary files a writer leaves behind when a crash cuts it short
+// (TempPrefix) are skipped. A directory that cannot be read is reported and
+// walked as far as it was read.
+func walk(root string) ([]walkEntry, WalkErrors) {
+	var files []walkEntry
 	var werrs WalkErrors
-	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	var visit func(dir, rel string)
+	visit = func(dir, rel string) {
+		ents, err := readDir(dir)
 		if err != nil {
-			rel := path
-			if r, rerr := filepath.Rel(root, path); rerr == nil {
-				rel = filepath.ToSlash(r)
+			werrs = append(werrs, &FileError{Path: cmp.Or(rel, "."), Err: err})
+		}
+		for _, d := range ents {
+			name := d.Name()
+			switch {
+			case d.IsDir():
+				visit(dir+string(filepath.Separator)+name, joinRel(rel, name))
+			case d.Type().IsRegular() && !strings.HasPrefix(name, TempPrefix):
+				files = append(files, walkEntry{joinRel(rel, name), d})
 			}
-			werrs = append(werrs, &FileError{Path: rel, Err: err})
-			return nil // keep walking siblings
 		}
-		if d.IsDir() || !d.Type().IsRegular() {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			werrs = append(werrs, &FileError{Path: path, Err: err})
-			return nil
-		}
-		visit(filepath.ToSlash(rel), path, d)
-		return nil
-	})
-	return werrs
+	}
+	visit(root, "")
+	slices.SortFunc(files, func(a, b walkEntry) int { return strings.Compare(a.rel, b.rel) })
+	return files, werrs
+}
+
+// joinRel is the slash-relative path of name in the directory at rel.
+func joinRel(rel, name string) string {
+	if rel == "" {
+		return name
+	}
+	return rel + "/" + name
 }
 
 // Load reads every regular file under root, keyed by slash-separated
 // relative path. Unreadable files are skipped and reported together as a
 // WalkErrors; the returned map always holds everything that could be read.
 func Load(root string) (map[string][]byte, error) {
-	files := make(map[string][]byte)
-	var readErrs WalkErrors
-	werrs := walk(root, func(rel, path string, d fs.DirEntry) {
-		data, err := readFile(path)
+	ents, werrs := walk(root)
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		data, err := readFile(filepath.Join(root, filepath.FromSlash(e.rel)))
 		if err != nil {
-			readErrs = append(readErrs, &FileError{Path: rel, Err: err})
-			return
+			werrs = append(werrs, &FileError{Path: e.rel, Err: err})
+			continue
 		}
-		files[rel] = data
-	})
-	return files, werrsOrNil(append(werrs, readErrs...))
+		files[e.rel] = data
+	}
+	return files, werrsOrNil(werrs)
 }
 
 // werrsOrNil converts an empty WalkErrors to a nil error (a non-nil
@@ -149,32 +168,55 @@ type FileInfo struct {
 // by OpenTree, with content loaded (or stream-hashed) per file on demand and
 // released after use. Safe for concurrent use.
 type Tree struct {
-	root  string
-	files []FileInfo // sorted by Path
+	root    string
+	files   []FileInfo // sorted by Path
+	workers int
 }
 
 // OpenTree walks root collecting file identities without reading any
-// content. Files whose metadata cannot be read are skipped and reported in
-// the WalkErrors; err is non-nil only when root itself is unusable.
+// content, with the stats spread over every core. Files whose metadata cannot
+// be read are skipped and reported in the WalkErrors; err is non-nil only
+// when root itself is unusable.
 func OpenTree(root string) (t *Tree, werrs WalkErrors, err error) {
+	return OpenTreeWorkers(root, 0)
+}
+
+// OpenTreeWorkers is OpenTree on at most pool.Workers(workers) goroutines:
+// the walk lists every directory, then the per-file stats run in chunks over
+// the workers (with one, inline on the caller). The tree keeps the bound for
+// the callers that fingerprint it (Workers).
+func OpenTreeWorkers(root string, workers int) (t *Tree, werrs WalkErrors, err error) {
 	if _, err := os.Stat(root); err != nil {
 		return nil, nil, err
 	}
-	t = &Tree{root: root}
-	var statErrs WalkErrors
-	werrs = walk(root, func(rel, path string, d fs.DirEntry) {
-		info, err := statEntry(d)
-		if err != nil {
-			statErrs = append(statErrs, &FileError{Path: rel, Err: err})
-			return
+	ents, werrs := walk(root)
+	files := make([]FileInfo, len(ents))
+	statErrs := make([]*FileError, len(ents))
+	pool.Range(workers, len(ents), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			info, err := statEntry(ents[i].d)
+			if err != nil {
+				statErrs[i] = &FileError{Path: ents[i].rel, Err: err}
+				continue
+			}
+			files[i] = FileInfo{Path: ents[i].rel, Size: info.Size(), MTime: info.ModTime(), CTime: ctimeOf(info)}
 		}
-		t.files = append(t.files, FileInfo{Path: rel, Size: info.Size(), MTime: info.ModTime(), CTime: ctimeOf(info)})
+		return nil
 	})
-	werrs = append(werrs, statErrs...)
+	t = &Tree{root: root, files: files[:0], workers: workers}
+	for i, fe := range statErrs {
+		if fe != nil {
+			werrs = append(werrs, fe)
+			continue
+		}
+		t.files = append(t.files, files[i])
+	}
 	werrs.sortByPath()
-	sort.Slice(t.files, func(i, j int) bool { return t.files[i].Path < t.files[j].Path })
 	return t, werrs, nil
 }
+
+// Workers returns the worker bound the tree was opened with.
+func (t *Tree) Workers() int { return t.workers }
 
 // Files returns the walked file identities, sorted by path. The slice is
 // shared; callers must not mutate it.
@@ -215,7 +257,7 @@ func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
 	if err := checkPath(rel); err != nil {
 		return sum, 0, err
 	}
-	f, err := os.Open(filepath.Join(t.root, filepath.FromSlash(rel)))
+	f, err := openRead(filepath.Join(t.root, filepath.FromSlash(rel)))
 	if err != nil {
 		return sum, 0, &FileError{Path: rel, Err: err}
 	}
@@ -250,8 +292,7 @@ func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
 		return md4.Sum(buf[:fill]), n, nil
 	}
 	h.Write(buf[:fill])
-	h.Sum(sum[:0])
-	return sum, n, nil
+	return [md4.Size]byte(h.Sum(nil)), n, nil // sum[:0] would move sum to the heap on every call
 }
 
 // Apply writes the synchronized file set to root: files present in after

@@ -247,12 +247,13 @@ func TestHashFileConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestHashFileAllocCeiling: hashing a small file costs a path join, an open
-// and a close, not a copy buffer. The parent allocated 32 KB per file here
-// (io.CopyBuffer delegated to os.File.WriteTo, which ignores the buffer).
+// TestHashFileAllocCeiling: hashing a small file costs its path, joined and
+// then NUL-terminated for the open (128 B here), not an os.File and not a
+// copy buffer. Once it allocated 32 KB per file (io.CopyBuffer delegated to
+// os.File.WriteTo, which ignores the buffer).
 func TestHashFileAllocCeiling(t *testing.T) {
 	tree, _ := writeHashFiles(t)
-	const ceiling = 4 << 10
+	const ceiling = 1 << 10
 	got := alloctest.BytesPerOp(20, func() {
 		if _, _, err := tree.HashFile("f1000.bin"); err != nil {
 			t.Fatal(err)

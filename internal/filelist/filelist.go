@@ -7,6 +7,7 @@
 package filelist
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -43,7 +44,17 @@ func Append(b *wire.Buffer, list []Entry) {
 // length that does not fit an int, and a path not strictly after the one
 // before it; it also refuses varints Append would have written shorter, so a
 // list it accepts re-encodes to the bytes it read.
-func Parse(p *wire.Parser) ([]Entry, error) {
+func Parse(p *wire.Parser) ([]Entry, error) { return scan(p, true) }
+
+// Check reads one list as Parse does and refuses what Parse refuses, but
+// builds nothing: it allocates no entry and no path.
+func Check(p *wire.Parser) error {
+	_, err := scan(p, false)
+	return err
+}
+
+// scan is Parse, building the list only when build is set.
+func scan(p *wire.Parser, build bool) ([]Entry, error) {
 	start := p.Remaining()
 	n, err := p.Uvarint()
 	if err != nil {
@@ -52,8 +63,12 @@ func Parse(p *wire.Parser) ([]Entry, error) {
 	if n > uint64(p.Remaining()/minEntry) || start-p.Remaining() != uvarintLen(n) {
 		return nil, fmt.Errorf("filelist: a count of %d in %d bytes", n, p.Remaining())
 	}
-	list := make([]Entry, n)
-	for i := range list {
+	var list []Entry
+	if build {
+		list = make([]Entry, n)
+	}
+	var prev []byte
+	for i := range int(n) {
 		start = p.Remaining()
 		path, err1 := p.Bytes()
 		l, err2 := p.Uvarint()
@@ -63,12 +78,15 @@ func Parse(p *wire.Parser) ([]Entry, error) {
 			return nil, cmp.Or(err1, err2, err3)
 		case l > math.MaxInt:
 			return nil, fmt.Errorf("filelist: entry %d has length %d", i, l)
-		case i > 0 && string(path) <= list[i-1].Path:
+		case i > 0 && bytes.Compare(path, prev) <= 0:
 			return nil, fmt.Errorf("filelist: entry %d is not after entry %d", i, i-1)
 		case start-p.Remaining() != uvarintLen(uint64(len(path)))+len(path)+uvarintLen(l)+md4.Size:
 			return nil, fmt.Errorf("filelist: entry %d has an overlong varint", i)
 		}
-		list[i] = Entry{Path: string(path), Len: int(l), Sum: [md4.Size]byte(sum)}
+		prev = path
+		if build {
+			list[i] = Entry{Path: string(path), Len: int(l), Sum: [md4.Size]byte(sum)}
+		}
 	}
 	return list, nil
 }

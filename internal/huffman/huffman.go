@@ -7,10 +7,11 @@
 package huffman
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"msync/internal/bitio"
 )
@@ -164,12 +165,7 @@ func (c *Code) assignCodes() {
 			used = append(used, symLen{sym, l})
 		}
 	}
-	sort.Slice(used, func(i, j int) bool {
-		if used[i].l != used[j].l {
-			return used[i].l < used[j].l
-		}
-		return used[i].sym < used[j].sym
-	})
+	slices.SortFunc(used, bySymLen)
 	code := uint32(0)
 	prevLen := uint8(0)
 	for _, u := range used {
@@ -266,6 +262,12 @@ type symLen struct {
 	l   uint8
 }
 
+// bySymLen orders symbols by code length, then by symbol: the canonical code
+// order.
+func bySymLen(a, b symLen) int {
+	return cmp.Or(cmp.Compare(a.l, b.l), cmp.Compare(a.sym, b.sym))
+}
+
 // NewDecoder builds a Decoder directly from code lengths.
 func NewDecoder(lengths []uint8) (*Decoder, error) {
 	var used []symLen
@@ -283,12 +285,7 @@ func NewDecoder(lengths []uint8) (*Decoder, error) {
 // newDecoder builds a Decoder from the symbols that have a code.
 func newDecoder(used []symLen) (*Decoder, error) {
 	d := &Decoder{syms: make([]int, 0, len(used))}
-	sort.Slice(used, func(i, j int) bool {
-		if used[i].l != used[j].l {
-			return used[i].l < used[j].l
-		}
-		return used[i].sym < used[j].sym
-	})
+	slices.SortFunc(used, bySymLen)
 	code := uint64(0)
 	prevLen := uint8(0)
 	for idx, u := range used {

@@ -117,6 +117,31 @@ func Do(workers, n int, fn func(i int) error) error {
 	return firstErr
 }
 
+// rangeChunk is how many consecutive items Range hands a worker at once:
+// enough to amortize the hand-off over per-file syscalls, few enough that
+// files of uneven size still balance across workers.
+const rangeChunk = 32
+
+// Range runs fn over [0, n) in consecutive chunks of items, each as fn(lo,
+// hi), on at most Workers(workers) goroutines. It returns the error of the
+// lowest chunk that failed, so when fn stops at its first failing item the
+// error is the first failing item's in index order. With one worker (or one
+// chunk) the chunks run inline, in order, and stop at the first failure.
+func Range(workers, n int, fn func(lo, hi int) error) error {
+	chunks := (n + rangeChunk - 1) / rangeChunk
+	errs := make([]error, chunks)
+	Do(workers, chunks, func(c int) error {
+		errs[c] = fn(c*rangeChunk, min(n, (c+1)*rangeChunk))
+		return errs[c]
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Shards splits n items into contiguous ranges for up to `workers` workers,
 // keeping every shard at least minShard items wide (so per-shard setup cost
 // — e.g. re-seeding a rolling window — stays amortized). It returns the

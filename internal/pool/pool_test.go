@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,43 @@ func TestDoError(t *testing.T) {
 			// Serial mode stops at the first error, like the legacy loops.
 			t.Fatalf("serial ran %d jobs, want 4", ran)
 		}
+	}
+}
+
+// TestRangeFirstErrorInIndexOrder: Range covers every index once, in
+// consecutive chunks, and of several failing items reports the lowest
+// index's error whatever the completion order; one worker stops there.
+func TestRangeFirstErrorInIndexOrder(t *testing.T) {
+	SetParallelism(8)
+	defer SetParallelism(0)
+	const n = 1000
+	for _, w := range []int{1, 2, 8} {
+		var counts [n]int32
+		err := Range(w, n, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&counts[i], 1)
+				if i == 900 || i == 77 || i == 500 {
+					return fmt.Errorf("item %d", i)
+				}
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "item 77" {
+			t.Fatalf("workers=%d: err = %v, want item 77's", w, err)
+		}
+		ran := 0
+		for i, c := range counts {
+			ran += int(c)
+			if c > 1 || c == 0 && i <= 77 {
+				t.Fatalf("workers=%d: item %d ran %d times", w, i, c)
+			}
+		}
+		if w == 1 && ran != 78 {
+			t.Fatalf("serial ran %d items, want 78", ran)
+		}
+	}
+	if err := Range(4, 0, func(int, int) error { t.Fatal("called"); return nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 

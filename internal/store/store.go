@@ -39,6 +39,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -129,9 +130,15 @@ type blobRef struct {
 }
 
 type version struct {
-	n        uint64
-	digest   [md4.Size]byte
+	n      uint64
+	digest [md4.Size]byte
+	// manifest is the version's file list. A version replay found has none
+	// until its first use (manifestOf): replay only checks the encoding, and
+	// keeps where the journal holds it, [moff, moff+mlen), and its CRC-32.
 	manifest []Entry
+	moff     int64
+	mlen     int64 // 0 once manifest is set
+	mcrc     uint32
 }
 
 // Store is a versioned collection store. All methods are safe for concurrent
@@ -140,14 +147,15 @@ type Store struct {
 	dir string
 	opt Options
 
-	mu       sync.Mutex
-	jf       *os.File
-	jsize    int64
-	versions []*version // ascending by n
-	blobs    map[[md4.Size]byte]blobRef
-	segs     map[string]int64 // live segment file -> size
-	lastSeq  uint64           // highest version number ever seen (even dropped)
-	gcSeq    uint64           // rescue segment sequence
+	mu        sync.Mutex
+	jf        *os.File
+	jsize     int64
+	versions  []*version // ascending by n
+	blobs     map[[md4.Size]byte]blobRef
+	segs      map[string]int64 // live segment file -> size
+	lastSeq   uint64           // highest version number ever seen (even dropped)
+	gcSeq     uint64           // rescue segment sequence
+	replayEnd int64            // journal offset just past the payload replay is applying
 }
 
 // Open opens (creating if needed) the store in dir and replays its journal.
@@ -201,43 +209,48 @@ func (s *Store) Close() error {
 // replay reads the journal from the start, applying every structurally valid
 // record, and returns the byte offset of the valid prefix. A record's declared
 // length is believed only as far as the file holds it, and every count inside
-// a record only as far as the record's bytes do.
+// a record only as far as the record's bytes do. The records are read through
+// one buffer, reused.
 func (s *Store) replay() (int64, error) {
 	fi, err := s.jf.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	if _, err := s.jf.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
 	var off int64
-	hdr := make([]byte, 12)
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(s.jf, hdr); err != nil {
-			// EOF at a record boundary is the normal end; anything else
-			// (short header, I/O error) ends the valid prefix here.
+		// A short or torn record, a bad magic or CRC, or an I/O error ends
+		// the valid prefix here; EOF at a record boundary is the normal end.
+		payload, ok := s.readRecord(off, fi.Size(), buf)
+		if !ok {
 			return off, nil
 		}
-		if [4]byte(hdr[:4]) != journalMagic {
-			return off, nil
-		}
-		n := int64(le32(hdr[4:8]))
-		crc := le32(hdr[8:12])
-		if n > fi.Size()-off-12 {
-			return off, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(s.jf, payload); err != nil {
-			return off, nil
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return off, nil
-		}
+		buf = payload
+		s.replayEnd = off + 12 + int64(len(payload))
 		if !s.applyRecord(payload) {
 			return off, nil
 		}
-		off += 12 + n
+		off += 12 + int64(len(payload))
 	}
+}
+
+// readRecord reads the journal record at off into buf, grown as needed, and
+// returns its payload once its magic, length and CRC check out. size is the
+// journal's length: a declared length past it is not believed.
+func (s *Store) readRecord(off, size int64, buf []byte) ([]byte, bool) {
+	var hdr [12]byte
+	if _, err := s.jf.ReadAt(hdr[:], off); err != nil || [4]byte(hdr[:4]) != journalMagic {
+		return nil, false
+	}
+	n := int64(le32(hdr[4:8]))
+	if n > size-off-12 {
+		return nil, false
+	}
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err := s.jf.ReadAt(buf, off+12); err != nil || crc32.ChecksumIEEE(buf) != le32(hdr[8:12]) {
+		return nil, false
+	}
+	return buf, true
 }
 
 // applyRecord applies one checksummed journal payload; false means the
@@ -268,9 +281,13 @@ func (s *Store) applyVersion(p *wire.Parser) bool {
 	if !readSum(p, &v.digest) {
 		return false
 	}
-	if v.manifest, err = filelist.Parse(p); err != nil {
+	at := *p
+	if filelist.Check(p) != nil {
 		return false
 	}
+	v.moff = s.replayEnd - int64(at.Remaining())
+	span, _ := at.Raw(at.Remaining() - p.Remaining())
+	v.mlen, v.mcrc = int64(len(span)), crc32.ChecksumIEEE(span)
 	seg := segName(n)
 	refs, segSize, ok := readBlobTable(p, seg)
 	if !ok {
@@ -285,6 +302,27 @@ func (s *Store) applyVersion(p *wire.Parser) bool {
 	s.versions = append(s.versions, v)
 	s.lastSeq = n
 	return true
+}
+
+// manifestOf returns v's manifest, parsed on first use from the span of the
+// journal replay found it in, once the span's CRC-32 checks out again.
+func (s *Store) manifestOf(v *version) ([]Entry, error) {
+	if v.mlen == 0 {
+		return v.manifest, nil
+	}
+	raw := make([]byte, v.mlen)
+	if _, err := s.jf.ReadAt(raw, v.moff); err != nil {
+		return nil, fmt.Errorf("store: version %d manifest: %w", v.n, err)
+	}
+	if crc32.ChecksumIEEE(raw) != v.mcrc {
+		return nil, fmt.Errorf("store: version %d manifest: checksum mismatch", v.n)
+	}
+	m, err := filelist.Parse(wire.NewParser(raw))
+	if err != nil {
+		return nil, fmt.Errorf("store: version %d manifest: %w", v.n, err)
+	}
+	v.manifest, v.mlen = m, 0
+	return m, nil
 }
 
 func (s *Store) applyGC(p *wire.Parser) bool {
@@ -402,8 +440,8 @@ func (s *Store) validateSegments() {
 // deltas and the Snapshot digest short-circuit never pins a damaged version.
 func (s *Store) dropUnservableTail() {
 	for len(s.versions) > 0 {
-		v := s.versions[len(s.versions)-1]
-		if s.resolvable(v.manifest) {
+		m, err := s.manifestOf(s.versions[len(s.versions)-1])
+		if err == nil && s.resolvable(m) {
 			return
 		}
 		s.versions = s.versions[:len(s.versions)-1]
@@ -464,9 +502,9 @@ func (s *Store) Manifest(n uint64) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v := s.find(n); v != nil {
-		out := make([]Entry, len(v.manifest))
-		copy(out, v.manifest)
-		return out
+		if m, err := s.manifestOf(v); err == nil {
+			return slices.Clone(m)
+		}
 	}
 	return nil
 }
@@ -523,7 +561,10 @@ func (s *Store) Snapshot(manifest []Entry, digest [md4.Size]byte, load func(stri
 	n := s.lastSeq + 1
 	var prev []Entry
 	if v := s.latest(); v != nil {
-		prev = v.manifest
+		var err error
+		if prev, err = s.manifestOf(v); err != nil {
+			return 0, false, err
+		}
 	}
 	changes := filelist.Diff(prev, manifest)
 	memo := make(map[[md4.Size]byte][]byte)
@@ -692,9 +733,14 @@ func (s *Store) Delta(base uint64, baseDigest, currentDigest [md4.Size]byte) (*D
 	if bv.digest != baseDigest {
 		return miss("digest_mismatch")
 	}
-	d := &Delta{Base: base, Current: latest.n, BaseManifest: bv.manifest}
+	baseManifest, err1 := s.manifestOf(bv)
+	current, err2 := s.manifestOf(latest)
+	if err1 != nil || err2 != nil {
+		return miss("unreadable")
+	}
+	d := &Delta{Base: base, Current: latest.n, BaseManifest: baseManifest}
 	memo := make(map[[md4.Size]byte][]byte)
-	for _, ch := range filelist.Diff(bv.manifest, latest.manifest) {
+	for _, ch := range filelist.Diff(baseManifest, current) {
 		out := Change{Change: ch}
 		var err error
 		switch ch.Op {
@@ -771,7 +817,11 @@ func (s *Store) dropOldest() bool {
 	survivors := s.versions[1:]
 	reachable := make(map[[md4.Size]byte]bool)
 	for _, v := range survivors {
-		for _, e := range v.manifest {
+		m, err := s.manifestOf(v)
+		if err != nil {
+			return false
+		}
+		for _, e := range m {
 			s.markChain(e.Sum, reachable)
 		}
 	}

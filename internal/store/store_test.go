@@ -701,3 +701,46 @@ func TestDeltaChainBound(t *testing.T) {
 		t.Fatalf("deepest chain %d: the versions never reached maxChain %d", deepest, maxChain)
 	}
 }
+
+// TestOpenAllocsGrowWithVersionsNotFiles: Open checks each version's manifest
+// in place and parses only the latest one, so what it allocates grows with
+// the number of versions, not with versions × files. From 4 to 32 versions of
+// a 2 000-file tree Open grows by about 4 KB a version; when replay parsed
+// every version's manifest it grew by 208 KB a version.
+func TestOpenAllocsGrowWithVersionsNotFiles(t *testing.T) {
+	const files = 2000
+	tree := make(map[string][]byte, files)
+	for i := range files {
+		tree[fmt.Sprintf("dir%02d/file%04d.txt", i%20, i)] = []byte(fmt.Sprintf("file %d, version 0\n", i))
+	}
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	openCost := func() uint64 {
+		return alloctest.BytesPerOp(3, func() {
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+		})
+	}
+	var costs []uint64
+	for v := 1; v <= 32; v++ {
+		for i := v * 20; i < v*20+20; i++ { // 1 % churn a version
+			tree[fmt.Sprintf("dir%02d/file%04d.txt", i%20, i%files)] = []byte(fmt.Sprintf("file %d, version %d\n", i, v))
+		}
+		snap(t, s, tree)
+		if v == 4 || v == 32 {
+			costs = append(costs, openCost())
+		}
+	}
+	s.Close()
+	const ceiling = 16 << 10
+	if perVersion := (int64(costs[1]) - int64(costs[0])) / 28; perVersion > ceiling {
+		t.Errorf("Open allocates %d B at 4 versions and %d B at 32: %d B a version, ceiling %d",
+			costs[0], costs[1], perVersion, ceiling)
+	}
+}

@@ -304,7 +304,7 @@ func (s *Server) Snapshot() (uint64, error) {
 // non-nil only when root itself is unusable.
 func NewDirServer(root string, cfg Config, opts ...Option) (*Server, []error, error) {
 	return newServer(cfg, opts, func(o *sessionOptions, cfg *Config) (collection.Source, []error, error) {
-		return newTreeSource(root, o, collection.ConfigFingerprint(cfg))
+		return newTreeSource(root, o, cfg.Workers, collection.ConfigFingerprint(cfg))
 	})
 }
 
@@ -318,11 +318,12 @@ func NewStoreServer(root, storeDir string, cfg Config, opts ...Option) (*Server,
 }
 
 // newTreeSource opens root as a lazily streamed tree and wires in the
-// signature cache configured by the options. The client side keys cached
-// signatures with fingerprint 0: it caches only whole-file sums, which do
-// not depend on the engine config.
-func newTreeSource(root string, opt *sessionOptions, fingerprint uint64) (collection.Source, []error, error) {
-	tree, werrs, err := dirio.OpenTree(root)
+// signature cache configured by the options. The endpoint's worker budget
+// bounds both the tree walk's stats and the manifest's hashing. The client
+// side keys cached signatures with fingerprint 0: it caches only whole-file
+// sums, which do not depend on the engine config.
+func newTreeSource(root string, opt *sessionOptions, workers int, fingerprint uint64) (collection.Source, []error, error) {
+	tree, werrs, err := dirio.OpenTreeWorkers(root, workers)
 	var errs []error
 	for _, we := range werrs {
 		errs = append(errs, we)
@@ -740,7 +741,7 @@ func NewDirClient(root string, opts ...Option) (*Client, []error, error) {
 	if c.opt.err != nil {
 		return nil, nil, c.opt.err
 	}
-	src, werrs, err := newTreeSource(root, &c.opt, 0)
+	src, werrs, err := newTreeSource(root, &c.opt, c.opt.Workers, 0)
 	if err != nil {
 		return nil, werrs, err
 	}

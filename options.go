@@ -382,12 +382,14 @@ func WithMetrics(r *MetricsRegistry) Option {
 	}
 }
 
-// WithWorkers bounds this endpoint's local parallelism: per-file engine
-// fan-out across synchronized files, sharded old-file scans, and batched
-// verification hashing. n = 0 (the default) uses runtime.GOMAXPROCS(0);
-// n = 1 runs fully serially; negative n is an error. The setting is local to
-// each endpoint and never negotiated: the bytes on the wire are bit-identical
-// for every value.
+// WithWorkers bounds this endpoint's local parallelism: a directory
+// endpoint's tree walk (the per-file stats) and manifest (the per-file
+// hashes), per-file engine fan-out across synchronized files, sharded
+// old-file scans, and batched verification hashing. n = 0 (the default) uses
+// runtime.GOMAXPROCS(0); n = 1 runs fully serially, on the calling
+// goroutine; negative n is an error. The setting is local to each endpoint
+// and never negotiated: the bytes on the wire are bit-identical for every
+// value.
 func WithWorkers(n int) Option {
 	return func(o *sessionOptions) {
 		if n < 0 {
