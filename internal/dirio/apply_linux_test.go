@@ -13,7 +13,9 @@ import (
 // here one past RLIMIT_FSIZE, in a child process that sets the limit —
 // leaves the file it was replacing as it was, keeps its mode, and leaves no
 // temporary file behind. Writing in place, the old file was truncated and
-// held the new content's first 100 bytes.
+// held the new content's first 100 bytes. The batch's other file, which fits
+// under the limit and comes first in path order, stays old too: nothing is
+// renamed before every file of the batch is written.
 func TestApplyChangesNeverTearsAFile(t *testing.T) {
 	if root := os.Getenv("DIRIO_TORN_ROOT"); root != "" {
 		var lim syscall.Rlimit
@@ -25,7 +27,8 @@ func TestApplyChangesNeverTearsAFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Go ignores SIGXFSZ, so the write past the limit returns EFBIG.
-		if err := ApplyChanges(root, map[string][]byte{"dir/f.txt": bytes.Repeat([]byte("new "), 1024)}, nil); err == nil {
+		changed := map[string][]byte{"dir/a.txt": []byte("new a"), "dir/f.txt": bytes.Repeat([]byte("new "), 1024)}
+		if err := ApplyChanges(root, changed, nil); err == nil {
 			t.Fatal("a 4 KB write under a 100-byte RLIMIT_FSIZE succeeded")
 		}
 		return
@@ -39,6 +42,11 @@ func TestApplyChangesNeverTearsAFile(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	oldA := []byte("the old a\n")
+	pathA := filepath.Join(root, "dir", "a.txt")
+	if err := os.WriteFile(pathA, oldA, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cmd := exec.Command(os.Args[0], "-test.run=^TestApplyChangesNeverTearsAFile$")
 	cmd.Env = append(os.Environ(), "DIRIO_TORN_ROOT="+root)
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -47,8 +55,11 @@ func TestApplyChangesNeverTearsAFile(t *testing.T) {
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("after the failed write the file holds %q (%v), want the old %q", got, err, old)
 	}
-	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
-		t.Fatalf("the directory holds %d entries (%v), want only the file", len(entries), err)
+	if got, err := os.ReadFile(pathA); err != nil || !bytes.Equal(got, oldA) {
+		t.Fatalf("after the failed batch the file that fit holds %q (%v), want the old %q", got, err, oldA)
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 2 {
+		t.Fatalf("the directory holds %d entries (%v), want only the two files", len(entries), err)
 	}
 
 	// A write that succeeds keeps the replaced file's mode.

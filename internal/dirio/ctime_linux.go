@@ -13,7 +13,7 @@ import (
 // timestamps after a rewrite.
 func ctimeOf(info fs.FileInfo) int64 {
 	if st, ok := info.Sys().(*syscall.Stat_t); ok {
-		return st.Ctim.Sec*1_000_000_000 + st.Ctim.Nsec
+		return int64(st.Ctim.Sec)*1_000_000_000 + int64(st.Ctim.Nsec) // int32 fields on 386
 	}
 	return 0
 }

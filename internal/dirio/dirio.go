@@ -311,27 +311,54 @@ func Apply(root string, before, after map[string][]byte) error {
 			deleted = append(deleted, rel)
 		}
 	}
+	slices.Sort(deleted)
 	return ApplyChanges(root, changed, deleted)
 }
 
+// maxOpenTemps caps the temporary files ApplyChanges holds open at once: a
+// larger result is applied in consecutive batches of this many files, so a
+// sync of any size stays far inside the descriptor limit.
+const maxOpenTemps = 256
+
 // ApplyChanges applies a sync result: changed holds the files whose content
-// the session wrote, deleted the paths to remove. Each file is replaced whole
-// by ReplaceFile, and every touched directory up to root is fsynced, so an
-// applied sync survives power loss. Empty directories left behind are pruned.
+// the session wrote, deleted the paths to remove. Every path is checked
+// before anything is written. The changed files are put into place in path
+// order, in batches of up to maxOpenTemps files, each as replaceAll does it:
+// a failure before a batch's renames leaves every file of that batch as it
+// was. Then the deletions are made, and every touched directory up to root
+// is fsynced, so an applied sync survives power loss. Empty directories left
+// behind are pruned. The error reported is the first failure in path order.
 func ApplyChanges(root string, changed map[string][]byte, deleted []string) error {
+	rels := make([]string, 0, len(changed))
+	for rel := range changed {
+		rels = append(rels, rel)
+	}
+	slices.Sort(rels)
+	for _, paths := range [][]string{rels, deleted} {
+		for _, rel := range paths {
+			if err := checkPath(rel); err != nil {
+				return err
+			}
+		}
+	}
 	dirs := make(map[string]struct{})
-	for rel, data := range changed {
-		if err := checkPath(rel); err != nil {
-			return err
-		}
+	files := make([]newFile, len(rels))
+	for i, rel := range rels {
 		path := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		if _, ok := dirs[filepath.Dir(path)]; !ok { // a marked directory was made here, or is an ancestor of one that was
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				return err
+			}
+			markParents(dirs, root, rel)
+		}
+		files[i] = newFile{path, changed[rel]}
+	}
+	for len(files) > 0 {
+		n := min(len(files), maxOpenTemps)
+		if err := replaceAll(files[:n], true); err != nil {
 			return err
 		}
-		if err := ReplaceFile(path, data); err != nil {
-			return err
-		}
-		markParents(dirs, root, rel)
+		files = files[n:]
 	}
 	for _, rel := range deleted {
 		if err := removeFile(root, rel); err != nil {
@@ -339,20 +366,16 @@ func ApplyChanges(root string, changed map[string][]byte, deleted []string) erro
 		}
 		markParents(dirs, root, rel)
 	}
-	for dir := range dirs {
-		if err := SyncDir(dir); err != nil {
-			return err
-		}
-	}
-	return nil
+	return syncDirs(dirs, len(rels)+len(deleted) > 1)
 }
 
 // Every file msync persists is put into place here, in one of two
 // disciplines.
 //
-// Durable: ReplaceFile fsyncs the content before the rename, and the caller
-// fsyncs the directory (SyncDir) once the renames it commits are done.
-// Applied files, store segments and published artifacts are written so.
+// Durable: ReplaceFile (one file) and ApplyChanges (a sync result) fsync the
+// content before the rename, and the directory is fsynced (SyncDir) once the
+// renames it commits are done. Applied files, store segments and published
+// artifacts are written so.
 //
 // Best-effort cache: WriteCache seals the content with an MD4 trailer and
 // renames it into place without an fsync. A crash may lose or tear the file;
@@ -365,41 +388,111 @@ func ApplyChanges(root string, changed map[string][]byte, deleted []string) erro
 // directory until the rename; a crash in between leaves one behind.
 const TempPrefix = ".msync-"
 
+// fsync, syncfs, rename and remove are the writers' flushes and namespace
+// changes: indirection points for tests to record their order.
+var (
+	fsync  = (*os.File).Sync
+	syncfs = syncFilesystem
+	rename = os.Rename
+	remove = os.Remove
+)
+
 // ReplaceFile writes data to path so that no failure, nor a crash, leaves a
 // torn file: the content goes to a temporary file in the same directory,
 // fsynced, with the replaced file's mode (0644 for a new one), and is renamed
 // over path. On an error the temporary file is removed and the old file is as
 // it was. The rename is durable once the caller has synced the directory.
 func ReplaceFile(path string, data []byte) error {
-	return replace(path, data, true)
+	return replaceAll([]newFile{{path, data}}, true)
 }
 
 // WriteCache puts data, sealed by Seal, into place at path as ReplaceFile
 // does, but without an fsync and with the temporary file's 0600 mode.
 func WriteCache(path string, data []byte) error {
-	return replace(path, Seal(data), false)
+	return replaceAll([]newFile{{path, Seal(data)}}, false)
 }
 
-func replace(path string, data []byte, durable bool) error {
-	f, err := os.CreateTemp(filepath.Dir(path), TempPrefix+"*")
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if durable && err == nil {
-		mode := fs.FileMode(0o644)
-		if fi, serr := os.Stat(path); serr == nil {
-			mode = fi.Mode().Perm()
+// newFile is the content a writer puts into place at path.
+type newFile struct {
+	path string
+	data []byte
+}
+
+// replaceAll puts every file of batch into place through a temporary file in
+// its target's directory, created and written on the pool's workers, then
+// renamed over the target in batch order. A durable batch's temporary files
+// take the replaced file's mode (0644 for a new one) and are each fsynced, in
+// batch order, before the first rename. With more than one file a syncfs
+// comes first: one writeback pass, one journal commit and one cache flush for
+// the whole batch, after which each fsync finds its file clean. The fsyncs
+// stay, since only they report each file's own writeback error on every
+// kernel and reach a file on another mount. A failure before the renames
+// removes every temporary file and replaces nothing; a failed rename removes
+// the temporary files from it on, past the ones already renamed. The error is
+// the first failure in batch order.
+func replaceAll(batch []newFile, durable bool) error {
+	temps := make([]*os.File, len(batch))
+	err := pool.Range(0, len(batch), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			f, err := createTemp(batch[i], durable)
+			if err != nil {
+				return err
+			}
+			temps[i] = f
 		}
-		err = cmp.Or(f.Chmod(mode), f.Sync())
+		return nil
+	})
+	if err == nil && durable {
+		if len(temps) > 1 {
+			_ = syncfs(temps[0]) // an accelerator: the fsyncs below are the contract
+		}
+		for _, f := range temps {
+			if err = fsync(f); err != nil {
+				break
+			}
+		}
 	}
-	if err = cmp.Or(err, f.Close()); err == nil {
-		err = os.Rename(f.Name(), path)
+	for _, f := range temps {
+		if f != nil {
+			err = cmp.Or(err, f.Close())
+		}
 	}
-	if err != nil {
-		os.Remove(f.Name())
+	for i, f := range temps {
+		if f == nil {
+			continue
+		}
+		if err == nil {
+			if err = rename(f.Name(), batch[i].path); err == nil {
+				continue
+			}
+		}
+		remove(f.Name())
 	}
 	return err
+}
+
+// createTemp writes nf's content to a new temporary file beside nf.path,
+// with the mode of the file it replaces (0644 for a new one) when durable.
+// On an error the temporary file is removed.
+func createTemp(nf newFile, durable bool) (*os.File, error) {
+	f, err := os.CreateTemp(filepath.Dir(nf.path), TempPrefix+"*")
+	if err != nil {
+		return nil, err
+	}
+	_, err = f.Write(nf.data)
+	if durable && err == nil {
+		mode := fs.FileMode(0o644)
+		if fi, serr := os.Stat(nf.path); serr == nil {
+			mode = fi.Mode().Perm()
+		}
+		err = f.Chmod(mode)
+	}
+	if err != nil {
+		f.Close()
+		remove(f.Name())
+		return nil, err
+	}
+	return f, nil
 }
 
 // Seal appends the MD4 of data to it: the trailer a cache file ends with.
@@ -438,11 +531,33 @@ func markParents(dirs map[string]struct{}, root, rel string) {
 	}
 }
 
+// syncDirs fsyncs every directory of dirs in path order. With flushFS set,
+// one syncfs on the first directory's filesystem commits every rename and
+// removal before the fsyncs.
+func syncDirs(dirs map[string]struct{}, flushFS bool) error {
+	sorted := make([]string, 0, len(dirs))
+	for dir := range dirs {
+		sorted = append(sorted, dir)
+	}
+	slices.Sort(sorted)
+	for _, dir := range sorted {
+		if err := syncDir(dir, flushFS); err != nil {
+			return err
+		}
+		flushFS = false
+	}
+	return nil
+}
+
 // SyncDir fsyncs a directory so entry creations, renames and removals inside
 // it are durable. A directory that no longer exists (pruned since the writes)
 // is skipped, and sync errors are ignored: some platforms and filesystems
 // refuse directory fsync, which must not fail the write.
-func SyncDir(path string) error {
+func SyncDir(path string) error { return syncDir(path, false) }
+
+// syncDir is SyncDir, after a syncfs on the directory's filesystem when
+// flushFS is set.
+func syncDir(path string, flushFS bool) error {
 	d, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -450,17 +565,18 @@ func SyncDir(path string) error {
 		}
 		return err
 	}
-	_ = d.Sync()
+	if flushFS {
+		_ = syncfs(d) // an accelerator, as in replaceAll
+	}
+	_ = fsync(d)
 	return d.Close()
 }
 
 // removeFile deletes rel under root and prunes emptied parent directories.
+// ApplyChanges has already checked rel.
 func removeFile(root, rel string) error {
-	if err := checkPath(rel); err != nil {
-		return err
-	}
 	path := filepath.Join(root, filepath.FromSlash(rel))
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+	if err := remove(path); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	pruneEmptyParents(root, filepath.Dir(path))

@@ -1,0 +1,5 @@
+package dirio
+
+// sysSyncfs is syncfs(2)'s number on linux/386, which the syscall package
+// does not name.
+const sysSyncfs = 344
