@@ -52,10 +52,10 @@ func TestCLISyncDirectories(t *testing.T) {
 
 	v1, v2 := corpus.GCCProfile(0.04).Generate(5)
 	serverDir, clientDir := t.TempDir(), t.TempDir()
-	if err := dirio.Apply(serverDir, nil, v2.Map()); err != nil {
+	if err := dirio.ApplyChanges(serverDir, v2.Map(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dirio.Apply(clientDir, nil, v1.Map()); err != nil {
+	if err := dirio.ApplyChanges(clientDir, v1.Map(), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +91,7 @@ func TestCLISyncDirectories(t *testing.T) {
 		t.Fatalf("client failed: %v\n%s", err, out)
 	}
 
-	got, err := dirio.Load(clientDir)
+	got, err := loadDir(clientDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestCLIDryRunLeavesDirUntouched(t *testing.T) {
 	}
 	bin := buildCLI(t)
 	serverDir, clientDir := t.TempDir(), t.TempDir()
-	if err := dirio.Apply(serverDir, nil, map[string][]byte{"f.txt": []byte("new version")}); err != nil {
+	if err := dirio.ApplyChanges(serverDir, map[string][]byte{"f.txt": []byte("new version")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	orig := map[string][]byte{"f.txt": []byte("old version"), "stale.txt": []byte("x")}
-	if err := dirio.Apply(clientDir, nil, orig); err != nil {
+	if err := dirio.ApplyChanges(clientDir, orig, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,7 +147,7 @@ func TestCLIDryRunLeavesDirUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dry run failed: %v\n%s", err, out)
 	}
-	got, _ := dirio.Load(clientDir)
+	got, _ := loadDir(clientDir)
 	if len(got) != 2 || string(got["f.txt"]) != "old version" {
 		t.Fatalf("dry run modified the directory: %v", got)
 	}
@@ -218,10 +218,10 @@ func TestCLIObservability(t *testing.T) {
 	}
 	bin := buildCLI(t)
 	serverDir, clientDir := t.TempDir(), t.TempDir()
-	if err := dirio.Apply(serverDir, nil, map[string][]byte{"a.txt": bytes.Repeat([]byte("server data "), 400)}); err != nil {
+	if err := dirio.ApplyChanges(serverDir, map[string][]byte{"a.txt": bytes.Repeat([]byte("server data "), 400)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dirio.Apply(clientDir, nil, map[string][]byte{"a.txt": bytes.Repeat([]byte("client data "), 390)}); err != nil {
+	if err := dirio.ApplyChanges(clientDir, map[string][]byte{"a.txt": bytes.Repeat([]byte("client data "), 390)}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -306,31 +306,48 @@ func TestCLIObservability(t *testing.T) {
 	}
 }
 
+// TestCLIPush: a server started with -allow-push and -cache-dir writes a push
+// into its -dir through its signature cache. The replica ends equal to the
+// source, the cache holds entries, and a second push of the same tree
+// replaces no file.
 func TestCLIPush(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the CLI")
 	}
 	bin := buildCLI(t)
-	replicaDir, sourceDir := t.TempDir(), t.TempDir()
-	if err := dirio.Apply(replicaDir, nil, map[string][]byte{"doc.txt": []byte(fmt.Sprint("v1 ", bytes.Repeat([]byte("x"), 2000)))}); err != nil {
+	replicaDir, sourceDir, cacheDir := t.TempDir(), t.TempDir(), t.TempDir()
+	if err := dirio.ApplyChanges(replicaDir, map[string][]byte{"doc.txt": []byte(fmt.Sprint("v1 ", bytes.Repeat([]byte("x"), 2000)))}, nil); err != nil {
 		t.Fatal(err)
 	}
 	newContent := map[string][]byte{
 		"doc.txt": append([]byte("v2 "), bytes.Repeat([]byte("x"), 2000)...),
 		"new.txt": []byte("added"),
 	}
-	if err := dirio.Apply(sourceDir, nil, newContent); err != nil {
+	if err := dirio.ApplyChanges(sourceDir, newContent, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	addr := freePort(t)
-	server := exec.Command(bin, "-serve", addr, "-dir", replicaDir, "-allow-push")
+	server := exec.Command(bin, "-serve", addr, "-dir", replicaDir, "-allow-push", "-cache-dir", cacheDir)
+	stderr, err := server.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := server.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		server.Process.Kill()
 		server.Wait()
+	}()
+	adopted := make(chan string, 2)
+	go func() {
+		lines := bufio.NewScanner(stderr)
+		for lines.Scan() {
+			if strings.Contains(lines.Text(), "adopted pushed update") {
+				adopted <- lines.Text()
+			}
+		}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -345,21 +362,41 @@ func TestCLIPush(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	out, err := exec.Command(bin, "-connect", addr, "-dir", sourceDir, "-push").CombinedOutput()
-	if err != nil {
-		t.Fatalf("push failed: %v\n%s", err, out)
+	push := func() map[string]os.FileInfo {
+		t.Helper()
+		out, err := exec.Command(bin, "-connect", addr, "-dir", sourceDir, "-push").CombinedOutput()
+		if err != nil {
+			t.Fatalf("push failed: %v\n%s", err, out)
+		}
+		// The server writes the push after the session's last frame.
+		select {
+		case <-adopted:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the server never adopted the push")
+		}
+		got, err := loadDir(replicaDir)
+		if err != nil || len(got) != len(newContent) {
+			t.Fatalf("replica holds %v (%v), want %v", pathsOf(got), err, pathsOf(newContent))
+		}
+		stats := make(map[string]os.FileInfo)
+		for rel, want := range newContent {
+			if !bytes.Equal(got[rel], want) {
+				t.Fatalf("replica's %s is not the source's", rel)
+			}
+			if stats[rel], err = os.Stat(filepath.Join(replicaDir, rel)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return stats
 	}
-	// The server persists asynchronously after the session; poll briefly.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		got, _ := dirio.Load(replicaDir)
-		if len(got) == 2 && bytes.Equal(got["doc.txt"], newContent["doc.txt"]) {
-			break
+	first := push()
+	if entries, err := os.ReadDir(cacheDir); err != nil || len(entries) == 0 {
+		t.Fatalf("the server's -cache-dir holds %d entries (%v) after a push", len(entries), err)
+	}
+	for rel, fi := range push() {
+		if !os.SameFile(fi, first[rel]) {
+			t.Errorf("a second push of the same tree replaced %s", rel)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica not updated: %v", got)
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -377,10 +414,10 @@ func TestCLIVersionedStore(t *testing.T) {
 		"keep.txt": bytes.Repeat([]byte("stable content "), 200),
 		"mod.txt":  bytes.Repeat([]byte("version one body "), 150),
 	}
-	if err := dirio.Apply(serverDir, nil, oldTree); err != nil {
+	if err := dirio.ApplyChanges(serverDir, oldTree, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dirio.Apply(clientDir, nil, oldTree); err != nil {
+	if err := dirio.ApplyChanges(clientDir, oldTree, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -399,7 +436,7 @@ func TestCLIVersionedStore(t *testing.T) {
 		"mod.txt":  append(append([]byte{}, oldTree["mod.txt"]...), []byte("edited tail\n")...),
 		"new.txt":  []byte("a brand new file\n"),
 	}
-	if err := dirio.Apply(serverDir, oldTree, newTree); err != nil {
+	if err := dirio.ApplyChanges(serverDir, map[string][]byte{"mod.txt": newTree["mod.txt"], "new.txt": newTree["new.txt"]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	addr := freePort(t)
@@ -435,7 +472,7 @@ func TestCLIVersionedStore(t *testing.T) {
 	if !bytes.Contains(out, []byte("-base-version 2")) {
 		t.Fatalf("client report missing the next base version:\n%s", out)
 	}
-	got, err := dirio.Load(clientDir)
+	got, err := loadDir(clientDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,10 +503,10 @@ func TestCLIPublishMode(t *testing.T) {
 		"mod.txt":     bytes.Repeat([]byte("version one body "), 150),
 		"sub/old.txt": []byte("will be deleted\n"),
 	}
-	if err := dirio.Apply(serverDir, nil, v1); err != nil {
+	if err := dirio.ApplyChanges(serverDir, v1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dirio.Apply(readerDir, nil, v1); err != nil {
+	if err := dirio.ApplyChanges(readerDir, v1, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -493,7 +530,7 @@ func TestCLIPublishMode(t *testing.T) {
 		"mod.txt":  append(append([]byte{}, v1["mod.txt"]...), []byte("edited tail\n")...),
 		"new.txt":  []byte("a brand new file\n"),
 	}
-	if err := dirio.Apply(serverDir, v1, v2); err != nil {
+	if err := dirio.ApplyChanges(serverDir, map[string][]byte{"mod.txt": v2["mod.txt"], "new.txt": v2["new.txt"]}, []string{"sub/old.txt"}); err != nil {
 		t.Fatal(err)
 	}
 	addr := freePort(t)
@@ -536,7 +573,7 @@ func TestCLIPublishMode(t *testing.T) {
 	if res.Version != 2 || !res.DeltaPath {
 		t.Fatalf("reader result: %+v\n%s", res, out)
 	}
-	got, err := dirio.Load(readerDir)
+	got, err := loadDir(readerDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func main() {
 }
 
 func mustWrite(dir string, t *corpus.Tree) {
-	if err := dirio.Apply(dir, nil, t.Map()); err != nil {
+	if err := dirio.ApplyChanges(dir, t.Map(), nil); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -79,7 +79,6 @@ import (
 	"time"
 
 	"msync"
-	"msync/internal/dirio"
 	"msync/internal/obs"
 )
 
@@ -103,7 +102,7 @@ func main() {
 		handshake = flag.Duration("handshake-timeout", 0, "server: deadline for a session's opening exchange; evicts idle dials pinning slots (0 = none)")
 		jsonOut   = flag.Bool("json", false, "client: print costs as JSON")
 		push      = flag.Bool("push", false, "client: push local (newer) data to the server instead of pulling")
-		allowPush = flag.Bool("allow-push", false, "server: accept pushes and update -dir")
+		allowPush = flag.Bool("allow-push", false, "server: accept pushes and write them into -dir (with -cache-dir and -store-dir as for pulls)")
 		workers   = flag.Int("workers", 0, "worker goroutines for hashing/scanning (0 = all CPUs, 1 = serial); wire output is identical for every value")
 		muxWidth  = flag.Int("mux-streams", 0, "multiplexed streams per session: clients request the width, servers cap it; interleaves per-file rounds on one connection (0 = legacy lockstep)")
 		mapMode   = flag.String("map-mode", "halving", "client: map-construction mode to request (halving, cdc); cdc derives block boundaries from content-defined chunks — best for shift-heavy data; servers that don't support it fall back to halving")
@@ -431,40 +430,21 @@ func runServer(addr, dir string, cfg msync.Config, allowPush, store bool, timeou
 	}
 	opts = append(opts, extra...)
 
-	var srv *msync.Server
-	var err error
 	if allowPush {
-		// A receiving server materializes the collection: adopting a push
-		// needs the full before-map to compute deletions on disk.
-		files, err := dirio.Load(dir)
-		if err != nil {
-			log.Fatalf("msync: loading %s: %v", dir, err)
-		}
-		before := files
-		opts = append(opts, msync.WithPush(func(updated map[string][]byte) {
-			if err := dirio.Apply(dir, before, updated); err != nil {
-				log.Printf("msync: persisting push: %v", err)
-				return
-			}
-			before = updated
-			log.Printf("msync: adopted pushed update (%d files)", len(updated))
+		// A push is written into dir, as a pull's result is, and served from
+		// there.
+		opts = append(opts, msync.WithPush(func(written map[string][]byte) {
+			log.Printf("msync: adopted pushed update (%d files written)", len(written))
 		}))
-		srv, err = msync.NewServer(files, cfg, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("msync: serving %d files from %s on %s", len(files), dir, addr)
-	} else {
-		var werrs []error
-		srv, werrs, err = msync.NewDirServer(dir, cfg, opts...)
-		for _, we := range werrs {
-			log.Printf("msync: warning: %v", we)
-		}
-		if err != nil {
-			log.Fatalf("msync: opening %s: %v", dir, err)
-		}
-		log.Printf("msync: serving %s on %s (streamed)", dir, addr)
 	}
+	srv, werrs, err := msync.NewDirServer(dir, cfg, opts...)
+	for _, we := range werrs {
+		log.Printf("msync: warning: %v", we)
+	}
+	if err != nil {
+		log.Fatalf("msync: opening %s: %v", dir, err)
+	}
+	log.Printf("msync: serving %s on %s (streamed)", dir, addr)
 	if store {
 		// Record the state being served so announcing clients can ride the
 		// journal from here on.
@@ -532,7 +512,6 @@ func runClient(addr, dir string, dry, tree bool, timeout, roundTO time.Duration,
 		msync.WithDialTimeout(timeout),
 		msync.WithRetry(retry),
 		msync.WithWorkers(workers),
-		msync.WithLazyResult(),
 	}
 	opts = append(opts, extra...)
 	if tree {

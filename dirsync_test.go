@@ -2,6 +2,7 @@ package msync_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,6 +24,24 @@ func writeDirFile(t *testing.T, dir, rel, content string) {
 	}
 }
 
+// loadDir reads every file under root, keyed by slash-separated path.
+func loadDir(root string) (map[string][]byte, error) {
+	tree, werrs, err := dirio.OpenTree(root)
+	if err == nil && len(werrs) > 0 {
+		err = werrs
+	}
+	if err != nil {
+		return nil, err
+	}
+	files := make(map[string][]byte, len(tree.Files()))
+	for _, fi := range tree.Files() {
+		if files[fi.Path], err = tree.Load(fi.Path); err != nil {
+			return nil, err
+		}
+	}
+	return files, nil
+}
+
 // dirSyncOnce runs one directory-to-directory sync with both endpoints
 // backed by persistent signature caches, returning the client result and the
 // server session costs.
@@ -34,7 +53,7 @@ func dirSyncOnce(t *testing.T, serverDir, clientDir, serverCache, clientCache st
 		t.Fatalf("NewDirServer: %v %v", err, werrs)
 	}
 	cli, werrs, err := msync.NewDirClient(clientDir,
-		msync.WithSignatureCache(clientCache, 0), msync.WithLazyResult())
+		msync.WithSignatureCache(clientCache, 0))
 	if err != nil || len(werrs) > 0 {
 		t.Fatalf("NewDirClient: %v %v", err, werrs)
 	}
@@ -62,7 +81,7 @@ func dirSyncOnce(t *testing.T, serverDir, clientDir, serverCache, clientCache st
 }
 
 // TestDirSyncEndToEnd drives the directory-backed API through a full cycle:
-// sync an outdated tree, apply the lazy result in place, then sync again and
+// sync an outdated tree, apply the result in place, then sync again and
 // verify the warm repeat costs no hashing at all — the signature caches
 // answer every fingerprint and no engines run.
 func TestDirSyncEndToEnd(t *testing.T) {
@@ -115,6 +134,64 @@ func TestDirSyncEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDirClientApplyReplacesOnlyWrittenFiles: a directory-backed client's
+// result holds only what its session wrote, so Result.Apply replaces the one
+// edited file of 201 and leaves the other 200 the same files on disk (same
+// inode), with or without WithLazyResult, which does nothing.
+func TestDirClientApplyReplacesOnlyWrittenFiles(t *testing.T) {
+	for _, opts := range [][]msync.Option{nil, {msync.WithLazyResult()}} {
+		files := make(map[string][]byte)
+		for i := range 201 {
+			files[fmt.Sprintf("d%d/f%03d.txt", i%5, i)] = bytes.Repeat([]byte(fmt.Sprint(i, " ")), 300)
+		}
+		clientDir := writeDir(t, files)
+		const edited = "d0/f100.txt"
+		files[edited] = append(bytes.Clone(files[edited]), "edited"...)
+		serverDir := writeDir(t, files)
+		before := make(map[string]os.FileInfo, len(files))
+		for rel := range files {
+			fi, err := os.Stat(filepath.Join(clientDir, filepath.FromSlash(rel)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before[rel] = fi
+		}
+
+		srv, _, err := msync.NewDirServer(serverDir, msync.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, _, err := msync.NewDirClient(clientDir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := storeSyncOnce(t, srv, cli)
+		if len(res.Files) != 1 || res.Files[edited] == nil || len(res.Unchanged) != 200 {
+			t.Fatalf("%d options: result writes %d files and keeps %d, want 1 (%s) and 200", len(opts), len(res.Files), len(res.Unchanged), edited)
+		}
+		if err := res.Apply(clientDir); err != nil {
+			t.Fatal(err)
+		}
+		assertDirsEqual(t, serverDir, clientDir)
+		replaced := 0
+		for rel, fi := range before {
+			after, err := os.Stat(filepath.Join(clientDir, filepath.FromSlash(rel)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !os.SameFile(fi, after) {
+				replaced++
+				if rel != edited {
+					t.Errorf("%d options: Apply replaced unchanged %s", len(opts), rel)
+				}
+			}
+		}
+		if replaced != 1 {
+			t.Fatalf("%d options: Apply replaced %d of %d files, want 1", len(opts), replaced, len(before))
+		}
+	}
+}
+
 func pathsOf(m map[string][]byte) []string {
 	var out []string
 	for k := range m {
@@ -125,11 +202,11 @@ func pathsOf(m map[string][]byte) []string {
 
 func assertDirsEqual(t *testing.T, wantDir, gotDir string) {
 	t.Helper()
-	want, err := dirio.Load(wantDir)
+	want, err := loadDir(wantDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dirio.Load(gotDir)
+	got, err := loadDir(gotDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,6 @@ func runCacheModeSession(t *testing.T, serverDir, clientDir string, sCache, cCac
 		t.Fatal(err)
 	}
 	cli := NewClientSource(NewTreeSource(cTree, cCache, 0, paranoid))
-	cli.LazyResult = true
 
 	a, b := transport.Pipe()
 	var mu sync.Mutex
@@ -113,10 +112,7 @@ func runCacheModeSession(t *testing.T, serverDir, clientDir string, sCache, cCac
 // ever changes who computes a hash, never its value.
 func TestCacheModesWireIdentical(t *testing.T) {
 	serverDir, clientDir := makeCacheModeTrees(t)
-	want, err := dirio.Load(serverDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := loadTree(t, serverDir)
 
 	checkResult := func(mode string, res *Result) {
 		t.Helper()
@@ -200,7 +196,6 @@ func TestRepeatedServeReusesEngineLevels(t *testing.T) {
 			t.Fatalf("client tree: %v %v", err, werrs)
 		}
 		cli := NewClientSource(NewTreeSource(cTree, nil, 0, false))
-		cli.LazyResult = true
 		a, b := transport.Pipe()
 		var mu sync.Mutex
 		var sb bytes.Buffer

@@ -88,11 +88,13 @@ type clientFile struct {
 
 // Result is the outcome of one synchronization session.
 type Result struct {
-	// Files is the updated collection. Under Options.LazyResult it holds only
-	// the files the session wrote (synced, full, new); combined with
-	// Unchanged and Deleted it still describes the complete outcome.
+	// Files holds the files the session wrote (synced, full, new). A
+	// receiver over a map has its unchanged files here too, as it holds them
+	// anyway; one over a directory lists them in Unchanged instead, so the
+	// result scales with the change set. With Deleted, the result describes
+	// the complete outcome either way.
 	Files map[string][]byte
-	// Unchanged lists paths the session left untouched.
+	// Unchanged lists the paths a receiver over a directory left untouched.
 	Unchanged []string
 	// Deleted lists local paths the server no longer has.
 	Deleted []string
@@ -140,7 +142,7 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 	if err := s.sendHello(rolePull); err != nil {
 		return nil, asHandshake(err)
 	}
-	return s.consume(c.LazyResult, &c.trees)
+	return s.consume(&c.trees)
 }
 
 // consume runs the receiving role of a session (after any handshake
@@ -156,13 +158,11 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 // protocol config arrives over the wire, but Workers is deliberately not
 // serialized.
 //
-// With lazy set (sources that can re-read their own files), unchanged
-// content is never materialized: the result lists unchanged and deleted
-// paths by name and Files holds only what the session wrote. trees is the
+// The source decides the result's shape (see keep). trees is the
 // cross-session tree cache (nil: none).
-func (s *session) consume(lazy bool, trees *treeState) (*Result, error) {
+func (s *session) consume(trees *treeState) (*Result, error) {
 	res := &Result{Costs: s.costs, Files: make(map[string][]byte)}
-	det := s.newReceiverDetector(res, lazy, trees)
+	det := s.newReceiverDetector(res, trees)
 	manifest, err := s.src.Manifest()
 	var list []ManifestEntry
 	if err == nil {
@@ -174,7 +174,7 @@ func (s *session) consume(lazy bool, trees *treeState) (*Result, error) {
 	if err != nil {
 		return nil, asHandshake(err)
 	}
-	work, err := s.verdicts(res, det, list, lazy)
+	work, err := s.verdicts(res, det, list)
 	if err == nil {
 		err = s.receive(res, work)
 	}
@@ -204,9 +204,11 @@ func checkList(res *Result, work *clientWork) error {
 	return nil
 }
 
-// keep settles a path the holder has as it is here: unchanged.
-func (s *session) keep(res *Result, path string, lazy bool) (err error) {
-	if lazy {
+// keep settles a path the holder has as it is here: unchanged. A receiver
+// over a directory lists it by name and never loads it: the directory keeps
+// it. Any other source returns its content.
+func (s *session) keep(res *Result, path string) (err error) {
+	if dirOf(s.src) != nil {
 		res.Unchanged = append(res.Unchanged, path)
 	} else {
 		res.Files[path], err = s.src.Load(path)
@@ -247,7 +249,7 @@ type clientWork struct {
 // verdicts name their files, each verdict follows the path hash of its entry
 // of list, and every entry not named is unchanged. What is left is the work
 // for the per-file phases.
-func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEntry, lazy bool) (*clientWork, error) {
+func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEntry) (*clientWork, error) {
 	muxRaw, vraw, err := s.readGranted(det.read, wire.FrameMuxAck, wire.FrameVerdicts, s.ext.mux > 0)
 	if err != nil {
 		return nil, asHandshake(err)
@@ -311,7 +313,7 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 		}
 		switch verdict {
 		case verdictUnchanged:
-			if err := s.keep(res, path, lazy); err != nil {
+			if err := s.keep(res, path); err != nil {
 				return nil, err
 			}
 			kept = append(kept, i)
@@ -361,7 +363,7 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 	}
 	for i, e := range list {
 		if names != nil && !named[i] {
-			if err := s.keep(res, e.Path, lazy); err != nil {
+			if err := s.keep(res, e.Path); err != nil {
 				return nil, err
 			}
 			work.after = append(work.after, e)

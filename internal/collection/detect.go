@@ -371,11 +371,11 @@ type receiverDetector interface {
 }
 
 // newReceiverDetector is the receiver's one reading of the hello's mode. res
-// and lazy are where and how settled paths go; trees is the tree cache carried
-// across sessions (nil: none).
-func (s *session) newReceiverDetector(res *Result, lazy bool, trees *treeState) receiverDetector {
+// is where settled paths go; trees is the tree cache carried across sessions
+// (nil: none).
+func (s *session) newReceiverDetector(res *Result, trees *treeState) receiverDetector {
 	if s.mode == modeTree {
-		return &treeReceiver{s: s, res: res, lazy: lazy, trees: trees}
+		return &treeReceiver{s: s, res: res, trees: trees}
 	}
 	return &flatReceiver{s: s, res: res}
 }
@@ -549,7 +549,6 @@ func (d *flatReceiver) trailer(vp *wire.Parser, list []ManifestEntry, kept []int
 type treeReceiver struct {
 	s     *session
 	res   *Result
-	lazy  bool
 	trees *treeState
 	// altBases maps a wanted path to alternate local basis candidates for
 	// its sync engine (cross-file near-match), best-first.
@@ -605,7 +604,7 @@ func (d *treeReceiver) announce(manifest []ManifestEntry) ([]ManifestEntry, erro
 	}
 	for _, e := range manifest {
 		if !local[e.Path] {
-			if err := s.keep(d.res, e.Path, d.lazy); err != nil {
+			if err := s.keep(d.res, e.Path); err != nil {
 				return nil, err
 			}
 		}

@@ -36,6 +36,8 @@ type Server struct {
 	manifest []ManifestEntry
 	mtree    *merkle.TreeCache
 	prevTree *merkle.TreeCache
+	// pushing runs pushes one at a time (consumePush).
+	pushing sync.Mutex
 }
 
 // NewServer creates a server over the given (path → content) collection.
@@ -83,16 +85,47 @@ func (s *Server) sessionState() (Source, []ManifestEntry, *merkle.TreeCache, err
 	return s.src, s.manifest, s.mtree, nil
 }
 
-// setFiles replaces the collection and invalidates the manifest cache. A
-// version store wrapped around the old source carries over to the new one,
-// so push adoption keeps the server versioned.
-func (s *Server) setFiles(files map[string][]byte) {
-	s.mu.Lock()
-	if ss, ok := s.src.(*StoreSource); ok {
-		s.src = ss.WithInner(MapSource(files))
-	} else {
-		s.src = MapSource(files)
+// consumePush consumes a push and adopts its result. Pushes run one at a
+// time, each over the collection the one before left: two consumed over the
+// same collection would each write what they changed against it, and a
+// directory would end with both pushers' files, neither pusher's tree.
+func (s *Server) consumePush(sess *session) (*Result, error) {
+	s.pushing.Lock()
+	defer s.pushing.Unlock()
+	sess.src = s.source()
+	sess.cfg.Workers = s.cfg.Workers
+	acct := beginAccounting(sess.src)
+	res, err := sess.consume(nil)
+	acct.finish(sess.costs)
+	if err == nil {
+		err = s.adopt(sess.src, res)
 	}
+	return res, err
+}
+
+// adopt makes res, a push consumed over src, the served collection. A map
+// server takes the result's files, which are the whole collection; a
+// directory server has the result written to its directory and walked again
+// (TreeSource.applied). A version store around src carries over to the new
+// source, so push adoption keeps the server versioned. The swap invalidates
+// the manifest cache; the built trees are kept for the next session to
+// rebase. A session that started before the swap goes on over src: over a
+// directory it reads each file it loads as the push left it or as it was.
+func (s *Server) adopt(src Source, res *Result) error {
+	var next Source = MapSource(res.Files)
+	var err error
+	if ts := dirOf(src); ts != nil {
+		var walked *TreeSource
+		if walked, err = ts.applied(res); walked == nil {
+			return err
+		}
+		next = walked
+	}
+	if ss, ok := src.(*StoreSource); ok {
+		next = ss.WithInner(next)
+	}
+	s.mu.Lock()
+	s.src = next
 	s.manifest = nil
 	if s.mtree != nil {
 		// Keep the built trees: the next session rebases them from the
@@ -101,6 +134,7 @@ func (s *Server) setFiles(files map[string][]byte) {
 	}
 	s.mtree = nil
 	s.mu.Unlock()
+	return err
 }
 
 // frameOverhead is the wire cost of a frame header for an n-byte payload.
@@ -181,15 +215,10 @@ func (s *Server) serveConn(sess *session) error {
 		// anti-loris guard has done its job.
 		sess.ts.SetPhaseDeadline("", time.Time{})
 		sess.holder = false
-		sess.src = s.source()
-		sess.cfg.Workers = s.cfg.Workers
-		acct := beginAccounting(sess.src)
-		res, err := sess.consume(false, nil)
-		acct.finish(sess.costs)
+		res, err := s.consumePush(sess)
 		if err != nil {
 			return err
 		}
-		s.setFiles(res.Files)
 		if s.OnUpdate != nil {
 			s.OnUpdate(res.Files)
 		}

@@ -16,9 +16,9 @@ import (
 
 // Options are the settings of one endpoint's sessions. Client and Server
 // embed them, and each end reads the fields its role uses: a pulling client
-// its change detection, extensions and lazy result, a server its push
-// acceptance and grants. The timeouts, the worker budget and the
-// observability hooks apply to every session either end runs.
+// its change detection and extensions, a server its push acceptance and
+// grants. The timeouts, the worker budget and the observability hooks apply
+// to every session either end runs.
 type Options struct {
 	// Timeout, if positive, bounds each whole session, handshake through the
 	// final ack.
@@ -75,13 +75,10 @@ type Options struct {
 	// BaseVersion is the stored version this client's collection matches, as
 	// learned from a previous Result.Version.
 	BaseVersion uint64
-	// LazyResult, for client sources that can re-read their own files
-	// (TreeSource), keeps unchanged files out of Result.Files: the result
-	// holds only written content, with unchanged and deleted paths listed by
-	// name, so peak memory scales with the change set.
-	LazyResult bool
 	// AllowPush lets clients push updated collections into this server;
-	// OnUpdate, if set, is called with the new collection after each.
+	// OnUpdate, if set, is called after each with the pushed result's Files:
+	// a map server's whole new collection, a directory server's files the
+	// push wrote (see Server.adopt).
 	AllowPush bool
 	OnUpdate  func(map[string][]byte)
 

@@ -105,8 +105,9 @@ type collisionRun struct {
 
 // runCollision syncs old to cur — a pull from a server, or a push into one —
 // with the receiver's MANIFEST_SHORT forged so f070.txt collides, and, when
-// liar is set, the holder's group sums forged to pass. A lazy pull's files
-// are what it wrote over the old ones it lists as unchanged.
+// liar is set, the holder's group sums forged to pass. A lazy pull, over a
+// directory, has its files as what it wrote over the old ones it lists as
+// unchanged.
 func runCollision(t *testing.T, push, lazy bool, width int, old, cur map[string][]byte, liar bool) collisionRun {
 	t.Helper()
 	const victim = "f070.txt"
@@ -145,8 +146,8 @@ func runCollision(t *testing.T, push, lazy bool, width int, old, cur map[string]
 		go func() { defer wg.Done(); defer acceptor.Close(); run.recv, recvErr = receiver.Serve(acceptor) }()
 	} else {
 		holder.MuxStreams = width
-		cli := NewClient(old)
-		cli.MuxStreams, cli.Tracer, cli.Logger, cli.LazyResult = width, ring, logger, lazy
+		cli := NewClientSource(sourceOf(t, old, lazy))
+		cli.MuxStreams, cli.Tracer, cli.Logger = width, ring, logger
 		go func() { defer wg.Done(); relay(dialProxy, acceptProxy, up) }()
 		go func() { defer wg.Done(); relay(acceptProxy, dialProxy, down) }()
 		go func() { defer wg.Done(); defer acceptor.Close(); run.holder, holdErr = holder.Serve(acceptor) }()

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"encoding/binary"
+	"errors"
 	"io/fs"
 	"slices"
 	"strings"
@@ -175,6 +176,32 @@ func (s *TreeSource) hash(fi dirio.FileInfo) ([md4.Size]byte, int64, error) {
 
 // Load implements Source.
 func (s *TreeSource) Load(path string) ([]byte, error) { return s.tree.Load(path) }
+
+// applied writes res, a push this source received, into its directory as
+// Result.Apply writes a pull's, then walks the directory again into a new
+// source over the same signature cache, fingerprint and worker bound. Files
+// the new walk cannot stat are left out of it, as at the first walk. A failed
+// write is returned beside the new walk: the directory may hold part of res.
+func (s *TreeSource) applied(res *Result) (*TreeSource, error) {
+	root := s.tree.Root()
+	err := dirio.ApplyChanges(root, res.Files, res.Deleted)
+	tree, _, werr := dirio.OpenTreeWorkers(root, s.tree.Workers())
+	if werr != nil {
+		return nil, errors.Join(err, werr)
+	}
+	return NewTreeSource(tree, s.cache, s.fp, s.paranoid), err
+}
+
+// dirOf returns the directory tree src serves, bare or under a version store;
+// nil for any other source. A receiver over a tree lists the files it keeps
+// by name (keep), and a push into one is written to its directory (adopt).
+func dirOf(src Source) *TreeSource {
+	if ss, ok := src.(*StoreSource); ok {
+		src = ss.Source
+	}
+	ts, _ := src.(*TreeSource)
+	return ts
+}
 
 // Signature implements Source: the cache's signature for path or, without a
 // cache, one built from its manifest entry the first time a session asks, so

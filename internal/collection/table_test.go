@@ -122,8 +122,8 @@ func TestTableAnswerIsTheShortAnswer(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv.MuxStreams = width
-			cli := NewClientSource(MapSource(v1))
-			cli.MuxStreams, cli.LazyResult = width, lazy
+			cli := NewClientSource(sourceOf(t, v1, lazy))
+			cli.MuxStreams = width
 			c2s, s2c, sc, res, _ := tableSession(t, srv, cli)
 			if c2s[1].typ != wire.FrameManifestTable || len(c2s[1].payload) > len(short.payload)/2 {
 				t.Fatalf("width %d: the list went as %s of %d bytes, want MANIFEST_TABLE of at most %d", width, wire.FrameName(c2s[1].typ), len(c2s[1].payload), len(short.payload)/2)
@@ -248,8 +248,8 @@ func TestForgedListDigestFails(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv.MuxStreams = width
-			cli := NewClientSource(MapSource(v1))
-			cli.MuxStreams, cli.LazyResult = width, lazy
+			cli := NewClientSource(sourceOf(t, v1, lazy))
+			cli.MuxStreams = width
 			tp := newTamperProxy(false, wire.FrameVerdicts, 0, nil)
 			tp.rewrite = forgeDigest
 			_, res, serverErr, clientErr := tp.run(t, srv, cli.Sync)

@@ -45,6 +45,36 @@ func openTree(tb testing.TB, root string, workers int) *dirio.Tree {
 	return tree
 }
 
+// loadTree reads every file of the tree under root, keyed by its path.
+func loadTree(tb testing.TB, root string) map[string][]byte {
+	tb.Helper()
+	tree := openTree(tb, root, 0)
+	files := make(map[string][]byte, len(tree.Files()))
+	for _, fi := range tree.Files() {
+		data, err := tree.Load(fi.Path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		files[fi.Path] = data
+	}
+	return files
+}
+
+// sourceOf is files as a receiver's source: a MapSource, or with onDisk a
+// TreeSource over a directory holding them, whose result lists the files it
+// keeps by name.
+func sourceOf(tb testing.TB, files map[string][]byte, onDisk bool) Source {
+	tb.Helper()
+	if !onDisk {
+		return MapSource(files)
+	}
+	root := tb.TempDir()
+	if err := dirio.ApplyChanges(root, files, nil); err != nil {
+		tb.Fatal(err)
+	}
+	return NewTreeSource(openTree(tb, root, 0), nil, 0, false)
+}
+
 // TestManifestSameAtEveryParallelism: the manifest fans out over the tree's
 // workers, each file into its own slot, so it equals the eager manifest of
 // the same files however many workers hashed it. When hashes fail, the error
@@ -54,11 +84,7 @@ func TestManifestSameAtEveryParallelism(t *testing.T) {
 	if err := os.Symlink(filepath.Join(root, "d00", "f0000.txt"), filepath.Join(root, "link.txt")); err != nil {
 		t.Fatal(err)
 	}
-	files, err := dirio.Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := BuildManifest(files)
+	want := BuildManifest(loadTree(t, root))
 	defer pool.SetParallelism(0)
 	parallelisms := []int{1, 2, 8}
 	var trees []*dirio.Tree

@@ -66,7 +66,9 @@ func versionedServerAt(t *testing.T, dir string, opt store.Options, tree1, tree2
 	}
 	// Push-adoption path doubles as the collection swap: the StoreSource
 	// wrapper must survive it.
-	srv.setFiles(tree2)
+	if err := srv.adopt(srv.source(), &Result{Files: tree2}); err != nil {
+		t.Fatal(err)
+	}
 	if v, err := srv.Snapshot(); err != nil || v != 2 {
 		t.Fatalf("snapshot v2 = (%d, %v)", v, err)
 	}
@@ -277,7 +279,9 @@ func TestJournalLiveTreeAheadFallsBack(t *testing.T) {
 	tree1, tree2 := versionedTrees()
 	srv := versionedServer(t, tree1, tree2, core.DefaultConfig())
 	tree3 := map[string][]byte{"only.txt": []byte("the tree after the last snapshot")}
-	srv.setFiles(tree3)
+	if err := srv.adopt(srv.source(), &Result{Files: tree3}); err != nil {
+		t.Fatal(err)
+	}
 	checkJournalMiss(t, srv, tree1, tree3, 1, 2, "tree_ahead_of_snapshot")
 }
 

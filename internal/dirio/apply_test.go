@@ -161,9 +161,9 @@ func TestApplyChangesFlushOrder(t *testing.T) {
 		if err := ApplyChanges(root, changed, nil); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Load(root)
-		if err != nil || len(got) != len(changed) {
-			t.Fatalf("loaded %d files (%v), want %d", len(got), err, len(changed))
+		got := loadAll(t, root)
+		if len(got) != len(changed) {
+			t.Fatalf("loaded %d files, want %d", len(got), len(changed))
 		}
 		for rel, data := range changed {
 			if !bytes.Equal(got[rel], data) {

@@ -1,13 +1,12 @@
-// Package dirio is the filesystem boundary of the msync CLI. It offers two
-// views of a directory tree: the legacy eager Load (whole tree into a
-// path-keyed map) and the lazy Tree (a stat-only walk whose file contents are
-// opened, hashed through a pooled buffer, and released on demand), so peak
-// memory no longer scales with collection size. Both keep walking past
-// unreadable files, collecting per-file errors instead of aborting.
+// Package dirio is the filesystem boundary of msync. It offers one view of a
+// directory tree, the lazy Tree: a stat-only walk whose file contents are
+// opened, hashed through a pooled buffer, and released on demand, so peak
+// memory does not scale with collection size. The walk keeps going past
+// files it cannot stat, collecting per-file errors instead of aborting.
+// Every write of a sync result, pulled or pushed, goes through ApplyChanges.
 package dirio
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"hash"
@@ -36,7 +35,7 @@ func (e *FileError) Error() string { return fmt.Sprintf("dirio: %s: %v", e.Path,
 // Unwrap returns the underlying cause.
 func (e *FileError) Unwrap() error { return e.Err }
 
-// WalkErrors aggregates the per-file failures of one tree walk or load,
+// WalkErrors aggregates the per-file failures of one tree walk,
 // sorted by path. The walk does not stop on them; callers that can tolerate
 // a partial tree (the CLI warns and continues) inspect the slice, strict
 // callers treat the aggregate as fatal. The ordering is deterministic even
@@ -120,34 +119,6 @@ func joinRel(rel, name string) string {
 	return rel + "/" + name
 }
 
-// Load reads every regular file under root, keyed by slash-separated
-// relative path. Unreadable files are skipped and reported together as a
-// WalkErrors; the returned map always holds everything that could be read.
-func Load(root string) (map[string][]byte, error) {
-	ents, werrs := walk(root)
-	files := make(map[string][]byte, len(ents))
-	for _, e := range ents {
-		data, err := readFile(filepath.Join(root, filepath.FromSlash(e.rel)))
-		if err != nil {
-			werrs = append(werrs, &FileError{Path: e.rel, Err: err})
-			continue
-		}
-		files[e.rel] = data
-	}
-	return files, werrsOrNil(werrs)
-}
-
-// werrsOrNil converts an empty WalkErrors to a nil error (a non-nil
-// interface holding an empty slice would read as a failure) and sorts a
-// non-empty one by path.
-func werrsOrNil(w WalkErrors) error {
-	if len(w) == 0 {
-		return nil
-	}
-	w.sortByPath()
-	return w
-}
-
 // FileInfo is one regular file found by a Tree walk: identity only, no
 // content.
 type FileInfo struct {
@@ -214,6 +185,9 @@ func OpenTreeWorkers(root string, workers int) (t *Tree, werrs WalkErrors, err e
 	werrs.sortByPath()
 	return t, werrs, nil
 }
+
+// Root returns the directory the tree was walked from.
+func (t *Tree) Root() string { return t.root }
 
 // Workers returns the worker bound the tree was opened with.
 func (t *Tree) Workers() int { return t.workers }
@@ -293,26 +267,6 @@ func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
 	}
 	h.Write(buf[:fill])
 	return [md4.Size]byte(h.Sum(nil)), n, nil // sum[:0] would move sum to the heap on every call
-}
-
-// Apply writes the synchronized file set to root: files present in after
-// are written when their content differs from before, files absent from
-// after are removed, both as ApplyChanges does it.
-func Apply(root string, before, after map[string][]byte) error {
-	changed := make(map[string][]byte)
-	for rel, data := range after {
-		if old, ok := before[rel]; !ok || !bytes.Equal(old, data) {
-			changed[rel] = data
-		}
-	}
-	var deleted []string
-	for rel := range before {
-		if _, ok := after[rel]; !ok {
-			deleted = append(deleted, rel)
-		}
-	}
-	slices.Sort(deleted)
-	return ApplyChanges(root, changed, deleted)
 }
 
 // maxOpenTemps caps the temporary files ApplyChanges holds open at once: a

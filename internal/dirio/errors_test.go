@@ -14,52 +14,6 @@ import (
 	"msync/internal/md4"
 )
 
-// failReads makes readFile fail for paths whose base name matches, restoring
-// the real implementation when the test ends. The suite runs as root, where
-// permission bits don't deny anything, hence the injection.
-func failReads(t *testing.T, base string) {
-	t.Helper()
-	orig := readFile
-	readFile = func(path string) ([]byte, error) {
-		if filepath.Base(path) == base {
-			return nil, fs.ErrPermission
-		}
-		return orig(path)
-	}
-	t.Cleanup(func() { readFile = orig })
-}
-
-func TestLoadCollectsReadErrorsAndKeepsWalking(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "ok.txt", "fine")
-	write(t, root, "sub/bad.txt", "unreadable")
-	write(t, root, "sub/zz.txt", "also fine")
-	failReads(t, "bad.txt")
-
-	files, err := Load(root)
-	if err == nil {
-		t.Fatal("read failure not reported")
-	}
-	// The walk kept going: everything readable is present.
-	if len(files) != 2 || string(files["sub/zz.txt"]) != "also fine" {
-		t.Fatalf("partial load wrong: %v", keys(files))
-	}
-	var werrs WalkErrors
-	if !errors.As(err, &werrs) || len(werrs) != 1 {
-		t.Fatalf("err = %v, want one WalkErrors entry", err)
-	}
-	var fe *FileError
-	if !errors.As(err, &fe) || fe.Path != "sub/bad.txt" {
-		t.Fatalf("failure not wrapped with its path: %v", err)
-	}
-	if !errors.Is(fe, fs.ErrPermission) {
-		t.Fatal("cause lost in wrapping")
-	}
-	if !strings.Contains(err.Error(), "sub/bad.txt") {
-		t.Fatalf("message %q does not name the offending path", err.Error())
-	}
-}
-
 func TestOpenTreeCollectsStatErrors(t *testing.T) {
 	root := t.TempDir()
 	write(t, root, "a.txt", "a")
@@ -91,42 +45,10 @@ func TestOpenTreeCollectsStatErrors(t *testing.T) {
 // before '/'), so without the explicit sort the failures would come back in
 // walk order and error output would depend on tree shape.
 func TestWalkErrorsSortedByPath(t *testing.T) {
-	newRoot := func() string {
-		root := t.TempDir()
-		write(t, root, "a/y.txt", "1")
-		write(t, root, "a.b/x.txt", "2")
-		write(t, root, "ok.txt", "3")
-		return root
-	}
-	wantPaths := func(werrs WalkErrors) {
-		t.Helper()
-		if len(werrs) != 2 || werrs[0].Path != "a.b/x.txt" || werrs[1].Path != "a/y.txt" {
-			t.Fatalf("werrs = %v, want [a.b/x.txt a/y.txt]", werrs)
-		}
-	}
-
-	// Load: multiple read failures.
-	root := newRoot()
-	origRead := readFile
-	readFile = func(path string) ([]byte, error) {
-		if filepath.Base(path) != "ok.txt" {
-			return nil, fs.ErrPermission
-		}
-		return origRead(path)
-	}
-	t.Cleanup(func() { readFile = origRead })
-	files, err := Load(root)
-	if len(files) != 1 {
-		t.Fatalf("files = %v, want the readable file only", keys(files))
-	}
-	var werrs WalkErrors
-	if !errors.As(err, &werrs) {
-		t.Fatalf("err = %v, want WalkErrors", err)
-	}
-	wantPaths(werrs)
-	readFile = origRead
-
-	// OpenTree: multiple stat failures.
+	root := t.TempDir()
+	write(t, root, "a/y.txt", "1")
+	write(t, root, "a.b/x.txt", "2")
+	write(t, root, "ok.txt", "3")
 	origStat := statEntry
 	statEntry = func(d fs.DirEntry) (fs.FileInfo, error) {
 		if d.Name() != "ok.txt" {
@@ -135,14 +57,16 @@ func TestWalkErrorsSortedByPath(t *testing.T) {
 		return origStat(d)
 	}
 	t.Cleanup(func() { statEntry = origStat })
-	tree, werrs, err := OpenTree(newRoot())
+	tree, werrs, err := OpenTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(tree.Files()); n != 1 {
 		t.Fatalf("files = %v, want the stattable file only", tree.Files())
 	}
-	wantPaths(werrs)
+	if len(werrs) != 2 || werrs[0].Path != "a.b/x.txt" || werrs[1].Path != "a/y.txt" {
+		t.Fatalf("werrs = %v, want [a.b/x.txt a/y.txt]", werrs)
+	}
 }
 
 func TestOpenTreeMissingRoot(t *testing.T) {
@@ -301,10 +225,7 @@ func TestApplyChangesWritesAndDeletes(t *testing.T) {
 	if err := ApplyChanges(root, changed, []string{"gone/deep/dead.txt"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := loadAll(t, root)
 	want := map[string]string{"mod.txt": "new content", "keep.txt": "keep", "fresh/new.txt": "hello"}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", keys(got))

@@ -27,16 +27,16 @@ func writeTree(t *testing.T, files map[string][]byte) string {
 
 func assertTreeEquals(t *testing.T, root string, want map[string][]byte) {
 	t.Helper()
-	got, err := dirio.Load(root)
-	if err != nil {
-		t.Fatal(err)
+	tree, werrs, err := dirio.OpenTree(root)
+	if err != nil || len(werrs) > 0 {
+		t.Fatal(err, werrs)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("tree has %d files, want %d", len(got), len(want))
+	if len(tree.Files()) != len(want) {
+		t.Fatalf("tree has %d files, want %d", len(tree.Files()), len(want))
 	}
 	for k, v := range want {
-		if !bytes.Equal(got[k], v) {
-			t.Fatalf("file %q differs after sync", k)
+		if got, err := tree.Load(k); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("file %q differs after sync (%v)", k, err)
 		}
 	}
 }

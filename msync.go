@@ -301,7 +301,8 @@ func (s *Server) Snapshot() (uint64, error) {
 // hashing. Per-file read/stat failures do not abort construction; they are
 // returned as the second value (each wrapping the offending path) and the
 // affected files are simply absent from the collection. The error result is
-// non-nil only when root itself is unusable.
+// non-nil only when root itself is unusable. With WithPush, a push is written
+// into root and served from there (see WithPush).
 func NewDirServer(root string, cfg Config, opts ...Option) (*Server, []error, error) {
 	return newServer(cfg, opts, func(o *sessionOptions, cfg *Config) (collection.Source, []error, error) {
 		return newTreeSource(root, o, cfg.Workers, collection.ConfigFingerprint(cfg))
@@ -718,12 +719,10 @@ func NewClientE(files map[string][]byte, opts ...Option) (*Client, error) {
 
 // newClient builds a map-backed client, returning the collected option
 // error, if any; the client is usable either way (invalid options keep
-// their defaults). A map-backed client holds its collection in memory
-// anyway, so it ignores WithLazyResult.
+// their defaults).
 func newClient(files map[string][]byte, opts ...Option) (*Client, error) {
 	c := &Client{inner: collection.NewClient(files)}
 	c.opt.apply(opts)
-	c.opt.LazyResult = false
 	c.inner.Options = c.opt.Options
 	return c, c.opt.err
 }
@@ -731,9 +730,10 @@ func newClient(files map[string][]byte, opts ...Option) (*Client, error) {
 // NewDirClient creates a Client whose local copy is streamed from a
 // directory tree instead of preloaded into memory. With WithSignatureCache,
 // manifest fingerprints persist across runs so repeat syncs of a mostly
-// unchanged tree cost a stat per file; with WithLazyResult the result holds
-// only written content. Per-file read/stat failures are returned as the
-// second value (the files are treated as absent); the error result is
+// unchanged tree cost a stat per file. Its Result holds only the content the
+// session wrote and lists unchanged paths by name, so Result.Apply replaces
+// only the files that changed. Per-file read/stat failures are returned as
+// the second value (the files are treated as absent); the error result is
 // non-nil only when root itself is unusable.
 func NewDirClient(root string, opts ...Option) (*Client, []error, error) {
 	c := &Client{}
@@ -752,11 +752,14 @@ func NewDirClient(root string, opts ...Option) (*Client, []error, error) {
 
 // Result is the outcome of a collection synchronization.
 type Result struct {
-	// Files is the updated collection. Under WithLazyResult it holds only
-	// the files the session wrote; combined with Unchanged and Deleted it
-	// still describes the complete outcome.
+	// Files holds the files the session wrote. A map-backed client
+	// (NewClient) has its unchanged files here too, so Files is its whole
+	// updated collection; a directory-backed one (NewDirClient) lists them
+	// in Unchanged instead. With Deleted, the result describes the complete
+	// outcome either way.
 	Files map[string][]byte
-	// Unchanged lists paths the session left untouched (WithLazyResult).
+	// Unchanged lists the paths a directory-backed client's session left
+	// untouched.
 	Unchanged []string
 	// Deleted lists local paths the server no longer has.
 	Deleted []string
@@ -772,7 +775,8 @@ type Result struct {
 
 // Apply writes the result to a directory tree: Files are written (parent
 // directories created) and Deleted paths removed, with emptied parents
-// pruned. A convenience for directory-backed clients.
+// pruned. A directory-backed client's result replaces only the files its
+// session wrote.
 func (r *Result) Apply(root string) error {
 	return dirio.ApplyChanges(root, r.Files, r.Deleted)
 }

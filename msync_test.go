@@ -207,8 +207,9 @@ func TestBroadcastFile(t *testing.T) {
 }
 
 // TestMapClientIgnoresLazyResult: a map-backed client holds its collection in
-// memory anyway, so WithLazyResult leaves its Result whole: every file of the
-// server's collection is in Files, unchanged ones included.
+// memory anyway, so its Result is whole, with WithLazyResult (a no-op) as
+// without: every file of the server's collection is in Files, unchanged ones
+// included.
 func TestMapClientIgnoresLazyResult(t *testing.T) {
 	_, newFiles := obsCorpus()
 	res, _ := runTracedSync(t, nil, []msync.Option{msync.WithLazyResult()})

@@ -208,7 +208,13 @@ func WithClock(c Clock) Option {
 }
 
 // WithPush allows clients to push newer collections into a Server. onUpdate
-// (optional, may be nil) receives the adopted collection after each push.
+// (optional, may be nil) is called after each push with the files it brought.
+// A server over a map (NewServer) adopts the pushed collection in memory, and
+// onUpdate receives the whole of it. A server over a directory (NewDirServer,
+// NewStoreServer) writes the push into its directory as Result.Apply writes a
+// pull, walks the directory again over its signature cache, and serves that;
+// onUpdate receives only the files the push wrote. Pushes into one server
+// run one at a time, each over the collection the one before left.
 func WithPush(onUpdate func(map[string][]byte)) Option {
 	return func(o *sessionOptions) {
 		o.AllowPush = true
@@ -329,13 +335,13 @@ func WithParanoidCache() Option {
 	return func(o *sessionOptions) { o.cacheParanoid = true }
 }
 
-// WithLazyResult keeps unchanged files out of a directory-backed client's
-// Result.Files: the result then holds only written content, with unchanged
-// and deleted paths listed by name, so peak memory scales with the change
-// set instead of the collection size. Ignored by map-backed clients, which
-// have the collection in memory anyway.
+// WithLazyResult does nothing.
+//
+// Deprecated: a directory-backed client's Result always holds only the
+// content its session wrote, with unchanged paths listed by name, and a
+// map-backed client's always holds its whole collection.
 func WithLazyResult() Option {
-	return func(o *sessionOptions) { o.LazyResult = true }
+	return func(*sessionOptions) {}
 }
 
 // WithLogger attaches a structured logger to the endpoint: session starts,

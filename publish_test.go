@@ -19,7 +19,7 @@ func TestPublishRoundTripAPI(t *testing.T) {
 		"a.txt":     bytes.Repeat([]byte("alpha content "), 300),
 		"sub/b.txt": bytes.Repeat([]byte("beta content "), 200),
 	}
-	if err := dirio.Apply(srcDir, nil, v1); err != nil {
+	if err := dirio.ApplyChanges(srcDir, v1, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,7 +40,7 @@ func TestPublishRoundTripAPI(t *testing.T) {
 		"sub/b.txt": v1["sub/b.txt"],
 		"c.txt":     []byte("new file\n"),
 	}
-	if err := dirio.Apply(srcDir, v1, v2); err != nil {
+	if err := dirio.ApplyChanges(srcDir, map[string][]byte{"a.txt": v2["a.txt"], "c.txt": v2["c.txt"]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v, created, err = msync.PublishDir(srcDir, store, 0); err != nil || v != 2 || !created {
@@ -54,7 +54,7 @@ func TestPublishRoundTripAPI(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	if err := dirio.Apply(readerDir, nil, v1); err != nil {
+	if err := dirio.ApplyChanges(readerDir, v1, nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := msync.SyncPublished(context.Background(), srv.Client(), srv.URL, readerDir, 1)
@@ -64,7 +64,7 @@ func TestPublishRoundTripAPI(t *testing.T) {
 	if res.Version != 2 || !res.DeltaPath {
 		t.Fatalf("sync result: %+v", res)
 	}
-	got, err := dirio.Load(readerDir)
+	got, err := loadDir(readerDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPublishRoundTripAPI(t *testing.T) {
 
 	// PublishSyncer with DryRun reports without touching the tree.
 	staleDir := t.TempDir()
-	if err := dirio.Apply(staleDir, nil, v1); err != nil {
+	if err := dirio.ApplyChanges(staleDir, v1, nil); err != nil {
 		t.Fatal(err)
 	}
 	sy := &msync.PublishSyncer{Client: srv.Client(), BaseURL: srv.URL, DryRun: true}
@@ -90,7 +90,7 @@ func TestPublishRoundTripAPI(t *testing.T) {
 	if dryRes.FilesSynced+dryRes.FilesFull == 0 {
 		t.Fatalf("dry run found nothing to do: %+v", dryRes)
 	}
-	after, err := dirio.Load(staleDir)
+	after, err := loadDir(staleDir)
 	if err != nil {
 		t.Fatal(err)
 	}

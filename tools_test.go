@@ -85,18 +85,18 @@ func TestMkcorpusWritesLoadableTrees(t *testing.T) {
 	if !strings.Contains(out, "wrote") {
 		t.Fatalf("unexpected output: %s", out)
 	}
-	v1, err := dirio.Load(filepath.Join(dir, "v1"))
+	v1, err := loadDir(filepath.Join(dir, "v1"))
 	if err != nil || len(v1) == 0 {
 		t.Fatalf("v1 unloadable: %v", err)
 	}
-	v2, err := dirio.Load(filepath.Join(dir, "v2"))
+	v2, err := loadDir(filepath.Join(dir, "v2"))
 	if err != nil || len(v2) == 0 {
 		t.Fatalf("v2 unloadable: %v", err)
 	}
 	// Web profile, two nights.
 	webDir := t.TempDir()
 	goRun(t, 2*time.Minute, "./cmd/mkcorpus", "-profile", "web", "-scale", "0.02", "-days", "0,1", "-out", webDir)
-	n0, err := dirio.Load(filepath.Join(webDir, "night00"))
+	n0, err := loadDir(filepath.Join(webDir, "night00"))
 	if err != nil || len(n0) == 0 {
 		t.Fatalf("night00 unloadable: %v", err)
 	}
@@ -124,10 +124,10 @@ func TestCLIJSONOutput(t *testing.T) {
 	}
 	bin := buildCLI(t)
 	serverDir, clientDir := t.TempDir(), t.TempDir()
-	if err := dirio.Apply(serverDir, nil, map[string][]byte{"a": bytes.Repeat([]byte("data "), 500)}); err != nil {
+	if err := dirio.ApplyChanges(serverDir, map[string][]byte{"a": bytes.Repeat([]byte("data "), 500)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dirio.Apply(clientDir, nil, map[string][]byte{"a": bytes.Repeat([]byte("data "), 499)}); err != nil {
+	if err := dirio.ApplyChanges(clientDir, map[string][]byte{"a": bytes.Repeat([]byte("data "), 499)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	addr := freePort(t)

@@ -73,7 +73,7 @@ func syncTinyTree(t *testing.T, serverDir, clientDir string, workers int) (rd, w
 	if err != nil || len(werrs) > 0 {
 		t.Fatalf("NewDirServer: %v %v", err, werrs)
 	}
-	cli, werrs, err := msync.NewDirClient(clientDir, msync.WithLazyResult(), msync.WithTreeManifest(),
+	cli, werrs, err := msync.NewDirClient(clientDir, msync.WithTreeManifest(),
 		msync.WithSpeculativeDescent(), msync.WithCrossFileMatch(), msync.WithMuxStreams(16), msync.WithWorkers(workers))
 	if err != nil || len(werrs) > 0 {
 		t.Fatalf("NewDirClient: %v %v", err, werrs)
@@ -141,7 +141,7 @@ func TestTempOrphansNeitherServedNorDeleted(t *testing.T) {
 		if n := len(tree.Files()); n != 1 {
 			t.Fatalf("%s: the walk lists %v, want a.txt only", dir, tree.Files())
 		}
-		files, err := dirio.Load(dir)
+		files, err := loadDir(dir)
 		if err != nil || len(files) != 1 {
 			t.Fatalf("%s: Load lists %v (%v), want a.txt only", dir, pathsOf(files), err)
 		}
@@ -151,7 +151,7 @@ func TestTempOrphansNeitherServedNorDeleted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, _, err := msync.NewDirClient(clientDir, msync.WithLazyResult())
+	cli, _, err := msync.NewDirClient(clientDir)
 	if err != nil {
 		t.Fatal(err)
 	}
