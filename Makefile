@@ -11,7 +11,7 @@ FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/core ./internal/rolling ./internal/filelist \
 	./internal/sigcache ./internal/store
 
-.PHONY: all build test vet race check fuzz-smoke loc bench bench-check api api-check clean
+.PHONY: all build test vet race check fuzz-smoke cross loc bench bench-check api api-check clean
 
 all: check
 
@@ -31,7 +31,20 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: vet race fuzz-smoke api-check
+check: vet race fuzz-smoke api-check cross
+
+# cross builds and vets the module for the platforms the build-tag splits
+# (internal/dirio's descriptor and path primitives, its fstatat and syncfs
+# numbers) must keep compiling on: 32-bit Linux, another Linux architecture,
+# two BSD-derived systems and Windows. ./benchmark is left out: it calls
+# syscall.Getrusage, which Windows does not have.
+CROSS_TARGETS = linux/386 linux/arm64 darwin/arm64 freebsd/amd64 windows/amd64
+cross:
+	@set -e; for target in $(CROSS_TARGETS); do \
+		echo "cross $$target"; \
+		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/...; \
+		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) vet . ./cmd/... ./internal/...; \
+	done
 
 # api-check diffs the package's exported surface against the committed
 # API.txt; regenerate with `make api` after an intentional API change.

@@ -3,9 +3,12 @@ package msync_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -319,4 +322,68 @@ func TestPushesRunInTurn(t *testing.T) {
 		}
 	}
 	assertDirsEqual(t, secondDir, replicaDir)
+}
+
+// TestSymlinkedDirIsRefused: a replica directory that is a symlink to one
+// outside the replica is never written through. The replica's walk skips the
+// symlink, so the holder sends docs/evil.txt as a new file; writing it, by a
+// pull's Result.Apply or by a directory server taking a push, fails with
+// dirio.ErrUnsafeDir before anything is put into place: nothing appears
+// outside, and a.txt, changed in the same result, keeps its old content.
+func TestSymlinkedDirIsRefused(t *testing.T) {
+	old := map[string][]byte{"a.txt": []byte("old a\n")}
+	cur := map[string][]byte{"a.txt": []byte("new a\n"), "docs/evil.txt": []byte("evil\n")}
+	setUp := func(t *testing.T) (replicaDir, outside string) {
+		replicaDir, outside = writeDir(t, old), t.TempDir()
+		if err := os.Symlink(outside, filepath.Join(replicaDir, "docs")); err != nil {
+			t.Skipf("symlinks unavailable: %v", err)
+		}
+		return replicaDir, outside
+	}
+	check := func(t *testing.T, err error, replicaDir, outside string) {
+		t.Helper()
+		if !errors.Is(err, dirio.ErrUnsafeDir) {
+			t.Fatalf("err = %v, want dirio.ErrUnsafeDir", err)
+		}
+		if ents, _ := os.ReadDir(outside); len(ents) != 0 {
+			t.Fatalf("%d entries written outside the replica", len(ents))
+		}
+		if got, _ := os.ReadFile(filepath.Join(replicaDir, "a.txt")); !bytes.Equal(got, old["a.txt"]) {
+			t.Fatalf("a.txt = %q, want the old content", got)
+		}
+		ents, _ := os.ReadDir(replicaDir)
+		if len(ents) != 2 {
+			t.Fatalf("the replica holds %d entries, want a.txt and the symlink", len(ents))
+		}
+	}
+	t.Run("pull", func(t *testing.T) {
+		replicaDir, outside := setUp(t)
+		srv, _, err := msync.NewDirServer(writeDir(t, cur), msync.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, _, err := msync.NewDirClient(replicaDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := storeSyncOnce(t, srv, cli)
+		if _, ok := res.Files["docs/evil.txt"]; !ok {
+			t.Fatalf("the result writes %v, want docs/evil.txt among them", sortedPaths(res.Files))
+		}
+		check(t, res.Apply(replicaDir), replicaDir, outside)
+	})
+	t.Run("push", func(t *testing.T) {
+		replicaDir, outside := setUp(t)
+		receiver, _, err := msync.NewDirServer(replicaDir, msync.DefaultConfig(), msync.WithPush(func(map[string][]byte) {}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer receiver.Close()
+		pusher, _, err := msync.NewDirServer(writeDir(t, cur), msync.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, recvErr := pushOnce(pusher, receiver)
+		check(t, recvErr, replicaDir, outside)
+	})
 }

@@ -3,6 +3,7 @@ package collection
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
@@ -70,7 +71,7 @@ func FuzzConfigDecode(f *testing.F) {
 	cfg := core.DefaultConfig()
 	f.Add(encodeConfig(&cfg))
 	f.Add([]byte{1, 2, 3})
-	cfg.MaxAlternates = 1 << 40
+	cfg.MaxAlternates = min(1<<40, math.MaxInt) // 1<<40 where int holds it
 	f.Add(encodeConfig(&cfg))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := decodeConfig(data)
@@ -163,7 +164,7 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add(table, uint32(2), false)                                                       // a MANIFEST_TABLE's
 	f.Add(append(wire.AppendUvarint(nil, 1<<26), make([]byte, 38)...), uint32(2), false) // one of 2²⁶ cells in 42 bytes
 	hostileCfg := core.DefaultConfig()
-	hostileCfg.MaxAlternates = 1 << 40
+	hostileCfg.MaxAlternates = min(1<<40, math.MaxInt) // 1<<40 where int holds it
 	vb := wire.NewBuffer(64)
 	vb.Bytes(encodeConfig(&hostileCfg))
 	f.Add(vb.Build(), uint32(2), false) // a VERDICTS whose config declares 2⁴⁰ alternates

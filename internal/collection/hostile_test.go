@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -510,8 +511,8 @@ func hostileHandshakes(t *testing.T) {
 		// A holder's config whose alternates would size the receiver's
 		// candidate arena at 2⁴⁰ entries a block: in a pull the client, in a
 		// push the server.
-		{name: "client/VERDICTS config of 2^40 alternates", typ: wire.FrameVerdicts, rewrite: withAlternates(1 << 40)},
-		{name: "server/pushed VERDICTS config of 2^40 alternates", push: true, up: true, typ: wire.FrameVerdicts, rewrite: withAlternates(1 << 40)},
+		{name: "client/VERDICTS config of 2^40 alternates", typ: wire.FrameVerdicts, rewrite: withAlternates(min(1<<40, math.MaxInt))},
+		{name: "server/pushed VERDICTS config of 2^40 alternates", push: true, up: true, typ: wire.FrameVerdicts, rewrite: withAlternates(min(1<<40, math.MaxInt))},
 		// Another frame where the one read is due is refused as one that
 		// arrives out of place anywhere else: the HELLO, a cycle's CYCLE,
 		// and each of its STREAM frames.

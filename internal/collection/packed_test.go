@@ -21,7 +21,7 @@ import (
 // neighbour and one path of 4 KB, with lengths up to 2⁶³−1.
 func randomManifest(rng *rand.Rand, n int) []ManifestEntry {
 	pieces := []string{"src/", "doc/", "été/", "日本語/", "a", "Ω", "-", "x.txt", strings.Repeat("z", 4096)}
-	lens := []int{0, 1, 200, 2000, 1 << 40, math.MaxInt64}
+	lens := []int{0, 1, 200, 2000, min(1<<40, math.MaxInt), math.MaxInt}
 	byPath := make(map[string]ManifestEntry, n)
 	for i := 0; i < n; i++ {
 		var sb strings.Builder
@@ -80,7 +80,7 @@ func TestPackedManifestRoundTrip(t *testing.T) {
 	}
 	fixed := [][]ManifestEntry{
 		nil,
-		{{Path: "only", Len: math.MaxInt64}},
+		{{Path: "only", Len: math.MaxInt}},
 		{{Path: "a"}, {Path: "b", Len: 1}},
 		{{Path: "été/ü"}, {Path: "日本語/x", Len: 7}},
 		{{Path: strings.Repeat("q", 4096), Len: 3}},

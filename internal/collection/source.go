@@ -99,8 +99,8 @@ func (s *TreeSource) Cache() *sigcache.Cache { return s.cache }
 func (s *TreeSource) HashedBytes() int64 { return s.bytesHashed.Load() }
 
 // Manifest implements Source. The files are fingerprinted in chunks over the
-// tree's workers, each into its own slot; a failure reports the first
-// failing file in path order.
+// tree's workers, each into its own slot through its own dirio.Cursor; a
+// failure reports the first failing file in path order.
 func (s *TreeSource) Manifest() ([]ManifestEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -111,13 +111,15 @@ func (s *TreeSource) Manifest() ([]ManifestEntry, error) {
 	manifest := make([]ManifestEntry, len(files))
 	sigs := make([]*sigcache.Sig, len(files))
 	err := pool.Range(s.tree.Workers(), len(files), func(lo, hi int) error {
+		c := s.tree.Cursor()
+		defer c.Close()
 		for i := lo; i < hi; i++ {
 			fi := files[i]
 			var sum [md4.Size]byte
 			var err error
 			if s.cache == nil {
-				sum, _, err = s.hash(fi)
-			} else if sigs[i], err = s.cachedSignature(fi); err == nil {
+				sum, _, err = s.hash(c, fi)
+			} else if sigs[i], err = s.cachedSignature(c, fi); err == nil {
 				sum = sigs[i].Sum
 			}
 			if err != nil {
@@ -136,13 +138,13 @@ func (s *TreeSource) Manifest() ([]ManifestEntry, error) {
 
 // cachedSignature resolves one file's signature through the cache: a hit
 // (optionally re-verified), or a streamed hash that is then cached.
-func (s *TreeSource) cachedSignature(fi dirio.FileInfo) (*sigcache.Sig, error) {
+func (s *TreeSource) cachedSignature(c *dirio.Cursor, fi dirio.FileInfo) (*sigcache.Sig, error) {
 	var hashErr error
 	key := sigcache.Key{Path: fi.Path, Size: fi.Size, MTime: fi.MTime.UnixNano(), CTime: fi.CTime, Fingerprint: s.fp}
 	var verify func(*sigcache.Sig) bool
 	if s.paranoid {
 		verify = func(sig *sigcache.Sig) bool {
-			sum, n, err := s.hash(fi)
+			sum, n, err := s.hash(c, fi)
 			if err != nil {
 				hashErr = err
 				return false
@@ -156,7 +158,7 @@ func (s *TreeSource) cachedSignature(fi dirio.FileInfo) (*sigcache.Sig, error) {
 	if hashErr != nil {
 		return nil, hashErr
 	}
-	sum, n, err := s.hash(fi)
+	sum, n, err := s.hash(c, fi)
 	if err != nil {
 		return nil, err
 	}
@@ -166,8 +168,8 @@ func (s *TreeSource) cachedSignature(fi dirio.FileInfo) (*sigcache.Sig, error) {
 }
 
 // hash streams one file through MD4 and counts the bytes.
-func (s *TreeSource) hash(fi dirio.FileInfo) ([md4.Size]byte, int64, error) {
-	sum, n, err := s.tree.HashFile(fi.Path)
+func (s *TreeSource) hash(c *dirio.Cursor, fi dirio.FileInfo) ([md4.Size]byte, int64, error) {
+	sum, n, err := c.HashFile(fi.Path)
 	if err == nil {
 		s.bytesHashed.Add(n)
 	}

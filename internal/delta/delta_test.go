@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,7 +271,7 @@ func TestDecodeLenChecksBeforeAllocating(t *testing.T) {
 		if got, err := DecodeLen(ref, enc, len(want)); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("DecodeLen with the right length: %q, %v", got, err)
 		}
-		for _, n := range []int{len(want) + 1, len(want) - 1, -1, 1 << 40} {
+		for _, n := range []int{len(want) + 1, len(want) - 1, -1, min(1<<40, math.MaxInt)} {
 			if _, err := DecodeLen(ref, enc, n); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("DecodeLen expecting %d of a %d-byte target: %v, want ErrCorrupt", n, len(want), err)
 			}

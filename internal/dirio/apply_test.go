@@ -19,7 +19,8 @@ type op struct {
 }
 
 // recordOps routes fsync, syncfs, rename and remove through a recorder for
-// the rest of the test and returns the log they append to.
+// the rest of the test and returns the log they append to. A directory's or
+// file's path, and a name joined to its directory's, stand for the node.
 func recordOps(t *testing.T) *[]op {
 	t.Helper()
 	var mu sync.Mutex
@@ -30,10 +31,16 @@ func recordOps(t *testing.T) *[]op {
 		mu.Unlock()
 	}
 	origFsync, origSyncfs, origRename, origRemove := fsync, syncfs, rename, remove
-	fsync = func(f *os.File) error { note(op{kind: "fsync", path: f.Name()}); return origFsync(f) }
-	syncfs = func(f *os.File) error { note(op{kind: "syncfs", path: f.Name()}); return origSyncfs(f) }
-	rename = func(from, to string) error { note(op{kind: "rename", path: from, to: to}); return origRename(from, to) }
-	remove = func(path string) error { note(op{kind: "remove", path: path}); return origRemove(path) }
+	fsync = func(n node) error { note(op{kind: "fsync", path: n.path}); return origFsync(n) }
+	syncfs = func(n node) error { note(op{kind: "syncfs", path: n.path}); return origSyncfs(n) }
+	rename = func(d node, from, to string) error {
+		note(op{kind: "rename", path: filepath.Join(d.path, from), to: filepath.Join(d.path, to)})
+		return origRename(d, from, to)
+	}
+	remove = func(d node, name string, dir bool) error {
+		note(op{kind: "remove", path: filepath.Join(d.path, name)})
+		return origRemove(d, name, dir)
+	}
 	t.Cleanup(func() { fsync, syncfs, rename, remove = origFsync, origSyncfs, origRename, origRemove })
 	return &log
 }

@@ -1,4 +1,4 @@
-//go:build linux
+//go:build linux && (mips64 || mips64le || loong64)
 
 package dirio
 

@@ -4,17 +4,27 @@
 // memory does not scale with collection size. The walk keeps going past
 // files it cannot stat, collecting per-file errors instead of aborting.
 // Every write of a sync result, pulled or pushed, goes through ApplyChanges.
+//
+// Every read and write under a tree's root resolves one name at a time,
+// relative to an open directory, and follows no symlink: on Linux through
+// directory descriptors (fs_linux.go), elsewhere through paths whose every
+// component is lstat'ed first (fs_path.go). The walker, the Cursor and the
+// writers are written once, against those primitives.
 package dirio
 
 import (
+	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -66,58 +76,46 @@ func (w WalkErrors) Unwrap() []error {
 	return errs
 }
 
-// readFile, readDir and statEntry are indirection points for tests to inject
-// per-file failures (the suite runs as root, where permission bits don't
-// bite).
-var (
-	readFile  = os.ReadFile
-	readDir   = os.ReadDir
-	statEntry = func(d fs.DirEntry) (fs.FileInfo, error) { return d.Info() }
+// ErrUnsafeDir is the cause of every refusal to read or write through a
+// directory component of a path that is a symlink or not a directory: what
+// lies past it may be outside the tree.
+var ErrUnsafeDir = errors.New("a symlink or not a directory")
+
+// The kinds of directory entry the walk tells apart.
+const (
+	kindOther   uint8 = iota // a symlink, device, socket or pipe
+	kindFile                 // a regular file
+	kindDir                  // a directory
+	kindUnknown              // the directory does not say: stat it
 )
 
-// walkEntry is one regular file a walk found, not yet stat'ed.
-type walkEntry struct {
-	rel string // slash-separated, relative to the walk root
-	d   fs.DirEntry
+// fileStat is the part of an lstat the package reads.
+type fileStat struct {
+	kind  uint8
+	perm  fs.FileMode
+	size  int64
+	mtime time.Time
+	ctime int64
 }
 
-// walk lists every regular file under root, sorted by path. It reads each
-// directory once and builds each slash-relative path from its parent's.
-// Symlinks (following them could escape root), other non-regular files and
-// the temporary files a writer leaves behind when a crash cuts it short
-// (TempPrefix) are skipped. A directory that cannot be read is reported and
-// walked as far as it was read.
-func walk(root string) ([]walkEntry, WalkErrors) {
-	var files []walkEntry
-	var werrs WalkErrors
-	var visit func(dir, rel string)
-	visit = func(dir, rel string) {
-		ents, err := readDir(dir)
-		if err != nil {
-			werrs = append(werrs, &FileError{Path: cmp.Or(rel, "."), Err: err})
-		}
-		for _, d := range ents {
-			name := d.Name()
-			switch {
-			case d.IsDir():
-				visit(dir+string(filepath.Separator)+name, joinRel(rel, name))
-			case d.Type().IsRegular() && !strings.HasPrefix(name, TempPrefix):
-				files = append(files, walkEntry{joinRel(rel, name), d})
-			}
-		}
-	}
-	visit(root, "")
-	slices.SortFunc(files, func(a, b walkEntry) int { return strings.Compare(a.rel, b.rel) })
-	return files, werrs
+// isDot reports whether the NUL-terminated name is "." or "..".
+func isDot(name []byte) bool {
+	return name[0] == '.' && (name[1] == 0 || name[1] == '.' && name[2] == 0)
 }
 
-// joinRel is the slash-relative path of name in the directory at rel.
-func joinRel(rel, name string) string {
-	if rel == "" {
-		return name
-	}
-	return rel + "/" + name
-}
+// readEntries and statAt list a directory and stat a name in it for the
+// walk; fsync, syncfs, rename and remove are the writers' flushes and
+// namespace changes. They are indirection points for tests, to inject
+// failures (the suite runs as root, where permission bits don't bite) and to
+// record the writers' order.
+var (
+	readEntries = readDirents
+	statAt      = lstatAt
+	fsync       = node.sync
+	syncfs      = node.syncFS
+	rename      = renameAt
+	remove      = unlinkAt
+)
 
 // FileInfo is one regular file found by a Tree walk: identity only, no
 // content.
@@ -145,45 +143,170 @@ type Tree struct {
 }
 
 // OpenTree walks root collecting file identities without reading any
-// content, with the stats spread over every core. Files whose metadata cannot
-// be read are skipped and reported in the WalkErrors; err is non-nil only
-// when root itself is unusable.
+// content, with the directories spread over every core. Files whose metadata
+// cannot be read are skipped and reported in the WalkErrors; err is non-nil
+// only when root itself is unusable.
 func OpenTree(root string) (t *Tree, werrs WalkErrors, err error) {
 	return OpenTreeWorkers(root, 0)
 }
 
 // OpenTreeWorkers is OpenTree on at most pool.Workers(workers) goroutines:
-// the walk lists every directory, then the per-file stats run in chunks over
-// the workers (with one, inline on the caller). The tree keeps the bound for
-// the callers that fingerprint it (Workers).
+// each lists and stats whole directories, and a subdirectory goes to an idle
+// goroutine when there is one (with one worker, everything runs inline on
+// the caller). Symlinks (following them could escape root), other
+// non-regular files and the temporary files a writer leaves behind when a
+// crash cuts it short (TempPrefix) are skipped. A directory that cannot be
+// read is reported and walked as far as it was read. The tree keeps the
+// bound for the callers that fingerprint it (Workers).
 func OpenTreeWorkers(root string, workers int) (t *Tree, werrs WalkErrors, err error) {
-	if _, err := os.Stat(root); err != nil {
+	d, err := openRoot(root)
+	if err != nil {
 		return nil, nil, err
 	}
-	ents, werrs := walk(root)
-	files := make([]FileInfo, len(ents))
-	statErrs := make([]*FileError, len(ents))
-	pool.Range(workers, len(ents), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			info, err := statEntry(ents[i].d)
-			if err != nil {
-				statErrs[i] = &FileError{Path: ents[i].rel, Err: err}
-				continue
-			}
-			files[i] = FileInfo{Path: ents[i].rel, Size: info.Size(), MTime: info.ModTime(), CTime: ctimeOf(info)}
+	w := &walker{spare: make(chan struct{}, pool.Workers(workers)-1)}
+	p := w.part()
+	w.visit(p, d, "")
+	d.close()
+	w.wg.Wait()
+	n := 0
+	for _, p := range w.parts {
+		n += len(p.files)
+	}
+	files := make([]FileInfo, 0, n)
+	for _, p := range w.parts {
+		files = append(files, p.files...)
+		werrs = append(werrs, p.errs...)
+		clear(p.files)
+		p.files, p.errs = p.files[:0], nil
+		walkParts.Put(p)
+	}
+	slices.SortFunc(files, func(a, b FileInfo) int { return strings.Compare(a.Path, b.Path) })
+	werrs.sortByPath()
+	return &Tree{root: root, files: files, workers: workers}, werrs, nil
+}
+
+// walker is one OpenTree walk in progress.
+type walker struct {
+	spare chan struct{} // a token per goroutine beyond the caller's
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	parts []*walkPart // every part of the walk, at most one per goroutine
+	idle  []*walkPart // the parts no goroutine is filling
+}
+
+// walkPart is what the goroutines of a walk that used it found, and its
+// scratch.
+type walkPart struct {
+	files []FileInfo
+	errs  WalkErrors
+	buf   []byte // the directory entries being read
+	rel   []byte // the path being built
+}
+
+// direntBufSize is the directory-listing buffer of one walk goroutine.
+const direntBufSize = 8 << 10
+
+var walkParts = sync.Pool{New: func() any { return &walkPart{buf: make([]byte, direntBufSize)} }}
+
+// part returns an idle part, or a new one registered for the walk's merge.
+func (w *walker) part() *walkPart {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.idle); n > 0 {
+		p := w.idle[n-1]
+		w.idle = w.idle[:n-1]
+		return p
+	}
+	p := walkParts.Get().(*walkPart)
+	w.parts = append(w.parts, p)
+	return p
+}
+
+// release makes p idle.
+func (w *walker) release(p *walkPart) {
+	w.mu.Lock()
+	w.idle = append(w.idle, p)
+	w.mu.Unlock()
+}
+
+var tempPrefix = []byte(TempPrefix)
+
+// visit lists and stats the directory d at rel into p, then walks its
+// subdirectories, each opened relative to d and handed to a spare goroutine
+// when there is one. d stays open until its subdirectories are opened.
+func (w *walker) visit(p *walkPart, d node, rel string) {
+	p.rel = append(p.rel[:0], rel...)
+	if rel != "" {
+		p.rel = append(p.rel, '/')
+	}
+	prefix := len(p.rel)
+	var subdirs []byte // NUL-terminated names
+	err := readEntries(d, p.buf, func(name []byte, kind uint8) {
+		switch {
+		case kind == kindDir:
+			subdirs = append(subdirs, name...)
+			return
+		case kind == kindOther || kind == kindFile && bytes.HasPrefix(name, tempPrefix):
+			return
 		}
-		return nil
+		p.rel = append(p.rel[:prefix], name[:len(name)-1]...)
+		st, err := statAt(d, name)
+		switch {
+		case err != nil:
+			p.errs = append(p.errs, &FileError{Path: string(p.rel), Err: err})
+		case st.kind == kindDir:
+			subdirs = append(subdirs, name...)
+		case st.kind == kindFile && !bytes.HasPrefix(name, tempPrefix):
+			p.files = append(p.files, FileInfo{Path: string(p.rel), Size: st.size, MTime: st.mtime, CTime: st.ctime})
+		}
 	})
-	t = &Tree{root: root, files: files[:0], workers: workers}
-	for i, fe := range statErrs {
-		if fe != nil {
-			werrs = append(werrs, fe)
+	if err != nil {
+		p.errs = append(p.errs, &FileError{Path: cmp.Or(rel, "."), Err: err})
+	}
+	for len(subdirs) > 0 {
+		i := bytes.IndexByte(subdirs, 0)
+		name := subdirs[:i+1]
+		subdirs = subdirs[i+1:]
+		sub := joinRel(rel, string(name[:i]))
+		child, err := openDir(d, name)
+		if err != nil {
+			p.errs = append(p.errs, &FileError{Path: sub, Err: err})
 			continue
 		}
-		t.files = append(t.files, files[i])
+		select {
+		case w.spare <- struct{}{}:
+			w.wg.Add(1)
+			go func() {
+				defer w.wg.Done()
+				p := w.part()
+				w.visit(p, child, sub)
+				child.close()
+				w.release(p)
+				<-w.spare
+			}()
+		default:
+			w.visit(p, child, sub)
+			child.close()
+		}
 	}
-	werrs.sortByPath()
-	return t, werrs, nil
+}
+
+// joinRel is the slash-relative path of name in the directory at rel.
+func joinRel(rel, name string) string {
+	if rel == "" {
+		return name
+	}
+	return rel + "/" + name
+}
+
+// splitRel splits a slash-relative path into its directory ("" for the
+// root) and its last component.
+func splitRel(rel string) (dir, base string) {
+	i := strings.LastIndexByte(rel, '/')
+	if i < 0 {
+		return "", rel
+	}
+	return rel[:i], rel[i+1:]
 }
 
 // Root returns the directory the tree was walked from.
@@ -199,19 +322,144 @@ func (t *Tree) Files() []FileInfo { return t.files }
 // Load reads one file's content. The path is validated against traversal
 // like everything else that touches disk on behalf of the protocol.
 func (t *Tree) Load(rel string) ([]byte, error) {
+	c := Cursor{t: t}
+	defer c.Close()
+	return c.Load(rel)
+}
+
+// HashFile streams one file through MD4 without holding its content: open,
+// hash through a pooled buffer, release. It returns the sum and the number
+// of bytes hashed.
+func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
+	c := Cursor{t: t}
+	defer c.Close()
+	return c.HashFile(rel)
+}
+
+// Cursor reads files of a Tree, keeping open the directories on the way to
+// the file it read last, so a run of reads in path order opens each
+// directory once, each relative to its parent. A file is opened relative to
+// its directory; no symlink is followed, on the way or at the file, and a
+// file swapped for one since the walk fails with ELOOP. A Cursor holds at
+// most the tree's depth in descriptors until Close; it is not safe for
+// concurrent use, so each worker takes its own.
+type Cursor struct {
+	t    *Tree
+	dirs []node  // dirs[0] is the root, dirs[i] the i-th directory of cur
+	cur  string  // the slash path of the innermost directory, "" for the root
+	name []byte  // a NUL-terminated name, reused
+	buf  *[]byte // HashFile's buffer, from hashBufPool until Close
+}
+
+// Cursor returns a new cursor over t. Close it when done.
+func (t *Tree) Cursor() *Cursor { return &Cursor{t: t} }
+
+// Close releases every directory the cursor holds, and its hashing buffer.
+// The cursor stays usable.
+func (c *Cursor) Close() {
+	for i := len(c.dirs) - 1; i >= 0; i-- {
+		c.dirs[i].close()
+	}
+	c.dirs, c.cur = c.dirs[:0], ""
+	if c.buf != nil {
+		hashBufPool.Put(c.buf)
+		c.buf = nil
+	}
+}
+
+// cname is s NUL-terminated in the cursor's name buffer.
+func (c *Cursor) cname(s string) []byte {
+	c.name = append(append(c.name[:0], s...), 0)
+	return c.name
+}
+
+// enter makes dir the innermost open directory: the directories it shares
+// with the current one stay open, the rest are closed or opened.
+func (c *Cursor) enter(dir string) error {
+	if len(c.dirs) > 0 && dir == c.cur {
+		return nil
+	}
+	if len(c.dirs) == 0 {
+		root, err := openRoot(c.t.root)
+		if err != nil {
+			return err
+		}
+		c.dirs = append(c.dirs, root)
+	}
+	shared, rest := 0, dir // whole components dir shares with cur, and what follows them
+	for a := c.cur; a != "" && rest != ""; {
+		ca, ra, _ := strings.Cut(a, "/")
+		cb, rb, _ := strings.Cut(rest, "/")
+		if ca != cb {
+			break
+		}
+		shared++
+		a, rest = ra, rb
+	}
+	for len(c.dirs) > shared+1 {
+		c.dirs[len(c.dirs)-1].close()
+		c.dirs = c.dirs[:len(c.dirs)-1]
+	}
+	for rest != "" {
+		var comp string
+		comp, rest, _ = strings.Cut(rest, "/")
+		d, err := openDir(c.dirs[len(c.dirs)-1], c.cname(comp))
+		if err != nil {
+			c.Close()
+			return err
+		}
+		c.dirs = append(c.dirs, d)
+	}
+	c.cur = dir
+	return nil
+}
+
+// open opens the file at rel read-only, after checking the path.
+func (c *Cursor) open(rel string) (node, error) {
 	if err := checkPath(rel); err != nil {
+		return node{}, err
+	}
+	dir, base := splitRel(rel)
+	if err := c.enter(dir); err != nil {
+		return node{}, &FileError{Path: rel, Err: err}
+	}
+	f, err := openFile(c.dirs[len(c.dirs)-1], c.cname(base))
+	if err != nil {
+		return node{}, &FileError{Path: rel, Err: err}
+	}
+	return f, nil
+}
+
+// Load reads one file's content, as Tree.Load does.
+func (c *Cursor) Load(rel string) ([]byte, error) {
+	f, err := c.open(rel)
+	if err != nil {
 		return nil, err
 	}
-	data, err := readFile(filepath.Join(t.root, filepath.FromSlash(rel)))
+	defer f.close()
+	size, err := f.size()
 	if err != nil {
 		return nil, &FileError{Path: rel, Err: err}
 	}
-	return data, nil
+	data := make([]byte, 0, size+1) // one byte more, so the read that finds the end needs no growth
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := f.read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, &FileError{Path: rel, Err: err}
+		}
+	}
 }
 
-// hashBufPool bounds streamed hashing scratch: every concurrent HashFile
-// borrows one fixed-size buffer, so hashing memory is (concurrency ×
-// hashBufSize) regardless of file sizes and file count. That holds only
+// hashBufPool bounds streamed hashing scratch: every open Cursor that hashes
+// borrows one fixed-size buffer until Close, so hashing memory is
+// (concurrency × hashBufSize) regardless of file sizes and file count. That holds only
 // because HashFile reads into the buffer itself: io.CopyBuffer would hand the
 // copy to (*os.File).WriteTo, whose generic fallback ignores the caller's
 // buffer and allocates 32 KB of its own for every file.
@@ -224,28 +472,25 @@ var hashBufPool = sync.Pool{
 	},
 }
 
-// HashFile streams one file through MD4 without holding its content: open,
-// hash through a pooled buffer, release. It returns the sum and the number
-// of bytes hashed.
-func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
-	if err := checkPath(rel); err != nil {
+// HashFile streams one file through MD4, as Tree.HashFile does. A small file
+// costs no allocation.
+func (c *Cursor) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
+	f, err := c.open(rel)
+	if err != nil {
 		return sum, 0, err
 	}
-	f, err := openRead(filepath.Join(t.root, filepath.FromSlash(rel)))
-	if err != nil {
-		return sum, 0, &FileError{Path: rel, Err: err}
+	defer f.close()
+	if c.buf == nil {
+		c.buf = hashBufPool.Get().(*[]byte)
 	}
-	defer f.Close()
-	bufp := hashBufPool.Get().(*[]byte)
-	defer hashBufPool.Put(bufp)
-	buf := *bufp
+	buf := *c.buf
 
 	// A file that ends inside the first buffer is hashed in one shot from
 	// there; only larger files pay for a streaming hash.Hash.
 	var h hash.Hash
 	fill := 0
 	for {
-		m, rerr := f.Read(buf[fill:])
+		m, rerr := f.read(buf[fill:])
 		fill += m
 		n += int64(m)
 		if rerr == io.EOF {
@@ -275,13 +520,17 @@ func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
 const maxOpenTemps = 256
 
 // ApplyChanges applies a sync result: changed holds the files whose content
-// the session wrote, deleted the paths to remove. Every path is checked
-// before anything is written. The changed files are put into place in path
-// order, in batches of up to maxOpenTemps files, each as replaceAll does it:
-// a failure before a batch's renames leaves every file of that batch as it
-// was. Then the deletions are made, and every touched directory up to root
-// is fsynced, so an applied sync survives power loss. Empty directories left
-// behind are pruned. The error reported is the first failure in path order.
+// the session wrote, deleted the paths to remove. Every path is checked,
+// and every directory it names opened (and made when missing), before
+// anything is written: a directory component that is a symlink or not a
+// directory fails the apply with ErrUnsafeDir, and a symlink as a path's last
+// component is replaced, never followed. The changed files are put into
+// place in path order, in batches of up to maxOpenTemps files, each as
+// replaceAll does it: a failure before a batch's renames leaves every file
+// of that batch as it was. Then the deletions are made, and every touched
+// directory up to root is fsynced, so an applied sync survives power loss.
+// Empty directories left behind are pruned. The error reported is the first
+// failure in path order.
 func ApplyChanges(root string, changed map[string][]byte, deleted []string) error {
 	rels := make([]string, 0, len(changed))
 	for rel := range changed {
@@ -295,32 +544,186 @@ func ApplyChanges(root string, changed map[string][]byte, deleted []string) erro
 			}
 		}
 	}
-	dirs := make(map[string]struct{})
-	files := make([]newFile, len(rels))
-	for i, rel := range rels {
-		path := filepath.Join(root, filepath.FromSlash(rel))
-		if _, ok := dirs[filepath.Dir(path)]; !ok { // a marked directory was made here, or is an ancestor of one that was
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				return err
-			}
-			markParents(dirs, root, rel)
-		}
-		files[i] = newFile{path, changed[rel]}
-	}
-	for len(files) > 0 {
-		n := min(len(files), maxOpenTemps)
-		if err := replaceAll(files[:n], true); err != nil {
+	if len(rels) > 0 {
+		if err := os.MkdirAll(root, 0o755); err != nil {
 			return err
 		}
-		files = files[n:]
+	}
+	d, err := openRoot(root)
+	if err != nil {
+		if len(rels) == 0 && errors.Is(err, fs.ErrNotExist) {
+			return nil // nothing to delete
+		}
+		return err
+	}
+	t := &dirTable{open: map[string]node{"": d}, touched: map[string]bool{}}
+	defer t.close()
+	for _, rel := range rels {
+		dir, _ := splitRel(rel)
+		if _, err := t.dir(dir, true); err != nil {
+			return err
+		}
+		t.trim()
 	}
 	for _, rel := range deleted {
-		if err := removeFile(root, rel); err != nil {
+		dir, _ := splitRel(rel)
+		if _, err := t.dir(dir, false); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
-		markParents(dirs, root, rel)
+		t.trim()
 	}
-	return syncDirs(dirs, len(rels)+len(deleted) > 1)
+	batch := make([]newFile, 0, min(len(rels), maxOpenTemps))
+	for len(rels) > 0 {
+		batch = batch[:0]
+		for _, rel := range rels[:min(len(rels), maxOpenTemps)] {
+			dir, base := splitRel(rel)
+			d, err := t.dir(dir, true)
+			if err != nil {
+				return err
+			}
+			batch = append(batch, newFile{d, base, changed[rel]})
+			t.touch(rel)
+		}
+		if err := replaceAll(batch, true); err != nil {
+			return err
+		}
+		rels = rels[len(batch):]
+		t.trim()
+	}
+	for _, rel := range deleted {
+		dir, base := splitRel(rel)
+		d, err := t.dir(dir, false)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if err := remove(d, base, false); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		t.touch(rel)
+		t.prune(dir)
+		t.trim()
+	}
+	return t.sync(len(changed)+len(deleted) > 1)
+}
+
+// maxOpenDirs bounds the directories an apply holds open between batches:
+// past it they are all closed, and each is opened again, relative to its
+// parent, when next needed.
+const maxOpenDirs = 1024
+
+// dirTable is the directories of one ApplyChanges, by slash path relative to
+// the root ("" is the root), each opened relative to its parent without
+// following a symlink, and the ones to fsync when the apply is done.
+type dirTable struct {
+	open    map[string]node
+	touched map[string]bool
+	name    []byte // a NUL-terminated name, reused
+}
+
+// dir returns the open directory at rel, opening it and any parent not
+// open. With create set, a missing directory is made.
+func (t *dirTable) dir(rel string, create bool) (node, error) {
+	if d, ok := t.open[rel]; ok {
+		return d, nil
+	}
+	parentRel, base := splitRel(rel)
+	parent, err := t.dir(parentRel, create)
+	if err != nil {
+		return node{}, err
+	}
+	t.name = append(append(t.name[:0], base...), 0)
+	d, err := openDir(parent, t.name)
+	if create && errors.Is(err, fs.ErrNotExist) {
+		if err = mkdirAt(parent, base); err == nil || errors.Is(err, fs.ErrExist) {
+			d, err = openDir(parent, t.name)
+		}
+	}
+	if err != nil {
+		return node{}, err
+	}
+	t.open[rel] = d
+	return d, nil
+}
+
+// trim closes every directory but the root once more than maxOpenDirs are
+// open.
+func (t *dirTable) trim() {
+	if len(t.open) <= maxOpenDirs {
+		return
+	}
+	for rel, d := range t.open {
+		if rel != "" {
+			d.close()
+			delete(t.open, rel)
+		}
+	}
+}
+
+// touch marks the directory of rel and every ancestor up to the root to be
+// fsynced.
+func (t *dirTable) touch(rel string) {
+	for dir := rel; dir != ""; {
+		dir, _ = splitRel(dir)
+		if t.touched[dir] {
+			return
+		}
+		t.touched[dir] = true
+	}
+}
+
+// prune removes the directory at rel and then each parent it leaves empty,
+// up to (not including) the root.
+func (t *dirTable) prune(rel string) {
+	for rel != "" {
+		parentRel, base := splitRel(rel)
+		parent, err := t.dir(parentRel, false)
+		if err != nil || unlinkAt(parent, base, true) != nil {
+			return // not empty, or gone
+		}
+		if d, ok := t.open[rel]; ok {
+			d.close()
+			delete(t.open, rel)
+		}
+		rel = parentRel
+	}
+}
+
+// sync fsyncs every touched directory still there, in path order. With
+// flushFS set, one syncfs on the first directory's filesystem commits every
+// rename and removal before the fsyncs. Sync errors are ignored, as SyncDir
+// ignores them.
+func (t *dirTable) sync(flushFS bool) error {
+	dirs := make([]string, 0, len(t.touched))
+	for rel := range t.touched {
+		dirs = append(dirs, rel)
+	}
+	slices.Sort(dirs)
+	for _, rel := range dirs {
+		d, err := t.dir(rel, false)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // pruned
+		}
+		if err != nil {
+			return err
+		}
+		if flushFS {
+			_ = syncfs(d) // an accelerator, as in replaceAll
+			flushFS = false
+		}
+		_ = fsync(d)
+		t.trim()
+	}
+	return nil
+}
+
+// close releases every open directory.
+func (t *dirTable) close() {
+	for _, d := range t.open {
+		d.close()
+	}
 }
 
 // Every file msync persists is put into place here, in one of two
@@ -342,34 +745,38 @@ func ApplyChanges(root string, changed map[string][]byte, deleted []string) erro
 // directory until the rename; a crash in between leaves one behind.
 const TempPrefix = ".msync-"
 
-// fsync, syncfs, rename and remove are the writers' flushes and namespace
-// changes: indirection points for tests to record their order.
-var (
-	fsync  = (*os.File).Sync
-	syncfs = syncFilesystem
-	rename = os.Rename
-	remove = os.Remove
-)
-
 // ReplaceFile writes data to path so that no failure, nor a crash, leaves a
 // torn file: the content goes to a temporary file in the same directory,
 // fsynced, with the replaced file's mode (0644 for a new one), and is renamed
 // over path. On an error the temporary file is removed and the old file is as
 // it was. The rename is durable once the caller has synced the directory.
-func ReplaceFile(path string, data []byte) error {
-	return replaceAll([]newFile{{path, data}}, true)
-}
+func ReplaceFile(path string, data []byte) error { return replaceOne(path, data, true) }
 
 // WriteCache puts data, sealed by Seal, into place at path as ReplaceFile
 // does, but without an fsync and with the temporary file's 0600 mode.
-func WriteCache(path string, data []byte) error {
-	return replaceAll([]newFile{{path, Seal(data)}}, false)
+func WriteCache(path string, data []byte) error { return replaceOne(path, Seal(data), false) }
+
+// replaceOne is replaceAll for the one file at path.
+func replaceOne(path string, data []byte, durable bool) error {
+	d, err := openRoot(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.close()
+	return replaceAll([]newFile{{d, filepath.Base(path), data}}, durable)
 }
 
-// newFile is the content a writer puts into place at path.
+// newFile is the content a writer puts into place as name in dir.
 type newFile struct {
-	path string
+	dir  node
+	name string
 	data []byte
+}
+
+// tempFile is a written temporary file, open, and its name in its directory.
+type tempFile struct {
+	f    node
+	name string
 }
 
 // replaceAll puts every file of batch into place through a temporary file in
@@ -385,10 +792,10 @@ type newFile struct {
 // the temporary files from it on, past the ones already renamed. The error is
 // the first failure in batch order.
 func replaceAll(batch []newFile, durable bool) error {
-	temps := make([]*os.File, len(batch))
+	temps := make([]tempFile, len(batch))
 	err := pool.Range(0, len(batch), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			f, err := createTemp(batch[i], durable)
+			f, err := writeTemp(batch[i], durable)
 			if err != nil {
 				return err
 			}
@@ -398,55 +805,71 @@ func replaceAll(batch []newFile, durable bool) error {
 	})
 	if err == nil && durable {
 		if len(temps) > 1 {
-			_ = syncfs(temps[0]) // an accelerator: the fsyncs below are the contract
+			_ = syncfs(temps[0].f) // an accelerator: the fsyncs below are the contract
 		}
-		for _, f := range temps {
-			if err = fsync(f); err != nil {
+		for _, t := range temps {
+			if err = fsync(t.f); err != nil {
 				break
 			}
 		}
 	}
-	for _, f := range temps {
-		if f != nil {
-			err = cmp.Or(err, f.Close())
+	for _, t := range temps {
+		if t.name != "" {
+			err = cmp.Or(err, t.f.close())
 		}
 	}
-	for i, f := range temps {
-		if f == nil {
+	for i, t := range temps {
+		if t.name == "" {
 			continue
 		}
 		if err == nil {
-			if err = rename(f.Name(), batch[i].path); err == nil {
+			if err = rename(batch[i].dir, t.name, batch[i].name); err == nil {
 				continue
 			}
 		}
-		remove(f.Name())
+		remove(batch[i].dir, t.name, false)
 	}
 	return err
 }
 
-// createTemp writes nf's content to a new temporary file beside nf.path,
-// with the mode of the file it replaces (0644 for a new one) when durable.
-// On an error the temporary file is removed.
-func createTemp(nf newFile, durable bool) (*os.File, error) {
-	f, err := os.CreateTemp(filepath.Dir(nf.path), TempPrefix+"*")
+// writeTemp writes nf's content to a new temporary file in nf.dir, with the
+// mode of the regular file it replaces (0644 for a new one) when durable. On
+// an error the temporary file is removed.
+func writeTemp(nf newFile, durable bool) (tempFile, error) {
+	t, err := createTemp(nf.dir)
 	if err != nil {
-		return nil, err
+		return tempFile{}, err
 	}
-	_, err = f.Write(nf.data)
+	err = t.f.write(nf.data)
 	if durable && err == nil {
-		mode := fs.FileMode(0o644)
-		if fi, serr := os.Stat(nf.path); serr == nil {
-			mode = fi.Mode().Perm()
+		perm := fs.FileMode(0o644)
+		if st, serr := lstatAt(nf.dir, append([]byte(nf.name), 0)); serr == nil && st.kind == kindFile {
+			perm = st.perm
 		}
-		err = f.Chmod(mode)
+		err = t.f.chmod(perm)
 	}
 	if err != nil {
-		f.Close()
-		remove(f.Name())
-		return nil, err
+		t.f.close()
+		remove(nf.dir, t.name, false)
+		return tempFile{}, err
 	}
-	return f, nil
+	return t, nil
+}
+
+// createTemp creates a new TempPrefix file in d, mode 0600, open for
+// writing.
+func createTemp(d node) (tempFile, error) {
+	for try := 0; ; try++ {
+		name := TempPrefix + strconv.FormatUint(uint64(rand.Uint32()), 10)
+		f, err := createExcl(d, name)
+		if errors.Is(err, fs.ErrExist) && try < 10000 {
+			continue
+		}
+		if err != nil {
+			return tempFile{}, err
+		}
+		return tempFile{f, name}, nil
+	}
 }
 
 // Seal appends the MD4 of data to it: the trailer a cache file ends with.
@@ -466,75 +889,20 @@ func Unseal(file []byte) (data []byte, ok bool) {
 	return data, md4.Sum(data) == [md4.Size]byte(file[len(data):])
 }
 
-// markParents records every ancestor directory of rel, up to and including
-// root, for a post-apply fsync pass. checkPath has already confined rel to
-// the tree.
-func markParents(dirs map[string]struct{}, root, rel string) {
-	rootClean := filepath.Clean(root)
-	dir := filepath.Dir(filepath.Join(root, filepath.FromSlash(rel)))
-	for {
-		dirs[dir] = struct{}{}
-		if filepath.Clean(dir) == rootClean {
-			return
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return
-		}
-		dir = parent
-	}
-}
-
-// syncDirs fsyncs every directory of dirs in path order. With flushFS set,
-// one syncfs on the first directory's filesystem commits every rename and
-// removal before the fsyncs.
-func syncDirs(dirs map[string]struct{}, flushFS bool) error {
-	sorted := make([]string, 0, len(dirs))
-	for dir := range dirs {
-		sorted = append(sorted, dir)
-	}
-	slices.Sort(sorted)
-	for _, dir := range sorted {
-		if err := syncDir(dir, flushFS); err != nil {
-			return err
-		}
-		flushFS = false
-	}
-	return nil
-}
-
 // SyncDir fsyncs a directory so entry creations, renames and removals inside
 // it are durable. A directory that no longer exists (pruned since the writes)
 // is skipped, and sync errors are ignored: some platforms and filesystems
 // refuse directory fsync, which must not fail the write.
-func SyncDir(path string) error { return syncDir(path, false) }
-
-// syncDir is SyncDir, after a syncfs on the directory's filesystem when
-// flushFS is set.
-func syncDir(path string, flushFS bool) error {
-	d, err := os.Open(path)
+func SyncDir(path string) error {
+	d, err := openRoot(path)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
 		return err
 	}
-	if flushFS {
-		_ = syncfs(d) // an accelerator, as in replaceAll
-	}
 	_ = fsync(d)
-	return d.Close()
-}
-
-// removeFile deletes rel under root and prunes emptied parent directories.
-// ApplyChanges has already checked rel.
-func removeFile(root, rel string) error {
-	path := filepath.Join(root, filepath.FromSlash(rel))
-	if err := remove(path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	pruneEmptyParents(root, filepath.Dir(path))
-	return nil
+	return d.close()
 }
 
 // checkPath rejects path traversal and absolute paths from the wire.
@@ -552,22 +920,4 @@ func checkPath(rel string) error {
 		return fmt.Errorf("dirio: refusing path %q", rel)
 	}
 	return nil
-}
-
-// pruneEmptyParents removes now-empty directories up to (not including) root.
-func pruneEmptyParents(root, dir string) {
-	rootAbs, err := filepath.Abs(root)
-	if err != nil {
-		return
-	}
-	for {
-		dirAbs, err := filepath.Abs(dir)
-		if err != nil || dirAbs == rootAbs || !strings.HasPrefix(dirAbs, rootAbs+string(filepath.Separator)) {
-			return
-		}
-		if err := os.Remove(dir); err != nil {
-			return // not empty or gone
-		}
-		dir = filepath.Dir(dir)
-	}
 }

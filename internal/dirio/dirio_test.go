@@ -33,6 +33,9 @@ func loadAll(t *testing.T, root string) map[string][]byte {
 	return files
 }
 
+// goName is a NUL-terminated name as the primitives pass it, as a string.
+func goName(name []byte) string { return string(name[:len(name)-1]) }
+
 func keys(m map[string][]byte) []string {
 	var out []string
 	for k := range m {

@@ -18,14 +18,14 @@ func TestOpenTreeCollectsStatErrors(t *testing.T) {
 	root := t.TempDir()
 	write(t, root, "a.txt", "a")
 	write(t, root, "sub/bad.txt", "b")
-	orig := statEntry
-	statEntry = func(d fs.DirEntry) (fs.FileInfo, error) {
-		if d.Name() == "bad.txt" {
-			return nil, fs.ErrPermission
+	orig := statAt
+	statAt = func(d node, name []byte) (fileStat, error) {
+		if goName(name) == "bad.txt" {
+			return fileStat{}, fs.ErrPermission
 		}
-		return orig(d)
+		return orig(d, name)
 	}
-	t.Cleanup(func() { statEntry = orig })
+	t.Cleanup(func() { statAt = orig })
 
 	tree, werrs, err := OpenTree(root)
 	if err != nil {
@@ -49,14 +49,14 @@ func TestWalkErrorsSortedByPath(t *testing.T) {
 	write(t, root, "a/y.txt", "1")
 	write(t, root, "a.b/x.txt", "2")
 	write(t, root, "ok.txt", "3")
-	origStat := statEntry
-	statEntry = func(d fs.DirEntry) (fs.FileInfo, error) {
-		if d.Name() != "ok.txt" {
-			return nil, fs.ErrPermission
+	origStat := statAt
+	statAt = func(d node, name []byte) (fileStat, error) {
+		if goName(name) != "ok.txt" {
+			return fileStat{}, fs.ErrPermission
 		}
-		return origStat(d)
+		return origStat(d, name)
 	}
-	t.Cleanup(func() { statEntry = origStat })
+	t.Cleanup(func() { statAt = origStat })
 	tree, werrs, err := OpenTree(root)
 	if err != nil {
 		t.Fatal(err)
@@ -171,20 +171,29 @@ func TestHashFileConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestHashFileAllocCeiling: hashing a small file costs its path, joined and
-// then NUL-terminated for the open (128 B here), not an os.File and not a
-// copy buffer. Once it allocated 32 KB per file (io.CopyBuffer delegated to
-// os.File.WriteTo, which ignores the buffer).
+// TestHashFileAllocCeiling: hashing a small file through a cursor costs no
+// allocation at all: the name goes to the open from the cursor's buffer and
+// the content through the pooled one. Tree.HashFile, a cursor of its own,
+// costs the root's NUL-terminated path and the cursor's two buffers. Once a
+// small file cost 32 KB (io.CopyBuffer delegated to os.File.WriteTo, which
+// ignores the buffer), then its path, joined and NUL-terminated (128 B here).
 func TestHashFileAllocCeiling(t *testing.T) {
 	tree, _ := writeHashFiles(t)
-	const ceiling = 1 << 10
-	got := alloctest.BytesPerOp(20, func() {
-		if _, _, err := tree.HashFile("f1000.bin"); err != nil {
-			t.Fatal(err)
+	c := tree.Cursor()
+	defer c.Close()
+	for _, arm := range []struct {
+		name    string
+		hash    func(string) ([md4.Size]byte, int64, error)
+		ceiling uint64
+	}{{"cursor", c.HashFile, 1}, {"tree", tree.HashFile, 256}} {
+		got := alloctest.BytesPerOp(20, func() {
+			if _, _, err := arm.hash("f1000.bin"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got >= arm.ceiling {
+			t.Errorf("%s: HashFile of a 1 KB file allocates %d B/op, ceiling %d", arm.name, got, arm.ceiling)
 		}
-	})
-	if got >= ceiling {
-		t.Errorf("HashFile of a 1 KB file allocates %d B/op, ceiling %d", got, ceiling)
 	}
 }
 

@@ -1,0 +1,8 @@
+//go:build linux && (386 || arm || mips || mipsle)
+
+package dirio
+
+import "syscall"
+
+// sysFstatat is the fstatat(2) whose struct is syscall.Stat_t.
+const sysFstatat = syscall.SYS_FSTATAT64

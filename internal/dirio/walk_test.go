@@ -16,8 +16,8 @@ import (
 // fanOutTree writes a tree with every case the walk handles: nested
 // directories (spanning several of pool.Range's chunks), symlinks to a file
 // and to a directory (neither followed), a directory that cannot be read,
-// files whose stat fails and a writer's orphaned temporary file. The failures are injected through readDir and
-// statEntry, restored when the test ends.
+// files whose stat fails and a writer's orphaned temporary file. The failures are injected through readEntries and
+// statAt, restored when the test ends.
 func fanOutTree(t *testing.T) (root string, wantFiles, wantErrs []string) {
 	t.Helper()
 	root = t.TempDir()
@@ -44,21 +44,21 @@ func fanOutTree(t *testing.T) (root string, wantFiles, wantErrs []string) {
 	slices.Sort(wantFiles)
 	slices.Sort(wantErrs)
 
-	origDir, origStat := readDir, statEntry
-	readDir = func(dir string) ([]fs.DirEntry, error) {
-		if filepath.Base(dir) == "locked" {
-			return nil, &fs.PathError{Op: "open", Path: dir, Err: fs.ErrPermission}
+	origDir, origStat := readEntries, statAt
+	readEntries = func(d node, buf []byte, fn func(name []byte, kind uint8)) error {
+		if filepath.Base(d.path) == "locked" {
+			return &fs.PathError{Op: "open", Path: d.path, Err: fs.ErrPermission}
 		}
-		return origDir(dir)
+		return origDir(d, buf, fn)
 	}
-	statEntry = func(d fs.DirEntry) (fs.FileInfo, error) {
+	statAt = func(d node, name []byte) (fileStat, error) {
 		var i int
-		if _, err := fmt.Sscanf(d.Name(), "f%03d.txt", &i); err == nil && i%37 == 5 {
-			return nil, fs.ErrPermission
+		if _, err := fmt.Sscanf(goName(name), "f%03d.txt", &i); err == nil && i%37 == 5 {
+			return fileStat{}, fs.ErrPermission
 		}
-		return origStat(d)
+		return origStat(d, name)
 	}
-	t.Cleanup(func() { readDir, statEntry = origDir, origStat })
+	t.Cleanup(func() { readEntries, statAt = origDir, origStat })
 	return root, wantFiles, wantErrs
 }
 
@@ -115,5 +115,35 @@ func TestWalkSkipsTempFiles(t *testing.T) {
 	}
 	if n := len(tree.Files()); n != 1 || tree.Files()[0].Path != "keep.txt" {
 		t.Fatalf("files = %v, want keep.txt only", tree.Files())
+	}
+}
+
+// TestWalkStatsEntriesOfUnknownType: on a filesystem whose directory entries
+// carry no type (DT_UNKNOWN), each entry is stat'ed to learn it, and the walk
+// finds what it finds where the type is given: the same files with the same
+// identities, symlinks and temporary files skipped, directories descended.
+func TestWalkStatsEntriesOfUnknownType(t *testing.T) {
+	root := t.TempDir()
+	for _, rel := range []string{"a.txt", "d/b.txt", "d/e/c.txt", "d/" + TempPrefix + "1"} {
+		write(t, root, rel, rel)
+	}
+	if err := os.Symlink(filepath.Join(root, "d"), filepath.Join(root, "link")); err != nil {
+		t.Skipf("symlinks unavailable: %v", err)
+	}
+	typed, werrs, err := OpenTree(root)
+	if err != nil || len(werrs) != 0 || len(typed.Files()) != 3 {
+		t.Fatal(err, werrs, typed.Files())
+	}
+	orig := readEntries
+	readEntries = func(d node, buf []byte, fn func(name []byte, kind uint8)) error {
+		return orig(d, buf, func(name []byte, _ uint8) { fn(name, kindUnknown) })
+	}
+	t.Cleanup(func() { readEntries = orig })
+	untyped, werrs, err := OpenTree(root)
+	if err != nil || len(werrs) != 0 {
+		t.Fatal(err, werrs)
+	}
+	if !reflect.DeepEqual(untyped.Files(), typed.Files()) {
+		t.Fatalf("untyped walk %v, typed %v", untyped.Files(), typed.Files())
 	}
 }

@@ -260,8 +260,10 @@ func (p *Publisher) PublishTree(t *dirio.Tree) (uint64, bool, error) {
 	files := t.Files()
 	entries := make([]collection.ManifestEntry, 0, len(files))
 	var hashed int64
+	c := t.Cursor()
+	defer c.Close()
 	for _, fi := range files {
-		sum, n, err := t.HashFile(fi.Path)
+		sum, n, err := c.HashFile(fi.Path)
 		if err != nil {
 			return 0, false, fmt.Errorf("pubsig: hashing %q: %w", fi.Path, err)
 		}

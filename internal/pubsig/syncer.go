@@ -227,6 +227,8 @@ func (s *Syncer) sync(ctx context.Context, root string) (*SyncResult, error) {
 	res.FilesTotal = len(upserts) + len(deleted)
 
 	changed := make(map[string][]byte)
+	c := tree.Cursor()
+	defer c.Close()
 	for _, e := range upserts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -237,7 +239,7 @@ func (s *Syncer) sync(ctx context.Context, root string) (*SyncResult, error) {
 		// entry is known-changed, but the cheap check still dedupes
 		// repeated syncs of the same delta).
 		if exists && int(fi.Size) == e.Len {
-			sum, n, err := tree.HashFile(e.Path)
+			sum, n, err := c.HashFile(e.Path)
 			if err == nil {
 				res.BytesHashedLocal += n
 				if sum == e.Sum {
@@ -252,7 +254,7 @@ func (s *Syncer) sync(ctx context.Context, root string) (*SyncResult, error) {
 		}
 		var old []byte
 		if exists {
-			if old, err = tree.Load(e.Path); err != nil {
+			if old, err = c.Load(e.Path); err != nil {
 				old = nil // unreadable basis: fetch whole
 			}
 		}

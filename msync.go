@@ -776,7 +776,9 @@ type Result struct {
 // Apply writes the result to a directory tree: Files are written (parent
 // directories created) and Deleted paths removed, with emptied parents
 // pruned. A directory-backed client's result replaces only the files its
-// session wrote.
+// session wrote. No symlink under root is followed: a path through a
+// directory that is a symlink, or not a directory, fails the whole result
+// before anything is renamed into place.
 func (r *Result) Apply(root string) error {
 	return dirio.ApplyChanges(root, r.Files, r.Deleted)
 }
