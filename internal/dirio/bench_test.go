@@ -56,3 +56,84 @@ func BenchmarkApplyChanges(b *testing.B) {
 		run(b, func(int) string { return root }, func(string) {})
 	})
 }
+
+// BenchmarkOpenTree walks a tree of 20 000 empty files and reports ns/file,
+// at one worker and at the default: flat holds them all in one directory,
+// where only the stats of that directory can be shared out; nested spreads
+// them over 200 directories of 100.
+func BenchmarkOpenTree(b *testing.B) {
+	const n = 20000
+	for _, shape := range []struct {
+		name string
+		path func(i int) string
+	}{
+		{"flat", func(i int) string { return fmt.Sprintf("f%05d", i) }},
+		{"nested", func(i int) string { return fmt.Sprintf("d%03d/f%05d", i%200, i) }},
+	} {
+		root := b.TempDir()
+		for i := range n {
+			p := filepath.Join(root, filepath.FromSlash(shape.path(i)))
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.WriteFile(p, nil, 0o644); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, w := range []struct {
+			name    string
+			workers int
+		}{{"workers=1", 1}, {"workers=default", 0}} {
+			b.Run(shape.name+"/"+w.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					tree, werrs, err := OpenTreeWorkers(root, w.workers)
+					if err != nil || len(werrs) != 0 || len(tree.Files()) != n {
+						b.Fatal(err, werrs)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/file")
+			})
+		}
+	}
+}
+
+// BenchmarkTreeReads reads every file of a tree of 600 files of 1 KB, three
+// levels deep, one call a file as a session's sends do (Tree.Load,
+// Tree.HashFile), and reports ns/file.
+func BenchmarkTreeReads(b *testing.B) {
+	root := b.TempDir()
+	data := make([]byte, 1<<10)
+	for i := range 600 {
+		p := filepath.Join(root, fmt.Sprintf("d%d", i%6), fmt.Sprintf("e%d", i%10), fmt.Sprintf("f%03d.c", i))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tree, _, err := OpenTree(root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		read func(rel string) error
+	}{
+		{"load", func(rel string) error { _, err := tree.Load(rel); return err }},
+		{"hash_file", func(rel string) error { _, _, err := tree.HashFile(rel); return err }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				for _, fi := range tree.Files() {
+					if err := arm.read(fi.Path); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tree.Files())), "ns/file")
+		})
+	}
+}

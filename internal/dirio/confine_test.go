@@ -3,6 +3,7 @@ package dirio
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -21,8 +22,8 @@ func symlink(t *testing.T, target, root, link string) {
 // TestApplyChangesRefusesSymlinkedDir: a directory component that is a
 // symlink, at the root or deeper, fails the apply with ErrUnsafeDir before
 // anything is put into place, for a write and for a deletion alike: nothing
-// outside the root is written or removed, and the result's other file keeps
-// its old content. At the parent of this change the write went through the
+// outside the root is written or removed, the result's other file keeps its
+// old content, and a directory the result would make is not made. At the parent of this change the write went through the
 // symlink.
 func TestApplyChangesRefusesSymlinkedDir(t *testing.T) {
 	for _, link := range []string{"docs", "sub/docs"} {
@@ -33,6 +34,7 @@ func TestApplyChangesRefusesSymlinkedDir(t *testing.T) {
 		}{
 			{"write", map[string][]byte{"a.txt": []byte("new"), link + "/evil.txt": []byte("evil")}, nil},
 			{"delete", map[string][]byte{"a.txt": []byte("new")}, []string{link + "/victim.txt"}},
+			{"new directory", map[string][]byte{"a.txt": []byte("new"), "a/new/x.txt": []byte("x"), link + "/evil.txt": []byte("evil")}, nil},
 		} {
 			t.Run(link+"/"+c.name, func(t *testing.T) {
 				root, outside := t.TempDir(), t.TempDir()
@@ -50,8 +52,57 @@ func TestApplyChangesRefusesSymlinkedDir(t *testing.T) {
 				if got, _ := os.ReadFile(filepath.Join(root, "a.txt")); string(got) != "old" {
 					t.Fatalf("a.txt = %q, want the old content", got)
 				}
+				if _, err := os.Lstat(filepath.Join(root, "a")); !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("a directory of the refused result was made: %v", err)
+				}
 			})
 		}
+	}
+}
+
+// TestNulInPathIsRefused: a path with a NUL byte in a component, which the
+// kernel would read as ending there ("..\x00x" as ".."), is refused by every
+// read and by ApplyChanges, and nothing outside the root is read, written or
+// made, however many such components it chains.
+func TestNulInPathIsRefused(t *testing.T) {
+	above := t.TempDir()
+	root := filepath.Join(above, "root")
+	write(t, above, "evil.txt", "secret")
+	write(t, root, "x/evil.txt", "inside")
+	tree, _, err := OpenTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tree.Cursor()
+	defer c.Close()
+	for _, rel := range []string{"..\x00x/evil.txt", "x/..\x00y/..\x00z/evil.txt", "evil.txt\x00"} {
+		if data, err := tree.Load(rel); err == nil {
+			t.Errorf("Tree.Load(%q) = %q, want it refused", rel, data)
+		}
+		if data, err := c.Load(rel); err == nil {
+			t.Errorf("Cursor.Load(%q) = %q, want it refused", rel, data)
+		}
+		if _, _, err := tree.HashFile(rel); err == nil {
+			t.Errorf("Tree.HashFile(%q) succeeded, want it refused", rel)
+		}
+		if _, _, err := c.HashFile(rel); err == nil {
+			t.Errorf("Cursor.HashFile(%q) succeeded, want it refused", rel)
+		}
+		if err := ApplyChanges(root, map[string][]byte{rel: []byte("evil")}, nil); err == nil {
+			t.Errorf("ApplyChanges writing %q succeeded, want it refused", rel)
+		}
+		if err := ApplyChanges(root, nil, []string{rel}); err == nil {
+			t.Errorf("ApplyChanges deleting %q succeeded, want it refused", rel)
+		}
+	}
+	if got, _ := os.ReadFile(filepath.Join(above, "evil.txt")); string(got) != "secret" {
+		t.Errorf("outside the root, evil.txt = %q, want it untouched", got)
+	}
+	if ents, _ := os.ReadDir(above); len(ents) != 2 {
+		t.Errorf("outside the root: %v, want evil.txt and root alone", ents)
+	}
+	if got, _ := os.ReadFile(filepath.Join(root, "x", "evil.txt")); string(got) != "inside" {
+		t.Errorf("x/evil.txt = %q, want it untouched", got)
 	}
 }
 
@@ -110,6 +161,33 @@ func TestReadsRefuseSymlinkSwappedIn(t *testing.T) {
 			if !errors.As(err, &fe) || fe.Path != rel || !errors.Is(err, cause) {
 				t.Errorf("%s, read %d: err = %v, want a FileError naming it, caused by %v", rel, i, err, cause)
 			}
+		}
+	}
+}
+
+// TestReadsThroughLinkedRoot: a tree whose root is reached through a
+// symlink, the caller's choice, is read as any other by every read, and a
+// symlink under it is still refused by the one-shot reads, which no longer
+// open whole paths once they found the root's.
+func TestReadsThroughLinkedRoot(t *testing.T) {
+	real, outside, links := t.TempDir(), t.TempDir(), t.TempDir()
+	write(t, real, "d/f.txt", "inside")
+	write(t, outside, "f.txt", "secret")
+	symlink(t, real, links, "root")
+	symlink(t, outside, real, "e")
+	tree, _, err := OpenTree(filepath.Join(links, "root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if got, err := tree.Load("d/f.txt"); err != nil || string(got) != "inside" {
+			t.Fatalf("Load = %q (%v)", got, err)
+		}
+		if _, n, err := tree.HashFile("d/f.txt"); err != nil || n != int64(len("inside")) {
+			t.Fatalf("HashFile = %d bytes (%v)", n, err)
+		}
+		if _, err := tree.Load("e/f.txt"); !errors.Is(err, ErrUnsafeDir) {
+			t.Fatalf("through the link under the root: err = %v, want ErrUnsafeDir", err)
 		}
 	}
 }

@@ -3,10 +3,13 @@
 package dirio
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"time"
 	"unsafe"
@@ -30,16 +33,70 @@ const (
 	readFlags = syscall.O_RDONLY | syscall.O_NOFOLLOW | syscall.O_CLOEXEC | syscall.O_LARGEFILE
 )
 
+// namePtr checks that name is NUL-terminated and holds no other NUL, which
+// the kernel would take for its end, and returns a pointer to it for a
+// system call: EINVAL, as the syscall package refuses such a string.
+func namePtr(name []byte) (unsafe.Pointer, error) {
+	if bytes.IndexByte(name, 0) != len(name)-1 {
+		return nil, syscall.EINVAL
+	}
+	return unsafe.Pointer(&name[0]), nil
+}
+
 // openat opens the NUL-terminated name relative to d, retrying EINTR.
 func openat(d node, name []byte, flags int, mode uint32) (int, error) {
+	p, err := namePtr(name)
+	if err != nil {
+		return -1, err
+	}
 	for {
-		fd, _, errno := syscall.Syscall6(syscall.SYS_OPENAT, uintptr(d.fd), uintptr(unsafe.Pointer(&name[0])), uintptr(flags), uintptr(mode), 0, 0)
+		fd, _, errno := syscall.Syscall6(syscall.SYS_OPENAT, uintptr(d.fd), uintptr(p), uintptr(flags), uintptr(mode), 0, 0)
 		if errno == 0 {
 			return int(fd), nil
 		}
 		if errno != syscall.EINTR {
 			return -1, errno
 		}
+	}
+}
+
+// openHow is openat2(2)'s struct open_how.
+type openHow struct{ flags, mode, resolve uint64 }
+
+// resolveNoSymlinks is openat2(2)'s RESOLVE_NO_SYMLINKS: no component of the
+// path may be a symlink.
+const resolveNoSymlinks = 0x04
+
+// noOpenat2 is set once openat2(2) proves missing (before Linux 5.6) or
+// forbidden by a sandbox.
+var noOpenat2 atomic.Bool
+
+// openPath opens the regular file at the NUL-terminated path read-only in one
+// openat2(2) that follows no symlink anywhere on the path, the directories
+// above a tree's root included. Where there is no openat2 it fails with
+// errors.ErrUnsupported.
+func openPath(path []byte) (node, error) {
+	if noOpenat2.Load() {
+		return node{}, errors.ErrUnsupported
+	}
+	p, err := namePtr(path)
+	if err != nil {
+		return node{}, err
+	}
+	how := openHow{flags: readFlags, resolve: resolveNoSymlinks}
+	cwd := atFdcwd
+	for {
+		fd, _, errno := syscall.Syscall6(sysOpenat2, uintptr(cwd), uintptr(p), uintptr(unsafe.Pointer(&how)), unsafe.Sizeof(how), 0, 0)
+		switch errno {
+		case 0:
+			return node{fd: int(fd)}, nil
+		case syscall.EINTR:
+			continue
+		case syscall.ENOSYS, syscall.EPERM:
+			noOpenat2.Store(true)
+			return node{}, errors.ErrUnsupported
+		}
+		return node{}, errno
 	}
 }
 
@@ -56,6 +113,7 @@ func openRoot(path string) (node, error) {
 // The *at(2) flags the syscall package does not export, the same on every
 // Linux architecture.
 const (
+	atFdcwd           = -0x64
 	atSymlinkNofollow = 0x100
 	atRemovedir       = 0x200
 )
@@ -124,9 +182,13 @@ func readDirents(d node, buf []byte, fn func(name []byte, kind uint8)) error {
 // lstatAt is fstatat(2) of the NUL-terminated name in d, not following a
 // symlink.
 func lstatAt(d node, name []byte) (fileStat, error) {
+	p, err := namePtr(name)
+	if err != nil {
+		return fileStat{}, err
+	}
 	var st syscall.Stat_t
 	for {
-		_, _, errno := syscall.Syscall6(sysFstatat, uintptr(d.fd), uintptr(unsafe.Pointer(&name[0])), uintptr(unsafe.Pointer(&st)), atSymlinkNofollow, 0, 0)
+		_, _, errno := syscall.Syscall6(sysFstatat, uintptr(d.fd), uintptr(p), uintptr(unsafe.Pointer(&st)), atSymlinkNofollow, 0, 0)
 		if errno == syscall.EINTR {
 			continue
 		}

@@ -43,6 +43,10 @@ func openRoot(path string) (node, error) {
 	return node{path: path}, nil
 }
 
+// openPath has no single call on paths that refuses a symlink anywhere on
+// the way: the caller opens component by component.
+func openPath([]byte) (node, error) { return node{}, errors.ErrUnsupported }
+
 // openDir checks that name in d is a directory and not a symlink. One that
 // is not is ErrUnsafeDir.
 func openDir(d node, name []byte) (node, error) {

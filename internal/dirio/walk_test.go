@@ -102,6 +102,52 @@ func TestOpenTreeSameAtEveryParallelism(t *testing.T) {
 	}
 }
 
+// TestOpenTreeSharesLargeDirectory: the stats of a directory larger than
+// statChunk are shared out over the idle workers in chunks, each into its
+// own part, and the files and errors still come back the same, in path
+// order, however many workers ran them.
+func TestOpenTreeSharesLargeDirectory(t *testing.T) {
+	root := t.TempDir()
+	n := 3*statChunk + 10
+	var wantFiles, wantErrs []string
+	for i := range n {
+		rel := fmt.Sprintf("big/f%04d.txt", i)
+		write(t, root, rel, "")
+		if i%97 == 3 {
+			wantErrs = append(wantErrs, rel)
+		} else {
+			wantFiles = append(wantFiles, rel)
+		}
+	}
+	orig := statAt
+	statAt = func(d node, name []byte) (fileStat, error) {
+		var i int
+		if _, err := fmt.Sscanf(goName(name), "f%04d.txt", &i); err == nil && i%97 == 3 {
+			return fileStat{}, fs.ErrPermission
+		}
+		return orig(d, name)
+	}
+	t.Cleanup(func() { statAt = orig })
+	defer pool.SetParallelism(0)
+	for _, p := range []int{1, 2, 8} {
+		pool.SetParallelism(p)
+		tree, werrs, err := OpenTree(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths, errPaths []string
+		for _, fi := range tree.Files() {
+			paths = append(paths, fi.Path)
+		}
+		for _, we := range werrs {
+			errPaths = append(errPaths, we.Path)
+		}
+		if !slices.Equal(paths, wantFiles) || !slices.Equal(errPaths, wantErrs) {
+			t.Fatalf("parallelism %d: %d files and errors at %v, want %d and %v", p, len(paths), errPaths, len(wantFiles), wantErrs)
+		}
+	}
+}
+
 // TestWalkSkipsTempFiles: a temporary file a crash left behind is neither a
 // file of the tree.
 func TestWalkSkipsTempFiles(t *testing.T) {
