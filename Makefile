@@ -34,16 +34,20 @@ race:
 check: vet race fuzz-smoke api-check cross
 
 # cross builds and vets the module for the platforms the build-tag splits
-# (internal/dirio's descriptor and path primitives, its fstatat and syncfs
-# numbers) must keep compiling on: 32-bit Linux, another Linux architecture,
-# two BSD-derived systems and Windows. ./benchmark is left out: it calls
-# syscall.Getrusage, which Windows does not have.
-CROSS_TARGETS = linux/386 linux/arm64 darwin/arm64 freebsd/amd64 windows/amd64
+# (internal/dirio's descriptor primitives on every Linux architecture against
+# its path primitives elsewhere, its fstatat calls and syncfs numbers) must
+# keep compiling on: 32-bit Linux, arm64, two Linux architectures that stat
+# through the syscall package (mips64le, loong64), two BSD-derived systems
+# and Windows. ./benchmark is built and vetted too, except on Windows, which
+# has no syscall.Getrusage.
+CROSS_TARGETS = linux/386 linux/arm64 linux/mips64le linux/loong64 darwin/arm64 freebsd/amd64 windows/amd64
 cross:
 	@set -e; for target in $(CROSS_TARGETS); do \
 		echo "cross $$target"; \
-		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build . ./cmd/... ./internal/...; \
-		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) vet . ./cmd/... ./internal/...; \
+		pkgs=". ./cmd/... ./internal/..."; \
+		[ $$target = windows/amd64 ] || pkgs="$$pkgs ./benchmark"; \
+		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build $$pkgs; \
+		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) vet $$pkgs; \
 	done
 
 # api-check diffs the package's exported surface against the committed

@@ -302,21 +302,20 @@ func Experiments() []string {
 }
 
 var registry = map[string]func(Options) *Table{
-	"fig6.1":          Fig61,
-	"fig6.2":          Fig62,
-	"fig6.3":          Fig63,
-	"fig6.4":          Fig64,
-	"table6.1":        Table61,
-	"table6.2":        Table62,
-	"ablate.decomp":   AblateDecomposable,
-	"ablate.bits":     AblateHashBits,
-	"ablate.rounds":   AblateRounds,
-	"ablate.latency":  Latency,
-	"ablate.manifest": AblateManifest,
-	"ablate.detect":   AblateDetect,
-	"ablate.cdc":      AblateCDC,
-	"ablate.cpu":      CPU,
-	"cdc.map":         CDCMap,
+	"fig6.1":         Fig61,
+	"fig6.2":         Fig62,
+	"fig6.3":         Fig63,
+	"fig6.4":         Fig64,
+	"table6.1":       Table61,
+	"table6.2":       Table62,
+	"ablate.decomp":  AblateDecomposable,
+	"ablate.bits":    AblateHashBits,
+	"ablate.rounds":  AblateRounds,
+	"ablate.latency": Latency,
+	"ablate.detect":  AblateDetect,
+	"ablate.cdc":     AblateCDC,
+	"ablate.cpu":     CPU,
+	"cdc.map":        CDCMap,
 }
 
 // Run executes one experiment by id.

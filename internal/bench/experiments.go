@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"msync/internal/cdc"
 	"msync/internal/collection"
@@ -266,48 +265,6 @@ func AblateCDC(opts Options) *Table {
 	t.Notes = append(t.Notes,
 		"chunk dedup is one roundtrip but cannot exploit sub-chunk similarity;",
 		"msync's recursion reaches much finer granularity for fewer bits")
-	return t
-}
-
-// AblateManifest compares change-detection costs: the flat fingerprint
-// manifest vs merkle-tree reconciliation, at varying change fractions
-// (extension; the paper's related-work line on identifying changed files).
-func AblateManifest(opts Options) *Table {
-	t := &Table{
-		Title:   "Ablation — change detection: flat manifest vs merkle tree",
-		Columns: []string{"manifest KB", "tree KB", "changed", "files"},
-	}
-	nFiles := maxI(64, int(800*opts.Scale))
-	rng := rand.New(rand.NewSource(opts.Seed))
-	base := make(map[string][]byte, nFiles)
-	paths := make([]string, nFiles)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("site/d%02d/f%05d.html", i%37, i)
-		base[paths[i]] = corpus.SourceText(rng, 400+rng.Intn(800))
-	}
-	for _, changed := range []int{1, 8, nFiles / 16, nFiles / 4} {
-		newer := make(map[string][]byte, nFiles)
-		for k, v := range base {
-			newer[k] = v
-		}
-		// The first paths, not the first of a map walk: the table is the same
-		// at the same seed. The tree buckets by path hash, so these scatter.
-		for _, k := range paths[:changed] {
-			newer[k] = corpus.SourceText(rng, 400+rng.Intn(800))
-		}
-		flat := collectionCosts(base, newer, core.DefaultConfig(), nil)
-		tree := collectionCosts(base, newer, core.DefaultConfig(), func(c *collection.Client) { c.TreeManifest = true })
-		t.Rows = append(t.Rows, Row{
-			Name: fmt.Sprintf("%d of %d files changed", changed, nFiles),
-			Values: []float64{
-				stats.KB(flat.PhaseTotal(stats.PhaseControl)),
-				stats.KB(tree.PhaseTotal(stats.PhaseControl)),
-				float64(changed), float64(nFiles),
-			},
-		})
-	}
-	t.Notes = append(t.Notes,
-		"control-phase bytes only; the tree costs O(changed*log n), the manifest O(n)")
 	return t
 }
 

@@ -250,6 +250,7 @@ type clientWork struct {
 // of list, and every entry not named is unchanged. What is left is the work
 // for the per-file phases.
 func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEntry) (*clientWork, error) {
+	defer s.closeCursor()
 	muxRaw, vraw, err := s.readGranted(det.read, wire.FrameMuxAck, wire.FrameVerdicts, s.ext.mux > 0)
 	if err != nil {
 		return nil, asHandshake(err)
@@ -345,7 +346,7 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 			// failure (missing file, corrupt payload, content drift) lands
 			// on the ack list for a whole-file fallback, exactly like a
 			// failed engine verification.
-			old, err := s.src.Load(path)
+			old, err := s.load(path)
 			if err == nil {
 				old, err = delta.DecodeLen(old, payload, int(newLen))
 			}
@@ -418,7 +419,7 @@ func (s *session) newClientFile(path string, newLen int, alts []string) (clientF
 		s.costs.FilesCDC++
 	}
 	if len(alts) == 0 {
-		old, err := s.src.Load(path)
+		old, err := s.load(path)
 		if err != nil {
 			return cf, err
 		}
@@ -427,7 +428,7 @@ func (s *session) newClientFile(path string, newLen int, alts []string) (clientF
 	}
 	s.costs.FilesRebased++
 	for _, ap := range alts {
-		old, err := s.src.Load(ap)
+		old, err := s.load(ap)
 		if err != nil {
 			continue // basis vanished: try the rest
 		}

@@ -626,7 +626,7 @@ func (d *treeReceiver) announce(manifest []ManifestEntry) ([]ManifestEntry, erro
 				left = append(left, e)
 				continue
 			}
-			data, err := s.src.Load(from)
+			data, err := s.load(from)
 			if err != nil {
 				return nil, err
 			}
@@ -694,10 +694,8 @@ func (ts *treeState) acquire(entries []merkle.Entry, fp [md4.Size]byte, dir stri
 // signature cache's disk directory, when there is one. "" disables
 // persistence (trees then live only as long as the Client).
 func treeDir(src Source) string {
-	if cb, ok := src.(cacheBacked); ok {
-		if c := cb.Cache(); c != nil {
-			return c.Dir()
-		}
+	if ts := dirOf(src); ts != nil && ts.cache != nil {
+		return ts.cache.Dir()
 	}
 	return ""
 }

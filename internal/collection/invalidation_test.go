@@ -27,7 +27,7 @@ func manifestDelta(t *testing.T, dir string, cache *sigcache.Cache, fp uint64, p
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, cache.Stats().Sub(before), src.HashedBytes()
+	return m, cache.Stats().Sub(before), src.bytesHashed.Load()
 }
 
 // TestCacheInvalidationMatrix pins down exactly which stat changes invalidate

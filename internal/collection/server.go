@@ -351,6 +351,7 @@ type serverWork struct {
 // control. A session that runs engines may be granted streams: the MUX_ACK
 // goes first, in the same flush, so granting costs no extra roundtrip.
 func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *merkle.TreeCache) (work serverWork, err error) {
+	defer s.closeCursor()
 	list, answers, err := det.detect(own, mtree)
 	if err != nil {
 		return work, err
@@ -370,7 +371,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 	for _, a := range answers {
 		if a.Op == filelist.OpAdd {
 			if a.payload == nil {
-				data, err := s.src.Load(a.New.Path)
+				data, err := s.load(a.New.Path)
 				if errors.Is(err, fs.ErrNotExist) {
 					continue
 				}
@@ -400,7 +401,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 			work.settled = append(work.settled, a.New)
 			s.costs.FilesJournal++
 		default:
-			data, err := s.src.Load(a.New.Path)
+			data, err := s.load(a.New.Path)
 			if errors.Is(err, fs.ErrNotExist) {
 				vb.Byte(verdictDelete)
 				continue

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"msync/internal/core"
+	"msync/internal/dirio"
 	"msync/internal/obs"
 	"msync/internal/stats"
 	"msync/internal/transport"
@@ -117,6 +118,9 @@ type session struct {
 	// before giving up on a protocol violation (see fail).
 	holder bool
 	src    Source
+	// cur reads src's files when src serves a directory (see load); nil
+	// until the first load.
+	cur *dirio.Cursor
 	// cfg is the session's protocol config. The holder decides it and ships
 	// it with the verdicts; Workers is never serialized, so it is always this
 	// end's own budget.
@@ -158,8 +162,10 @@ func openSession(ctx context.Context, conn io.ReadWriter, opt *Options, side str
 
 // close ends the session: its trace and log with the outcome, its metrics
 // with the outcome, duration and costs; then it returns the pooled reader,
-// writer and scratch and releases the connection.
+// writer and scratch and releases the connection. It also closes the cursor,
+// which a receiver whose change detection failed before verdicts may hold.
 func (s *session) close(err error) {
+	s.closeCursor()
 	s.st.end(s, err)
 	if r := s.metrics; r != nil {
 		r.Gauge(obs.MetricSessionsActive).Dec()
@@ -175,6 +181,31 @@ func (s *session) close(err error) {
 	wire.PutFrameReader(s.fr)
 	s.ts.Release()
 	s.cancel()
+}
+
+// load returns one file of the session's source. Over a directory it reads
+// through the session's one cursor, so the loads of the change-detection
+// phase, which run on the session goroutine in path order, open each
+// directory once; verdictWalk and verdicts close the cursor when they
+// return, so a session holds no descriptor through its per-file phases.
+// Over any other source it is the source's Load.
+func (s *session) load(path string) ([]byte, error) {
+	ts := dirOf(s.src)
+	if ts == nil {
+		return s.src.Load(path)
+	}
+	if s.cur == nil {
+		s.cur = ts.tree.Cursor()
+	}
+	return s.cur.Load(path)
+}
+
+// closeCursor releases the directories the session's cursor holds; the
+// cursor stays usable.
+func (s *session) closeCursor() {
+	if s.cur != nil {
+		s.cur.Close()
+	}
 }
 
 // out and in are the directions this end's frames travel in the session's

@@ -77,7 +77,7 @@ type TreeSource struct {
 	manifest []ManifestEntry
 	sigs     []*sigcache.Sig // by manifest index: the cache's, else built on first ask
 
-	bytesHashed atomic.Int64
+	bytesHashed atomic.Int64 // streamed through MD4 for the manifest, paranoid re-verification included
 }
 
 // NewTreeSource creates a source over tree. cache may be nil; fingerprint
@@ -90,13 +90,6 @@ type TreeSource struct {
 func NewTreeSource(tree *dirio.Tree, cache *sigcache.Cache, fingerprint uint64, paranoid bool) *TreeSource {
 	return &TreeSource{tree: tree, cache: cache, fp: fingerprint, paranoid: paranoid}
 }
-
-// Cache returns the backing signature cache (nil when uncached).
-func (s *TreeSource) Cache() *sigcache.Cache { return s.cache }
-
-// HashedBytes reports how many bytes this source has streamed through MD4
-// for manifest fingerprints (cache misses and paranoid re-verification).
-func (s *TreeSource) HashedBytes() int64 { return s.bytesHashed.Load() }
 
 // Manifest implements Source. The files are fingerprinted in chunks over the
 // tree's workers, each into its own slot through its own dirio.Cursor; a
@@ -196,7 +189,10 @@ func (s *TreeSource) applied(res *Result) (*TreeSource, error) {
 
 // dirOf returns the directory tree src serves, bare or under a version store;
 // nil for any other source. A receiver over a tree lists the files it keeps
-// by name (keep), and a push into one is written to its directory (adopt).
+// by name (keep), a push into one is written to its directory (adopt), a
+// session reads it through a cursor (load), and its hashing and signature
+// cache are what a session accounts (beginAccounting) and where merkle trees
+// persist (treeDir).
 func dirOf(src Source) *TreeSource {
 	if ss, ok := src.(*StoreSource); ok {
 		src = ss.Source
@@ -223,32 +219,23 @@ func (s *TreeSource) Signature(path string) *sigcache.Sig {
 	return s.sigs[i]
 }
 
-// cacheBacked lets the session layer discover a source's signature cache
-// without depending on the concrete type.
-type cacheBacked interface{ Cache() *sigcache.Cache }
-
-// hashAccounting lets the session layer meter a source's streamed hashing.
-type hashAccounting interface{ HashedBytes() int64 }
-
-// accounting snapshots a source's cache and hashing counters at session
-// start so their deltas can be attributed to one session's Costs.
+// accounting snapshots the hashing and signature-cache counters of the
+// directory tree a source serves at session start, so their deltas can be
+// attributed to one session's Costs.
 type accounting struct {
-	cache  *sigcache.Cache
-	cache0 sigcache.Stats
-	hasher hashAccounting
+	tree   *TreeSource // nil: the source serves no directory
 	bytes0 int64
+	cache0 sigcache.Stats
 }
 
-// beginAccounting snapshots src's counters.
+// beginAccounting snapshots the counters of the tree src serves (dirOf).
 func beginAccounting(src Source) *accounting {
-	a := &accounting{}
-	if cb, ok := src.(cacheBacked); ok && cb.Cache() != nil {
-		a.cache = cb.Cache()
-		a.cache0 = a.cache.Stats()
-	}
-	if h, ok := src.(hashAccounting); ok {
-		a.hasher = h
-		a.bytes0 = h.HashedBytes()
+	a := &accounting{tree: dirOf(src)}
+	if a.tree != nil {
+		a.bytes0 = a.tree.bytesHashed.Load()
+		if a.tree.cache != nil {
+			a.cache0 = a.tree.cache.Stats()
+		}
 	}
 	return a
 }
@@ -256,15 +243,16 @@ func beginAccounting(src Source) *accounting {
 // finish folds the counter deltas into costs and flushes dirty signatures
 // (engines add levels during the session) to the cache's disk store.
 func (a *accounting) finish(costs *stats.Costs) {
-	if a.hasher != nil {
-		costs.BytesHashed += a.hasher.HashedBytes() - a.bytes0
-	}
-	if a.cache == nil {
+	if a.tree == nil {
 		return
 	}
-	d := a.cache.Stats().Sub(a.cache0)
+	costs.BytesHashed += a.tree.bytesHashed.Load() - a.bytes0
+	if a.tree.cache == nil {
+		return
+	}
+	d := a.tree.cache.Stats().Sub(a.cache0)
 	costs.CacheHits += d.Hits
 	costs.CacheMisses += d.Misses
 	costs.CacheEvictions += d.Evictions
-	a.cache.Flush()
+	a.tree.cache.Flush()
 }

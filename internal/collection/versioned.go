@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"msync/internal/md4"
-	"msync/internal/sigcache"
 	"msync/internal/store"
 )
 
@@ -70,13 +69,19 @@ func (s *StoreSource) CurrentVersion() uint64 { return s.st.LatestVersion() }
 
 // Snapshot implements VersionedSource: it fingerprints the live source and
 // commits the result as a new store version, loading changed content through
-// the source.
+// the source, or in path order through one cursor over a directory.
 func (s *StoreSource) Snapshot() (uint64, error) {
 	m, err := s.Source.Manifest()
 	if err != nil {
 		return 0, err
 	}
-	v, _, err := s.st.Snapshot(m, ManifestDigest(m), s.Source.Load)
+	load := s.Source.Load
+	if ts := dirOf(s); ts != nil {
+		c := ts.tree.Cursor()
+		defer c.Close()
+		load = c.Load
+	}
+	v, _, err := s.st.Snapshot(m, ManifestDigest(m), load)
 	return v, err
 }
 
@@ -88,24 +93,6 @@ func (s *StoreSource) VersionDelta(base uint64, baseDigest, currentDigest [md4.S
 // VersionContent implements VersionedSource.
 func (s *StoreSource) VersionContent(sum [md4.Size]byte) ([]byte, error) {
 	return s.st.Content(sum)
-}
-
-// Cache forwards the inner source's signature cache, keeping session
-// accounting intact through the wrapper (interface embedding does not
-// promote optional interfaces).
-func (s *StoreSource) Cache() *sigcache.Cache {
-	if cb, ok := s.Source.(cacheBacked); ok {
-		return cb.Cache()
-	}
-	return nil
-}
-
-// HashedBytes forwards the inner source's hashing meter.
-func (s *StoreSource) HashedBytes() int64 {
-	if h, ok := s.Source.(hashAccounting); ok {
-		return h.HashedBytes()
-	}
-	return 0
 }
 
 // Snapshot cuts a new store version from the server's current collection.

@@ -99,8 +99,9 @@ func BenchmarkOpenTree(b *testing.B) {
 }
 
 // BenchmarkTreeReads reads every file of a tree of 600 files of 1 KB, three
-// levels deep, one call a file as a session's sends do (Tree.Load,
-// Tree.HashFile), and reports ns/file.
+// levels deep, in path order: one call a file, each through a fresh cursor
+// (Tree.Load, Tree.HashFile), and every file through one cursor, as a
+// session's loads and a manifest's hashing do. It reports ns/file.
 func BenchmarkTreeReads(b *testing.B) {
 	root := b.TempDir()
 	data := make([]byte, 1<<10)
@@ -117,12 +118,16 @@ func BenchmarkTreeReads(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	c := tree.Cursor()
+	defer c.Close()
 	for _, arm := range []struct {
 		name string
 		read func(rel string) error
 	}{
 		{"load", func(rel string) error { _, err := tree.Load(rel); return err }},
 		{"hash_file", func(rel string) error { _, _, err := tree.HashFile(rel); return err }},
+		{"cursor_load", func(rel string) error { _, err := c.Load(rel); return err }},
+		{"cursor_hash_file", func(rel string) error { _, _, err := c.HashFile(rel); return err }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -106,6 +106,46 @@ func TestNulInPathIsRefused(t *testing.T) {
 	}
 }
 
+// TestBackslashInPath: where the platform's separator is a backslash, the
+// path primitives' filepath.Join would take a\..\..\x for a path out of the
+// root, so every read and ApplyChanges refuse a path holding one. On Linux,
+// where a\b is one legal name, the same paths are written and read as any
+// other.
+func TestBackslashInPath(t *testing.T) {
+	above := t.TempDir()
+	root := filepath.Join(above, "root")
+	write(t, above, "x", "secret")
+	write(t, root, "keep.txt", "kept")
+	refused := filepath.Separator == '\\'
+	for _, rel := range []string{`a\b`, `a\..\..\x`} {
+		if err := checkPath(rel); (err != nil) != refused {
+			t.Errorf("checkPath(%q) = %v, want refused %v", rel, err, refused)
+		}
+		err := ApplyChanges(root, map[string][]byte{rel: []byte("evil")}, nil)
+		if (err != nil) != refused {
+			t.Fatalf("ApplyChanges writing %q: err = %v, want refused %v", rel, err, refused)
+		}
+		tree, _, err := OpenTree(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, lerr := tree.Load(rel)
+		_, _, herr := tree.HashFile(rel)
+		if refused {
+			if lerr == nil || herr == nil {
+				t.Errorf("%q: Load err = %v, HashFile err = %v, want both refused", rel, lerr, herr)
+			}
+			continue
+		}
+		if lerr != nil || herr != nil || string(data) != "evil" {
+			t.Errorf("%q: Load = %q (%v), HashFile err = %v, want the written file", rel, data, lerr, herr)
+		}
+	}
+	if got, _ := os.ReadFile(filepath.Join(above, "x")); string(got) != "secret" {
+		t.Errorf("outside the root, x = %q, want it untouched", got)
+	}
+}
+
 // TestApplyChangesReplacesFinalSymlink: a symlink as a path's last component
 // is replaced by the file, not followed: its target keeps its content and
 // mode, and the new file takes 0644, not the link's mode.
@@ -167,8 +207,7 @@ func TestReadsRefuseSymlinkSwappedIn(t *testing.T) {
 
 // TestReadsThroughLinkedRoot: a tree whose root is reached through a
 // symlink, the caller's choice, is read as any other by every read, and a
-// symlink under it is still refused by the one-shot reads, which no longer
-// open whole paths once they found the root's.
+// symlink under it is still refused, on the first read and after.
 func TestReadsThroughLinkedRoot(t *testing.T) {
 	real, outside, links := t.TempDir(), t.TempDir(), t.TempDir()
 	write(t, real, "d/f.txt", "inside")

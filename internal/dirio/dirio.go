@@ -27,8 +27,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"msync/internal/md4"
@@ -142,9 +140,6 @@ type Tree struct {
 	root    string
 	files   []FileInfo // sorted by Path
 	workers int
-	// linkedRoot is set once a one-shot read finds a symlink in the root's
-	// own path, which openPath refuses: it reads component by component.
-	linkedRoot atomic.Bool
 }
 
 // OpenTree walks root collecting file identities without reading any
@@ -383,11 +378,11 @@ func (t *Tree) Workers() int { return t.workers }
 func (t *Tree) Files() []FileInfo { return t.files }
 
 // Load reads one file's content. The path is validated against traversal
-// like everything else that touches disk on behalf of the protocol. On Linux
-// it opens the file in one openat2(2) that follows no symlink on the way,
-// where a Cursor opens every directory; elsewhere it is a Cursor's read.
+// like everything else that touches disk on behalf of the protocol. It is
+// one read through a fresh Cursor, which opens every directory on the way: a
+// run of reads goes faster through one Cursor of its own.
 func (t *Tree) Load(rel string) ([]byte, error) {
-	c := Cursor{t: t, single: true}
+	c := Cursor{t: t}
 	defer c.Close()
 	return c.Load(rel)
 }
@@ -396,7 +391,7 @@ func (t *Tree) Load(rel string) ([]byte, error) {
 // hash through a pooled buffer, release. It returns the sum and the number
 // of bytes hashed. It opens the file as Load does.
 func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
-	c := Cursor{t: t, single: true}
+	c := Cursor{t: t}
 	defer c.Close()
 	return c.HashFile(rel)
 }
@@ -409,12 +404,11 @@ func (t *Tree) HashFile(rel string) (sum [md4.Size]byte, n int64, err error) {
 // most the tree's depth in descriptors until Close; it is not safe for
 // concurrent use, so each worker takes its own.
 type Cursor struct {
-	t      *Tree
-	single bool    // one read: try openPath first
-	dirs   []node  // dirs[0] is the root, dirs[i] the i-th directory of cur
-	cur    string  // the slash path of the innermost directory, "" for the root
-	name   []byte  // a NUL-terminated name, reused
-	buf    *[]byte // HashFile's buffer, from hashBufPool until Close
+	t    *Tree
+	dirs []node  // dirs[0] is the root, dirs[i] the i-th directory of cur
+	cur  string  // the slash path of the innermost directory, "" for the root
+	name []byte  // a NUL-terminated name, reused
+	buf  *[]byte // HashFile's buffer, from hashBufPool until Close
 }
 
 // Cursor returns a new cursor over t. Close it when done.
@@ -485,18 +479,6 @@ func (c *Cursor) open(rel string) (node, error) {
 	if err := checkPath(rel); err != nil {
 		return node{}, err
 	}
-	linked := false
-	if c.single && !c.t.linkedRoot.Load() {
-		c.name = append(append(append(append(c.name[:0], c.t.root...), '/'), rel...), 0)
-		f, err := openPath(c.name)
-		if err == nil {
-			return f, nil
-		}
-		// Any failure is taken again from the walk below, which tells a
-		// symlink in the root's own path, which it follows, from one under
-		// the root, and reports the error as a cursor does.
-		linked = errors.Is(err, syscall.ELOOP)
-	}
 	dir, base := splitRel(rel)
 	if err := c.enter(dir); err != nil {
 		return node{}, &FileError{Path: rel, Err: err}
@@ -504,9 +486,6 @@ func (c *Cursor) open(rel string) (node, error) {
 	f, err := openFile(c.dirs[len(c.dirs)-1], c.cname(base))
 	if err != nil {
 		return node{}, &FileError{Path: rel, Err: err}
-	}
-	if linked {
-		c.t.linkedRoot.Store(true)
 	}
 	return f, nil
 }
@@ -995,11 +974,14 @@ func SyncDir(path string) error {
 	return d.close()
 }
 
-// checkPath rejects path traversal and absolute paths from the wire, and a
-// NUL byte: the primitives pass names to the kernel NUL-terminated, so
-// "..\x00x" would reach it as "..".
+// checkPath rejects path traversal and absolute paths from the wire; a NUL
+// byte, since the primitives pass names to the kernel NUL-terminated and
+// "..\x00x" would reach it as ".."; and the platform's separator where that
+// is not '/', since the path primitives join names with filepath.Join, which
+// on Windows takes a\..\..\x for a path out of the root.
 func checkPath(rel string) error {
-	if rel == "" || strings.HasPrefix(rel, "/") || strings.HasPrefix(rel, "\\") || strings.IndexByte(rel, 0) >= 0 {
+	if rel == "" || strings.HasPrefix(rel, "/") || strings.HasPrefix(rel, "\\") || strings.IndexByte(rel, 0) >= 0 ||
+		filepath.Separator != '/' && strings.IndexByte(rel, filepath.Separator) >= 0 {
 		return fmt.Errorf("dirio: refusing path %q", rel)
 	}
 	for part, rest, more := "", rel, true; more; { // strings.Split would allocate per file

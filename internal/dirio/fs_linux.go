@@ -1,15 +1,13 @@
-//go:build linux && !mips64 && !mips64le && !loong64
+//go:build linux
 
 package dirio
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 	"time"
 	"unsafe"
@@ -17,9 +15,7 @@ import (
 
 // The primitives on Linux: every one resolves a single name relative to an
 // open directory descriptor, so no path is resolved from the root twice and
-// no symlink on the way is followed. (mips64, mips64le and loong64 use the
-// path primitives of fs_path.go: their syscall package has no fstatat that
-// fills a syscall.Stat_t.)
+// no symlink on the way is followed.
 
 // node is an open directory or file: its descriptor, and its path for error
 // messages.
@@ -60,46 +56,6 @@ func openat(d node, name []byte, flags int, mode uint32) (int, error) {
 	}
 }
 
-// openHow is openat2(2)'s struct open_how.
-type openHow struct{ flags, mode, resolve uint64 }
-
-// resolveNoSymlinks is openat2(2)'s RESOLVE_NO_SYMLINKS: no component of the
-// path may be a symlink.
-const resolveNoSymlinks = 0x04
-
-// noOpenat2 is set once openat2(2) proves missing (before Linux 5.6) or
-// forbidden by a sandbox.
-var noOpenat2 atomic.Bool
-
-// openPath opens the regular file at the NUL-terminated path read-only in one
-// openat2(2) that follows no symlink anywhere on the path, the directories
-// above a tree's root included. Where there is no openat2 it fails with
-// errors.ErrUnsupported.
-func openPath(path []byte) (node, error) {
-	if noOpenat2.Load() {
-		return node{}, errors.ErrUnsupported
-	}
-	p, err := namePtr(path)
-	if err != nil {
-		return node{}, err
-	}
-	how := openHow{flags: readFlags, resolve: resolveNoSymlinks}
-	cwd := atFdcwd
-	for {
-		fd, _, errno := syscall.Syscall6(sysOpenat2, uintptr(cwd), uintptr(p), uintptr(unsafe.Pointer(&how)), unsafe.Sizeof(how), 0, 0)
-		switch errno {
-		case 0:
-			return node{fd: int(fd)}, nil
-		case syscall.EINTR:
-			continue
-		case syscall.ENOSYS, syscall.EPERM:
-			noOpenat2.Store(true)
-			return node{}, errors.ErrUnsupported
-		}
-		return node{}, errno
-	}
-}
-
 // openRoot opens the directory at path, following a symlink there: the root
 // is the caller's choice, only what lies under it is confined.
 func openRoot(path string) (node, error) {
@@ -113,7 +69,6 @@ func openRoot(path string) (node, error) {
 // The *at(2) flags the syscall package does not export, the same on every
 // Linux architecture.
 const (
-	atFdcwd           = -0x64
 	atSymlinkNofollow = 0x100
 	atRemovedir       = 0x200
 )
@@ -182,18 +137,14 @@ func readDirents(d node, buf []byte, fn func(name []byte, kind uint8)) error {
 // lstatAt is fstatat(2) of the NUL-terminated name in d, not following a
 // symlink.
 func lstatAt(d node, name []byte) (fileStat, error) {
-	p, err := namePtr(name)
-	if err != nil {
-		return fileStat{}, err
-	}
 	var st syscall.Stat_t
 	for {
-		_, _, errno := syscall.Syscall6(sysFstatat, uintptr(d.fd), uintptr(p), uintptr(unsafe.Pointer(&st)), atSymlinkNofollow, 0, 0)
-		if errno == syscall.EINTR {
+		err := fstatat(d.fd, name, &st)
+		if err == syscall.EINTR {
 			continue
 		}
-		if errno != 0 {
-			return fileStat{}, errno
+		if err != nil {
+			return fileStat{}, err
 		}
 		return statOf(&st), nil
 	}

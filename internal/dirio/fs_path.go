@@ -1,4 +1,4 @@
-//go:build !linux || mips64 || mips64le || loong64
+//go:build !linux
 
 package dirio
 
@@ -10,10 +10,9 @@ import (
 	"syscall"
 )
 
-// The primitives on paths, for platforms without the descriptor calls of
-// fs_linux.go: each joins the name to its directory's path and lstats what
-// it is about to open, so a symlink is refused as on Linux, though not
-// atomically with the open.
+// The primitives on paths, for every platform but Linux: each joins the name
+// to its directory's path and lstats what it is about to open, so a symlink
+// is refused as on Linux, though not atomically with the open.
 
 // node is an open file, or a directory by its path (f is nil).
 type node struct {
@@ -42,10 +41,6 @@ func openRoot(path string) (node, error) {
 	}
 	return node{path: path}, nil
 }
-
-// openPath has no single call on paths that refuses a symlink anywhere on
-// the way: the caller opens component by component.
-func openPath([]byte) (node, error) { return node{}, errors.ErrUnsupported }
 
 // openDir checks that name in d is a directory and not a symlink. One that
 // is not is ErrUnsafeDir.
