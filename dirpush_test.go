@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"msync"
 	"msync/internal/dirio"
@@ -188,8 +189,9 @@ func (s *pinnedServer) Read(p []byte) (int, error) {
 // byte for byte; never a mix within a file. It does not see the file the
 // push added. The pulling client's copy differs from both versions, so every
 // file it keeps came over the wire, and one pushed file keeps its length, so
-// a cached signature of the old version matches it by length. Run under
-// -race.
+// a cached signature of the old version matches it by length: the holder
+// must see that the file it read is not the one its walk fingerprinted, and
+// sync it without that signature, so nothing is sent whole. Run under -race.
 func TestPullDuringPushIntoDirServer(t *testing.T) {
 	old, cur := pushTrees()
 	for rel, data := range old {
@@ -204,6 +206,14 @@ func TestPullDuringPushIntoDirServer(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		for round := range 4 {
 			replicaDir, sourceDir := writeDir(t, old), writeDir(t, cur)
+			// The push writes the replica's files now; the walk saw them an
+			// hour older, whatever the clock's tick.
+			hourAgo := time.Now().Add(-time.Hour)
+			for rel := range old {
+				if err := os.Chtimes(filepath.Join(replicaDir, rel), hourAgo, hourAgo); err != nil {
+					t.Fatal(err)
+				}
+			}
 			opts := []msync.Option{msync.WithPush(nil)}
 			if cached {
 				opts = append(opts, msync.WithSignatureCache(t.TempDir(), 0))
@@ -246,6 +256,12 @@ func TestPullDuringPushIntoDirServer(t *testing.T) {
 			}
 			if res.Files["new/added.txt"] != nil {
 				t.Fatalf("cached %v, round %d: the pull got the file a push added after its session began", cached, round)
+			}
+			// d1/f01.txt keeps its length through the push: a holder that
+			// took the walk's signature for the bytes it read would fail the
+			// file's whole-file check and send it again in a FULL.
+			if res.Costs.FilesFull != 0 {
+				t.Errorf("cached %v, round %d: %d files sent whole, want none", cached, round, res.Costs.FilesFull)
 			}
 		}
 	}

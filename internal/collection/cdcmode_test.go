@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"errors"
 	"log/slog"
 	"strings"
 	"testing"
@@ -124,25 +125,41 @@ func TestCDCModeUnusableDegrades(t *testing.T) {
 }
 
 // TestConfigRoundTripMapMode: the mode rides as an optional trailing config
-// field — absent (and byte-identical to the legacy encoding) for halving.
+// field — absent (and byte-identical to the legacy encoding) for halving. A
+// granted whole-content stream is a second one after it, which then comes
+// for halving too: one byte more with CDC, two with halving; any value but 1
+// is refused.
 func TestConfigRoundTripMapMode(t *testing.T) {
 	halving := core.DefaultConfig()
 	cdc := core.DefaultConfig()
 	cdc.MapMode = core.MapCDC
 
-	got, err := decodeConfig(encodeConfig(&cdc))
-	if err != nil {
-		t.Fatal(err)
+	got, stream, err := decodeConfig(encodeConfig(&cdc, false))
+	if err != nil || stream {
+		t.Fatal(err, stream)
 	}
 	if got.MapMode != core.MapCDC {
 		t.Fatalf("MapMode lost in round trip: %+v", got)
 	}
-	h := encodeConfig(&halving)
-	c := encodeConfig(&cdc)
-	if len(c) != len(h)+1 {
-		t.Fatalf("cdc config should add exactly one trailing byte: %d vs %d", len(c), len(h))
+	h := encodeConfig(&halving, false)
+	for _, c := range []struct {
+		raw  []byte
+		grow int
+	}{
+		{encodeConfig(&cdc, false), 1},
+		{encodeConfig(&cdc, true), 2},
+		{encodeConfig(&halving, true), 2},
+	} {
+		if len(c.raw) != len(h)+c.grow {
+			t.Fatalf("config of %d bytes, want %d trailing bytes after the %d-byte legacy one", len(c.raw), c.grow, len(h))
+		}
+		if string(c.raw[:len(h)]) != string(h) {
+			t.Fatalf("trailing fields changed the legacy prefix")
+		}
 	}
-	if string(c[:len(h)]) != string(h) {
-		t.Fatalf("trailing mode field changed the legacy prefix")
+	bad := append(encodeConfig(&halving, true), 0)
+	bad[len(bad)-2] = 2
+	if _, _, err := decodeConfig(bad[:len(bad)-1]); !errors.Is(err, core.ErrProtocol) {
+		t.Fatalf("a stream grant of 2: %v, want core.ErrProtocol", err)
 	}
 }

@@ -139,6 +139,7 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 	}
 	s.ext.mux = c.MuxStreams
 	s.ext.mapMode = c.MapMode
+	s.ext.stream = true
 	if err := s.sendHello(rolePull); err != nil {
 		return nil, asHandshake(err)
 	}
@@ -258,9 +259,12 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 	s.answered()
 	vp := wire.NewParser(vraw)
 	cfgRaw, err := vp.Bytes()
-	cfg, err2 := decodeConfig(cfgRaw)
+	cfg, stream, err2 := decodeConfig(cfgRaw)
 	if err = cmp.Or(err, err2); err != nil {
 		return nil, err
+	}
+	if stream && !s.ext.stream {
+		return nil, fmt.Errorf("%w: VERDICTS grant a whole-content stream not asked for", core.ErrProtocol)
 	}
 	cfg.Workers = s.cfg.Workers
 	s.cfg = cfg
@@ -281,7 +285,12 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 	}
 	kept := make([]int, 0, len(list))
 	fullBytes, deltaBytes := 0, 0
+	var whole wholeStream // a granted stream's files, decoded once the frame checks out
 	full := func(path, what string) error {
+		s.costs.FilesFull++
+		if stream {
+			return whole.announce(vp, path)
+		}
 		comp, err := vp.Bytes()
 		if err != nil {
 			return err
@@ -290,7 +299,6 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 		if res.Files[path], err = delta.Decompress(comp); err != nil {
 			return fmt.Errorf("%w: %s file %q: %w", core.ErrProtocol, what, path, err)
 		}
-		s.costs.FilesFull++
 		return nil
 	}
 	for k := 0; k < int(nv); k++ {
@@ -391,11 +399,21 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 			work.written = append(work.written, path)
 		}
 	}
+	if stream {
+		n, err := whole.read(vp)
+		if err != nil {
+			return nil, err
+		}
+		fullBytes += n
+	}
 	if err := det.trailer(vp, list, kept, work); err != nil {
 		return nil, err
 	}
 	if vp.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after the verdicts", core.ErrProtocol, vp.Remaining())
+	}
+	if err := whole.decode(res.Files); err != nil {
+		return nil, err
 	}
 	s.st.verdictCost(s.costs, len(vraw), fullBytes, deltaBytes)
 	if muxRaw != nil {

@@ -71,12 +71,14 @@ func TestConfigRoundTrip(t *testing.T) {
 		core.OneShotConfig(512),
 	}
 	for i, cfg := range configs {
-		got, err := decodeConfig(encodeConfig(&cfg))
-		if err != nil {
-			t.Fatalf("config %d: %v", i, err)
-		}
-		if got != cfg {
-			t.Fatalf("config %d: got %+v want %+v", i, got, cfg)
+		for _, stream := range []bool{false, true} {
+			got, granted, err := decodeConfig(encodeConfig(&cfg, stream))
+			if err != nil {
+				t.Fatalf("config %d: %v", i, err)
+			}
+			if got != cfg || granted != stream {
+				t.Fatalf("config %d: got %+v (stream %v) want %+v (stream %v)", i, got, granted, cfg, stream)
+			}
 		}
 	}
 }
@@ -98,7 +100,7 @@ func TestConfigPresetsKeepTheirBytes(t *testing.T) {
 		{"basic", core.BasicConfig(), "801080010008060a2810010101020001000080028020050400000000"},
 		{"oneshot512", core.OneShotConfig(512), "8004800400080c0a2810010101020001000080028020050400000000"},
 	} {
-		if got := hex.EncodeToString(encodeConfig(&tc.cfg)); got != tc.hex {
+		if got := hex.EncodeToString(encodeConfig(&tc.cfg, false)); got != tc.hex {
 			t.Errorf("%s encodes as %s, want %s", tc.name, got, tc.hex)
 		}
 	}
@@ -129,7 +131,7 @@ func TestConfigRefusesRetiredTechniques(t *testing.T) {
 		{"poly", head + "0000" + mid + family("poly"), false},
 	} {
 		raw, _ := hex.DecodeString(tc.hex)
-		got, err := decodeConfig(raw)
+		got, _, err := decodeConfig(raw)
 		if tc.refused != errors.Is(err, errRetiredConfig) {
 			t.Errorf("%s: decodeConfig error %v, refused want %v", tc.name, err, tc.refused)
 		}
@@ -144,9 +146,9 @@ func TestConfigRefusesRetiredTechniques(t *testing.T) {
 
 func TestConfigDecodeTruncation(t *testing.T) {
 	cfg := core.DefaultConfig()
-	raw := encodeConfig(&cfg)
+	raw := encodeConfig(&cfg, false)
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := decodeConfig(raw[:cut]); err == nil {
+		if _, _, err := decodeConfig(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

@@ -30,8 +30,10 @@ var errRetiredConfig = fmt.Errorf("%w: config switches on a retired technique", 
 
 // encodeConfig serializes the protocol configuration. The server is
 // authoritative: it ships its config in the verdicts message and the client
-// builds its engines from it, so both sides always plan identically.
-func encodeConfig(c *core.Config) []byte {
+// builds its engines from it, so both sides always plan identically. stream
+// grants the whole-content stream (hello extension 5); it is no part of the
+// config itself, so ConfigFingerprint encodes without it.
+func encodeConfig(c *core.Config, stream bool) []byte {
 	b := wire.NewBuffer(64)
 	b.Uvarint(uint64(c.MaxBlockSize))
 	b.Uvarint(uint64(c.MinBlockSize))
@@ -59,18 +61,24 @@ func encodeConfig(c *core.Config) []byte {
 	b.String("")  // the hash family: "" is the polynomial one
 	// The map mode rides as an optional trailing field: sessions that
 	// negotiated CDC (hello extension 4) append it; halving sessions end
-	// the config here, byte-identical to pre-CDC servers.
-	if c.MapMode != core.MapHalving {
+	// the config here, byte-identical to pre-CDC servers. A granted stream
+	// is a second one, a 1, after the map mode, which is then written even
+	// for halving.
+	if c.MapMode != core.MapHalving || stream {
 		b.Uvarint(uint64(c.MapMode))
+	}
+	if stream {
+		b.Uvarint(1)
 	}
 	return b.Build()
 }
 
-// decodeConfig parses a configuration. A config that switches on a retired
-// technique is refused with errRetiredConfig; the retired numbers are read
-// and ignored. One that does not parse or fails Validate is a protocol error
-// too: the holder's config sizes the receiver's engines.
-func decodeConfig(p []byte) (core.Config, error) {
+// decodeConfig parses a configuration and whether it grants the whole-content
+// stream. A config that switches on a retired technique is refused with
+// errRetiredConfig; the retired numbers are read and ignored. One that does
+// not parse, grants with anything but a 1 or fails Validate is a protocol
+// error too: the holder's config sizes the receiver's engines.
+func decodeConfig(p []byte) (core.Config, bool, error) {
 	pr := wire.NewParser(p)
 	var err error
 	num := func() uint64 {
@@ -108,14 +116,21 @@ func decodeConfig(p []byte) (core.Config, error) {
 	if err == nil && pr.Remaining() > 0 {
 		c.MapMode = core.MapMode(num())
 	}
+	var stream bool
+	if err == nil && pr.Remaining() > 0 {
+		stream = num() == 1
+		if !stream && err == nil {
+			err = fmt.Errorf("a stream grant other than 1")
+		}
+	}
 	if err != nil {
-		return c, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
+		return c, false, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
 	}
 	if twoPhase || local || adaptive || (family != "" && family != "poly") {
-		return c, fmt.Errorf("%w (two-phase %v, local hashes %v, adaptive %v, hash family %q)", errRetiredConfig, twoPhase, local, adaptive, family)
+		return c, false, fmt.Errorf("%w (two-phase %v, local hashes %v, adaptive %v, hash family %q)", errRetiredConfig, twoPhase, local, adaptive, family)
 	}
 	if err := c.Validate(); err != nil {
-		return c, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
+		return c, false, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
 	}
-	return c, nil
+	return c, stream, nil
 }

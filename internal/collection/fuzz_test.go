@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -9,6 +10,7 @@ import (
 
 	"msync/internal/alloctest"
 	"msync/internal/core"
+	"msync/internal/delta"
 	"msync/internal/filelist"
 	"msync/internal/md4"
 	"msync/internal/merkle"
@@ -69,12 +71,12 @@ func sortedPayloads(m map[string][]byte) [][]byte {
 // validated configurations.
 func FuzzConfigDecode(f *testing.F) {
 	cfg := core.DefaultConfig()
-	f.Add(encodeConfig(&cfg))
+	f.Add(encodeConfig(&cfg, false))
 	f.Add([]byte{1, 2, 3})
 	cfg.MaxAlternates = min(1<<40, math.MaxInt) // 1<<40 where int holds it
-	f.Add(encodeConfig(&cfg))
+	f.Add(encodeConfig(&cfg, false))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := decodeConfig(data)
+		c, _, err := decodeConfig(data)
 		if err == nil {
 			if verr := c.Validate(); verr != nil {
 				t.Fatalf("decode accepted invalid config: %v", verr)
@@ -103,7 +105,10 @@ func FuzzConfigDecode(f *testing.F) {
 // second MANIFEST_WANT, any table and any WANT is one. As what follows a
 // HELLO's type byte, a declared length past maxHello is a protocol error that
 // costs the server under 64 KB; as a VERDICTS whose config decodeConfig
-// refuses, one that costs the client under 64 KB.
+// refuses, one that costs the client under 64 KB. As a whole file's length
+// they are refused past maxWhole, and as the whole-content stream of as many
+// 64-byte files as the list has room for, a missing segment or one declaring
+// another length than its files' sum is refused before anything is decoded.
 func FuzzSessionFrames(f *testing.F) {
 	f.Add(make([]byte, md4.Size), uint32(2), false) // a MANIFEST_REF's payload
 	f.Add([]byte{}, uint32(2), false)               // a MANIFEST_WANT's
@@ -166,8 +171,22 @@ func FuzzSessionFrames(f *testing.F) {
 	hostileCfg := core.DefaultConfig()
 	hostileCfg.MaxAlternates = min(1<<40, math.MaxInt) // 1<<40 where int holds it
 	vb := wire.NewBuffer(64)
-	vb.Bytes(encodeConfig(&hostileCfg))
+	vb.Bytes(encodeConfig(&hostileCfg, false))
 	f.Add(vb.Build(), uint32(2), false) // a VERDICTS whose config declares 2⁴⁰ alternates
+	// A whole-content stream of two 64-byte files: as sent, then declaring
+	// 4 GiB, a byte more than its files' sum, missing, with a byte after it;
+	// and a length past maxWhole.
+	twoFiles := delta.Compress(bytes.Repeat([]byte("whole content "), 10)[:128])
+	for _, p := range [][]byte{
+		lenPrefixed(twoFiles),
+		lenPrefixed(hostileDecoding),
+		lenPrefixed(append(wire.AppendUvarint(nil, 129), twoFiles[1:]...)),
+		{},
+		append(lenPrefixed(twoFiles), 0),
+		wire.AppendUvarint(nil, maxWhole+1),
+	} {
+		f.Add(p, uint32(2), false)
+	}
 	serve := func(c *scriptConn) error { _, err := srv.Serve(c); return err }
 	f.Fuzz(func(t *testing.T, data []byte, nFiles uint32, bodies bool) {
 		n := int(nFiles % (1 << 24))
@@ -202,7 +221,7 @@ func FuzzSessionFrames(f *testing.F) {
 			}
 		}
 		if raw, err := wire.NewParser(data).Bytes(); err == nil {
-			if _, cfgErr := decodeConfig(raw); cfgErr != nil {
+			if _, _, cfgErr := decodeConfig(raw); cfgErr != nil {
 				conn, script := &scriptConn{}, wireBytes(t, []wireFrame{{wire.FrameVerdicts, data}})
 				got := alloctest.BytesPerOp(16, func() { // sixteen: see hostileHandshakes
 					conn.script.Reset(script)
@@ -224,6 +243,34 @@ func FuzzSessionFrames(f *testing.F) {
 		_, _, wantErr := resolveWant(data, BuildManifest(cur))
 		handshake(t, []wireFrame{{wire.FrameHello, treeHello.Build()}, {wire.FrameTree, treeQuery}, {wire.FrameWant, data}}, wantErr == nil,
 			func(c *scriptConn) error { _, err := srv.Serve(c); return err })
+		// As a whole file's announced length: refused past maxWhole. As the
+		// stream of n 64-byte files: a segment missing or declaring another
+		// length than its files' sum is refused before any is decoded, and
+		// one that declares it costs its code tables, whatever it declares.
+		ws := wholeStream{}
+		if lerr := ws.announce(wire.NewParser(data), "f"); lerr != nil && !errors.Is(lerr, core.ErrProtocol) {
+			t.Fatalf("length refused with %v", lerr)
+		} else if l, k := binary.Uvarint(data); (k > 0 && l <= maxWhole) != (lerr == nil) {
+			t.Fatalf("length %d: %v", l, lerr)
+		}
+		if n <= 1<<10 {
+			ws = wholeStream{paths: make([]string, n), lens: make([]uint64, n)}
+			for i := range ws.lens {
+				ws.lens[i] = 64
+			}
+			files := map[string][]byte{}
+			got = alloctest.BytesPerOp(2, func() {
+				ws.ends, ws.segs, ws.sums = nil, nil, nil
+				if _, err := ws.read(wire.NewParser(data)); err == nil {
+					ws.decode(files)
+				} else if !errors.Is(err, core.ErrProtocol) {
+					t.Fatalf("stream refused with %v", err)
+				}
+			})
+			if ceiling := uint64(24<<10 + 128*n); got > ceiling {
+				t.Fatalf("a stream of %d 64-byte files allocated %d bytes (ceiling %d)", n, got, ceiling)
+			}
+		}
 		if err != nil {
 			return
 		}

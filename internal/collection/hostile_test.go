@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -112,45 +113,219 @@ func fullDeclaring4GiB(real []byte) []byte {
 	return b.Build()
 }
 
-// verdictDeclaring4GiB rewrites a real VERDICTS payload: the first file sent
-// whole, as a verdict or in the new-files trailer, becomes hostileDecoding;
-// everything else stays.
-func verdictDeclaring4GiB(real []byte) []byte {
-	p, b := wire.NewParser(real), wire.NewBuffer(len(real))
-	hit := false
-	whole := func() {
-		body, _ := p.Bytes()
-		if !hit {
-			body, hit = hostileDecoding, true
-		}
-		b.Bytes(body)
+// verdictWhole is a VERDICTS payload of unnamed verdicts taken apart around
+// its whole files, for the rewriters below: where each whole file's field
+// lies — its compressed bytes, or under a granted stream its length — and
+// where the stream's segments lie, as offsets into real, and the files'
+// content.
+type verdictWhole struct {
+	real    []byte
+	stream  bool
+	fields  [][2]int
+	segs    [2]int
+	content [][]byte
+}
+
+// wholeOf takes apart a VERDICTS payload of unnamed verdicts that sends a
+// file whole.
+func wholeOf(real []byte) verdictWhole {
+	v := parseWhole(real, false)
+	if len(v.fields) == 0 {
+		panic("hostile_test: no file sent whole in the session's VERDICTS frame")
 	}
-	cfg, _ := p.Bytes()
-	b.Bytes(cfg)
-	n, _ := p.Uvarint()
-	b.Uvarint(n)
+	return v
+}
+
+// parseWhole takes a VERDICTS payload apart, each verdict after an 8-byte
+// name if named; it panics on one it cannot read.
+func parseWhole(real []byte, named bool) verdictWhole {
+	v := verdictWhole{real: real}
+	p := wire.NewParser(real)
+	at := func() int { return len(real) - p.Remaining() }
+	must := func(err error) {
+		if err != nil {
+			panic("hostile_test: the session's VERDICTS frame does not parse: " + err.Error())
+		}
+	}
+	var lens []uint64
+	whole := func() {
+		start := at()
+		if v.stream {
+			n, err := p.Uvarint()
+			must(err)
+			lens = append(lens, n)
+		} else {
+			comp, err := p.Bytes()
+			must(err)
+			data, err := delta.Decompress(comp)
+			must(err)
+			v.content = append(v.content, data)
+		}
+		v.fields = append(v.fields, [2]int{start, at()})
+	}
+	cfg, err := p.Bytes()
+	must(err)
+	_, v.stream, err = decodeConfig(cfg)
+	must(err)
+	n, err := p.Uvarint()
+	must(err)
 	for ; n > 0; n-- {
-		verdict, _ := p.Byte()
-		b.Byte(verdict)
+		if named {
+			_, err := p.Raw(8)
+			must(err)
+		}
+		verdict, err := p.Byte()
+		must(err)
 		switch verdict {
 		case verdictFull:
 			whole()
 		case verdictSync:
-			newLen, _ := p.Uvarint()
-			b.Uvarint(newLen)
+			_, err = p.Uvarint()
+		case verdictJournal:
+			_, err = p.Uvarint()
+			if err == nil {
+				_, err = p.Raw(md4.Size)
+			}
+			if err == nil {
+				_, err = p.Bytes()
+			}
 		}
+		must(err)
 	}
-	n, _ = p.Uvarint()
-	b.Uvarint(n)
+	n, err = p.Uvarint()
+	must(err)
 	for ; n > 0; n-- {
-		path, _ := p.String()
-		b.String(path)
+		_, err := p.String()
+		must(err)
 		whole()
 	}
-	if !hit || p.Remaining() != 0 {
-		panic("hostile_test: no file sent whole in the session's VERDICTS frame")
+	v.segs = [2]int{at(), at()}
+	if v.stream {
+		lo := 0
+		for _, hi := range segmentEnds(lens) {
+			seg, err := p.Bytes()
+			must(err)
+			data, err := delta.Decompress(seg)
+			must(err)
+			for _, n := range lens[lo:hi] {
+				v.content, data = append(v.content, data[:n]), data[n:]
+			}
+			lo = hi
+		}
+		v.segs[1] = at()
+	}
+	return v
+}
+
+// build reassembles the payload with each whole file's field replaced by
+// fields[i] (nil: as it was) and the stream's segments by segs.
+func (v verdictWhole) build(fields [][]byte, segs []byte) []byte {
+	out, at := []byte(nil), 0
+	for i, f := range v.fields {
+		out = append(out, v.real[at:f[0]]...)
+		if fields[i] == nil {
+			fields[i] = v.real[f[0]:f[1]]
+		}
+		out, at = append(out, fields[i]...), f[1]
+	}
+	out = append(append(out, v.real[at:v.segs[0]]...), segs...)
+	return append(out, v.real[v.segs[1]:]...)
+}
+
+// segments are the stream's segments.
+func (v verdictWhole) segments() [][]byte {
+	p := wire.NewParser(v.real[v.segs[0]:v.segs[1]])
+	var out [][]byte
+	for p.Remaining() > 0 {
+		seg, _ := p.Bytes()
+		out = append(out, seg)
+	}
+	return out
+}
+
+// streamOf is segs as a stream's bytes.
+func streamOf(segs ...[]byte) []byte {
+	b := wire.NewBuffer(64)
+	for _, seg := range segs {
+		b.Bytes(seg)
 	}
 	return b.Build()
+}
+
+// restream is the stream of content with the first file's length announced
+// as first and its segment, alone as a file that long is, replaced by seg:
+// the fields and segments build takes.
+func (v verdictWhole) restream(first uint64, seg []byte) ([][]byte, []byte) {
+	fields := make([][]byte, len(v.fields))
+	fields[0] = wire.AppendUvarint(nil, first)
+	lens := []uint64{first}
+	for _, c := range v.content[1:] {
+		lens = append(lens, uint64(len(c)))
+	}
+	segs, lo := [][]byte{seg}, 1
+	for _, hi := range segmentEnds(lens)[1:] {
+		segs, lo = append(segs, delta.Compress(bytes.Join(v.content[lo:hi], nil))), hi
+	}
+	return fields, streamOf(segs...)
+}
+
+// verdictDeclaring4GiB rewrites a real VERDICTS payload: the first file sent
+// whole becomes hostileDecoding — in the per-file layout its field, under a
+// granted stream a segment of its own, its length announced at the 4 GiB the
+// segment declares; everything else stays.
+func verdictDeclaring4GiB(real []byte) []byte {
+	v := wholeOf(real)
+	if !v.stream {
+		fields := make([][]byte, len(v.fields))
+		fields[0] = lenPrefixed(hostileDecoding)
+		return v.build(fields, nil)
+	}
+	return v.build(v.restream(1<<32, hostileDecoding))
+}
+
+// lenPrefixed is b as a bytes field.
+func lenPrefixed(b []byte) []byte { return append(wire.AppendUvarint(nil, uint64(len(b))), b...) }
+
+// hostileStreams rewrite a VERDICTS payload under a granted stream, one per
+// check the receiver makes before it decodes a segment. The session they run
+// in sends a file past segmentMax first, so its stream has two segments, and
+// they lie about the last: a receiver that decoded a segment before it
+// checked the next would pay a megabyte for the first.
+var hostileStreams = map[string]func(real []byte) []byte{
+	// The last whole file announced a byte longer than it is: its segment
+	// declares a length other than its files' sum.
+	"length lies": func(real []byte) []byte {
+		v := wholeOf(real)
+		fields := make([][]byte, len(v.fields))
+		last := len(fields) - 1
+		fields[last] = wire.AppendUvarint(nil, uint64(len(v.content[last])+1))
+		return v.build(fields, v.real[v.segs[0]:v.segs[1]])
+	},
+	// The last segment declares a byte more than its files' lengths sum to.
+	"segment declares another sum": func(real []byte) []byte {
+		v := wholeOf(real)
+		segs := v.segments()
+		last := segs[len(segs)-1]
+		declared, k := binary.Uvarint(last)
+		segs[len(segs)-1] = append(wire.AppendUvarint(nil, declared+1), last[k:]...)
+		return v.build(make([][]byte, len(v.fields)), streamOf(segs...))
+	},
+	// A length past the 4 GiB delta.Decode caps a stream at.
+	"length of 2^32+1": func(real []byte) []byte {
+		v := wholeOf(real)
+		return v.build(v.restream(1<<32+1, hostileDecoding))
+	},
+	// The stream without its last segment.
+	"segment missing": func(real []byte) []byte {
+		v := wholeOf(real)
+		segs := v.segments()
+		return v.build(make([][]byte, len(v.fields)), streamOf(segs[:len(segs)-1]...))
+	},
+	// A byte between the stream and the detector's trailer.
+	"bytes after the stream": func(real []byte) []byte {
+		v := wholeOf(real)
+		return v.build(make([][]byte, len(v.fields)), append(bytes.Clone(v.real[v.segs[0]:v.segs[1]]), 0))
+	},
 }
 
 // tamperProxy sits between a client and a server and replaces the payload of
@@ -283,14 +458,16 @@ func TestHostileIndexLists(t *testing.T) {
 		up         bool
 		typ, after byte
 		rewrite    func(real []byte) []byte // the "declares 4 GiB" case of a frame that has one
+		push       bool                     // the session is a push: its VERDICTS come file by file
 	}{
-		{"server/ROUND_REPLY", true, wire.FrameRoundReply, wire.FrameRoundHashes, nil},
-		{"server/CONFIRM-reply", true, wire.FrameRoundReply, wire.FrameConfirm, nil},
-		{"server/ACK", true, wire.FrameAck, 0, nil},
-		{"client/ROUND_HASHES", false, wire.FrameRoundHashes, 0, nil},
-		{"client/CONFIRM", false, wire.FrameConfirm, 0, nil},
-		{"client/FULL", false, wire.FrameFull, 0, fullDeclaring4GiB},
-		{"client/VERDICTS", false, wire.FrameVerdicts, 0, verdictDeclaring4GiB},
+		{"server/ROUND_REPLY", true, wire.FrameRoundReply, wire.FrameRoundHashes, nil, false},
+		{"server/CONFIRM-reply", true, wire.FrameRoundReply, wire.FrameConfirm, nil, false},
+		{"server/ACK", true, wire.FrameAck, 0, nil, false},
+		{"client/ROUND_HASHES", false, wire.FrameRoundHashes, 0, nil, false},
+		{"client/CONFIRM", false, wire.FrameConfirm, 0, nil, false},
+		{"client/FULL", false, wire.FrameFull, 0, fullDeclaring4GiB, false},
+		{"client/VERDICTS", false, wire.FrameVerdicts, 0, verdictDeclaring4GiB, false},
+		{"server/pushed VERDICTS", true, wire.FrameVerdicts, 0, verdictDeclaring4GiB, true},
 	}
 	for _, fc := range frames {
 		lists, serverFiles := hostileLists(fc.typ != wire.FrameAck), v2
@@ -318,13 +495,17 @@ func TestHostileIndexLists(t *testing.T) {
 					srv.MuxStreams = width
 					cli := NewClient(v1)
 					cli.MuxStreams = width
+					dial := cli.Sync
+					if fc.push {
+						srv, dial = pushEnds(t, v1, serverFiles, width, weakConfig())
+					}
 
 					tp := newTamperProxy(fc.up, fc.typ, fc.after, payload)
 					want := errIndexList
 					if payload == nil {
 						tp.rewrite, want = fc.rewrite, delta.ErrCorrupt
 					}
-					_, _, victim, other := tp.run(t, srv, cli.Sync)
+					_, _, victim, other := tp.run(t, srv, dial)
 					if !fc.up {
 						victim, other = other, victim
 					}
@@ -461,6 +642,10 @@ func hostileHandshakes(t *testing.T) {
 		v1[p] = []byte(strings.Repeat(p, 40))
 		v2[p] = v1[p]
 	}
+	for i := 0; i < 2; i++ { // new files, so VERDICTS carries a whole-content stream
+		p := fmt.Sprintf("new/f%d.txt", i)
+		v2[p] = []byte(strings.Repeat(p, 30+i))
+	}
 	digest := make([]byte, md4.Size)
 	packed, fits := packManifest(BuildManifest(v1), md4.Size)
 	short, fitsShort := packManifest(BuildManifest(v1), shortSum)
@@ -482,6 +667,7 @@ func hostileHandshakes(t *testing.T) {
 		last    bool   // the tampered frame is the client's last: it may finish
 		push    bool   // the connecting end pushes to a server that allows it
 		mux     bool   // the frame is sent only when the session is multiplexed
+		wide    bool   // the holder also has a new file past segmentMax: its stream has two segments
 	}
 	rows := []row{
 		{name: "server/REF of 15 bytes", base: 1, up: true, typ: wire.FrameManifestRef, payload: digest[:15]},
@@ -525,6 +711,11 @@ func hostileHandshakes(t *testing.T) {
 		{name: "client/DELTA in place of CYCLE", mux: true, typ: wire.FrameCycle, retype: wire.FrameDelta, payload: digest},
 		{name: "client/DELTA in place of a STREAM frame", mux: true, typ: wire.FrameRoundHashes, retype: wire.FrameDelta, payload: digest},
 	}
+	for name, rewrite := range hostileStreams {
+		rows = append(rows, row{name: "client/VERDICTS stream " + name, typ: wire.FrameVerdicts, rewrite: rewrite, wide: true})
+	}
+	wide := maps.Clone(v2) // a compressible megabyte, sorted before the other new files
+	wide["new/big.txt"] = bytes.Repeat([]byte("a file past segmentMax\n"), segmentMax/23+1)
 	for name, payload := range hostilePacked(md4.Size) {
 		rows = append(rows, row{name: "server/PACKED " + name, up: true, typ: wire.FrameManifestShort, retype: wire.FrameManifestPacked, payload: payload})
 	}
@@ -555,7 +746,11 @@ func hostileHandshakes(t *testing.T) {
 			t.Run(row.name+"/"+framing, func(t *testing.T) {
 				// Not parallel: the allocation ceiling below reads the
 				// process's allocation counter.
-				srv := versionedServer(t, v1, v2, core.DefaultConfig())
+				held := v2
+				if row.wide {
+					held = wide
+				}
+				srv := versionedServer(t, v1, held, core.DefaultConfig())
 				srv.MuxStreams = width
 				loads := &loadCounter{Source: srv.src}
 				if row.typ == wire.FrameWant {
@@ -566,7 +761,7 @@ func hostileHandshakes(t *testing.T) {
 				cli.AnnounceVersion, cli.BaseVersion = row.base > 0, row.base
 				dial := cli.Sync
 				if row.push {
-					srv, dial = pushEnds(t, v1, v2, width)
+					srv, dial = pushEnds(t, v1, v2, width, core.DefaultConfig())
 				}
 
 				var log bytes.Buffer
@@ -637,27 +832,27 @@ func withAlternates(n int) func(real []byte) []byte {
 		if err != nil {
 			return real
 		}
-		cfg, err := decodeConfig(raw)
+		cfg, stream, err := decodeConfig(raw)
 		if err != nil {
 			return real
 		}
 		cfg.MaxAlternates = n
 		rest, _ := p.Raw(p.Remaining())
 		b := wire.NewBuffer(len(real) + 8)
-		b.Bytes(encodeConfig(&cfg))
+		b.Bytes(encodeConfig(&cfg, stream))
 		b.Raw(rest)
 		return b.Build()
 	}
 }
 
-// pushEnds are a push's two ends at mux width: a server over old that allows
-// pushes, and the session of a pusher holding cur.
-func pushEnds(t *testing.T, old, cur map[string][]byte, width int) (*Server, func(io.ReadWriter) (*Result, error)) {
-	receiver, err := NewServer(old, core.DefaultConfig())
+// pushEnds are a push's two ends at mux width under cfg: a server over old
+// that allows pushes, and the session of a pusher holding cur.
+func pushEnds(t *testing.T, old, cur map[string][]byte, width int, cfg core.Config) (*Server, func(io.ReadWriter) (*Result, error)) {
+	receiver, err := NewServer(old, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pusher, err := NewServer(cur, core.DefaultConfig())
+	pusher, err := NewServer(cur, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

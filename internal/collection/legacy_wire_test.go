@@ -178,24 +178,39 @@ func pushRecorded(t *testing.T, pusher, receiver *Server) (c2s, s2c []byte) {
 	return rec.c2s.Bytes(), rec.s2c.Bytes()
 }
 
-// flatPull records one flat-manifest pull three times. name_short is today's
-// live session. name keeps the transcript a client from before MANIFEST_PACKED
-// recorded, name_packed one from before MANIFEST_SHORT: each client half,
-// replayed against today's server, must draw its recorded answer — which is
-// the same for both (TestPackedAnswerIsTheLegacyAnswer) and, but for the
-// VERDICTS trailer, name_short's (TestShortAnswerIsThePackedAnswer).
-func flatPull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
-	out := []legacyScenario{{name: name + "_short", run: func(t *testing.T) ([]byte, []byte) {
+// pull records one pull live as name_stream, today's receiver asking for the
+// whole-content stream, and keeps name, the transcript a receiver from before
+// hello extension 5 recorded, as a replay: its half, fed to today's server,
+// must draw its recorded answer, file by file.
+func pull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
+	return replays(name+"_stream", setup, name)
+}
+
+// replays is the live scenario live and a replay of each of olds against the
+// server setup builds.
+func replays(live string, setup func(t *testing.T) (*Server, *Client), olds ...string) []legacyScenario {
+	out := []legacyScenario{{name: live, run: func(t *testing.T) ([]byte, []byte) {
 		srv, cli := setup(t)
 		return runRecorded(t, srv, cli)
 	}}}
-	for _, old := range []string{name + "_packed", name} {
+	for _, old := range olds {
 		out = append(out, legacyScenario{name: old, replay: true, run: func(t *testing.T) ([]byte, []byte) {
 			srv, _ := setup(t)
 			return replayRecorded(t, old, srv.ServeContext, false)
 		}})
 	}
 	return out
+}
+
+// flatPull records one flat-manifest pull four times. name_stream is today's
+// live session. name keeps the transcript a client from before
+// MANIFEST_PACKED recorded, name_packed one from before MANIFEST_SHORT,
+// name_short one from before the whole-content stream: each client half,
+// replayed against today's server, must draw its recorded answer — which is
+// the same for the first two (TestPackedAnswerIsTheLegacyAnswer) and, but for
+// the VERDICTS trailer, name_short's (TestShortAnswerIsThePackedAnswer).
+func flatPull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
+	return replays(name+"_stream", setup, name+"_short", name+"_packed", name)
 }
 
 // emacsPull is the flat pull of manifest_pull and its tuned variants: the
@@ -249,8 +264,9 @@ func pushServers(t *testing.T) (pusher, receiver *Server) {
 func legacyScenarios() []legacyScenario {
 	var out []legacyScenario
 	out = append(out, flatPull("manifest_pull", emacsPull(func(*Server, *Client) {}))...)
-	out = append(out, []legacyScenario{
-		{name: "tree_pull", run: func(t *testing.T) ([]byte, []byte) {
+	// gccPull is the tree pull of tree_pull and its tuned variants.
+	gccPull := func(tune func(*Client)) func(t *testing.T) (*Server, *Client) {
+		return func(t *testing.T) (*Server, *Client) {
 			v1, v2 := corpus.GCCProfile(0.05).Generate(9)
 			srv, err := NewServer(v2.Map(), core.PaperConfig())
 			if err != nil {
@@ -258,8 +274,12 @@ func legacyScenarios() []legacyScenario {
 			}
 			cli := NewClient(v1.Map())
 			cli.TreeManifest = true
-			return runRecorded(t, srv, cli)
-		}},
+			tune(cli)
+			return srv, cli
+		}
+	}
+	out = append(out, pull("tree_pull", gccPull(func(*Client) {}))...)
+	out = append(out, []legacyScenario{
 		{name: "push_short", push: true, run: func(t *testing.T) ([]byte, []byte) {
 			pusher, receiver := pushServers(t)
 			return pushRecorded(t, pusher, receiver)
@@ -275,64 +295,12 @@ func legacyScenarios() []legacyScenario {
 			pusher, _ := pushServers(t)
 			return replayRecorded(t, "push", pusher.PushContext, true)
 		}},
-		{name: "tree_pull_spec", run: func(t *testing.T) ([]byte, []byte) {
-			// Tree pull with the tree-extension hello (speculative descent):
-			// TREE_ACK plus multi-level answers, pinned so the negotiated
-			// exchange cannot drift silently.
-			v1, v2 := corpus.GCCProfile(0.05).Generate(9)
-			srv, err := NewServer(v2.Map(), core.PaperConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cli := NewClient(v1.Map())
-			cli.TreeManifest = true
-			cli.SpeculativeDescent = true
-			return runRecorded(t, srv, cli)
-		}},
-		{name: "tree_pull_cross", run: func(t *testing.T) ([]byte, []byte) {
-			// Tree pull with cross-file matching: a pure rename leaves the
-			// WANT, an alternate-basis hint tags a moved-and-edited file.
-			v1, _ := corpus.GCCProfile(0.0).Generate(17)
-			serverFiles := map[string][]byte{}
-			clientFiles := v1.Map()
-			paths := make([]string, 0, len(clientFiles))
-			for p := range clientFiles {
-				paths = append(paths, p)
-			}
-			sort.Strings(paths)
-			for i, p := range paths {
-				data := clientFiles[p]
-				switch i % 7 {
-				case 0:
-					serverFiles["moved/"+p] = data // pure rename
-				case 1:
-					edited := append(append([]byte{}, data...), []byte(" // moved and edited")...)
-					serverFiles["edited/"+p] = edited
-				default:
-					serverFiles[p] = data
-				}
-			}
-			srv, err := NewServer(serverFiles, core.PaperConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cli := NewClient(clientFiles)
-			cli.TreeManifest = true
-			cli.CrossFileMatch = true
-			return runRecorded(t, srv, cli)
-		}},
 		{name: "push_tree", push: true, run: func(t *testing.T) ([]byte, []byte) {
 			// A tree-mode push: the receiving server runs the descent and the
 			// WANT with no tree cache of its own across sessions.
 			pusher, receiver := pushServers(t)
 			pusher.TreeManifest = true
 			return pushRecorded(t, pusher, receiver)
-		}},
-		{name: "tree_cdc_pull", run: func(t *testing.T) ([]byte, []byte) {
-			// A tree pull with CDC granted: the config's map-mode field
-			// rides in the VERDICTS that answer the WANT.
-			srv, cli := emacsPull(func(_ *Server, c *Client) { c.TreeManifest, c.MapMode = true, core.MapCDC })(t)
-			return runRecorded(t, srv, cli)
 		}},
 		{name: "announce_unversioned", replay: true, run: func(t *testing.T) ([]byte, []byte) {
 			// An older client: it announces version 3 and sends its MANIFEST
@@ -341,6 +309,45 @@ func legacyScenarios() []legacyScenario {
 			return replayRecorded(t, "announce_unversioned", srv.ServeContext, false)
 		}},
 	}...)
+	// Tree pull with the tree-extension hello (speculative descent):
+	// TREE_ACK plus multi-level answers, pinned so the negotiated exchange
+	// cannot drift silently.
+	out = append(out, pull("tree_pull_spec", gccPull(func(c *Client) { c.SpeculativeDescent = true }))...)
+	// Tree pull with cross-file matching: a pure rename leaves the WANT, an
+	// alternate-basis hint tags a moved-and-edited file.
+	out = append(out, pull("tree_pull_cross", func(t *testing.T) (*Server, *Client) {
+		v1, _ := corpus.GCCProfile(0.0).Generate(17)
+		serverFiles := map[string][]byte{}
+		clientFiles := v1.Map()
+		paths := make([]string, 0, len(clientFiles))
+		for p := range clientFiles {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		for i, p := range paths {
+			data := clientFiles[p]
+			switch i % 7 {
+			case 0:
+				serverFiles["moved/"+p] = data // pure rename
+			case 1:
+				edited := append(append([]byte{}, data...), []byte(" // moved and edited")...)
+				serverFiles["edited/"+p] = edited
+			default:
+				serverFiles[p] = data
+			}
+		}
+		srv, err := NewServer(serverFiles, core.PaperConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := NewClient(clientFiles)
+		cli.TreeManifest = true
+		cli.CrossFileMatch = true
+		return srv, cli
+	})...)
+	// A tree pull with CDC granted: the config's map-mode field rides in the
+	// VERDICTS that answer the WANT.
+	out = append(out, pull("tree_cdc_pull", emacsPull(func(_ *Server, c *Client) { c.TreeManifest, c.MapMode = true, core.MapCDC }))...)
 	// Today's client: version 3 by reference. A server without a store asks
 	// for the manifest and goes on as above.
 	out = append(out, flatPull("announce_ref_unversioned", emacsPull(func(_ *Server, c *Client) {
@@ -352,7 +359,7 @@ func legacyScenarios() []legacyScenario {
 	out = append(out, flatPull("mux_manifest_pull", emacsPull(func(s *Server, c *Client) {
 		s.MuxStreams, c.MuxStreams = 4, 4
 	}))...)
-	out = append(out, legacyScenario{name: "mux_tree_pull", run: muxTreePull(core.PaperConfig())})
+	out = append(out, pull("mux_tree_pull", muxTreePull(core.PaperConfig()))...)
 	// Hashes weak enough that false matches survive verification: the ACK
 	// lists the files whose whole-file check failed and a FULL frame re-sends
 	// them.
@@ -362,47 +369,37 @@ func legacyScenarios() []legacyScenario {
 	// A list past tableMin whose table peels: MANIFEST_TABLE up, VERDICTS
 	// naming the differing files and ending with the list digest down
 	// (TestTableAnswerIsTheShortAnswer holds the rest to the short answer).
-	out = append(out, legacyScenario{name: "table_pull", run: func(t *testing.T) ([]byte, []byte) {
+	out = append(out, pull("table_pull", func(t *testing.T) (*Server, *Client) {
 		v1, v2 := tableTrees(2000, 30)
 		srv, err := NewServer(v2, core.PaperConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runRecorded(t, srv, NewClient(v1))
-	}})
+		return srv, NewClient(v1)
+	})...)
 	// The default config, one verification batch a round: a flat pull, the
 	// tiny_tree option set and a CDC pull.
 	def := core.DefaultConfig()
-	out = append(out, []legacyScenario{
-		{name: "default_pull", run: func(t *testing.T) ([]byte, []byte) {
-			srv, cli := emacsPullUnder(def, func(*Server, *Client) {})(t)
-			return runRecorded(t, srv, cli)
-		}},
-		{name: "default_mux_tree_pull", run: muxTreePull(def)},
-		{name: "default_cdc_pull", run: func(t *testing.T) ([]byte, []byte) {
-			srv, cli := emacsPullUnder(def, func(_ *Server, c *Client) { c.MapMode = core.MapCDC })(t)
-			return runRecorded(t, srv, cli)
-		}},
-	}...)
-	out = append(out, []legacyScenario{
-		{name: "journal_pull", replay: true, run: func(t *testing.T) ([]byte, []byte) {
-			// An older client's journal hit: base version 1 announced, the
-			// MANIFEST sent with it. No engines, verdicts carry the deltas,
-			// empty DELTA and ACK follow.
-			v1, v2 := costTrees()
-			return replayRecorded(t, "journal_pull", versionedServer(t, v1, v2, core.PaperConfig()).ServeContext, false)
-		}},
-		{name: "journal_ref_pull", run: func(t *testing.T) ([]byte, []byte) {
-			// Today's journal hit: the manifest's digest goes up, the same
-			// answer comes down (TestJournalRefAnswerIsTheLegacyAnswer).
-			v1, v2 := costTrees()
-			srv := versionedServer(t, v1, v2, core.PaperConfig())
-			cli := NewClient(v1)
-			cli.AnnounceVersion = true
-			cli.BaseVersion = 1
-			return runRecorded(t, srv, cli)
-		}},
-	}...)
+	out = append(out, pull("default_pull", emacsPullUnder(def, func(*Server, *Client) {}))...)
+	out = append(out, pull("default_mux_tree_pull", muxTreePull(def))...)
+	out = append(out, pull("default_cdc_pull", emacsPullUnder(def, func(_ *Server, c *Client) { c.MapMode = core.MapCDC }))...)
+	out = append(out, legacyScenario{name: "journal_pull", replay: true, run: func(t *testing.T) ([]byte, []byte) {
+		// An older client's journal hit: base version 1 announced, the
+		// MANIFEST sent with it. No engines, verdicts carry the deltas,
+		// empty DELTA and ACK follow.
+		v1, v2 := costTrees()
+		return replayRecorded(t, "journal_pull", versionedServer(t, v1, v2, core.PaperConfig()).ServeContext, false)
+	}})
+	// Today's journal hit: the manifest's digest goes up, the same answer
+	// comes down (TestJournalRefAnswerIsTheLegacyAnswer).
+	out = append(out, pull("journal_ref_pull", func(t *testing.T) (*Server, *Client) {
+		v1, v2 := costTrees()
+		srv := versionedServer(t, v1, v2, core.PaperConfig())
+		cli := NewClient(v1)
+		cli.AnnounceVersion = true
+		cli.BaseVersion = 1
+		return srv, cli
+	})...)
 	// A version the store never held, with streams requested: MANIFEST_REF,
 	// MANIFEST_WANT, the manifest, MUX_ACK, VERDICTS.
 	return append(out, flatPull("journal_ref_miss", func(t *testing.T) (*Server, *Client) {
@@ -415,10 +412,10 @@ func legacyScenarios() []legacyScenario {
 	})...)
 }
 
-// muxTreePull records the tiny_tree option set under cfg: merkle manifest,
+// muxTreePull is the tiny_tree option set under cfg: merkle manifest,
 // speculative descent, cross-file matching and 16 streams in one session.
-func muxTreePull(cfg core.Config) func(t *testing.T) ([]byte, []byte) {
-	return func(t *testing.T) ([]byte, []byte) {
+func muxTreePull(cfg core.Config) func(t *testing.T) (*Server, *Client) {
+	return func(t *testing.T) (*Server, *Client) {
 		clientFiles, serverFiles := movedTrees(tinyTrees(48))
 		srv, err := NewServer(serverFiles, cfg)
 		if err != nil {
@@ -430,7 +427,7 @@ func muxTreePull(cfg core.Config) func(t *testing.T) ([]byte, []byte) {
 		cli.SpeculativeDescent = true
 		cli.CrossFileMatch = true
 		cli.MuxStreams = 16
-		return runRecorded(t, srv, cli)
+		return srv, cli
 	}
 }
 
@@ -658,6 +655,75 @@ func TestShortAnswerIsThePackedAnswer(t *testing.T) {
 	}
 	if pairs != 8 || trailers != 8+6 {
 		t.Fatalf("%d live/replay pairs, %d with group sums: want the eight flat shapes, six of them with unchanged files", pairs, trailers-8)
+	}
+}
+
+// TestStreamAnswerIsThePerFileAnswer: in every live pull the receiver sends
+// what the older receiver of its replayed twin sent, but for the HELLO, which
+// asks for the whole-content stream too; the holder answers as it answered
+// that receiver, but for VERDICTS, which carry the same verdicts, the same
+// content and the same trailer, the whole files in the stream and the config
+// granting it.
+func TestStreamAnswerIsThePerFileAnswer(t *testing.T) {
+	pairs, streamed := 0, 0
+	for _, sc := range legacyScenarios() {
+		name, ok := strings.CutSuffix(sc.name, "_stream")
+		if !ok {
+			continue
+		}
+		pairs++
+		t.Run(name, func(t *testing.T) {
+			old := name + "_short" // a flat shape's receiver from before the stream
+			if _, err := os.Stat(goldenPath(old)); err != nil {
+				old = name
+			}
+			oldUp, oldDown := readGolden(t, old)
+			newUp, newDown := readGolden(t, sc.name)
+			ou, nu := transcriptFrames(t, oldUp), transcriptFrames(t, newUp)
+			if len(ou) != len(nu) || ou[0].typ != wire.FrameHello || nu[0].typ != wire.FrameHello {
+				t.Fatalf("receiver sent %d frames, the older one %d", len(nu), len(ou))
+			}
+			h := parseHelloExts(wire.NewParser(nu[0].payload[3:]))
+			if !h.stream {
+				t.Fatal("the receiver did not ask for the whole-content stream")
+			}
+			h.stream = false
+			hb := wire.NewBuffer(16)
+			hb.Raw(nu[0].payload[:3])
+			h.encode(hb)
+			nu[0].payload = hb.Build()
+			for i := range ou {
+				if ou[i].typ != nu[i].typ || !bytes.Equal(ou[i].payload, nu[i].payload) {
+					t.Fatalf("receiver frame %d: %s of %d bytes in place of %s of %d", i, wire.FrameName(nu[i].typ), len(nu[i].payload), wire.FrameName(ou[i].typ), len(ou[i].payload))
+				}
+			}
+			od, nd := transcriptFrames(t, oldDown), transcriptFrames(t, newDown)
+			if len(od) != len(nd) {
+				t.Fatalf("holder sent %d frames, to the older receiver %d", len(nd), len(od))
+			}
+			for i := range od {
+				if od[i].typ != nd[i].typ {
+					t.Fatalf("holder frame %d: %s in place of %s", i, wire.FrameName(nd[i].typ), wire.FrameName(od[i].typ))
+				}
+				if od[i].typ != wire.FrameVerdicts {
+					if !bytes.Equal(od[i].payload, nd[i].payload) {
+						t.Fatalf("holder frame %d (%s) differs", i, wire.FrameName(od[i].typ))
+					}
+					continue
+				}
+				named := name == "table_pull" // VERDICTS answering a MANIFEST_TABLE name their files
+				v, o := parseWhole(nd[i].payload, named), parseWhole(od[i].payload, named)
+				if !v.stream || o.stream || !reflect.DeepEqual(v.content, o.content) || !bytes.Equal(v.skeleton(), o.skeleton()) {
+					t.Fatalf("VERDICTS of %d bytes are not the older receiver's %d with the whole content streamed", len(nd[i].payload), len(od[i].payload))
+				}
+				if len(v.content) > 0 {
+					streamed++
+				}
+			}
+		})
+	}
+	if pairs != 17 || streamed == 0 {
+		t.Fatalf("%d live/replay pairs, %d with whole files: want the seventeen pulls, some sending files whole", pairs, streamed)
 	}
 }
 

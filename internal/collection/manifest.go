@@ -253,6 +253,13 @@ const (
 	// that refuse the mode, run recursive halving and ship the config
 	// without the trailing field — byte-identical to a legacy session.
 	helloExtMapMode = 4
+	// helloExtStream asks for the session's whole content as one compressed
+	// stream (payload: uvarint 1). A holder that grants it says so in the
+	// session config (a second optional trailing field) and lays VERDICTS out
+	// as wholeStream reads them: each whole file's length where its
+	// compressed bytes went, then the segments after the new files. Servers
+	// that predate the extension answer file by file, as they always did.
+	helloExtStream = 5
 )
 
 // helloExts is the hello's extension trailer, one field per extension; the
@@ -262,6 +269,7 @@ type helloExts struct {
 	mux      int          // helloExtMux: requested stream width; 0: none
 	treeCaps byte         // helloExtTree: requested treeCap* mask; 0: none
 	mapMode  core.MapMode // helloExtMapMode: requested mode; MapHalving: none
+	stream   bool         // helloExtStream: the whole-content stream requested
 }
 
 // encode appends the trailer to a hello: only the extensions that are set, in
@@ -275,6 +283,7 @@ func (h helloExts) encode(b *wire.Buffer) {
 		{helloExtMux, uint64(h.mux), h.mux > 0},
 		{helloExtTree, uint64(h.treeCaps), h.treeCaps != 0},
 		{helloExtMapMode, uint64(h.mapMode), h.mapMode != core.MapHalving},
+		{helloExtStream, 1, h.stream},
 	}
 	n := 0
 	for _, e := range exts {
@@ -328,6 +337,8 @@ func parseHelloExts(hp *wire.Parser) helloExts {
 			h.treeCaps = byte(v) & (treeCapSpec | treeCapCross)
 		case helloExtMapMode:
 			h.mapMode = core.MapMode(v)
+		case helloExtStream:
+			h.stream = v == 1
 		}
 	}
 	return h

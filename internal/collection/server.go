@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"msync/internal/core"
-	"msync/internal/delta"
 	"msync/internal/filelist"
 	"msync/internal/merkle"
 	"msync/internal/obs"
@@ -342,34 +341,49 @@ type serverWork struct {
 // over the list and the answers it returned: the session config; one verdict
 // per entry of list, unchanged where no answer names it, each after the
 // answer's name if it has one (then every entry has an answer); the files
-// added, in the new-files trailer; then the detector's trailer. A modified file with a
-// journal delta gets a journal verdict carrying it, and becomes settled: no
-// engine runs for it. Any other is loaded — sent whole when the receiver has
-// no basis for it or it is small, synced otherwise — and deleted if it
-// vanished since the list was built (an added one is left out). Whole files
-// count as PhaseFull, journal deltas as PhaseDelta, the rest of the frame as
-// control. A session that runs engines may be granted streams: the MUX_ACK
-// goes first, in the same flush, so granting costs no extra roundtrip.
+// added, in the new-files trailer; for a receiver granted the whole-content
+// stream, the whole files' segments (writeStream); then the detector's
+// trailer. A modified file with a journal delta gets a journal verdict
+// carrying it, and becomes settled: no engine runs for it. Any other is
+// loaded — sent whole when the receiver has no basis for it or it is small,
+// synced otherwise — and deleted if it vanished since the list was built (an
+// added one is left out). Whole files count as PhaseFull, journal deltas as
+// PhaseDelta, the rest of the frame as control. A session that runs engines
+// may be granted streams: the MUX_ACK goes first, in the same flush, so
+// granting costs no extra roundtrip.
 func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *merkle.TreeCache) (work serverWork, err error) {
 	defer s.closeCursor()
 	list, answers, err := det.detect(own, mtree)
 	if err != nil {
 		return work, err
 	}
+	stream := s.ext.stream // every receiver that asks is granted
 	vb := s.buf
 	vb.Reset()
-	vb.Bytes(encodeConfig(&s.cfg))
+	vb.Bytes(encodeConfig(&s.cfg, stream))
 	vb.Uvarint(uint64(len(list)))
 	fullBytes, deltaBytes := 0, 0
-	whole := func(comp []byte) {
+	var streamed []wholeFile // the granted stream's files, in VERDICTS order
+	whole := func(f wholeFile) {
+		s.costs.FilesFull++
+		if stream {
+			vb.Uvarint(uint64(f.n))
+			streamed = append(streamed, f)
+			return
+		}
+		comp := f.compressed()
 		vb.Bytes(comp)
 		fullBytes += len(comp)
-		s.costs.FilesFull++
 	}
-	var added []answer // the new-files section, each payload the file compressed
-	i := 0             // list[i] is the first entry without a verdict
+	type added struct {
+		path string
+		wholeFile
+	}
+	var news []added // the new-files section
+	i := 0           // list[i] is the first entry without a verdict
 	for _, a := range answers {
 		if a.Op == filelist.OpAdd {
+			f := wholeFile{blob: a.payload, n: a.New.Len} // a journal hit's, stored compressed
 			if a.payload == nil {
 				data, err := s.load(a.New.Path)
 				if errors.Is(err, fs.ErrNotExist) {
@@ -378,9 +392,9 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 				if err != nil {
 					return work, err
 				}
-				a.payload = delta.Compress(data)
+				f = wholeFile{data: data, n: len(data)}
 			}
-			added = append(added, a)
+			news = append(news, added{a.New.Path, f})
 			continue
 		}
 		for ; list[i].Path != a.Old.Path; i++ {
@@ -401,7 +415,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 			work.settled = append(work.settled, a.New)
 			s.costs.FilesJournal++
 		default:
-			data, err := s.load(a.New.Path)
+			data, walked, err := s.loadWalked(a.New.Path)
 			if errors.Is(err, fs.ErrNotExist) {
 				vb.Byte(verdictDelete)
 				continue
@@ -416,7 +430,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 			}
 			if a.have == wantAbsent || len(data) < s.cfg.MinBlockSize*2 {
 				vb.Byte(verdictFull)
-				whole(delta.Compress(data))
+				whole(wholeFile{data: data, n: len(data)})
 				continue
 			}
 			// The announced length and the engine both come from the same
@@ -428,7 +442,11 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 			if err != nil {
 				return work, err
 			}
-			eng.UseSignature(s.src.Signature(a.New.Path))
+			if walked {
+				// The manifest's signature is of these bytes only while the
+				// file is the one the source's walk fingerprinted.
+				eng.UseSignature(s.src.Signature(a.New.Path))
+			}
 			s.costs.FilesSynced++
 			work.engines = append(work.engines, syncFile{a.New.Path, eng, data})
 		}
@@ -437,10 +455,17 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 		vb.Byte(verdictUnchanged)
 		s.costs.FilesUnchanged++
 	}
-	vb.Uvarint(uint64(len(added)))
-	for _, a := range added {
-		vb.String(a.New.Path)
-		whole(a.payload)
+	vb.Uvarint(uint64(len(news)))
+	for _, f := range news {
+		vb.String(f.path)
+		whole(f.wholeFile)
+	}
+	if stream {
+		n, err := writeStream(vb, streamed)
+		if err != nil {
+			return work, err
+		}
+		fullBytes += n
 	}
 	det.trailer(vb, list, &work)
 	// A session without engines has nothing to multiplex: no MUX_ACK, one

@@ -190,14 +190,25 @@ func (s *session) close(err error) {
 // return, so a session holds no descriptor through its per-file phases.
 // Over any other source it is the source's Load.
 func (s *session) load(path string) ([]byte, error) {
+	data, _, err := s.loadWalked(path)
+	return data, err
+}
+
+// loadWalked is load that also reports whether the file read is the one the
+// source fingerprinted: over a directory, one with the size, modification and
+// change time the walk saw (dirio.Cursor.LoadWalked); over any other source,
+// always. What the source says of a file that is not — its signature — is
+// of other bytes.
+func (s *session) loadWalked(path string) ([]byte, bool, error) {
 	ts := dirOf(s.src)
 	if ts == nil {
-		return s.src.Load(path)
+		data, err := s.src.Load(path)
+		return data, true, err
 	}
 	if s.cur == nil {
 		s.cur = ts.tree.Cursor()
 	}
-	return s.cur.Load(path)
+	return s.cur.LoadWalked(path)
 }
 
 // closeCursor releases the directories the session's cursor holds; the

@@ -1,9 +1,12 @@
 package dirio
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func write(t *testing.T, root, rel, content string) {
@@ -65,5 +68,41 @@ func TestApplyIdempotent(t *testing.T) {
 	}
 	if got := loadAll(t, root); len(got) != 1 || string(got["x/y.txt"]) != "data" {
 		t.Fatalf("tree = %v, want x/y.txt only", keys(got))
+	}
+}
+
+// TestLoadWalked: a cursor's read says whether the file it read is the one
+// the walk listed. An untouched file is; one replaced after the walk with
+// content of the same length, or written in place, is not, and neither is
+// a file the walk never saw.
+func TestLoadWalked(t *testing.T) {
+	root := t.TempDir()
+	hourAgo := time.Now().Add(-time.Hour) // what replaces a file is written now, whatever the clock's tick
+	for _, rel := range []string{"a/same.txt", "a/replaced.txt", "b/rewritten.txt"} {
+		write(t, root, rel, "walked content")
+		if err := os.Chtimes(filepath.Join(root, rel), hourAgo, hourAgo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree, werrs, err := OpenTree(root)
+	if err != nil || len(werrs) != 0 {
+		t.Fatal(err, werrs)
+	}
+	write(t, root, "a/replaced.tmp", "pushed content")
+	if err := os.Rename(filepath.Join(root, "a/replaced.tmp"), filepath.Join(root, "a/replaced.txt")); err != nil {
+		t.Fatal(err)
+	}
+	write(t, root, "b/rewritten.txt", "pushed content")
+	write(t, root, "b/later.txt", "after the walk")
+	c := tree.Cursor()
+	defer c.Close()
+	for rel, want := range map[string]bool{"a/same.txt": true, "a/replaced.txt": false, "b/rewritten.txt": false, "b/later.txt": false} {
+		data, walked, err := c.LoadWalked(rel)
+		if err != nil || walked != want || len(data) != len("walked content") {
+			t.Errorf("%s: %q, walked %v, %v; want walked %v", rel, data, walked, err, want)
+		}
+	}
+	if _, _, err := c.LoadWalked("a/missing.txt"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a missing file: %v, want fs.ErrNotExist", err)
 	}
 }

@@ -256,13 +256,13 @@ func (n node) write(b []byte) error {
 	return nil
 }
 
-// size is the length of n's file.
-func (n node) size() (int64, error) {
+// stat is fstat(2) of n.
+func (n node) stat() (fileStat, error) {
 	var st syscall.Stat_t
 	if err := syscall.Fstat(n.fd, &st); err != nil {
-		return 0, err
+		return fileStat{}, err
 	}
-	return st.Size, nil
+	return statOf(&st), nil
 }
 
 // chmod sets n's permission bits.

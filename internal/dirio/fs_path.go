@@ -79,6 +79,11 @@ func lstatAt(d node, name []byte) (fileStat, error) {
 	if err != nil {
 		return fileStat{}, cause(err)
 	}
+	return statFrom(fi), nil
+}
+
+// statFrom is the part of fi the package reads.
+func statFrom(fi fs.FileInfo) fileStat {
 	kind := kindOther
 	switch {
 	case fi.Mode().IsRegular():
@@ -86,7 +91,7 @@ func lstatAt(d node, name []byte) (fileStat, error) {
 	case fi.IsDir():
 		kind = kindDir
 	}
-	return fileStat{kind: kind, perm: fi.Mode().Perm(), size: fi.Size(), mtime: fi.ModTime(), ctime: ctimeOf(fi)}, nil
+	return fileStat{kind: kind, perm: fi.Mode().Perm(), size: fi.Size(), mtime: fi.ModTime(), ctime: ctimeOf(fi)}
 }
 
 // openFile opens the regular file name in d read-only. A symlink there is
@@ -136,13 +141,13 @@ func (n node) write(b []byte) error {
 	return err
 }
 
-// size is the length of n's file.
-func (n node) size() (int64, error) {
+// stat is the stat of n's open file.
+func (n node) stat() (fileStat, error) {
 	fi, err := n.f.Stat()
 	if err != nil {
-		return 0, err
+		return fileStat{}, err
 	}
-	return fi.Size(), nil
+	return statFrom(fi), nil
 }
 
 // chmod sets n's permission bits.
