@@ -90,9 +90,7 @@ func main() {
 		dry       = flag.Bool("dry", false, "client: do not write, just report cost")
 		basic     = flag.Bool("basic", false, "use the basic protocol (no continuation/group testing)")
 		minB      = flag.Int("bmin", 0, "override minimum block size (power of two)")
-		tree      = flag.Bool("tree", false, "use merkle-tree change detection instead of a flat manifest")
-		specDesc  = flag.Bool("spec-descent", false, "client: with -tree, request speculative descent (multi-level answers, ~half the descent roundtrips)")
-		crossFile = flag.Bool("cross-file", false, "client: with -tree, request cross-file matching (renames copied locally, moved-and-edited files synced from their old path)")
+		tree      = flag.Bool("tree", false, "use merkle-tree change detection instead of a flat manifest; a pull asks for speculative descent (multi-level answers, ~half the descent roundtrips) and cross-file matching (renames copied locally, moved-and-edited files synced from their old path)")
 		timeout   = flag.Duration("timeout", 0, "overall session deadline (0 = none)")
 		roundTO   = flag.Duration("round-timeout", 2*time.Minute, "per-round I/O deadline; stalled peers fail fast (0 = none)")
 		retries   = flag.Int("retry", 3, "client: attempts for dial/handshake failures (1 = no retry)")
@@ -146,12 +144,6 @@ func main() {
 	}
 	if mm != msync.MapHalving {
 		extra = append(extra, msync.WithMapMode(mm))
-	}
-	if *specDesc {
-		extra = append(extra, msync.WithSpeculativeDescent())
-	}
-	if *crossFile {
-		extra = append(extra, msync.WithCrossFileMatch())
 	}
 	switch {
 	case *serve != "" && *connect != "":

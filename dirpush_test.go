@@ -132,6 +132,49 @@ func TestPushIntoDirServer(t *testing.T) {
 	}
 }
 
+// TestTreeModeLeavesOnlySigcacheEntries: a tree pull and a tree push between
+// directory endpoints with signature-cache directories leave nothing in those
+// directories but the cache's own entries. Merkle trees live in memory.
+func TestTreeModeLeavesOnlySigcacheEntries(t *testing.T) {
+	old, cur := pushTrees()
+	cached := func(dir string, opts ...msync.Option) (*msync.Server, string) {
+		cache := t.TempDir()
+		srv, _, err := msync.NewDirServer(dir, msync.DefaultConfig(), append(opts, msync.WithSignatureCache(cache, 0))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, cache
+	}
+
+	server, serverCache := cached(writeDir(t, cur))
+	clientCache := t.TempDir()
+	cli, _, err := msync.NewDirClient(writeDir(t, old), msync.WithTreeManifest(), msync.WithSignatureCache(clientCache, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := storeSyncOnce(t, server, cli); res.Costs.TreeRounds == 0 {
+		t.Fatal("the pull ran no merkle descent")
+	}
+
+	pusher, pusherCache := cached(writeDir(t, cur), msync.WithTreeManifest())
+	receiver, receiverCache := cached(writeDir(t, old), msync.WithPush(nil))
+	if pushErr, recvErr := pushOnce(pusher, receiver); pushErr != nil || recvErr != nil {
+		t.Fatalf("pusher: %v, receiver: %v", pushErr, recvErr)
+	}
+
+	for _, dir := range []string{serverCache, clientCache, pusherCache, receiverCache} {
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) == 0 {
+			t.Fatalf("cache directory holds %d entries (%v): the cache went unused", len(entries), err)
+		}
+		for _, e := range entries {
+			if filepath.Ext(e.Name()) != ".sig" {
+				t.Fatalf("cache directory holds %s, not a signature-cache entry", e.Name())
+			}
+		}
+	}
+}
+
 // pinnedPull holds a pull between its HELLO and its list. Its client end
 // passes on the first frame the client writes, the HELLO, and holds the rest
 // until release is closed. asked closes when its server end is read past the

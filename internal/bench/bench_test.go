@@ -301,21 +301,20 @@ func TestRenderCSV(t *testing.T) {
 // many roundtrips; in between it is one or the other. A hit by reference
 // sends the same few bytes up in two roundtrips whatever the collection's
 // size, and a miss costs the group-tested flat session one roundtrip more. The
-// tree sends less up than the group-tested flat list, in more roundtrips, and
-// speculative descent takes fewer of them than the one-level descent.
+// tree sends less up than the group-tested flat list, in more roundtrips.
 func TestAblateDetectShape(t *testing.T) {
 	rows := runFor(t, "ablate.detect").Rows
-	if len(rows)%8 != 0 {
-		t.Fatalf("%d rows, want 8 a size", len(rows))
+	if len(rows)%7 != 0 {
+		t.Fatalf("%d rows, want 7 a size", len(rows))
 	}
-	for i := 0; i+7 < len(rows); i += 8 {
+	for i := 0; i+6 < len(rows); i += 7 {
 		full, flat, table, hit := rows[i].Values, rows[i+1].Values, rows[i+2].Values, rows[i+3].Values
 		if flat[0] >= full[0] || flat[1] <= full[1] || flat[1] > full[1]+full[1]/4 || flat[2] != full[2] {
 			t.Fatalf("%s: %v against full sums' %v", rows[i+1].Name, flat, full)
 		}
 		same := slices.Equal(table, flat)
 		fewer := table[0] < flat[0] && table[1] < flat[1] && table[2] == flat[2]
-		if i == 0 && !same || i+8 == len(rows) && !fewer || !same && !fewer {
+		if i == 0 && !same || i+7 == len(rows) && !fewer || !same && !fewer {
 			t.Fatalf("%s: %v against the group-tested session's %v", rows[i+2].Name, table, flat)
 		}
 		if hit[0] != rows[3].Values[0] || hit[0] > 96 || hit[2] != 2 {
@@ -328,10 +327,8 @@ func TestAblateDetectShape(t *testing.T) {
 					miss.Name, miss.Values[0], miss.Values[2], flat[0], flat[2])
 			}
 		}
-		tree, spec := rows[i+6].Values, rows[i+7].Values
-		if tree[0] >= flat[0] || tree[2] <= flat[2] || spec[0] >= flat[0] || spec[2] >= tree[2] {
-			t.Fatalf("%s: %v and %s: %v against the group-tested flat session's %v",
-				rows[i+6].Name, tree, rows[i+7].Name, spec, flat)
+		if tree := rows[i+6].Values; tree[0] >= flat[0] || tree[2] <= flat[2] {
+			t.Fatalf("%s: %v against the group-tested flat session's %v", rows[i+6].Name, tree, flat)
 		}
 	}
 }

@@ -151,8 +151,8 @@ func listCosts(srv *collection.Server, v1 map[string][]byte, short bool) stats.C
 // whose MANIFEST_SHORT stays where it is short) — against naming the
 // manifest by its digest (a client that announces a stored version above 0),
 // when the server's store holds that version, when it does not, and when the
-// server has no store — and against tree mode's merkle descent, one level a
-// reply or several (speculative descent). ROADMAP item 8's grid.
+// server has no store — and against tree mode's merkle descent, several
+// levels a reply (speculative descent). ROADMAP item 8's grid.
 func AblateDetect(opts Options) *Table {
 	t := &Table{
 		Title:   "Ablation — change detection on a repeat sync: flat manifest (full or group-tested sums, or a table) vs manifest by reference vs merkle tree",
@@ -194,8 +194,7 @@ func AblateDetect(opts Options) *Table {
 			{"ref hit", versioned, announce(1)},
 			{"ref miss (unknown version)", versioned, announce(99)},
 			{"ref miss (no store)", plain, announce(1)},
-			{"tree", plain, func(cli *collection.Client) { cli.TreeManifest = true }},
-			{"tree + speculative descent", plain, func(cli *collection.Client) { cli.TreeManifest, cli.SpeculativeDescent = true, true }},
+			{"tree + speculative descent", plain, func(cli *collection.Client) { cli.TreeManifest = true }},
 		} {
 			row(arm.name, sessionCosts(arm.srv, v1, v2, arm.tune))
 		}
@@ -208,6 +207,6 @@ func AblateDetect(opts Options) *Table {
 		"table: MANIFEST_TABLE where MANIFEST_SHORT is 10 240 B or more and the table half of it or less, 19 bytes a cell at 2.5 cells an element of room for 2 % of the files changed; VERDICTS name the differing files and end with the list digest",
 		"a hit sends the hello, the 16-byte MANIFEST_REF and two empty frames up, whatever the collection's size",
 		"a miss is the group-tested flat session plus the version in hello and verdicts, the REF, the empty MANIFEST_WANT and one roundtrip",
-		"tree: TREE queries up and replies down, a roundtrip a level (speculative: several levels a reply), then the WANT; its bytes follow the changed files times the tree's depth, not the collection")
+		"tree: TREE queries up and replies down, several levels a reply (a tree pull always asks for speculative descent), then the WANT; its bytes follow the changed files times the tree's depth, not the collection")
 	return t
 }

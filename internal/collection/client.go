@@ -50,10 +50,9 @@ func asHandshake(err error) error {
 type Client struct {
 	Options
 	src Source
-	// trees carries the client's built merkle trees across sessions (and,
-	// when the source has a signature-cache directory, across processes),
-	// so a repeat tree-mode sync updates its tree incrementally from the
-	// manifest diff instead of rebuilding O(n) nodes.
+	// trees carries the client's built merkle trees across sessions, so a
+	// repeat tree-mode sync updates its tree incrementally from the manifest
+	// diff instead of rebuilding O(n) nodes.
 	trees treeState
 }
 
@@ -123,16 +122,12 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 	s.src = c.src
 	s.cfg.Workers = c.Workers
 
-	// HELLO: the options this client was given, as mode and extensions.
+	// HELLO: the options this client was given, as mode and extensions. A
+	// tree pull always asks for speculative descent and cross-file matching.
 	s.mode = modeManifest
 	if c.TreeManifest {
 		s.mode = modeTree
-		if c.SpeculativeDescent {
-			s.ext.treeCaps |= treeCapSpec
-		}
-		if c.CrossFileMatch {
-			s.ext.treeCaps |= treeCapCross
-		}
+		s.ext.treeCaps = treeCapSpec | treeCapCross
 	}
 	if c.AnnounceVersion {
 		s.ext.announce = int64(c.BaseVersion)

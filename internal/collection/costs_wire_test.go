@@ -121,11 +121,9 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 	}{
 		{"lockstep", func(*Server, *Client) {}, false, 0, nil},
 		{"mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 16, 16 }, false, 0, nil},
-		{"tree", func(_ *Server, c *Client) {
-			c.TreeManifest, c.SpeculativeDescent, c.CrossFileMatch = true, true, true
-		}, false, 0, nil},
+		{"tree", func(_ *Server, c *Client) { c.TreeManifest = true }, false, 0, nil},
 		{"tree+mux", func(s *Server, c *Client) {
-			c.TreeManifest, c.SpeculativeDescent, c.CrossFileMatch = true, true, true
+			c.TreeManifest = true
 			s.MuxStreams, c.MuxStreams = 16, 16
 		}, false, 0, nil},
 		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }, false, 0, nil},

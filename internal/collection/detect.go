@@ -557,7 +557,7 @@ type treeReceiver struct {
 
 func (d *treeReceiver) announce(manifest []ManifestEntry) ([]ManifestEntry, error) {
 	s, caps := d.s, d.s.ext.treeCaps
-	tc := d.trees.acquire(manifest, ManifestDigest(manifest), treeDir(s.src))
+	tc := d.trees.acquire(manifest, ManifestDigest(manifest))
 	ini := merkle.NewInitiator(tc.Tree(merkle.DepthFor(len(manifest))))
 	var granted byte
 	for round := 1; !ini.Done(); round++ {
@@ -673,9 +673,9 @@ type treeState struct {
 // acquire returns the tree cache for the given manifest state, reusing or
 // rebasing the previous sessions' trees when possible. A nil receiver (the
 // push path, which has no cross-session home) builds a fresh cache.
-func (ts *treeState) acquire(entries []merkle.Entry, fp [md4.Size]byte, dir string) *merkle.TreeCache {
+func (ts *treeState) acquire(entries []merkle.Entry, fp [md4.Size]byte) *merkle.TreeCache {
 	if ts == nil {
-		return merkle.NewTreeCacheAt(entries, fp, dir)
+		return merkle.NewTreeCache(entries, fp)
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -685,19 +685,9 @@ func (ts *treeState) acquire(entries []merkle.Entry, fp [md4.Size]byte, dir stri
 	case ts.cache != nil:
 		ts.cache = ts.cache.Rebase(entries, fp)
 	default:
-		ts.cache = merkle.NewTreeCacheAt(entries, fp, dir)
+		ts.cache = merkle.NewTreeCache(entries, fp)
 	}
 	return ts.cache
-}
-
-// treeDir returns the directory where merkle trees may persist for src: the
-// signature cache's disk directory, when there is one. "" disables
-// persistence (trees then live only as long as the Client).
-func treeDir(src Source) string {
-	if ts := dirOf(src); ts != nil && ts.cache != nil {
-		return ts.cache.Dir()
-	}
-	return ""
 }
 
 // maxAltBases bounds how many alternate local bases a client tries per

@@ -159,7 +159,7 @@ func FuzzSessionFrames(f *testing.F) {
 	treeHello.Byte(rolePull)
 	treeHello.Byte(modeTree)
 	m := BuildManifest(old)
-	treeQuery := merkle.NewInitiator(merkle.NewTreeCacheAt(m, ManifestDigest(m), "").Tree(merkle.DepthFor(len(m)))).Next()
+	treeQuery := merkle.NewInitiator(merkle.NewTreeCache(m, ManifestDigest(m)).Tree(merkle.DepthFor(len(m)))).Next()
 	f.Add(wantPayload(wantHave, "dir/f000.txt", "dir/f001.txt"), uint32(2), false) // a WANT's
 	for _, p := range sortedPayloads(hostileWants()) {
 		f.Add(p, uint32(2), false)

@@ -202,6 +202,15 @@ func replays(live string, setup func(t *testing.T) (*Server, *Client), olds ...s
 	return out
 }
 
+// treePull records one tree pull live as name_caps, today's receiver asking
+// for both tree capabilities. name_stream and name, recorded by receivers
+// that asked for what their options chose, and olds are kept as replays:
+// today's holder, which grants what a hello asks, must draw each recorded
+// answer.
+func treePull(name string, setup func(t *testing.T) (*Server, *Client), olds ...string) []legacyScenario {
+	return replays(name+"_caps", setup, append([]string{name + "_stream", name}, olds...)...)
+}
+
 // flatPull records one flat-manifest pull four times. name_stream is today's
 // live session. name keeps the transcript a client from before
 // MANIFEST_PACKED recorded, name_packed one from before MANIFEST_SHORT,
@@ -278,7 +287,9 @@ func legacyScenarios() []legacyScenario {
 			return srv, cli
 		}
 	}
-	out = append(out, pull("tree_pull", gccPull(func(*Client) {}))...)
+	// tree_pull_spec's receivers asked for speculative descent alone, of the
+	// same pull: today's tree_pull_caps is its live session too.
+	out = append(out, treePull("tree_pull", gccPull(func(*Client) {}), "tree_pull_spec_stream", "tree_pull_spec")...)
 	out = append(out, []legacyScenario{
 		{name: "push_short", push: true, run: func(t *testing.T) ([]byte, []byte) {
 			pusher, receiver := pushServers(t)
@@ -309,13 +320,9 @@ func legacyScenarios() []legacyScenario {
 			return replayRecorded(t, "announce_unversioned", srv.ServeContext, false)
 		}},
 	}...)
-	// Tree pull with the tree-extension hello (speculative descent):
-	// TREE_ACK plus multi-level answers, pinned so the negotiated exchange
-	// cannot drift silently.
-	out = append(out, pull("tree_pull_spec", gccPull(func(c *Client) { c.SpeculativeDescent = true }))...)
-	// Tree pull with cross-file matching: a pure rename leaves the WANT, an
+	// Tree pull where files moved: a pure rename leaves the WANT, an
 	// alternate-basis hint tags a moved-and-edited file.
-	out = append(out, pull("tree_pull_cross", func(t *testing.T) (*Server, *Client) {
+	out = append(out, treePull("tree_pull_cross", func(t *testing.T) (*Server, *Client) {
 		v1, _ := corpus.GCCProfile(0.0).Generate(17)
 		serverFiles := map[string][]byte{}
 		clientFiles := v1.Map()
@@ -342,12 +349,11 @@ func legacyScenarios() []legacyScenario {
 		}
 		cli := NewClient(clientFiles)
 		cli.TreeManifest = true
-		cli.CrossFileMatch = true
 		return srv, cli
 	})...)
 	// A tree pull with CDC granted: the config's map-mode field rides in the
 	// VERDICTS that answer the WANT.
-	out = append(out, pull("tree_cdc_pull", emacsPull(func(_ *Server, c *Client) { c.TreeManifest, c.MapMode = true, core.MapCDC }))...)
+	out = append(out, treePull("tree_cdc_pull", emacsPull(func(_ *Server, c *Client) { c.TreeManifest, c.MapMode = true, core.MapCDC }))...)
 	// Today's client: version 3 by reference. A server without a store asks
 	// for the manifest and goes on as above.
 	out = append(out, flatPull("announce_ref_unversioned", emacsPull(func(_ *Server, c *Client) {
@@ -412,8 +418,8 @@ func legacyScenarios() []legacyScenario {
 	})...)
 }
 
-// muxTreePull is the tiny_tree option set under cfg: merkle manifest,
-// speculative descent, cross-file matching and 16 streams in one session.
+// muxTreePull is the tiny_tree option set under cfg: merkle manifest (with
+// speculative descent and cross-file matching) and 16 streams in one session.
 func muxTreePull(cfg core.Config) func(t *testing.T) (*Server, *Client) {
 	return func(t *testing.T) (*Server, *Client) {
 		clientFiles, serverFiles := movedTrees(tinyTrees(48))
@@ -424,8 +430,6 @@ func muxTreePull(cfg core.Config) func(t *testing.T) (*Server, *Client) {
 		srv.MuxStreams = 16
 		cli := NewClient(clientFiles)
 		cli.TreeManifest = true
-		cli.SpeculativeDescent = true
-		cli.CrossFileMatch = true
 		cli.MuxStreams = 16
 		return srv, cli
 	}
@@ -724,6 +728,47 @@ func TestStreamAnswerIsThePerFileAnswer(t *testing.T) {
 	}
 	if pairs != 17 || streamed == 0 {
 		t.Fatalf("%d live/replay pairs, %d with whole files: want the seventeen pulls, some sending files whole", pairs, streamed)
+	}
+}
+
+// TestBothCapsAnswerIsTheOneCapAnswer: tree_pull_spec's receiver asked for
+// speculative descent alone, tree_pull_cross's for cross-file matching alone,
+// and in neither pull has the other capability anything to do. Today's
+// receiver asks for both and sends what the older one sent but for the mask
+// in its HELLO; the holder answers as it did but for the mask its TREE_ACK
+// grants. Asking for the second capability costs no byte.
+func TestBothCapsAnswerIsTheOneCapAnswer(t *testing.T) {
+	for _, pair := range [][2]string{{"tree_pull_spec_stream", "tree_pull_caps"}, {"tree_pull_cross_stream", "tree_pull_cross_caps"}} {
+		t.Run(pair[1], func(t *testing.T) {
+			oldUp, oldDown := readGolden(t, pair[0])
+			newUp, newDown := readGolden(t, pair[1])
+			ou, nu := transcriptFrames(t, oldUp), transcriptFrames(t, newUp)
+			od, nd := transcriptFrames(t, oldDown), transcriptFrames(t, newDown)
+			if len(ou) != len(nu) || len(od) != len(nd) || ou[0].typ != wire.FrameHello || od[0].typ != wire.FrameTreeAck {
+				t.Fatalf("frames %d up and %d down, the older receiver's %d and %d", len(nu), len(nd), len(ou), len(od))
+			}
+			asked := parseHelloExts(wire.NewParser(ou[0].payload[3:])).treeCaps
+			h := parseHelloExts(wire.NewParser(nu[0].payload[3:]))
+			if h.treeCaps != treeCapSpec|treeCapCross || asked == h.treeCaps {
+				t.Fatalf("today's receiver asks for tree capabilities %b, the older one %b", h.treeCaps, asked)
+			}
+			h.treeCaps = asked
+			hb := wire.NewBuffer(16)
+			hb.Raw(nu[0].payload[:3])
+			h.encode(hb)
+			nu[0].payload = hb.Build()
+			if !bytes.Equal(nd[0].payload, []byte{treeCapSpec | treeCapCross}) || !bytes.Equal(od[0].payload, []byte{asked}) {
+				t.Fatalf("TREE_ACK grants %x, the older receiver was granted %x", nd[0].payload, od[0].payload)
+			}
+			nd[0].payload = od[0].payload
+			for _, f := range [][2][]wireFrame{{ou, nu}, {od, nd}} {
+				for i := range f[0] {
+					if f[0][i].typ != f[1][i].typ || !bytes.Equal(f[0][i].payload, f[1][i].payload) {
+						t.Fatalf("frame %d: %s of %d bytes in place of %s of %d", i, wire.FrameName(f[1][i].typ), len(f[1][i].payload), wire.FrameName(f[0][i].typ), len(f[0][i].payload))
+					}
+				}
+			}
+		})
 	}
 }
 

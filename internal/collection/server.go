@@ -78,7 +78,7 @@ func (s *Server) sessionState() (Source, []ManifestEntry, *merkle.TreeCache, err
 			s.mtree = s.prevTree.Rebase(m, fp)
 			s.prevTree = nil
 		} else {
-			s.mtree = merkle.NewTreeCacheAt(m, fp, treeDir(s.src))
+			s.mtree = merkle.NewTreeCache(m, fp)
 		}
 	}
 	return s.src, s.manifest, s.mtree, nil

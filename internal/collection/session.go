@@ -44,18 +44,12 @@ type Options struct {
 
 	// TreeManifest switches change detection from the flat fingerprint
 	// manifest to merkle-tree reconciliation, O(changed·log n) instead of
-	// O(n): for a client's pulls and a server's pushes.
+	// O(n): for a client's pulls and a server's pushes. A client's tree pull
+	// asks for speculative descent and cross-file matching (hello extension
+	// 3): descent answers carry several levels of digests at once, a pure
+	// rename is copied locally, and a new file may sync against an alternate
+	// local basis named in the WANT exchange.
 	TreeManifest bool
-	// SpeculativeDescent requests (hello extension 3) that tree-mode descent
-	// answers carry several levels of digests at once, finishing a typical
-	// descent in roughly half the roundtrips.
-	SpeculativeDescent bool
-	// CrossFileMatch requests (hello extension 3) cross-file matching in tree
-	// mode: a file the server has under a new path is first matched against
-	// the whole local collection by fingerprint (a pure rename costs no
-	// content bytes), and an unmatched new file may be synced against an
-	// alternate local basis named in the WANT exchange.
-	CrossFileMatch bool
 	// MuxStreams, on a client, requests stream multiplexing (hello extension
 	// 2) with up to that many streams, whose map rounds, deltas and fallbacks
 	// interleave on the one connection; on a server it caps the width

@@ -191,8 +191,7 @@ func (s *TreeSource) applied(res *Result) (*TreeSource, error) {
 // nil for any other source. A receiver over a tree lists the files it keeps
 // by name (keep), a push into one is written to its directory (adopt), a
 // session reads it through a cursor (load), and its hashing and signature
-// cache are what a session accounts (beginAccounting) and where merkle trees
-// persist (treeDir).
+// cache are what a session accounts (beginAccounting).
 func dirOf(src Source) *TreeSource {
 	if ss, ok := src.(*StoreSource); ok {
 		src = ss.Source

@@ -2,7 +2,9 @@ package collection
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,11 +12,76 @@ import (
 	"msync/internal/corpus"
 	"msync/internal/stats"
 	"msync/internal/transport"
+	"msync/internal/wire"
 )
 
+// ungranted wraps a pulling client's end of a connection so the holder reads
+// its HELLO with the tree capability mask (hello extension 3) zeroed. The
+// extension keeps its length, so both ends count the same bytes, but the
+// holder grants nothing, as one that predates the extension: no TREE_ACK, the
+// one-level descent and no cross-file matching.
+type ungranted struct {
+	io.ReadWriter
+	sent, zeroed bool
+}
+
+func (u *ungranted) Write(p []byte) (int, error) {
+	if !u.sent {
+		u.sent = true
+		p, u.zeroed = zeroTreeCaps(p)
+	}
+	return u.ReadWriter.Write(p)
+}
+
+// zeroTreeCaps returns a copy of buf, which opens with a HELLO frame, with the
+// hello's tree capability mask set to 0, and whether it found the mask.
+func zeroTreeCaps(buf []byte) ([]byte, bool) {
+	out := slices.Clone(buf)
+	fp := wire.NewParser(out)
+	if typ, err := fp.Byte(); err != nil || typ != wire.FrameHello {
+		return out, false
+	}
+	hello, err := fp.Bytes()
+	if err != nil {
+		return out, false
+	}
+	hp := wire.NewParser(hello)
+	hp.Uvarint() // protocol version
+	hp.Raw(2)    // role, mode
+	n, _ := hp.Uvarint()
+	for range n {
+		id, _ := hp.Uvarint()
+		v, err := hp.Bytes()
+		if err != nil {
+			return out, false
+		}
+		if id == helloExtTree && len(v) == 1 {
+			v[0] = 0 // aliases out
+			return out, true
+		}
+	}
+	return out, false
+}
+
+// syncGranted runs cli's pull over conn; without grant, as against a holder
+// that grants no tree capability.
+func syncGranted(t *testing.T, cli *Client, conn io.ReadWriter, grant bool) (*Result, error) {
+	t.Helper()
+	if grant {
+		return cli.Sync(conn)
+	}
+	u := &ungranted{ReadWriter: conn}
+	res, err := cli.Sync(u)
+	if err == nil && !u.zeroed {
+		t.Fatal("the client's HELLO asked for no tree capability")
+	}
+	return res, err
+}
+
 // extSession runs one tree-mode sync with the given client configuration
-// and returns both sides' costs.
-func extSession(t *testing.T, serverFiles, clientFiles map[string][]byte, tune func(*Client)) (*Result, *stats.Costs, *stats.Costs) {
+// and returns both sides' costs. Without grant the holder reads a HELLO
+// asking for no tree capability (ungranted).
+func extSession(t *testing.T, serverFiles, clientFiles map[string][]byte, grant bool, tune func(*Client)) (*Result, *stats.Costs, *stats.Costs) {
 	t.Helper()
 	srv, err := NewServer(serverFiles, core.DefaultConfig())
 	if err != nil {
@@ -35,7 +102,7 @@ func extSession(t *testing.T, serverFiles, clientFiles map[string][]byte, tune f
 	if tune != nil {
 		tune(cli)
 	}
-	res, err := cli.Sync(b)
+	res, err := syncGranted(t, cli, b, grant)
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -59,9 +126,7 @@ func TestCrossFileRename(t *testing.T) {
 	serverFiles := map[string][]byte{"docs/renamed.bin": moved, "keep": keep}
 	clientFiles := map[string][]byte{"docs/original.bin": moved, "keep": keep}
 
-	res, cc, sc := extSession(t, serverFiles, clientFiles, func(c *Client) {
-		c.CrossFileMatch = true
-	})
+	res, cc, sc := extSession(t, serverFiles, clientFiles, true, nil)
 	if err := VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +146,16 @@ func TestCrossFileRename(t *testing.T) {
 	t.Logf("pure rename of %d bytes cost %d wire bytes", len(moved), cc.Total())
 }
 
-// TestCrossFileRenameDisabled: the same workload without the extension pays
-// the full transfer — the control arm for TestCrossFileRename.
+// TestCrossFileRenameDisabled: the same workload against a holder that grants
+// no extension pays the full transfer — the control arm for
+// TestCrossFileRename.
 func TestCrossFileRenameDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	moved := corpus.RandomText(rng, 50_000)
 	serverFiles := map[string][]byte{"docs/renamed.bin": moved}
 	clientFiles := map[string][]byte{"docs/original.bin": moved}
 
-	res, cc, _ := extSession(t, serverFiles, clientFiles, nil)
+	res, cc, _ := extSession(t, serverFiles, clientFiles, false, nil)
 	if err := VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +177,7 @@ func TestCrossFileAltBasis(t *testing.T) {
 	serverFiles := map[string][]byte{"src/lib/engine.go": edited}
 	clientFiles := map[string][]byte{"src/engine.go": orig}
 
-	res, cc, sc := extSession(t, serverFiles, clientFiles, func(c *Client) {
-		c.CrossFileMatch = true
-	})
+	res, cc, sc := extSession(t, serverFiles, clientFiles, true, nil)
 	if err := VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +188,9 @@ func TestCrossFileAltBasis(t *testing.T) {
 		t.Fatalf("server FilesRebased = %d, want 1", sc.FilesRebased)
 	}
 
-	// Control arm: without the extension the file arrives whole.
-	_, flat, _ := extSession(t, serverFiles, clientFiles, nil)
+	// Control arm: from a holder that grants no extension the file arrives
+	// whole.
+	_, flat, _ := extSession(t, serverFiles, clientFiles, false, nil)
 	if cc.Total()*2 > flat.Total() {
 		t.Fatalf("alt-basis sync cost %d, full transfer %d: no win", cc.Total(), flat.Total())
 	}
@@ -136,8 +201,7 @@ func TestCrossFileAltBasis(t *testing.T) {
 	// both ends, whatever basis each syncs against.
 	serverFiles["src/keep.go"] = em.Apply(rng, orig)
 	clientFiles["src/keep.go"] = orig
-	res, cc, sc = extSession(t, serverFiles, clientFiles, func(c *Client) {
-		c.CrossFileMatch = true
+	res, cc, sc = extSession(t, serverFiles, clientFiles, true, func(c *Client) {
 		c.MapMode = core.MapCDC
 	})
 	if err := VerifyAgainst(res.Files, serverFiles); err != nil {
@@ -161,9 +225,7 @@ func TestCrossFileAltBasisPrefersRelated(t *testing.T) {
 	serverFiles := map[string][]byte{"pkg/engine.go": edited}
 	clientFiles := map[string][]byte{"old/engine.go": orig, "old/junk.bin": junk}
 
-	res, cc, _ := extSession(t, serverFiles, clientFiles, func(c *Client) {
-		c.CrossFileMatch = true
-	})
+	res, cc, _ := extSession(t, serverFiles, clientFiles, true, nil)
 	if err := VerifyAgainst(res.Files, serverFiles); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +240,8 @@ func TestCrossFileAltBasisPrefersRelated(t *testing.T) {
 }
 
 // TestSpeculativeDescentFewerRounds: speculative descent must reach the
-// same outcome in fewer descent roundtrips.
+// same outcome in fewer descent roundtrips than the one-level descent a
+// holder that grants nothing answers.
 func TestSpeculativeDescentFewerRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	files := map[string][]byte{}
@@ -193,10 +256,8 @@ func TestSpeculativeDescentFewerRounds(t *testing.T) {
 	serverFiles["src/19/f1040.go"] = corpus.SourceText(rng, 900)
 	serverFiles["src/11/new.go"] = corpus.SourceText(rng, 700)
 
-	resLegacy, legacy, _ := extSession(t, serverFiles, files, nil)
-	resSpec, spec, specSrv := extSession(t, serverFiles, files, func(c *Client) {
-		c.SpeculativeDescent = true
-	})
+	resLegacy, legacy, _ := extSession(t, serverFiles, files, false, nil)
+	resSpec, spec, specSrv := extSession(t, serverFiles, files, true, nil)
 	for _, r := range []*Result{resLegacy, resSpec} {
 		if err := VerifyAgainst(r.Files, serverFiles); err != nil {
 			t.Fatal(err)
@@ -233,9 +294,7 @@ func TestTreeExtWorkerInvariance(t *testing.T) {
 	}
 	var base *stats.Costs
 	for _, workers := range []int{1, 8} {
-		res, cc, _ := extSession(t, serverFiles, clientFiles, func(c *Client) {
-			c.SpeculativeDescent = true
-			c.CrossFileMatch = true
+		res, cc, _ := extSession(t, serverFiles, clientFiles, true, func(c *Client) {
 			c.Workers = workers
 		})
 		if err := VerifyAgainst(res.Files, serverFiles); err != nil {
@@ -257,7 +316,8 @@ func TestTreeExtWorkerInvariance(t *testing.T) {
 }
 
 // TestTreeInteropMatrix pins how tree mode composes with the version
-// announcement (PR 6) and stream multiplexing (PR 7) extensions: every
+// announcement and stream multiplexing extensions, against a holder that
+// grants the tree capabilities and one that grants none (ext=false): every
 // combination converges, mux is honored in tree mode, and the version
 // trailer is a flat-manifest feature — tree sessions never report one.
 func TestTreeInteropMatrix(t *testing.T) {
@@ -300,9 +360,7 @@ func TestTreeInteropMatrix(t *testing.T) {
 					cli.TreeManifest = true
 					cli.AnnounceVersion = announce
 					cli.MuxStreams = mux
-					cli.SpeculativeDescent = caps
-					cli.CrossFileMatch = caps
-					res, err := cli.Sync(b)
+					res, err := syncGranted(t, cli, b, caps)
 					b.Close()
 					wg.Wait()
 					if err != nil {
@@ -342,7 +400,6 @@ func TestTreeClientCacheReuse(t *testing.T) {
 	}
 	cli := NewClient(files)
 	cli.TreeManifest = true
-	cli.SpeculativeDescent = true
 
 	current := files
 	for round := 0; round < 3; round++ {

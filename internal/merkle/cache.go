@@ -9,26 +9,26 @@ import (
 // TreeCache memoizes built trees per announced depth for one immutable
 // entry set, so a side answering (or driving) many reconciliation sessions
 // hashes its collection into a trie once per depth instead of once per
-// session. Safe for concurrent use.
-//
-// A cache created with NewTreeCacheAt additionally persists each built tree
-// to disk keyed by the manifest fingerprint, and on the next process start
-// restores it — either verbatim (fingerprint match) or by incrementally
-// updating the stale tree from the entry-set diff, which costs O(changed ·
-// depth) hashes instead of an O(n) rebuild.
+// session, and Rebase carries them to the next entry set in O(changed ·
+// depth) hashes. Trees live in memory only. Safe for concurrent use.
 type TreeCache struct {
 	mu      sync.Mutex
 	entries []Entry
 	fp      [md4.Size]byte
-	dir     string
 	trees   map[int]*Tree
 }
 
-// NewTreeCacheAt creates a cache over entries — a manifest, sorted by path —
-// whose trees persist in dir (the signature-cache directory), keyed by fp, the
-// digest of that manifest. An empty dir disables persistence.
+// NewTreeCache creates a cache over entries — a manifest, sorted by path —
+// keyed by fp, the digest of that manifest.
+func NewTreeCache(entries []Entry, fp [md4.Size]byte) *TreeCache {
+	return &TreeCache{entries: entries, fp: fp, trees: make(map[int]*Tree)}
+}
+
+// NewTreeCacheAt is NewTreeCache; dir is ignored.
+//
+// Deprecated: trees are no longer persisted. Use NewTreeCache.
 func NewTreeCacheAt(entries []Entry, fp [md4.Size]byte, dir string) *TreeCache {
-	return &TreeCache{entries: entries, fp: fp, dir: dir, trees: make(map[int]*Tree)}
+	return NewTreeCache(entries, fp)
 }
 
 // Fingerprint reports the manifest fingerprint the cache was keyed with.
@@ -39,35 +39,15 @@ func (tc *TreeCache) Fingerprint() [md4.Size]byte { return tc.fp }
 // cheaper and allocates tighter buckets.
 func rebuildCutoff(nd, n int) bool { return nd > n/2 }
 
-// Tree returns the tree at the given depth, building it at most once: from
-// memory, from the persisted file (incrementally updated if it was saved
-// under a different fingerprint), or from scratch.
+// Tree returns the tree at the given depth, building it at most once.
 func (tc *TreeCache) Tree(depth int) *Tree {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if t, ok := tc.trees[depth]; ok {
-		return t
+	t, ok := tc.trees[depth]
+	if !ok {
+		t = Build(tc.entries, depth)
+		tc.trees[depth] = t
 	}
-	if tc.dir != "" {
-		if t, diskFP, ok := loadTree(tc.dir, depth); ok {
-			if diskFP == tc.fp {
-				tc.trees[depth] = t
-				return t
-			}
-			ups, dels := changeSet(t.AllEntries(), tc.entries)
-			if !rebuildCutoff(len(ups)+len(dels), len(tc.entries)) {
-				t.Update(ups, dels)
-				saveTree(tc.dir, tc.fp, t)
-				tc.trees[depth] = t
-				return t
-			}
-		}
-	}
-	t := Build(tc.entries, depth)
-	if tc.dir != "" {
-		saveTree(tc.dir, tc.fp, t)
-	}
-	tc.trees[depth] = t
 	return t
 }
 
@@ -78,7 +58,7 @@ func (tc *TreeCache) Tree(depth int) *Tree {
 func (tc *TreeCache) Rebase(entries []Entry, fp [md4.Size]byte) *TreeCache {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	nc := &TreeCache{entries: entries, fp: fp, dir: tc.dir, trees: make(map[int]*Tree)}
+	nc := NewTreeCache(entries, fp)
 	ups, dels := changeSet(tc.entries, entries)
 	if rebuildCutoff(len(ups)+len(dels), len(entries)) {
 		return nc
@@ -86,9 +66,6 @@ func (tc *TreeCache) Rebase(entries []Entry, fp [md4.Size]byte) *TreeCache {
 	for d, t := range tc.trees {
 		t.Update(ups, dels)
 		nc.trees[d] = t
-		if nc.dir != "" {
-			saveTree(nc.dir, fp, t)
-		}
 	}
 	tc.trees = make(map[int]*Tree)
 	return nc

@@ -60,24 +60,3 @@ func FuzzInitiatorAbsorb(f *testing.F) {
 		leaf.Absorb(reply)
 	})
 }
-
-// FuzzDecodeTree: the persisted-tree decoder must reject arbitrary bytes
-// gracefully (the checksum makes accidental acceptance astronomically
-// unlikely) and never panic.
-func FuzzDecodeTree(f *testing.F) {
-	dir := f.TempDir()
-	tr := Build(fuzzEntries(), 5)
-	saveTree(dir, bucketDigest(nil), tr)
-	if _, _, ok := loadTree(dir, 5); !ok {
-		f.Fatal("seed tree failed to load")
-	}
-	f.Add([]byte("MTRE"), 5)
-	f.Add(make([]byte, 40), 0)
-	f.Fuzz(func(t *testing.T, data []byte, depth int) {
-		depth &= 0x1F
-		if depth > MaxDepth {
-			depth = MaxDepth
-		}
-		decodeTree(data, depth)
-	})
-}

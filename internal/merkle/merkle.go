@@ -239,22 +239,6 @@ func (t *Tree) setBucket(i int, es []Entry) {
 // Root returns the root digest.
 func (t *Tree) Root() [md4.Size]byte { return t.node(1) }
 
-// AllEntries returns every entry in the tree, sorted by path.
-func (t *Tree) AllEntries() []Entry {
-	out := make([]Entry, 0, t.count)
-	if t.buckets != nil {
-		for _, b := range t.buckets {
-			out = append(out, b...)
-		}
-	} else {
-		for _, b := range t.sbuckets {
-			out = append(out, b...)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Path < out[b].Path })
-	return out
-}
-
 // Diff reports the exact difference between the initiator's entries and the
 // responder's, as discovered by a completed reconciliation.
 type Diff struct {

@@ -145,7 +145,7 @@ func TestAbsorbRefusesUnsortedBucket(t *testing.T) {
 // TestBucketCountAllocation: a TREE reply's bucket count is held to what its
 // bytes can encode before the entries are allocated, so a forged count costs
 // the initiator at most three times the reply (an Entry is 40 bytes, an
-// encoded one at least 18). The same decoder reads a persisted tree.
+// encoded one at least 18).
 func TestBucketCountAllocation(t *testing.T) {
 	reply := forgedBucketReply(18_000)
 	tree := Build(nil, 0)

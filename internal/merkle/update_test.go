@@ -3,12 +3,8 @@ package merkle
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
-
-	"msync/internal/md4"
 )
 
 // applyDiff mirrors Update on a plain entry slice, as the oracle.
@@ -270,150 +266,38 @@ func TestSpeculativeLevelsBounded(t *testing.T) {
 	}
 }
 
-// TestPersistRoundTrip: save, load, verify identical digests; a stale
-// fingerprint comes back distinguishable.
-func TestPersistRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(71))
-	entries := makeEntries(rng, 500)
-	fp := md4OfEntries(entries)
-	tr := Build(entries, 7)
-	saveTree(dir, fp, tr)
-
-	got, gotFP, ok := loadTree(dir, 7)
-	if !ok {
-		t.Fatal("load missed after save")
-	}
-	if gotFP != fp {
-		t.Fatal("fingerprint mismatch after load")
-	}
-	if got.Root() != tr.Root() || got.count != tr.count {
-		t.Fatal("loaded tree differs from saved")
-	}
-	for id := 1; id < 2<<7; id++ {
-		if got.node(id) != tr.node(id) {
-			t.Fatalf("node %d differs after reload", id)
-		}
-	}
-	if _, _, ok := loadTree(dir, 9); ok {
-		t.Fatal("load hit for a depth never saved")
-	}
-}
-
-// TestPersistedTreeBytesPinned holds the md4 of one persisted tree file, so a
-// change to the bucket codec that moves a byte on disk fails here.
-func TestPersistedTreeBytesPinned(t *testing.T) {
-	dir := t.TempDir()
-	entries := makeEntries(rand.New(rand.NewSource(7)), 40)
-	saveTree(dir, md4OfEntries(entries), Build(entries, 3))
-	data, err := os.ReadFile(treeFileName(dir, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "1186983c7c81d483f7b87dffda303058"
-	if got := fmt.Sprintf("%x", md4.Sum(data)); got != want {
-		t.Fatalf("persisted tree md4 %s, want %s", got, want)
-	}
-}
-
 func md4OfEntries(entries []Entry) (out [16]byte) {
 	return bucketDigest(entries)
 }
 
-// TestPersistCorruption: any flipped byte must read as a miss and remove
-// the file, never a wrong tree.
-func TestPersistCorruption(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(81))
-	entries := makeEntries(rng, 100)
-	tr := Build(entries, 5)
-	saveTree(dir, md4OfEntries(entries), tr)
-	name := treeFileName(dir, 5)
-	data, err := os.ReadFile(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pos := range []int{0, 5, len(data) / 2, len(data) - 1} {
-		bad := append([]byte(nil), data...)
-		bad[pos] ^= 0x40
-		if err := os.WriteFile(name, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, ok := loadTree(dir, 5); ok {
-			t.Fatalf("corrupt byte at %d loaded successfully", pos)
-		}
-		if _, err := os.Stat(name); !os.IsNotExist(err) {
-			t.Fatalf("corrupt file at %d not removed", pos)
-		}
-	}
-	// Truncations likewise.
-	if err := os.WriteFile(name, data[:len(data)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := loadTree(dir, 5); ok {
-		t.Fatal("truncated file loaded successfully")
-	}
-}
-
-// TestTreeCachePersistAndRebase: a cache at a directory restores its tree
-// across instances — verbatim on a fingerprint hit, incrementally on a
-// stale one — and Rebase carries built trees to a new entry set without
-// rebuilding. A cache's entries are a manifest: sorted by path.
-func TestTreeCachePersistAndRebase(t *testing.T) {
-	dir := t.TempDir()
+// TestTreeCacheRebase: Rebase carries built trees to a new entry set without
+// rebuilding them, and a total rewrite falls back to a rebuild. A cache's
+// entries are a manifest: sorted by path.
+func TestTreeCacheRebase(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	sorted := func(es []Entry) []Entry {
 		sort.Slice(es, func(i, j int) bool { return es[i].Path < es[j].Path })
 		return es
 	}
 	v1 := sorted(makeEntries(rng, 600))
-	fp1 := md4OfEntries(v1)
 	depth := DepthFor(len(v1))
+	tc1 := NewTreeCache(v1, md4OfEntries(v1))
+	built := tc1.Tree(depth)
 
-	tc1 := NewTreeCacheAt(v1, fp1, dir)
-	want := tc1.Tree(depth).Root()
-	if _, err := os.Stat(treeFileName(dir, depth)); err != nil {
-		t.Fatalf("tree not persisted: %v", err)
-	}
-
-	// Same fingerprint, fresh cache: disk hit, same root.
-	tc2 := NewTreeCacheAt(v1, fp1, dir)
-	if tc2.Tree(depth).Root() != want {
-		t.Fatal("disk-restored tree differs")
-	}
-
-	// Changed entries, fresh cache: incremental update path, root matches
-	// a from-scratch build.
+	// Changed entries: the built tree is updated in place, and its root
+	// matches a from-scratch build.
 	v2 := append([]Entry(nil), v1...)
 	v2[10] = entry(v2[10].Path, "V2")
 	v2 = sorted(append(v2, entry("added/one", "1")))
-	fp2 := md4OfEntries(v2)
-	tc3 := NewTreeCacheAt(v2, fp2, dir)
-	if tc3.Tree(depth).Root() != Build(v2, depth).Root() {
-		t.Fatal("incrementally-updated disk tree differs from rebuild")
-	}
-
-	// Rebase: carry the built tree forward in memory.
-	v3 := append([]Entry(nil), v2...)
-	v3[20] = entry(v3[20].Path, "V3")
-	tc4 := tc3.Rebase(v3, md4OfEntries(v3))
-	if tc4.Tree(depth).Root() != Build(v3, depth).Root() {
-		t.Fatal("rebased tree differs from rebuild")
+	tc2 := tc1.Rebase(v2, md4OfEntries(v2))
+	if got := tc2.Tree(depth); got != built || got.Root() != Build(v2, depth).Root() {
+		t.Fatal("rebased tree is not the built one updated to a rebuild's root")
 	}
 
 	// A total rewrite falls back to rebuilding rather than updating.
-	v4 := sorted(makeEntries(rand.New(rand.NewSource(92)), 600))
-	tc5 := tc4.Rebase(v4, md4OfEntries(v4))
-	if tc5.Tree(depth).Root() != Build(v4, depth).Root() {
+	v3 := sorted(makeEntries(rand.New(rand.NewSource(92)), 600))
+	tc3 := tc2.Rebase(v3, md4OfEntries(v3))
+	if got := tc3.Tree(depth); got == built || got.Root() != Build(v3, depth).Root() {
 		t.Fatal("rebase-after-rewrite differs from rebuild")
-	}
-}
-
-// TestPersistSharesSigcacheDir: tree files must use a name shape that can
-// never collide with sigcache's hex-named ".sig" entries.
-func TestPersistSharesSigcacheDir(t *testing.T) {
-	name := filepath.Base(treeFileName("x", 12))
-	if filepath.Ext(name) == ".sig" {
-		t.Fatalf("tree file %q collides with sigcache naming", name)
 	}
 }

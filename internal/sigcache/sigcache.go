@@ -209,9 +209,6 @@ func New(opts Options) *Cache {
 	}
 }
 
-// Dir reports the on-disk store directory ("" when persistence is off).
-func (c *Cache) Dir() string { return c.dir }
-
 // Get returns the signature for k, consulting memory then disk. A disk entry
 // that is corrupt, truncated, from a different store version, or keyed
 // differently is a miss, never an error.

@@ -107,31 +107,34 @@ type Option func(*sessionOptions)
 // manifest costs O(n) bytes while the tree costs O(c·log n) — prefer it for
 // large, mostly-unchanged collections. Applies to a Client's pulls and a
 // Server's pushes.
+//
+// A Client's tree pull asks for speculative descent and cross-file matching
+// (hello extension 3). Under the first, the server's answers carry several
+// levels of merkle digests at once, finishing a typical descent in roughly
+// half the roundtrips. Under the second, wanted files whose exact content
+// already exists locally under another path (pure renames) are copied
+// locally with zero content bytes on the wire, and files new to the client
+// are synced against their best alternate local basis (e.g. the old path of
+// a moved-and-edited file) instead of from scratch. A server that predates
+// the extension grants neither, and the session runs the one-level descent.
 func WithTreeManifest() Option {
 	return func(o *sessionOptions) { o.TreeManifest = true }
 }
 
-// WithSpeculativeDescent makes a tree-manifest Client request speculative
-// descent (hello extension 3): the server's answers carry several levels of
-// merkle digests at once, finishing a typical descent in roughly half the
-// roundtrips for the same total bytes. Servers that don't support the
-// extension ignore it and the session runs the legacy one-level descent
-// byte-identically. Implies nothing without WithTreeManifest; ignored by
-// servers (they always grant it when asked).
+// WithSpeculativeDescent does nothing.
+//
+// Deprecated: every tree-manifest pull asks for speculative descent (see
+// WithTreeManifest).
 func WithSpeculativeDescent() Option {
-	return func(o *sessionOptions) { o.SpeculativeDescent = true }
+	return func(*sessionOptions) {}
 }
 
-// WithCrossFileMatch makes a tree-manifest Client request cross-file
-// matching (hello extension 3): wanted files whose exact content already
-// exists locally under another path (pure renames) are copied locally with
-// zero content bytes on the wire, and files new to the client are synced
-// against their best alternate local basis (e.g. the old path of a
-// moved-and-edited file) instead of from scratch. Servers that don't
-// support the extension ignore it; the session then runs byte-identically
-// to one without this option. Implies nothing without WithTreeManifest.
+// WithCrossFileMatch does nothing.
+//
+// Deprecated: every tree-manifest pull asks for cross-file matching (see
+// WithTreeManifest).
 func WithCrossFileMatch() Option {
-	return func(o *sessionOptions) { o.CrossFileMatch = true }
+	return func(*sessionOptions) {}
 }
 
 // WithTimeout bounds each whole synchronization session (handshake through
