@@ -102,7 +102,6 @@ func main() {
 		push      = flag.Bool("push", false, "client: push local (newer) data to the server instead of pulling")
 		allowPush = flag.Bool("allow-push", false, "server: accept pushes and write them into -dir (with -cache-dir and -store-dir as for pulls)")
 		workers   = flag.Int("workers", 0, "worker goroutines for hashing/scanning (0 = all CPUs, 1 = serial); wire output is identical for every value")
-		muxWidth  = flag.Int("mux-streams", 0, "multiplexed streams per session: clients request the width, servers cap it; interleaves per-file rounds on one connection (0 = legacy lockstep)")
 		mapMode   = flag.String("map-mode", "halving", "client: map-construction mode to request (halving, cdc); cdc derives block boundaries from content-defined chunks — best for shift-heavy data; servers that don't support it fall back to halving")
 		cacheDir  = flag.String("cache-dir", "", "persistent signature cache directory; repeat syncs of unchanged files skip hashing (never changes the bytes on the wire)")
 		cacheMem  = flag.Int64("cache-mem", 64, "signature cache in-memory budget in MiB")
@@ -122,9 +121,6 @@ func main() {
 	flag.Parse()
 
 	validateFlags(*workers, *retries, *cacheMem, *maxSess, *maxQueued)
-	if *muxWidth < 0 {
-		fatalf("msync: -mux-streams must be >= 0 (got %d)", *muxWidth)
-	}
 	if *storeBudget < 0 {
 		fatalf("msync: -store-budget must be >= 0 (got %d)", *storeBudget)
 	}
@@ -135,9 +131,6 @@ func main() {
 	obsOpts, obsClose := obsSetup(*debugAddr, *traceOut, *logLevel)
 	extra = append(extra, obsOpts...)
 	extra = append(extra, storeOptions(*storeDir, *storeBudget)...)
-	if *muxWidth > 0 {
-		extra = append(extra, msync.WithMuxStreams(*muxWidth))
-	}
 	mm, err := msync.ParseMapMode(*mapMode)
 	if err != nil {
 		fatalf("msync: %v", err)

@@ -18,7 +18,7 @@ func cdcSession(t *testing.T, serverFiles, clientFiles map[string][]byte, tune f
 	t.Helper()
 	cfg := core.DefaultConfig()
 	res, serverCosts := func() (*Result, *Result) {
-		r, sc := muxSession(t, serverFiles, clientFiles, cfg, 0, 1, func(s *Server, c *Client) {
+		r, sc := pipeSession(t, serverFiles, clientFiles, cfg, 1, func(s *Server, c *Client) {
 			c.MapMode = core.MapCDC
 			if tune != nil {
 				tune(s, c)
@@ -66,25 +66,6 @@ func TestCDCModeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCDCModeMux: CDC composes with stream multiplexing — the per-stream
-// engine merges still pick up the chunk counters.
-func TestCDCModeMux(t *testing.T) {
-	v1, v2 := corpus.DefaultHeavyLogProfile(0.3).Generate(7)
-	res, srv := cdcSession(t, v2.Map(), v1.Map(), func(s *Server, c *Client) {
-		s.MuxStreams = 4
-		c.MuxStreams = 4
-	})
-	if err := VerifyAgainst(res.Files, v2.Map()); err != nil {
-		t.Fatalf("cdc mux session diverged: %v", err)
-	}
-	if res.Costs.FilesCDC == 0 || res.Costs.CDCChunks == 0 {
-		t.Fatalf("client CDC accounting empty under mux: %+v", res.Costs)
-	}
-	if srv.Costs.CDCChunks == 0 || srv.Costs.FilesCDC == 0 {
-		t.Fatalf("server CDC accounting empty under mux: %+v", srv.Costs)
-	}
-}
-
 // TestCDCModeUnusableDegrades: a server that cannot validate the requested
 // mode (here: one it has never heard of) refuses the grant and the session
 // completes in halving mode instead of failing — noted on each end's
@@ -93,7 +74,7 @@ func TestCDCModeUnusableDegrades(t *testing.T) {
 	v1, v2 := corpus.DefaultHeavyLogProfile(0.15).Generate(11)
 	ring, cliRing := obs.NewRing(256), obs.NewRing(256)
 	var log, cliLog bytes.Buffer
-	res, srvCosts := muxSession(t, v2.Map(), v1.Map(), core.DefaultConfig(), 0, 1, func(s *Server, c *Client) {
+	res, srvCosts := pipeSession(t, v2.Map(), v1.Map(), core.DefaultConfig(), 1, func(s *Server, c *Client) {
 		c.MapMode = core.MapMode(7)
 		s.Tracer, s.Logger = ring, slog.New(slog.NewTextHandler(&log, nil))
 		c.Tracer, c.Logger = cliRing, slog.New(slog.NewTextHandler(&cliLog, nil))

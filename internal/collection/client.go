@@ -132,7 +132,6 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 	if c.AnnounceVersion {
 		s.ext.announce = int64(c.BaseVersion)
 	}
-	s.ext.mux = c.MuxStreams
 	s.ext.mapMode = c.MapMode
 	s.ext.stream = true
 	if err := s.sendHello(rolePull); err != nil {
@@ -146,10 +145,10 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 // deltas. It is shared by the pulling client and by a server accepting a
 // push. In the returned Costs, C2S is traffic from the data receiver to the
 // data holder. Failures up to and including the verdict exchange are tagged
-// with ErrHandshake (retry-safe); ctx is checked at every cycle boundary.
+// with ErrHandshake (retry-safe); ctx is checked at every flight boundary.
 //
 // The session's hello says what to expect: its mode picks the change
-// detector, and a MUX_ACK comes only if streams were requested.
+// detector.
 // s.cfg.Workers is the receiver's own budget — never the remote's: the
 // protocol config arrives over the wire, but Workers is deliberately not
 // serialized.
@@ -221,7 +220,7 @@ func (s *session) drop(res *Result, path string) {
 
 // clientWork is what the verdicts leave for the per-file phases: the files to
 // map, with their engines, and the files settled in the verdicts that may
-// still need a FULL. Those are stream 0's ack ordinals after its engines:
+// still need a FULL. Those are the ack ordinals after the engines:
 // the journal verdicts of an engine-less session, whose deltas were applied
 // on the spot, or the members of failed sum groups, acked by their place
 // among the files judged unchanged. unchecked counts the journal verdicts
@@ -231,15 +230,13 @@ func (s *session) drop(res *Result, path string) {
 type clientWork struct {
 	files     []clientFile // the engines' files
 	settled   []clientFile
-	counts    []int // the MUX_ACK's stream partition; nil: one bare stream
 	unchecked int
 	digest    []byte
 	after     []ManifestEntry
 	written   []string
 }
 
-// verdicts reads the holder's answer to change detection — optionally
-// preceded by the MUX_ACK that grants requested streams — and settles every
+// verdicts reads the holder's answer to change detection and settles every
 // path it can: unchanged, deleted, sent in full, patched from the journal.
 // list is what det announced, in verdict order — or, when det's names say the
 // verdicts name their files, each verdict follows the path hash of its entry
@@ -247,7 +244,10 @@ type clientWork struct {
 // for the per-file phases.
 func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEntry) (*clientWork, error) {
 	defer s.closeCursor()
-	muxRaw, vraw, err := s.readGranted(det.read, wire.FrameMuxAck, wire.FrameVerdicts, s.ext.mux > 0)
+	ft, vraw, err := det.read()
+	if err == nil && ft != wire.FrameVerdicts {
+		err = errFrame(ft, vraw)
+	}
 	if err != nil {
 		return nil, asHandshake(err)
 	}
@@ -411,13 +411,6 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 		return nil, err
 	}
 	s.st.verdictCost(s.costs, len(vraw), fullBytes, deltaBytes)
-	if muxRaw != nil {
-		// The server only grants multiplexing to sessions running sync
-		// engines: a partition of none is refused.
-		if work.counts, err = wire.ParseMuxAck(muxRaw, len(work.files)); err != nil {
-			return nil, err
-		}
-	}
 	return work, nil
 }
 
@@ -462,29 +455,19 @@ func (s *session) newClientFile(path string, newLen int, alts []string) (clientF
 	return cf, nil
 }
 
-// receive runs the per-file phases over work: the streams the MUX_ACK
-// announced, or one bare stream over everything — which for a journal session
-// has no engines, only the ack ordinals of its journal verdicts. The settled
-// files follow stream 0's engines. Files whose whole-file check failed — an
+// receive runs the per-file phases over work: one stream over its engines —
+// none for a journal session, only the ack ordinals of its journal verdicts —
+// with the settled files after them. Files whose whole-file check failed — an
 // engine's, or a journal delta's — came whole in a FULL: noted and logged
 // once.
 func (s *session) receive(res *Result, work *clientWork) error {
 	res.PerFile = make(map[string]int64, len(work.files))
-	f, links, counts := s.newFramer(work.counts, len(work.files), nil, 0)
-	streams := make([]*clientStream, len(counts))
-	off := 0
-	for k, c := range counts {
-		streams[k] = &clientStream{streamLink: &links[k], files: work.files[off : off+c], nEng: c}
-		off += c
-	}
-	streams[0].files = append(streams[0].files[:counts[0]:counts[0]], work.settled...)
-	if err := s.consumeStreams(streams, f, res); err != nil {
+	n := len(work.files)
+	cs := &clientStream{files: append(work.files[:n:n], work.settled...), nEng: n, buf: s.buf}
+	if err := s.consumeStream(cs, res); err != nil {
 		return err
 	}
-	n := work.unchecked
-	for _, cs := range streams {
-		n += sort.SearchInts(cs.failed, cs.nEng) // the engines' failures come first
-	}
+	n = work.unchecked + sort.SearchInts(cs.failed, cs.nEng) // the engines' failures come first
 	if n > 0 {
 		s.st.fellBack(fmt.Sprintf("whole_file_check_failed:%d", n), "msync: whole-file check failed", "files", n)
 	}

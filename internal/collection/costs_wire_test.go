@@ -45,23 +45,13 @@ func transcriptFrames(t *testing.T, raw []byte) []wireFrame {
 	}
 }
 
-// fullFrameBytes sums the wire cost of the FULL frames in one direction: bare
-// FULL frames, and STREAM frames wrapping one.
+// fullFrameBytes sums the wire cost of the FULL frames in one direction.
 func fullFrameBytes(t *testing.T, raw []byte) int64 {
 	t.Helper()
 	var n int64
 	for _, f := range transcriptFrames(t, raw) {
-		switch f.typ {
-		case wire.FrameFull:
+		if f.typ == wire.FrameFull {
 			n += int64(f.size())
-		case wire.FrameStream:
-			sf, err := wire.ParseStreamFrame(f.payload, wire.MaxStreams)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sf.Type == wire.FrameFull {
-				n += int64(f.size())
-			}
 		}
 	}
 	return n
@@ -105,8 +95,12 @@ func (m misstated) Manifest() ([]ManifestEntry, error) {
 // the frame's.
 //
 // The fallback rows run hashes weak enough (weakConfig) that whole-file checks
-// fail: the ACK → FULL path, whose bytes and roundtrips must be accounted the
-// same way under both framings, and which the receiver notes once.
+// fail: the ACK → FULL path, whose bytes and roundtrips must be accounted
+// exactly, and which the receiver notes once.
+//
+// The +mux rows are sessions with a client from before stream multiplexing
+// was retired: its HELLO also asks for extension 2, which the server ignores.
+// The server accounts exactly what it read, the extension's bytes included.
 func TestCostsTotalEqualsWireBytes(t *testing.T) {
 	oneFile := func() (v1, v2 map[string][]byte) {
 		return map[string][]byte{"a.txt": []byte("old")}, map[string][]byte{"a.txt": []byte("new")}
@@ -118,32 +112,29 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 		base uint64 // nonzero: a store-backed server (versions 1 and 2), a client announcing this one
 		// trees replaces costTrees (weak shapes: tinyTrees(12)).
 		trees func() (v1, v2 map[string][]byte)
+		mux   int // nonzero: the client's HELLO asks for this stream width (muxHelloConn)
 	}{
-		{"lockstep", func(*Server, *Client) {}, false, 0, nil},
-		{"mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 16, 16 }, false, 0, nil},
-		{"tree", func(_ *Server, c *Client) { c.TreeManifest = true }, false, 0, nil},
-		{"tree+mux", func(s *Server, c *Client) {
-			c.TreeManifest = true
-			s.MuxStreams, c.MuxStreams = 16, 16
-		}, false, 0, nil},
-		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }, false, 0, nil},
-		{"fallback", func(*Server, *Client) {}, true, 0, nil},
-		{"fallback+mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 4, 4 }, true, 0, nil},
-		// Announced by reference: a hit; a miss that grants streams (WANT,
-		// MANIFEST_SHORT, MUX_ACK, VERDICTS); a miss on a server without a
-		// store.
-		{"journal", func(*Server, *Client) {}, false, 1, nil},
-		{"journal-miss+mux", func(s *Server, c *Client) { s.MuxStreams, c.MuxStreams = 4, 4 }, false, 99, nil},
-		{"announce-storeless", func(_ *Server, c *Client) { c.AnnounceVersion, c.BaseVersion = true, 3 }, false, 0, nil},
+		{"lockstep", func(*Server, *Client) {}, false, 0, nil, 0},
+		{"mux", func(*Server, *Client) {}, false, 0, nil, 16},
+		{"tree", func(_ *Server, c *Client) { c.TreeManifest = true }, false, 0, nil, 0},
+		{"tree+mux", func(_ *Server, c *Client) { c.TreeManifest = true }, false, 0, nil, 16},
+		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }, false, 0, nil, 0},
+		{"fallback", func(*Server, *Client) {}, true, 0, nil, 0},
+		{"fallback+mux", func(*Server, *Client) {}, true, 0, nil, 4},
+		// Announced by reference: a hit; a miss (WANT, MANIFEST_SHORT,
+		// VERDICTS); a miss on a server without a store.
+		{"journal", func(*Server, *Client) {}, false, 1, nil, 0},
+		{"journal-miss+mux", func(*Server, *Client) {}, false, 99, nil, 4},
+		{"announce-storeless", func(_ *Server, c *Client) { c.AnnounceVersion, c.BaseVersion = true, 3 }, false, 0, nil, 0},
 		// A manifest too short to pack: MANIFEST, as ever.
-		{"one-file", func(*Server, *Client) {}, false, 0, oneFile},
+		{"one-file", func(*Server, *Client) {}, false, 0, oneFile, 0},
 		// A list past tableMin: MANIFEST_TABLE; one that does not peel
 		// (MANIFEST_WANT, then MANIFEST_SHORT); and one answered by a holder
 		// whose list misstates a file's sum, so that its list digest is not
 		// the synced list's: the client fails with ErrListMismatch.
-		{"table", func(*Server, *Client) {}, false, 0, tableTrees30},
-		{"table-peel-failed", func(*Server, *Client) {}, false, 0, func() (v1, v2 map[string][]byte) { return tableTrees(2000, 300) }},
-		{"table-list-mismatch", func(s *Server, _ *Client) { s.src = misstated{s.src} }, false, 0, tableTrees30},
+		{"table", func(*Server, *Client) {}, false, 0, tableTrees30, 0},
+		{"table-peel-failed", func(*Server, *Client) {}, false, 0, func() (v1, v2 map[string][]byte) { return tableTrees(2000, 300) }, 0},
+		{"table-list-mismatch", func(s *Server, _ *Client) { s.src = misstated{s.src} }, false, 0, tableTrees30, 0},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -173,7 +164,8 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			ring := obs.NewRing(1024)
 			cli.Tracer = ring
 			a, b := transport.Pipe()
-			rec := &recordConn{rw: b}
+			hello := &muxHelloConn{ReadWriter: b, width: sh.mux, sent: sh.mux == 0}
+			rec := &recordConn{rw: hello}
 			var wg sync.WaitGroup
 			wg.Add(1)
 			var serverCosts *stats.Costs
@@ -251,8 +243,8 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			if got := res.Costs.Total(); got != carried {
 				t.Errorf("client Costs.Total() = %d, the connection carried %d", got, carried)
 			}
-			if got := serverCosts.Total(); got != carried {
-				t.Errorf("server Costs.Total() = %d, the connection carried %d", got, carried)
+			if got := serverCosts.Total(); got != carried+int64(hello.added) {
+				t.Errorf("server Costs.Total() = %d, the connection carried %d", got, carried+int64(hello.added))
 			}
 			if res.Costs.Roundtrips != serverCosts.Roundtrips {
 				t.Errorf("roundtrips: client %d, server %d", res.Costs.Roundtrips, serverCosts.Roundtrips)
@@ -279,21 +271,16 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 				t.Errorf("the receiver's spans note %q %d times, want once", note, noted)
 			}
 			full := fullFrameBytes(t, rec.s2c.Bytes())
-			// An unwrapped session reports the fallback as one full span
-			// holding exactly the FULL frame; wrapped streams report theirs
-			// in their stream spans.
+			// The session reports the fallback as one full span holding
+			// exactly the FULL frame.
 			var spanned int64
 			for _, e := range ring.Events() {
 				if e.Phase == obs.PhaseFull {
 					spanned += e.BytesDown
 				}
 			}
-			want := full
-			if cli.MuxStreams > 0 {
-				want = 0
-			}
-			if spanned != want {
-				t.Errorf("full spans carry %d bytes, want %d", spanned, want)
+			if spanned != full {
+				t.Errorf("full spans carry %d bytes, want %d", spanned, full)
 			}
 			for side, c := range map[string]*stats.Costs{"client": res.Costs, "server": serverCosts} {
 				if got := c.Bytes(stats.S2C, stats.PhaseFull); got != full {

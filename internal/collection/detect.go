@@ -35,7 +35,7 @@ import (
 // Behind the detectors each end walks the verdicts once (holder: verdictWalk,
 // receiver: session.verdicts), and a file settled without an engine that may
 // still need a FULL — a journal verdict, a member of a sum group — is one of
-// stream 0's ack ordinals past its engines, on both ends.
+// the ack ordinals past the engines, on both ends.
 
 // answer is one file the holder's verdict walk answers for: a change of
 // filelist.Diff(the receiver's list, the holder's) — an added file rides in the

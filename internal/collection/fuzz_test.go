@@ -144,8 +144,15 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 	}
 	hb := wire.NewBuffer(32)
-	helloExts{announce: 7, mux: 16, treeCaps: treeCapSpec, mapMode: core.MapCDC}.encode(hb)
-	f.Add(hb.Build(), uint32(0), false)
+	hb.Uvarint(protocolVersion)
+	hb.Byte(rolePull)
+	hb.Byte(modeManifest)
+	helloExts{announce: 7, treeCaps: treeCapSpec, mapMode: core.MapCDC}.encode(hb)
+	trailer := wire.NewParser(withMuxExt(hb.Build(), 16)) // the retired extension 2 among them
+	trailer.Uvarint()
+	trailer.Raw(2)
+	exts, _ := trailer.Raw(trailer.Remaining())
+	f.Add(exts, uint32(0), false)
 	packed, _ := packManifest(BuildManifest(old), md4.Size)
 	f.Add(packed, uint32(2), false) // a MANIFEST_PACKED's
 	for _, p := range sortedPayloads(hostilePacked(md4.Size)) {
@@ -289,7 +296,7 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		// 64-byte files: a section that declares 64 and decodes costs its code
 		// tables (under 4 KB), any other is refused before it costs anything.
-		got = alloctest.BytesPerOp(2, func() { fullHandler(n, 64, failed, data).handle(1) })
+		got = alloctest.BytesPerOp(2, func() { fullHandler(n, 64, failed, data) })
 		if ceiling := uint64(8<<10 + 128*n + 16<<10*len(secs)); got > ceiling {
 			t.Fatalf("FULL handler allocated %d bytes for %d sections of %d files (ceiling %d)", got, len(secs), n, ceiling)
 		}

@@ -80,20 +80,16 @@ func hostileFullFrame(body []byte) []byte {
 	return b.Build()
 }
 
-// fullHandler is a receiving stream waiting for the FULL that answers its ACK
-// of the given ordinals, each file announced at newLen bytes, with payload in
-// flight.
-func fullHandler(nFiles, newLen int, failed []int, payload []byte) *clientStream {
-	cs := &clientStream{
-		streamLink: &streamLink{inner: wire.FrameFull, payload: payload},
-		files:      make([]clientFile, nFiles),
-		acked:      true,
-		failed:     failed,
-	}
+// fullHandler hands payload, as the FULL frame that answers its ACK of the
+// given ordinals, to a receiving stream whose files were each announced at
+// newLen bytes, and returns what the stream made of it.
+func fullHandler(nFiles, newLen int, failed []int, payload []byte) error {
+	cs := &clientStream{files: make([]clientFile, nFiles), acked: true, failed: failed}
 	for i := range cs.files {
 		cs.files[i].newLen, cs.files[i].ack = newLen, i
 	}
-	return cs
+	_, _, err := cs.handle(1, wire.FrameFull, payload)
+	return err
 }
 
 // fullDeclaring4GiB rewrites a real FULL payload: the index list stays as the
@@ -330,27 +326,28 @@ var hostileStreams = map[string]func(real []byte) []byte{
 
 // tamperProxy sits between a client and a server and replaces the payload of
 // the first frame matching (direction, type, type of the frame it answers)
-// with a hostile one, unwrapping and rewrapping STREAM frames so the same
-// cases run under both framings.
+// with a hostile one. With mux set, the client's HELLO reaches the server
+// asking for the retired stream multiplexing too (withMuxExt), as a client
+// from before its retirement sent it: the same cases run against a server
+// that ignores the request.
 type tamperProxy struct {
 	up      bool // tamper with the client's frames (false: the server's)
-	typ     byte // per-file frame type to replace
-	after   byte // ... when the stream's last frame the other way was this (0: any)
+	typ     byte // frame type to replace
+	after   byte // ... when the last frame the other way was this (0: any)
 	payload []byte
 	rewrite func(real []byte) []byte // in place of payload: derive it from the real frame
-	retype  byte                     // nonzero: the replaced frame goes out bare as this type, even in place of a STREAM frame
+	retype  byte                     // nonzero: the replaced frame goes out as this type
+	mux     int                      // nonzero: the stream width the client's HELLO asks for
 
 	mu   sync.Mutex
-	last [2]map[int]byte // per direction and stream: last per-file frame type
+	last [2]byte // per direction: last frame type
 	done bool
 	fed  bytes.Buffer // everything forwarded in the tampered direction: what the victim read
 }
 
 // newTamperProxy is a proxy that has seen no frame yet.
-func newTamperProxy(up bool, typ, after byte, payload []byte) *tamperProxy {
-	tp := &tamperProxy{up: up, typ: typ, after: after, payload: payload}
-	tp.last[0], tp.last[1] = map[int]byte{}, map[int]byte{}
-	return tp
+func newTamperProxy(up bool, typ, after byte, payload []byte, mux int) *tamperProxy {
+	return &tamperProxy{up: up, typ: typ, after: after, payload: payload, mux: mux}
 }
 
 // run drives one session through the proxy, srv's against the connecting
@@ -401,33 +398,23 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 		if err != nil {
 			return
 		}
-		id, inner, body := 0, ft, payload
-		if ft == wire.FrameStream {
-			sf, err := wire.ParseStreamFrame(payload, wire.MaxStreams)
-			if err != nil {
-				return
-			}
-			id, inner, body = sf.ID, sf.Type, sf.Payload
+		if up && ft == wire.FrameHello && tp.mux > 0 {
+			payload = withMuxExt(payload, tp.mux)
 		}
 		tp.mu.Lock()
-		tp.last[dir][id] = inner
-		hit := !tp.done && up == tp.up && inner == tp.typ && (tp.after == 0 || tp.last[1-dir][id] == tp.after)
+		tp.last[dir] = ft
+		hit := !tp.done && up == tp.up && ft == tp.typ && (tp.after == 0 || tp.last[1-dir] == tp.after)
 		tp.done = tp.done || hit
 		tp.mu.Unlock()
 		if hit {
 			if tp.rewrite != nil {
-				body = tp.rewrite(body)
+				payload = tp.rewrite(payload)
 			} else {
-				body = tp.payload
+				payload = tp.payload
 			}
 			if tp.retype != 0 {
 				ft = tp.retype
-			} else if ft == wire.FrameStream {
-				b := wire.NewBuffer(len(body) + 4)
-				wire.AppendStreamFrame(b, id, inner, body)
-				body = b.Build()
 			}
-			payload = body
 		}
 		if fw.WriteFrame(ft, payload) != nil || fw.Flush() != nil {
 			return
@@ -437,15 +424,18 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 
 // TestHostileIndexLists: a peer that sends an impossible index list — a count
 // no session could have, more entries than files, a repeated or descending
-// index — in any per-file frame, under either framing, gets a typed error
-// from the other end: no panic (there is no recover anywhere), no allocation
-// sized by its number, no engine handed to two workers. Likewise a FULL whose
+// index — in any per-file frame gets a typed error from the other end: no
+// panic (there is no recover anywhere), no allocation sized by its number, no
+// engine handed to two workers. Likewise a FULL whose
 // list is the one the ACK asked for but whose content declares another length
 // than the verdict announced: delta.ErrCorrupt, before anything is allocated.
 // And a verdict that ships a new file whole, whose length the client cannot
 // know, declaring 4 GiB in 26 bytes: delta.ErrCorrupt once its ops run out
-// (TestIndexListAllocation holds both ceilings). The handshake's two
-// fixed-size frames have their own rows: hostileHandshakes.
+// (TestIndexListAllocation holds both ceilings). Every case runs twice: "bare"
+// with today's client, "mux" with its HELLO asking for the retired stream
+// multiplexing, which the server ignores — the same lockstep session, the
+// same refusal. The handshake's frames have their own rows:
+// hostileHandshakes.
 func TestHostileIndexLists(t *testing.T) {
 	t.Run("handshake", hostileHandshakes)
 	v1, v2 := tinyTrees(12)
@@ -478,13 +468,13 @@ func TestHostileIndexLists(t *testing.T) {
 			lists["declares 4 GiB"] = nil // not a list: fc.rewrite derives it from the real frame
 		}
 		for name, payload := range lists {
-			for _, width := range []int{0, 4} {
-				fc, payload, width := fc, payload, width
-				framing := "bare"
-				if width > 0 {
-					framing = "mux"
+			for _, mux := range []int{0, 4} {
+				fc, payload, mux := fc, payload, mux
+				hello := "bare"
+				if mux > 0 {
+					hello = "mux"
 				}
-				t.Run(fc.name+"/"+name+"/"+framing, func(t *testing.T) {
+				t.Run(fc.name+"/"+name+"/"+hello, func(t *testing.T) {
 					t.Parallel()
 					// weakConfig: the session has verification batches and a
 					// FULL fallback to tamper with.
@@ -492,15 +482,12 @@ func TestHostileIndexLists(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					srv.MuxStreams = width
-					cli := NewClient(v1)
-					cli.MuxStreams = width
-					dial := cli.Sync
+					dial := NewClient(v1).Sync
 					if fc.push {
-						srv, dial = pushEnds(t, v1, serverFiles, width, weakConfig())
+						srv, dial = pushEnds(t, v1, serverFiles, weakConfig())
 					}
 
-					tp := newTamperProxy(fc.up, fc.typ, fc.after, payload)
+					tp := newTamperProxy(fc.up, fc.typ, fc.after, payload, mux)
 					want := errIndexList
 					if payload == nil {
 						tp.rewrite, want = fc.rewrite, delta.ErrCorrupt
@@ -546,6 +533,16 @@ func helloWith(at int, v byte) func(real []byte) []byte {
 		h := bytes.Clone(real)
 		h[at] = v
 		return h
+	}
+}
+
+// inStream rewrites the payload of a per-file frame of type ft as the STREAM
+// frame that carried it for stream 0 of a multiplexed session.
+func inStream(ft byte) func(real []byte) []byte {
+	return func(real []byte) []byte {
+		b := wire.NewBuffer(len(real) + 2)
+		wire.AppendStreamFrame(b, 0, ft, real)
+		return b.Build()
 	}
 }
 
@@ -630,11 +627,14 @@ func hostilePacked(width int) map[string][]byte {
 // else, twice, at another size or malformed gets one typed error wrapping
 // core.ErrProtocol from the other end, which a replay of what the victim read
 // shows costs it less than 64 KB; a server refuses a WANT before it loads a
-// file. A frame of another type where the HELLO, a CYCLE or a STREAM frame
-// is due gets the same typed error. Two rows are served, not refused: a REF
-// whose hello announced nothing is a miss, and a SHORT is what a WANT is
-// answered with (the legacy_journal_ref_miss_packed replay pins the holder's
-// answer to a PACKED there).
+// file. A frame of another type where the HELLO is due gets the same typed
+// error. Two rows are served, not refused: a REF whose hello announced
+// nothing is a miss, and a SHORT is what a WANT is answered with. The frames
+// of the retired stream multiplexing —
+// CYCLE, STREAM, MUX_ACK — are refused as any frame out of place: by a server
+// wherever it reads one, by a client where VERDICTS or a per-file frame is
+// due. Every row runs from today's client ("bare") and from one whose HELLO
+// asks for stream multiplexing ("mux"), which the server ignores.
 func hostileHandshakes(t *testing.T) {
 	v1, v2 := tinyTrees(12)
 	for i := 0; i < 3; i++ { // unchanged files, so VERDICTS carries group sums
@@ -666,7 +666,6 @@ func hostileHandshakes(t *testing.T) {
 		version uint64 // for a served row: the version the client learns
 		last    bool   // the tampered frame is the client's last: it may finish
 		push    bool   // the connecting end pushes to a server that allows it
-		mux     bool   // the frame is sent only when the session is multiplexed
 		wide    bool   // the holder also has a new file past segmentMax: its stream has two segments
 	}
 	rows := []row{
@@ -700,16 +699,23 @@ func hostileHandshakes(t *testing.T) {
 		{name: "client/VERDICTS config of 2^40 alternates", typ: wire.FrameVerdicts, rewrite: withAlternates(min(1<<40, math.MaxInt))},
 		{name: "server/pushed VERDICTS config of 2^40 alternates", push: true, up: true, typ: wire.FrameVerdicts, rewrite: withAlternates(min(1<<40, math.MaxInt))},
 		// Another frame where the one read is due is refused as one that
-		// arrives out of place anywhere else: the HELLO, a cycle's CYCLE,
-		// and each of its STREAM frames.
+		// arrives out of place anywhere else: the HELLO.
 		{name: "server/MANIFEST in place of HELLO", up: true, typ: wire.FrameHello, retype: wire.FrameManifest, payload: digest},
 		// A HELLO this server cannot speak, and a verdict no holder sends.
 		{name: "server/HELLO of version 2", up: true, typ: wire.FrameHello, rewrite: helloWith(0, 2)},
 		{name: "server/HELLO of role 7", up: true, typ: wire.FrameHello, rewrite: helloWith(1, 7)},
 		{name: "server/HELLO of mode 9", up: true, typ: wire.FrameHello, rewrite: helloWith(2, 9)},
 		{name: "client/VERDICTS with an unknown verdict", typ: wire.FrameVerdicts, rewrite: unknownVerdict},
-		{name: "client/DELTA in place of CYCLE", mux: true, typ: wire.FrameCycle, retype: wire.FrameDelta, payload: digest},
-		{name: "client/DELTA in place of a STREAM frame", mux: true, typ: wire.FrameRoundHashes, retype: wire.FrameDelta, payload: digest},
+		// The retired multiplexed framing, as an older peer would send it:
+		// a cycle count, a grant, a per-file frame wrapped for stream 0.
+		{name: "server/CYCLE in place of HELLO", up: true, typ: wire.FrameHello, retype: wire.FrameCycle, payload: []byte{1}},
+		{name: "server/MUX_ACK in place of MANIFEST_SHORT", up: true, typ: wire.FrameManifestShort, retype: wire.FrameMuxAck, payload: []byte{1, 12}},
+		{name: "server/CYCLE in place of ROUND_REPLY", up: true, typ: wire.FrameRoundReply, retype: wire.FrameCycle, payload: []byte{1}},
+		{name: "server/STREAM in place of ROUND_REPLY", up: true, typ: wire.FrameRoundReply, retype: wire.FrameStream, rewrite: inStream(wire.FrameRoundReply)},
+		{name: "server/CYCLE in place of ACK after a REF hit", base: 1, up: true, typ: wire.FrameAck, retype: wire.FrameCycle, payload: []byte{1}, last: true},
+		{name: "client/MUX_ACK in place of VERDICTS", typ: wire.FrameVerdicts, retype: wire.FrameMuxAck, payload: []byte{1, 12}},
+		{name: "client/CYCLE in place of ROUND_HASHES", typ: wire.FrameRoundHashes, retype: wire.FrameCycle, payload: []byte{1}},
+		{name: "client/STREAM in place of ROUND_HASHES", typ: wire.FrameRoundHashes, retype: wire.FrameStream, rewrite: inStream(wire.FrameRoundHashes)},
 	}
 	for name, rewrite := range hostileStreams {
 		rows = append(rows, row{name: "client/VERDICTS stream " + name, typ: wire.FrameVerdicts, rewrite: rewrite, wide: true})
@@ -736,14 +742,12 @@ func hostileHandshakes(t *testing.T) {
 		rows = append(rows, row{name: "server/MANIFEST " + name, up: true, typ: wire.FrameManifestShort, retype: wire.FrameManifest, payload: payload})
 	}
 	for _, row := range rows {
-		for _, width := range []int{0, 4} {
-			framing := "bare"
-			if width > 0 {
-				framing = "mux"
-			} else if row.mux {
-				continue
+		for _, mux := range []int{0, 4} {
+			hello := "bare"
+			if mux > 0 {
+				hello = "mux"
 			}
-			t.Run(row.name+"/"+framing, func(t *testing.T) {
+			t.Run(row.name+"/"+hello, func(t *testing.T) {
 				// Not parallel: the allocation ceiling below reads the
 				// process's allocation counter.
 				held := v2
@@ -751,23 +755,22 @@ func hostileHandshakes(t *testing.T) {
 					held = wide
 				}
 				srv := versionedServer(t, v1, held, core.DefaultConfig())
-				srv.MuxStreams = width
 				loads := &loadCounter{Source: srv.src}
 				if row.typ == wire.FrameWant {
 					srv.src = loads // a tree session needs no version store
 				}
 				cli := NewClient(v1)
-				cli.MuxStreams, cli.TreeManifest = width, row.tree
+				cli.TreeManifest = row.tree
 				cli.AnnounceVersion, cli.BaseVersion = row.base > 0, row.base
 				dial := cli.Sync
 				if row.push {
-					srv, dial = pushEnds(t, v1, v2, width, core.DefaultConfig())
+					srv, dial = pushEnds(t, v1, v2, core.DefaultConfig())
 				}
 
 				var log bytes.Buffer
 				srv.Logger = slog.New(slog.NewTextHandler(&log, nil))
 
-				tp := newTamperProxy(row.up, row.typ, 0, row.payload)
+				tp := newTamperProxy(row.up, row.typ, 0, row.payload, mux)
 				tp.retype, tp.rewrite = row.retype, row.rewrite
 				sc, res, victim, other := tp.run(t, srv, dial)
 				if row.served != "" {
@@ -845,9 +848,9 @@ func withAlternates(n int) func(real []byte) []byte {
 	}
 }
 
-// pushEnds are a push's two ends at mux width under cfg: a server over old
-// that allows pushes, and the session of a pusher holding cur.
-func pushEnds(t *testing.T, old, cur map[string][]byte, width int, cfg core.Config) (*Server, func(io.ReadWriter) (*Result, error)) {
+// pushEnds are a push's two ends under cfg: a server over old that allows
+// pushes, and the session of a pusher holding cur.
+func pushEnds(t *testing.T, old, cur map[string][]byte, cfg core.Config) (*Server, func(io.ReadWriter) (*Result, error)) {
 	receiver, err := NewServer(old, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -857,7 +860,6 @@ func pushEnds(t *testing.T, old, cur map[string][]byte, width int, cfg core.Conf
 		t.Fatal(err)
 	}
 	receiver.AllowPush = true
-	receiver.MuxStreams, pusher.MuxStreams = width, width
 	return receiver, func(conn io.ReadWriter) (*Result, error) {
 		_, err := pusher.PushContext(t.Context(), conn)
 		return nil, err
@@ -1126,7 +1128,7 @@ func TestIndexListAllocation(t *testing.T) {
 	}
 	for _, body := range [][]byte{hostileFull, hostileDecoding} {
 		got := alloctest.BytesPerOp(5, func() {
-			if err := fullHandler(1, 4000, []int{0}, hostileFullFrame(body)).handle(1); !errors.Is(err, delta.ErrCorrupt) {
+			if err := fullHandler(1, 4000, []int{0}, hostileFullFrame(body)); !errors.Is(err, delta.ErrCorrupt) {
 				t.Fatalf("FULL declaring 4 GiB for a 4000-byte file: %v, want delta.ErrCorrupt", err)
 			}
 		})
@@ -1169,8 +1171,7 @@ func TestHelloExtsRoundTrip(t *testing.T) {
 	for _, h := range []helloExts{
 		{announce: -1},
 		{announce: 0},
-		{announce: 7, mux: 16, treeCaps: treeCapSpec | treeCapCross, mapMode: core.MapCDC},
-		{announce: -1, mux: 4},
+		{announce: 7, treeCaps: treeCapSpec | treeCapCross, mapMode: core.MapCDC},
 		{announce: -1, treeCaps: treeCapCross},
 		{announce: -1, mapMode: core.MapCDC},
 	} {
@@ -1186,11 +1187,17 @@ func TestHelloExtsRoundTrip(t *testing.T) {
 			parseHelloExts(wire.NewParser(b.Build()[:cut])) // must not panic
 		}
 	}
-	// Requests beyond what this implementation knows are cut down, not refused.
+	// Requests beyond what this implementation knows are cut down, and the
+	// retired extension 2 is skipped: neither is refused.
 	b := wire.NewBuffer(32)
-	helloExts{announce: -1, mux: wire.MaxStreams + 5, treeCaps: 0xFF}.encode(b)
-	got := parseHelloExts(wire.NewParser(b.Build()))
-	if got.mux != wire.MaxStreams || got.treeCaps != treeCapSpec|treeCapCross {
+	b.Uvarint(protocolVersion)
+	b.Byte(rolePull)
+	b.Byte(modeTree)
+	helloExts{announce: -1, treeCaps: 0xFF}.encode(b)
+	p := wire.NewParser(withMuxExt(b.Build(), wire.MaxStreams+5))
+	p.Uvarint()
+	p.Raw(2)
+	if got := parseHelloExts(p); got != (helloExts{announce: -1, treeCaps: treeCapSpec | treeCapCross}) {
 		t.Fatalf("unclamped hello: %+v", got)
 	}
 }

@@ -78,12 +78,14 @@ func decodeStreams(t *testing.T, raw []byte) (c2s, s2c []byte) {
 // client end recorded and returns the serialized transcript. A replay
 // scenario has no live receiver any more: its receiver half is the one an
 // older receiver recorded, fed to today's holder, and -update leaves its file
-// alone. In a push the recorded end is the holder, so its half is c2s.
+// alone. In a push the recorded end is the holder, so its half is c2s. A live
+// pull keeps its setup, which TestMuxRefused replays other halves against.
 type legacyScenario struct {
 	name   string
 	run    func(t *testing.T) (c2s, s2c []byte)
 	replay bool
 	push   bool
+	setup  func(t *testing.T) (*Server, *Client)
 }
 
 // goldenPath is where a scenario's transcript is recorded.
@@ -107,12 +109,18 @@ func readGolden(t *testing.T, name string) (c2s, s2c []byte) {
 func replayRecorded(t *testing.T, name string, hold func(context.Context, io.ReadWriter) (*stats.Costs, error), push bool) (c2s, s2c []byte) {
 	t.Helper()
 	c2s, s2c = readGolden(t, name)
-	recv, answer := &c2s, &s2c
 	if push {
-		recv, answer = &s2c, &c2s
+		return replay(t, s2c, hold), s2c
 	}
+	return c2s, replay(t, c2s, hold)
+}
+
+// replay feeds a receiver's half of a session to a holder over the pipe and
+// returns what the holder answered.
+func replay(t *testing.T, recv []byte, hold func(context.Context, io.ReadWriter) (*stats.Costs, error)) []byte {
+	t.Helper()
 	a, b := transport.Pipe()
-	if _, err := b.Write(*recv); err != nil { // pipe writes never block
+	if _, err := b.Write(recv); err != nil { // pipe writes never block
 		t.Fatal(err)
 	}
 	_, err := hold(t.Context(), a)
@@ -120,10 +128,11 @@ func replayRecorded(t *testing.T, name string, hold func(context.Context, io.Rea
 	if err != nil {
 		t.Fatalf("holder: %v", err)
 	}
-	if *answer, err = io.ReadAll(b); err != nil {
+	answer, err := io.ReadAll(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return c2s, s2c
+	return answer
 }
 
 // runRecorded drives client against server over a recorded pipe.
@@ -189,7 +198,7 @@ func pull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScen
 // replays is the live scenario live and a replay of each of olds against the
 // server setup builds.
 func replays(live string, setup func(t *testing.T) (*Server, *Client), olds ...string) []legacyScenario {
-	out := []legacyScenario{{name: live, run: func(t *testing.T) ([]byte, []byte) {
+	out := []legacyScenario{{name: live, setup: setup, run: func(t *testing.T) ([]byte, []byte) {
 		srv, cli := setup(t)
 		return runRecorded(t, srv, cli)
 	}}}
@@ -243,17 +252,13 @@ func emacsPullUnder(cfg core.Config, tune func(*Server, *Client)) func(t *testin
 }
 
 // weakPull is the fallback pull: tinyTrees(12) under weakConfig.
-func weakPull(width int) func(t *testing.T) (*Server, *Client) {
-	return func(t *testing.T) (*Server, *Client) {
-		v1, v2 := tinyTrees(12)
-		srv, err := NewServer(v2, weakConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli := NewClient(v1)
-		srv.MuxStreams, cli.MuxStreams = width, width
-		return srv, cli
+func weakPull(t *testing.T) (*Server, *Client) {
+	v1, v2 := tinyTrees(12)
+	srv, err := NewServer(v2, weakConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return srv, NewClient(v1)
 }
 
 // pushServers are the push scenario's two ends: the pusher holds the newer
@@ -359,18 +364,15 @@ func legacyScenarios() []legacyScenario {
 	out = append(out, flatPull("announce_ref_unversioned", emacsPull(func(_ *Server, c *Client) {
 		c.AnnounceVersion, c.BaseVersion = true, 3
 	}))...)
-	// The shapes below negotiate an extension that changes the per-file
-	// phases, as the benchmark's tiny_tree, big_cdc and journal_live
-	// workloads do (default_* below: under the config those run).
-	out = append(out, flatPull("mux_manifest_pull", emacsPull(func(s *Server, c *Client) {
-		s.MuxStreams, c.MuxStreams = 4, 4
-	}))...)
-	out = append(out, pull("mux_tree_pull", muxTreePull(core.PaperConfig()))...)
+	// The shapes below are those of the benchmark's tiny_tree, big_cdc and
+	// journal_live workloads (default_* below: under the config those run),
+	// and the full-transfer fallback. tiny_tree_pull is the tiny_tree option
+	// set.
+	out = append(out, replays("tiny_tree_pull", tinyTreePull(core.PaperConfig()))...)
 	// Hashes weak enough that false matches survive verification: the ACK
 	// lists the files whose whole-file check failed and a FULL frame re-sends
 	// them.
-	out = append(out, flatPull("fallback_pull", weakPull(0))...)
-	out = append(out, flatPull("mux_fallback_pull", weakPull(4))...)
+	out = append(out, flatPull("fallback_pull", weakPull)...)
 	out = append(out, flatPull("cdc_pull", emacsPull(func(_ *Server, c *Client) { c.MapMode = core.MapCDC }))...)
 	// A list past tableMin whose table peels: MANIFEST_TABLE up, VERDICTS
 	// naming the differing files and ending with the list digest down
@@ -387,7 +389,7 @@ func legacyScenarios() []legacyScenario {
 	// tiny_tree option set and a CDC pull.
 	def := core.DefaultConfig()
 	out = append(out, pull("default_pull", emacsPullUnder(def, func(*Server, *Client) {}))...)
-	out = append(out, pull("default_mux_tree_pull", muxTreePull(def))...)
+	out = append(out, replays("default_tiny_tree_pull", tinyTreePull(def))...)
 	out = append(out, pull("default_cdc_pull", emacsPullUnder(def, func(_ *Server, c *Client) { c.MapMode = core.MapCDC }))...)
 	out = append(out, legacyScenario{name: "journal_pull", replay: true, run: func(t *testing.T) ([]byte, []byte) {
 		// An older client's journal hit: base version 1 announced, the
@@ -406,31 +408,29 @@ func legacyScenarios() []legacyScenario {
 		cli.BaseVersion = 1
 		return srv, cli
 	})...)
-	// A version the store never held, with streams requested: MANIFEST_REF,
-	// MANIFEST_WANT, the manifest, MUX_ACK, VERDICTS.
-	return append(out, flatPull("journal_ref_miss", func(t *testing.T) (*Server, *Client) {
+	// A version the store never held: MANIFEST_REF, MANIFEST_WANT, the
+	// manifest, VERDICTS, then the map rounds.
+	return append(out, replays("journal_ref_miss_pull", func(t *testing.T) (*Server, *Client) {
 		v1, v2 := costTrees()
 		srv := versionedServer(t, v1, v2, core.PaperConfig())
-		srv.MuxStreams = 4
 		cli := NewClient(v1)
-		cli.AnnounceVersion, cli.BaseVersion, cli.MuxStreams = true, 99, 4
+		cli.AnnounceVersion, cli.BaseVersion = true, 99
 		return srv, cli
 	})...)
 }
 
-// muxTreePull is the tiny_tree option set under cfg: merkle manifest (with
-// speculative descent and cross-file matching) and 16 streams in one session.
-func muxTreePull(cfg core.Config) func(t *testing.T) (*Server, *Client) {
+// tinyTreePull is the tiny_tree option set under cfg: a merkle-manifest pull
+// (with speculative descent and cross-file matching) of moved and edited tiny
+// files.
+func tinyTreePull(cfg core.Config) func(t *testing.T) (*Server, *Client) {
 	return func(t *testing.T) (*Server, *Client) {
 		clientFiles, serverFiles := movedTrees(tinyTrees(48))
 		srv, err := NewServer(serverFiles, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.MuxStreams = 16
 		cli := NewClient(clientFiles)
 		cli.TreeManifest = true
-		cli.MuxStreams = 16
 		return srv, cli
 	}
 }
@@ -475,9 +475,9 @@ func movedTrees(v1, v2 map[string][]byte) (clientFiles, serverFiles map[string][
 
 // TestLegacyWireRecorded pins the exact byte streams of representative
 // sessions: the extension-free shapes, which every hello extension must leave
-// byte-identical, and one session per extension that changes the per-file
-// phases (multiplexed, CDC, journal), all under PaperConfig, and three under
-// DefaultConfig. Any diff here is a wire compatibility break.
+// byte-identical, and one session per extension that changes what the
+// per-file phases run over (tree, CDC, journal), all under PaperConfig, and
+// three under DefaultConfig. Any diff here is a wire compatibility break.
 func TestLegacyWireRecorded(t *testing.T) {
 	for _, sc := range legacyScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -509,8 +509,8 @@ func TestLegacyWireRecorded(t *testing.T) {
 // TestJournalRefAnswerIsTheLegacyAnswer: a journal hit answers a manifest
 // named by its digest with the bytes it answered the manifest itself with —
 // the stored list and the client's are one list — while the client's half
-// loses the manifest for 18 bytes and stays under a hundred, and a miss opens with
-// the five handshake frames in their order.
+// loses the manifest for 18 bytes and stays under a hundred, and a miss opens
+// with the four handshake frames in their order and goes on to map.
 func TestJournalRefAnswerIsTheLegacyAnswer(t *testing.T) {
 	oldUp, oldDown := readGolden(t, "journal_pull")
 	newUp, newDown := readGolden(t, "journal_ref_pull")
@@ -523,15 +523,15 @@ func TestJournalRefAnswerIsTheLegacyAnswer(t *testing.T) {
 		t.Fatalf("client half: %d bytes by reference, %d with a manifest frame of %d", len(newUp), len(oldUp), manifest.size())
 	}
 	var got []string
-	up, down := readGolden(t, "journal_ref_miss")
+	up, down := readGolden(t, "journal_ref_miss_pull")
 	for _, f := range transcriptFrames(t, up)[:3] {
 		got = append(got, wire.FrameName(f.typ))
 	}
 	for _, f := range transcriptFrames(t, down)[:3] {
 		got = append(got, wire.FrameName(f.typ))
 	}
-	if want := "HELLO MANIFEST_REF MANIFEST MANIFEST_WANT MUX_ACK VERDICTS"; strings.Join(got, " ") != want {
-		t.Fatalf("a miss with streams opens %v, want %s", got, want)
+	if want := "HELLO MANIFEST_REF MANIFEST_SHORT MANIFEST_WANT VERDICTS ROUND_HASHES"; strings.Join(got, " ") != want {
+		t.Fatalf("a miss opens %v, want %s", got, want)
 	}
 }
 
@@ -581,8 +581,8 @@ func TestPackedAnswerIsTheLegacyAnswer(t *testing.T) {
 			}
 		})
 	}
-	if pairs != 8 {
-		t.Fatalf("%d replay/live pairs, want the eight flat shapes", pairs)
+	if pairs != 5 {
+		t.Fatalf("%d replay/live pairs, want the five flat shapes", pairs)
 	}
 }
 
@@ -657,8 +657,8 @@ func TestShortAnswerIsThePackedAnswer(t *testing.T) {
 			}
 		})
 	}
-	if pairs != 8 || trailers != 8+6 {
-		t.Fatalf("%d live/replay pairs, %d with group sums: want the eight flat shapes, six of them with unchanged files", pairs, trailers-8)
+	if pairs != 5 || trailers != 5+4 {
+		t.Fatalf("%d live/replay pairs, %d with group sums: want the five flat shapes, four of them with unchanged files", pairs, trailers-5)
 	}
 }
 
@@ -726,8 +726,8 @@ func TestStreamAnswerIsThePerFileAnswer(t *testing.T) {
 			}
 		})
 	}
-	if pairs != 17 || streamed == 0 {
-		t.Fatalf("%d live/replay pairs, %d with whole files: want the seventeen pulls, some sending files whole", pairs, streamed)
+	if pairs != 12 || streamed == 0 {
+		t.Fatalf("%d live/replay pairs, %d with whole files: want the twelve pulls, some sending files whole", pairs, streamed)
 	}
 }
 
@@ -767,6 +767,54 @@ func TestBothCapsAnswerIsTheOneCapAnswer(t *testing.T) {
 						t.Fatalf("frame %d: %s of %d bytes in place of %s of %d", i, wire.FrameName(f[1][i].typ), len(f[1][i].payload), wire.FrameName(f[0][i].typ), len(f[0][i].payload))
 					}
 				}
+			}
+		})
+	}
+}
+
+// muxTwins pairs each transcript a client asking for stream multiplexing
+// recorded before its retirement, at width, with its lockstep twin: the same
+// pull recorded today.
+var muxTwins = []struct {
+	mux, twin string
+	width     int
+}{
+	{"mux_manifest_pull_stream", "manifest_pull_stream", 4},
+	{"mux_fallback_pull_stream", "fallback_pull_stream", 4},
+	{"mux_tree_pull_stream", "tiny_tree_pull", 16},
+	{"default_mux_tree_pull_stream", "default_tiny_tree_pull", 16},
+	{"journal_ref_miss_stream", "journal_ref_miss_pull", 4},
+}
+
+// TestMuxRefused: a server ignores the retired stream-multiplexing request
+// (hello extension 2) and runs the lockstep session. Each transcript a
+// multiplexing client recorded opens with a HELLO asking for what its twin's
+// client asks today, and for extension 2; spliced in front of the twin's
+// client half in place of that client's HELLO, it draws the twin's server
+// half byte for byte. (The rest of the recorded client half replies in
+// CYCLE and STREAM frames, which no server accepts any more.)
+func TestMuxRefused(t *testing.T) {
+	scenarios := map[string]legacyScenario{}
+	for _, sc := range legacyScenarios() {
+		scenarios[sc.name] = sc
+	}
+	for _, tw := range muxTwins {
+		t.Run(tw.mux, func(t *testing.T) {
+			muxUp, _ := readGolden(t, tw.mux)
+			up, down := readGolden(t, tw.twin)
+			muxHello, hello := transcriptFrames(t, muxUp)[0], transcriptFrames(t, up)[0]
+			if muxHello.typ != wire.FrameHello || hello.typ != wire.FrameHello || !bytes.Equal(muxHello.payload, withMuxExt(hello.payload, tw.width)) {
+				t.Fatalf("the recorded HELLO (%d bytes) is not today's (%d bytes) asking for %d streams too", len(muxHello.payload), len(hello.payload), tw.width)
+			}
+			var spliced bytes.Buffer
+			fw := wire.NewFrameWriter(&spliced)
+			if fw.WriteFrame(wire.FrameHello, muxHello.payload) != nil || fw.Flush() != nil {
+				t.Fatal("writing the recorded HELLO")
+			}
+			spliced.Write(up[hello.size():])
+			srv, _ := scenarios[tw.twin].setup(t)
+			if got := replay(t, spliced.Bytes(), srv.ServeContext); !bytes.Equal(got, down) {
+				t.Fatalf("the server answered the multiplexing HELLO with %d bytes, today's with %d", len(got), len(down))
 			}
 		})
 	}

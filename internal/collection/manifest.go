@@ -1,8 +1,8 @@
 // Package collection implements the collection-level synchronization
-// protocol: manifest exchange with per-file fingerprints, multiplexing of
-// every changed file's map-construction rounds into shared roundtrips (the
-// paper's amortization argument), the delta phase, and full-transfer
-// fallbacks for new files and whole-file-check failures.
+// protocol: manifest exchange with per-file fingerprints, every changed
+// file's map-construction rounds batched into shared roundtrips (the paper's
+// amortization argument), the delta phase, and full-transfer fallbacks for
+// new files and whole-file-check failures.
 package collection
 
 import (
@@ -233,12 +233,9 @@ const (
 	// its current version to the verdict frame either way. A client
 	// announcing a version above 0 sends MANIFEST_REF in place of MANIFEST.
 	helloExtVersion = 1
-	// helloExtMux requests stream multiplexing: the payload is the uvarint
-	// stream width the client is willing to run. A server that grants it
-	// (bounded by its own cap and the sync-file count) answers MUX_ACK
-	// before the verdict frame; otherwise the session proceeds unchanged,
-	// byte-identical to a legacy one past the extension bytes.
-	helloExtMux = 2
+	// Extension 2 requested stream multiplexing. It is retired: no client
+	// sends it, and a server ignores it like any unknown extension, so an
+	// older client that asks runs the lockstep session.
 	// helloExtTree advertises tree-mode capabilities as a uvarint bitmask
 	// (treeCap* below). Only meaningful with modeTree. A server that grants
 	// any of them answers TREE_ACK (the granted mask) before its first TREE
@@ -266,7 +263,6 @@ const (
 // zero-extension value is helloExts{announce: -1}.
 type helloExts struct {
 	announce int64        // helloExtVersion: the stored version announced; -1: none
-	mux      int          // helloExtMux: requested stream width; 0: none
 	treeCaps byte         // helloExtTree: requested treeCap* mask; 0: none
 	mapMode  core.MapMode // helloExtMapMode: requested mode; MapHalving: none
 	stream   bool         // helloExtStream: the whole-content stream requested
@@ -280,7 +276,6 @@ func (h helloExts) encode(b *wire.Buffer) {
 		set   bool
 	}{
 		{helloExtVersion, uint64(h.announce), h.announce >= 0},
-		{helloExtMux, uint64(h.mux), h.mux > 0},
 		{helloExtTree, uint64(h.treeCaps), h.treeCaps != 0},
 		{helloExtMapMode, uint64(h.mapMode), h.mapMode != core.MapHalving},
 		{helloExtStream, 1, h.stream},
@@ -305,8 +300,8 @@ func (h helloExts) encode(b *wire.Buffer) {
 }
 
 // parseHelloExts reads the trailer after the hello's mode byte. Values are cut
-// down to what this implementation knows (stream width to the wire cap, tree
-// capabilities to the defined bits). A malformed trailer ends the parse with
+// down to what this implementation knows (tree capabilities to the defined
+// bits), and unknown ids are skipped. A malformed trailer ends the parse with
 // what was read so far: extensions are an optimization hint, never a reason
 // to fail a session.
 func parseHelloExts(hp *wire.Parser) helloExts {
@@ -331,8 +326,6 @@ func parseHelloExts(hp *wire.Parser) helloExts {
 		switch id {
 		case helloExtVersion:
 			h.announce = int64(v)
-		case helloExtMux:
-			h.mux = int(min(v, wire.MaxStreams))
 		case helloExtTree:
 			h.treeCaps = byte(v) & (treeCapSpec | treeCapCross)
 		case helloExtMapMode:

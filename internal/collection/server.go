@@ -12,7 +12,6 @@ import (
 	"msync/internal/core"
 	"msync/internal/filelist"
 	"msync/internal/merkle"
-	"msync/internal/obs"
 	"msync/internal/stats"
 	"msync/internal/wire"
 )
@@ -224,9 +223,6 @@ func (s *Server) serveConn(sess *session) error {
 		return nil
 	case rolePull:
 		sess.ext = parseHelloExts(hp)
-		if sess.ext.mux > s.MuxStreams {
-			sess.ext.mux = s.MuxStreams // 0 when the server refuses multiplexing
-		}
 		return s.serve(sess)
 	}
 	return sess.fail(fmt.Errorf("%w: unknown role %d", core.ErrProtocol, role))
@@ -235,10 +231,8 @@ func (s *Server) serveConn(sess *session) error {
 // serve runs the serving role after the handshake header: change detection
 // and verdicts in the hello's manifest mode, then the per-file phases. The
 // hello's extensions are requests: the announced store version only matters
-// when the source is versioned; the stream width is what this server would
-// grant (a journal hit or a session without sync engines runs one bare stream
-// regardless); the map mode is granted here, by building the session config
-// the engines (and the shipped config) use.
+// when the source is versioned; the map mode is granted here, by building the
+// session config the engines (and the shipped config) use.
 func (s *Server) serve(sess *session) error {
 	// The session config starts from the server's: a granted map mode is
 	// the only per-session deviation, and an unusable request (unknown
@@ -276,29 +270,10 @@ func (s *Server) serve(sess *session) error {
 	if sess.cfg.MapMode == core.MapCDC {
 		sess.costs.FilesCDC += len(work.engines)
 	}
-	return s.serveFiles(sess, work)
-}
-
-// serveFiles runs the per-file phases over work: one stream per MUX_ACK
-// partition, or one bare stream over everything. The settled files are stream
-// 0's ack ordinals after its engines, their content the detector's: a receiver
-// that could not settle one after all acks it and gets it whole. The FULL is
-// built on stream 0's handler alone, so what the detector counts then is
-// counted race-free.
-func (s *Server) serveFiles(sess *session, work serverWork) error {
-	var gauge *obs.Gauge
-	if work.counts != nil {
-		gauge = s.Metrics.Gauge(obs.MetricStreamsActive)
-	}
-	f, links, counts := sess.newFramer(work.counts, len(work.engines), gauge, s.RoundTimeout)
-	streams := make([]*serverStream, len(counts))
-	off := 0
-	for k, c := range counts {
-		streams[k] = &serverStream{streamLink: &links[k], files: work.engines[off : off+c]}
-		off += c
-	}
-	streams[0].settled, streams[0].full = work.settled, work.full
-	return sess.serveStreams(streams, f, s.Metrics)
+	// The per-file phases: one stream over the engines. The settled files
+	// are the ack ordinals after them, their content the detector's: a
+	// receiver that could not settle one after all acks it and gets it whole.
+	return sess.serveStream(&serverStream{files: work.engines, buf: sess.buf, settled: work.settled, full: work.full})
 }
 
 // PushContext updates a remote replica over conn with this server's (newer)
@@ -314,8 +289,8 @@ func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (_ *stats.
 	if s.TreeManifest {
 		sess.mode = modeTree
 	}
-	// Push receivers never request multiplexing or tree extensions, so the
-	// hello carries none and none are granted.
+	// Push receivers never request tree extensions, so the hello carries
+	// none and none are granted.
 	if err := sess.sendHello(rolePush); err != nil {
 		return sess.costs, err
 	}
@@ -328,13 +303,12 @@ func (s *Server) PushContext(ctx context.Context, conn io.ReadWriter) (_ *stats.
 // serverWork is what the verdicts leave for the per-file phases: engines for
 // the files to map, and the files settled without one that a FULL may yet be
 // asked for — journal verdicts, or the unchanged files of group-tested sums —
-// in the order of their ack ordinals past stream 0's engines, full(i,
-// settled[i]) the content of the i-th.
+// in the order of their ack ordinals past the engines, full(i, settled[i])
+// the content of the i-th.
 type serverWork struct {
 	engines []syncFile
 	settled []ManifestEntry
 	full    func(i int, e ManifestEntry) ([]byte, error)
-	counts  []int // the granted stream partition sent as MUX_ACK; nil: one bare stream
 }
 
 // verdictWalk runs det's change detection, then writes VERDICTS in one walk
@@ -348,9 +322,7 @@ type serverWork struct {
 // loaded — sent whole when the receiver has no basis for it or it is small,
 // synced otherwise — and deleted if it vanished since the list was built (an
 // added one is left out). Whole files count as PhaseFull, journal deltas as
-// PhaseDelta, the rest of the frame as control. A session that runs engines
-// may be granted streams: the MUX_ACK goes first, in the same flush, so
-// granting costs no extra roundtrip.
+// PhaseDelta, the rest of the frame as control.
 func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *merkle.TreeCache) (work serverWork, err error) {
 	defer s.closeCursor()
 	list, answers, err := det.detect(own, mtree)
@@ -468,15 +440,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 		fullBytes += n
 	}
 	det.trailer(vb, list, &work)
-	// A session without engines has nothing to multiplex: no MUX_ACK, one
-	// bare stream.
-	if work.counts = muxPartition(work.engines, s.ext.mux); work.counts != nil {
-		err = s.send(wire.FrameMuxAck, wire.EncodeMuxAck(work.counts), stats.PhaseControl)
-	}
-	if err == nil {
-		err = s.fw.WriteFrame(wire.FrameVerdicts, vb.Build())
-	}
-	if err != nil {
+	if err := s.fw.WriteFrame(wire.FrameVerdicts, vb.Build()); err != nil {
 		return work, err
 	}
 	s.st.verdictCost(s.costs, vb.Len(), fullBytes, deltaBytes)

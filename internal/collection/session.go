@@ -26,10 +26,8 @@ type Options struct {
 	Timeout time.Duration
 	// RoundTimeout, if positive, bounds each frame-level read and write of a
 	// session, and therefore each protocol round, so a stalled peer fails the
-	// session instead of hanging it. A serving session also bounds each
-	// multiplexed cycle by it (DESIGN.md §13 "Deadlines"). Interrupting
-	// blocked I/O needs a connection with deadline support (net.Conn,
-	// transport.PipeEnd).
+	// session instead of hanging it. Interrupting blocked I/O needs a
+	// connection with deadline support (net.Conn, transport.PipeEnd).
 	RoundTimeout time.Duration
 	// HandshakeTimeout, if positive, bounds a served session's handshake
 	// (HELLO through the verdict exchange for a pull, the HELLO for a push)
@@ -50,12 +48,6 @@ type Options struct {
 	// rename is copied locally, and a new file may sync against an alternate
 	// local basis named in the WANT exchange.
 	TreeManifest bool
-	// MuxStreams, on a client, requests stream multiplexing (hello extension
-	// 2) with up to that many streams, whose map rounds, deltas and fallbacks
-	// interleave on the one connection; on a server it caps the width
-	// granted, 0 refusing. A session either side leaves at 0 runs as one
-	// unwrapped stream, byte-identical to one that never asked.
-	MuxStreams int
 	// MapMode requests a map-construction mode (hello extension 4). The
 	// server grants it by echoing it in the session config it ships with the
 	// verdicts; one that predates the extension runs halving byte-identically.
@@ -84,8 +76,7 @@ type Options struct {
 	Tracer obs.Tracer
 	Logger *slog.Logger
 	// Metrics, if set, receives every session's outcome — the active gauge,
-	// the session and error counts, the duration histogram and its Costs —
-	// and a server's multiplexing gauges and counters.
+	// the session and error counts, the duration histogram and its Costs.
 	Metrics *obs.Registry
 }
 
@@ -297,10 +288,10 @@ func errFrame(ft byte, payload []byte) error {
 
 // readGranted reads the holder's next frame, which must be of type want —
 // preceded, if this end's hello asked for something the holder may grant, by
-// the grant frame that says so (MUX_ACK before VERDICTS, TREE_ACK before the
-// first TREE reply). The grant is accounted here; want is the caller's. read
-// takes the first frame: s.read, or a detector's, which serves what the
-// holder asks of it before it answers.
+// the grant frame that says so (TREE_ACK before the first TREE reply). The
+// grant is accounted here; want is the caller's. read takes the first frame:
+// s.read, or a detector's, which serves what the holder asks of it before it
+// answers.
 func (s *session) readGranted(read func() (byte, []byte, error), grant, want byte, asked bool) (granted, payload []byte, err error) {
 	ft, payload, err := read()
 	if err == nil && asked && ft == grant {
@@ -316,7 +307,7 @@ func (s *session) readGranted(read func() (byte, []byte, error), grant, want byt
 
 // Costs.Roundtrips counts answers: the frames one end sends because of what
 // the other just sent — verdicts for a manifest or WANT, a TREE reply for a
-// TREE query, the replies to a cycle of hashes, confirms or deltas, and the
+// TREE query, the reply to a frame of hashes, confirms or deltas, and the
 // FULL transfers an ACK asked for. The end that sends an answer counts it in
 // flushAnswer, the end that reads one calls answered, and nothing else touches
 // the counter, so both ends arrive at the same number.
@@ -345,7 +336,7 @@ func (s *session) fail(err error) error {
 	return err
 }
 
-// cancelled is the check every cycle of the per-file phases starts with.
+// cancelled is the check every flight of the per-file phases starts with.
 func (s *session) cancelled() error {
 	if err := s.ctx.Err(); err != nil {
 		return fmt.Errorf("collection: session cancelled: %w", err)

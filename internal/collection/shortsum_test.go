@@ -107,11 +107,18 @@ type collisionRun struct {
 // with the receiver's MANIFEST_SHORT forged so f070.txt collides, and, when
 // liar is set, the holder's group sums forged to pass. A lazy pull, over a
 // directory, has its files as what it wrote over the old ones it lists as
-// unchanged.
-func runCollision(t *testing.T, push, lazy bool, width int, old, cur map[string][]byte, liar bool) collisionRun {
+// unchanged. A pull with mux set has the client's HELLO ask for the retired
+// stream multiplexing at that width too (withMuxExt).
+func runCollision(t *testing.T, push, lazy bool, mux int, old, cur map[string][]byte, liar bool) collisionRun {
 	t.Helper()
 	const victim = "f070.txt"
-	up := collide(victim, md4.Sum(cur[victim]))
+	forge := collide(victim, md4.Sum(cur[victim]))
+	up := func(ft byte, p []byte) []byte {
+		if ft == wire.FrameHello && mux > 0 {
+			return withMuxExt(p, mux)
+		}
+		return forge(ft, p)
+	}
 	down := func(_ byte, p []byte) []byte { return p }
 	if liar {
 		down = vouch(old, cur, victim)
@@ -145,9 +152,8 @@ func runCollision(t *testing.T, push, lazy bool, width int, old, cur map[string]
 		}()
 		go func() { defer wg.Done(); defer acceptor.Close(); run.recv, recvErr = receiver.Serve(acceptor) }()
 	} else {
-		holder.MuxStreams = width
 		cli := NewClientSource(sourceOf(t, old, lazy))
-		cli.MuxStreams, cli.Tracer, cli.Logger = width, ring, logger
+		cli.Tracer, cli.Logger = ring, logger
 		go func() { defer wg.Done(); relay(dialProxy, acceptProxy, up) }()
 		go func() { defer wg.Done(); relay(acceptProxy, dialProxy, down) }()
 		go func() { defer wg.Done(); defer acceptor.Close(); run.holder, holdErr = holder.Serve(acceptor) }()
@@ -179,16 +185,16 @@ func runCollision(t *testing.T, push, lazy bool, width int, old, cur map[string]
 // length and prefix check, and is caught one layer down, by its group's MD4
 // in the VERDICTS trailer: the receiver acks the group's 64 files, the FULL
 // brings them whole, and the session converges to the holder's bytes — in a
-// pull and a push, bare and over 16 streams, with engines beside the salvage
-// and without. Both ends count the one failed group (SumGroupsFailed) and the
+// pull and a push, with engines beside the salvage and without. Both ends count the one failed group (SumGroupsFailed) and the
 // files that went whole; the receiver's handshake span notes it and its log
-// says so once. A lazy pull lists none of them as unchanged. (A push
-// negotiates no streams, so it runs bare only.)
+// says so once. A lazy pull lists none of them as unchanged. The mux16 pulls
+// come from a client whose HELLO asks for the retired stream multiplexing,
+// which the holder ignores: the same lockstep session.
 func TestSumGroupsCatchForcedCollisions(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		push, lazy bool
-		width      int
+		mux        int // the stream width the client's HELLO asks for
 		engines    bool
 	}{
 		{"pull/bare/engines", false, false, 0, true},
@@ -201,7 +207,7 @@ func TestSumGroupsCatchForcedCollisions(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			old, cur := collisionTrees(c.engines)
-			run := runCollision(t, c.push, c.lazy, c.width, old, cur, false)
+			run := runCollision(t, c.push, c.lazy, c.mux, old, cur, false)
 			if err := VerifyAgainst(run.files, cur); err != nil {
 				t.Fatal(err)
 			}

@@ -75,13 +75,12 @@ func tableSession(t *testing.T, srv *Server, cli *Client) (c2s, s2c []wireFrame,
 
 // replayHolder feeds the receiver's frames to a fresh server over v2 and
 // returns the frames it answers with and its costs.
-func replayHolder(t *testing.T, v2 map[string][]byte, width int, c2s []wireFrame) ([]wireFrame, *stats.Costs) {
+func replayHolder(t *testing.T, v2 map[string][]byte, c2s []wireFrame) ([]wireFrame, *stats.Costs) {
 	t.Helper()
 	srv, err := NewServer(v2, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.MuxStreams = width
 	conn := &recordingScript{}
 	conn.script.Reset(wireBytes(t, c2s))
 	sc, err := srv.Serve(conn)
@@ -104,7 +103,7 @@ func framesExcept(frames []wireFrame, k int) []wireFrame {
 
 // TestTableAnswerIsTheShortAnswer: a receiver whose MANIFEST_SHORT is past
 // tableMin sends its list as MANIFEST_TABLE, at most half as long, in the same
-// flight, and converges — pulling lazily or not, over one stream or sixteen.
+// flight, and converges — pulling lazily or not.
 // The holder's VERDICTS name only the differing files and end with its list
 // digest; everything else it sends is what it sends a receiver that sent
 // MANIFEST_SHORT — the same receiver frames, with the table swapped for the
@@ -115,53 +114,49 @@ func TestTableAnswerIsTheShortAnswer(t *testing.T) {
 	if len(short.payload) < tableMin {
 		t.Fatalf("the MANIFEST_SHORT of tableTrees(2000) is %d bytes, under %d", len(short.payload), tableMin)
 	}
-	for _, width := range []int{0, 16} {
-		for _, lazy := range []bool{false, true} {
-			srv, err := NewServer(v2, core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
+	for _, lazy := range []bool{false, true} {
+		srv, err := NewServer(v2, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := NewClientSource(sourceOf(t, v1, lazy))
+		c2s, s2c, sc, res, _ := tableSession(t, srv, cli)
+		if c2s[1].typ != wire.FrameManifestTable || len(c2s[1].payload) > len(short.payload)/2 {
+			t.Fatalf("the list went as %s of %d bytes, want MANIFEST_TABLE of at most %d", wire.FrameName(c2s[1].typ), len(c2s[1].payload), len(short.payload)/2)
+		}
+		got := res.Files
+		if lazy {
+			got = make(map[string][]byte, len(v2))
+			for p, data := range res.Files {
+				got[p] = data
 			}
-			srv.MuxStreams = width
-			cli := NewClientSource(sourceOf(t, v1, lazy))
-			cli.MuxStreams = width
-			c2s, s2c, sc, res, _ := tableSession(t, srv, cli)
-			if c2s[1].typ != wire.FrameManifestTable || len(c2s[1].payload) > len(short.payload)/2 {
-				t.Fatalf("width %d: the list went as %s of %d bytes, want MANIFEST_TABLE of at most %d", width, wire.FrameName(c2s[1].typ), len(c2s[1].payload), len(short.payload)/2)
+			for _, p := range res.Unchanged {
+				got[p] = v1[p]
 			}
-			got := res.Files
-			if lazy {
-				got = make(map[string][]byte, len(v2))
-				for p, data := range res.Files {
-					got[p] = data
-				}
-				for _, p := range res.Unchanged {
-					got[p] = v1[p]
-				}
-			}
-			if err := VerifyAgainst(got, v2); err != nil {
-				t.Fatalf("width %d, lazy %v: %v", width, lazy, err)
-			}
-			if res.Costs.FilesUnchanged != sc.FilesUnchanged || res.Costs.FilesUnchanged != len(v1)-34 || res.Costs.Total() != sc.Total() {
-				t.Fatalf("unchanged: client %d, server %d, want %d; totals %d and %d", res.Costs.FilesUnchanged, sc.FilesUnchanged, len(v1)-34, res.Costs.Total(), sc.Total())
-			}
+		}
+		if err := VerifyAgainst(got, v2); err != nil {
+			t.Fatalf("lazy %v: %v", lazy, err)
+		}
+		if res.Costs.FilesUnchanged != sc.FilesUnchanged || res.Costs.FilesUnchanged != len(v1)-34 || res.Costs.Total() != sc.Total() {
+			t.Fatalf("unchanged: client %d, server %d, want %d; totals %d and %d", res.Costs.FilesUnchanged, sc.FilesUnchanged, len(v1)-34, res.Costs.Total(), sc.Total())
+		}
 
-			replayed := append([]wireFrame{c2s[0], short}, c2s[2:]...)
-			answer, rc := replayHolder(t, v2, width, replayed)
-			if len(answer) != len(s2c) || rc.Roundtrips != sc.Roundtrips {
-				t.Fatalf("width %d: %d frames in %d roundtrips answer the table, %d in %d the short list", width, len(s2c), sc.Roundtrips, len(answer), rc.Roundtrips)
+		replayed := append([]wireFrame{c2s[0], short}, c2s[2:]...)
+		answer, rc := replayHolder(t, v2, replayed)
+		if len(answer) != len(s2c) || rc.Roundtrips != sc.Roundtrips {
+			t.Fatalf("%d frames in %d roundtrips answer the table, %d in %d the short list", len(s2c), sc.Roundtrips, len(answer), rc.Roundtrips)
+		}
+		for k := range answer {
+			if answer[k].typ == wire.FrameVerdicts {
+				// 34 named files of 8-byte names and the digest, against
+				// 2 000 verdicts and 31 group sums.
+				if len(s2c[k].payload) >= len(answer[k].payload)-1000 {
+					t.Fatalf("VERDICTS of %d bytes answer the table, %d the short list", len(s2c[k].payload), len(answer[k].payload))
+				}
+				continue
 			}
-			for k := range answer {
-				if answer[k].typ == wire.FrameVerdicts {
-					// 34 named files of 8-byte names and the digest, against
-					// 2 000 verdicts and 31 group sums.
-					if len(s2c[k].payload) >= len(answer[k].payload)-1000 {
-						t.Fatalf("VERDICTS of %d bytes answer the table, %d the short list", len(s2c[k].payload), len(answer[k].payload))
-					}
-					continue
-				}
-				if answer[k].typ != s2c[k].typ || !bytes.Equal(answer[k].payload, s2c[k].payload) {
-					t.Fatalf("width %d: frame %d is %s answering the table, %s answering the short list", width, k, wire.FrameName(s2c[k].typ), wire.FrameName(answer[k].typ))
-				}
+			if answer[k].typ != s2c[k].typ || !bytes.Equal(answer[k].payload, s2c[k].payload) {
+				t.Fatalf("frame %d is %s answering the table, %s answering the short list", k, wire.FrameName(s2c[k].typ), wire.FrameName(answer[k].typ))
 			}
 		}
 	}
@@ -218,7 +213,7 @@ func TestTablePeelFailureFallsBack(t *testing.T) {
 	if noted != 1 {
 		t.Fatalf("the receiver noted the failed peel %d times", noted)
 	}
-	answer, rc := replayHolder(t, v2, 0, framesExcept(c2s, 1))
+	answer, rc := replayHolder(t, v2, framesExcept(c2s, 1))
 	if !bytes.Equal(wireBytes(t, answer), wireBytes(t, s2c[1:])) {
 		t.Fatal("past the WANT, the holder's answer is not its answer to MANIFEST_SHORT sent at once")
 	}
@@ -238,24 +233,20 @@ func forgeDigest(real []byte) []byte {
 // TestForgedListDigestFails: VERDICTS whose list digest is not the one the
 // receiver's list has once the session is applied fail the session with
 // ErrListMismatch, and the receiver returns no result, so nothing of it is
-// applied — under either framing, lazy or not. The holder's side completes.
+// applied — lazy or not. The holder's side completes.
 func TestForgedListDigestFails(t *testing.T) {
 	v1, v2 := tableTrees(2000, 30)
-	for _, width := range []int{0, 4} {
-		for _, lazy := range []bool{false, true} {
-			srv, err := NewServer(v2, core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.MuxStreams = width
-			cli := NewClientSource(sourceOf(t, v1, lazy))
-			cli.MuxStreams = width
-			tp := newTamperProxy(false, wire.FrameVerdicts, 0, nil)
-			tp.rewrite = forgeDigest
-			_, res, serverErr, clientErr := tp.run(t, srv, cli.Sync)
-			if !errors.Is(clientErr, ErrListMismatch) || !errors.Is(clientErr, core.ErrProtocol) || res != nil || serverErr != nil {
-				t.Fatalf("width %d, lazy %v: client %v with result %v, server %v: want ErrListMismatch and no result", width, lazy, clientErr, res, serverErr)
-			}
+	for _, lazy := range []bool{false, true} {
+		srv, err := NewServer(v2, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := NewClientSource(sourceOf(t, v1, lazy))
+		tp := newTamperProxy(false, wire.FrameVerdicts, 0, nil, 0)
+		tp.rewrite = forgeDigest
+		_, res, serverErr, clientErr := tp.run(t, srv, cli.Sync)
+		if !errors.Is(clientErr, ErrListMismatch) || !errors.Is(clientErr, core.ErrProtocol) || res != nil || serverErr != nil {
+			t.Fatalf("lazy %v: client %v with result %v, server %v: want ErrListMismatch and no result", lazy, clientErr, res, serverErr)
 		}
 	}
 }

@@ -193,27 +193,6 @@ func (t *sessTrace) addBytes(d stats.Direction, n int64) {
 	}
 }
 
-// stream folds one closed multiplexed stream's traffic into the session
-// totals and emits its span. Like every trace call it comes from the
-// session's scheduler goroutine: the framer accounts stream frames there,
-// never in the streams' concurrent handlers.
-func (t *sessTrace) stream(l *streamLink) {
-	if t == nil {
-		return
-	}
-	t.totFrames += l.frames
-	t.totUp += l.up
-	t.totDown += l.down
-	t.emit(obs.Event{
-		Phase:     obs.PhaseStream,
-		Stream:    l.id + 1,
-		Frames:    l.frames,
-		BytesUp:   l.up,
-		BytesDown: l.down,
-		Dur:       time.Since(l.start),
-	})
-}
-
 // end closes the session: flushes the last span, emits the session summary
 // event, and writes the structured session log line with the transport- and
 // wire-level counters.

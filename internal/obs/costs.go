@@ -17,17 +17,6 @@ const (
 	MetricRetries        = "msync_retries_total"
 )
 
-// Stream-multiplexing metric names (hello extension 2). Server side.
-const (
-	// MetricStreamsActive gauges multiplexed streams currently in flight
-	// across all sessions.
-	MetricStreamsActive = "msync_streams_active"
-	// MetricRoundsBatched counts map-construction rounds that shared a
-	// cycle (and therefore a flush/roundtrip) with at least one other
-	// stream's round — the work multiplexing saved from paying its own RTT.
-	MetricRoundsBatched = "msync_rounds_batched"
-)
-
 // Version-store gauge names (see internal/store): updated by the msync layer
 // after store opens and snapshots.
 const (

@@ -47,10 +47,7 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc and Dec move the gauge by ±1.
+// Inc increments the gauge by one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Dec decrements the gauge by one.

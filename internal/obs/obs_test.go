@@ -24,8 +24,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("g")
 	g.Set(10)
-	g.Dec()
-	g.Add(-3)
+	for range 4 {
+		g.Dec()
+	}
 	if got := r.Gauge("g").Value(); got != 6 {
 		t.Fatalf("gauge = %d, want 6", got)
 	}
@@ -245,7 +246,7 @@ func TestConcurrentRegistryAndTracer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r.Counter("c").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Inc()
 				h.Observe(int64(i))
 				ev := Event{Session: NextSessionID(), Phase: PhaseRound, BytesUp: 1}
 				ring.Emit(ev)

@@ -30,11 +30,6 @@ const (
 	// publish-mode reader: signature download, local matching and range
 	// fetches (or a whole-blob fallback).
 	PhaseFetch = "fetch"
-	// PhaseStream summarizes one multiplexed stream's whole traffic; the
-	// Event.Stream field carries its 1-based id. A multiplexed session
-	// emits one such span per stream in place of per-round spans for the
-	// stream-tagged traffic, so spans still sum to the session totals.
-	PhaseStream = "stream"
 )
 
 // Event is one span-like trace record: a protocol phase with its frame and
@@ -55,10 +50,6 @@ type Event struct {
 	// Round numbers map-construction rounds (1-based); 0 for phases that
 	// are not per-round.
 	Round int `json:"round,omitempty"`
-	// Stream numbers the multiplexed stream a span belongs to (1-based, so
-	// 0 still means "whole session" for non-multiplexed spans). Summing the
-	// per-stream spans of one phase reproduces that phase's session totals.
-	Stream int `json:"stream,omitempty"`
 	// Frames counts wire frames exchanged during the span (both directions).
 	Frames int `json:"frames,omitempty"`
 	// BytesUp and BytesDown are the span's wire bytes including framing.

@@ -42,7 +42,7 @@ type Session struct {
 	// deadline in addition to opTimeout and the context deadline; phase
 	// names it in the error it ends a session with. A serving session bounds
 	// its handshake with one, so an idle or slow-loris dial cannot pin a
-	// session slot, and each multiplexed cycle with another. Owned by the
+	// session slot. Owned by the
 	// session's protocol goroutine (never touched by the watcher), so plain
 	// fields.
 	phaseDeadline time.Time
@@ -114,7 +114,7 @@ func (s *Session) Release() {
 }
 
 // SetPhaseDeadline installs an absolute deadline for the named phase
-// ("handshake", "round"), applied to every subsequent operation until cleared
+// (a server's "handshake"), applied to every subsequent operation until cleared
 // with the zero time. It composes with the per-operation timeout and the
 // context deadline: the earliest wins, and an operation it ends fails with
 // "transport: <phase> deadline exceeded", wrapping os.ErrDeadlineExceeded.

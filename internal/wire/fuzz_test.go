@@ -90,24 +90,5 @@ func FuzzStreamFrame(f *testing.F) {
 				t.Fatalf("accepted stream id %d beyond width %d", sf.ID, width)
 			}
 		}
-		if n, err := ParseCycle(data); err == nil && (n < 0 || n > MaxStreams) {
-			t.Fatalf("accepted cycle count %d", n)
-		}
-		for _, nEngines := range []int{1, 16} {
-			counts, err := ParseMuxAck(data, nEngines)
-			if err != nil {
-				continue
-			}
-			total := 0
-			for _, c := range counts {
-				if c <= 0 {
-					t.Fatal("accepted non-positive stream width")
-				}
-				total += c
-			}
-			if total != nEngines {
-				t.Fatalf("accepted partition covering %d of %d", total, nEngines)
-			}
-		}
 	})
 }

@@ -5,24 +5,19 @@ import (
 	"fmt"
 )
 
-// Stream multiplexing (hello extension 2) wraps the per-file phases of a
-// collection session in stream-tagged frames so several groups of files can
-// run their map-construction rounds, delta transfers and fallbacks
-// interleaved on one connection. The layer is deliberately thin: a STREAM
-// frame is an ordinary typed frame whose payload prefixes the inner frame
-// with its stream id, and a CYCLE frame announces how many stream frames
-// share the flush that follows it.
+// The STREAM frame layout of the retired stream multiplexing (hello extension
+// 2): an ordinary typed frame whose payload prefixes an inner frame with its
+// stream id. No session sends or accepts one any more (FrameStream); the
+// codec stays for the benchmark's frame-wrapping measurement.
 
-// MaxStreams bounds the stream count a session may negotiate. One stream per
-// file group keeps this small in practice; the cap exists so a corrupt or
-// hostile MUX_ACK cannot drive huge allocations.
+// MaxStreams bounds the stream ids ParseStreamFrame accepts.
 const MaxStreams = 1 << 10
 
 // ErrBadStream is returned for malformed stream framing: truncated headers,
-// stream ids beyond the negotiated width, or overlong id encodings.
+// stream ids beyond the width, or overlong id encodings.
 var ErrBadStream = errors.New("wire: malformed stream frame")
 
-// StreamFrame is one demultiplexed frame of a multiplexed session.
+// StreamFrame is one decoded STREAM frame.
 type StreamFrame struct {
 	// ID is the stream the frame belongs to (dense, 0-based).
 	ID int
@@ -42,9 +37,9 @@ func AppendStreamFrame(b *Buffer, id int, innerType byte, payload []byte) {
 	b.Raw(payload)
 }
 
-// ParseStreamFrame decodes a STREAM frame payload. width is the negotiated
-// stream count; ids at or beyond it are rejected so a demuxer can index
-// fixed-size stream tables safely.
+// ParseStreamFrame decodes a STREAM frame payload. width is the stream count;
+// ids at or beyond it are rejected so a caller can index fixed-size stream
+// tables safely.
 func ParseStreamFrame(payload []byte, width int) (StreamFrame, error) {
 	p := NewParser(payload)
 	id, err := p.Uvarint()
@@ -63,72 +58,4 @@ func ParseStreamFrame(payload []byte, width int) (StreamFrame, error) {
 		return StreamFrame{}, err
 	}
 	return StreamFrame{ID: int(id), Type: t, Payload: inner}, nil
-}
-
-// EncodeCycle builds a CYCLE frame payload announcing n stream frames.
-func EncodeCycle(n int) []byte {
-	return AppendUvarint(nil, uint64(n))
-}
-
-// ParseCycle decodes a CYCLE frame payload. The count is bounded by
-// MaxStreams: a cycle carries at most one frame per stream.
-func ParseCycle(payload []byte) (int, error) {
-	p := NewParser(payload)
-	n, err := p.Uvarint()
-	if err != nil {
-		return 0, fmt.Errorf("%w: cycle count: %v", ErrBadStream, err)
-	}
-	if n > MaxStreams {
-		return 0, fmt.Errorf("%w: cycle of %d frames exceeds stream cap", ErrBadStream, n)
-	}
-	if p.Remaining() != 0 {
-		return 0, fmt.Errorf("%w: trailing bytes after cycle count", ErrBadStream)
-	}
-	return int(n), nil
-}
-
-// EncodeMuxAck builds the MUX_ACK payload: the stream count, then one
-// engine count per stream (the contiguous partition of the session's sync
-// files, in verdict order).
-func EncodeMuxAck(counts []int) []byte {
-	b := NewBuffer(2 + 2*len(counts))
-	b.Uvarint(uint64(len(counts)))
-	for _, c := range counts {
-		b.Uvarint(uint64(c))
-	}
-	return b.Build()
-}
-
-// ParseMuxAck decodes a MUX_ACK payload. nEngines is the local count of sync
-// files; the partition must cover exactly that many, so both sides always
-// agree on stream membership.
-func ParseMuxAck(payload []byte, nEngines int) ([]int, error) {
-	p := NewParser(payload)
-	n, err := p.Uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: stream count: %v", ErrBadStream, err)
-	}
-	if n == 0 || n > MaxStreams {
-		return nil, fmt.Errorf("%w: %d streams", ErrBadStream, n)
-	}
-	counts := make([]int, n)
-	total := 0
-	for i := range counts {
-		c, err := p.Uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: stream %d count: %v", ErrBadStream, i, err)
-		}
-		if c == 0 || c > uint64(nEngines) {
-			return nil, fmt.Errorf("%w: stream %d covers %d files", ErrBadStream, i, c)
-		}
-		counts[i] = int(c)
-		total += int(c)
-	}
-	if total != nEngines {
-		return nil, fmt.Errorf("%w: partition covers %d of %d files", ErrBadStream, total, nEngines)
-	}
-	if p.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes after partition", ErrBadStream)
-	}
-	return counts, nil
 }

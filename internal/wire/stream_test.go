@@ -56,64 +56,6 @@ func TestStreamFrameRejects(t *testing.T) {
 	}
 }
 
-func TestCycleRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 7, MaxStreams} {
-		got, err := ParseCycle(EncodeCycle(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if got != n {
-			t.Fatalf("n=%d decoded as %d", n, got)
-		}
-	}
-	if _, err := ParseCycle(EncodeCycle(MaxStreams + 1)); err == nil {
-		t.Fatal("oversized cycle accepted")
-	}
-	if _, err := ParseCycle(append(EncodeCycle(1), 0x00)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	if _, err := ParseCycle(nil); err == nil {
-		t.Fatal("empty cycle accepted")
-	}
-}
-
-func TestMuxAckRoundTrip(t *testing.T) {
-	counts := []int{3, 1, 4, 2}
-	got, err := ParseMuxAck(EncodeMuxAck(counts), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(counts) {
-		t.Fatalf("stream count %d, want %d", len(got), len(counts))
-	}
-	for i := range counts {
-		if got[i] != counts[i] {
-			t.Fatalf("stream %d count %d, want %d", i, got[i], counts[i])
-		}
-	}
-}
-
-func TestMuxAckRejects(t *testing.T) {
-	cases := []struct {
-		name     string
-		payload  []byte
-		nEngines int
-	}{
-		{"empty", nil, 4},
-		{"zero streams", EncodeMuxAck(nil), 4},
-		{"partition short", EncodeMuxAck([]int{1, 2}), 4},
-		{"partition long", EncodeMuxAck([]int{3, 2}), 4},
-		{"zero-width stream", EncodeMuxAck([]int{4, 0}), 4},
-		{"trailing bytes", append(EncodeMuxAck([]int{4}), 0x01), 4},
-		{"truncated counts", EncodeMuxAck([]int{4})[:1], 4},
-	}
-	for _, tc := range cases {
-		if _, err := ParseMuxAck(tc.payload, tc.nEngines); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}
-
 func TestFrameWriterFlushes(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)

@@ -45,17 +45,13 @@ const (
 	// payload carries a retry-after hint. Appended after every pre-existing
 	// type so admitted sessions stay byte-identical across versions.
 	FrameBusy
-	// FrameMuxAck accepts a client's stream-multiplexing request (hello
-	// extension 2): it precedes the VERDICTS frame and carries the stream
-	// partition of the session's sync files. Never sent unless the client
-	// asked, so non-multiplexed sessions stay byte-identical.
+	// FrameMuxAck, FrameStream and FrameCycle framed the retired stream
+	// multiplexing (hello extension 2): the grant with its stream partition,
+	// one stream's inner frame (`sid:uvarint innerType:byte
+	// innerPayload...`), and the count of STREAM frames sharing a flush.
+	// Reserved: never sent, and refused wherever they arrive.
 	FrameMuxAck
-	// FrameStream wraps one inner frame of a multiplexed session with its
-	// stream id: `sid:uvarint innerType:byte innerPayload...`.
 	FrameStream
-	// FrameCycle delimits one batch of stream frames sharing a flush (and
-	// therefore one half-roundtrip): its payload is the count of FrameStream
-	// frames that follow.
 	FrameCycle
 	// FrameTreeAck grants a client's tree-descent extensions (hello
 	// extension 3): its payload is the granted capability mask. Sent once,

@@ -139,54 +139,6 @@ func TestTCPSync(t *testing.T) {
 	t.Logf("tcp sync: %d bytes, %d roundtrips", res.Costs.Total(), res.Costs.Roundtrips)
 }
 
-// TestMuxStreamsOption: WithMuxStreams on both endpoints negotiates a
-// multiplexed session through the public API, converges, and pays no more
-// roundtrips than the legacy lockstep protocol (batched rounds should pay
-// fewer whenever the corpus has files of uneven depth).
-func TestMuxStreamsOption(t *testing.T) {
-	v1, v2 := corpus.GCCProfile(0.1).Generate(21)
-	legacy := runSession(t, v2.Map(), v1.Map(), msync.DefaultConfig())
-
-	srv, err := msync.NewServer(v2.Map(), msync.DefaultConfig(), msync.WithMuxStreams(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := msync.Pipe()
-	var wg sync.WaitGroup
-	var serveErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer a.Close()
-		_, serveErr = srv.Serve(a)
-	}()
-	cli, err := msync.NewClientE(v1.Map(), msync.WithMuxStreams(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cli.Sync(b)
-	b.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	if serveErr != nil {
-		t.Fatalf("server: %v", serveErr)
-	}
-	if err := corpus.VerifyAgainst(res.Files, v2.Map()); err != nil {
-		t.Fatal(err)
-	}
-	if res.Costs.Roundtrips > legacy.Costs.Roundtrips {
-		t.Errorf("multiplexed session paid %d roundtrips, legacy %d",
-			res.Costs.Roundtrips, legacy.Costs.Roundtrips)
-	}
-	t.Logf("mux: %d roundtrips vs legacy %d", res.Costs.Roundtrips, legacy.Costs.Roundtrips)
-
-	if _, err := msync.NewClientE(nil, msync.WithMuxStreams(-1)); err == nil {
-		t.Fatal("negative WithMuxStreams accepted")
-	}
-}
-
 func TestBroadcastFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	cur := corpus.SourceText(rng, 50_000)

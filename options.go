@@ -409,24 +409,14 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithMuxStreams enables stream multiplexing with up to n concurrent streams
-// per session. On a Client it requests multiplexed pulls (hello extension 2):
-// the server partitions the changed files into streams whose map rounds,
-// deltas and fallbacks interleave on the one connection, so deep files no
-// longer gate shallow ones and tiny files share roundtrips. On a Server it
-// caps the width granted to requesting clients. Sessions where either side
-// leaves this at 0 (the default), and every push session, run the legacy
-// lockstep protocol byte-identically; the negotiated width never changes
-// which bytes are synchronized, only their interleaving. Negative n is an
-// error.
+// WithMuxStreams does nothing.
+//
+// Deprecated: every session runs its per-file phases as one lockstep stream,
+// in which all changed files share each round's roundtrip; stream
+// multiplexing is retired, and servers ignore an older client's request for
+// it.
 func WithMuxStreams(n int) Option {
-	return func(o *sessionOptions) {
-		if n < 0 {
-			o.badf("WithMuxStreams: negative stream count %d", n)
-			return
-		}
-		o.MuxStreams = n
-	}
+	return func(*sessionOptions) {}
 }
 
 // WithMapMode makes a Client request the given map-construction mode

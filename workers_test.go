@@ -63,18 +63,18 @@ func writeTinyTrees(t *testing.T) (serverDir, clientDir string) {
 	return serverDir, clientDir
 }
 
-// syncTinyTree runs one tree-manifest, speculative-descent, cross-file,
-// 16-stream session between the two directories with both ends at the given
+// syncTinyTree runs one tree-manifest, speculative-descent, cross-file
+// session between the two directories with both ends at the given
 // worker budget, and returns what the client's connection carried.
 func syncTinyTree(t *testing.T, serverDir, clientDir string, workers int) (rd, wr []byte, res *msync.Result) {
 	t.Helper()
 	srv, werrs, err := msync.NewDirServer(serverDir, msync.DefaultConfig(),
-		msync.WithTreeManifest(), msync.WithMuxStreams(16), msync.WithWorkers(workers))
+		msync.WithTreeManifest(), msync.WithWorkers(workers))
 	if err != nil || len(werrs) > 0 {
 		t.Fatalf("NewDirServer: %v %v", err, werrs)
 	}
 	cli, werrs, err := msync.NewDirClient(clientDir, msync.WithTreeManifest(),
-		msync.WithSpeculativeDescent(), msync.WithCrossFileMatch(), msync.WithMuxStreams(16), msync.WithWorkers(workers))
+		msync.WithSpeculativeDescent(), msync.WithCrossFileMatch(), msync.WithWorkers(workers))
 	if err != nil || len(werrs) > 0 {
 		t.Fatalf("NewDirClient: %v %v", err, werrs)
 	}
