@@ -70,7 +70,9 @@ func upFrames(srv *collection.Server, v1 map[string][]byte) []frame {
 		_, err := srv.ServeContext(context.Background(), a)
 		done <- err
 	}()
-	_, err := collection.NewClient(v1).SyncContext(context.Background(), struct {
+	cli := collection.NewClient(v1)
+	cli.DeltaMode0 = true // as sessionCosts
+	_, err := cli.SyncContext(context.Background(), struct {
 		io.Reader
 		io.Writer
 	}{b, io.MultiWriter(b, &up)})

@@ -123,7 +123,9 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 	s.cfg.Workers = c.Workers
 
 	// HELLO: the options this client was given, as mode and extensions. A
-	// tree pull always asks for speculative descent and cross-file matching.
+	// tree pull always asks for speculative descent and cross-file matching;
+	// every pull for the whole-content stream, and for delta mode 2 unless
+	// told not to.
 	s.mode = modeManifest
 	if c.TreeManifest {
 		s.mode = modeTree
@@ -133,7 +135,7 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 		s.ext.announce = int64(c.BaseVersion)
 	}
 	s.ext.mapMode = c.MapMode
-	s.ext.stream = true
+	s.ext.stream, s.ext.delta2 = true, !c.DeltaMode0
 	if err := s.sendHello(rolePull); err != nil {
 		return nil, asHandshake(err)
 	}

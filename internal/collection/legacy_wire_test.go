@@ -78,8 +78,8 @@ func decodeStreams(t *testing.T, raw []byte) (c2s, s2c []byte) {
 // client end recorded and returns the serialized transcript. A replay
 // scenario has no live receiver any more: its receiver half is the one an
 // older receiver recorded, fed to today's holder, and -update leaves its file
-// alone. In a push the recorded end is the holder, so its half is c2s. A live
-// pull keeps its setup, which TestMuxRefused replays other halves against.
+// alone. In a push the recorded end is the holder, so its half is c2s. A pull
+// keeps its setup, which TestMuxRefused replays other halves against.
 type legacyScenario struct {
 	name   string
 	run    func(t *testing.T) (c2s, s2c []byte)
@@ -187,12 +187,13 @@ func pushRecorded(t *testing.T, pusher, receiver *Server) (c2s, s2c []byte) {
 	return rec.c2s.Bytes(), rec.s2c.Bytes()
 }
 
-// pull records one pull live as name_stream, today's receiver asking for the
-// whole-content stream, and keeps name, the transcript a receiver from before
-// hello extension 5 recorded, as a replay: its half, fed to today's server,
-// must draw its recorded answer, file by file.
+// pull records one pull live as name_delta2, today's receiver asking for the
+// whole-content stream and delta mode 2, and keeps name_stream, recorded by a
+// receiver from before hello extension 6, and name, from before extension 5,
+// as replays: each half, fed to today's server, must draw its recorded
+// answer, in mode 0.
 func pull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
-	return replays(name+"_stream", setup, name)
+	return replays(name+"_delta2", setup, name+"_stream", name)
 }
 
 // replays is the live scenario live and a replay of each of olds against the
@@ -203,7 +204,7 @@ func replays(live string, setup func(t *testing.T) (*Server, *Client), olds ...s
 		return runRecorded(t, srv, cli)
 	}}}
 	for _, old := range olds {
-		out = append(out, legacyScenario{name: old, replay: true, run: func(t *testing.T) ([]byte, []byte) {
+		out = append(out, legacyScenario{name: old, replay: true, setup: setup, run: func(t *testing.T) ([]byte, []byte) {
 			srv, _ := setup(t)
 			return replayRecorded(t, old, srv.ServeContext, false)
 		}})
@@ -211,24 +212,25 @@ func replays(live string, setup func(t *testing.T) (*Server, *Client), olds ...s
 	return out
 }
 
-// treePull records one tree pull live as name_caps, today's receiver asking
-// for both tree capabilities. name_stream and name, recorded by receivers
-// that asked for what their options chose, and olds are kept as replays:
-// today's holder, which grants what a hello asks, must draw each recorded
-// answer.
+// treePull records one tree pull live as name_delta2, today's receiver
+// asking for both tree capabilities and delta mode 2. name_caps, recorded
+// before extension 6, name_stream and name, recorded by receivers that asked
+// for what their options chose, and olds are kept as replays: today's holder,
+// which grants what a hello asks, must draw each recorded answer.
 func treePull(name string, setup func(t *testing.T) (*Server, *Client), olds ...string) []legacyScenario {
-	return replays(name+"_caps", setup, append([]string{name + "_stream", name}, olds...)...)
+	return replays(name+"_delta2", setup, append([]string{name + "_caps", name + "_stream", name}, olds...)...)
 }
 
-// flatPull records one flat-manifest pull four times. name_stream is today's
+// flatPull records one flat-manifest pull five times. name_delta2 is today's
 // live session. name keeps the transcript a client from before
 // MANIFEST_PACKED recorded, name_packed one from before MANIFEST_SHORT,
-// name_short one from before the whole-content stream: each client half,
-// replayed against today's server, must draw its recorded answer — which is
-// the same for the first two (TestPackedAnswerIsTheLegacyAnswer) and, but for
-// the VERDICTS trailer, name_short's (TestShortAnswerIsThePackedAnswer).
+// name_short one from before the whole-content stream, name_stream one from
+// before delta mode 2: each client half, replayed against today's server,
+// must draw its recorded answer — which is the same for the first two
+// (TestPackedAnswerIsTheLegacyAnswer) and, but for the VERDICTS trailer,
+// name_short's (TestShortAnswerIsThePackedAnswer).
 func flatPull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
-	return replays(name+"_stream", setup, name+"_short", name+"_packed", name)
+	return replays(name+"_delta2", setup, name+"_stream", name+"_short", name+"_packed", name)
 }
 
 // emacsPull is the flat pull of manifest_pull and its tuned variants: the
@@ -368,7 +370,7 @@ func legacyScenarios() []legacyScenario {
 	// journal_live workloads (default_* below: under the config those run),
 	// and the full-transfer fallback. tiny_tree_pull is the tiny_tree option
 	// set.
-	out = append(out, replays("tiny_tree_pull", tinyTreePull(core.PaperConfig()))...)
+	out = append(out, replays("tiny_tree_pull_delta2", tinyTreePull(core.PaperConfig()), "tiny_tree_pull")...)
 	// Hashes weak enough that false matches survive verification: the ACK
 	// lists the files whose whole-file check failed and a FULL frame re-sends
 	// them.
@@ -389,7 +391,7 @@ func legacyScenarios() []legacyScenario {
 	// tiny_tree option set and a CDC pull.
 	def := core.DefaultConfig()
 	out = append(out, pull("default_pull", emacsPullUnder(def, func(*Server, *Client) {}))...)
-	out = append(out, replays("default_tiny_tree_pull", tinyTreePull(def))...)
+	out = append(out, replays("default_tiny_tree_pull_delta2", tinyTreePull(def), "default_tiny_tree_pull")...)
 	out = append(out, pull("default_cdc_pull", emacsPullUnder(def, func(_ *Server, c *Client) { c.MapMode = core.MapCDC }))...)
 	out = append(out, legacyScenario{name: "journal_pull", replay: true, run: func(t *testing.T) ([]byte, []byte) {
 		// An older client's journal hit: base version 1 announced, the
@@ -410,13 +412,13 @@ func legacyScenarios() []legacyScenario {
 	})...)
 	// A version the store never held: MANIFEST_REF, MANIFEST_WANT, the
 	// manifest, VERDICTS, then the map rounds.
-	return append(out, replays("journal_ref_miss_pull", func(t *testing.T) (*Server, *Client) {
+	return append(out, replays("journal_ref_miss_pull_delta2", func(t *testing.T) (*Server, *Client) {
 		v1, v2 := costTrees()
 		srv := versionedServer(t, v1, v2, core.PaperConfig())
 		cli := NewClient(v1)
 		cli.AnnounceVersion, cli.BaseVersion = true, 99
 		return srv, cli
-	})...)
+	}, "journal_ref_miss_pull")...)
 }
 
 // tinyTreePull is the tiny_tree option set under cfg: a merkle-manifest pull
@@ -729,6 +731,181 @@ func TestStreamAnswerIsThePerFileAnswer(t *testing.T) {
 	if pairs != 12 || streamed == 0 {
 		t.Fatalf("%d live/replay pairs, %d with whole files: want the twelve pulls, some sending files whole", pairs, streamed)
 	}
+}
+
+// TestDelta2AnswerIsTheMode0Answer: in every live pull the receiver sends
+// what the older receiver of its parent transcript sent, but for the HELLO,
+// which asks for delta mode 2 too (hello extension 6); the holder answers
+// with the same frames and the same content, every encoding in DELTA, FULL
+// and VERDICTS — per-file whole files and stream segments — written in mode 2
+// (or stored) where the parent's, which today's holder still draws byte for
+// byte (the replays of TestLegacyWireRecorded), is mode 0 (or stored). An
+// encoding stored in both, or a store's journal blob, is the same in both.
+// Mode 2 never makes the holder's half longer.
+func TestDelta2AnswerIsTheMode0Answer(t *testing.T) {
+	pairs, moved := 0, 0
+	for _, sc := range legacyScenarios() {
+		name, ok := strings.CutSuffix(sc.name, "_delta2")
+		if !ok {
+			continue
+		}
+		pairs++
+		t.Run(name, func(t *testing.T) {
+			oldUp, oldDown := readGolden(t, delta2Parent(name))
+			newUp, newDown := readGolden(t, sc.name)
+			ou, nu := transcriptFrames(t, oldUp), transcriptFrames(t, newUp)
+			if len(ou) != len(nu) || nu[0].typ != wire.FrameHello {
+				t.Fatalf("receiver sent %d frames, the older one %d", len(nu), len(ou))
+			}
+			h := parseHelloExts(wire.NewParser(nu[0].payload[3:]))
+			if !h.delta2 {
+				t.Fatal("the receiver did not ask for delta mode 2")
+			}
+			h.delta2 = false
+			hb := wire.NewBuffer(16)
+			hb.Raw(nu[0].payload[:3])
+			h.encode(hb)
+			nu[0].payload = hb.Build()
+			for i := range ou {
+				if ou[i].typ != nu[i].typ || !bytes.Equal(ou[i].payload, nu[i].payload) {
+					t.Fatalf("receiver frame %d: %s of %d bytes in place of %s of %d", i, wire.FrameName(nu[i].typ), len(nu[i].payload), wire.FrameName(ou[i].typ), len(ou[i].payload))
+				}
+			}
+			od, nd := transcriptFrames(t, oldDown), transcriptFrames(t, newDown)
+			if len(od) != len(nd) {
+				t.Fatalf("holder sent %d frames, to the older receiver %d", len(nd), len(od))
+			}
+			for i := range od {
+				if od[i].typ != nd[i].typ {
+					t.Fatalf("holder frame %d: %s in place of %s", i, wire.FrameName(nd[i].typ), wire.FrameName(od[i].typ))
+				}
+				ofix, o := encodingsIn(od[i], name == "table_pull")
+				nfix, n := encodingsIn(nd[i], name == "table_pull")
+				if !reflect.DeepEqual(ofix, nfix) {
+					t.Fatalf("holder frame %d (%s) differs but for its encodings", i, wire.FrameName(od[i].typ))
+				}
+				if len(o) != len(n) {
+					t.Fatalf("holder frame %d (%s): %d encodings, to the older receiver %d", i, wire.FrameName(od[i].typ), len(n), len(o))
+				}
+				for k := range o {
+					if bytes.Equal(o[k], n[k]) {
+						// Stored in both, or a store's blob; a DELTA
+						// section's encoding starts past its confirm bits.
+						if _, at := binary.Uvarint(n[k]); od[i].typ != wire.FrameDelta && !strings.HasPrefix(name, "journal") && n[k][at] != 1 {
+							t.Fatalf("holder frame %d (%s), encoding %d: mode %d to a receiver asking for mode 2", i, wire.FrameName(od[i].typ), k, n[k][at])
+						}
+						continue
+					}
+					// The first byte that differs is the mode byte: each
+					// encoding follows the same prefix and declares the same
+					// target length. Mode 0 may have fallen back to stored
+					// where mode 2 compresses, and mode 2 to stored too.
+					at := 0
+					for at < min(len(o[k]), len(n[k])) && o[k][at] == n[k][at] {
+						at++
+					}
+					if at == len(o[k]) || at == len(n[k]) || o[k][at] > 1 || n[k][at] < 1 || n[k][at] > 2 {
+						t.Fatalf("holder frame %d (%s), encoding %d: not the parent's mode-0 encoding in mode 2", i, wire.FrameName(od[i].typ), k)
+					}
+					moved++
+				}
+			}
+			if len(newDown) > len(oldDown) {
+				t.Fatalf("the holder's half is %d bytes in mode 2, %d in mode 0", len(newDown), len(oldDown))
+			}
+		})
+	}
+	if pairs != 14 || moved == 0 {
+		t.Fatalf("%d live/parent pairs, %d encodings in mode 2: want the fourteen pulls", pairs, moved)
+	}
+}
+
+// delta2Parent is the transcript the live pull name_delta2 was recorded in
+// before hello extension 6: name_caps, name_stream or name, the first kept.
+func delta2Parent(name string) string {
+	for _, suffix := range []string{"_caps", "_stream"} {
+		if _, err := os.Stat(goldenPath(name + suffix)); err == nil {
+			return name + suffix
+		}
+	}
+	return name
+}
+
+// TestNoDelta2HelloIsTheParentSession: a live pull whose receiver leaves
+// hello extension 6 out is, in both directions and byte for byte, the parent
+// transcript its receiver recorded before the extension existed, so every
+// DELTA section, FULL file and whole-content segment stays in mode 0 (or
+// stored) for a receiver that does not ask for mode 2.
+func TestNoDelta2HelloIsTheParentSession(t *testing.T) {
+	for _, sc := range legacyScenarios() {
+		name, ok := strings.CutSuffix(sc.name, "_delta2")
+		if !ok {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			srv, cli := sc.setup(t)
+			cli.DeltaMode0 = true
+			up, down := runRecorded(t, srv, cli)
+			wantUp, wantDown := readGolden(t, delta2Parent(name))
+			if !bytes.Equal(up, wantUp) || !bytes.Equal(down, wantDown) {
+				t.Fatalf("the pull without extension 6 moved %d+%d bytes, its parent transcript %d+%d", len(up), len(down), len(wantUp), len(wantDown))
+			}
+			for i, f := range transcriptFrames(t, down) {
+				if f.typ == wire.FrameDelta {
+					continue // byte-identical to a transcript recorded before mode 2
+				}
+				_, encs := encodingsIn(f, name == "table_pull")
+				for k, e := range encs {
+					if _, at := binary.Uvarint(e); at <= 0 || at >= len(e) || e[at] > 1 {
+						t.Fatalf("holder frame %d (%s), encoding %d: not mode 0 or stored", i, wire.FrameName(f.typ), k)
+					}
+				}
+			}
+		})
+	}
+}
+
+// encodingsIn takes a holder's frame apart into what it carries in delta
+// format and the rest, fixed. The encodings are a DELTA frame's sections
+// (each ends in one), a FULL frame's files, and a VERDICTS frame's whole
+// files — one compressed file each, or a stream's segments; fixed is the
+// other bytes of those frames (a VERDICTS frame's skeleton and the content
+// of its whole files), and the whole payload of any other frame.
+func encodingsIn(f wireFrame, named bool) (fixed, encs [][]byte) {
+	p := wire.NewParser(f.payload)
+	switch f.typ {
+	case wire.FrameVerdicts:
+		v := parseWhole(f.payload, named)
+		fixed = append([][]byte{v.skeleton()}, v.content...)
+		if v.stream {
+			return fixed, v.segments()
+		}
+		for _, fld := range v.fields {
+			comp, _ := wire.NewParser(f.payload[fld[0]:fld[1]]).Bytes()
+			encs = append(encs, comp)
+		}
+		return fixed, encs
+	case wire.FrameDelta, wire.FrameFull:
+		n, err := p.Uvarint()
+		fixed = append(fixed, wire.AppendUvarint(nil, n))
+		for ; err == nil && n > 0; n-- {
+			if f.typ == wire.FrameFull {
+				var idx uint64
+				if idx, err = p.Uvarint(); err != nil {
+					break
+				}
+				fixed = append(fixed, wire.AppendUvarint(nil, idx))
+			}
+			var sec []byte
+			sec, err = p.Bytes()
+			encs = append(encs, sec)
+		}
+		if err != nil || p.Remaining() != 0 {
+			panic("legacy_wire_test: a " + wire.FrameName(f.typ) + " frame does not parse")
+		}
+		return fixed, encs
+	}
+	return [][]byte{f.payload}, nil
 }
 
 // TestBothCapsAnswerIsTheOneCapAnswer: tree_pull_spec's receiver asked for

@@ -257,6 +257,12 @@ const (
 	// compressed bytes went, then the segments after the new files. Servers
 	// that predate the extension answer file by file, as they always did.
 	helloExtStream = 5
+	// helloExtDelta2 asks the holder to write delta format mode 2
+	// (internal/delta.Mode2) in everything it encodes for this session (payload:
+	// uvarint 1): DELTA sections, whole files in VERDICTS and FULL. Every
+	// decoder reads every mode, so no grant is needed; a holder that predates
+	// the extension writes mode 0 as it always did.
+	helloExtDelta2 = 6
 )
 
 // helloExts is the hello's extension trailer, one field per extension; the
@@ -266,6 +272,7 @@ type helloExts struct {
 	treeCaps byte         // helloExtTree: requested treeCap* mask; 0: none
 	mapMode  core.MapMode // helloExtMapMode: requested mode; MapHalving: none
 	stream   bool         // helloExtStream: the whole-content stream requested
+	delta2   bool         // helloExtDelta2: delta mode 2 requested
 }
 
 // encode appends the trailer to a hello: only the extensions that are set, in
@@ -279,6 +286,7 @@ func (h helloExts) encode(b *wire.Buffer) {
 		{helloExtTree, uint64(h.treeCaps), h.treeCaps != 0},
 		{helloExtMapMode, uint64(h.mapMode), h.mapMode != core.MapHalving},
 		{helloExtStream, 1, h.stream},
+		{helloExtDelta2, 1, h.delta2},
 	}
 	n := 0
 	for _, e := range exts {
@@ -332,6 +340,8 @@ func parseHelloExts(hp *wire.Parser) helloExts {
 			h.mapMode = core.MapMode(v)
 		case helloExtStream:
 			h.stream = v == 1
+		case helloExtDelta2:
+			h.delta2 = v == 1
 		}
 	}
 	return h

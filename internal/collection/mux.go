@@ -143,6 +143,8 @@ type serverStream struct {
 	// the i-th (see serverWork).
 	settled []ManifestEntry
 	full    func(i int, e ManifestEntry) ([]byte, error)
+	// mode is the delta format FULL's files are compressed in.
+	mode delta.Mode
 }
 
 // content is the whole content of ack ordinal i: the exact bytes its engine
@@ -218,7 +220,7 @@ func (stm *serverStream) build(workers int) ([]byte, error) {
 				return nil, err
 			}
 			b.Uvarint(uint64(f.idx))
-			b.Bytes(delta.Compress(data))
+			b.Bytes(stm.mode.Compress(data))
 		}
 	}
 	return b.Build(), nil

@@ -273,7 +273,7 @@ func (s *Server) serve(sess *session) error {
 	// The per-file phases: one stream over the engines. The settled files
 	// are the ack ordinals after them, their content the detector's: a
 	// receiver that could not settle one after all acks it and gets it whole.
-	return sess.serveStream(&serverStream{files: work.engines, buf: sess.buf, settled: work.settled, full: work.full})
+	return sess.serveStream(&serverStream{files: work.engines, buf: sess.buf, settled: work.settled, full: work.full, mode: sess.deltaMode()})
 }
 
 // PushContext updates a remote replica over conn with this server's (newer)
@@ -343,7 +343,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 			streamed = append(streamed, f)
 			return
 		}
-		comp := f.compressed()
+		comp := f.compressed(s.deltaMode())
 		vb.Bytes(comp)
 		fullBytes += len(comp)
 	}
@@ -414,6 +414,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 			if err != nil {
 				return work, err
 			}
+			eng.UseDeltaMode(s.deltaMode())
 			if walked {
 				// The manifest's signature is of these bytes only while the
 				// file is the one the source's walk fingerprinted.
@@ -433,7 +434,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 		whole(f.wholeFile)
 	}
 	if stream {
-		n, err := writeStream(vb, streamed)
+		n, err := writeStream(vb, streamed, s.deltaMode())
 		if err != nil {
 			return work, err
 		}

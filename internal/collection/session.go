@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"msync/internal/core"
+	"msync/internal/delta"
 	"msync/internal/dirio"
 	"msync/internal/obs"
 	"msync/internal/stats"
@@ -62,6 +63,10 @@ type Options struct {
 	// BaseVersion is the stored version this client's collection matches, as
 	// learned from a previous Result.Version.
 	BaseVersion uint64
+	// DeltaMode0 leaves delta mode 2 (hello extension 6) out of a pull's
+	// hello, so the holder encodes in mode 0 as for a receiver that predates
+	// it: the paper's tables stay in the format they were recorded in.
+	DeltaMode0 bool
 	// AllowPush lets clients push updated collections into this server;
 	// OnUpdate, if set, is called after each with the pushed result's Files:
 	// a map server's whole new collection, a directory server's files the
@@ -202,6 +207,15 @@ func (s *session) closeCursor() {
 	if s.cur != nil {
 		s.cur.Close()
 	}
+}
+
+// deltaMode is the format the holder encodes this session's deltas and whole
+// files in: mode 2 for a receiver that asked for it, mode 0 otherwise.
+func (s *session) deltaMode() delta.Mode {
+	if s.ext.delta2 {
+		return delta.Mode2
+	}
+	return delta.Mode0
 }
 
 // out and in are the directions this end's frames travel in the session's

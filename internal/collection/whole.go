@@ -54,12 +54,13 @@ type wholeFile struct {
 	n          int
 }
 
-// compressed is the file's bytes in the per-file layout.
-func (f wholeFile) compressed() []byte {
+// compressed is the file's bytes in the per-file layout, compressed in mode m
+// unless a store holds them compressed already.
+func (f wholeFile) compressed(m delta.Mode) []byte {
 	if f.blob != nil {
 		return f.blob
 	}
-	return delta.Compress(f.data)
+	return m.Compress(f.data)
 }
 
 // raw is the file's content.
@@ -74,10 +75,10 @@ func (f wholeFile) raw() ([]byte, error) {
 	return data, err
 }
 
-// writeStream appends the stream of files to vb: one delta.Compress'ed
-// segment each, a file alone in its segment compressed as in the per-file
-// layout (a stored blob as it is). It returns the segments' bytes.
-func writeStream(vb *wire.Buffer, files []wholeFile) (int, error) {
+// writeStream appends the stream of files to vb: one segment each,
+// compressed in mode m, a file alone in its segment compressed as in the
+// per-file layout (a stored blob as it is). It returns the segments' bytes.
+func writeStream(vb *wire.Buffer, files []wholeFile, m delta.Mode) (int, error) {
 	lens := make([]uint64, len(files))
 	for i, f := range files {
 		lens[i] = uint64(f.n)
@@ -87,7 +88,7 @@ func writeStream(vb *wire.Buffer, files []wholeFile) (int, error) {
 	for _, hi := range segmentEnds(lens) {
 		var seg []byte
 		if hi-lo == 1 {
-			seg = files[lo].compressed()
+			seg = files[lo].compressed(m)
 		} else {
 			buf = buf[:0]
 			for _, f := range files[lo:hi] {
@@ -97,7 +98,7 @@ func writeStream(vb *wire.Buffer, files []wholeFile) (int, error) {
 				}
 				buf = append(buf, data...)
 			}
-			seg = delta.Compress(buf)
+			seg = m.Compress(buf)
 		}
 		vb.Bytes(seg)
 		total += len(seg)

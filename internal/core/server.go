@@ -32,6 +32,9 @@ type ServerFile struct {
 	// sig, when set, memoizes the whole-file sum and per-round block-hash
 	// levels across sessions (see UseSignature).
 	sig *sigcache.Sig
+	// deltaMode is the format EmitDelta encodes the gaps in (see
+	// UseDeltaMode).
+	deltaMode delta.Mode
 
 	// Counters for stats.
 	HashesSent       int64
@@ -71,6 +74,10 @@ func (s *ServerFile) UseSignature(sig *sigcache.Sig) {
 	}
 	s.sig = sig
 }
+
+// UseDeltaMode sets the format EmitDelta encodes the gaps in: delta.Mode0,
+// the zero value, unless the receiver asked for another.
+func (s *ServerFile) UseDeltaMode(m delta.Mode) { s.deltaMode = m }
 
 // computeLevel hashes every schedule block of size b: by the splitting
 // invariant each non-probe plan entry at round b is exactly
@@ -339,6 +346,6 @@ func (s *ServerFile) EmitDelta() []byte {
 		s.BytesHashed += int64(s.n)
 	}
 	w.WriteBytes(sum[:])
-	w.WriteBytes(delta.Encode(parts[0], parts[1]))
+	w.WriteBytes(s.deltaMode.Encode(parts[0], parts[1]))
 	return w.Bytes()
 }

@@ -17,6 +17,14 @@
 // With an empty reference, Encode degrades to a plain self-referential
 // compressor, which the rsync baseline uses to compress its literal stream
 // (standing in for rsync's gzip pass).
+//
+// The byte after the target length names the format. Encode writes mode 0
+// (or stored), byte for byte as it always has: journal blobs, the paper's
+// tables and every peer that does not ask for more get it. Mode2.Encode
+// writes mode 2 (mode2.go), which codes the same kind of parse with the copy
+// kind in the main symbol, rep distances, split alphabets and cheaper
+// tables; a holder writes it only to a receiver that asked in its hello.
+// Decode and DecodeLen read every mode under the same allocation bound.
 package delta
 
 import (
@@ -140,6 +148,9 @@ type matcher struct {
 	copies      []copyOp
 	mainFreq    [mainAlphabet]int64
 	offFreq     [numOffCodes]int64
+	// Mode 2's frequency tables.
+	main2Freq         [mainAlphabet2]int64
+	refFreq, selfFreq [numDist2]int64
 }
 
 // copyOp is one copy of the parse and the literals before it: target bytes
@@ -246,6 +257,8 @@ func (m *matcher) release() {
 	}
 	m.mainFreq = [mainAlphabet]int64{}
 	m.offFreq = [numOffCodes]int64{}
+	m.main2Freq = [mainAlphabet2]int64{}
+	m.refFreq, m.selfFreq = [numDist2]int64{}, [numDist2]int64{}
 	m.ref, m.target = nil, nil
 	if cap(m.slots) > maxRetainedSlots {
 		m.slots, m.copies = nil, nil
@@ -490,12 +503,17 @@ func Encode(ref, target []byte) []byte {
 	// Stored fallback: incompressible targets (or tiny ones dominated by
 	// table overhead) are shipped raw, bounding expansion to the header.
 	if len(out) >= len(target)+storedOverhead(len(target)) {
-		raw := make([]byte, 0, len(target)+storedOverhead(len(target)))
-		raw = binary.AppendUvarint(raw, uint64(len(target)))
-		raw = append(raw, modeStored)
-		return append(raw, target...)
+		return stored(target)
 	}
 	return out
+}
+
+// stored is target in the stored mode.
+func stored(target []byte) []byte {
+	raw := make([]byte, 0, len(target)+storedOverhead(len(target)))
+	raw = binary.AppendUvarint(raw, uint64(len(target)))
+	raw = append(raw, modeStored)
+	return append(raw, target...)
 }
 
 // offset is the value c's source is coded as: a self copy's distance, or a
@@ -557,12 +575,16 @@ func Decode(ref, enc []byte) ([]byte, error) {
 			return nil, ErrCorrupt
 		}
 		return append([]byte(nil), body...), nil
-	case modeHuffman:
-		// fall through to the entropy-coded path
+	case modeHuffman, mode2:
+		// the entropy-coded paths
 	default:
 		return nil, fmt.Errorf("delta: unknown mode %d", enc[n])
 	}
 	r := bitio.NewReader(enc[n+1:])
+	out := make([]byte, 0, min(targetLen, 64*uint64(len(enc))+4096))
+	if enc[n] == mode2 {
+		return decode2(ref, r, targetLen, out)
+	}
 	mainDec, err := huffman.ReadTable(r)
 	if err != nil {
 		return nil, fmt.Errorf("delta: main table: %w", err)
@@ -571,7 +593,6 @@ func Decode(ref, enc []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("delta: offset table: %w", err)
 	}
-	out := make([]byte, 0, min(targetLen, 64*uint64(len(enc))+4096))
 	lastRef := 0
 	for uint64(len(out)) < targetLen {
 		sym, err := mainDec.Decode(r)
@@ -612,14 +633,10 @@ func Decode(ref, enc []byte) ([]byte, error) {
 				out = append(out, ref[pos:pos+length]...)
 				lastRef = pos + length
 			} else {
-				start := len(out) - v
-				if start < 0 || v == 0 {
+				if v <= 0 || v > len(out) {
 					return nil, ErrCorrupt
 				}
-				// Byte-wise copy: overlapping self-copies are legal.
-				for k := 0; k < length; k++ {
-					out = append(out, out[start+k])
-				}
+				out = selfCopy(out, v, length)
 			}
 		}
 	}
@@ -628,6 +645,20 @@ func Decode(ref, enc []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	return out, nil
+}
+
+// selfCopy appends length bytes copied from dist back in out (0 < dist <=
+// len(out)). A source that ends before the copy starts is one slice copy;
+// an overlapping one, which repeats the last dist bytes, goes byte by byte.
+func selfCopy(out []byte, dist, length int) []byte {
+	start := len(out) - dist
+	if dist >= length {
+		return append(out, out[start:start+length]...)
+	}
+	for k := 0; k < length; k++ {
+		out = append(out, out[start+k])
+	}
+	return out
 }
 
 // DecodeLen is Decode for a caller that knows how long the target must be:

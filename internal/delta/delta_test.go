@@ -202,10 +202,11 @@ func hostileStream() []byte {
 	return append(enc, modeHuffman, 0, 0, 0, 0, 0, 0)
 }
 
-// hostileDecoding declares 4 GiB like hostileStream, in 26 bytes, but decodes:
-// valid code tables, a thousand bytes of output, then the end of the block.
-func hostileDecoding() []byte {
-	enc := Compress(bytes.Repeat([]byte("a"), 1000))
+// hostileDecoding declares 4 GiB like hostileStream, in at most 32 bytes, but
+// decodes in mode m: valid code tables, a thousand bytes of output, then the
+// end of the block.
+func hostileDecoding(m Mode) []byte {
+	enc := m.Compress(bytes.Repeat([]byte("a"), 1000))
 	_, n := binary.Uvarint(enc)
 	return append(binary.AppendUvarint(nil, 1<<32), enc[n:]...)
 }
@@ -216,17 +217,19 @@ func hostileDecoding() []byte {
 // compresses no better than 64:1 gets its exact buffer as before, and one
 // that does still decodes.
 func TestDecodeAllocatesWhatOpsProduce(t *testing.T) {
-	hostile := hostileDecoding()
-	if len(hostile) > 32 {
-		t.Fatalf("hostile stream is %d bytes", len(hostile))
-	}
-	got := alloctest.BytesPerOp(5, func() {
-		if _, err := Decompress(hostile); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Decompress of %d bytes declaring 4 GiB: %v, want ErrCorrupt", len(hostile), err)
+	for _, m := range []Mode{Mode0, Mode2} {
+		hostile := hostileDecoding(m)
+		if len(hostile) > 32 {
+			t.Fatalf("mode %d: hostile stream is %d bytes", m, len(hostile))
 		}
-	})
-	if got >= 64<<10 {
-		t.Errorf("the hostile stream cost %d B, ceiling %d", got, 64<<10)
+		got := alloctest.BytesPerOp(5, func() {
+			if _, err := Decompress(hostile); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("mode %d: Decompress of %d bytes declaring 4 GiB: %v, want ErrCorrupt", m, len(hostile), err)
+			}
+		})
+		if got >= 64<<10 {
+			t.Errorf("mode %d: the hostile stream cost %d B, ceiling %d", m, got, 64<<10)
+		}
 	}
 
 	text := bytes.Repeat([]byte("not all that compressible: 0123456789 abcdefghij\n"), 40)
@@ -260,10 +263,26 @@ func TestDecodeLenChecksBeforeAllocating(t *testing.T) {
 	if got >= 64<<10 {
 		t.Errorf("the hostile stream cost %d B, ceiling %d", got, 64<<10)
 	}
+	// Mode 2's hostile streams: each is corrupt to Decode and to DecodeLen
+	// expecting 1000 bytes, for no more than the output bound allocates.
+	for name, enc := range hostileStreams2() {
+		got := alloctest.BytesPerOp(5, func() {
+			if _, err := Decode(nil, enc); err == nil {
+				t.Fatalf("%s: Decode accepted it", name)
+			}
+			if _, err := DecodeLen(nil, enc, 1000); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: DecodeLen: %v, want ErrCorrupt", name, err)
+			}
+		})
+		if got >= 64<<10 {
+			t.Errorf("%s cost %d B, ceiling %d", name, got, 64<<10)
+		}
+	}
 
 	ref := []byte("the reference content with some repeated repeated text")
 	target := []byte("the reference content, edited with repeated text")
-	for _, enc := range [][]byte{Encode(ref, target), Encode(nil, target), Encode(ref, nil)} {
+	for _, enc := range [][]byte{Encode(ref, target), Encode(nil, target), Encode(ref, nil),
+		Mode2.Encode(ref, target), Mode2.Encode(nil, target), Mode2.Encode(ref, nil)} {
 		want, err := Decode(ref, enc)
 		if err != nil {
 			t.Fatal(err)

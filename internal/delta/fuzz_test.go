@@ -14,7 +14,14 @@ func FuzzDecode(f *testing.F) {
 	f.Add(ref, []byte{})
 	f.Add(ref, []byte{0xFF, 0xFF, 0xFF})
 	f.Add([]byte{}, hostileStream())
-	f.Add([]byte{}, hostileDecoding())
+	f.Add([]byte{}, hostileDecoding(Mode0))
+	// Mode 2: built-in and dynamic tables, and its hostile streams.
+	f.Add(ref, Mode2.Encode(ref, []byte("the reference content, edited with repeated text")))
+	f.Add([]byte{}, Mode2.Compress(bytes.Repeat([]byte("self-compressed payload, mode 2 "), 40)))
+	f.Add([]byte{}, hostileDecoding(Mode2))
+	for _, enc := range hostileStreams2() {
+		f.Add([]byte{}, enc)
+	}
 	f.Fuzz(func(t *testing.T, refIn, enc []byte) {
 		out, err := Decode(refIn, enc)
 		if err == nil && len(out) > 1<<24 {
@@ -23,21 +30,25 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzEncodeDecode: every (ref, target) pair must round-trip exactly.
+// FuzzEncodeDecode: every (ref, target) pair must round-trip exactly, in
+// both modes.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add([]byte("reference"), []byte("target based on reference"))
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte("aaaa"), bytes.Repeat([]byte("a"), 300))
+	f.Add([]byte{}, bytes.Repeat([]byte("abcab"), 200))
 	f.Fuzz(func(t *testing.T, ref, target []byte) {
 		if len(ref) > 1<<16 || len(target) > 1<<16 {
 			t.Skip()
 		}
-		got, err := Decode(ref, Encode(ref, target))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !bytes.Equal(got, target) {
-			t.Fatal("round trip mismatch")
+		for _, m := range []Mode{Mode0, Mode2} {
+			got, err := Decode(ref, m.Encode(ref, target))
+			if err != nil {
+				t.Fatalf("mode %d: decode: %v", m, err)
+			}
+			if !bytes.Equal(got, target) {
+				t.Fatalf("mode %d: round trip mismatch", m)
+			}
 		}
 	})
 }

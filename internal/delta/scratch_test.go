@@ -267,21 +267,26 @@ func TestEncodeAllocCeiling(t *testing.T) {
 	target := append([]byte(nil), ref...)
 	copy(target[500:], "edited here")
 	const ceiling = 64 << 10
-	if got := alloctest.BytesPerOp(20, func() { Encode(ref, target) }); got >= ceiling {
-		t.Errorf("Encode of a 1 KB pair allocates %d B/op, ceiling %d", got, ceiling)
-	}
-	if got := alloctest.BytesPerOp(20, func() { Compress(target) }); got >= ceiling {
-		t.Errorf("Compress of 1 KB allocates %d B/op, ceiling %d", got, ceiling)
+	for _, m := range []Mode{Mode0, Mode2} {
+		if got := alloctest.BytesPerOp(20, func() { m.Encode(ref, target) }); got >= ceiling {
+			t.Errorf("mode %d: Encode of a 1 KB pair allocates %d B/op, ceiling %d", m, got, ceiling)
+		}
+		if got := alloctest.BytesPerOp(20, func() { m.Compress(target) }); got >= ceiling {
+			t.Errorf("mode %d: Compress of 1 KB allocates %d B/op, ceiling %d", m, got, ceiling)
+		}
 	}
 
 	// A large file pays for its index at most once — four bytes a position,
 	// if the pooled matcher did not keep its slots — and for its copies in
 	// 12-byte records: under 5 B per input byte plus the output. The parent's
 	// chain and 56-byte ops came to 10.9 B per input byte on this pair.
+	// Mode 2 reuses the same copy records.
 	p := largePairs()[0]
 	large := uint64(5*(len(p.ref)+len(p.target)) + 1<<20)
-	if got := alloctest.BytesPerOp(3, func() { Encode(p.ref, p.target) }); got >= large {
-		t.Errorf("Encode of the %s pair allocates %d B/op, ceiling %d", p.name, got, large)
+	for _, m := range []Mode{Mode0, Mode2} {
+		if got := alloctest.BytesPerOp(3, func() { m.Encode(p.ref, p.target) }); got >= large {
+			t.Errorf("mode %d: Encode of the %s pair allocates %d B/op, ceiling %d", m, p.name, got, large)
+		}
 	}
 }
 

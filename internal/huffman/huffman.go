@@ -68,25 +68,43 @@ func (h *nodeHeap) Pop() any {
 // Build constructs a canonical code from symbol frequencies. Symbols with
 // zero frequency get no codeword. If every frequency is zero the resulting
 // code is empty (valid only for empty streams).
-func Build(freq []int64) (*Code, error) {
+func Build(freq []int64) (*Code, error) { return BuildLimit(freq, MaxCodeLen) }
+
+// BuildLimit is Build with codewords of at most maxLen bits (1..MaxCodeLen),
+// for formats that code the lengths in a small alphabet. An alphabet with more
+// used symbols than maxLen bits can number gets ErrBadTable.
+func BuildLimit(freq []int64, maxLen int) (*Code, error) {
 	if len(freq) > MaxSymbols {
 		return nil, fmt.Errorf("huffman: %d symbols exceeds maximum %d", len(freq), MaxSymbols)
 	}
-	lengths := computeLengths(freq)
-	for tooLong(lengths) {
+	if maxLen < 1 || maxLen > MaxCodeLen {
+		return nil, fmt.Errorf("huffman: code length limit %d outside 1..%d", maxLen, MaxCodeLen)
+	}
+	used := 0
+	for _, f := range freq {
+		if f > 0 {
+			used++
+		}
+	}
+	if uint64(used) > 1<<uint64(maxLen) { // 1<<32 overflows a 32-bit int
+		return nil, ErrBadTable
+	}
+	lengths := computeLengths(freq, used)
+	for tooLong(lengths, maxLen) {
 		freq = flatten(freq)
-		lengths = computeLengths(freq)
+		lengths = computeLengths(freq, used)
 	}
 	c := &Code{lengths: lengths}
-	c.assignCodes()
+	c.assignCodes(used)
 	return c, nil
 }
 
-// computeLengths runs the Huffman algorithm and returns code lengths.
-func computeLengths(freq []int64) []uint8 {
+// computeLengths runs the Huffman algorithm over freq, used of whose
+// symbols are nonzero, and returns code lengths.
+func computeLengths(freq []int64, used int) []uint8 {
 	lengths := make([]uint8, len(freq))
-	var nodes []buildNode
-	h := &nodeHeap{}
+	nodes := make([]buildNode, 0, max(2*used-1, 0))
+	h := &nodeHeap{order: make([]int, 0, used)}
 	for sym, f := range freq {
 		if f > 0 {
 			nodes = append(nodes, buildNode{freq: f, sym: sym, left: -1, right: -1})
@@ -117,7 +135,8 @@ func computeLengths(freq []int64) []uint8 {
 		node  int
 		depth uint8
 	}
-	stack := []frame{{root, 0}}
+	stack := make([]frame, 1, used+1)
+	stack[0] = frame{root, 0}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -135,9 +154,9 @@ func computeLengths(freq []int64) []uint8 {
 	return lengths
 }
 
-func tooLong(lengths []uint8) bool {
+func tooLong(lengths []uint8, maxLen int) bool {
 	for _, l := range lengths {
-		if l > MaxCodeLen {
+		if int(l) > maxLen {
 			return true
 		}
 	}
@@ -156,10 +175,10 @@ func flatten(freq []int64) []int64 {
 	return out
 }
 
-// assignCodes derives canonical codewords from lengths.
-func (c *Code) assignCodes() {
+// assignCodes derives canonical codewords from lengths, n of them nonzero.
+func (c *Code) assignCodes(n int) {
 	c.codes = make([]uint32, len(c.lengths))
-	var used []symLen
+	used := make([]symLen, 0, n)
 	for sym, l := range c.lengths {
 		if l > 0 {
 			used = append(used, symLen{sym, l})
@@ -174,6 +193,17 @@ func (c *Code) assignCodes() {
 		code++
 		prevLen = u.l
 	}
+}
+
+// FromLengths is the canonical code of the given codeword lengths, for a
+// format whose code is fixed rather than built from frequencies.
+func FromLengths(lengths []uint8) (*Code, error) {
+	if _, err := NewDecoder(lengths); err != nil {
+		return nil, err
+	}
+	c := &Code{lengths: slices.Clone(lengths)}
+	c.assignCodes(len(lengths))
+	return c, nil
 }
 
 // Length reports the codeword length of sym (0 if unused).
@@ -270,7 +300,7 @@ func bySymLen(a, b symLen) int {
 
 // NewDecoder builds a Decoder directly from code lengths.
 func NewDecoder(lengths []uint8) (*Decoder, error) {
-	var used []symLen
+	used := make([]symLen, 0, len(lengths))
 	for sym, l := range lengths {
 		if l > MaxCodeLen {
 			return nil, ErrBadTable

@@ -250,3 +250,78 @@ func TestDecodeGarbage(t *testing.T) {
 		t.Fatal("decode on empty input succeeded")
 	}
 }
+
+// TestBuildLimit: a Fibonacci skew that Build codes in up to 32 bits fits a
+// 7-bit limit, still decodes, and an alphabet too large for the limit is
+// refused.
+func TestBuildLimit(t *testing.T) {
+	freq := make([]int64, 19)
+	a, b := int64(1), int64(1)
+	for i := range freq {
+		freq[i] = a
+		a, b = b, a+b
+	}
+	code, err := BuildLimit(freq, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := make([]uint8, len(freq))
+	for s := range freq {
+		if l := code.Length(s); l < 1 || l > 7 {
+			t.Fatalf("symbol %d: length %d outside 1..7", s, l)
+		}
+		lengths[s] = uint8(code.Length(s))
+	}
+	dec, err := NewDecoder(lengths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &bitio.Writer{}
+	for s := range freq {
+		if err := code.Encode(w, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bitio.NewReader(w.Bytes())
+	for s := range freq {
+		if got, err := dec.Decode(r); err != nil || got != s {
+			t.Fatalf("symbol %d decoded as %d: %v", s, got, err)
+		}
+	}
+	if _, err := BuildLimit(make([]int64, 5), 0); err == nil {
+		t.Fatal("limit 0 accepted")
+	}
+	if _, err := BuildLimit([]int64{1, 1, 1, 1, 1}, 2); err != ErrBadTable {
+		t.Fatalf("five symbols in 2 bits: %v, want ErrBadTable", err)
+	}
+}
+
+// TestFromLengths: the code of a Build's lengths codes as the Build did, and
+// over-subscribed lengths are refused.
+func TestFromLengths(t *testing.T) {
+	freq := []int64{10, 5, 2, 1, 0, 7}
+	built, err := Build(freq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := make([]uint8, len(freq))
+	for s := range freq {
+		lengths[s] = uint8(built.Length(s))
+	}
+	fixed, err := FromLengths(lengths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, w2 := &bitio.Writer{}, &bitio.Writer{}
+	for _, s := range []int{0, 1, 2, 3, 5, 5, 0} {
+		if built.Encode(w1, s) != nil || fixed.Encode(w2, s) != nil {
+			t.Fatalf("symbol %d does not encode", s)
+		}
+	}
+	if string(w1.Bytes()) != string(w2.Bytes()) {
+		t.Fatal("FromLengths codes differently from the Build it came from")
+	}
+	if _, err := FromLengths([]uint8{1, 1, 1}); err == nil {
+		t.Fatal("over-subscribed lengths accepted")
+	}
+}
