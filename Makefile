@@ -11,7 +11,7 @@ FUZZ_PKGS = ./internal/wire ./internal/delta ./internal/huffman \
 	./internal/core ./internal/rolling ./internal/filelist \
 	./internal/sigcache ./internal/store
 
-.PHONY: all build test vet race check fuzz-smoke cross loc bench bench-check api api-check clean
+.PHONY: all build test vet race check fuzz-smoke cross test-386 loc bench bench-check api api-check clean
 
 all: check
 
@@ -31,7 +31,7 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: vet race fuzz-smoke api-check cross
+check: vet race fuzz-smoke api-check cross test-386
 
 # cross builds and vets the module for the platforms the build-tag splits
 # (internal/dirio's descriptor primitives on every Linux architecture against
@@ -49,6 +49,16 @@ cross:
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build $$pkgs; \
 		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) vet $$pkgs; \
 	done
+
+# test-386 runs the codec and engine tests as 32-bit code, where an int is 32
+# bits: a value the wire carries in more (a zigzagged reference delta, a
+# distance code) must be range-checked before it becomes an int. cross only
+# builds and vets 32-bit code; this runs it.
+TEST386_PKGS = ./internal/bitio ./internal/huffman ./internal/delta ./internal/md4 \
+	./internal/rolling ./internal/gtest ./internal/cdc ./internal/core \
+	./internal/merkle ./internal/wire ./internal/filelist
+test-386:
+	GOARCH=386 $(GO) test $(TEST386_PKGS)
 
 # api-check diffs the package's exported surface against the committed
 # API.txt; regenerate with `make api` after an intentional API change.

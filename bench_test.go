@@ -94,7 +94,7 @@ func BenchmarkSyncFileDeltaBound(b *testing.B) {
 	b.ResetTimer()
 	var total int
 	for i := 0; i < b.N; i++ {
-		total = delta.CompressedSize(old, cur)
+		total = len(delta.Encode(old, cur))
 	}
 	b.ReportMetric(float64(total), "wire-bytes")
 }

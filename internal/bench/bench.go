@@ -199,7 +199,7 @@ func rsyncBestCosts(pairs []pair) stats.Costs {
 func deltaCosts(pairs []pair) stats.Costs {
 	return sumCosts(pairs, func(p pair) stats.Costs {
 		var c stats.Costs
-		c.Add(stats.S2C, stats.PhaseDelta, delta.CompressedSize(p.old, p.cur))
+		c.Add(stats.S2C, stats.PhaseDelta, len(delta.Encode(p.old, p.cur)))
 		c.Roundtrips = 1
 		return c
 	})
@@ -314,7 +314,6 @@ var registry = map[string]func(Options) *Table{
 	"ablate.latency": Latency,
 	"ablate.detect":  AblateDetect,
 	"ablate.cdc":     AblateCDC,
-	"ablate.cpu":     CPU,
 	"cdc.map":        CDCMap,
 }
 

@@ -24,20 +24,14 @@ var updateTables = flag.Bool("update", false, "rewrite "+tablesGolden)
 const tablesGolden = "testdata/tables.golden"
 
 // goldenSection renders a table for tablesGolden: its id, title, columns and
-// every row's name and values at full precision, one line each. ablate.cpu's
-// MB/s column is a wall-clock reading, which no two runs agree on; it is
-// written as "-".
+// every row's name and values at full precision, one line each.
 func goldenSection(id string, table *Table) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s\ntitle\t%s\ncolumns\t%s\n", id, table.Title, strings.Join(table.Columns, "\t"))
 	for _, r := range table.Rows {
 		b.WriteString("row\t" + r.Name)
-		for j, v := range r.Values {
-			if id == "ablate.cpu" && j == 0 {
-				b.WriteString("\t-")
-			} else {
-				b.WriteString("\t" + strconv.FormatFloat(v, 'g', -1, 64))
-			}
+		for _, v := range r.Values {
+			b.WriteString("\t" + strconv.FormatFloat(v, 'g', -1, 64))
 		}
 		b.WriteString("\n")
 	}

@@ -71,7 +71,6 @@ func upFrames(srv *collection.Server, v1 map[string][]byte) []frame {
 		done <- err
 	}()
 	cli := collection.NewClient(v1)
-	cli.DeltaMode0 = true // as sessionCosts
 	_, err := cli.SyncContext(context.Background(), struct {
 		io.Reader
 		io.Writer

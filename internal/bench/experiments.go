@@ -221,7 +221,6 @@ func collectionCosts(oldFiles, newFiles map[string][]byte, cfg core.Config, tune
 // serves newFiles.
 func sessionCosts(srv *collection.Server, oldFiles, newFiles map[string][]byte, tune func(*collection.Client)) stats.Costs {
 	cli := collection.NewClient(oldFiles)
-	cli.DeltaMode0 = true // the tables are measured in the format they were recorded in
 	if tune != nil {
 		tune(cli)
 	}

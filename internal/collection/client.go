@@ -124,8 +124,7 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 
 	// HELLO: the options this client was given, as mode and extensions. A
 	// tree pull always asks for speculative descent and cross-file matching;
-	// every pull for the whole-content stream, and for delta mode 2 unless
-	// told not to.
+	// every pull for the whole-content stream and for delta mode 2.
 	s.mode = modeManifest
 	if c.TreeManifest {
 		s.mode = modeTree
@@ -135,7 +134,7 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 		s.ext.announce = int64(c.BaseVersion)
 	}
 	s.ext.mapMode = c.MapMode
-	s.ext.stream, s.ext.delta2 = true, !c.DeltaMode0
+	s.ext.stream, s.ext.delta2 = true, true
 	if err := s.sendHello(rolePull); err != nil {
 		return nil, asHandshake(err)
 	}

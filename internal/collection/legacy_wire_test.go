@@ -138,6 +138,13 @@ func replay(t *testing.T, recv []byte, hold func(context.Context, io.ReadWriter)
 // runRecorded drives client against server over a recorded pipe.
 func runRecorded(t *testing.T, srv *Server, cli *Client) (c2s, s2c []byte) {
 	t.Helper()
+	return runRecordedVia(t, srv, cli, func(rw io.ReadWriter) io.ReadWriter { return rw })
+}
+
+// runRecordedVia is runRecorded with the client's end of the recorded pipe
+// wrapped by via: what via writes is what the pipe carries and records.
+func runRecordedVia(t *testing.T, srv *Server, cli *Client, via func(io.ReadWriter) io.ReadWriter) (c2s, s2c []byte) {
+	t.Helper()
 	a, b := transport.Pipe()
 	rec := &recordConn{rw: b}
 	var wg sync.WaitGroup
@@ -148,7 +155,7 @@ func runRecorded(t *testing.T, srv *Server, cli *Client) (c2s, s2c []byte) {
 		defer a.Close()
 		_, serverErr = srv.Serve(a)
 	}()
-	_, err := cli.Sync(rec)
+	_, err := cli.Sync(via(rec))
 	b.Close()
 	wg.Wait()
 	if err != nil {
@@ -831,11 +838,48 @@ func delta2Parent(name string) string {
 	return name
 }
 
-// TestNoDelta2HelloIsTheParentSession: a live pull whose receiver leaves
-// hello extension 6 out is, in both directions and byte for byte, the parent
-// transcript its receiver recorded before the extension existed, so every
-// DELTA section, FULL file and whole-content segment stays in mode 0 (or
-// stored) for a receiver that does not ask for mode 2.
+// withoutDelta2 is a pulling client's connection whose first write, which
+// opens with the HELLO frame, goes out with hello extension 6 removed: the
+// holder reads the hello of a receiver that does not ask for delta mode 2.
+type withoutDelta2 struct {
+	io.ReadWriter
+	sent, stripped bool
+}
+
+func (c *withoutDelta2) Write(p []byte) (int, error) {
+	if c.sent {
+		return c.ReadWriter.Write(p)
+	}
+	c.sent = true
+	fp := wire.NewParser(p)
+	typ, err1 := fp.Byte()
+	hello, err2 := fp.Bytes()
+	if err1 != nil || err2 != nil || typ != wire.FrameHello {
+		return 0, fmt.Errorf("the first write is not a whole HELLO frame")
+	}
+	hp := wire.NewParser(hello)
+	hp.Uvarint() // protocol version
+	hp.Raw(2)    // role, mode
+	hb := wire.NewBuffer(len(hello))
+	hb.Raw(hello[:len(hello)-hp.Remaining()])
+	h := parseHelloExts(hp)
+	c.stripped, h.delta2 = h.delta2, false
+	h.encode(hb)
+	b := wire.NewBuffer(len(p))
+	b.Byte(wire.FrameHello)
+	b.Bytes(hb.Build())
+	b.Raw(p[len(p)-fp.Remaining():])
+	if _, err := c.ReadWriter.Write(b.Build()); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestNoDelta2HelloIsTheParentSession: a live pull whose HELLO reaches the
+// holder without hello extension 6 is, in both directions and byte for byte,
+// the parent transcript its receiver recorded before the extension existed,
+// so every DELTA section, FULL file and whole-content segment stays in mode 0
+// (or stored) for a receiver that does not ask for mode 2.
 func TestNoDelta2HelloIsTheParentSession(t *testing.T) {
 	for _, sc := range legacyScenarios() {
 		name, ok := strings.CutSuffix(sc.name, "_delta2")
@@ -844,8 +888,14 @@ func TestNoDelta2HelloIsTheParentSession(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			srv, cli := sc.setup(t)
-			cli.DeltaMode0 = true
-			up, down := runRecorded(t, srv, cli)
+			conn := &withoutDelta2{}
+			up, down := runRecordedVia(t, srv, cli, func(rw io.ReadWriter) io.ReadWriter {
+				conn.ReadWriter = rw
+				return conn
+			})
+			if !conn.stripped {
+				t.Fatal("the client's HELLO did not ask for delta mode 2")
+			}
 			wantUp, wantDown := readGolden(t, delta2Parent(name))
 			if !bytes.Equal(up, wantUp) || !bytes.Equal(down, wantDown) {
 				t.Fatalf("the pull without extension 6 moved %d+%d bytes, its parent transcript %d+%d", len(up), len(down), len(wantUp), len(wantDown))

@@ -71,11 +71,12 @@ var errPacked = fmt.Errorf("%w: malformed MANIFEST_PACKED", core.ErrProtocol)
 const shortSum, sumGroup = 3, 64
 
 // packManifest encodes m as a MANIFEST_PACKED payload (width md4.Size) or a
-// MANIFEST_SHORT one (width shortSum): n, then one delta.Compress'ed column of
-// n × (shared, suffix, len) — shared being how many leading bytes the path has
-// in common with the previous one — then the first width bytes of each of the
-// n sums, raw. Random sums would only dilute the column, so they stay out of
-// it. fits is false when the payload breaks one of unpackManifest's caps.
+// MANIFEST_SHORT one (width shortSum): n, then one column of n × (shared,
+// suffix, len) compressed in delta mode 0 — shared being how many leading
+// bytes the path has in common with the previous one — then the first width
+// bytes of each of the n sums, raw. Random sums would only dilute the column,
+// so they stay out of it. fits is false when the payload breaks one of
+// unpackManifest's caps.
 func packManifest(m []ManifestEntry, width int) (payload []byte, fits bool) {
 	col := wire.NewBuffer(len(m) * 12)
 	prev, paths := "", 0
@@ -90,7 +91,9 @@ func packManifest(m []ManifestEntry, width int) (payload []byte, fits bool) {
 		prev = e.Path
 		paths += len(e.Path)
 	}
-	comp := delta.Compress(col.Build())
+	// Mode 0: the receiver sends the column before it knows the holder, and
+	// a holder that predates delta mode 2 reads no other.
+	comp := delta.Mode0.Compress(col.Build())
 	b := wire.NewBuffer(len(comp) + len(m)*width + 16)
 	b.Uvarint(uint64(len(m)))
 	b.Bytes(comp)

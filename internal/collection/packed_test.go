@@ -2,6 +2,7 @@ package collection
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -202,5 +203,30 @@ func TestPackedAnnouncementHits(t *testing.T) {
 	// The script ends after the manifest: the session fails after its verdicts.
 	if sc, _ := srv.Serve(conn); sc.JournalHits != 1 || sc.JournalMisses != 0 {
 		t.Fatalf("%d hits, %d misses: a packed announcement must hit", sc.JournalHits, sc.JournalMisses)
+	}
+}
+
+// TestManifestColumnIsMode0: the path column of a MANIFEST_PACKED or
+// MANIFEST_SHORT payload is compressed in delta mode 0, whatever the coder's
+// default: the receiver sends it before it knows the holder, and a holder that
+// predates mode 2 reads no other.
+func TestManifestColumnIsMode0(t *testing.T) {
+	m := tinyManifest()
+	for _, width := range []int{md4.Size, shortSum} {
+		payload, fits := packManifest(m, width)
+		if !fits {
+			t.Fatalf("width %d: the tiny manifest does not fit", width)
+		}
+		p := wire.NewParser(payload)
+		if _, err := p.Uvarint(); err != nil {
+			t.Fatal(err)
+		}
+		col, err := p.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, n := binary.Uvarint(col); n <= 0 || n >= len(col) || col[n] != 0 {
+			t.Fatalf("width %d: the column is not mode 0", width)
+		}
 	}
 }

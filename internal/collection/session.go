@@ -63,10 +63,6 @@ type Options struct {
 	// BaseVersion is the stored version this client's collection matches, as
 	// learned from a previous Result.Version.
 	BaseVersion uint64
-	// DeltaMode0 leaves delta mode 2 (hello extension 6) out of a pull's
-	// hello, so the holder encodes in mode 0 as for a receiver that predates
-	// it: the paper's tables stay in the format they were recorded in.
-	DeltaMode0 bool
 	// AllowPush lets clients push updated collections into this server;
 	// OnUpdate, if set, is called after each with the pushed result's Files:
 	// a map server's whole new collection, a directory server's files the
@@ -210,7 +206,8 @@ func (s *session) closeCursor() {
 }
 
 // deltaMode is the format the holder encodes this session's deltas and whole
-// files in: mode 2 for a receiver that asked for it, mode 0 otherwise.
+// files in: mode 2 for a receiver that asked for it (hello extension 6), mode
+// 0 for one that did not, which may predate mode 2 and decode nothing else.
 func (s *session) deltaMode() delta.Mode {
 	if s.ext.delta2 {
 		return delta.Mode2

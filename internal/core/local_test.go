@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
+	"msync/internal/delta"
+	"msync/internal/md4"
 	"msync/internal/stats"
 )
 
@@ -130,6 +133,77 @@ func TestSyncLocalEmptyAndTiny(t *testing.T) {
 		}
 		if !bytes.Equal(res.Output, c[1]) {
 			t.Fatalf("case %d: mismatch", i)
+		}
+	}
+}
+
+// deltaModeOf is the mode byte of the encoding that ends a DELTA section of
+// a file whose whole-file sum is sum: the section's bytes after the sum.
+func deltaModeOf(t *testing.T, section []byte, sum [md4.Size]byte) byte {
+	t.Helper()
+	at := bytes.Index(section, sum[:])
+	if at < 0 {
+		t.Fatal("the DELTA section does not carry the file's sum")
+	}
+	enc := section[at+md4.Size:]
+	_, n := binary.Uvarint(enc)
+	if n <= 0 || n >= len(enc) {
+		t.Fatal("the DELTA section's encoding has no mode byte")
+	}
+	return enc[n]
+}
+
+// TestEnginesWriteMode2: a server engine writes its DELTA section in delta
+// mode 2 unless the holder names mode 0, and SyncLocal and BroadcastSync send
+// what it writes: no older reader decodes their sections, so neither names a
+// mode.
+func TestEnginesWriteMode2(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	cur := textLike(rng, 40_000)
+	old := mutate(cur, 12, 200, rng)
+	sum := md4.Sum(cur)
+	for _, cfg := range []Config{DefaultConfig(), OneShotConfig(512)} {
+		sections := map[delta.Mode][]byte{}
+		for _, m := range []delta.Mode{delta.Mode2, delta.Mode0} {
+			srv, err := NewServerFile(cur, &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m == delta.Mode0 {
+				srv.UseDeltaMode(delta.Mode0)
+			}
+			cli, err := NewClientFile(old, len(cur), &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, _, out := runTranscript(t, srv, cli, nil)
+			if !bytes.Equal(out, cur) {
+				t.Fatalf("mode %d: reconstruction wrong", m)
+			}
+			sections[m] = frames[len(frames)-1]
+			if got := deltaModeOf(t, sections[m], sum); got != byte(m) {
+				t.Fatalf("asked for mode %d, the DELTA section is mode %d", m, got)
+			}
+		}
+		if len(sections[delta.Mode2]) == len(sections[delta.Mode0]) {
+			t.Fatal("modes 0 and 2 wrote DELTA sections of one length: the checks below cannot tell them apart")
+		}
+		local, err := SyncLocal(old, cur, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := local.Costs.Bytes(stats.S2C, stats.PhaseDelta); got != int64(len(sections[delta.Mode2])) {
+			t.Fatalf("SyncLocal's DELTA section is %d bytes, mode 2's %d, mode 0's %d", got, len(sections[delta.Mode2]), len(sections[delta.Mode0]))
+		}
+		if cfg.MaxBlockSize != cfg.MinBlockSize {
+			continue // BroadcastSync takes one-shot configurations only
+		}
+		bc, err := BroadcastSync(cur, [][]byte{old}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bc.PerClient[0].Bytes(stats.S2C, stats.PhaseDelta); got != int64(len(sections[delta.Mode2])) {
+			t.Fatalf("BroadcastSync's DELTA section is %d bytes, mode 2's %d, mode 0's %d", got, len(sections[delta.Mode2]), len(sections[delta.Mode0]))
 		}
 	}
 }

@@ -54,7 +54,7 @@ func NewServerFile(fNew []byte, cfg *Config) (*ServerFile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &ServerFile{fNew: fNew, poly: rolling.Default()}
+	s := &ServerFile{fNew: fNew, poly: rolling.Default(), deltaMode: delta.Mode2}
 	s.initState(cfg, len(fNew))
 	return s, nil
 }
@@ -75,8 +75,8 @@ func (s *ServerFile) UseSignature(sig *sigcache.Sig) {
 	s.sig = sig
 }
 
-// UseDeltaMode sets the format EmitDelta encodes the gaps in: delta.Mode0,
-// the zero value, unless the receiver asked for another.
+// UseDeltaMode sets the format EmitDelta encodes the gaps in: delta.Mode2,
+// the format delta.Encode writes, unless the holder names another.
 func (s *ServerFile) UseDeltaMode(m delta.Mode) { s.deltaMode = m }
 
 // computeLevel hashes every schedule block of size b: by the splitting

@@ -18,12 +18,18 @@
 // compressor, which the rsync baseline uses to compress its literal stream
 // (standing in for rsync's gzip pass).
 //
-// The byte after the target length names the format. Encode writes mode 0
-// (or stored), byte for byte as it always has: journal blobs, the paper's
-// tables and every peer that does not ask for more get it. Mode2.Encode
-// writes mode 2 (mode2.go), which codes the same kind of parse with the copy
-// kind in the main symbol, rep distances, split alphabets and cheaper
-// tables; a holder writes it only to a receiver that asked in its hello.
+// The byte after the target length names the format. Encode and Compress
+// write mode 2 (mode2.go, or stored): the copy kind in the main symbol, rep
+// distances, split alphabets and cheap tables. Mode0.Encode writes mode 0, the
+// original format, byte for byte as it always has, and only three writers
+// call it, because an older reader decodes their bytes:
+//   - a holder answering a receiver that did not ask for mode 2 in its hello
+//     (hello extension 6), which may predate it;
+//   - the store's journal and GC-rescue blobs, which a journal answer serves
+//     inline to any announcing receiver;
+//   - the MANIFEST_PACKED/MANIFEST_SHORT path column, which a receiver sends
+//     before it knows what the holder reads.
+//
 // Decode and DecodeLen read every mode under the same allocation bound.
 package delta
 
@@ -31,6 +37,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -79,21 +86,22 @@ type Op struct {
 	Dist int
 }
 
-// bucket maps a non-negative value to (code, extraBits, extraVal).
-func bucket(v int) (code int, extraBits uint, extraVal uint64) {
+// bucket maps a value to (code, extraBits, extraVal).
+func bucket(v uint64) (code int, extraBits uint, extraVal uint64) {
 	if v < 8 {
-		return v, 0, 0
+		return int(v), 0, 0
 	}
-	nb := bits.Len(uint(v)) // >= 4
-	return 8 + nb - 4, uint(nb - 1), uint64(v) - 1<<(nb-1)
+	nb := bits.Len64(v) // >= 4
+	return 8 + nb - 4, uint(nb - 1), v - 1<<(nb-1)
 }
 
 // unbucket reverses bucket given the code and a bit reader for extras. A code
 // past the numLenCodes (= numOffCodes) that bucket yields comes from a code
-// table declaring a larger alphabet than the encoder's: corrupt.
-func unbucket(code int, r *bitio.Reader) (int, error) {
+// table declaring a larger alphabet than the encoder's: corrupt. The value
+// reaches 2^35, past an int of 32 bits: the caller range-checks it.
+func unbucket(code int, r *bitio.Reader) (uint64, error) {
 	if code < 8 {
-		return code, nil
+		return uint64(code), nil
 	}
 	if code >= numLenCodes {
 		return 0, ErrCorrupt
@@ -103,22 +111,41 @@ func unbucket(code int, r *bitio.Reader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return 1<<(nb-1) + int(extra), nil
+	return 1<<(nb-1) + extra, nil
 }
 
-// zigzag encodes a signed int as unsigned.
-func zigzag(v int) int {
-	if v < 0 {
-		return -2*v - 1
-	}
-	return 2 * v
+// zigzag codes a signed int as unsigned, in 64 bits whatever the size of an
+// int: 0, -1, 1, -2, ... as 0, 1, 2, 3, ...
+func zigzag(v int) uint64 {
+	x := int64(v)
+	return uint64(x<<1 ^ x>>63)
 }
 
-func unzigzag(v int) int {
-	if v&1 == 1 {
-		return -(v + 1) / 2
+// unzigzag reverses zigzag for a value the caller has range-checked to fit an
+// int.
+func unzigzag(v uint64) int { return int(int64(v>>1) ^ -int64(v&1)) }
+
+// copyLen is the length of a copy coded as v past MinMatch; ErrCorrupt when
+// it would take the output past targetLen or past an int.
+func copyLen(v uint64, out []byte, targetLen uint64) (int, error) {
+	if v+MinMatch > min(targetLen, math.MaxInt)-uint64(len(out)) {
+		return 0, ErrCorrupt
 	}
-	return v / 2
+	return int(v) + MinMatch, nil
+}
+
+// refCopy appends the reference copy of length bytes coded as zigzag delta v
+// from *lastRef, which it advances past the copy; ErrCorrupt when the copy
+// does not lie inside ref. A delta past len(ref) either way is refused on v
+// itself, which need not fit an int.
+func refCopy(out, ref []byte, v uint64, lastRef *int, length int) ([]byte, error) {
+	d := unzigzag(v) // meaningless past an int, where the first test refuses v
+	if v > 2*uint64(len(ref)) || d < -*lastRef || d > len(ref)-*lastRef-length {
+		return nil, ErrCorrupt
+	}
+	pos := *lastRef + d
+	*lastRef = pos + length
+	return append(out, ref[pos:pos+length]...), nil
 }
 
 func seedHash(p []byte) uint32 {
@@ -367,7 +394,7 @@ func cheaper(a, b, lastRef, i, refLen int) bool {
 
 func addrCost(p, lastRef, i, refLen int) int {
 	if p < refLen {
-		return bits.Len(uint(zigzag(p - lastRef)))
+		return bits.Len64(zigzag(p - lastRef))
 	}
 	return bits.Len(uint(i - (p - refLen)))
 }
@@ -403,9 +430,7 @@ func Parse(ref, target []byte) []Op {
 func (m *matcher) parse() []copyOp {
 	target := m.target
 	copies := m.copies[:0]
-	lastRef := 0
-	litStart := 0
-	i := 0
+	lastRef, litStart, i := 0, 0, 0
 	for i < len(target) {
 		l, pos := m.bestMatch(i, lastRef, MinMatch)
 		if l == 0 {
@@ -439,8 +464,11 @@ func (m *matcher) parse() []copyOp {
 	return copies
 }
 
-// Encode produces a delta of target relative to ref.
-func Encode(ref, target []byte) []byte {
+// Encode produces a delta of target relative to ref, in mode 2.
+func Encode(ref, target []byte) []byte { return encode2(ref, target) }
+
+// encode0 is Encode in mode 0.
+func encode0(ref, target []byte) []byte {
 	m := acquire(ref, target)
 	defer m.release()
 	copies := m.parse()
@@ -454,7 +482,7 @@ func Encode(ref, target []byte) []byte {
 			mainFreq[b]++
 		}
 		at += int(c.lit + c.length)
-		lc, _, _ := bucket(int(c.length) - MinMatch)
+		lc, _, _ := bucket(uint64(c.length) - MinMatch)
 		mainFreq[symLenBase+lc]++
 		oc, _, _ := bucket(c.offset(&lastRef))
 		offFreq[oc]++
@@ -463,21 +491,11 @@ func Encode(ref, target []byte) []byte {
 		mainFreq[b]++
 	}
 
-	mainCode, err := huffman.Build(mainFreq)
-	if err != nil {
-		panic(err) // alphabet sizes are compile-time constants well under limits
-	}
-	offCode, err := huffman.Build(offFreq)
-	if err != nil {
-		panic(err)
-	}
+	mainCode, offCode := mustBuild(mainFreq, huffman.MaxCodeLen), mustBuild(offFreq, huffman.MaxCodeLen)
 
 	// Pass 2: emit.
 	w := bitio.NewWriter(len(target)/2 + 64)
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(target)))
-	w.WriteBytes(hdr[:n])
-	w.WriteBytes([]byte{modeHuffman})
+	w.WriteBytes(append(binary.AppendUvarint(nil, uint64(len(target))), modeHuffman))
 	mainCode.WriteTable(w)
 	offCode.WriteTable(w)
 
@@ -487,12 +505,12 @@ func Encode(ref, target []byte) []byte {
 			mustEncode(mainCode, w, int(b))
 		}
 		at += int(c.lit + c.length)
-		lc, nb, ev := bucket(int(c.length) - MinMatch)
+		lc, nb, ev := bucket(uint64(c.length) - MinMatch)
 		mustEncode(mainCode, w, symLenBase+lc)
 		w.WriteBits(ev, nb)
 		w.WriteBit(c.src >= 0)
 		oc, onb, oev := bucket(c.offset(&lastRef))
-		mustEncodeOff(offCode, w, oc)
+		mustEncode(offCode, w, oc)
 		w.WriteBits(oev, onb)
 	}
 	for _, b := range target[at:] {
@@ -510,18 +528,16 @@ func Encode(ref, target []byte) []byte {
 
 // stored is target in the stored mode.
 func stored(target []byte) []byte {
-	raw := make([]byte, 0, len(target)+storedOverhead(len(target)))
-	raw = binary.AppendUvarint(raw, uint64(len(target)))
-	raw = append(raw, modeStored)
-	return append(raw, target...)
+	raw := binary.AppendUvarint(make([]byte, 0, len(target)+storedOverhead(len(target))), uint64(len(target)))
+	return append(append(raw, modeStored), target...)
 }
 
 // offset is the value c's source is coded as: a self copy's distance, or a
 // reference copy's position as a zigzag delta from *lastRef, the end of the
 // previous reference copy, which it advances.
-func (c copyOp) offset(lastRef *int) int {
+func (c copyOp) offset(lastRef *int) uint64 {
 	if c.src < 0 {
-		return -int(c.src)
+		return uint64(-int64(c.src))
 	}
 	v := zigzag(int(c.src) - *lastRef)
 	*lastRef = int(c.src) + int(c.length)
@@ -540,15 +556,20 @@ func storedOverhead(targetLen int) int {
 	return binary.PutUvarint(tmp[:], uint64(targetLen)) + 1
 }
 
+// mustBuild builds the code for freq with codewords of at most maxLen bits.
+// Every alphabet of either mode fits its limit (mode 2's code-length code: 19
+// symbols in 7 bits), so an error is a bug.
+func mustBuild(freq []int64, maxLen int) *huffman.Code {
+	c, err := huffman.BuildLimit(freq, maxLen)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func mustEncode(c *huffman.Code, w *bitio.Writer, sym int) {
 	if err := c.Encode(w, sym); err != nil {
 		panic(fmt.Sprintf("delta: encode %d: %v", sym, err))
-	}
-}
-
-func mustEncodeOff(c *huffman.Code, w *bitio.Writer, sym int) {
-	if err := c.Encode(w, sym); err != nil {
-		panic(fmt.Sprintf("delta: encode offset %d: %v", sym, err))
 	}
 }
 
@@ -558,14 +579,11 @@ func mustEncodeOff(c *huffman.Code, w *bitio.Writer, sym int) {
 // output, so a short stream declaring a long target costs its ops, not its
 // claim. A caller that knows the length beforehand uses DecodeLen.
 func Decode(ref, enc []byte) ([]byte, error) {
-	targetLen, n := binary.Uvarint(enc)
-	if n <= 0 {
-		return nil, ErrCorrupt
-	}
+	targetLen, n := binary.Uvarint(enc) // 0 when n <= 0
 	if targetLen > 1<<32 {
 		return nil, fmt.Errorf("delta: implausible target length %d", targetLen)
 	}
-	if len(enc) <= n {
+	if n <= 0 || len(enc) <= n {
 		return nil, ErrCorrupt
 	}
 	switch enc[n] {
@@ -609,7 +627,6 @@ func Decode(ref, enc []byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			length := d + MinMatch
 			fromRef, err := r.ReadBit()
 			if err != nil {
 				return nil, err
@@ -622,21 +639,18 @@ func Decode(ref, enc []byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			if uint64(len(out))+uint64(length) > targetLen {
+			length, err := copyLen(d, out, targetLen)
+			switch {
+			case err != nil:
+				return nil, err
+			case fromRef:
+				if out, err = refCopy(out, ref, v, &lastRef, length); err != nil {
+					return nil, err
+				}
+			case v == 0 || v > uint64(len(out)):
 				return nil, ErrCorrupt
-			}
-			if fromRef {
-				pos := lastRef + unzigzag(v)
-				if pos < 0 || pos+length > len(ref) {
-					return nil, ErrCorrupt
-				}
-				out = append(out, ref[pos:pos+length]...)
-				lastRef = pos + length
-			} else {
-				if v <= 0 || v > len(out) {
-					return nil, ErrCorrupt
-				}
-				out = selfCopy(out, v, length)
+			default:
+				out = selfCopy(out, int(v), length)
 			}
 		}
 	}
@@ -671,13 +685,7 @@ func DecodeLen(ref, enc []byte, targetLen int) ([]byte, error) {
 	return Decode(ref, enc)
 }
 
-// CompressedSize returns the encoded size of target against ref without
-// retaining the encoding. Used by cost-model experiments.
-func CompressedSize(ref, target []byte) int {
-	return len(Encode(ref, target))
-}
-
-// Compress is self-referential compression (no external reference).
+// Compress is self-referential compression (no external reference), in mode 2.
 func Compress(data []byte) []byte { return Encode(nil, data) }
 
 // Decompress reverses Compress.

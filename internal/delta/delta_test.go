@@ -281,8 +281,8 @@ func TestDecodeLenChecksBeforeAllocating(t *testing.T) {
 
 	ref := []byte("the reference content with some repeated repeated text")
 	target := []byte("the reference content, edited with repeated text")
-	for _, enc := range [][]byte{Encode(ref, target), Encode(nil, target), Encode(ref, nil),
-		Mode2.Encode(ref, target), Mode2.Encode(nil, target), Mode2.Encode(ref, nil)} {
+	for _, enc := range [][]byte{Mode0.Encode(ref, target), Mode0.Encode(nil, target), Mode0.Encode(ref, nil),
+		Encode(ref, target), Encode(nil, target), Encode(ref, nil)} {
 		want, err := Decode(ref, enc)
 		if err != nil {
 			t.Fatal(err)
@@ -300,12 +300,12 @@ func TestDecodeLenChecksBeforeAllocating(t *testing.T) {
 
 func TestBucketRoundTrip(t *testing.T) {
 	for _, v := range []int{0, 1, 7, 8, 9, 15, 16, 100, 1000, 1 << 20, 1<<30 + 12345} {
-		code, nb, ev := bucket(v)
+		code, nb, ev := bucket(uint64(v))
 		w := &bitio.Writer{}
 		w.WriteBits(ev, nb)
 		r := bitio.NewReader(w.Bytes())
 		got, err := unbucket(code, r)
-		if err != nil || got != v {
+		if err != nil || got != uint64(v) {
 			t.Fatalf("bucket(%d): got %d err %v", v, got, err)
 		}
 	}

@@ -9,8 +9,8 @@ import (
 // encodings must round-trip.
 func FuzzDecode(f *testing.F) {
 	ref := []byte("the reference content with some repeated repeated text")
-	f.Add(ref, Encode(ref, []byte("the reference content, edited with repeated text")))
-	f.Add([]byte{}, Encode(nil, []byte("self-compressed payload payload payload")))
+	f.Add(ref, Mode0.Encode(ref, []byte("the reference content, edited with repeated text")))
+	f.Add([]byte{}, Mode0.Encode(nil, []byte("self-compressed payload payload payload")))
 	f.Add(ref, []byte{})
 	f.Add(ref, []byte{0xFF, 0xFF, 0xFF})
 	f.Add([]byte{}, hostileStream())
@@ -72,8 +72,8 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 		if len(ref) > 1<<16 || len(target) > 1<<16 {
 			t.Skip()
 		}
-		if got, want := Encode(ref, target), refEncode(ref, target); !bytes.Equal(got, want) {
-			t.Fatalf("Encode differs from the reference encoder: %d vs %d bytes", len(got), len(want))
+		if got, want := Mode0.Encode(ref, target), refEncode(ref, target); !bytes.Equal(got, want) {
+			t.Fatalf("Mode0.Encode differs from the reference encoder: %d vs %d bytes", len(got), len(want))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 
 	"msync/internal/bitio"
@@ -16,23 +17,23 @@ type Mode byte
 const (
 	// Mode0 is the original format: a length-code symbol, a raw ref/self
 	// bit, one offset alphabet with one code per power of two, and tables of
-	// six bits a symbol. Journal blobs, the paper's tables and every peer
-	// that does not ask for Mode2 get it.
+	// six bits a symbol. Only the writers whose bytes an older reader decodes
+	// write it (the package comment names them).
 	Mode0 Mode = Mode(modeHuffman)
-	// Mode2 puts the copy kind (reference, self, or one of the last three
-	// self distances) in the main symbol, codes reference deltas and self
-	// distances in alphabets of their own with two codes per power of two,
-	// codes its tables with a code-length code, and has a built-in code for
-	// targets too small to pay for tables.
+	// Mode2, what Encode writes, puts the copy kind (reference, self, or one
+	// of the last three self distances) in the main symbol, codes reference
+	// deltas and self distances in alphabets of their own with two codes per
+	// power of two, codes its tables with a code-length code, and has a
+	// built-in code for targets too small to pay for tables.
 	Mode2 Mode = Mode(mode2)
 )
 
 // Encode encodes target against ref in mode m.
 func (m Mode) Encode(ref, target []byte) []byte {
-	if m == Mode2 {
-		return encode2(ref, target)
+	if m == Mode0 {
+		return encode0(ref, target)
 	}
-	return Encode(ref, target)
+	return encode2(ref, target)
 }
 
 // Compress is self-referential compression in mode m.
@@ -72,21 +73,22 @@ const (
 // the trailing ones, rarely used, are trimmed.
 var clOrder = [numCL]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
 
-// bucket2 maps v >= 0 to a code: v itself below 8, then two codes per power
-// of two, split on the bit below the leading one; the extra bits place v in
-// its code.
-func bucket2(v int) (code int, nb uint, ev uint64) {
+// bucket2 maps v to a code: v itself below 8, then two codes per power of
+// two, split on the bit below the leading one; the extra bits place v in its
+// code.
+func bucket2(v uint64) (code int, nb uint, ev uint64) {
 	if v < 8 {
-		return v, 0, 0
+		return int(v), 0, 0
 	}
-	n := bits.Len(uint(v)) // >= 4
-	return 8 + 2*(n-4) + (v>>(n-2))&1, uint(n - 2), uint64(v) & (1<<(n-2) - 1)
+	n := bits.Len64(v) // >= 4
+	return 8 + 2*(n-4) + int(v>>(n-2))&1, uint(n - 2), v & (1<<(n-2) - 1)
 }
 
-// unbucket2 reverses bucket2 for a code below limit.
-func unbucket2(code, limit int, r *bitio.Reader) (int, error) {
+// unbucket2 reverses bucket2 for a code below limit. A distance code reaches
+// 2^32, past an int of 32 bits: the caller range-checks the value.
+func unbucket2(code, limit int, r *bitio.Reader) (uint64, error) {
 	if code < 8 {
-		return code, nil
+		return uint64(code), nil
 	}
 	if code >= limit {
 		return 0, ErrCorrupt
@@ -96,7 +98,7 @@ func unbucket2(code, limit int, r *bitio.Reader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return 1<<(n-1) | (code&1)<<(n-2) | int(extra), nil
+	return 1<<(n-1) | uint64(code&1)<<(n-2) | extra, nil
 }
 
 // reps are the last three distinct self distances, most recent first: a copy
@@ -254,16 +256,16 @@ type code2 struct {
 
 // code2Of codes copy c, advancing *lastRef and rp as the decoder will.
 func code2Of(c copyOp, lastRef *int, rp *reps) code2 {
-	lc, lnb, lev := bucket2(int(c.length) - MinMatch)
+	lc, lnb, lev := bucket2(uint64(c.length) - MinMatch)
 	k := code2{lnb: int(lnb), lev: lev, dist: -1}
 	kind := kindRef
-	var v int
+	var v uint64
 	if c.src >= 0 {
 		v = zigzag(int(c.src) - *lastRef)
 		*lastRef = int(c.src) + int(c.length)
 	} else {
 		kind = rp.selfKind(-int(c.src))
-		v = -int(c.src) - 1
+		v = uint64(-int64(c.src)) - 1
 	}
 	k.sym = symCopyBase + kind*numLen2 + lc
 	if kind <= kindSelf {
@@ -307,46 +309,40 @@ func encode2(ref, target []byte) []byte {
 		main[b]++
 	}
 
-	dyn := tables2{mustBuild2(main), mustBuild2(refF), mustBuild2(selfF)}
-	toks := clTokens(dyn)
-	var clFreq [numCL]int64
-	for _, t := range toks {
-		clFreq[t.sym]++
-	}
-	cl, err := huffman.BuildLimit(clFreq[:], maxCLLen)
-	if err != nil {
-		panic(err) // 19 symbols always fit 7 bits
-	}
-	hclen := numCL
-	for hclen > 4 && cl.Length(int(clOrder[hclen-1])) == 0 {
-		hclen--
-	}
 	// Choose the table from the counts alone: the dynamic tables cost their
-	// header, the built-in code nothing; the extra bits are the same.
-	dynBits := 1 + 8 + 7 + 7 + 4 + 3*hclen
-	for _, t := range toks {
-		dynBits += cl.Length(int(t.sym)) + int(clExtra[t.sym])
-	}
-	fixedBits := 1
-	for _, f := range [...]struct {
-		freq []int64
-		dyn  *huffman.Code
-		fix  []uint8
-	}{{main, dyn.main, builtinMain[:]}, {refF, dyn.ref, builtinDist[:]}, {selfF, dyn.self, builtinDist[:]}} {
-		for s, n := range f.freq {
-			dynBits += int(n) * f.dyn.Length(s)
-			fixedBits += int(n) * int(f.fix[s])
+	// header, the built-in code nothing; the extra bits are the same. The
+	// tables are built only when a lower bound on their bits beats the
+	// built-in code: no prefix code takes fewer bits than the counts'
+	// entropy, and no header fewer than its fixed fields, a token of at least
+	// a bit for the length that starts a run of used symbols (half a bit for
+	// one a repeat may carry) and min(z, 4) bits for a run of z zero lengths
+	// before it (clTokens' zero runs).
+	freqs, fixes := [3][]int64{main, refF, selfF}, [3][]uint8{builtinMain[:], builtinDist[:], builtinDist[:]}
+	fixedBits, bound := 1, float64(dynHeaderMin)
+	for i, f := range freqs {
+		zeros, total := 0, 0.0
+		for s, n := range f {
+			if n == 0 {
+				zeros++
+				continue
+			}
+			if zeros > 0 {
+				bound += 0.5 + float64(min(zeros, 4)) // a run's first length and the zeros before it
+			}
+			bound += 0.5 - float64(n)*math.Log2(float64(n))
+			fixedBits += int(n) * int(fixes[i][s])
+			total += float64(n)
+			zeros = 0
 		}
+		bound += total * math.Log2(max(total, 1))
 	}
 
 	w := bitio.NewWriter(len(target)/2 + 64)
-	w.WriteBytes(binary.AppendUvarint(nil, uint64(len(target))))
-	w.WriteBytes([]byte{mode2})
+	w.WriteBytes(append(binary.AppendUvarint(nil, uint64(len(target))), mode2))
 	codes := builtin2
-	if dynBits < fixedBits {
-		codes = dyn
-		w.WriteBit(true)
-		writeTables2(w, dyn, cl, toks, hclen)
+	// One bit of slack covers the rounding of the entropy's sums.
+	if bound-1 < float64(fixedBits) {
+		codes = dynamic2(freqs, fixedBits, w)
 	} else {
 		w.WriteBit(false)
 	}
@@ -365,7 +361,7 @@ func encode2(ref, target []byte) []byte {
 			if c.src >= 0 {
 				dc = codes.ref
 			}
-			mustEncodeOff(dc, w, k.dist)
+			mustEncode(dc, w, k.dist)
 			w.WriteBits(k.dev, uint(k.dnb))
 		}
 	}
@@ -380,12 +376,45 @@ func encode2(ref, target []byte) []byte {
 	return out
 }
 
-func mustBuild2(freq []int64) *huffman.Code {
-	c, err := huffman.BuildLimit(freq, maxLen2)
-	if err != nil {
-		panic(err) // every alphabet of mode 2 fits 15 bits
+// dynHeaderMin is the fewest bits the dynamic tables' header takes: the
+// flag, the three counts, hclen and four code-length code lengths.
+const dynHeaderMin = 1 + 8 + 7 + 7 + 4 + 3*4
+
+// dynamic2 builds the dynamic tables for the main, reference and self counts
+// and returns the code the target is written in, having written its flag to
+// w: the dynamic tables, and them after the flag, when they take fewer bits
+// than the built-in code's fixedBits; otherwise the built-in code.
+func dynamic2(freqs [3][]int64, fixedBits int, w *bitio.Writer) tables2 {
+	var c [3]*huffman.Code
+	dynBits := 0
+	for i, f := range freqs {
+		c[i] = mustBuild(f, maxLen2)
+		for s, n := range f {
+			dynBits += int(n) * c[i].Length(s)
+		}
 	}
-	return c
+	dyn := tables2{c[0], c[1], c[2]}
+	toks := clTokens(dyn)
+	var clFreq [numCL]int64
+	for _, t := range toks {
+		clFreq[t.sym]++
+	}
+	cl := mustBuild(clFreq[:], maxCLLen)
+	hclen := numCL
+	for hclen > 4 && cl.Length(int(clOrder[hclen-1])) == 0 {
+		hclen--
+	}
+	dynBits += dynHeaderMin + 3*(hclen-4)
+	for _, t := range toks {
+		dynBits += cl.Length(int(t.sym)) + int(clExtra[t.sym])
+	}
+	if dynBits >= fixedBits {
+		w.WriteBit(false)
+		return builtin2
+	}
+	w.WriteBit(true)
+	writeTables2(w, dyn, cl, toks, hclen)
+	return dyn
 }
 
 // clTok is one symbol of the code-length code and its extra bits.
@@ -587,9 +616,9 @@ func decode2(ref []byte, r *bitio.Reader, targetLen uint64, out []byte) ([]byte,
 		if err != nil {
 			return nil, err
 		}
-		length := v + MinMatch
-		if uint64(len(out))+uint64(length) > targetLen {
-			return nil, ErrCorrupt
+		length, err := copyLen(v, out, targetLen)
+		if err != nil {
+			return nil, err
 		}
 		var dist int
 		switch kind {
@@ -606,15 +635,17 @@ func decode2(ref []byte, r *bitio.Reader, targetLen uint64, out []byte) ([]byte,
 				return nil, err
 			}
 			if kind == kindRef {
-				pos := lastRef + unzigzag(v)
-				if pos < 0 || pos+length > len(ref) {
-					return nil, ErrCorrupt
+				if out, err = refCopy(out, ref, v, &lastRef, length); err != nil {
+					return nil, err
 				}
-				out = append(out, ref[pos:pos+length]...)
-				lastRef = pos + length
 				continue
 			}
-			dist = v + 1
+			// A new distance reaches into the output: so does every rep,
+			// the output only growing.
+			if v >= uint64(len(out)) {
+				return nil, ErrCorrupt
+			}
+			dist = int(v) + 1
 			rp.push(dist)
 		default:
 			i := kind - kindRep0
@@ -623,11 +654,6 @@ func decode2(ref []byte, r *bitio.Reader, targetLen uint64, out []byte) ([]byte,
 			}
 			dist = rp.d[i]
 			rp.use(i)
-		}
-		// A distance coded at the top of the alphabet is not an int of 32
-		// bits: on such a platform it wraps below 1.
-		if dist <= 0 || dist > len(out) {
-			return nil, ErrCorrupt
 		}
 		out = selfCopy(out, dist, length)
 	}

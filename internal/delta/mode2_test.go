@@ -17,7 +17,8 @@ func modeOf(enc []byte) byte {
 }
 
 // TestMode2RoundTrip: every corpus, edge and index pair decodes from its
-// mode-2 encoding, which is mode 2 or stored; Mode0 is Encode.
+// mode-2 encoding, which is mode 2 or stored; Mode2 is Encode, and Mode0
+// writes mode 0 or stored.
 func TestMode2RoundTrip(t *testing.T) {
 	for _, p := range append(append(corpusPairs(), edgePairs()...), indexPairs()...) {
 		enc := Mode2.Encode(p.ref, p.target)
@@ -28,8 +29,15 @@ func TestMode2RoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(got, p.target) {
 			t.Fatalf("%s (ref %d B, target %d B): mode-2 round trip: %v", p.name, len(p.ref), len(p.target), err)
 		}
-		if !bytes.Equal(Mode0.Encode(p.ref, p.target), Encode(p.ref, p.target)) {
-			t.Fatalf("%s: Mode0.Encode is not Encode", p.name)
+		if !bytes.Equal(enc, Encode(p.ref, p.target)) {
+			t.Fatalf("%s: Mode2.Encode is not Encode", p.name)
+		}
+		enc0 := Mode0.Encode(p.ref, p.target)
+		if m := modeOf(enc0); m != modeHuffman && m != modeStored {
+			t.Fatalf("%s: Mode0 wrote mode %d", p.name, m)
+		}
+		if got, err := DecodeLen(p.ref, enc0, len(p.target)); err != nil || !bytes.Equal(got, p.target) {
+			t.Fatalf("%s (ref %d B, target %d B): mode-0 round trip: %v", p.name, len(p.ref), len(p.target), err)
 		}
 	}
 }
@@ -61,14 +69,14 @@ func TestMode2NeverLarger(t *testing.T) {
 		var sum0, sum2 int
 		var stream []byte
 		for _, p := range treePairs(pr.name, pr.v1, pr.v2) {
-			n0, n2 := len(Encode(p.ref, p.target)), len(Mode2.Encode(p.ref, p.target))
+			n0, n2 := len(Mode0.Encode(p.ref, p.target)), len(Mode2.Encode(p.ref, p.target))
 			if n2 > n0 {
 				t.Errorf("%s (ref %d B, target %d B): mode 2 is %d bytes, mode 0 %d", p.name, len(p.ref), len(p.target), n2, n0)
 			}
 			sum0, sum2 = sum0+n0, sum2+n2
 			stream = append(stream, p.target...)
 		}
-		s0, s2 := len(Compress(stream)), len(Mode2.Compress(stream))
+		s0, s2 := len(Mode0.Compress(stream)), len(Mode2.Compress(stream))
 		if s2 > s0 {
 			t.Errorf("%s: the %d-byte stream is %d bytes in mode 2, %d in mode 0", pr.name, len(stream), s2, s0)
 		}
@@ -150,7 +158,7 @@ func TestSelfCopy(t *testing.T) {
 		}
 	}
 	run := append([]byte("xy"), bytes.Repeat([]byte("xy"), 500)...)
-	for _, enc := range [][]byte{Compress(run), Mode2.Compress(run)} {
+	for _, enc := range [][]byte{Mode0.Compress(run), Mode2.Compress(run)} {
 		if got, err := Decompress(enc); err != nil || !bytes.Equal(got, run) {
 			t.Fatalf("mode %d: an overlapping copy of distance 2: %v", modeOf(enc), err)
 		}
@@ -167,7 +175,7 @@ func (o op2) literal(b byte) { mustEncode(builtin2.main, o.w, int(b)) }
 func (o op2) copy(kind, length, dist int) {
 	mustEncode(builtin2.main, o.w, symCopyBase+kind*numLen2+length-MinMatch)
 	if kind == kindSelf {
-		dc, nb, ev := bucket2(dist - 1)
+		dc, nb, ev := bucket2(uint64(dist - 1))
 		mustEncode(builtin2.self, o.w, dc)
 		o.w.WriteBits(ev, nb)
 	}

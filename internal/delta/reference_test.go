@@ -177,7 +177,7 @@ func refEncode(ref, target []byte) []byte {
 			}
 			continue
 		}
-		c, _, _ := bucket(o.Length - MinMatch)
+		c, _, _ := bucket(uint64(o.Length - MinMatch))
 		mainFreq[symLenBase+c]++
 	}
 	// Offsets need the same lastRef walk as emission; do it once here.
@@ -186,12 +186,12 @@ func refEncode(ref, target []byte) []byte {
 		if o.Literal != nil {
 			continue
 		}
-		var v int
+		var v uint64
 		if o.FromRef {
 			v = zigzag(o.RefPos - lastRef)
 			lastRef = o.RefPos + o.Length
 		} else {
-			v = o.Dist
+			v = uint64(o.Dist)
 		}
 		c, _, _ := bucket(v)
 		offFreq[c]++
@@ -223,19 +223,19 @@ func refEncode(ref, target []byte) []byte {
 			}
 			continue
 		}
-		c, nb, ev := bucket(o.Length - MinMatch)
+		c, nb, ev := bucket(uint64(o.Length - MinMatch))
 		mustEncode(mainCode, w, symLenBase+c)
 		w.WriteBits(ev, nb)
 		w.WriteBit(o.FromRef)
-		var v int
+		var v uint64
 		if o.FromRef {
 			v = zigzag(o.RefPos - lastRef)
 			lastRef = o.RefPos + o.Length
 		} else {
-			v = o.Dist
+			v = uint64(o.Dist)
 		}
 		oc, onb, oev := bucket(v)
-		mustEncodeOff(offCode, w, oc)
+		mustEncode(offCode, w, oc)
 		w.WriteBits(oev, onb)
 	}
 	mustEncode(mainCode, w, symEOB)

@@ -115,16 +115,17 @@ func indexPairs() []pair {
 func TestEncodeMatchesReference(t *testing.T) {
 	ps := append(append(corpusPairs(), edgePairs()...), indexPairs()...)
 	for _, p := range ps {
-		got, want := Encode(p.ref, p.target), refEncode(p.ref, p.target)
+		got, want := Mode0.Encode(p.ref, p.target), refEncode(p.ref, p.target)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s (ref %d B, target %d B): Encode differs from the reference encoder: %d vs %d bytes",
+			t.Fatalf("%s (ref %d B, target %d B): Mode0.Encode differs from the reference encoder: %d vs %d bytes",
 				p.name, len(p.ref), len(p.target), len(got), len(want))
 		}
 	}
-	// Compress is the empty-ref path every FULL payload and store blob takes.
+	// Mode0.Compress is the empty-ref path every store blob and the manifest
+	// column take.
 	for _, p := range ps {
-		if !bytes.Equal(Compress(p.target), refEncode(nil, p.target)) {
-			t.Fatalf("%s: Compress differs from the reference encoder", p.name)
+		if !bytes.Equal(Mode0.Compress(p.target), refEncode(nil, p.target)) {
+			t.Fatalf("%s: Mode0.Compress differs from the reference encoder", p.name)
 		}
 	}
 }
@@ -214,8 +215,8 @@ func TestResetBoundary(t *testing.T) {
 		}
 		m.release()
 		for _, p := range []pair{{"boundary", nil, data[:n]}, {"after", next[:1500], next[1500:]}, {"after-compress", nil, next}} {
-			if !bytes.Equal(Encode(p.ref, p.target), refEncode(p.ref, p.target)) {
-				t.Fatalf("%d buckets, %s: Encode differs from the reference encoder", len(seen), p.name)
+			if !bytes.Equal(Mode0.Encode(p.ref, p.target), refEncode(p.ref, p.target)) {
+				t.Fatalf("%d buckets, %s: Mode0.Encode differs from the reference encoder", len(seen), p.name)
 			}
 		}
 	}
@@ -248,8 +249,8 @@ func TestConcurrentEncodeMatchesSerial(t *testing.T) {
 				// Each goroutine walks the sizes from its own start, so
 				// every scratch sees large then small inputs.
 				i := (g + k) % len(ps)
-				if got := Encode(ps[i].ref, ps[i].target); !bytes.Equal(got, want[i]) {
-					t.Errorf("goroutine %d: concurrent Encode of the %s-byte pair differs from its serial result", g, ps[i].name)
+				if got := Mode0.Encode(ps[i].ref, ps[i].target); !bytes.Equal(got, want[i]) {
+					t.Errorf("goroutine %d: concurrent Mode0.Encode of the %s-byte pair differs from its serial result", g, ps[i].name)
 					return
 				}
 			}

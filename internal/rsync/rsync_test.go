@@ -2,11 +2,14 @@ package rsync
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"msync/internal/corpus"
+	"msync/internal/delta"
+	"msync/internal/md4"
 )
 
 // signMatchPatch runs the full pipeline without compression and checks
@@ -75,6 +78,27 @@ func TestSyncCostBeatsFullTransfer(t *testing.T) {
 	}
 	t.Logf("rsync: c2s %d, s2c %d (%.2f%% of file)", r.C2S, r.S2C,
 		100*float64(total)/float64(len(cur)))
+}
+
+// TestTokenStreamIsMode2: Sync compresses its token stream, the stand-in for
+// rsync's gzip pass, in delta mode 2, the coder sessions run; no older reader
+// decodes it.
+func TestTokenStreamIsMode2(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	old := corpus.SourceText(rng, 60_000)
+	cur := corpus.EditModel{BurstsPer32KB: 4, BurstEdits: 4, EditSize: 40, BurstSpread: 300}.Apply(rng, old)
+	tokens := GenerateTokens(Sign(old, DefaultBlockSize, DefaultStrongLen), cur)
+	enc, enc0 := delta.Mode2.Compress(tokens), delta.Mode0.Compress(tokens)
+	if _, n := binary.Uvarint(enc); enc[n] != 2 || len(enc) == len(enc0) {
+		t.Fatalf("the token stream is mode %d in %d bytes, %d in mode 0: not one mode 2 alone writes", enc[n], len(enc), len(enc0))
+	}
+	r := Sync(old, cur, DefaultBlockSize, DefaultStrongLen)
+	if r.FellBack || !bytes.Equal(r.Output, cur) {
+		t.Fatal("Sync did not reconstruct the file from its tokens")
+	}
+	if r.S2C != len(enc)+md4.Size {
+		t.Fatalf("Sync sent %d bytes: mode 2's stream and sum are %d, mode 0's %d", r.S2C, len(enc)+md4.Size, len(enc0)+md4.Size)
+	}
 }
 
 func TestTailBlockMatch(t *testing.T) {

@@ -53,12 +53,18 @@ import (
 // Entry is one manifest row: a path with its length and whole-file checksum.
 type Entry = filelist.Entry
 
+// blobMode is the delta format of every blob the store writes, journal and
+// GC rescue alike, and of every payload it computes: mode 0. A journal answer
+// serves them inline to any announcing receiver, whatever its hello asked for,
+// and a receiver that predates delta mode 2 decodes only mode 0.
+const blobMode = delta.Mode0
+
 // Change describes one path's evolution between a Delta's base and current
 // versions, with the payload a client needs to apply it.
 type Change struct {
 	filelist.Change
-	// Payload is delta.Encode(base content, current content) for
-	// filelist.OpModify and delta.Compress(current content) for
+	// Payload is blobMode.Encode(base content, current content) for
+	// filelist.OpModify and blobMode.Compress(current content) for
 	// filelist.OpAdd; nil for filelist.OpDelete.
 	Payload []byte
 }
@@ -590,14 +596,14 @@ func (s *Store) Snapshot(manifest []Entry, digest [md4.Size]byte, load func(stri
 		if len(data) != ch.New.Len || md4.Sum(data) != ch.New.Sum {
 			return 0, false, fmt.Errorf("store: %q changed during snapshot", ch.New.Path)
 		}
-		blob := delta.Compress(data)
+		blob := blobMode.Compress(data)
 		ref := blobRef{seg: seg, kind: blobFull}
 		if ch.Op == filelist.OpModify {
 			// Prefer a delta against the previous version's content when it
 			// is resolvable, the chain stays bounded, and it actually wins.
 			if baseRef, ok := s.blobs[ch.Old.Sum]; ok && baseRef.chain < maxChain && s.chainOK(baseRef) {
 				if base, err := s.content(ch.Old.Sum, memo); err == nil {
-					if d := delta.Encode(base, data); len(d) < len(blob) {
+					if d := blobMode.Encode(base, data); len(d) < len(blob) {
 						blob = d
 						ref.kind = blobDelta
 						ref.base = ch.Old.Sum
@@ -757,7 +763,7 @@ func (s *Store) Delta(base uint64, baseDigest, currentDigest [md4.Size]byte) (*D
 	return d, true
 }
 
-// fullPayload returns delta.Compress(content): the stored blob verbatim when
+// fullPayload returns blobMode.Compress(content): the stored blob verbatim when
 // it is already a full blob, else recompressed from reconstructed content.
 func (s *Store) fullPayload(sum [md4.Size]byte, memo map[[md4.Size]byte][]byte) ([]byte, error) {
 	if ref, ok := s.blobs[sum]; ok && ref.kind == blobFull {
@@ -767,10 +773,10 @@ func (s *Store) fullPayload(sum [md4.Size]byte, memo map[[md4.Size]byte][]byte) 
 	if err != nil {
 		return nil, err
 	}
-	return delta.Compress(data), nil
+	return blobMode.Compress(data), nil
 }
 
-// modifyPayload returns delta.Encode(old content, new content), reusing the
+// modifyPayload returns blobMode.Encode(old content, new content), reusing the
 // stored single-step delta blob when it was computed against exactly oldSum.
 func (s *Store) modifyPayload(oldSum, newSum [md4.Size]byte, memo map[[md4.Size]byte][]byte) ([]byte, error) {
 	if ref, ok := s.blobs[newSum]; ok && ref.kind == blobDelta && ref.base == oldSum {
@@ -784,7 +790,7 @@ func (s *Store) modifyPayload(oldSum, newSum [md4.Size]byte, memo map[[md4.Size]
 	if err != nil {
 		return nil, err
 	}
-	return delta.Encode(old, data), nil
+	return blobMode.Encode(old, data), nil
 }
 
 // gc drops oldest versions while segment bytes exceed the budget, never
@@ -866,7 +872,7 @@ func (s *Store) dropOldest() bool {
 			if err != nil {
 				continue // damaged chain: content is lost either way
 			}
-			blob := delta.Compress(data)
+			blob := blobMode.Compress(data)
 			rescueRefs[sum] = blobRef{
 				seg:  rescueName,
 				off:  int64(len(rescueBuf)),

@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"msync/internal/alloctest"
@@ -742,5 +745,92 @@ func TestOpenAllocsGrowWithVersionsNotFiles(t *testing.T) {
 	if perVersion := (int64(costs[1]) - int64(costs[0])) / 28; perVersion > ceiling {
 		t.Errorf("Open allocates %d B at 4 versions and %d B at 32: %d B a version, ceiling %d",
 			costs[0], costs[1], perVersion, ceiling)
+	}
+}
+
+// TestBlobsStayMode0: every blob the store writes — a full blob, a delta
+// blob, a GC rescue blob — and every payload a journal delta carries is delta
+// mode 0 (or stored), whatever the coder's default: a journal answer serves
+// them inline to any announcing receiver, one that predates mode 2 included.
+func TestBlobsStayMode0(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mode := func(enc []byte) byte {
+		_, n := binary.Uvarint(enc)
+		if n <= 0 || n >= len(enc) {
+			t.Fatal("an encoding without a mode byte")
+		}
+		return enc[n]
+	}
+	// As TestGCRescueKeepsSurvivorContent, with a text that changes a little
+	// each version, so it is stored as delta blobs.
+	stable := bytes.Repeat([]byte("stable content that lives in v1's segment "), 100)
+	text := bytes.Repeat([]byte("a log line that repeats, then one that does not: "), 80)
+	noise := func(seed uint32, n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			seed = seed*1664525 + 1013904223
+			out[i] = byte(seed >> 24)
+		}
+		return out
+	}
+	mk := func(rev int) map[string][]byte {
+		return map[string][]byte{
+			"stable.bin": stable,
+			"churn.bin":  noise(uint32(rev), 3000),
+			"log.txt":    append(slices.Clone(text), fmt.Sprintf("revision %d\n", rev)...),
+		}
+	}
+	kinds := map[string]int{}
+	checkBlobs := func() {
+		for _, ref := range s.blobs {
+			blob, err := s.readBlob(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch m := mode(blob); {
+			case m == 1:
+				continue // stored
+			case m != 0:
+				t.Fatalf("a blob in %s is mode %d", ref.seg, m)
+			case strings.HasPrefix(ref.seg, "r"):
+				kinds["rescue"]++
+			case ref.kind == blobDelta:
+				kinds["delta"]++
+			default:
+				kinds["full"]++
+			}
+		}
+	}
+	var trees []map[string][]byte
+	for i := 0; i < 5; i++ {
+		trees = append(trees, mk(i+1))
+		snap(t, s, trees[i])
+	}
+	checkBlobs()
+	s.opt.Budget = 4000 // the next snapshot drops v1 and rescues what survives of it
+	trees = append(trees, mk(6))
+	snap(t, s, trees[5])
+	checkBlobs()
+	if kinds["rescue"] == 0 || kinds["delta"] == 0 || kinds["full"] == 0 {
+		t.Fatalf("mode-0 blobs by kind %v: want a rescue, a delta and a full one", kinds)
+	}
+
+	base := versions(s)[0]
+	bm, m := manifestOf(trees[base-1]), manifestOf(trees[5])
+	d, ok := s.Delta(base, digestOf(bm), digestOf(m))
+	if !ok {
+		t.Fatalf("Delta from v%d missed", base)
+	}
+	for _, ch := range d.Changes {
+		if ch.Payload != nil && mode(ch.Payload) > 1 {
+			t.Fatalf("%s: a journal payload in mode %d", ch.New.Path, mode(ch.Payload))
+		}
+	}
+	if got := applyDelta(t, d, trees[base-1]); !sameTree(got, trees[5]) {
+		t.Fatal("the journal delta does not reconstruct the latest version")
 	}
 }

@@ -193,7 +193,7 @@ func TestCompetitiveWithDelta(t *testing.T) {
 	em := corpus.EditModel{BurstsPer32KB: 2, BurstEdits: 4, EditSize: 60, BurstSpread: 300}
 	tgt := em.Apply(rng, src)
 	v := CompressedSize(src, tgt)
-	d := delta.CompressedSize(src, tgt)
+	d := len(delta.Encode(src, tgt))
 	if v > len(tgt)/4 {
 		t.Fatalf("vcdiff %d bytes for a lightly-edited %d-byte file", v, len(tgt))
 	}
