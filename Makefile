@@ -56,7 +56,7 @@ cross:
 # builds and vets 32-bit code; this runs it.
 TEST386_PKGS = ./internal/bitio ./internal/huffman ./internal/delta ./internal/md4 \
 	./internal/rolling ./internal/gtest ./internal/cdc ./internal/core \
-	./internal/merkle ./internal/wire ./internal/filelist
+	./internal/merkle ./internal/wire ./internal/filelist ./internal/collection
 test-386:
 	GOARCH=386 $(GO) test $(TEST386_PKGS)
 

@@ -115,21 +115,23 @@ func TestConfigRoundTripMapMode(t *testing.T) {
 	cdc := core.DefaultConfig()
 	cdc.MapMode = core.MapCDC
 
-	got, stream, err := decodeConfig(encodeConfig(&cdc, false))
-	if err != nil || stream {
-		t.Fatal(err, stream)
+	got, g, err := decodeConfig(encodeConfig(&cdc, grantNone))
+	if err != nil || g != grantNone {
+		t.Fatal(err, g)
 	}
 	if got.MapMode != core.MapCDC {
 		t.Fatalf("MapMode lost in round trip: %+v", got)
 	}
-	h := encodeConfig(&halving, false)
+	h := encodeConfig(&halving, grantNone)
 	for _, c := range []struct {
 		raw  []byte
 		grow int
 	}{
-		{encodeConfig(&cdc, false), 1},
-		{encodeConfig(&cdc, true), 2},
-		{encodeConfig(&halving, true), 2},
+		{encodeConfig(&cdc, grantNone), 1},
+		{encodeConfig(&cdc, grantStream), 2},
+		{encodeConfig(&cdc, grantDeltaStream), 3},
+		{encodeConfig(&halving, grantStream), 2},
+		{encodeConfig(&halving, grantDeltaStream), 3},
 	} {
 		if len(c.raw) != len(h)+c.grow {
 			t.Fatalf("config of %d bytes, want %d trailing bytes after the %d-byte legacy one", len(c.raw), c.grow, len(h))
@@ -138,7 +140,7 @@ func TestConfigRoundTripMapMode(t *testing.T) {
 			t.Fatalf("trailing fields changed the legacy prefix")
 		}
 	}
-	bad := append(encodeConfig(&halving, true), 0)
+	bad := append(encodeConfig(&halving, grantStream), 0)
 	bad[len(bad)-2] = 2
 	if _, _, err := decodeConfig(bad[:len(bad)-1]); !errors.Is(err, core.ErrProtocol) {
 		t.Fatalf("a stream grant of 2: %v, want core.ErrProtocol", err)

@@ -124,7 +124,8 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 
 	// HELLO: the options this client was given, as mode and extensions. A
 	// tree pull always asks for speculative descent and cross-file matching;
-	// every pull for the whole-content stream and for delta mode 2.
+	// every pull for the whole-content stream, delta mode 2 and the delta
+	// stream.
 	s.mode = modeManifest
 	if c.TreeManifest {
 		s.mode = modeTree
@@ -134,7 +135,7 @@ func (c *Client) SyncContext(ctx context.Context, conn io.ReadWriter) (res *Resu
 		s.ext.announce = int64(c.BaseVersion)
 	}
 	s.ext.mapMode = c.MapMode
-	s.ext.stream, s.ext.delta2 = true, true
+	s.ext.stream, s.ext.delta2, s.ext.dstream = true, true, true
 	if err := s.sendHello(rolePull); err != nil {
 		return nil, asHandshake(err)
 	}
@@ -255,13 +256,15 @@ func (s *session) verdicts(res *Result, det receiverDetector, list []ManifestEnt
 	s.answered()
 	vp := wire.NewParser(vraw)
 	cfgRaw, err := vp.Bytes()
-	cfg, stream, err2 := decodeConfig(cfgRaw)
+	cfg, g, err2 := decodeConfig(cfgRaw)
 	if err = cmp.Or(err, err2); err != nil {
 		return nil, err
 	}
-	if stream && !s.ext.stream {
-		return nil, fmt.Errorf("%w: VERDICTS grant a whole-content stream not asked for", core.ErrProtocol)
+	if g >= grantStream && !s.ext.stream || g == grantDeltaStream && !s.ext.dstream {
+		return nil, fmt.Errorf("%w: VERDICTS grant a stream not asked for", core.ErrProtocol)
 	}
+	s.grant = g
+	stream := g >= grantStream
 	cfg.Workers = s.cfg.Workers
 	s.cfg = cfg
 	s.st.setMode(cfg.MapMode)
@@ -464,7 +467,7 @@ func (s *session) newClientFile(path string, newLen int, alts []string) (clientF
 func (s *session) receive(res *Result, work *clientWork) error {
 	res.PerFile = make(map[string]int64, len(work.files))
 	n := len(work.files)
-	cs := &clientStream{files: append(work.files[:n:n], work.settled...), nEng: n, buf: s.buf}
+	cs := &clientStream{files: append(work.files[:n:n], work.settled...), nEng: n, buf: s.buf, deltaStream: s.grant == grantDeltaStream}
 	if err := s.consumeStream(cs, res); err != nil {
 		return err
 	}

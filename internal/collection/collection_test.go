@@ -71,13 +71,13 @@ func TestConfigRoundTrip(t *testing.T) {
 		core.OneShotConfig(512),
 	}
 	for i, cfg := range configs {
-		for _, stream := range []bool{false, true} {
-			got, granted, err := decodeConfig(encodeConfig(&cfg, stream))
+		for _, g := range []grant{grantNone, grantStream, grantDeltaStream} {
+			got, granted, err := decodeConfig(encodeConfig(&cfg, g))
 			if err != nil {
 				t.Fatalf("config %d: %v", i, err)
 			}
-			if got != cfg || granted != stream {
-				t.Fatalf("config %d: got %+v (stream %v) want %+v (stream %v)", i, got, granted, cfg, stream)
+			if got != cfg || granted != g {
+				t.Fatalf("config %d: got %+v (grant %d) want %+v (grant %d)", i, got, granted, cfg, g)
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func TestConfigPresetsKeepTheirBytes(t *testing.T) {
 		{"basic", core.BasicConfig(), "801080010008060a2810010101020001000080028020050400000000"},
 		{"oneshot512", core.OneShotConfig(512), "8004800400080c0a2810010101020001000080028020050400000000"},
 	} {
-		if got := hex.EncodeToString(encodeConfig(&tc.cfg, false)); got != tc.hex {
+		if got := hex.EncodeToString(encodeConfig(&tc.cfg, grantNone)); got != tc.hex {
 			t.Errorf("%s encodes as %s, want %s", tc.name, got, tc.hex)
 		}
 	}
@@ -146,7 +146,7 @@ func TestConfigRefusesRetiredTechniques(t *testing.T) {
 
 func TestConfigDecodeTruncation(t *testing.T) {
 	cfg := core.DefaultConfig()
-	raw := encodeConfig(&cfg, false)
+	raw := encodeConfig(&cfg, grantNone)
 	for cut := 0; cut < len(raw); cut++ {
 		if _, _, err := decodeConfig(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)

@@ -28,12 +28,23 @@ const (
 // in step with that peer.
 var errRetiredConfig = fmt.Errorf("%w: config switches on a retired technique", core.ErrProtocol)
 
+// grant is what a holder grants of a receiver's hello and ships after the
+// config: nothing, the whole-content stream (hello extension 5), or that and
+// the delta stream (hello extension 7), which is only granted with it. Its
+// value is the number of grant fields, each a 1, after the config's map mode.
+type grant byte
+
+const (
+	grantNone grant = iota
+	grantStream
+	grantDeltaStream
+)
+
 // encodeConfig serializes the protocol configuration. The server is
 // authoritative: it ships its config in the verdicts message and the client
-// builds its engines from it, so both sides always plan identically. stream
-// grants the whole-content stream (hello extension 5); it is no part of the
-// config itself, so ConfigFingerprint encodes without it.
-func encodeConfig(c *core.Config, stream bool) []byte {
+// builds its engines from it, so both sides always plan identically. g is no
+// part of the config itself, so ConfigFingerprint encodes without it.
+func encodeConfig(c *core.Config, g grant) []byte {
 	b := wire.NewBuffer(64)
 	b.Uvarint(uint64(c.MaxBlockSize))
 	b.Uvarint(uint64(c.MinBlockSize))
@@ -63,22 +74,22 @@ func encodeConfig(c *core.Config, stream bool) []byte {
 	// negotiated CDC (hello extension 4) append it; halving sessions end
 	// the config here, byte-identical to pre-CDC servers. A granted stream
 	// is a second one, a 1, after the map mode, which is then written even
-	// for halving.
-	if c.MapMode != core.MapHalving || stream {
+	// for halving; a granted delta stream a third, a 1 again.
+	if c.MapMode != core.MapHalving || g != grantNone {
 		b.Uvarint(uint64(c.MapMode))
 	}
-	if stream {
+	for range g {
 		b.Uvarint(1)
 	}
 	return b.Build()
 }
 
-// decodeConfig parses a configuration and whether it grants the whole-content
-// stream. A config that switches on a retired technique is refused with
-// errRetiredConfig; the retired numbers are read and ignored. One that does
-// not parse, grants with anything but a 1 or fails Validate is a protocol
-// error too: the holder's config sizes the receiver's engines.
-func decodeConfig(p []byte) (core.Config, bool, error) {
+// decodeConfig parses a configuration and what it grants. A config that
+// switches on a retired technique is refused with errRetiredConfig; the
+// retired numbers are read and ignored. One that does not parse, grants with
+// anything but a 1 or fails Validate is a protocol error too: the holder's
+// config sizes the receiver's engines.
+func decodeConfig(p []byte) (core.Config, grant, error) {
 	pr := wire.NewParser(p)
 	var err error
 	num := func() uint64 {
@@ -116,21 +127,21 @@ func decodeConfig(p []byte) (core.Config, bool, error) {
 	if err == nil && pr.Remaining() > 0 {
 		c.MapMode = core.MapMode(num())
 	}
-	var stream bool
-	if err == nil && pr.Remaining() > 0 {
-		stream = num() == 1
-		if !stream && err == nil {
+	g := grantNone
+	for g < grantDeltaStream && err == nil && pr.Remaining() > 0 {
+		if num() != 1 && err == nil {
 			err = fmt.Errorf("a stream grant other than 1")
 		}
+		g++
 	}
 	if err != nil {
-		return c, false, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
+		return c, grantNone, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
 	}
 	if twoPhase || local || adaptive || (family != "" && family != "poly") {
-		return c, false, fmt.Errorf("%w (two-phase %v, local hashes %v, adaptive %v, hash family %q)", errRetiredConfig, twoPhase, local, adaptive, family)
+		return c, grantNone, fmt.Errorf("%w (two-phase %v, local hashes %v, adaptive %v, hash family %q)", errRetiredConfig, twoPhase, local, adaptive, family)
 	}
 	if err := c.Validate(); err != nil {
-		return c, false, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
+		return c, grantNone, fmt.Errorf("%w: collection: config: %w", core.ErrProtocol, err)
 	}
-	return c, stream, nil
+	return c, g, nil
 }

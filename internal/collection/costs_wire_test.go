@@ -100,7 +100,9 @@ func (m misstated) Manifest() ([]ManifestEntry, error) {
 //
 // The +mux rows are sessions with a client from before stream multiplexing
 // was retired: its HELLO also asks for extension 2, which the server ignores.
-// The server accounts exactly what it read, the extension's bytes included.
+// The server accounts exactly what it read, the extension's bytes included;
+// likewise without the bytes of extension 7 in the -per-file row, whose HELLO
+// reaches the server without it.
 func TestCostsTotalEqualsWireBytes(t *testing.T) {
 	oneFile := func() (v1, v2 map[string][]byte) {
 		return map[string][]byte{"a.txt": []byte("old")}, map[string][]byte{"a.txt": []byte("new")}
@@ -113,28 +115,32 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 		// trees replaces costTrees (weak shapes: tinyTrees(12)).
 		trees func() (v1, v2 map[string][]byte)
 		mux   int // nonzero: the client's HELLO asks for this stream width (muxHelloConn)
+		// perFile: the client's HELLO reaches the server without hello
+		// extension 7, so DELTA comes one section a file.
+		perFile bool
 	}{
-		{"lockstep", func(*Server, *Client) {}, false, 0, nil, 0},
-		{"mux", func(*Server, *Client) {}, false, 0, nil, 16},
-		{"tree", func(_ *Server, c *Client) { c.TreeManifest = true }, false, 0, nil, 0},
-		{"tree+mux", func(_ *Server, c *Client) { c.TreeManifest = true }, false, 0, nil, 16},
-		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }, false, 0, nil, 0},
-		{"fallback", func(*Server, *Client) {}, true, 0, nil, 0},
-		{"fallback+mux", func(*Server, *Client) {}, true, 0, nil, 4},
+		{"lockstep", func(*Server, *Client) {}, false, 0, nil, 0, false},
+		{"mux", func(*Server, *Client) {}, false, 0, nil, 16, false},
+		{"tree", func(_ *Server, c *Client) { c.TreeManifest = true }, false, 0, nil, 0, false},
+		{"tree+mux", func(_ *Server, c *Client) { c.TreeManifest = true }, false, 0, nil, 16, false},
+		{"cdc", func(_ *Server, c *Client) { c.MapMode = core.MapCDC }, false, 0, nil, 0, false},
+		{"fallback", func(*Server, *Client) {}, true, 0, nil, 0, false},
+		{"fallback+mux", func(*Server, *Client) {}, true, 0, nil, 4, false},
+		{"fallback-per-file", func(*Server, *Client) {}, true, 0, nil, 0, true},
 		// Announced by reference: a hit; a miss (WANT, MANIFEST_SHORT,
 		// VERDICTS); a miss on a server without a store.
-		{"journal", func(*Server, *Client) {}, false, 1, nil, 0},
-		{"journal-miss+mux", func(*Server, *Client) {}, false, 99, nil, 4},
-		{"announce-storeless", func(_ *Server, c *Client) { c.AnnounceVersion, c.BaseVersion = true, 3 }, false, 0, nil, 0},
+		{"journal", func(*Server, *Client) {}, false, 1, nil, 0, false},
+		{"journal-miss+mux", func(*Server, *Client) {}, false, 99, nil, 4, false},
+		{"announce-storeless", func(_ *Server, c *Client) { c.AnnounceVersion, c.BaseVersion = true, 3 }, false, 0, nil, 0, false},
 		// A manifest too short to pack: MANIFEST, as ever.
-		{"one-file", func(*Server, *Client) {}, false, 0, oneFile, 0},
+		{"one-file", func(*Server, *Client) {}, false, 0, oneFile, 0, false},
 		// A list past tableMin: MANIFEST_TABLE; one that does not peel
 		// (MANIFEST_WANT, then MANIFEST_SHORT); and one answered by a holder
 		// whose list misstates a file's sum, so that its list digest is not
 		// the synced list's: the client fails with ErrListMismatch.
-		{"table", func(*Server, *Client) {}, false, 0, tableTrees30, 0},
-		{"table-peel-failed", func(*Server, *Client) {}, false, 0, func() (v1, v2 map[string][]byte) { return tableTrees(2000, 300) }, 0},
-		{"table-list-mismatch", func(s *Server, _ *Client) { s.src = misstated{s.src} }, false, 0, tableTrees30, 0},
+		{"table", func(*Server, *Client) {}, false, 0, tableTrees30, 0, false},
+		{"table-peel-failed", func(*Server, *Client) {}, false, 0, func() (v1, v2 map[string][]byte) { return tableTrees(2000, 300) }, 0, false},
+		{"table-list-mismatch", func(s *Server, _ *Client) { s.src = misstated{s.src} }, false, 0, tableTrees30, 0, false},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -165,7 +171,8 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			cli.Tracer = ring
 			a, b := transport.Pipe()
 			hello := &muxHelloConn{ReadWriter: b, width: sh.mux, sent: sh.mux == 0}
-			rec := &recordConn{rw: hello}
+			stripped := &withoutExts{ReadWriter: hello, strip: withoutDeltaStream, sent: !sh.perFile}
+			rec := &recordConn{rw: stripped}
 			var wg sync.WaitGroup
 			wg.Add(1)
 			var serverCosts *stats.Costs
@@ -243,8 +250,8 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			if got := res.Costs.Total(); got != carried {
 				t.Errorf("client Costs.Total() = %d, the connection carried %d", got, carried)
 			}
-			if got := serverCosts.Total(); got != carried+int64(hello.added) {
-				t.Errorf("server Costs.Total() = %d, the connection carried %d", got, carried+int64(hello.added))
+			if got, read := serverCosts.Total(), carried+int64(hello.added+stripped.added); got != read {
+				t.Errorf("server Costs.Total() = %d, the connection carried %d", got, read)
 			}
 			if res.Costs.Roundtrips != serverCosts.Roundtrips {
 				t.Errorf("roundtrips: client %d, server %d", res.Costs.Roundtrips, serverCosts.Roundtrips)
@@ -254,9 +261,12 @@ func TestCostsTotalEqualsWireBytes(t *testing.T) {
 			}
 			// tinyTrees has no new and no small files, so every full
 			// transfer here is a fallback and every PhaseFull byte a FULL
-			// frame's.
-			if res.Costs.FilesFull == 0 || res.Costs.FilesFull == len(v2) {
-				t.Fatalf("%d of %d files fell back; the seed should fail some and pass some", res.Costs.FilesFull, len(v2))
+			// frame's. File by file the seed fails some and passes some; in
+			// shared segments a false match's wrong bytes reach its
+			// neighbours, and here every file falls back
+			// (TestFalseMatchSpreadsInSegment).
+			if res.Costs.FilesFull == 0 || sh.perFile == (res.Costs.FilesFull == len(v2)) {
+				t.Fatalf("%d of %d files fell back (per file: %v); the seed should fail some, and pass some only file by file", res.Costs.FilesFull, len(v2), sh.perFile)
 			}
 			if serverCosts.FilesFull != res.Costs.FilesFull {
 				t.Errorf("FilesFull: client %d, server %d", res.Costs.FilesFull, serverCosts.FilesFull)

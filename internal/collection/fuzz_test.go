@@ -71,10 +71,10 @@ func sortedPayloads(m map[string][]byte) [][]byte {
 // validated configurations.
 func FuzzConfigDecode(f *testing.F) {
 	cfg := core.DefaultConfig()
-	f.Add(encodeConfig(&cfg, false))
+	f.Add(encodeConfig(&cfg, grantNone))
 	f.Add([]byte{1, 2, 3})
 	cfg.MaxAlternates = min(1<<40, math.MaxInt) // 1<<40 where int holds it
-	f.Add(encodeConfig(&cfg, false))
+	f.Add(encodeConfig(&cfg, grantNone))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, _, err := decodeConfig(data)
 		if err == nil {
@@ -109,6 +109,8 @@ func FuzzConfigDecode(f *testing.F) {
 // they are refused past maxWhole, and as the whole-content stream of as many
 // 64-byte files as the list has room for, a missing segment or one declaring
 // another length than its files' sum is refused before anything is decoded.
+// As a DELTA frame in the stream layout for up to 64 files that mapped
+// nothing, they are applied or refused as a protocol error, cheaply.
 func FuzzSessionFrames(f *testing.F) {
 	f.Add(make([]byte, md4.Size), uint32(2), false) // a MANIFEST_REF's payload
 	f.Add([]byte{}, uint32(2), false)               // a MANIFEST_WANT's
@@ -178,7 +180,7 @@ func FuzzSessionFrames(f *testing.F) {
 	hostileCfg := core.DefaultConfig()
 	hostileCfg.MaxAlternates = min(1<<40, math.MaxInt) // 1<<40 where int holds it
 	vb := wire.NewBuffer(64)
-	vb.Bytes(encodeConfig(&hostileCfg, false))
+	vb.Bytes(encodeConfig(&hostileCfg, grantNone))
 	f.Add(vb.Build(), uint32(2), false) // a VERDICTS whose config declares 2⁴⁰ alternates
 	// A whole-content stream of two 64-byte files: as sent, then declaring
 	// 4 GiB, a byte more than its files' sum, missing, with a byte after it;
@@ -193,6 +195,13 @@ func FuzzSessionFrames(f *testing.F) {
 		wire.AppendUvarint(nil, maxWhole+1),
 	} {
 		f.Add(p, uint32(2), false)
+	}
+	// A DELTA frame in the stream layout for two 64-byte files: as sent, and
+	// as each hostile rewrite.
+	twoDeltas := deltaStreamFor([][]byte{bytes.Repeat([]byte("a"), 64), bytes.Repeat([]byte("b"), 64)})
+	f.Add(twoDeltas, uint32(2), false)
+	for _, name := range []string{"segment missing", "bytes after the last segment", "segment declares another length", "segment declares 4 GiB"} {
+		f.Add(hostileDeltaStreams[name].rewrite(twoDeltas), uint32(2), false)
 	}
 	serve := func(c *scriptConn) error { _, err := srv.Serve(c); return err }
 	f.Fuzz(func(t *testing.T, data []byte, nFiles uint32, bodies bool) {
@@ -267,7 +276,7 @@ func FuzzSessionFrames(f *testing.F) {
 			}
 			files := map[string][]byte{}
 			got = alloctest.BytesPerOp(2, func() {
-				ws.ends, ws.segs, ws.sums = nil, nil, nil
+				ws.ends, ws.segs = nil, nil
 				if _, err := ws.read(wire.NewParser(data)); err == nil {
 					ws.decode(files)
 				} else if !errors.Is(err, core.ErrProtocol) {
@@ -276,6 +285,20 @@ func FuzzSessionFrames(f *testing.F) {
 			})
 			if ceiling := uint64(24<<10 + 128*n); got > ceiling {
 				t.Fatalf("a stream of %d 64-byte files allocated %d bytes (ceiling %d)", n, got, ceiling)
+			}
+		}
+		// As a DELTA frame in the stream layout to n engines that mapped
+		// nothing of their 64-byte files: accepted, or refused as a protocol
+		// error, for the segment's code tables at most.
+		if n > 0 && n <= 64 {
+			cs := deltaHandler(t, n, 64)
+			got = alloctest.BytesPerOp(2, func() {
+				if _, _, err := cs.handle(1, wire.FrameDelta, data); err != nil && !errors.Is(err, core.ErrProtocol) {
+					t.Fatalf("DELTA stream refused with %v", err)
+				}
+			})
+			if ceiling := uint64(24<<10 + 256*n); got > ceiling {
+				t.Fatalf("a DELTA stream for %d 64-byte files allocated %d bytes (ceiling %d)", n, got, ceiling)
 			}
 		}
 		if err != nil {

@@ -115,11 +115,13 @@ func fullDeclaring4GiB(real []byte) []byte {
 // where the stream's segments lie, as offsets into real, and the files'
 // content.
 type verdictWhole struct {
-	real    []byte
-	stream  bool
-	fields  [][2]int
-	segs    [2]int
-	content [][]byte
+	real     []byte
+	grant    grant
+	stream   bool
+	fields   [][2]int
+	segs     [2]int
+	content  [][]byte
+	syncLens []uint64 // the sync verdicts' lengths: the engines' files, in order
 }
 
 // wholeOf takes apart a VERDICTS payload of unnamed verdicts that sends a
@@ -161,8 +163,9 @@ func parseWhole(real []byte, named bool) verdictWhole {
 	}
 	cfg, err := p.Bytes()
 	must(err)
-	_, v.stream, err = decodeConfig(cfg)
+	_, v.grant, err = decodeConfig(cfg)
 	must(err)
+	v.stream = v.grant >= grantStream
 	n, err := p.Uvarint()
 	must(err)
 	for ; n > 0; n-- {
@@ -176,7 +179,9 @@ func parseWhole(real []byte, named bool) verdictWhole {
 		case verdictFull:
 			whole()
 		case verdictSync:
-			_, err = p.Uvarint()
+			var n uint64
+			n, err = p.Uvarint()
+			v.syncLens = append(v.syncLens, n)
 		case verdictJournal:
 			_, err = p.Uvarint()
 			if err == nil {
@@ -198,7 +203,7 @@ func parseWhole(real []byte, named bool) verdictWhole {
 	v.segs = [2]int{at(), at()}
 	if v.stream {
 		lo := 0
-		for _, hi := range segmentEnds(lens) {
+		for _, hi := range segmentEnds(lens, segmentMax) {
 			seg, err := p.Bytes()
 			must(err)
 			data, err := delta.Decompress(seg)
@@ -259,7 +264,7 @@ func (v verdictWhole) restream(first uint64, seg []byte) ([][]byte, []byte) {
 		lens = append(lens, uint64(len(c)))
 	}
 	segs, lo := [][]byte{seg}, 1
-	for _, hi := range segmentEnds(lens)[1:] {
+	for _, hi := range segmentEnds(lens, segmentMax)[1:] {
 		segs, lo = append(segs, delta.Compress(bytes.Join(v.content[lo:hi], nil))), hi
 	}
 	return fields, streamOf(segs...)
@@ -438,6 +443,7 @@ func (tp *tamperProxy) copyFrames(up bool, from, to *transport.PipeEnd) {
 // hostileHandshakes.
 func TestHostileIndexLists(t *testing.T) {
 	t.Run("handshake", hostileHandshakes)
+	t.Run("client/DELTA stream", hostileDeltaStreamRows)
 	v1, v2 := tinyTrees(12)
 	v2new := map[string][]byte{"dir/new.txt": []byte("a file the client has never seen")}
 	for path, data := range v2 {
@@ -506,6 +512,41 @@ func TestHostileIndexLists(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// hostileDeltaStreamRows: a holder whose DELTA frame, in the stream layout,
+// lies about its segments — one missing, a byte after the last, one
+// declaring another length than its files' gaps or 4 GiB — gets
+// core.ErrProtocol from today's receiver (delta.ErrCorrupt too where a
+// segment declares a length), in a live session whose engines have mapped,
+// and from one whose HELLO also asks for the retired stream multiplexing.
+// TestDeltaStreamRefusedCheaply holds the refusals to the 64 KB ceiling.
+func hostileDeltaStreamRows(t *testing.T) {
+	v1, v2 := tinyTrees(12)
+	for name, h := range hostileDeltaStreams {
+		for _, mux := range []int{0, 4} {
+			hello := "bare"
+			if mux > 0 {
+				hello = "mux"
+			}
+			t.Run(name+"/"+hello, func(t *testing.T) {
+				t.Parallel()
+				srv, err := NewServer(v2, weakConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				tp := newTamperProxy(false, wire.FrameDelta, 0, nil, mux)
+				tp.rewrite = h.rewrite
+				_, _, other, victim := tp.run(t, srv, NewClient(v1).Sync)
+				if !errors.Is(victim, core.ErrProtocol) || h.declares != errors.Is(victim, delta.ErrCorrupt) {
+					t.Fatalf("victim returned %v, want core.ErrProtocol, delta.ErrCorrupt %v", victim, h.declares)
+				}
+				if other == nil {
+					t.Fatal("the other end completed a session its peer gave up on")
+				}
+			})
 		}
 	}
 }
@@ -835,14 +876,14 @@ func withAlternates(n int) func(real []byte) []byte {
 		if err != nil {
 			return real
 		}
-		cfg, stream, err := decodeConfig(raw)
+		cfg, g, err := decodeConfig(raw)
 		if err != nil {
 			return real
 		}
 		cfg.MaxAlternates = n
 		rest, _ := p.Raw(p.Remaining())
 		b := wire.NewBuffer(len(real) + 8)
-		b.Bytes(encodeConfig(&cfg, stream))
+		b.Bytes(encodeConfig(&cfg, g))
 		b.Raw(rest)
 		return b.Build()
 	}

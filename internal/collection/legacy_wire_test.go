@@ -194,13 +194,14 @@ func pushRecorded(t *testing.T, pusher, receiver *Server) (c2s, s2c []byte) {
 	return rec.c2s.Bytes(), rec.s2c.Bytes()
 }
 
-// pull records one pull live as name_delta2, today's receiver asking for the
-// whole-content stream and delta mode 2, and keeps name_stream, recorded by a
-// receiver from before hello extension 6, and name, from before extension 5,
-// as replays: each half, fed to today's server, must draw its recorded
-// answer, in mode 0.
+// pull records one pull live as name_dstream, today's receiver asking for
+// the whole-content stream, delta mode 2 and the delta stream, and keeps
+// name_delta2, recorded by a receiver from before hello extension 7,
+// name_stream, from before extension 6, and name, from before extension 5, as
+// replays: each half, fed to today's server, must draw its recorded answer —
+// file by file, in mode 0 before name_delta2.
 func pull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
-	return replays(name+"_delta2", setup, name+"_stream", name)
+	return replays(name+"_dstream", setup, name+"_delta2", name+"_stream", name)
 }
 
 // replays is the live scenario live and a replay of each of olds against the
@@ -219,25 +220,27 @@ func replays(live string, setup func(t *testing.T) (*Server, *Client), olds ...s
 	return out
 }
 
-// treePull records one tree pull live as name_delta2, today's receiver
-// asking for both tree capabilities and delta mode 2. name_caps, recorded
-// before extension 6, name_stream and name, recorded by receivers that asked
-// for what their options chose, and olds are kept as replays: today's holder,
-// which grants what a hello asks, must draw each recorded answer.
+// treePull records one tree pull live as name_dstream, today's receiver
+// asking for both tree capabilities, delta mode 2 and the delta stream.
+// name_delta2, recorded before extension 7, name_caps, before extension 6,
+// name_stream and name, recorded by receivers that asked for what their
+// options chose, and olds are kept as replays: today's holder, which grants
+// what a hello asks, must draw each recorded answer.
 func treePull(name string, setup func(t *testing.T) (*Server, *Client), olds ...string) []legacyScenario {
-	return replays(name+"_delta2", setup, append([]string{name + "_caps", name + "_stream", name}, olds...)...)
+	return replays(name+"_dstream", setup, append([]string{name + "_delta2", name + "_caps", name + "_stream", name}, olds...)...)
 }
 
-// flatPull records one flat-manifest pull five times. name_delta2 is today's
+// flatPull records one flat-manifest pull six times. name_dstream is today's
 // live session. name keeps the transcript a client from before
 // MANIFEST_PACKED recorded, name_packed one from before MANIFEST_SHORT,
 // name_short one from before the whole-content stream, name_stream one from
-// before delta mode 2: each client half, replayed against today's server,
-// must draw its recorded answer — which is the same for the first two
-// (TestPackedAnswerIsTheLegacyAnswer) and, but for the VERDICTS trailer,
-// name_short's (TestShortAnswerIsThePackedAnswer).
+// before delta mode 2, name_delta2 one from before the delta stream: each
+// client half, replayed against today's server, must draw its recorded answer
+// — which is the same for the first two (TestPackedAnswerIsTheLegacyAnswer)
+// and, but for the VERDICTS trailer, name_short's
+// (TestShortAnswerIsThePackedAnswer).
 func flatPull(name string, setup func(t *testing.T) (*Server, *Client)) []legacyScenario {
-	return replays(name+"_delta2", setup, name+"_stream", name+"_short", name+"_packed", name)
+	return replays(name+"_dstream", setup, name+"_delta2", name+"_stream", name+"_short", name+"_packed", name)
 }
 
 // emacsPull is the flat pull of manifest_pull and its tuned variants: the
@@ -377,7 +380,7 @@ func legacyScenarios() []legacyScenario {
 	// journal_live workloads (default_* below: under the config those run),
 	// and the full-transfer fallback. tiny_tree_pull is the tiny_tree option
 	// set.
-	out = append(out, replays("tiny_tree_pull_delta2", tinyTreePull(core.PaperConfig()), "tiny_tree_pull")...)
+	out = append(out, replays("tiny_tree_pull_dstream", tinyTreePull(core.PaperConfig()), "tiny_tree_pull_delta2", "tiny_tree_pull")...)
 	// Hashes weak enough that false matches survive verification: the ACK
 	// lists the files whose whole-file check failed and a FULL frame re-sends
 	// them.
@@ -398,7 +401,7 @@ func legacyScenarios() []legacyScenario {
 	// tiny_tree option set and a CDC pull.
 	def := core.DefaultConfig()
 	out = append(out, pull("default_pull", emacsPullUnder(def, func(*Server, *Client) {}))...)
-	out = append(out, replays("default_tiny_tree_pull_delta2", tinyTreePull(def), "default_tiny_tree_pull")...)
+	out = append(out, replays("default_tiny_tree_pull_dstream", tinyTreePull(def), "default_tiny_tree_pull_delta2", "default_tiny_tree_pull")...)
 	out = append(out, pull("default_cdc_pull", emacsPullUnder(def, func(_ *Server, c *Client) { c.MapMode = core.MapCDC }))...)
 	out = append(out, legacyScenario{name: "journal_pull", replay: true, run: func(t *testing.T) ([]byte, []byte) {
 		// An older client's journal hit: base version 1 announced, the
@@ -419,13 +422,13 @@ func legacyScenarios() []legacyScenario {
 	})...)
 	// A version the store never held: MANIFEST_REF, MANIFEST_WANT, the
 	// manifest, VERDICTS, then the map rounds.
-	return append(out, replays("journal_ref_miss_pull_delta2", func(t *testing.T) (*Server, *Client) {
+	return append(out, replays("journal_ref_miss_pull_dstream", func(t *testing.T) (*Server, *Client) {
 		v1, v2 := costTrees()
 		srv := versionedServer(t, v1, v2, core.PaperConfig())
 		cli := NewClient(v1)
 		cli.AnnounceVersion, cli.BaseVersion = true, 99
 		return srv, cli
-	}, "journal_ref_miss_pull")...)
+	}, "journal_ref_miss_pull_delta2", "journal_ref_miss_pull")...)
 }
 
 // tinyTreePull is the tiny_tree option set under cfg: a merkle-manifest pull
@@ -838,15 +841,34 @@ func delta2Parent(name string) string {
 	return name
 }
 
-// withoutDelta2 is a pulling client's connection whose first write, which
-// opens with the HELLO frame, goes out with hello extension 6 removed: the
-// holder reads the hello of a receiver that does not ask for delta mode 2.
-type withoutDelta2 struct {
+// withoutExts is a pulling client's connection whose first write, which
+// opens with the HELLO frame, goes out with the hello extensions strip clears
+// removed: the holder reads the hello of a receiver that does not ask for
+// them. strip reports whether the hello asked for all of them; added is what
+// that changed on the wire (the stripped bytes, negative), which the client
+// does not account and the server does.
+type withoutExts struct {
 	io.ReadWriter
+	strip          func(h *helloExts) bool
 	sent, stripped bool
+	added          int
 }
 
-func (c *withoutDelta2) Write(p []byte) (int, error) {
+// withoutDelta2 strips hello extension 6, and 7, which came after it.
+func withoutDelta2(h *helloExts) bool {
+	asked := h.delta2 && h.dstream
+	h.delta2, h.dstream = false, false
+	return asked
+}
+
+// withoutDeltaStream strips hello extension 7.
+func withoutDeltaStream(h *helloExts) bool {
+	asked := h.dstream
+	h.dstream = false
+	return asked
+}
+
+func (c *withoutExts) Write(p []byte) (int, error) {
 	if c.sent {
 		return c.ReadWriter.Write(p)
 	}
@@ -863,23 +885,26 @@ func (c *withoutDelta2) Write(p []byte) (int, error) {
 	hb := wire.NewBuffer(len(hello))
 	hb.Raw(hello[:len(hello)-hp.Remaining()])
 	h := parseHelloExts(hp)
-	c.stripped, h.delta2 = h.delta2, false
+	c.stripped = c.strip(&h)
 	h.encode(hb)
 	b := wire.NewBuffer(len(p))
 	b.Byte(wire.FrameHello)
 	b.Bytes(hb.Build())
 	b.Raw(p[len(p)-fp.Remaining():])
-	if _, err := c.ReadWriter.Write(b.Build()); err != nil {
+	out := b.Build()
+	c.added = len(out) - len(p)
+	if _, err := c.ReadWriter.Write(out); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
 // TestNoDelta2HelloIsTheParentSession: a live pull whose HELLO reaches the
-// holder without hello extension 6 is, in both directions and byte for byte,
-// the parent transcript its receiver recorded before the extension existed,
-// so every DELTA section, FULL file and whole-content segment stays in mode 0
-// (or stored) for a receiver that does not ask for mode 2.
+// holder without hello extension 6 (nor 7, which came after it) is, in both
+// directions and byte for byte, the parent transcript its receiver recorded
+// before the extension existed, so every DELTA section, FULL file and
+// whole-content segment stays in mode 0 (or stored) for a receiver that does
+// not ask for mode 2.
 func TestNoDelta2HelloIsTheParentSession(t *testing.T) {
 	for _, sc := range legacyScenarios() {
 		name, ok := strings.CutSuffix(sc.name, "_delta2")
@@ -888,7 +913,7 @@ func TestNoDelta2HelloIsTheParentSession(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			srv, cli := sc.setup(t)
-			conn := &withoutDelta2{}
+			conn := &withoutExts{strip: withoutDelta2}
 			up, down := runRecordedVia(t, srv, cli, func(rw io.ReadWriter) io.ReadWriter {
 				conn.ReadWriter = rw
 				return conn
@@ -913,6 +938,184 @@ func TestNoDelta2HelloIsTheParentSession(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNoDeltaStreamHelloIsTheParentSession: a live pull whose HELLO reaches
+// the holder without hello extension 7 is, in both directions and byte for
+// byte, the name_delta2 transcript its receiver recorded before the extension
+// existed: a receiver that does not ask gets one DELTA section a file.
+func TestNoDeltaStreamHelloIsTheParentSession(t *testing.T) {
+	pairs := 0
+	for _, sc := range legacyScenarios() {
+		name, ok := strings.CutSuffix(sc.name, "_dstream")
+		if !ok {
+			continue
+		}
+		pairs++
+		t.Run(name, func(t *testing.T) {
+			srv, cli := sc.setup(t)
+			conn := &withoutExts{strip: withoutDeltaStream}
+			up, down := runRecordedVia(t, srv, cli, func(rw io.ReadWriter) io.ReadWriter {
+				conn.ReadWriter = rw
+				return conn
+			})
+			if !conn.stripped {
+				t.Fatal("the client's HELLO did not ask for the delta stream")
+			}
+			wantUp, wantDown := readGolden(t, name+"_delta2")
+			if !bytes.Equal(up, wantUp) || !bytes.Equal(down, wantDown) {
+				t.Fatalf("the pull without extension 7 moved %d+%d bytes, its parent transcript %d+%d", len(up), len(down), len(wantUp), len(wantDown))
+			}
+		})
+	}
+	if pairs != 14 {
+		t.Fatalf("%d live pulls, want fourteen", pairs)
+	}
+}
+
+// TestDeltaStreamAnswerIsThePerFileAnswer: in every live pull the receiver
+// sends what the receiver of its name_delta2 twin sent, but for the HELLO,
+// which asks for the delta stream too (hello extension 7); the holder answers
+// with the same frames, but for the grant in the VERDICTS config and the
+// DELTA frame. That carries the twin's sections' heads — confirm bits and
+// whole-file sum — then segments cut by the synced files' lengths, each
+// declaring its files' summed gaps, a file alone in its segment coded as its
+// section's delta was. Over the fourteen pulls, the DELTA frames are
+// shorter.
+func TestDeltaStreamAnswerIsThePerFileAnswer(t *testing.T) {
+	pairs, shared, perFile, streamed := 0, 0, 0, 0
+	for _, sc := range legacyScenarios() {
+		name, ok := strings.CutSuffix(sc.name, "_dstream")
+		if !ok {
+			continue
+		}
+		pairs++
+		t.Run(name, func(t *testing.T) {
+			oldUp, oldDown := readGolden(t, name+"_delta2")
+			newUp, newDown := readGolden(t, sc.name)
+			ou, nu := transcriptFrames(t, oldUp), transcriptFrames(t, newUp)
+			if len(ou) != len(nu) || nu[0].typ != wire.FrameHello {
+				t.Fatalf("receiver sent %d frames, the older one %d", len(nu), len(ou))
+			}
+			h := parseHelloExts(wire.NewParser(nu[0].payload[3:]))
+			if !h.dstream {
+				t.Fatal("the receiver did not ask for the delta stream")
+			}
+			h.dstream = false
+			hb := wire.NewBuffer(16)
+			hb.Raw(nu[0].payload[:3])
+			h.encode(hb)
+			nu[0].payload = hb.Build()
+			for i := range ou {
+				if ou[i].typ == wire.FrameAck && nu[i].typ == wire.FrameAck {
+					// A false match's wrong bytes may reach its segment's
+					// neighbours: the ACK lists the twin's failures, and
+					// maybe more (TestFalseMatchSpreadsInSegment).
+					sectionsWithin(t, ou[i].payload, nu[i].payload, false)
+					continue
+				}
+				if ou[i].typ != nu[i].typ || !bytes.Equal(ou[i].payload, nu[i].payload) {
+					t.Fatalf("receiver frame %d: %s of %d bytes in place of %s of %d", i, wire.FrameName(nu[i].typ), len(nu[i].payload), wire.FrameName(ou[i].typ), len(ou[i].payload))
+				}
+			}
+			od, nd := transcriptFrames(t, oldDown), transcriptFrames(t, newDown)
+			if len(od) != len(nd) {
+				t.Fatalf("holder sent %d frames, to the older receiver %d", len(nd), len(od))
+			}
+			var lens []uint64 // the synced files' lengths, from VERDICTS
+			for i := range od {
+				switch {
+				case od[i].typ != nd[i].typ:
+					t.Fatalf("holder frame %d: %s in place of %s", i, wire.FrameName(nd[i].typ), wire.FrameName(od[i].typ))
+				case od[i].typ == wire.FrameVerdicts:
+					v, o := parseWhole(nd[i].payload, name == "table_pull"), parseWhole(od[i].payload, name == "table_pull")
+					if v.grant != grantDeltaStream || o.grant != grantStream || !bytes.Equal(v.skeleton(), o.skeleton()) || !reflect.DeepEqual(v.segments(), o.segments()) {
+						t.Fatalf("VERDICTS of %d bytes are not the older receiver's %d granting the delta stream", len(nd[i].payload), len(od[i].payload))
+					}
+					lens = v.syncLens
+				case od[i].typ == wire.FrameDelta:
+					s := deltaStreamOf(t, od[i].payload, nd[i].payload, lens)
+					shared += s
+					perFile, streamed = perFile+len(od[i].payload), streamed+len(nd[i].payload)
+				case od[i].typ == wire.FrameFull:
+					sectionsWithin(t, od[i].payload, nd[i].payload, true)
+				case !bytes.Equal(od[i].payload, nd[i].payload):
+					t.Fatalf("holder frame %d (%s) differs", i, wire.FrameName(od[i].typ))
+				}
+			}
+		})
+	}
+	if pairs != 14 || shared == 0 || streamed >= perFile {
+		t.Fatalf("%d live/parent pairs, %d shared segments, DELTA frames of %d bytes against %d file by file: want fourteen pulls, some segments shared, fewer bytes", pairs, shared, streamed, perFile)
+	}
+}
+
+// sectionsWithin requires every entry of the index list sub (an ACK's, or
+// a FULL's with bodies) in the list super, with the same body.
+func sectionsWithin(t *testing.T, sub, super []byte, bodies bool) {
+	t.Helper()
+	a, err1 := parseSections(sub, 1<<20, bodies)
+	b, err2 := parseSections(super, 1<<20, bodies)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("index lists do not parse: %v, %v", err1, err2)
+	}
+	byIdx := map[int][]byte{}
+	for _, sec := range b {
+		byIdx[sec.idx] = sec.body
+	}
+	for _, sec := range a {
+		if body, ok := byIdx[sec.idx]; !ok || !bytes.Equal(body, sec.body) {
+			t.Fatalf("ordinal %d of the older receiver's list is not in today's %d entries", sec.idx, len(b))
+		}
+	}
+}
+
+// deltaStreamOf holds a DELTA frame in the stream layout to its twin in the
+// per-file layout, for synced files of the given lengths, and returns how
+// many of its segments more than one file shares.
+func deltaStreamOf(t *testing.T, perFile, stream []byte, lens []uint64) int {
+	t.Helper()
+	pp, sp := wire.NewParser(perFile), wire.NewParser(stream)
+	n, err1 := pp.Uvarint()
+	m, err2 := sp.Uvarint()
+	if err1 != nil || err2 != nil || n != m || n != uint64(len(lens)) {
+		t.Fatalf("DELTA for %d files, the older receiver's for %d; %d synced", m, n, len(lens))
+	}
+	gaps, encs := make([]uint64, n), make([][]byte, n)
+	for i := range gaps {
+		sec, err1 := pp.Bytes()
+		hdr, err2 := sp.Bytes()
+		if err1 != nil || err2 != nil || !bytes.HasPrefix(sec, hdr) {
+			t.Fatalf("file %d: header of %d bytes is not the head of its section of %d", i, len(hdr), len(sec))
+		}
+		encs[i] = sec[len(hdr):]
+		gaps[i], _ = binary.Uvarint(encs[i])
+	}
+	shared, lo := 0, 0
+	for k, hi := range segmentEnds(lens, deltaSegmentMax) {
+		seg, err := sp.Bytes()
+		if err != nil {
+			t.Fatalf("segment %d missing", k)
+		}
+		var sum uint64
+		for _, g := range gaps[lo:hi] {
+			sum += g
+		}
+		if declared, _ := binary.Uvarint(seg); declared != sum {
+			t.Fatalf("segment %d declares %d bytes, its files' gaps %d", k, declared, sum)
+		}
+		if hi-lo == 1 && !bytes.Equal(seg, encs[lo]) {
+			t.Fatalf("segment %d of one file is not its section's delta", k)
+		}
+		if hi-lo > 1 {
+			shared++
+		}
+		lo = hi
+	}
+	if sp.Remaining() != 0 || pp.Remaining() != 0 {
+		t.Fatalf("%d bytes after the segments, %d after the sections", sp.Remaining(), pp.Remaining())
+	}
+	return shared
 }
 
 // encodingsIn takes a holder's frame apart into what it carries in delta

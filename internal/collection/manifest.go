@@ -266,6 +266,13 @@ const (
 	// decoder reads every mode, so no grant is needed; a holder that predates
 	// the extension writes mode 0 as it always did.
 	helloExtDelta2 = 6
+	// helloExtDeltaStream asks for the DELTA frame in the stream layout
+	// (payload: uvarint 1): per-file headers, then the synced files' gaps
+	// coded in shared segments (whole.go). A holder that grants it says so
+	// in the session config (a third optional trailing field, after the
+	// whole-content stream's grant, which it needs); servers that predate
+	// the extension send one section per file, as they always did.
+	helloExtDeltaStream = 7
 )
 
 // helloExts is the hello's extension trailer, one field per extension; the
@@ -276,6 +283,7 @@ type helloExts struct {
 	mapMode  core.MapMode // helloExtMapMode: requested mode; MapHalving: none
 	stream   bool         // helloExtStream: the whole-content stream requested
 	delta2   bool         // helloExtDelta2: delta mode 2 requested
+	dstream  bool         // helloExtDeltaStream: the delta stream requested
 }
 
 // encode appends the trailer to a hello: only the extensions that are set, in
@@ -290,6 +298,7 @@ func (h helloExts) encode(b *wire.Buffer) {
 		{helloExtMapMode, uint64(h.mapMode), h.mapMode != core.MapHalving},
 		{helloExtStream, 1, h.stream},
 		{helloExtDelta2, 1, h.delta2},
+		{helloExtDeltaStream, 1, h.dstream},
 	}
 	n := 0
 	for _, e := range exts {
@@ -345,6 +354,8 @@ func parseHelloExts(hp *wire.Parser) helloExts {
 			h.stream = v == 1
 		case helloExtDelta2:
 			h.delta2 = v == 1
+		case helloExtDeltaStream:
+			h.dstream = v == 1
 		}
 	}
 	return h

@@ -273,7 +273,7 @@ func (s *Server) serve(sess *session) error {
 	// The per-file phases: one stream over the engines. The settled files
 	// are the ack ordinals after them, their content the detector's: a
 	// receiver that could not settle one after all acks it and gets it whole.
-	return sess.serveStream(&serverStream{files: work.engines, buf: sess.buf, settled: work.settled, full: work.full, mode: sess.deltaMode()})
+	return sess.serveStream(&serverStream{files: work.engines, buf: sess.buf, settled: work.settled, full: work.full, mode: sess.deltaMode(), deltaStream: sess.grant == grantDeltaStream})
 }
 
 // PushContext updates a remote replica over conn with this server's (newer)
@@ -329,10 +329,18 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 	if err != nil {
 		return work, err
 	}
-	stream := s.ext.stream // every receiver that asks is granted
+	// Every receiver that asks is granted; the delta stream only with the
+	// whole-content stream, whose grant field its own follows.
+	switch {
+	case s.ext.stream && s.ext.dstream:
+		s.grant = grantDeltaStream
+	case s.ext.stream:
+		s.grant = grantStream
+	}
+	stream := s.grant >= grantStream
 	vb := s.buf
 	vb.Reset()
-	vb.Bytes(encodeConfig(&s.cfg, stream))
+	vb.Bytes(encodeConfig(&s.cfg, s.grant))
 	vb.Uvarint(uint64(len(list)))
 	fullBytes, deltaBytes := 0, 0
 	var streamed []wholeFile // the granted stream's files, in VERDICTS order
@@ -434,7 +442,7 @@ func (s *session) verdictWalk(det holderDetector, own []ManifestEntry, mtree *me
 		whole(f.wholeFile)
 	}
 	if stream {
-		n, err := writeStream(vb, streamed, s.deltaMode())
+		n, err := writeStream(vb, streamed, s.deltaMode(), s.cfg.Workers)
 		if err != nil {
 			return work, err
 		}

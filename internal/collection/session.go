@@ -116,6 +116,9 @@ type session struct {
 	// The mode is read once per end, to pick the change detector.
 	mode byte
 	ext  helloExts
+	// grant is what the holder granted of ext: the config it shipped with
+	// the verdicts says so on both ends.
+	grant grant
 }
 
 // openSession is the one envelope of every session, whatever its role: it

@@ -58,7 +58,7 @@ func (m MapSource) Signature(string) *sigcache.Sig { return nil }
 // signatures. Workers is deliberately absent from the serialization (it
 // cannot affect hash values), so it does not disturb the cache.
 func ConfigFingerprint(cfg *core.Config) uint64 {
-	sum := md4.Sum(encodeConfig(cfg, false))
+	sum := md4.Sum(encodeConfig(cfg, grantNone))
 	return binary.LittleEndian.Uint64(sum[:8])
 }
 

@@ -145,6 +145,8 @@ type serverStream struct {
 	full    func(i int, e ManifestEntry) ([]byte, error)
 	// mode is the delta format FULL's files are compressed in.
 	mode delta.Mode
+	// deltaStream lays DELTA out as the delta stream (hello extension 7).
+	deltaStream bool
 }
 
 // content is the whole content of ack ordinal i: the exact bytes its engine
@@ -203,6 +205,9 @@ func (stm *serverStream) build(workers int) ([]byte, error) {
 			b.Bytes(stm.files[i].engine.EmitConfirm())
 		}
 	case wire.FrameDelta:
+		if stm.deltaStream {
+			return stm.buildDeltaStream(workers), nil
+		}
 		sections := make([][]byte, len(stm.files))
 		pool.Do(workers, len(stm.files), func(i int) error {
 			sections[i] = stm.files[i].engine.EmitDelta()
@@ -224,6 +229,35 @@ func (stm *serverStream) build(workers int) ([]byte, error) {
 		}
 	}
 	return b.Build(), nil
+}
+
+// buildDeltaStream assembles a DELTA frame in the stream layout: the file
+// count, each file's delta header, then the segments segmentEnds cuts the
+// files into by their lengths, each one delta of its files' gaps against
+// their covered bytes (core.EncodeGaps). A file past deltaSegmentMax is a
+// segment of its own, coded as its section's delta would be.
+func (stm *serverStream) buildDeltaStream(workers int) []byte {
+	engines := make([]*core.ServerFile, len(stm.files))
+	lens := make([]uint64, len(stm.files))
+	for i, f := range stm.files {
+		engines[i], lens[i] = f.engine, uint64(len(f.data))
+	}
+	ends := segmentEnds(lens, deltaSegmentMax)
+	headers, segs := make([][]byte, len(engines)), make([][]byte, len(ends))
+	eachSegment(workers, ends, func(k, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			headers[i] = engines[i].EmitDeltaHeader()
+		}
+		segs[k] = core.EncodeGaps(stm.mode, engines[lo:hi])
+		return nil
+	})
+	b := stm.buf
+	b.Uvarint(uint64(len(headers)))
+	for _, h := range headers {
+		b.Bytes(h)
+	}
+	writeSegments(b, segs)
+	return b.Build()
 }
 
 // absorb advances the stream with the peer's answer, of type ft, to the frame
@@ -341,10 +375,13 @@ type clientStream struct {
 	nEng  int
 	buf   *wire.Buffer // assembles the replies
 
+	// deltaStream: DELTA comes in the stream layout (hello extension 7).
+	deltaStream bool
+
 	acked   bool     // DELTA handled, ACK built
 	done    bool     // nothing more to read: a clean ACK went out, or the FULL came
 	failed  []int    // files whose content did not verify, ascending
-	results [][]byte // ApplyDelta output per file (nil where it failed)
+	results [][]byte // each file's rebuilt content (nil where it failed)
 	fulls   [][]byte // FULL content per failed file
 }
 
@@ -411,7 +448,8 @@ func (cs *clientStream) handle(workers int, ft byte, payload []byte) (byte, []by
 	return 0, nil, errFrame(ft, payload)
 }
 
-// applyDeltas handles a DELTA frame: one section per engine, applied across
+// applyDeltas handles a DELTA frame: one section per engine — or, in the
+// stream layout, one header per engine, then the segments — applied across
 // workers; files whose whole-file check fails join the ack list.
 func (cs *clientStream) applyDeltas(workers int, payload []byte) error {
 	files := cs.engines()
@@ -423,30 +461,87 @@ func (cs *clientStream) applyDeltas(workers int, payload []byte) error {
 	sections := make([][]byte, len(files))
 	for i := range sections {
 		if sections[i], err = dp.Bytes(); err != nil {
-			return err
+			return fmt.Errorf("%w: delta section %d: %w", core.ErrProtocol, i, err)
 		}
 		files[i].bytes += int64(len(sections[i]))
 	}
 	cs.results = make([][]byte, len(files))
 	verifyFailed := make([]bool, len(files))
-	err = pool.Do(workers, len(files), func(i int) error {
-		data, err := files[i].engine.ApplyDelta(sections[i])
-		switch {
-		case err == nil:
-			cs.results[i] = data
-		case errors.Is(err, core.ErrVerifyFailed):
-			verifyFailed[i] = true
-		default:
-			return fmt.Errorf("collection: file %q: %w", files[i].path, err)
-		}
-		return nil
-	})
+	if cs.deltaStream {
+		err = cs.applyDeltaStream(workers, dp, sections, verifyFailed)
+	} else {
+		err = pool.Do(workers, len(files), func(i int) error {
+			data, err := files[i].engine.ApplyDelta(sections[i])
+			switch {
+			case err == nil:
+				cs.results[i] = data
+			case errors.Is(err, core.ErrVerifyFailed):
+				verifyFailed[i] = true
+			default:
+				return fmt.Errorf("collection: file %q: %w", files[i].path, err)
+			}
+			return nil
+		})
+	}
 	for i, bad := range verifyFailed {
 		if bad {
 			cs.failed = append(cs.failed, i)
 		}
 	}
 	return err
+}
+
+// applyDeltaStream reads the rest of a DELTA frame in the stream layout,
+// after the engines' headers: it absorbs the headers, which settle each
+// file's gap length, reads the segments, each checked to declare its files'
+// summed gaps before any is decoded, and decodes them across workers into
+// cs.results, marking the files whose whole-file check fails. A segment's
+// bytes are attributed to its files by their share of its gaps.
+func (cs *clientStream) applyDeltaStream(workers int, dp *wire.Parser, headers [][]byte, verifyFailed []bool) error {
+	files := cs.engines()
+	engines := make([]*core.ClientFile, len(files))
+	lens := make([]uint64, len(files))
+	for i, f := range files {
+		engines[i], lens[i] = f.engine, uint64(f.newLen)
+	}
+	err := pool.Do(workers, len(files), func(i int) error {
+		if err := engines[i].OpenDelta(headers[i]); err != nil {
+			return fmt.Errorf("%w: file %q: %w", core.ErrProtocol, files[i].path, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	ends := segmentEnds(lens, deltaSegmentMax)
+	sums := segmentSums(ends, func(i int) uint64 { return uint64(engines[i].GapBytes()) })
+	segs, _, err := readSegments(dp, sums, "delta")
+	if err == nil && dp.Remaining() > 0 {
+		err = fmt.Errorf("%w: %d bytes after the delta stream", core.ErrProtocol, dp.Remaining())
+	}
+	if err != nil {
+		return err
+	}
+	return eachSegment(workers, ends, func(k, lo, hi int) error {
+		outs, err := core.DecodeGaps(engines[lo:hi], segs[k])
+		if err != nil {
+			return fmt.Errorf("%w: delta segment %d: %w", core.ErrProtocol, k, err)
+		}
+		for j, out := range outs {
+			i := lo + j
+			if engines[i].Check(out) != nil {
+				verifyFailed[i] = true
+			} else {
+				cs.results[i] = out
+			}
+			if sums[k] > 0 {
+				files[i].bytes += int64(uint64(len(segs[k])) * uint64(engines[i].GapBytes()) / sums[k])
+			} else if j == 0 {
+				files[i].bytes += int64(len(segs[k]))
+			}
+		}
+		return nil
+	})
 }
 
 // commit writes the finished stream's outcome into the session's result.

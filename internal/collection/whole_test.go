@@ -34,7 +34,7 @@ func TestSegmentEnds(t *testing.T) {
 		{[]uint64{maxWhole, maxWhole, 0}, []int{1, 2, 3}},
 		{[]uint64{m, 0, 1}, []int{2, 3}},
 	} {
-		if got := segmentEnds(c.lens); !reflect.DeepEqual(got, c.ends) {
+		if got := segmentEnds(c.lens, segmentMax); !reflect.DeepEqual(got, c.ends) {
 			t.Errorf("segmentEnds(%v) = %v, want %v", c.lens, got, c.ends)
 		}
 	}
@@ -155,8 +155,8 @@ func TestWholeStreamCostsNoMore(t *testing.T) {
 				t.Errorf("the stream costs %d whole-file bytes, compressed one by one %d", stream.full, perFile.full)
 			}
 			v, old := wholeOf(stream.verdicts), wholeOf(perFile.verdicts)
-			if !v.stream || old.stream || len(segmentEnds(lengths(v.content))) != c.segments {
-				t.Fatalf("stream %v in %d segments, want %d; older receiver's stream %v", v.stream, len(segmentEnds(lengths(v.content))), c.segments, old.stream)
+			if !v.stream || old.stream || len(segmentEnds(lengths(v.content), segmentMax)) != c.segments {
+				t.Fatalf("stream %v in %d segments, want %d; older receiver's stream %v", v.stream, len(segmentEnds(lengths(v.content), segmentMax)), c.segments, old.stream)
 			}
 			if !reflect.DeepEqual(v.content, old.content) || !bytes.Equal(v.skeleton(), old.skeleton()) {
 				t.Fatal("the older receiver's VERDICTS are not the stream's laid out file by file")
@@ -178,7 +178,7 @@ func (v verdictWhole) skeleton() []byte {
 	for i := range empty {
 		empty[i] = []byte{}
 	}
-	return append(lenPrefixed(encodeConfig(&cfg, false)), v.build(empty, nil)[len(v.real)-p.Remaining():]...)
+	return append(lenPrefixed(encodeConfig(&cfg, grantNone)), v.build(empty, nil)[len(v.real)-p.Remaining():]...)
 }
 
 // lengths are the lengths of files.

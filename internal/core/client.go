@@ -35,6 +35,8 @@ type ClientFile struct {
 	altNext  []int
 
 	awaitConfirm bool
+	// wantSum is the whole-file sum the delta header announced (openDelta).
+	wantSum [md4.Size]byte
 
 	// CDCChunks counts content-defined chunks hashed in MapCDC rounds.
 	CDCChunks int64
@@ -858,50 +860,96 @@ func (c *ClientFile) EmitBatch() []byte {
 	return w.Bytes()
 }
 
-// openDelta absorbs the pending confirm bits that lead a delta section and
-// splits the rest into the whole-file sum and the encoded delta.
-func (c *ClientFile) openDelta(payload []byte) (wantSum, enc []byte, err error) {
+// openDelta absorbs the head of a delta section — the pending confirm bits,
+// then the whole-file sum, kept for Check — and returns the rest: the
+// section's encoded delta, if it carries one.
+func (c *ClientFile) openDelta(payload []byte) (enc []byte, err error) {
 	r := bitio.NewReader(payload)
 	if err := c.finalizePending(r); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r.Align()
-	if wantSum, err = r.ReadBytes(md4.Size); err != nil {
-		return nil, nil, fmt.Errorf("core: delta header: %w", err)
+	wantSum, err := r.ReadBytes(md4.Size)
+	if err != nil {
+		return nil, fmt.Errorf("core: delta header: %w", err)
 	}
+	c.wantSum = [md4.Size]byte(wantSum)
 	if enc, err = r.ReadBytes(r.BitsRemaining() / 8); err != nil {
-		return nil, nil, fmt.Errorf("core: delta payload: %w", err)
+		return nil, fmt.Errorf("core: delta payload: %w", err)
 	}
-	return wantSum, enc, nil
+	return enc, nil
 }
 
 // ApplyDelta consumes the final delta section and reconstructs the current
 // file. On ErrVerifyFailed the caller should arrange a full transfer.
 func (c *ClientFile) ApplyDelta(payload []byte) ([]byte, error) {
-	wantSum, enc, err := c.openDelta(payload)
+	enc, err := c.openDelta(payload)
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([]byte, c.n)
-	// Materialize known regions from the old file.
-	for _, m := range c.matches {
-		copy(out[m.serverOff:m.serverOff+m.length], c.fOld[m.clientOff:m.clientOff+m.length])
+	outs, err := DecodeGaps([]*ClientFile{c}, enc)
+	if err != nil {
+		return nil, err
 	}
-	ref, release := gather(out, c.coverIntervals())
+	if err := c.Check(outs[0]); err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// OpenDelta absorbs a delta section's header (ServerFile.EmitDeltaHeader)
+// whose delta travels apart, in a segment DecodeGaps reads. Once it returns,
+// GapBytes is final.
+func (c *ClientFile) OpenDelta(header []byte) error {
+	enc, err := c.openDelta(header)
+	if err == nil && len(enc) > 0 {
+		err = fmt.Errorf("%w: %d bytes after the delta header", ErrProtocol, len(enc))
+	}
+	return err
+}
+
+// GapBytes is the length of the file's unknown gaps: its share of what the
+// delta it is decoded from declares.
+func (c *ClientFile) GapBytes() int { return c.n - c.coveredBytes() }
+
+// DecodeGaps decodes enc — the unknown gaps of files, concatenated in order,
+// encoded against their known bytes, concatenated in the same order
+// (EncodeGaps) — and returns each file rebuilt, for Check to hold to its
+// whole-file sum. Each file's delta header must have been absorbed. The gaps'
+// total is known beforehand, so an enc declaring another length is refused
+// before it costs what it declares.
+func DecodeGaps(files []*ClientFile, enc []byte) ([][]byte, error) {
+	outs := make([][]byte, len(files))
+	ref := make([]span, len(files))
+	gaps := 0
+	for i, c := range files {
+		// Materialize known regions from the old file.
+		out := make([]byte, c.n)
+		for _, m := range c.matches {
+			copy(out[m.serverOff:m.serverOff+m.length], c.fOld[m.clientOff:m.clientOff+m.length])
+		}
+		outs[i], ref[i] = out, span{out, c.coverIntervals()}
+		gaps += c.GapBytes()
+	}
+	parts, release := gather(ref)
 	defer release()
-	// The gaps' total is known beforehand; a section declaring another length
-	// is refused before it costs what it declares.
-	target, err := delta.DecodeLen(ref[0], enc, c.n-c.coveredBytes())
+	target, err := delta.DecodeLen(parts[0], enc, gaps)
 	if err != nil {
 		return nil, fmt.Errorf("core: delta decode: %w", err)
 	}
-	for _, g := range c.gaps() {
-		target = target[copy(out[g.start:g.end], target):]
+	for i, c := range files {
+		for _, g := range c.gaps() {
+			target = target[copy(outs[i][g.start:g.end], target):]
+		}
 	}
-	got := md4.Sum(out)
-	if string(got[:]) != string(wantSum) {
-		return nil, ErrVerifyFailed
+	return outs, nil
+}
+
+// Check is ErrVerifyFailed unless out, the file DecodeGaps rebuilt, has the
+// whole-file sum its delta header announced.
+func (c *ClientFile) Check(out []byte) error {
+	if md4.Sum(out) != c.wantSum {
+		return ErrVerifyFailed
 	}
-	return out, nil
+	return nil
 }

@@ -90,7 +90,7 @@ func TestApplyDeltaRefusesDeclaredLength(t *testing.T) {
 	// A real section up to its delta stream: confirm bits, whole-file sum.
 	srv, cli := mapRounds(t, old, cur, DefaultConfig())
 	section := srv.EmitDelta()
-	_, enc, err := cli.openDelta(section)
+	enc, err := cli.openDelta(section)
 	if err != nil {
 		t.Fatal(err)
 	}

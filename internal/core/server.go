@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"msync/internal/bitio"
 	"msync/internal/cdc"
@@ -325,19 +326,24 @@ func (s *ServerFile) finalizeRound() {
 	s.finishRound(confirmed, offs)
 }
 
-// EmitDelta produces the final per-file delta section: any pending confirm
-// bits, the whole-file strong hash, and the delta of the unknown gaps
-// encoded against the known (covered) bytes.
+// EmitDelta produces the final per-file delta section: its header
+// (EmitDeltaHeader), then the delta of the file's unknown gaps encoded
+// against its known (covered) bytes — EncodeGaps of the file alone.
 func (s *ServerFile) EmitDelta() []byte {
-	w := bitio.NewWriter(256)
+	return slices.Concat(s.EmitDeltaHeader(), EncodeGaps(s.deltaMode, []*ServerFile{s}))
+}
+
+// EmitDeltaHeader produces the head of the file's delta section: any pending
+// confirm bits, then the whole-file strong hash, byte-aligned. The section's
+// delta may follow it, or travel in a segment shared with other files
+// (EncodeGaps).
+func (s *ServerFile) EmitDeltaHeader() []byte {
+	w := bitio.NewWriter(md4.Size + 8)
 	for _, r := range s.pendingConfirm {
 		w.WriteBit(r)
 	}
 	s.pendingConfirm = nil
 	w.Align()
-
-	parts, release := gather(s.fNew, s.coverIntervals(), s.gaps())
-	defer release()
 	var sum [md4.Size]byte
 	if s.sig != nil {
 		sum = s.sig.Sum
@@ -346,6 +352,19 @@ func (s *ServerFile) EmitDelta() []byte {
 		s.BytesHashed += int64(s.n)
 	}
 	w.WriteBytes(sum[:])
-	w.WriteBytes(s.deltaMode.Encode(parts[0], parts[1]))
 	return w.Bytes()
+}
+
+// EncodeGaps encodes, in mode m, the unknown gaps of files, concatenated in
+// order, against their known (covered) bytes, concatenated in the same
+// order: one delta a receiver decodes with DecodeGaps. The files' maps must
+// be done.
+func EncodeGaps(m delta.Mode, files []*ServerFile) []byte {
+	ref, target := make([]span, len(files)), make([]span, len(files))
+	for i, s := range files {
+		ref[i], target[i] = span{s.fNew, s.coverIntervals()}, span{s.fNew, s.gaps()}
+	}
+	parts, release := gather(ref, target)
+	defer release()
+	return m.Encode(parts[0], parts[1])
 }

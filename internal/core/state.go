@@ -237,15 +237,24 @@ var gatherPool = sync.Pool{New: func() any { return new([]byte) }}
 // huge file does not pin its size for the rest of the process.
 const maxRetainedGather = 4 << 20
 
-// gather concatenates src's bytes over each interval list into one pooled
-// buffer, sized exactly by summing the lists first, and returns one string
-// per list. release hands the buffer back: call it once delta.Encode or
-// Decode has returned (neither keeps a reference to its inputs).
-func gather(src []byte, lists ...[]interval) (parts [][]byte, release func()) {
+// span is src's bytes over ivs, one file's part of what a delta is coded
+// between.
+type span struct {
+	src []byte
+	ivs []interval
+}
+
+// gather concatenates the spans of each part, in order, into one pooled
+// buffer, sized exactly by summing them first, and returns one string per
+// part. release hands the buffer back: call it once delta.Encode or Decode has
+// returned (neither keeps a reference to its inputs).
+func gather(parts ...[]span) (out [][]byte, release func()) {
 	n := 0
-	for _, ivs := range lists {
-		for _, iv := range ivs {
-			n += iv.end - iv.start
+	for _, spans := range parts {
+		for _, sp := range spans {
+			for _, iv := range sp.ivs {
+				n += iv.end - iv.start
+			}
 		}
 	}
 	bp := gatherPool.Get().(*[]byte)
@@ -253,14 +262,16 @@ func gather(src []byte, lists ...[]interval) (parts [][]byte, release func()) {
 		*bp = make([]byte, 0, n)
 	}
 	b := (*bp)[:0]
-	for _, ivs := range lists {
+	for _, spans := range parts {
 		start := len(b)
-		for _, iv := range ivs {
-			b = append(b, src[iv.start:iv.end]...)
+		for _, sp := range spans {
+			for _, iv := range sp.ivs {
+				b = append(b, sp.src[iv.start:iv.end]...)
+			}
 		}
-		parts = append(parts, b[start:len(b):len(b)])
+		out = append(out, b[start:len(b):len(b)])
 	}
-	return parts, func() {
+	return out, func() {
 		if cap(b) <= maxRetainedGather {
 			gatherPool.Put(bp)
 		}

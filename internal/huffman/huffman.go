@@ -8,7 +8,6 @@ package huffman
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -41,28 +40,48 @@ type buildNode struct {
 	left, right int // indices into node slice, -1 for leaves
 }
 
+// nodeHeap is a binary min-heap of indices into nodes, ordered by frequency
+// and then by index. That order is total, so the nodes come off the heap in
+// one sequence whatever its shape, and the code lengths with them.
 type nodeHeap struct {
 	nodes []buildNode
 	order []int
 }
 
-func (h *nodeHeap) Len() int { return len(h.order) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.nodes[h.order[i]], h.nodes[h.order[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	// Tie-break on index for determinism.
-	return h.order[i] < h.order[j]
+// less orders node a before node b.
+func (h *nodeHeap) less(a, b int) bool {
+	fa, fb := h.nodes[a].freq, h.nodes[b].freq
+	return fa < fb || fa == fb && a < b
 }
-func (h *nodeHeap) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *nodeHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
-func (h *nodeHeap) Pop() any {
-	old := h.order
-	n := len(old)
-	v := old[n-1]
-	h.order = old[:n-1]
-	return v
+
+// down sifts the entry at i down to its place.
+func (h *nodeHeap) down(i int) {
+	order, x := h.order, h.order[i]
+	for {
+		c := 2*i + 1
+		if c >= len(order) {
+			break
+		}
+		if c+1 < len(order) && h.less(order[c+1], order[c]) {
+			c++
+		}
+		if !h.less(order[c], x) {
+			break
+		}
+		order[i], i = order[c], c
+	}
+	order[i] = x
+}
+
+// pop removes and returns the least node.
+func (h *nodeHeap) pop() int {
+	top, last := h.order[0], len(h.order)-1
+	h.order[0] = h.order[last]
+	h.order = h.order[:last]
+	if last > 0 {
+		h.down(0)
+	}
+	return top
 }
 
 // Build constructs a canonical code from symbol frequencies. Symbols with
@@ -119,15 +138,20 @@ func computeLengths(freq []int64, used int) []uint8 {
 		return lengths
 	}
 	h.nodes = nodes
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
+	for i := len(h.order)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h.order) > 1 {
+		// The two least nodes merge: the second is still the top, and the
+		// merged node takes its place.
+		a := h.pop()
+		b := h.order[0]
 		h.nodes = append(h.nodes, buildNode{
 			freq: h.nodes[a].freq + h.nodes[b].freq,
 			sym:  -1, left: a, right: b,
 		})
-		heap.Push(h, len(h.nodes)-1)
+		h.order[0] = len(h.nodes) - 1
+		h.down(0)
 	}
 	root := h.order[0]
 	// Iterative DFS assigning depths.

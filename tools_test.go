@@ -242,7 +242,7 @@ func TestDocsReferToExistingThings(t *testing.T) {
 		t.Fatalf("nothing to check against: %d targets, %d flags, %d ids", len(targets), len(flags), len(ids))
 	}
 	// Docs name files from the root (`internal/core/scan_test.go`) or from
-	// the package under discussion (`mux.go`): a path exists if some file's
+	// the package under discussion (`stream.go`): a path exists if some file's
 	// path ends in it.
 	suffixes := map[string]bool{}
 	filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
